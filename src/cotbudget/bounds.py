@@ -4,8 +4,10 @@ Under the threshold model the best average-budget allocation is a unit-value
 knapsack: sort questions by complexity and solve the cheapest ones until the
 budget is spent. That greedy structure makes the frontier a right-continuous
 step function with one breakpoint per prefix of the sorted finite
-complexities. All arithmetic is exact (integer sums over Fractions), so
-breakpoint equalities are exact.
+complexities. The profile caches those sorted complexities and their
+prefix sums once, so alpha_star is one bisection of the prefix sums and
+t_star one lookup. All arithmetic is exact (integer sums over Fractions),
+so breakpoint equalities are exact.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from operator import itemgetter
 
 from .complexity import ComplexityProfile
 from .errors import InfeasibleAccuracyError
@@ -44,8 +46,7 @@ class FrontierCurve:
     def alpha_at(self, budget: Rational) -> Fraction:
         """Step-function value: best accuracy attainable at the given average budget."""
         t = _as_fraction(budget, "budget")
-        budgets = [bp[0] for bp in self.breakpoints]
-        idx = bisect_right(budgets, t)
+        idx = bisect_right(self.breakpoints, t, key=itemgetter(0))
         return self.breakpoints[idx - 1][1] if idx else Fraction(0)
 
 
@@ -53,22 +54,14 @@ def alpha_star(profile: ComplexityProfile, budget: Rational) -> Fraction:
     """Maximum accuracy under an average token budget per question.
 
     Greedy over ascending finite complexities: the answer is m/n where m is
-    the longest prefix whose total cost fits n * budget.
+    the longest prefix whose total cost fits n * budget, i.e. the number of
+    prefix sums at or below it.
     """
     t = _as_fraction(budget, "budget")
     if t < 0:
         raise ValueError(f"budget must be non-negative, got {budget!r}")
-    taus = profile.finite_taus()
     n = profile.n_questions
-    total = n * t
-    m = 0
-    spent = 0
-    for tau in taus:
-        if spent + tau > total:
-            break
-        spent += tau
-        m += 1
-    return Fraction(m, n)
+    return Fraction(bisect_right(profile.tau_prefix_sums, n * t), n)
 
 
 def t_star(profile: ComplexityProfile, alpha: Rational) -> Fraction:
@@ -84,14 +77,13 @@ def t_star(profile: ComplexityProfile, alpha: Rational) -> Fraction:
         raise InfeasibleAccuracyError(a, profile.a_star)
     n = profile.n_questions
     m = math.ceil(a * n)
-    taus = profile.finite_taus()
-    return Fraction(sum(taus[:m]), n)
+    return Fraction(profile.tau_prefix_sums[m - 1] if m else 0, n)
 
 
 def lossless_bound(profile: ComplexityProfile) -> tuple[Fraction, Fraction]:
     """(A*, T*(A*)): max attainable accuracy and the average spend it requires."""
-    taus = profile.finite_taus()
-    return profile.a_star, Fraction(sum(taus), profile.n_questions)
+    prefix = profile.tau_prefix_sums
+    return profile.a_star, Fraction(prefix[-1] if prefix else 0, profile.n_questions)
 
 
 def frontier(profile: ComplexityProfile, samples: int = 2) -> FrontierCurve:
@@ -102,15 +94,16 @@ def frontier(profile: ComplexityProfile, samples: int = 2) -> FrontierCurve:
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    taus = profile.finite_taus()
     n = profile.n_questions
     breakpoints: list[tuple[Fraction, Fraction]] = []
-    for m, prefix in enumerate(accumulate(taus), start=1):
+    last_prefix = None
+    for m, prefix in enumerate(profile.tau_prefix_sums, start=1):
         point = (Fraction(prefix, n), Fraction(m, n))
-        if breakpoints and breakpoints[-1][0] == point[0]:
+        if prefix == last_prefix:
             breakpoints[-1] = point  # zero-cost tie: keep the higher accuracy
         else:
             breakpoints.append(point)
+        last_prefix = prefix
     a_star_val, t_lossless = lossless_bound(profile)
     curve = FrontierCurve(
         breakpoints=tuple(breakpoints), a_star=a_star_val, t_lossless=t_lossless

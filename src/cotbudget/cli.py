@@ -21,7 +21,7 @@ from . import metrics as metrics_mod
 from . import oracle as oracle_mod
 from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
-from .errors import CotBudgetError, EndpointError
+from .errors import CotBudgetError, EndpointError, RecordParseError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
 from .records import distinct_pairs, load_records, pivot, save_records, unpivot
 
@@ -221,13 +221,43 @@ def cmd_routing(args) -> int:
 
 
 def _load_budgets(path: str) -> dict[str, int]:
+    """Budgets JSONL: one {question_id, budget} object per line, integer budgets.
+
+    A bad line is a data error naming its 1-based line number, as in
+    load_records. Blank lines are skipped; a repeated question keeps its
+    last budget.
+    """
     budgets: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 obj = json.loads(line)
-                budgets[obj["question_id"]] = int(obj["budget"])
+            except json.JSONDecodeError as exc:
+                raise RecordParseError(path, line_no, f"malformed JSON: {exc.msg}") from exc
+            try:
+                question_id, budget = _budget_entry(obj)
+            except RecordSchemaError as exc:
+                raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
+            budgets[question_id] = budget
     return budgets
+
+
+def _budget_entry(obj: object) -> tuple[str, int]:
+    if not isinstance(obj, dict):
+        raise RecordSchemaError(f"budget must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in ("question_id", "budget") if name not in obj]
+    if missing:
+        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
+    question_id, budget = obj["question_id"], obj["budget"]
+    if not isinstance(question_id, str) or not question_id:
+        raise RecordSchemaError(
+            f"field 'question_id' must be a non-empty string, got {question_id!r}"
+        )
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise RecordSchemaError(f"field 'budget' must be an integer, got {budget!r}")
+    return question_id, budget
 
 
 def cmd_correlate(args) -> int:
@@ -291,7 +321,7 @@ def cmd_collect(args) -> int:
         append = True
     failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
     with collect_mod.JsonlWriter(args.out, append=append) as writer:
-        with collect_mod.JsonlWriter(failures_path) as failures:
+        with collect_mod.JsonlWriter(failures_path, append=append) as failures:
             summary = collect_mod.sweep(questions, config, writer, failures, skip=skip)
     if summary.succeeded == 0 and summary.failed > 0:
         raise EndpointError(

@@ -107,18 +107,18 @@ def validation_report(matrix: RunMatrix, profile: ComplexityProfile) -> Validati
 
 
 def midranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their positions."""
+    """1-based ranks with ties assigned the mean of their positions.
+
+    NaN equals nothing, so each NaN gets a rank of its own after every
+    number, in input order.
+    """
     a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=float)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    # return_index makes np.unique sort stably, which orders the NaNs.
+    _, _, inverse, counts = np.unique(
+        a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    first = np.cumsum(counts) - counts
+    return ((2 * first + counts - 1) / 2 + 1)[inverse]
 
 
 def spearman(lengths: Sequence[float], complexities: Sequence[float]) -> float:

@@ -9,7 +9,6 @@ tested against matrices built here.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,34 +22,46 @@ from .records import RunMatrix
 
 @dataclass(frozen=True)
 class LengthRule:
-    """Maps (question index, prompt index) to a token length."""
+    """Maps (question index, prompt index) to a token length.
+
+    ``fn`` is evaluated once, on broadcast integer index arrays: question
+    indices of shape (n, 1) and prompt indices of shape (1, n_prompts). It
+    returns lengths broadcastable to (n, n_prompts); non-integer values are
+    truncated toward zero.
+    """
 
     n_prompts: int
-    fn: Callable[[int, int], int]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def materialize(self, n_questions: int) -> np.ndarray:
-        lengths = np.empty((n_questions, self.n_prompts), dtype=np.int64)
-        for i in range(n_questions):
-            for k in range(self.n_prompts):
-                value = int(self.fn(i, k))
-                if value < 0:
-                    raise GenerationError(f"length rule produced {value} at cell ({i}, {k})")
-                lengths[i, k] = value
+        shape = (n_questions, self.n_prompts)
+        i = np.arange(n_questions).reshape(-1, 1)
+        k = np.arange(self.n_prompts).reshape(1, -1)
+        lengths = np.broadcast_to(self.fn(i, k), shape).astype(np.int64)
+        negative = lengths < 0
+        if negative.any():
+            row, col = np.argwhere(negative)[0]
+            raise GenerationError(
+                f"length rule produced {lengths[row, col]} at cell ({row}, {col})"
+            )
         return lengths
 
 
 def grid_lengths(values: Sequence[int]) -> LengthRule:
     """Fixed grid: every question sees the same per-prompt lengths."""
-    vals = tuple(int(v) for v in values)
+    vals = np.array([int(v) for v in values], dtype=np.int64)
     return LengthRule(n_prompts=len(vals), fn=lambda i, k: vals[k])
 
 
 def scaled_lengths(base: Sequence[int], multipliers: Sequence[float]) -> LengthRule:
-    """Per-prompt base length scaled by a per-question difficulty multiplier."""
-    base_t = tuple(int(b) for b in base)
-    mult_t = tuple(float(m) for m in multipliers)
+    """Per-prompt base length scaled by a per-question difficulty multiplier.
+
+    Rounds half to even, as Python's round does.
+    """
+    base_a = np.array([int(b) for b in base], dtype=np.int64)
+    mult_a = np.array([float(m) for m in multipliers], dtype=float)
     return LengthRule(
-        n_prompts=len(base_t), fn=lambda i, k: int(round(base_t[k] * mult_t[i]))
+        n_prompts=len(base_a), fn=lambda i, k: np.rint(base_a[k] * mult_a[i])
     )
 
 
@@ -79,22 +90,21 @@ def straddle_lengths(
     proxy = infinite_proxy if infinite_proxy is not None else (2 * max(finite) if finite else 64)
     n_below = max(1, (n_prompts - 1) // 2)
     n_above = n_prompts - 1 - n_below
-    factors = (
+    factors = np.array(
         [0.25 + 0.65 * b / max(1, n_below) for b in range(n_below)]
         + [1.0]
         + [1.0 + 1.0 * (a + 1) / max(1, n_above) for a in range(n_above)]
     )
-    taus_t = tuple(taus)
+    anchors = np.array([int(t) if is_finite(t) else proxy for t in taus], dtype=float)
     if shuffle_seed is None:
-        perms = None
+        cell_factors = np.broadcast_to(factors, (anchors.size, n_prompts))
     else:
         rng = np.random.default_rng(shuffle_seed)
-        perms = [rng.permutation(n_prompts) for _ in taus_t]
+        perms = [rng.permutation(n_prompts) for _ in taus]
+        cell_factors = factors[np.array(perms, dtype=np.intp).reshape(-1, n_prompts)]
 
-    def fn(i: int, k: int) -> int:
-        anchor = int(taus_t[i]) if is_finite(taus_t[i]) else proxy
-        factor = factors[k] if perms is None else factors[perms[i][k]]
-        return math.floor(factor * anchor)
+    def fn(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return np.floor(cell_factors[i, k] * anchors[i])
 
     return LengthRule(n_prompts=n_prompts, fn=fn)
 
@@ -130,19 +140,19 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
     question could never be estimated.
     """
     lengths = spec.prompt_lengths.materialize(spec.n)
-    for i, tau in enumerate(spec.taus):
-        if not is_finite(tau):
-            continue
-        row = lengths[i]
-        if not (row < tau).any() or not (row >= tau).any():
-            raise GenerationError(
-                f"question {i} (tau={int(tau)}) has no straddling lengths: "
-                f"min={int(row.min())}, max={int(row.max())}"
-            )
     tau_col = np.array(
         [t if is_finite(t) else np.inf for t in spec.taus], dtype=float
     ).reshape(-1, 1)
     correct = lengths >= tau_col
+    straddled = correct.any(axis=1) & ~correct.all(axis=1)
+    unstraddled = np.isfinite(tau_col[:, 0]) & ~straddled
+    if unstraddled.any():
+        i = int(np.argmax(unstraddled))
+        row = lengths[i]
+        raise GenerationError(
+            f"question {i} (tau={int(spec.taus[i])}) has no straddling lengths: "
+            f"min={int(row.min())}, max={int(row.max())}"
+        )
     if spec.violation_rate > 0:
         rng = np.random.default_rng(spec.seed)
         flips = rng.random(lengths.shape) < spec.violation_rate

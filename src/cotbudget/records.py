@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,8 +143,10 @@ class RunMatrix:
     """The n x K pivot of records for one (model, dataset) pair.
 
     ``present`` masks cells that have no record; token and correctness values
-    of absent cells are padding and must never be read. Instances are
-    immutable after construction and safe to share across threads.
+    of absent cells are padding and must never be read. ``question_pos`` and
+    ``prompt_pos`` map each id to its row or column (the first one, should
+    an id repeat). Instances are immutable after construction and safe to
+    share across threads.
     """
 
     model: str
@@ -153,6 +156,8 @@ class RunMatrix:
     tokens: np.ndarray
     correct: np.ndarray
     present: np.ndarray
+    question_pos: Mapping[str, int] = field(init=False, repr=False)
+    prompt_pos: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, k = len(self.question_ids), len(self.prompt_ids)
@@ -170,6 +175,8 @@ class RunMatrix:
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "correct", correct)
         object.__setattr__(self, "present", present)
+        object.__setattr__(self, "question_pos", _positions(self.question_ids))
+        object.__setattr__(self, "prompt_pos", _positions(self.prompt_ids))
 
     @property
     def n_questions(self) -> int:
@@ -181,14 +188,14 @@ class RunMatrix:
 
     def question_index(self, question_id: str) -> int:
         try:
-            return self.question_ids.index(question_id)
-        except ValueError:
+            return self.question_pos[question_id]
+        except KeyError:
             raise ValueError(f"unknown question_id {question_id!r}") from None
 
     def prompt_index(self, prompt_id: str) -> int:
         try:
-            return self.prompt_ids.index(prompt_id)
-        except ValueError:
+            return self.prompt_pos[prompt_id]
+        except KeyError:
             raise ValueError(f"unknown prompt_id {prompt_id!r}") from None
 
     def question_runs(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +215,14 @@ class RunMatrix:
             and np.array_equal(self.tokens[self.present], other.tokens[other.present])
             and np.array_equal(self.correct[self.present], other.correct[other.present])
         )
+
+
+def _positions(ids: Sequence[str]) -> Mapping[str, int]:
+    """Read-only id -> index map that keeps the first index of a repeated id."""
+    positions: dict[str, int] = {}
+    for index, key in enumerate(ids):
+        positions.setdefault(key, index)
+    return MappingProxyType(positions)
 
 
 def pivot(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:

@@ -2,7 +2,9 @@
 
 Policies never call a model: they re-read recorded cells, so any budget
 predictor or verifier construction can be scored offline against the same
-data that produced the frontier.
+data that produced the frontier. Each policy replays whole columns of the
+run matrix at once: it gathers its prompts' columns and picks one cell (or
+a prefix of cells) per question with argmax/argmin over them.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .bounds import FrontierCurve
 from .errors import CoverageError
@@ -37,21 +41,39 @@ class RoutingOutcome:
     avg_tokens: Fraction
     per_question: tuple[QuestionRoute, ...]
 
-    @classmethod
-    def from_routes(cls, policy_id: str, routes: Sequence[QuestionRoute]) -> RoutingOutcome:
-        n = len(routes)
-        return cls(
-            policy_id=policy_id,
-            accuracy=Fraction(sum(1 for r in routes if r.correct), n),
-            avg_tokens=Fraction(sum(r.tokens_spent for r in routes), n),
-            per_question=tuple(routes),
-        )
+
+def _outcome(
+    policy_id: str,
+    matrix: RunMatrix,
+    spent: np.ndarray,
+    correct: np.ndarray,
+    paths: list[tuple[str, ...]],
+) -> RoutingOutcome:
+    """Outcome from per-question spend, correctness and path, in matrix order."""
+    n = matrix.n_questions
+    spent_list = spent.tolist()
+    return RoutingOutcome(
+        policy_id=policy_id,
+        accuracy=Fraction(int(np.count_nonzero(correct)), n),
+        avg_tokens=Fraction(sum(spent_list), n),
+        per_question=tuple(
+            map(QuestionRoute, matrix.question_ids, spent_list, correct.tolist(), paths)
+        ),
+    )
 
 
-def _cell(matrix: RunMatrix, i: int, j: int, qid: str, pid: str) -> tuple[int, bool]:
-    if not matrix.present[i, j]:
-        raise CoverageError(f"no recorded run for question {qid!r} under prompt {pid!r}")
-    return int(matrix.tokens[i, j]), bool(matrix.correct[i, j])
+def _columns(
+    matrix: RunMatrix, prompts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tokens, correct, present) of the given prompts' columns, in that order."""
+    cols = [matrix.prompt_index(p) for p in prompts]
+    return matrix.tokens[:, cols], matrix.correct[:, cols], matrix.present[:, cols]
+
+
+def _coverage_error(matrix: RunMatrix, i: int, prompt_id: str) -> CoverageError:
+    return CoverageError(
+        f"no recorded run for question {matrix.question_ids[i]!r} under prompt {prompt_id!r}"
+    )
 
 
 def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcome:
@@ -59,25 +81,33 @@ def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcom
 
     The verifier is assumed perfect: an incorrect answer is always flagged
     and the next prompt in the chain is charged. Tokens accumulate across
-    every prompt actually run.
+    every prompt actually run. Only cells the cascade reaches must be
+    present; an absent cell after a question's stopping prompt is never read.
+
+    Whole-column replay: a question halts at its first cell that is solved
+    or absent (argmax over the chain), and spends the running token total
+    up to that cell.
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
-    cols = [matrix.prompt_index(p) for p in prompts]
-    routes: list[QuestionRoute] = []
-    for i, qid in enumerate(matrix.question_ids):
-        spent = 0
-        correct = False
-        path: list[str] = []
-        for pid, j in zip(prompts, cols):
-            tokens, ok = _cell(matrix, i, j, qid, pid)
-            spent += tokens
-            path.append(pid)
-            if ok:
-                correct = True
-                break
-        routes.append(QuestionRoute(qid, spent, correct, tuple(path)))
-    return RoutingOutcome.from_routes("verifier(" + "->".join(prompts) + ")", routes)
+    tokens, correct, present = _columns(matrix, prompts)
+    halts = ~present | correct
+    halted = halts.any(axis=1)
+    stop = np.where(halted, np.argmax(halts, axis=1), len(prompts) - 1)
+    rows = np.arange(matrix.n_questions)
+    reached_absent = ~present[rows, stop]
+    if reached_absent.any():
+        i = int(np.argmax(reached_absent))
+        raise _coverage_error(matrix, i, prompts[stop[i]])
+    spent = np.cumsum(tokens, axis=1)[rows, stop]
+    chains = [tuple(prompts[: s + 1]) for s in range(len(prompts))]
+    return _outcome(
+        "verifier(" + "->".join(prompts) + ")",
+        matrix,
+        spent,
+        halted,
+        [chains[s] for s in stop.tolist()],
+    )
 
 
 def verifier_route(
@@ -93,26 +123,38 @@ def budget_route(
     """Pick, per question, the family prompt with the longest recorded run within budget.
 
     Falls back to the family's shortest recorded run when nothing fits (and
-    when a question has no budget entry). Budget keys naming unknown
-    questions are ignored with a logged warning count.
+    when a question has no budget entry). Ties go to the first prompt in
+    family order. Budget keys naming unknown questions are ignored with a
+    logged warning count. Every family cell must be present.
+
+    Whole-column replay: argmax over the fitting runs (argmin over all runs
+    for the fallback) picks one column per question.
     """
     if not family:
         raise ValueError("family must be non-empty")
-    cols = [matrix.prompt_index(p) for p in family]
-    unknown = sum(1 for q in budgets if q not in matrix.question_ids)
+    tokens, correct, present = _columns(matrix, family)
+    unknown = sum(1 for q in budgets if q not in matrix.question_pos)
     if unknown:
         log.warning("budget_route: ignored %d budget(s) for unknown questions", unknown)
-    routes: list[QuestionRoute] = []
-    for i, qid in enumerate(matrix.question_ids):
-        cells = [(pid, *_cell(matrix, i, j, qid, pid)) for pid, j in zip(family, cols)]
-        budget = budgets.get(qid, 0)
-        fitting = [c for c in cells if c[1] <= budget]
-        if fitting:
-            choice = max(fitting, key=lambda c: c[1])
-        else:
-            choice = min(cells, key=lambda c: c[1])
-        routes.append(QuestionRoute(qid, choice[1], choice[2], (choice[0],)))
-    return RoutingOutcome.from_routes("budget(" + "->".join(family) + ")", routes)
+    if not present.all():
+        i, j = np.argwhere(~present)[0]
+        raise _coverage_error(matrix, int(i), family[j])
+    budget = np.array([budgets.get(q, 0) for q in matrix.question_ids])
+    fits = tokens <= budget.reshape(-1, 1)
+    choice = np.where(
+        fits.any(axis=1),
+        np.argmax(np.where(fits, tokens, -1), axis=1),
+        np.argmin(tokens, axis=1),
+    )
+    rows = np.arange(matrix.n_questions)
+    picks = [(p,) for p in family]
+    return _outcome(
+        "budget(" + "->".join(family) + ")",
+        matrix,
+        tokens[rows, choice],
+        correct[rows, choice],
+        [picks[c] for c in choice.tolist()],
+    )
 
 
 def compare_to_frontier(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cotbudget.complexity import INFINITE
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
@@ -35,6 +36,40 @@ def make_matrix(tokens, correct, present=None, model="m", dataset="d"):
         correct=np.asarray(correct, dtype=bool),
         present=np.asarray(present, dtype=bool),
     )
+
+
+ROW_KINDS = ("mixed", "all_correct", "all_wrong", "single_run")
+
+
+@st.composite
+def run_matrices(draw, max_questions=8, max_prompts=8, max_tokens=6, absent_share=0.2,
+                 empty_rows=False):
+    """Small RunMatrix with masked cells and lengths drawn from a narrow range.
+
+    A narrow token range makes tied and zero lengths common. Each row is
+    mixed, all correct, all wrong or has a single present run (k_i = 1).
+    Every row keeps at least one present run unless empty_rows is set.
+    """
+    n = draw(st.integers(1, max_questions))
+    k = draw(st.integers(1, max_prompts))
+    cells = st.lists(st.integers(0, max_tokens), min_size=k, max_size=k)
+    tokens, correct, present = [], [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        tokens.append(draw(cells))
+        if kind == "mixed":
+            correct.append(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+        else:
+            correct.append([kind == "all_correct"] * k)
+        if kind == "single_run":
+            keep = draw(st.integers(0, k - 1))
+            row = [j == keep for j in range(k)]
+        else:
+            row = [draw(st.floats(0, 1)) >= absent_share for _ in range(k)]
+            if not any(row) and not empty_rows:
+                row[draw(st.integers(0, k - 1))] = True
+        present.append(row)
+    return make_matrix(tokens, correct, present)
 
 
 @pytest.fixture

@@ -192,6 +192,46 @@ class TestRoutingCommand:
         assert code == 2
 
 
+class TestBudgetsFile:
+    """Each bad budgets line is a data error (exit 1) naming its line number."""
+
+    def run_routing(self, tmp_path, capsys, records, second_line):
+        budgets = tmp_path / "budgets.jsonl"
+        budgets.write_text(json.dumps({"question_id": "q00", "budget": 60}) + "\n"
+                           + second_line + "\n")
+        code = main(["routing", "--records", str(records), "--budgets", str(budgets),
+                     "--family", "p0,p3", "--out", str(tmp_path / "routing.csv")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"question_id": "q01", "budget": 60.7}', "must be an integer, got 60.7"),
+            ('{"question_id": "q01", "budget": 60.0}', "must be an integer, got 60.0"),
+            ('{"question_id": "q01", "budget": true}', "must be an integer, got True"),
+            ('{"question_id": "q01"}', "missing required field(s): budget"),
+            ('{"budget": 60}', "missing required field(s): question_id"),
+            ('{"question_id": 7, "budget": 60}', "'question_id' must be a non-empty string"),
+            ('[1, 2]', "must be a JSON object, got list"),
+            ('{"question_id": "q01", "budget": 6', "malformed JSON"),
+        ],
+    )
+    def test_bad_line_is_data_error_with_line_number(self, tmp_path, capsys, synth_records,
+                                                     line, reason):
+        records, _ = synth_records
+        code, err = self.run_routing(tmp_path, capsys, records, line)
+        assert code == 1
+        assert "budgets.jsonl:2: " in err
+        assert reason in err
+        assert not (tmp_path / "routing.csv").exists()
+
+    def test_integer_budgets_load(self, tmp_path, capsys, synth_records):
+        records, _ = synth_records
+        code, err = self.run_routing(tmp_path, capsys, records,
+                                     '{"question_id": "q01", "budget": -3}')
+        assert code == 0, err
+
+
 class TestCorrelateAndAdaptivity:
     def test_correlate_csv(self, tmp_path, capsys, synth_records):
         records, _ = synth_records
@@ -253,6 +293,37 @@ class TestCollectCommand:
         assert "6 collected" in text
         assert len(out.read_text().splitlines()) == 6
         assert (tmp_path / "records.failures.jsonl").read_text() == ""
+
+    def test_resume_keeps_earlier_failures(self, tmp_path, capsys):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
+        catalog = tmp_path / "catalog.json"
+        from cotbudget.mockserver import default_reply
+        from cotbudget.prompts import PromptCatalog, fixed_spec
+
+        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(catalog)
+        out = tmp_path / "records.jsonl"
+        failures = tmp_path / "records.failures.jsonl"
+        argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+                "--catalog", str(catalog), "--out", str(out), "--retries", "0"]
+
+        def no_usage_for_q2(question_text, body):
+            content, tokens = default_reply(question_text, "2")
+            return content, None if question_text == "Two plus two?" else tokens
+
+        with MockChatEndpoint(reply_fn=no_usage_for_q2) as mock:
+            code, text = run(capsys, *argv, "--endpoint", mock.url)
+        assert code == 0
+        assert "2 collected, 2 failed" in text
+        first_failures = failures.read_text().splitlines()
+        assert len(first_failures) == 2
+
+        with MockChatEndpoint(answers={"Two plus two?": "4"}) as mock:
+            code, text = run(capsys, *argv, "--endpoint", mock.url, "--resume")
+        assert code == 0
+        assert "2 skipped (resume), 2 collected, 0 failed" in text
+        assert failures.read_text().splitlines() == first_failures
+        assert len(out.read_text().splitlines()) == 4
 
     def test_unreachable_endpoint_exit_code(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cotbudget import complexity
 from cotbudget.complexity import (
     INFINITE,
     ComplexityProfile,
@@ -19,7 +21,8 @@ from cotbudget.errors import CoverageError
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
 from cotbudget.records import RunMatrix
 
-from conftest import make_matrix
+from conftest import make_matrix, run_matrices
+from loop_oracles import estimate_tau_loop, profile_loop
 
 runs_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=400), st.booleans()),
@@ -98,6 +101,16 @@ class TestEstimateTau:
         assert qc.tau_hat == tau
         assert qc.c_star == acc
 
+    @given(runs=runs_strategy)
+    def test_matches_loop_oracle(self, runs):
+        lengths = [r[0] for r in runs]
+        corrects = [r[1] for r in runs]
+        assert estimate_tau(lengths, corrects, "q") == estimate_tau_loop(lengths, corrects, "q")
+
+    def test_negative_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_tau([3, -1], [True, False])
+
     @given(runs=runs_strategy, seed=st.randoms())
     def test_permutation_invariant(self, runs, seed):
         shuffled = list(runs)
@@ -169,6 +182,47 @@ class TestProfile:
         for i, entry in enumerate(prof.entries):
             lengths, corrects = matrix.question_runs(i)
             assert classify_accuracy(lengths, corrects, entry.tau_hat) == entry.c_star
+
+
+class TestProfileMatchesLoopOracle:
+    """The row-blocked kernel against the per-question loop it replaced."""
+
+    @settings(max_examples=300)
+    @given(matrix=run_matrices())
+    def test_entries_and_aggregates_exactly_equal(self, matrix):
+        got = profile(matrix)
+        want = profile_loop(matrix)
+        assert got.entries == want.entries
+        for name in ("c_bar", "a_star", "tau_bar_over_n", "tau_bar_finite_mean"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got == want
+
+    @settings(max_examples=100)
+    @given(matrix=run_matrices(max_questions=12), block=st.integers(1, 5))
+    def test_block_size_does_not_matter(self, matrix, block):
+        with mock.patch.object(complexity, "BLOCK_ROWS", block):
+            blocked = profile(matrix)
+        assert blocked == profile_loop(matrix)
+
+    @settings(max_examples=100)
+    @given(matrix=run_matrices(empty_rows=True, absent_share=0.6))
+    def test_coverage_error_names_first_empty_question(self, matrix):
+        empty = [q for i, q in enumerate(matrix.question_ids) if not matrix.present[i].any()]
+        assume(empty)
+        with mock.patch.object(complexity, "BLOCK_ROWS", 2):
+            with pytest.raises(CoverageError) as got:
+                profile(matrix)
+        with pytest.raises(CoverageError) as want:
+            profile_loop(matrix)
+        assert str(got.value) == str(want.value)
+        assert repr(empty[0]) in str(got.value)
+
+    def test_finite_taus_cached_sorted_and_summed(self, oracle_matrix):
+        matrix, _ = oracle_matrix
+        prof = profile(matrix)
+        assert prof.sorted_finite_taus == (10, 20)
+        assert prof.tau_prefix_sums == (10, 30)
+        assert prof.finite_taus() == [10, 20]
 
 
 class TestProfileSerialization:

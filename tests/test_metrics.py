@@ -27,6 +27,7 @@ from cotbudget.metrics import (
 from cotbudget.oracle import OracleSpec, generate, scaled_lengths, straddle_lengths
 
 from conftest import make_matrix
+from loop_oracles import midranks_loop
 
 
 def rank_oracle(values):
@@ -180,6 +181,18 @@ class TestMidranks:
     @given(xs=st.lists(st.integers(0, 10), min_size=1, max_size=30))
     def test_matches_oracle(self, xs):
         assert list(midranks(xs)) == pytest.approx(rank_oracle(xs))
+
+    def test_each_nan_keeps_its_own_rank(self):
+        nan = float("nan")
+        assert midranks([nan, 1.0, nan, 1.0, 0.0]).tolist() == [4.0, 2.5, 5.0, 2.5, 1.0]
+
+    @given(
+        xs=st.lists(
+            st.one_of(st.integers(0, 5).map(float), st.just(float("nan"))), max_size=30
+        )
+    )
+    def test_matches_loop_oracle_exactly(self, xs):
+        assert midranks(xs).tolist() == midranks_loop(xs).tolist()
 
 
 class TestComplexityCorrelations:

@@ -19,6 +19,8 @@ from cotbudget.oracle import (
     save_taus,
 )
 
+from loop_oracles import scaled_lengths_loop, straddle_lengths_loop
+
 
 class TestGenerate:
     def test_indicator_correctness(self):
@@ -95,6 +97,40 @@ class TestGenerate:
         rule = scaled_lengths(base=[10, 20], multipliers=[1.0, 2.5])
         grid = rule.materialize(2)
         assert grid.tolist() == [[10, 20], [25, 50]]
+
+
+class TestLengthRulesMatchPerCellLoops:
+    """Array rules against the one-call-per-cell rules they replaced."""
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 0, 7])
+    @pytest.mark.parametrize("n_prompts", [2, 5, 31])
+    def test_straddle_lengths_bit_identical(self, shuffle_seed, n_prompts):
+        taus = random_spec(n=300, seed=3).taus
+        rule = straddle_lengths(taus, n_prompts, shuffle_seed=shuffle_seed)
+        want = straddle_lengths_loop(taus, n_prompts, shuffle_seed=shuffle_seed)
+        assert np.array_equal(rule.materialize(len(taus)), want)
+
+    def test_straddle_lengths_with_proxy_and_no_finite_taus(self):
+        taus = (INFINITE, INFINITE)
+        for proxy in (None, 7):
+            got = straddle_lengths(taus, 4, infinite_proxy=proxy).materialize(2)
+            assert np.array_equal(got, straddle_lengths_loop(taus, 4, infinite_proxy=proxy))
+
+    def test_scaled_lengths_round_half_to_even(self):
+        base, multipliers = [1, 3, 5, 7], [0.5, 1.5, 2.5, 0.1, 1.25]
+        got = scaled_lengths(base, multipliers).materialize(len(multipliers))
+        assert np.array_equal(got, scaled_lengths_loop(base, multipliers))
+
+    def test_random_spec_generates_the_same_matrix(self):
+        spec = random_spec(n=200, seed=11, violation_rate=0.1)
+        want = straddle_lengths_loop(spec.taus, 31, shuffle_seed=11)
+        matrix, _ = generate(spec)
+        assert np.array_equal(matrix.tokens, want)
+
+    def test_first_negative_cell_is_reported(self):
+        rule = scaled_lengths(base=[1, 2, 3], multipliers=[1.0, 1.0, -1.0, -2.0])
+        with pytest.raises(GenerationError, match=r"produced -1 at cell \(2, 0\)"):
+            rule.materialize(4)
 
 
 class TestTausSidecar:

@@ -20,7 +20,8 @@ from cotbudget.routing import (
     verifier_route,
 )
 
-from conftest import make_matrix
+from conftest import make_matrix, run_matrices
+from loop_oracles import budget_route_loop, verifier_cascade_loop
 
 
 class TestVerifierRoute:
@@ -152,6 +153,106 @@ class TestBudgetRoute:
         longest = prompt_table(m, profile(m))[-1]
         assert out.accuracy == longest.accuracy
         assert out.avg_tokens == longest.avg_tokens
+
+
+def _same_result(fn, oracle):
+    """Both raise the same CoverageError, or both return equal outcomes."""
+    try:
+        want = oracle()
+    except CoverageError as exc:
+        with pytest.raises(CoverageError) as got:
+            fn()
+        assert str(got.value) == str(exc)
+        return None
+    got = fn()
+    assert got == want
+    return got
+
+
+@st.composite
+def cascades(draw):
+    matrix = draw(run_matrices(max_questions=10, max_prompts=5, max_tokens=50, absent_share=0.1))
+    chain = draw(st.lists(st.sampled_from(matrix.prompt_ids), min_size=1, max_size=4))
+    return matrix, chain
+
+
+@st.composite
+def budget_cases(draw):
+    matrix, family = draw(cascades())
+    budget = st.integers(-5, 60)
+    budgets = {q: draw(budget) for q in matrix.question_ids if draw(st.booleans())}
+    for u in range(draw(st.integers(0, 3))):
+        budgets[f"ghost{u}"] = draw(budget)
+    return matrix, budgets, family
+
+
+class TestRoutingMatchesLoopOracles:
+    """Whole-column replays against the per-question loops they replaced."""
+
+    @settings(max_examples=300)
+    @given(case=cascades())
+    def test_verifier_cascade(self, case):
+        matrix, chain = case
+        _same_result(
+            lambda: verifier_cascade(matrix, chain), lambda: verifier_cascade_loop(matrix, chain)
+        )
+
+    @settings(max_examples=300)
+    @given(case=budget_cases())
+    def test_budget_route(self, case):
+        matrix, budgets, family = case
+        _same_result(
+            lambda: budget_route(matrix, budgets, family),
+            lambda: budget_route_loop(matrix, budgets, family)[0],
+        )
+
+    def test_absent_cell_after_the_stop_is_not_read(self):
+        m = make_matrix(
+            [[5, 80, 7], [6, 100, 9]],
+            [[True, False, True], [False, True, False]],
+            present=[[True, False, False], [True, True, False]],
+        )
+        out = verifier_cascade(m, ["p00", "p01", "p02"])
+        assert out == verifier_cascade_loop(m, ["p00", "p01", "p02"])
+        assert [r.path for r in out.per_question] == [("p00",), ("p00", "p01")]
+
+    def test_first_reached_absent_cell_is_named(self):
+        m = make_matrix(
+            [[5, 80, 7], [6, 100, 9], [1, 1, 1]],
+            [[False, False, True], [False, True, False], [False, False, False]],
+            present=[[True, True, False], [True, False, False], [False, True, True]],
+        )
+        with pytest.raises(CoverageError, match="'q00' under prompt 'p02'"):
+            verifier_cascade(m, ["p00", "p01", "p02"])
+
+    def test_budget_ties_go_to_first_family_prompt(self):
+        m = make_matrix([[40, 5, 40, 5]], [[False, True, True, False]])
+        fitting = budget_route(m, {"q00": 50}, ["p00", "p01", "p02", "p03"])
+        assert fitting.per_question[0].path == ("p00",)
+        shortest = budget_route(m, {"q00": 1}, ["p00", "p01", "p02", "p03"])
+        assert shortest.per_question[0].path == ("p01",)
+        reordered = budget_route(m, {"q00": 50}, ["p02", "p00"])
+        assert reordered.per_question[0].path == ("p02",)
+
+    def test_budget_coverage_error_names_first_absent_family_cell(self):
+        m = make_matrix(
+            [[5, 40, 9], [6, 50, 8]],
+            [[False, True, True], [False, False, True]],
+            present=[[True, True, True], [True, False, False]],
+        )
+        with pytest.raises(CoverageError, match="'q01' under prompt 'p02'"):
+            budget_route(m, {}, ["p00", "p02", "p01"])
+
+    def test_unknown_budget_warning_count_matches_loop(self, caplog):
+        m = make_matrix([[5, 40], [6, 50]], [[False, True], [True, True]])
+        budgets = {"q00": 50, "ghost": 1, "q01": 2, "phantom": 3, "spectre": 4}
+        with caplog.at_level(logging.WARNING, logger="cotbudget.routing"):
+            budget_route(m, budgets, ["p00", "p01"])
+        _, unknown = budget_route_loop(m, budgets, ["p00", "p01"])
+        assert unknown == 3
+        assert caplog.messages == [
+            f"budget_route: ignored {unknown} budget(s) for unknown questions"
+        ]
 
 
 class TestCompareToFrontier:
