@@ -30,7 +30,17 @@ from .metrics import (
 )
 from .oracle import OracleSpec, generate, grid_lengths, random_spec, scaled_lengths, straddle_lengths
 from .prompts import PromptCatalog, PromptSpec, default_catalog, render
-from .records import EvalRecord, RunMatrix, load_records, pivot, save_records, unpivot
+from .records import (
+    EvalRecord,
+    RecordColumns,
+    RunMatrix,
+    load_records,
+    pivot,
+    read_columns,
+    save_matrix,
+    save_records,
+    unpivot,
+)
 from .routing import (
     RoutingOutcome,
     budget_route,
@@ -52,6 +62,7 @@ __all__ = [
     "PromptSpec",
     "Question",
     "QuestionComplexity",
+    "RecordColumns",
     "RoutingOutcome",
     "RunMatrix",
     "SweepConfig",
@@ -76,7 +87,9 @@ __all__ = [
     "profile",
     "prompt_table",
     "random_spec",
+    "read_columns",
     "render",
+    "save_matrix",
     "save_records",
     "scaled_lengths",
     "spearman",

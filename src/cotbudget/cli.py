@@ -23,7 +23,7 @@ from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
 from .errors import CotBudgetError, EndpointError, RecordParseError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
-from .records import distinct_pairs, load_records, pivot, save_records, unpivot
+from .records import RecordColumns, read_columns, save_matrix
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -44,10 +44,10 @@ def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _select_pair(args, records) -> tuple[str, str]:
+def _select_pair(args, columns: RecordColumns) -> tuple[str, str]:
     if args.model and args.dataset:
         return args.model, args.dataset
-    pairs = distinct_pairs(records)
+    pairs = columns.pairs
     if len(pairs) == 1:
         return pairs[0]
     listing = "; ".join(f"{m}/{d}" for m, d in pairs)
@@ -57,9 +57,9 @@ def _select_pair(args, records) -> tuple[str, str]:
 
 
 def _load_matrix(args):
-    records = load_records(args.records)
-    model, dataset = _select_pair(args, records)
-    return pivot(records, model, dataset)
+    columns = read_columns(args.records)
+    model, dataset = _select_pair(args, columns)
+    return columns.matrix(model, dataset)
 
 
 def _profile_for(args, matrix=None) -> ComplexityProfile:
@@ -90,7 +90,7 @@ def cmd_synth(args) -> int:
         )
     matrix, taus = oracle_mod.generate(spec)
     taus_out = args.taus_out or str(Path(args.out).parent / "taus.json")
-    count = save_records(unpivot(matrix), args.out)
+    count = save_matrix(matrix, args.out)
     oracle_mod.save_taus(taus, matrix.question_ids, taus_out)
     n_inf = sum(1 for t in taus if not oracle_mod.is_finite(t))
     print(
@@ -317,7 +317,8 @@ def cmd_collect(args) -> int:
     skip: set[tuple[str, str]] = set()
     append = False
     if args.resume and Path(args.out).exists():
-        skip = collect_mod.existing_cells(load_records(args.out), args.model, args.dataset)
+        collect_mod.drop_torn_tail(args.out)
+        skip = read_columns(args.out).cells(args.model, args.dataset)
         append = True
     failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
     with collect_mod.JsonlWriter(args.out, append=append) as writer:

@@ -3,7 +3,8 @@
 Talks plain chat-completions JSON over HTTP. Token counts are taken from the
 endpoint's reported completion-token usage, never recomputed locally; cells
 that still fail after retries land in a failures sidecar instead of the
-record file.
+record file. ``requests`` is imported by the first request, so importing
+this module (and the analysis CLI) does not pay for it.
 """
 from __future__ import annotations
 
@@ -20,10 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import requests
-
 from .prompts import PromptCatalog, PromptSpec, render
-from .records import EvalRecord
+from .records import TOKENS_MAX, EvalRecord
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +30,7 @@ API_KEY_ENV = "COTBUDGET_API_KEY"
 ANSWER_PATTERN = re.compile(r"(?i)\banswer\s*:\s*([^\n]*)")
 BACKOFF_BASE_SECONDS = 0.25
 BACKOFF_CAP_SECONDS = 8.0
+TAIL_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,8 @@ def _post_with_retries(
     config: SweepConfig, payload: dict, headers: dict[str, str]
 ) -> tuple[dict | None, str | None, int]:
     """Returns (response JSON, error, retries used). Retries transport errors, 429 and 5xx."""
+    import requests
+
     last_error = "no attempt made"
     retries_used = 0
     for attempt in range(config.retries + 1):
@@ -253,7 +255,15 @@ def _run_cell(
         content = obj["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
         return None, "response missing choices[0].message.content", retries_used
-    usage = obj.get("usage") or {}
+    if not isinstance(content, str):
+        kind = type(content).__name__
+        return None, f"response content must be a string, got {kind}", retries_used
+    usage = obj.get("usage")
+    if usage is None:
+        usage = {}
+    elif not isinstance(usage, dict):
+        kind = type(usage).__name__
+        return None, f"response usage must be an object, got {kind}", retries_used
     tokens = usage.get("completion_tokens")
     extra: dict = {}
     if tokens is None:
@@ -261,13 +271,20 @@ def _run_cell(
             return None, "response missing usage.completion_tokens", retries_used
         tokens = math.ceil(len(content) / 4)
         extra["tokens_estimated"] = True
+    elif type(tokens) is not int or not 0 <= tokens <= TOKENS_MAX:
+        return (
+            None,
+            f"response usage.completion_tokens must be an integer in [0, {TOKENS_MAX}], "
+            f"got {tokens!r}",
+            retries_used,
+        )
     correct, extracted = grade(content, question)
     record = EvalRecord(
         model=config.model,
         dataset=config.dataset,
         question_id=question.question_id,
         prompt_id=spec.prompt_id,
-        tokens=int(tokens),
+        tokens=tokens,
         correct=correct,
         response=content,
         extracted_answer=extracted,
@@ -333,6 +350,46 @@ def sweep(
         with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
             list(pool.map(run_job, jobs))
     return summary
+
+
+def drop_torn_tail(path: str | Path) -> int:
+    """Make a records file safe to append to; returns the number of bytes cut.
+
+    A final line without a newline that is not UTF-8 JSON is what a crash in
+    the middle of a write leaves behind: it is logged and cut off, so its
+    cell is requested again. A final line that parses but lacks its newline
+    gets one. Lines before the last are left for the loader to judge.
+    """
+    with Path(path).open("r+b") as fh:
+        start, tail = fh.seek(0, os.SEEK_END), b""
+        while start > 0:
+            step = min(TAIL_BLOCK_BYTES, start)
+            fh.seek(start - step)
+            block = fh.read(step)
+            newline = block.rfind(b"\n")
+            if newline >= 0:
+                start -= step - newline - 1
+                tail = block[newline + 1 :] + tail
+                break
+            start -= step
+            tail = block + tail
+        if not tail:
+            return 0
+        try:
+            json.loads(tail.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+            fh.truncate(start)
+            log.warning(
+                "%s: cut off a torn final line (%d bytes, no newline) at byte %d; "
+                "its cell will be requested again",
+                path,
+                len(tail),
+                start,
+            )
+            return len(tail)
+        fh.seek(0, os.SEEK_END)
+        fh.write(b"\n")
+        return 0
 
 
 def existing_cells(

@@ -3,7 +3,7 @@
 The mock answers every request with a canned completion derived from the
 question text, reporting a deterministic completion-token count, so sweeps
 against it are fully reproducible. Failure injection (leading 500s, missing
-usage) covers the retry and sidecar contracts.
+usage, rewritten reply bodies) covers the retry and sidecar contracts.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ QUESTION_RE = re.compile(r"Question: ([^\n]*)")
 
 Reply = tuple[str, int | None]
 ReplyFn = Callable[[str, dict], Reply]
+RewriteFn = Callable[[dict], object]
 
 
 def default_reply(question_text: str, answer: str) -> Reply:
@@ -57,11 +58,13 @@ class _Handler(BaseHTTPRequestHandler):
                 "completion_tokens": tokens,
                 "total_tokens": 1 + tokens,
             }
+        if endpoint.rewrite is not None:
+            response = endpoint.rewrite(response)
         with endpoint.lock:
             endpoint.responses.append(response)
         self._send(200, response)
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: object) -> None:
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -78,8 +81,10 @@ class MockChatEndpoint:
 
     answers maps question text (the first line after "Question: ") to the
     final answer the mock should give; unmatched questions get
-    default_answer. Use fail_first to inject leading HTTP 500s and
-    omit_usage to exercise the missing-usage path.
+    default_answer. Use fail_first to inject leading HTTP 500s,
+    omit_usage to exercise the missing-usage path, and rewrite (called on
+    each 200 reply body, returning the body to send) to send malformed
+    replies.
     """
 
     def __init__(
@@ -89,16 +94,18 @@ class MockChatEndpoint:
         fail_first: int = 0,
         omit_usage: bool = False,
         reply_fn: ReplyFn | None = None,
+        rewrite: RewriteFn | None = None,
     ) -> None:
         self.answers = dict(answers or {})
         self.default_answer = default_answer
         self.fail_remaining = fail_first
         self.omit_usage = omit_usage
         self.reply_fn = reply_fn
+        self.rewrite = rewrite
         self.lock = threading.Lock()
         self.request_count = 0
         self.requests: list[dict] = []
-        self.responses: list[dict] = []
+        self.responses: list[object] = []
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self.url = ""

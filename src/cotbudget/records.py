@@ -2,15 +2,18 @@
 
 A record is one chain-of-thought run of a (model, dataset, question, prompt)
 cell: the output token count and whether the graded answer was correct. All
-analysis consumes the pivoted RunMatrix, never loose records.
+analysis consumes the pivoted RunMatrix, never loose records. Files go to and
+from the matrix column by column (``read_columns``, ``save_matrix``);
+``EvalRecord`` objects are built only for callers that ask for them.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import (
 
 REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
 OPTIONAL_FIELDS = ("response", "extracted_answer")
+TOKENS_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,11 @@ class EvalRecord:
             raise RecordSchemaError(f"field 'tokens' must be an integer, got {self.tokens!r}")
         if self.tokens < 0:
             raise RecordSchemaError(f"field 'tokens' must be non-negative, got {self.tokens}")
+        if self.tokens > TOKENS_MAX:
+            raise RecordSchemaError(
+                f"field 'tokens' must fit in a signed 64-bit integer (at most {TOKENS_MAX}), "
+                f"got {self.tokens}"
+            )
         if not isinstance(self.correct, bool):
             raise RecordSchemaError(f"field 'correct' must be a boolean, got {self.correct!r}")
 
@@ -98,33 +107,126 @@ class EvalRecord:
         return out
 
 
+Key = tuple[str, str, str, str]
+
+
+def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
+    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
+
+    The file is read one line at a time. A line that fails the inline field
+    check is handed to EvalRecord, whose error becomes the RecordSchemaError,
+    so both report the same reason. Equal key strings are shared between
+    lines, so a file holds each distinct id in memory once.
+    """
+    seen: dict[Key, int] = {}
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    loads = json.loads
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                obj = loads(line)
+            except json.JSONDecodeError as exc:
+                # A blank line never parses, so it is looked for only here.
+                if not line.strip():
+                    continue
+                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+            if type(obj) is not dict:
+                raise _schema_error(obj, path, line_no)
+            model = obj.get("model")
+            dataset = obj.get("dataset")
+            question_id = obj.get("question_id")
+            prompt_id = obj.get("prompt_id")
+            tokens = obj.get("tokens")
+            correct = obj.get("correct")
+            if not (
+                type(model) is str and model
+                and type(dataset) is str and dataset
+                and type(question_id) is str and question_id
+                and type(prompt_id) is str and prompt_id
+                and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
+                and type(correct) is bool
+            ):
+                raise _schema_error(obj, path, line_no)
+            key = (
+                share(model, model),
+                share(dataset, dataset),
+                share(question_id, question_id),
+                share(prompt_id, prompt_id),
+            )
+            first = seen.setdefault(key, line_no)
+            if first != line_no:
+                raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
+            yield key, tokens, correct, obj
+
+
+def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:
+    """The error EvalRecord raises for a line the inline check rejected."""
+    try:
+        EvalRecord.from_json_dict(obj)  # type: ignore[arg-type]
+    except RecordSchemaError as exc:
+        return RecordSchemaError(exc.reason, path=str(path), line_no=line_no)
+    raise AssertionError(f"{path}:{line_no}: inline record check disagrees with EvalRecord")
+
+
 def load_records(path: str | Path) -> list[EvalRecord]:
     """Load a JSONL record file, validating schema and key uniqueness.
 
     Raises RecordParseError / RecordSchemaError with 1-based line numbers and
     DuplicateRecordError naming the repeated key. Blank lines are skipped.
     """
-    path = Path(path)
-    records: list[EvalRecord] = []
-    seen: dict[tuple[str, str, str, str], int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
-            try:
-                record = EvalRecord.from_json_dict(obj)
-            except RecordSchemaError as exc:
-                raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
-            first = seen.get(record.key)
-            if first is not None:
-                raise DuplicateRecordError(record.key, f"lines {first} and {line_no} of {path}")
-            seen[record.key] = line_no
-            records.append(record)
-    return records
+    return [EvalRecord.from_json_dict(obj) for _, _, _, obj in _scan(Path(path))]
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """A record file's analysed fields as aligned lists, in file order.
+
+    ``keys`` holds each record's (model, dataset, question_id, prompt_id);
+    ``tokens`` and ``correct`` are aligned with it. Optional and unknown
+    fields are not kept.
+    """
+
+    keys: list[Key]
+    tokens: list[int]
+    correct: list[bool]
+
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        """Sorted distinct (model, dataset) pairs."""
+        return sorted({(model, dataset) for model, dataset, _, _ in self.keys})
+
+    def _rows(self, model: str, dataset: str) -> list[int]:
+        return [i for i, key in enumerate(self.keys) if key[0] == model and key[1] == dataset]
+
+    def cells(self, model: str, dataset: str) -> set[tuple[str, str]]:
+        """(question_id, prompt_id) cells present for a (model, dataset) pair."""
+        return {(self.keys[i][2], self.keys[i][3]) for i in self._rows(model, dataset)}
+
+    def matrix(self, model: str, dataset: str) -> RunMatrix:
+        """The RunMatrix of one (model, dataset) pair; the same result as pivot."""
+        rows = self._rows(model, dataset)
+        keys, tokens, correct = self.keys, self.tokens, self.correct
+        return _pivot(
+            model,
+            dataset,
+            [keys[i][2] for i in rows],
+            [keys[i][3] for i in rows],
+            [tokens[i] for i in rows],
+            [correct[i] for i in rows],
+        )
+
+
+def read_columns(path: str | Path) -> RecordColumns:
+    """Load a JSONL record file into columns; the checks and errors of load_records."""
+    keys: list[Key] = []
+    tokens: list[int] = []
+    correct: list[bool] = []
+    for key, count, ok, _ in _scan(Path(path)):
+        keys.append(key)
+        tokens.append(count)
+        correct.append(ok)
+    return RecordColumns(keys, tokens, correct)
 
 
 def save_records(records: Iterable[EvalRecord], path: str | Path) -> int:
@@ -136,6 +238,27 @@ def save_records(records: Iterable[EvalRecord], path: str | Path) -> int:
             fh.write(json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n")
             count += 1
     return count
+
+
+def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
+    """Write a RunMatrix as records JSONL; returns the count written.
+
+    The file is byte-identical to ``save_records(unpivot(matrix), path)``:
+    one line per present cell, row-major, ids JSON-encoded once each.
+    """
+    dumps = functools.partial(json.dumps, ensure_ascii=False)
+    head = f'{{"model": {dumps(matrix.model)}, "dataset": {dumps(matrix.dataset)}, "question_id": '
+    questions = [head + dumps(q) + ', "prompt_id": ' for q in matrix.question_ids]
+    prompts = [dumps(p) + ', "tokens": ' for p in matrix.prompt_ids]
+    rows, cols = np.nonzero(matrix.present)
+    tokens = matrix.tokens[rows, cols].tolist()
+    correct = matrix.correct[rows, cols].tolist()
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(
+            f'{questions[i]}{prompts[j]}{t}, "correct": {"true" if c else "false"}}}\n'
+            for i, j, t, c in zip(rows.tolist(), cols.tolist(), tokens, correct)
+        )
+    return len(tokens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,24 +355,57 @@ def pivot(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:
     depend on input order. Absent cells are masked out, never fabricated.
     """
     selected = [r for r in records if r.model == model and r.dataset == dataset]
-    if not selected:
+    return _pivot(
+        model,
+        dataset,
+        [r.question_id for r in selected],
+        [r.prompt_id for r in selected],
+        [r.tokens for r in selected],
+        [r.correct for r in selected],
+    )
+
+
+def _pivot(
+    model: str,
+    dataset: str,
+    question_ids: list[str],
+    prompt_ids: list[str],
+    tokens: list[int],
+    correct: list[bool],
+) -> RunMatrix:
+    """Place aligned per-record columns of one pair into an n x K matrix."""
+    if not question_ids:
         raise EmptySelectionError(f"no records for model={model!r} dataset={dataset!r}")
-    question_ids = tuple(sorted({r.question_id for r in selected}))
-    prompt_ids = tuple(sorted({r.prompt_id for r in selected}))
-    q_index = {q: i for i, q in enumerate(question_ids)}
-    p_index = {p: j for j, p in enumerate(prompt_ids)}
-    n, k = len(question_ids), len(prompt_ids)
-    tokens = np.zeros((n, k), dtype=np.int64)
-    correct = np.zeros((n, k), dtype=bool)
-    present = np.zeros((n, k), dtype=bool)
-    for r in selected:
-        i, j = q_index[r.question_id], p_index[r.prompt_id]
-        if present[i, j]:
-            raise DuplicateRecordError(r.key)
-        tokens[i, j] = r.tokens
-        correct[i, j] = r.correct
-        present[i, j] = True
-    return RunMatrix(model, dataset, question_ids, prompt_ids, tokens, correct, present)
+    # Python sorts and dicts, not np.unique: a numpy 'U' array drops trailing
+    # NULs, which would merge "q1\x00" with "q1".
+    row_ids = tuple(sorted(set(question_ids)))
+    col_ids = tuple(sorted(set(prompt_ids)))
+    row_of = {q: i for i, q in enumerate(row_ids)}
+    col_of = {p: j for j, p in enumerate(col_ids)}
+    count, n, k = len(question_ids), len(row_ids), len(col_ids)
+    cells = np.fromiter(map(row_of.__getitem__, question_ids), np.intp, count) * k
+    cells += np.fromiter(map(col_of.__getitem__, prompt_ids), np.intp, count)
+    present = np.zeros(n * k, dtype=bool)
+    present[cells] = True
+    if np.count_nonzero(present) != count:
+        filled: set[int] = set()
+        for index, cell in enumerate(cells.tolist()):
+            if cell in filled:
+                raise DuplicateRecordError((model, dataset, question_ids[index], prompt_ids[index]))
+            filled.add(cell)
+    values = np.zeros(present.shape, dtype=np.int64)
+    values[cells] = np.array(tokens, dtype=np.int64)
+    hits = np.zeros(present.shape, dtype=bool)
+    hits[cells] = np.array(correct, dtype=bool)
+    return RunMatrix(
+        model,
+        dataset,
+        row_ids,
+        col_ids,
+        values.reshape(n, k),
+        hits.reshape(n, k),
+        present.reshape(n, k),
+    )
 
 
 def unpivot(matrix: RunMatrix) -> list[EvalRecord]:
@@ -269,8 +425,3 @@ def unpivot(matrix: RunMatrix) -> list[EvalRecord]:
                     )
                 )
     return out
-
-
-def distinct_pairs(records: Iterable[EvalRecord]) -> list[tuple[str, str]]:
-    """Sorted distinct (model, dataset) pairs present in a record set."""
-    return sorted({(r.model, r.dataset) for r in records})

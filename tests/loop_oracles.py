@@ -1,22 +1,78 @@
-"""Per-question and per-cell loop versions of the package's vectorized code.
+"""Per-record, per-question and per-cell loop versions of the package's code.
 
-These are the straightforward implementations the whole-matrix code in
-``cotbudget`` replaced: one question (or one cell) at a time, exactly as the
-rules are stated. They are slow, and they are kept only as reference oracles
-for the differential tests.
+These are the straightforward implementations the columnar and whole-matrix
+code in ``cotbudget`` replaced: one record, question or cell at a time,
+exactly as the rules are stated. They are slow, and they are kept only as
+reference oracles for the differential tests.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from cotbudget.complexity import INFINITE, ComplexityProfile, QuestionComplexity, is_finite
-from cotbudget.errors import CoverageError
-from cotbudget.records import RunMatrix
+from cotbudget.errors import (
+    CoverageError,
+    DuplicateRecordError,
+    EmptySelectionError,
+    RecordParseError,
+    RecordSchemaError,
+)
+from cotbudget.records import EvalRecord, RunMatrix
 from cotbudget.routing import QuestionRoute, RoutingOutcome
+
+
+def load_records_loop(path: str | Path) -> list[EvalRecord]:
+    """One EvalRecord per line, each validated by its constructor."""
+    path = Path(path)
+    records: list[EvalRecord] = []
+    seen: dict[tuple[str, str, str, str], int] = {}
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+            try:
+                record = EvalRecord.from_json_dict(obj)
+            except RecordSchemaError as exc:
+                raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
+            first = seen.get(record.key)
+            if first is not None:
+                raise DuplicateRecordError(record.key, f"lines {first} and {line_no} of {path}")
+            seen[record.key] = line_no
+            records.append(record)
+    return records
+
+
+def pivot_loop(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:
+    """Sorted ids, then one cell assignment per selected record."""
+    selected = [r for r in records if r.model == model and r.dataset == dataset]
+    if not selected:
+        raise EmptySelectionError(f"no records for model={model!r} dataset={dataset!r}")
+    question_ids = tuple(sorted({r.question_id for r in selected}))
+    prompt_ids = tuple(sorted({r.prompt_id for r in selected}))
+    q_index = {q: i for i, q in enumerate(question_ids)}
+    p_index = {p: j for j, p in enumerate(prompt_ids)}
+    n, k = len(question_ids), len(prompt_ids)
+    tokens = np.zeros((n, k), dtype=np.int64)
+    correct = np.zeros((n, k), dtype=bool)
+    present = np.zeros((n, k), dtype=bool)
+    for r in selected:
+        i, j = q_index[r.question_id], p_index[r.prompt_id]
+        if present[i, j]:
+            raise DuplicateRecordError(r.key)
+        tokens[i, j] = r.tokens
+        correct[i, j] = r.correct
+        present[i, j] = True
+    return RunMatrix(model, dataset, question_ids, prompt_ids, tokens, correct, present)
 
 
 def estimate_tau_loop(

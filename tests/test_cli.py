@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cotbudget
 from cotbudget.cli import main
 from cotbudget.mockserver import MockChatEndpoint
+from cotbudget.records import EvalRecord, load_records
 
 QUESTIONS = [
     {"question_id": "q1", "text": "One plus one?", "gold_answer": "2"},
@@ -406,3 +413,152 @@ class TestDeterminism:
                 (records.read_bytes(), taus.read_bytes(), comp.read_bytes(), csv.read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def no_eval_records(monkeypatch):
+    """Make building any EvalRecord fail the test."""
+
+    def refuse(self):
+        raise AssertionError("EvalRecord built")
+
+    monkeypatch.setattr(EvalRecord, "__post_init__", refuse)
+
+
+class TestRecordsLimits:
+    def test_tokens_above_int64_is_data_error(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        records.write_text(
+            '{"model": "m", "dataset": "d", "question_id": "q1", "prompt_id": "p1", '
+            '"tokens": 5, "correct": true}\n'
+            '{"model": "m", "dataset": "d", "question_id": "q1", "prompt_id": "p2", '
+            '"tokens": 99999999999999999999, "correct": true}\n',
+            encoding="utf-8",
+        )
+        code = main(["complexity", "--records", str(records), "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"data error: {records}:2: field 'tokens' must fit in a signed 64-bit")
+        assert "Traceback" not in err
+
+    def test_bad_line_of_other_pair_is_data_error(self, tmp_path, capsys, synth_records):
+        records, _ = synth_records
+        with records.open("a", encoding="utf-8") as fh:
+            fh.write('{"model": "other", "dataset": "d", "question_id": "q", "prompt_id": "p", '
+                     '"tokens": -1, "correct": true}\n')
+        code = main(["complexity", "--records", str(records), "--model", "oracle",
+                     "--dataset", "synthetic", "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        assert f"{records}:{12 * 7 + 1}: field 'tokens' must be non-negative" in capsys.readouterr().err
+
+
+class TestColumnarIO:
+    def test_synth_matches_record_writer(self, tmp_path, capsys):
+        from cotbudget import oracle
+        from cotbudget.records import save_records, unpivot
+
+        out = tmp_path / "r.jsonl"
+        code, _ = run(capsys, "synth", "--out", str(out), "--n", "15", "--prompts", "6",
+                      "--seed", "4", "--violation-rate", "0.3", "--model", "modèle \"x\"",
+                      "--dataset", "数据")
+        assert code == 0
+        spec = oracle.random_spec(n=15, seed=4, violation_rate=0.3, n_prompts=6)
+        spec = dataclasses.replace(spec, model='modèle "x"', dataset="数据")
+        matrix, _ = oracle.generate(spec)
+        save_records(unpivot(matrix), tmp_path / "want.jsonl")
+        assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_analysis_builds_no_eval_record(self, tmp_path, capsys, synth_records,
+                                            no_eval_records):
+        records, _ = synth_records
+        for argv in (
+            ["complexity"],
+            ["predict"],
+            ["bounds"],
+            ["tradeoff"],
+            ["correlate"],
+            ["routing", "--base-prompt", "p0", "--fallback-prompt", "p6"],
+            ["adaptivity", "--split-prompt", "p0"],
+        ):
+            out = tmp_path / f"{argv[0]}.out"
+            assert main([*argv, "--records", str(records), "--out", str(out)]) == 0
+
+    def test_cli_import_leaves_requests_unloaded(self):
+        probe = "import sys, cotbudget.cli; print('requests' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cotbudget.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.strip() == "False"
+
+
+class TestResumeTornLine:
+    @pytest.fixture
+    def collected(self, tmp_path, capsys):
+        """Two questions x two prompts collected once; returns (argv, records path)."""
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
+        catalog = tmp_path / "catalog.json"
+        from cotbudget.prompts import PromptCatalog, fixed_spec
+
+        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(catalog)
+        out = tmp_path / "records.jsonl"
+        argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+                "--catalog", str(catalog), "--out", str(out)]
+        with MockChatEndpoint(answers={"Two plus two?": "4"}) as mock:
+            assert run(capsys, *argv, "--endpoint", mock.url)[0] == 0
+        return argv, out
+
+    def resume(self, capsys, argv):
+        """(exit code, stdout, stderr, requests made) of a --resume run."""
+        with MockChatEndpoint(answers={"Two plus two?": "4"}) as mock:
+            code = main([*argv, "--endpoint", mock.url, "--resume"])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, mock.request_count
+
+    def test_torn_final_line_is_cut_and_requested_again(self, collected, capsys, caplog):
+        argv, out = collected
+        whole = out.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:-1]) + lines[-1][:-9])
+        with caplog.at_level("WARNING", logger="cotbudget.collect"):
+            code, text, _, requests_made = self.resume(capsys, argv)
+        assert code == 0
+        assert "3 skipped (resume), 1 collected, 0 failed" in text
+        assert requests_made == 1
+        assert "torn final line" in caplog.text
+        assert sorted(out.read_bytes().splitlines()) == sorted(whole.splitlines())
+
+    def test_torn_inside_a_character_is_cut(self, collected, capsys):
+        argv, out = collected
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:-1]) + '{"model": "m", "response": "é'.encode()[:-1])
+        code, text, _, _ = self.resume(capsys, argv)
+        assert code == 0
+        assert "3 skipped (resume), 1 collected" in text
+        assert len(load_records(out)) == 4
+
+    def test_torn_middle_line_is_data_error(self, collected, capsys):
+        argv, out = collected
+        lines = out.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + b"\n"
+        out.write_bytes(b"".join(lines))
+        code, _, err, requests_made = self.resume(capsys, argv)
+        assert code == 1
+        assert err.startswith(f"data error: {out}:2: malformed JSON")
+        assert requests_made == 0
+
+    def test_complete_final_line_without_newline_gets_one(self, collected, capsys):
+        argv, out = collected
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:-2]) + lines[-2].rstrip(b"\n"))
+        code, text, _, _ = self.resume(capsys, argv)
+        assert code == 0
+        assert "3 skipped (resume), 1 collected" in text
+        assert len(load_records(out)) == 4
+
+    def test_resume_reads_no_eval_record(self, collected, capsys, no_eval_records):
+        argv, _ = collected
+        code, text, _, requests_made = self.resume(capsys, argv)
+        assert code == 0
+        assert "4 skipped (resume), 0 collected" in text
+        assert requests_made == 0

@@ -10,6 +10,7 @@ from cotbudget.collect import (
     Choice,
     Question,
     SweepConfig,
+    drop_torn_tail,
     existing_cells,
     format_question,
     grade,
@@ -282,3 +283,80 @@ class TestSweep:
                 )
         assert summary.succeeded == 18
         assert len(load_records(out)) == 18
+
+
+def _usage(value):
+    def rewrite(response):
+        response["usage"]["completion_tokens"] = value
+        return response
+    return rewrite
+
+
+def _content(value):
+    def rewrite(response):
+        response["choices"][0]["message"]["content"] = value
+        return response
+    return rewrite
+
+
+MALFORMED_REPLIES = [
+    (_usage(-3), "usage.completion_tokens must be an integer in [0, 9223372036854775807], got -3"),
+    (_usage(True), "got True"),
+    (_usage(12.0), "got 12.0"),
+    (_usage("12"), "got '12'"),
+    (_usage(2**63), "got 9223372036854775808"),
+    (lambda r: {**r, "usage": [5]}, "response usage must be an object, got list"),
+    (_content(None), "response content must be a string, got NoneType"),
+    (_content({"text": "Answer: bad"}), "response content must be a string, got dict"),
+    (lambda r: [r], "response missing choices[0].message.content"),
+]
+
+
+def test_malformed_replies_go_to_sidecar(tmp_path):
+    """Each kind of malformed reply fails its own cells; the sweep finishes the rest."""
+    questions = [Question(question_id="good", text="One plus one?", gold_answer="2")]
+    answers = {}
+    for index in range(len(MALFORMED_REPLIES)):
+        questions.append(Question(question_id=f"bad{index}", text=f"Q{index}?", gold_answer="1"))
+        answers[f"Q{index}?"] = f"bad{index}"
+
+    def rewrite(response):
+        answer = response["choices"][0]["message"]["content"].rsplit("Answer: ", 1)[1]
+        if answer.startswith("bad"):
+            return MALFORMED_REPLIES[int(answer[3:])][0](response)
+        return response
+
+    out = tmp_path / "records.jsonl"
+    fail_path = tmp_path / "failures.jsonl"
+    with MockChatEndpoint(answers=answers, rewrite=rewrite) as mock:
+        with JsonlWriter(out) as writer, JsonlWriter(fail_path) as failures:
+            summary = sweep(questions, config_for(mock.url, max_parallel=3), writer, failures)
+    bad_cells = 3 * len(MALFORMED_REPLIES)
+    assert (summary.succeeded, summary.failed, summary.retries) == (3, bad_cells, 0)
+    assert {r.question_id for r in load_records(out)} == {"good"}
+    sidecar = [json.loads(line) for line in fail_path.read_text().splitlines()]
+    assert len(sidecar) == bad_cells
+    for entry in sidecar:
+        assert MALFORMED_REPLIES[int(entry["question_id"][3:])][1] in entry["error"]
+
+
+@pytest.mark.parametrize("block", [4, 7, 1 << 16])
+@pytest.mark.parametrize(
+    "before, after, cut",
+    [
+        (b"", b"", 0),
+        (b'{"a": 1}\n', b'{"a": 1}\n', 0),
+        (b'{"a": 1}', b'{"a": 1}\n', 0),
+        (b'{"a": 1}\n{"b": [1, 2', b'{"a": 1}\n', 11),
+        (b'{"b": [1, 2', b"", 11),
+        (b'{"a": 1}\n{"b": "\xc3', b'{"a": 1}\n', 8),
+        (b'{"a": 1\n{"b": 2}', b'{"a": 1\n{"b": 2}\n', 0),
+        (b'{"a": 1}\n\n  ', b'{"a": 1}\n\n', 2),
+    ],
+)
+def test_drop_torn_tail(tmp_path, monkeypatch, block, before, after, cut):
+    monkeypatch.setattr("cotbudget.collect.TAIL_BLOCK_BYTES", block)
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(before)
+    assert drop_torn_tail(path) == cut
+    assert path.read_bytes() == after
