@@ -23,7 +23,7 @@ from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
 from .errors import CotBudgetError, EndpointError, RecordParseError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
-from .records import RecordColumns, read_columns, save_matrix
+from .records import RecordColumns, read_columns, save_matrix, utf8_error
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -223,24 +223,27 @@ def cmd_routing(args) -> int:
 def _load_budgets(path: str) -> dict[str, int]:
     """Budgets JSONL: one {question_id, budget} object per line, integer budgets.
 
-    A bad line is a data error naming its 1-based line number, as in
-    load_records. Blank lines are skipped; a repeated question keeps its
-    last budget.
+    A bad line, or a byte that is not UTF-8, is a data error naming its
+    1-based line number, as in load_records. Blank lines are skipped; a
+    repeated question keeps its last budget.
     """
     budgets: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(path, line_no, f"malformed JSON: {exc.msg}") from exc
-            try:
-                question_id, budget = _budget_entry(obj)
-            except RecordSchemaError as exc:
-                raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
-            budgets[question_id] = budget
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordParseError(path, line_no, f"malformed JSON: {exc.msg}") from exc
+                try:
+                    question_id, budget = _budget_entry(obj)
+                except RecordSchemaError as exc:
+                    raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
+                budgets[question_id] = budget
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, exc) from exc
     return budgets
 
 

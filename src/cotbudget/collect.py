@@ -1,10 +1,12 @@
 """Record collection: sweep a prompt catalog over questions against an endpoint.
 
-Talks plain chat-completions JSON over HTTP. Token counts are taken from the
-endpoint's reported completion-token usage, never recomputed locally; cells
-that still fail after retries land in a failures sidecar instead of the
-record file. ``requests`` is imported by the first request, so importing
-this module (and the analysis CLI) does not pay for it.
+Talks plain chat-completions JSON over HTTP/1.1 with the standard library:
+each worker of a sweep keeps one connection alive for all its cells. Token
+counts are taken from the endpoint's reported completion-token usage, never
+recomputed locally; cells that still fail after retries land in a failures
+sidecar instead of the record file. ``http.client``, ``ssl`` and
+``urllib.request`` are imported when a sweep starts, so importing this module
+(and the analysis CLI) does not pay for them.
 """
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
+from urllib.parse import urlsplit
 
+from .errors import EndpointError, RecordParseError, RecordSchemaError
 from .prompts import PromptCatalog, PromptSpec, render
-from .records import TOKENS_MAX, EvalRecord
+from .records import TOKENS_MAX, EvalRecord, utf8_error
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +34,8 @@ API_KEY_ENV = "COTBUDGET_API_KEY"
 ANSWER_PATTERN = re.compile(r"(?i)\banswer\s*:\s*([^\n]*)")
 BACKOFF_BASE_SECONDS = 0.25
 BACKOFF_CAP_SECONDS = 8.0
+RETRY_AFTER_MAX_SECONDS = 60
+QUESTION_FIELDS = ("question_id", "text", "gold_answer")
 TAIL_BLOCK_BYTES = 1 << 16
 
 
@@ -61,31 +67,76 @@ class Question:
                 )
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> Question:
+    def from_json_dict(cls, obj: object) -> Question:
+        """Build a question from one parsed JSONL line; RecordSchemaError if it does not fit."""
+        if not isinstance(obj, dict):
+            raise RecordSchemaError(f"question must be a JSON object, got {type(obj).__name__}")
+        missing = [name for name in QUESTION_FIELDS if name not in obj]
+        if missing:
+            raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
+        for name in QUESTION_FIELDS:
+            value = obj[name]
+            if not isinstance(value, str) or not value:
+                raise RecordSchemaError(f"field {name!r} must be a non-empty string, got {value!r}")
         choices = obj.get("choices")
-        return cls(
-            question_id=obj["question_id"],
-            text=obj["text"],
-            gold_answer=obj["gold_answer"],
-            choices=tuple(Choice(c["label"], c["text"]) for c in choices)
-            if choices
-            else None,
-        )
+        if choices is not None and not (
+            isinstance(choices, list)
+            and all(
+                isinstance(c, dict)
+                and isinstance(c.get("label"), str)
+                and c["label"]
+                and isinstance(c.get("text"), str)
+                for c in choices
+            )
+        ):
+            raise RecordSchemaError(
+                "field 'choices' must be a list of objects with a non-empty string 'label' "
+                f"and a string 'text', got {choices!r}"
+            )
+        try:
+            return cls(
+                question_id=obj["question_id"],
+                text=obj["text"],
+                gold_answer=obj["gold_answer"],
+                choices=tuple(Choice(c["label"], c["text"]) for c in choices)
+                if choices
+                else None,
+            )
+        except ValueError as exc:
+            raise RecordSchemaError(str(exc)) from exc
 
 
 def load_questions(path: str | Path) -> list[Question]:
-    """Read a JSONL questions file; question_ids must be unique."""
+    """Read a JSONL questions file, checking every line before any request is sent.
+
+    A bad line raises RecordParseError (malformed JSON, a byte that is not
+    UTF-8) or RecordSchemaError (see Question.from_json_dict, or a
+    question_id already used on an earlier line), naming its 1-based line.
+    Blank lines are skipped.
+    """
     out = []
-    seen: set[str] = set()
+    first_line: dict[str, int] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            question = Question.from_json_dict(json.loads(line))
-            if question.question_id in seen:
-                raise ValueError(f"duplicate question_id {question.question_id!r} in {path}")
-            seen.add(question.question_id)
-            out.append(question)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    question = Question.from_json_dict(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+                except RecordSchemaError as exc:
+                    raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
+                first = first_line.setdefault(question.question_id, line_no)
+                if first != line_no:
+                    raise RecordSchemaError(
+                        f"duplicate question_id {question.question_id!r} (first on line {first})",
+                        path=str(path),
+                        line_no=line_no,
+                    )
+                out.append(question)
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, exc) from exc
     return out
 
 
@@ -117,6 +168,11 @@ class SweepConfig:
             raise ValueError("max_parallel must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be a finite number")
+        url = urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
 
 
 @dataclass
@@ -200,47 +256,172 @@ class JsonlWriter:
         self.close()
 
 
-def _auth_headers() -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
+def _request_headers() -> dict[str, str]:
+    from . import __version__
+
+    headers = {
+        "Content-Type": "application/json",
+        "User-Agent": f"cotbudget/{__version__}",
+        "Accept-Encoding": "identity",
+    }
     key = os.environ.get(API_KEY_ENV, "")
     if key:
         headers["Authorization"] = f"Bearer {key}"
     return headers
 
 
-def _post_with_retries(
-    config: SweepConfig, payload: dict, headers: dict[str, str]
-) -> tuple[dict | None, str | None, int]:
-    """Returns (response JSON, error, retries used). Retries transport errors, 429 and 5xx."""
-    import requests
+def _tls_context():
+    """The default TLS context, trusting REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE when set."""
+    import ssl
 
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    try:
+        if bundle and os.path.isdir(bundle):
+            return ssl.create_default_context(capath=bundle)
+        return ssl.create_default_context(cafile=bundle or None)
+    except OSError as exc:  # ssl.SSLError included
+        raise EndpointError(f"cannot load the CA bundle {bundle}: {exc}") from exc
+
+
+class _Transport:
+    """Where one sweep's requests go, worked out once, and its open connections.
+
+    The endpoint's host, port and path, the proxy (HTTP_PROXY, HTTPS_PROXY,
+    ALL_PROXY and NO_PROXY, as urllib.request reads them), the TLS context
+    and the headers are fixed when the sweep starts. ``max_parallel``
+    connections are made then but open their sockets on first use; a worker
+    takes one for each request, so no two workers share one, and keeps it
+    alive between cells. close() closes them all.
+    """
+
+    def __init__(self, config: SweepConfig) -> None:
+        import http.client
+        import queue
+        import urllib.request
+        from base64 import b64encode
+        from urllib.parse import unquote
+
+        url = urlsplit(config.endpoint)
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        self.target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self.headers = _request_headers()
+        context = _tls_context() if url.scheme == "https" else None
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and urllib.request.proxy_bypass(host):
+            proxy = None
+        tunnel_headers: dict[str, str] = {}
+        if proxy:
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError(f"only http:// proxies are supported, got {proxy!r}")
+            if via.username:
+                credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                token = b64encode(credentials.encode("utf-8")).decode("ascii")
+                tunnel_headers["Proxy-Authorization"] = f"Basic {token}"
+            address = (via.hostname, via.port or 80)
+            if url.scheme == "http":
+                # The proxy takes the absolute URL as the request target.
+                self.target = f"http://{url.netloc.rpartition('@')[2]}{self.target}"
+                self.headers.update(tunnel_headers)
+        else:
+            address = (host, port)
+
+        def connection() -> http.client.HTTPConnection:
+            if url.scheme == "http":
+                return http.client.HTTPConnection(*address, timeout=config.timeout)
+            conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
+            if proxy:
+                conn.set_tunnel(host, port, headers=tunnel_headers)
+            return conn
+
+        self._connections = [connection() for _ in range(config.max_parallel)]
+        self._idle: queue.SimpleQueue = queue.SimpleQueue()
+        for conn in self._connections:
+            self._idle.put(conn)
+
+    def post(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """POST body on an idle connection; returns (status, Retry-After, reply body).
+
+        The reply body is read in full, whatever the status, so the
+        connection can carry the next request. A kept-alive connection that
+        the server closed while idle fails before any reply arrives; the
+        request is then sent once more on a new connection. Any other
+        failure closes the connection and propagates.
+        """
+        conn = self._idle.get()
+        try:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self.target, body, self.headers)
+                reply = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self.target, body, self.headers)
+                reply = conn.getresponse()
+            return reply.status, reply.getheader("Retry-After"), reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.put(conn)
+
+    def close(self) -> None:
+        for conn in self._connections:
+            conn.close()
+
+
+def _retry_after_seconds(value: str | None) -> int:
+    """A delta-seconds Retry-After value; 0 for none, an HTTP-date, junk or above the cap."""
+    value = (value or "").strip()
+    if value.isascii() and value.isdigit() and int(value) <= RETRY_AFTER_MAX_SECONDS:
+        return int(value)
+    return 0
+
+
+def _post_with_retries(
+    config: SweepConfig, transport: _Transport, payload: dict
+) -> tuple[dict | None, str | None, int]:
+    """Returns (response JSON, error, retries used). Retries transport errors, 429 and 5xx.
+
+    The wait before a retry is the exponential backoff, or the reply's
+    Retry-After when a 429 or 503 asks for longer.
+    """
+    from http.client import HTTPException
+
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     last_error = "no attempt made"
     retries_used = 0
+    retry_after = 0
     for attempt in range(config.retries + 1):
         if attempt:
-            time.sleep(min(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1), BACKOFF_CAP_SECONDS))
+            backoff = min(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1), BACKOFF_CAP_SECONDS)
+            time.sleep(max(backoff, retry_after))
             retries_used += 1
+        retry_after = 0
         try:
-            resp = requests.post(
-                config.endpoint, json=payload, headers=headers, timeout=config.timeout
-            )
-        except requests.RequestException as exc:
-            last_error = f"transport: {exc}"
+            status, retry_after_header, data = transport.post(body)
+        except (OSError, HTTPException) as exc:
+            last_error = f"transport: {str(exc) or type(exc).__name__}"
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = f"HTTP {resp.status_code}"
+        if status == 429 or status >= 500:
+            last_error = f"HTTP {status}"
+            if status in (429, 503):
+                retry_after = _retry_after_seconds(retry_after_header)
             continue
-        if resp.status_code != 200:
-            return None, f"HTTP {resp.status_code}", retries_used
+        if status != 200:
+            return None, f"HTTP {status}", retries_used
         try:
-            return resp.json(), None, retries_used
+            return json.loads(data), None, retries_used
         except ValueError:
             return None, "unparseable response body", retries_used
     return None, last_error, retries_used
 
 
 def _run_cell(
-    config: SweepConfig, question: Question, spec: PromptSpec, headers: dict[str, str]
+    config: SweepConfig, question: Question, spec: PromptSpec, transport: _Transport
 ) -> tuple[EvalRecord | None, str | None, int]:
     prompt_text = render(spec, format_question(question))
     payload = {
@@ -248,7 +429,7 @@ def _run_cell(
         "messages": [{"role": "user", "content": prompt_text}],
         "temperature": config.temperature,
     }
-    obj, error, retries_used = _post_with_retries(config, payload, headers)
+    obj, error, retries_used = _post_with_retries(config, transport, payload)
     if obj is None:
         return None, error, retries_used
     try:
@@ -316,12 +497,12 @@ def sweep(
                 summary.skipped += 1
             else:
                 jobs.append((question, spec))
-    headers = _auth_headers()
+    transport = _Transport(config)
     lock = threading.Lock()
 
     def run_job(job: tuple[Question, PromptSpec]) -> None:
         question, spec = job
-        record, error, retries_used = _run_cell(config, question, spec, headers)
+        record, error, retries_used = _run_cell(config, question, spec, transport)
         with lock:
             summary.retries += retries_used
             if record is not None:
@@ -343,12 +524,15 @@ def sweep(
                     }
                 )
 
-    if config.max_parallel == 1:
-        for job in jobs:
-            run_job(job)
-    else:
-        with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-            list(pool.map(run_job, jobs))
+    try:
+        if config.max_parallel == 1:
+            for job in jobs:
+                run_job(job)
+        else:
+            with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
+                list(pool.map(run_job, jobs))
+    finally:
+        transport.close()
     return summary
 
 

@@ -2,7 +2,9 @@
 
 Argument-level misuse (wrong sizes, empty inputs, bad flag combinations)
 raises plain ValueError; everything data- or domain-shaped derives from
-CotBudgetError so callers can treat "bad data" uniformly.
+CotBudgetError so callers can treat "bad data" uniformly. A line of an input
+file that cannot be read is also a ValueError, as the json module's own
+errors are, so a caller that caught ValueError from a loader still does.
 """
 from __future__ import annotations
 
@@ -11,8 +13,8 @@ class CotBudgetError(Exception):
     """Base class for data and domain errors raised by cotbudget."""
 
 
-class RecordParseError(CotBudgetError):
-    """A JSONL line could not be parsed as a JSON object."""
+class RecordParseError(CotBudgetError, ValueError):
+    """A JSONL line is not UTF-8 or could not be parsed as JSON."""
 
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         super().__init__(f"{path}:{line_no}: {reason}")
@@ -21,7 +23,7 @@ class RecordParseError(CotBudgetError):
         self.reason = reason
 
 
-class RecordSchemaError(CotBudgetError):
+class RecordSchemaError(CotBudgetError, ValueError):
     """A record is missing a required field or carries an invalid value."""
 
     def __init__(self, reason: str, path: str | None = None, line_no: int | None = None) -> None:

@@ -123,41 +123,64 @@ def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
     share = shared.setdefault
     loads = json.loads
     with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                obj = loads(line)
-            except json.JSONDecodeError as exc:
-                # A blank line never parses, so it is looked for only here.
-                if not line.strip():
-                    continue
-                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
-            if type(obj) is not dict:
-                raise _schema_error(obj, path, line_no)
-            model = obj.get("model")
-            dataset = obj.get("dataset")
-            question_id = obj.get("question_id")
-            prompt_id = obj.get("prompt_id")
-            tokens = obj.get("tokens")
-            correct = obj.get("correct")
-            if not (
-                type(model) is str and model
-                and type(dataset) is str and dataset
-                and type(question_id) is str and question_id
-                and type(prompt_id) is str and prompt_id
-                and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
-                and type(correct) is bool
-            ):
-                raise _schema_error(obj, path, line_no)
-            key = (
-                share(model, model),
-                share(dataset, dataset),
-                share(question_id, question_id),
-                share(prompt_id, prompt_id),
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    obj = loads(line)
+                except json.JSONDecodeError as exc:
+                    # A blank line never parses, so it is looked for only here.
+                    if not line.strip():
+                        continue
+                    raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+                if type(obj) is not dict:
+                    raise _schema_error(obj, path, line_no)
+                model = obj.get("model")
+                dataset = obj.get("dataset")
+                question_id = obj.get("question_id")
+                prompt_id = obj.get("prompt_id")
+                tokens = obj.get("tokens")
+                correct = obj.get("correct")
+                if not (
+                    type(model) is str and model
+                    and type(dataset) is str and dataset
+                    and type(question_id) is str and question_id
+                    and type(prompt_id) is str and prompt_id
+                    and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
+                    and type(correct) is bool
+                ):
+                    raise _schema_error(obj, path, line_no)
+                key = (
+                    share(model, model),
+                    share(dataset, dataset),
+                    share(question_id, question_id),
+                    share(prompt_id, prompt_id),
+                )
+                first = seen.setdefault(key, line_no)
+                if first != line_no:
+                    raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
+                yield key, tokens, correct, obj
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, exc) from exc
+
+
+def utf8_error(path: str | Path, exc: UnicodeDecodeError) -> RecordParseError:
+    """The RecordParseError for the first line of a file that is not UTF-8.
+
+    ``exc`` is what the text reader raised; its position counts from the
+    start of a decoder chunk, not of the file, so the file's bytes are read
+    again, split into lines as the text reader splits them (newline, CR-LF
+    or CR), to find the line.
+    """
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            return RecordParseError(
+                str(path),
+                line_no,
+                f"not UTF-8: byte {raw[bad.start]:#04x} at column {bad.start + 1} ({bad.reason})",
             )
-            first = seen.setdefault(key, line_no)
-            if first != line_no:
-                raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
-            yield key, tokens, correct, obj
+    raise AssertionError(f"{path}: the text reader failed ({exc}) but every line decodes")
 
 
 def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:

@@ -562,3 +562,68 @@ class TestResumeTornLine:
         assert code == 0
         assert "4 skipped (resume), 0 collected" in text
         assert requests_made == 0
+
+
+class TestInputChecksBeforeRequests:
+    """A bad questions line is a data error naming path:line, and nothing is requested."""
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b'{"question_id": "q3", "text": "t"', "malformed JSON"),
+            (b'"q3"', "question must be a JSON object, got str"),
+            (b'{"question_id": "q3", "text": "t"}', "missing required field(s): gold_answer"),
+            (b'{"question_id": "", "text": "t", "gold_answer": "1"}',
+             "field 'question_id' must be a non-empty string, got ''"),
+            (b'{"question_id": "q3", "text": ["t"], "gold_answer": "1"}',
+             "field 'text' must be a non-empty string"),
+            (b'{"question_id": "q3", "text": "t", "gold_answer": "A", "choices": [1]}',
+             "field 'choices' must be a list of objects"),
+            (b'{"question_id": "q1", "text": "t", "gold_answer": "1"}',
+             "duplicate question_id 'q1' (first on line 1)"),
+            (b'{"question_id": "q3", "text": "caf\xe9", "gold_answer": "1"}',
+             "not UTF-8: byte 0xe9 at column 35"),
+        ],
+    )
+    def test_bad_question_line(self, tmp_path, capsys, line, reason):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_bytes(
+            b"".join(json.dumps(q).encode() + b"\n" for q in QUESTIONS) + line + b"\n"
+        )
+        with MockChatEndpoint() as mock:
+            code = main(["collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                         "--questions", str(questions), "--out", str(tmp_path / "r.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"data error: {questions}:3: ")
+        assert reason in err
+        assert mock.request_count == 0
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_records_byte_not_utf8(self, tmp_path, capsys):
+        # Line 201 lies past the text reader's first 8 KiB chunk.
+        records = tmp_path / "records.jsonl"
+        lines = [
+            json.dumps({"model": "m", "dataset": "d", "question_id": f"q{i}",
+                        "prompt_id": "p", "tokens": i, "correct": True}).encode()
+            for i in range(300)
+        ]
+        lines[200] = lines[200].replace(b'"q200"', b'"q\xff200"')
+        records.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        code = main(["complexity", "--records", str(records), "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"data error: {records}:201: not UTF-8: byte 0xff at column 49 "
+                       "(invalid start byte)\n")
+        assert not (tmp_path / "c.json").exists()
+
+    def test_budgets_byte_not_utf8(self, tmp_path, capsys, synth_records):
+        records, _ = synth_records
+        budgets = tmp_path / "budgets.jsonl"
+        budgets.write_bytes(b'{"question_id": "q00", "budget": 60}\n'
+                            b'{"question_id": "q\xc301", "budget": 60}\n')
+        code = main(["routing", "--records", str(records), "--budgets", str(budgets),
+                     "--family", "p0,p3", "--out", str(tmp_path / "routing.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"data error: {budgets}:2: not UTF-8: byte 0xc3 at column 19")

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import base64
 import json
+import socket
+import sys
+import threading
+import time
 from fractions import Fraction
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -17,6 +23,7 @@ from cotbudget.collect import (
     load_questions,
     sweep,
 )
+from cotbudget.errors import EndpointError, RecordParseError, RecordSchemaError
 from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.prompts import PromptCatalog, REQUEST_PREAMBLE, default_catalog, fixed_spec
 from cotbudget.records import load_records
@@ -360,3 +367,378 @@ def test_drop_torn_tail(tmp_path, monkeypatch, block, before, after, cut):
     path.write_bytes(before)
     assert drop_torn_tail(path) == cut
     assert path.read_bytes() == after
+
+
+def _questions(count: int) -> list[Question]:
+    return [
+        Question(question_id=f"q{i}", text=f"Q number {i}?", gold_answer="42")
+        for i in range(count)
+    ]
+
+
+ONE_PROMPT = PromptCatalog(specs=(fixed_spec("NoCoT"),))
+
+
+def _sweep(tmp_path, mock, questions, **kw):
+    """Sweep into fresh records and failures files; returns (summary, sidecar entries)."""
+    with JsonlWriter(tmp_path / "records.jsonl") as writer:
+        with JsonlWriter(tmp_path / "failures.jsonl") as failures:
+            summary = sweep(questions, config_for(mock.url, **kw), writer, failures)
+    sidecar = (tmp_path / "failures.jsonl").read_text().splitlines()
+    return summary, [json.loads(line) for line in sidecar]
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The retry waits a sweep asks for, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr("cotbudget.collect.time.sleep", recorded.append)
+    return recorded
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "status, retry_after, expected",
+        [
+            (429, "3", [3, 3]),
+            (503, "3", [3, 3]),
+            (429, "0", [0.25, 0.5]),
+            (503, "60", [60, 60]),
+            (429, "61", [0.25, 0.5]),
+            (429, "Wed, 21 Oct 2026 07:28:00 GMT", [0.25, 0.5]),
+            (429, "soon", [0.25, 0.5]),
+            (429, "1.5", [0.25, 0.5]),
+            (429, "-2", [0.25, 0.5]),
+            (429, None, [0.25, 0.5]),
+            (500, "3", [0.25, 0.5]),
+            (502, "3", [0.25, 0.5]),
+        ],
+    )
+    def test_wait_is_larger_of_backoff_and_retry_after(
+        self, tmp_path, waits, status, retry_after, expected
+    ):
+        with MockChatEndpoint(fail_first=2, fail_status=status, retry_after=retry_after) as mock:
+            summary, _ = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT)
+        assert (summary.succeeded, summary.retries) == (1, 2)
+        assert waits == expected
+
+    def test_last_attempt_does_not_wait(self, tmp_path, waits):
+        with MockChatEndpoint(fail_first=99, fail_status=429, retry_after="5") as mock:
+            summary, sidecar = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT, retries=1)
+        assert (summary.failed, summary.retries) == (1, 1)
+        assert waits == [5]
+        assert sidecar[0]["error"] == "HTTP 429"
+
+
+class TestConnections:
+    def test_dropped_replies_spend_retries_then_succeed(self, tmp_path, waits):
+        with MockChatEndpoint(drop_first=2) as mock:
+            summary, _ = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT)
+        assert (summary.succeeded, summary.retries) == (1, 2)
+        assert mock.request_count == 3
+        assert mock.connection_count == 3
+        assert waits == [0.25, 0.5]
+
+    def test_dropped_replies_end_in_sidecar(self, tmp_path, waits):
+        # Each attempt opens a new connection, so no drop is resent for free.
+        with MockChatEndpoint(drop_first=99) as mock:
+            summary, sidecar = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT, retries=1)
+        assert (summary.failed, summary.retries, mock.request_count) == (1, 1, 2)
+        assert sidecar[0]["error"].startswith("transport: ")
+
+    def test_connection_closed_while_idle_is_reopened_without_a_retry(self, tmp_path, waits):
+        with MockChatEndpoint(close_after=1) as mock:
+            summary, sidecar = _sweep(tmp_path, mock, _questions(3), retries=0)
+        assert (summary.succeeded, summary.failed, summary.retries) == (9, 0, 0)
+        assert sidecar == []
+        assert waits == []
+        assert mock.request_count == 9
+        assert mock.connection_count == 9
+
+    def test_parallel_workers_keep_one_connection_each(self, tmp_path):
+        with MockChatEndpoint() as mock:
+            summary, _ = _sweep(tmp_path, mock, _questions(20), max_parallel=2,
+                                catalog=PromptCatalog(specs=(fixed_spec("NoCoT"),
+                                                             fixed_spec("BeConcise"))))
+        assert summary.succeeded == 40
+        assert mock.request_count == 40
+        assert 1 <= mock.connection_count <= 2
+
+    def test_error_replies_are_read_so_the_connection_is_reused(self, tmp_path, waits):
+        with MockChatEndpoint(fail_first=2) as mock:
+            summary, _ = _sweep(tmp_path, mock, _questions(2))
+        assert (summary.succeeded, summary.retries) == (6, 2)
+        assert mock.connection_count == 1
+        with MockChatEndpoint(fail_first=1, fail_status=404) as mock:
+            summary, sidecar = _sweep(tmp_path, mock, _questions(2))
+        assert (summary.succeeded, summary.failed, summary.retries) == (5, 1, 0)
+        assert sidecar[0]["error"] == "HTTP 404"
+        assert mock.connection_count == 1
+
+    def test_redirect_is_a_failure_not_followed_or_retried(self, tmp_path, waits):
+        with MockChatEndpoint(fail_first=1, fail_status=307) as mock:
+            summary, sidecar = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT)
+        assert (summary.failed, summary.retries, mock.request_count) == (1, 0, 1)
+        assert sidecar[0]["error"] == "HTTP 307"
+
+    def test_workers_never_share_a_connection_under_stress(self, tmp_path):
+        """More workers than cores, switching threads often: a shared connection
+        would interleave two requests and fail or cross their replies."""
+        questions = _questions(40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MockChatEndpoint(answers={q.text: q.question_id for q in questions}) as mock:
+                summary, _ = _sweep(tmp_path, mock, questions, max_parallel=8, retries=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (summary.succeeded, summary.failed) == (120, 0)
+        assert mock.connection_count <= 8
+        records = load_records(tmp_path / "records.jsonl")
+        assert len(records) == 120
+        assert all(r.extracted_answer == r.question_id for r in records)
+
+    def test_connections_are_closed_when_the_sweep_returns(self, tmp_path):
+        with MockChatEndpoint() as mock:
+            _sweep(tmp_path, mock, _questions(4), max_parallel=2)
+            deadline = time.monotonic() + 5
+            while mock.open_sockets and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not mock.open_sockets
+
+    def test_sequential_cells_do_not_stall(self, tmp_path):
+        """Guards against Nagle's algorithm meeting delayed ACKs: about 40 ms a cell."""
+        catalog = PromptCatalog(specs=tuple(fixed_spec(p) for p in ("NoCoT", "BeConcise")))
+        with MockChatEndpoint() as mock:
+            start = time.perf_counter()
+            summary, _ = _sweep(tmp_path, mock, _questions(50), catalog=catalog)
+            elapsed = time.perf_counter() - start
+        assert summary.succeeded == 100
+        assert elapsed < 2.0
+
+
+class _ConnectRefusingProxy(BaseHTTPRequestHandler):
+    """Records each CONNECT target and refuses it, so no TLS is needed."""
+
+    targets: list[str] = []
+
+    def do_CONNECT(self) -> None:  # noqa: N802 (http.server API)
+        self.targets.append(self.path)
+        self.send_error(403)
+
+    def log_message(self, fmt, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def connect_proxy():
+    """A proxy URL whose server refuses CONNECT; yields (url, targets)."""
+    handler = type("Handler", (_ConnectRefusingProxy,), {"targets": []})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", handler.targets
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No proxy, CA bundle or API key variables from the caller's environment."""
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+                 "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "COTBUDGET_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    return monkeypatch
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestTransportParity:
+    def test_bodies_are_compact_ascii_json(self, tmp_path, clean_env):
+        questions = [Question(question_id="u", text="Größe von π?", gold_answer="1")]
+        with MockChatEndpoint() as mock:
+            _sweep(tmp_path, mock, questions, catalog=ONE_PROMPT, temperature=0.7)
+        [(target, _, raw)] = mock.raw_requests
+        assert target == "/v1/chat/completions"
+        # The encoding requests used for json=: json.dumps defaults, NaN refused.
+        assert raw == json.dumps(mock.requests[0], allow_nan=False).encode("utf-8")
+        assert raw.isascii()
+        assert b'"temperature": 0.7' in raw
+
+    def test_bodies_match_what_requests_sent(self, tmp_path, clean_env):
+        requests = pytest.importorskip("requests")
+        questions = [Question(question_id="u", text="Größe von π?", gold_answer="1")]
+        with MockChatEndpoint() as mock:
+            _sweep(tmp_path, mock, questions, temperature=0.7)
+        for (_, _, raw), body in zip(mock.raw_requests, mock.requests):
+            assert raw == requests.Request("POST", mock.url, json=body).prepare().body
+
+    def test_non_finite_temperature_is_refused_before_any_request(self):
+        with pytest.raises(ValueError, match="temperature"):
+            config_for("http://127.0.0.1:9/", temperature=float("nan"))
+
+    @pytest.mark.parametrize("key", [None, "sk-test"])
+    def test_headers(self, tmp_path, clean_env, key):
+        import cotbudget
+
+        if key is not None:
+            clean_env.setenv("COTBUDGET_API_KEY", key)
+        with MockChatEndpoint() as mock:
+            _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT)
+        headers = {k.lower(): v for k, v in mock.raw_requests[0][1].items()}
+        assert headers["content-type"] == "application/json"
+        assert headers["user-agent"] == f"cotbudget/{cotbudget.__version__}"
+        assert headers["accept-encoding"] == "identity"
+        assert headers.get("authorization") == (None if key is None else f"Bearer {key}")
+
+    @pytest.mark.parametrize(
+        "variable, userinfo, authorization",
+        [
+            ("HTTP_PROXY", "", None),
+            ("ALL_PROXY", "", None),
+            ("HTTP_PROXY", "ann:p%40ss@", "Basic " + base64.b64encode(b"ann:p@ss").decode()),
+        ],
+    )
+    def test_http_proxy_carries_requests_to_an_unreachable_host(
+        self, tmp_path, clean_env, variable, userinfo, authorization
+    ):
+        endpoint = f"http://127.0.0.1:{_closed_port()}/v1/chat/completions?x=1"
+        with MockChatEndpoint() as proxy:
+            clean_env.setenv(variable, proxy.url.rsplit("/v1/", 1)[0].replace("//", "//" + userinfo))
+            summary, _ = _sweep(tmp_path, proxy, _questions(2), endpoint=endpoint, retries=0)
+        assert summary.succeeded == 6
+        assert {target for target, _, _ in proxy.raw_requests} == {endpoint}
+        assert {headers.get("Proxy-Authorization") for _, headers, _ in proxy.raw_requests} == {
+            authorization
+        }
+        assert proxy.connection_count == 1
+
+    def test_no_proxy_connects_directly(self, tmp_path, clean_env):
+        endpoint = f"http://127.0.0.1:{_closed_port()}/v1/chat/completions"
+        with MockChatEndpoint() as proxy:
+            clean_env.setenv("HTTP_PROXY", proxy.url.rsplit("/v1/", 1)[0])
+            clean_env.setenv("NO_PROXY", "localhost,127.0.0.1")
+            summary, sidecar = _sweep(tmp_path, proxy, _questions(1), catalog=ONE_PROMPT,
+                                      endpoint=endpoint, retries=0)
+        assert summary.failed == 1
+        assert "refused" in sidecar[0]["error"]
+        assert proxy.request_count == 0
+
+    def test_https_goes_through_a_connect_tunnel(self, tmp_path, clean_env, connect_proxy):
+        url, targets = connect_proxy
+        clean_env.setenv("HTTPS_PROXY", url)
+        with MockChatEndpoint() as mock:  # only for its URL in _sweep's config
+            summary, sidecar = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT,
+                                      endpoint="https://api.example.test/v1/chat", retries=0)
+        assert summary.failed == 1
+        assert targets == ["api.example.test:443"]
+        assert "403" in sidecar[0]["error"]
+
+    @pytest.mark.parametrize(
+        "variable, kind",
+        [("REQUESTS_CA_BUNDLE", "cafile"), ("CURL_CA_BUNDLE", "cafile"),
+         ("REQUESTS_CA_BUNDLE", "capath")],
+    )
+    def test_ca_bundle_variables_are_trusted(self, tmp_path, clean_env, connect_proxy,
+                                             variable, kind):
+        import ssl
+
+        create = ssl.create_default_context
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return create()
+
+        clean_env.setattr(ssl, "create_default_context", recording)
+        bundle = tmp_path / "certs"
+        if kind == "capath":
+            bundle.mkdir()
+        else:
+            bundle.write_text("")
+        clean_env.setenv(variable, str(bundle))
+        clean_env.setenv("HTTPS_PROXY", connect_proxy[0])
+        with MockChatEndpoint() as mock:
+            _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT,
+                   endpoint="https://api.example.test/v1/chat", retries=0)
+        assert calls == [{kind: str(bundle)}]
+
+    def test_missing_ca_bundle_is_an_endpoint_error(self, tmp_path, clean_env):
+        clean_env.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
+        with MockChatEndpoint() as mock, pytest.raises(EndpointError, match="CA bundle"):
+            _sweep(tmp_path, mock, _questions(1), endpoint="https://api.example.test/v1")
+        assert mock.request_count == 0
+
+    @pytest.mark.parametrize(
+        "endpoint, error",
+        [
+            ("ftp://host/v1", "must be an http:// or https:// URL"),
+            ("127.0.0.1:8080/v1", "must be an http:// or https:// URL"),
+            ("http:///v1", "must be an http:// or https:// URL"),
+            ("http://host:0/v1", "must be an http:// or https:// URL"),
+            ("http://host:port/v1", "Port could not be cast"),
+        ],
+    )
+    def test_endpoint_must_be_an_http_url(self, endpoint, error):
+        with pytest.raises(ValueError, match=error):
+            config_for(endpoint)
+
+
+BAD_QUESTION_LINES = [
+    ('{"question_id": "q2", "text": "t"', RecordParseError, "malformed JSON"),
+    ('["q2", "t", "1"]', RecordSchemaError, "question must be a JSON object, got list"),
+    ('{"text": "t", "gold_answer": "1"}', RecordSchemaError, "missing required field(s): question_id"),
+    ('{"question_id": "q2", "text": "t"}', RecordSchemaError, "missing required field(s): gold_answer"),
+    ('{"question_id": "", "text": "t", "gold_answer": "1"}', RecordSchemaError,
+     "field 'question_id' must be a non-empty string, got ''"),
+    ('{"question_id": 2, "text": "t", "gold_answer": "1"}', RecordSchemaError,
+     "field 'question_id' must be a non-empty string, got 2"),
+    ('{"question_id": "q2", "text": "", "gold_answer": "1"}', RecordSchemaError,
+     "field 'text' must be a non-empty string"),
+    ('{"question_id": "q2", "text": null, "gold_answer": "1"}', RecordSchemaError,
+     "field 'text' must be a non-empty string, got None"),
+    ('{"question_id": "q2", "text": "t", "gold_answer": ""}', RecordSchemaError,
+     "field 'gold_answer' must be a non-empty string"),
+    ('{"question_id": "q2", "text": "t", "gold_answer": 7}', RecordSchemaError,
+     "field 'gold_answer' must be a non-empty string, got 7"),
+    ('{"question_id": "q2", "text": "t", "gold_answer": "A", "choices": "AB"}',
+     RecordSchemaError, "field 'choices' must be a list of objects"),
+    ('{"question_id": "q2", "text": "t", "gold_answer": "A", "choices": [{"label": "A"}]}',
+     RecordSchemaError, "field 'choices' must be a list of objects"),
+    ('{"question_id": "q2", "text": "t", "gold_answer": "A", "choices": [{"label": 1, "text": "x"}]}',
+     RecordSchemaError, "field 'choices' must be a list of objects"),
+    ('{"question_id": "q2", "text": "t", "gold_answer": "Z", "choices": [{"label": "A", "text": "x"}]}',
+     RecordSchemaError, "gold_answer 'Z' is not one of the choice labels"),
+    ('{"question_id": "q1", "text": "t", "gold_answer": "1"}', RecordSchemaError,
+     "duplicate question_id 'q1' (first on line 1)"),
+]
+
+
+@pytest.mark.parametrize("line, error, reason", BAD_QUESTION_LINES)
+def test_bad_question_line_names_path_and_line(tmp_path, line, error, reason):
+    path = tmp_path / "q.jsonl"
+    first = json.dumps({"question_id": "q1", "text": "t", "gold_answer": "1"})
+    path.write_text(first + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(error) as exc:
+        load_questions(path)
+    assert exc.value.line_no == 3
+    assert str(exc.value).startswith(f"{path}:3: ")
+    assert reason in str(exc.value)
+
+
+def test_question_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "q.jsonl"
+    good = json.dumps({"question_id": "q1", "text": "t", "gold_answer": "1"}).encode()
+    path.write_bytes(good + b"\n" + b'{"question_id": "q2", "text": "\xff"}\n')
+    with pytest.raises(RecordParseError) as exc:
+        load_questions(path)
+    assert str(exc.value) == (
+        f"{path}:2: not UTF-8: byte 0xff at column 32 (invalid start byte)"
+    )

@@ -426,3 +426,18 @@ def test_save_matrix_is_byte_identical_to_save_records(tmp_path_factory, matrix,
     direct, via_records = base / "direct.jsonl", base / "records.jsonl"
     assert save_matrix(matrix, direct) == save_records(unpivot(matrix), via_records)
     assert direct.read_bytes() == via_records.read_bytes()
+
+
+@pytest.mark.parametrize("loader", [load_records, read_columns])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_byte_not_utf8_names_its_line(tmp_path, loader, newline):
+    """The line is found past the text reader's first chunk, whatever the line ends."""
+    path = tmp_path / "r.jsonl"
+    lines = [json.dumps(base_obj(question_id=f"q{i}")).encode() for i in range(400)]
+    lines[300] = lines[300][:-1] + b', "note": "\xe2\x82"}'
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(RecordParseError) as exc:
+        loader(path)
+    assert exc.value.line_no == 301
+    assert exc.value.reason.startswith("not UTF-8: byte 0xe2 at column ")
+    assert isinstance(exc.value, ValueError)
