@@ -35,10 +35,12 @@ a_star, t_lossless = lossless_bound(prof)
 print(f"max attainable accuracy A* = {float(a_star):.4f}")
 print(f"lossless compression bound T*(A*) = {float(t_lossless):.2f} tokens/question")
 
-curve = frontier(prof, samples=12)
+curve = frontier(prof)
 print(f"\nfrontier has {len(curve.breakpoints)} exact breakpoints; sampled view:")
 print(f"{'budget':>10} {'best accuracy':>14}")
-for budget, accuracy in curve.plot_points:
+for i in range(12):
+    budget = t_lossless * i / 11
+    accuracy = curve.alpha_at(budget)
     bar = "#" * int(40 * float(accuracy))
     print(f"{float(budget):>10.1f} {float(accuracy):>14.3f}  {bar}")
 

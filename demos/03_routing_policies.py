@@ -63,7 +63,8 @@ for (policy_id, gap), outcome in zip(compare_to_frontier(outcomes, curve), outco
           f"{float(outcome.avg_tokens):>8.1f} {float(gap):>7.3f}")
 
 print("\nper-question trace of the two-stage verifier (first 8 questions):")
-for route in outcomes[0].per_question[:8]:
-    path = " -> ".join(route.path)
-    print(f"  {route.question_id}: {path:<14} spent {route.tokens_spent:>4} tokens, "
-          f"{'solved' if route.correct else 'missed'}")
+verifier = outcomes[0]
+for i, qid in enumerate(matrix.question_ids[:8]):
+    path = " -> ".join(verifier.path(i))
+    print(f"  {qid}: {path:<14} spent {verifier.spent[i]:>4} tokens, "
+          f"{'solved' if verifier.correct[i] else 'missed'}")

@@ -14,7 +14,6 @@ from .complexity import (
     INFINITE,
     ComplexityProfile,
     QuestionComplexity,
-    classify_accuracy,
     estimate_tau,
     profile,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "adaptivity_split",
     "alpha_star",
     "budget_route",
-    "classify_accuracy",
     "compare_to_frontier",
     "complexity_correlations",
     "default_catalog",

@@ -32,16 +32,15 @@ def _as_fraction(value: Rational, name: str) -> Fraction:
 
 @dataclass(frozen=True)
 class FrontierCurve:
-    """Sampled oracle tradeoff: accuracy as a step function of average budget.
+    """Oracle tradeoff: accuracy as a step function of average budget.
 
     ``breakpoints`` holds the exact (budget, accuracy) steps in increasing
-    budget order; ``plot_points`` is a densified rendering for display only.
+    budget order.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     a_star: Fraction
     t_lossless: Fraction
-    plot_points: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def alpha_at(self, budget: Rational) -> Fraction:
         """Step-function value: best accuracy attainable at the given average budget."""
@@ -82,18 +81,11 @@ def t_star(profile: ComplexityProfile, alpha: Rational) -> Fraction:
 
 def lossless_bound(profile: ComplexityProfile) -> tuple[Fraction, Fraction]:
     """(A*, T*(A*)): max attainable accuracy and the average spend it requires."""
-    prefix = profile.tau_prefix_sums
-    return profile.a_star, Fraction(prefix[-1] if prefix else 0, profile.n_questions)
+    return profile.a_star, profile.tau_bar_over_n
 
 
-def frontier(profile: ComplexityProfile, samples: int = 2) -> FrontierCurve:
-    """Exact frontier breakpoints, one per prefix of the sorted finite complexities.
-
-    ``samples`` only controls the densified plot_points grid (>= 2); the
-    breakpoints themselves are always exact and complete.
-    """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+def frontier(profile: ComplexityProfile) -> FrontierCurve:
+    """Exact frontier breakpoints, one per prefix of the sorted finite complexities."""
     n = profile.n_questions
     breakpoints: list[tuple[Fraction, Fraction]] = []
     last_prefix = None
@@ -105,19 +97,6 @@ def frontier(profile: ComplexityProfile, samples: int = 2) -> FrontierCurve:
             breakpoints.append(point)
         last_prefix = prefix
     a_star_val, t_lossless = lossless_bound(profile)
-    curve = FrontierCurve(
-        breakpoints=tuple(breakpoints), a_star=a_star_val, t_lossless=t_lossless
-    )
-    if breakpoints:
-        step = t_lossless / (samples - 1)
-        grid = tuple(
-            (step * i, curve.alpha_at(step * i)) for i in range(samples)
-        )
-    else:
-        grid = ()
     return FrontierCurve(
-        breakpoints=curve.breakpoints,
-        a_star=a_star_val,
-        t_lossless=t_lossless,
-        plot_points=grid,
+        breakpoints=tuple(breakpoints), a_star=a_star_val, t_lossless=t_lossless
     )

@@ -8,9 +8,9 @@ questions.
 
 One integer kernel, _best_thresholds, scores every candidate threshold of
 many questions at once from a row sort and a cumulative count of correct
-runs; profile runs it over blocks of rows of the whole run matrix. All
-per-question quantities are exact: the kernel counts in integers, and the
-profile turns the counts into Fractions.
+runs; profile runs it over blocks of rows of the whole run matrix. The
+profile keeps the result as columns: one int64 tau per question (-1 for
+infinite), the runs used, and exact Fraction classifier accuracies.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError
-from .records import RunMatrix
+from .errors import CoverageError, RecordParseError, RecordSchemaError
+from .records import TOKENS_MAX, RunMatrix, utf8_error
 
 INFINITE = math.inf
 
@@ -53,38 +53,82 @@ class QuestionComplexity:
         return is_finite(self.tau_hat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexityProfile:
-    """Per-question complexities and their aggregates for one (model, dataset)."""
+    """Per-question complexities and their aggregates for one (model, dataset).
+
+    Position i of the tuples and of the read-only int64 arrays belongs to
+    question_ids[i]; tau is -1 where the complexity is infinite.
+    """
 
     model: str
     dataset: str
-    entries: tuple[QuestionComplexity, ...]
+    question_ids: tuple[str, ...]
+    tau: np.ndarray
+    k_used: np.ndarray
+    c_star: tuple[Fraction, ...]
     c_bar: Fraction
-    a_star: Fraction
-    tau_bar_over_n: Fraction
-    tau_bar_finite_mean: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("tau", "k_used"):
+            column = np.array(getattr(self, name), dtype=np.int64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "question_ids", tuple(self.question_ids))
+        object.__setattr__(self, "c_star", tuple(self.c_star))
+        if not len(self.question_ids) == self.tau.size == self.k_used.size == len(self.c_star):
+            raise ValueError("every column must hold one value per question")
 
     @property
     def n_questions(self) -> int:
-        return len(self.entries)
+        return len(self.question_ids)
+
+    @cached_property
+    def entries(self) -> tuple[QuestionComplexity, ...]:
+        """One QuestionComplexity per question, built on first use."""
+        columns = zip(self.question_ids, self.tau.tolist(), self.c_star, self.k_used.tolist())
+        return tuple(
+            QuestionComplexity(q, INFINITE if t < 0 else t, c, k) for q, t, c, k in columns
+        )
 
     @cached_property
     def sorted_finite_taus(self) -> tuple[int, ...]:
-        """Finite complexity estimates, ascending; computed once per profile."""
-        return tuple(sorted(int(e.tau_hat) for e in self.entries if e.finite))
+        """Finite complexity estimates, ascending, as Python ints."""
+        return tuple(np.sort(self.tau[self.tau >= 0]).tolist())
 
     @cached_property
     def tau_prefix_sums(self) -> tuple[int, ...]:
-        """Running totals of sorted_finite_taus: entry m - 1 is the cost of the m cheapest."""
+        """Running totals of sorted_finite_taus: entry m - 1 is the cost of the m cheapest.
+
+        Python ints, so no total wraps as an int64 sum would.
+        """
         return tuple(accumulate(self.sorted_finite_taus))
 
-    def finite_taus(self) -> list[int]:
-        """Finite complexity estimates, ascending."""
-        return list(self.sorted_finite_taus)
+    @property
+    def a_star(self) -> Fraction:
+        """A*: the share of questions with a finite complexity."""
+        return Fraction(len(self.tau_prefix_sums), self.n_questions)
 
-    def tau_by_question(self) -> dict[str, float]:
-        return {e.question_id: e.tau_hat for e in self.entries}
+    @property
+    def tau_bar_over_n(self) -> Fraction:
+        """Total finite complexity over all n questions, which is T*(A*)."""
+        prefix = self.tau_prefix_sums
+        return Fraction(prefix[-1] if prefix else 0, self.n_questions)
+
+    @property
+    def tau_bar_finite_mean(self) -> Fraction:
+        """Mean finite complexity; zero when every complexity is infinite."""
+        return self.tau_bar_over_n / self.a_star if self.tau_prefix_sums else Fraction(0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComplexityProfile):
+            return NotImplemented
+        return (
+            (self.model, self.dataset, self.question_ids, self.c_star, self.c_bar)
+            == (other.model, other.dataset, other.question_ids, other.c_star, other.c_bar)
+            and np.array_equal(self.tau, other.tau)
+            and np.array_equal(self.k_used, other.k_used)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,12 +136,14 @@ class ComplexityProfile:
             "dataset": self.dataset,
             "entries": [
                 {
-                    "question_id": e.question_id,
-                    "tau": int(e.tau_hat) if e.finite else None,
-                    "c_star": round(float(e.c_star), 6),
-                    "k_used": e.k_used,
+                    "question_id": q,
+                    "tau": t if t >= 0 else None,
+                    "c_star": round(float(c), 6),
+                    "k_used": k,
                 }
-                for e in self.entries
+                for q, t, c, k in zip(
+                    self.question_ids, self.tau.tolist(), self.c_star, self.k_used.tolist()
+                )
             ],
             "c_bar": round(float(self.c_bar), 6),
             "a_star": round(float(self.a_star), 6),
@@ -107,38 +153,33 @@ class ComplexityProfile:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> ComplexityProfile:
-        """Rebuild a profile from its file form.
+        """Rebuild a profile from its file form, checking every field it reads.
 
-        Aggregates are recomputed from the entries where exact (a_star and the
-        two tau means depend only on the integer taus); c_bar keeps the
-        rounded stored values.
+        c_bar is the mean of the stored (rounded) c_star values. The stored
+        aggregates are not read: the tau ones follow exactly from the taus.
+        A bad value is a RecordSchemaError naming its JSON location, such as
+        ``entries[3].tau``.
         """
-        entries = tuple(
-            QuestionComplexity(
-                question_id=e["question_id"],
-                tau_hat=INFINITE if e["tau"] is None else int(e["tau"]),
-                c_star=Fraction(str(e["c_star"])),
-                k_used=int(e["k_used"]),
-            )
-            for e in obj["entries"]
-        )
-        c_bar = (
-            sum((e.c_star for e in entries), Fraction(0)) / len(entries)
-            if entries
-            else Fraction(0)
-        )
-        a_star, tau_bar_over_n, tau_bar_finite_mean = _tau_aggregates(
-            [int(e.tau_hat) for e in entries if e.finite], len(entries)
-        )
-        return cls(
-            model=obj["model"],
-            dataset=obj["dataset"],
-            entries=entries,
-            c_bar=c_bar,
-            a_star=a_star,
-            tau_bar_over_n=tau_bar_over_n,
-            tau_bar_finite_mean=tau_bar_finite_mean,
-        )
+        if type(obj) is not dict:
+            raise RecordSchemaError(f"the file must hold a JSON object, got {type(obj).__name__}")
+        model = _checked(obj, "model", "", _NON_EMPTY_STRING)
+        dataset = _checked(obj, "dataset", "", _NON_EMPTY_STRING)
+        entries = _checked(obj, "entries", "", _NON_EMPTY_LIST)
+        first: dict[str, int] = {}
+        tau, k_used, c_star = [], [], []
+        for i, entry in enumerate(entries):
+            where = f"entries[{i}]"
+            if type(entry) is not dict:
+                raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
+            qid = _checked(entry, "question_id", where, _NON_EMPTY_STRING)
+            if first.setdefault(qid, i) != i:
+                raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
+            t = _checked(entry, "tau", where, _TAU)
+            tau.append(-1 if t is None else t)
+            k_used.append(_checked(entry, "k_used", where, _K_USED))
+            c_star.append(Fraction(str(_checked(entry, "c_star", where, _C_STAR))))
+        c_bar = sum(c_star, Fraction(0)) / len(c_star)
+        return cls(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -147,22 +188,41 @@ class ComplexityProfile:
 
     @classmethod
     def load(cls, path: str | Path) -> ComplexityProfile:
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a file written by save; bad content is a RecordParseError or RecordSchemaError."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path, exc) from exc
+        except json.JSONDecodeError as exc:
+            raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
+        try:
+            return cls.from_json_dict(obj)
+        except RecordSchemaError as exc:
+            raise RecordSchemaError(exc.reason, path=str(path)) from None
 
 
-def classify_accuracy(
-    lengths: Sequence[int], corrects: Sequence[bool], t: float
-) -> Fraction:
-    """Fraction of runs whose correctness matches the prediction length >= t.
+# The complexity file's field rules: (test, what a valid value is).
+_NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "a non-empty string")
+_NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "a non-empty list")
+_TAU = (
+    lambda v: v is None or (type(v) is int and 0 <= v <= TOKENS_MAX),
+    f"null or an integer in [0, {TOKENS_MAX}]",
+)
+_K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"an integer in [1, {TOKENS_MAX}]")
+# NaN fails both comparisons and infinities fail one, so the range test also
+# requires a finite number.
+_C_STAR = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a finite number in [0, 1]")
 
-    t = INFINITE predicts every run incorrect.
-    """
-    lengths = np.asarray(lengths)
-    corrects = np.asarray(corrects, dtype=bool)
-    if lengths.size == 0 or lengths.shape != corrects.shape:
-        raise ValueError("lengths and corrects must be equal-size, non-empty sequences")
-    predictions = np.zeros(lengths.shape, dtype=bool) if math.isinf(t) else lengths >= t
-    return Fraction(int(np.count_nonzero(predictions == corrects)), int(lengths.size))
+
+def _checked(obj: dict, key: str, where: str, rule: tuple) -> object:
+    """obj[key] if it passes the rule; else a RecordSchemaError naming where.key."""
+    location = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise RecordSchemaError(f"{location} is missing")
+    test, expected = rule
+    if not test(obj[key]):
+        raise RecordSchemaError(f"{location} must be {expected}, got {obj[key]!r}")
+    return obj[key]
 
 
 def _best_thresholds(
@@ -233,12 +293,12 @@ def estimate_tau(
 
 
 def profile(matrix: RunMatrix) -> ComplexityProfile:
-    """Estimate every question's complexity and fill the profile aggregates.
+    """Estimate every question's complexity and the mean classifier accuracy.
 
     _best_thresholds runs over blocks of BLOCK_ROWS rows, so its temporaries
     stay a few megabytes whatever the number of questions. Fractions are
-    built only for the entries (one per distinct (agree, k_used) pair) and
-    for c_bar, from the agreement totals per distinct k_used.
+    built once per distinct (agree, k_used) pair for c_star, and for c_bar
+    from the agreement totals per distinct k_used.
     """
     covered = matrix.present.any(axis=1)
     if not covered.all():
@@ -255,37 +315,18 @@ def profile(matrix: RunMatrix) -> ComplexityProfile:
         )
     pairs = list(zip(agree.tolist(), k_used.tolist()))
     c_stars = {pair: Fraction(*pair) for pair in set(pairs)}
-    entries = tuple(
-        QuestionComplexity(qid, INFINITE if t < 0 else t, c_stars[pair], pair[1])
-        for qid, t, pair in zip(matrix.question_ids, tau.tolist(), pairs)
-    )
     agree_by_k = np.zeros(matrix.n_prompts + 1, dtype=np.int64)
     np.add.at(agree_by_k, k_used, agree)
     c_total = sum(
         (Fraction(int(agree_by_k[k]), int(k)) for k in np.flatnonzero(agree_by_k)),
         Fraction(0),
     )
-    a_star, tau_bar_over_n, tau_bar_finite_mean = _tau_aggregates(
-        tau[tau >= 0].tolist(), n
-    )
     return ComplexityProfile(
         model=matrix.model,
         dataset=matrix.dataset,
-        entries=entries,
+        question_ids=matrix.question_ids,
+        tau=tau,
+        k_used=k_used,
+        c_star=tuple(map(c_stars.__getitem__, pairs)),
         c_bar=c_total / n,
-        a_star=a_star,
-        tau_bar_over_n=tau_bar_over_n,
-        tau_bar_finite_mean=tau_bar_finite_mean,
-    )
-
-
-def _tau_aggregates(finite: list[int], n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(A*, finite-tau total over n, mean finite tau); zeros where undefined."""
-    if not n:
-        return Fraction(0), Fraction(0), Fraction(0)
-    total = sum(finite)
-    return (
-        Fraction(len(finite), n),
-        Fraction(total, n),
-        Fraction(total, len(finite)) if finite else Fraction(0),
     )

@@ -24,11 +24,15 @@ class RecordParseError(CotBudgetError, ValueError):
 
 
 class RecordSchemaError(CotBudgetError, ValueError):
-    """A record is missing a required field or carries an invalid value."""
+    """A record is missing a required field or carries an invalid value.
+
+    The message starts with ``path:line_no: `` when both are given, and with
+    ``path: `` for a whole-file JSON input, whose reason names the location.
+    """
 
     def __init__(self, reason: str, path: str | None = None, line_no: int | None = None) -> None:
-        prefix = f"{path}:{line_no}: " if path is not None and line_no is not None else ""
-        super().__init__(prefix + reason)
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(reason if path is None else f"{where}: {reason}")
         self.path = path
         self.line_no = line_no
         self.reason = reason

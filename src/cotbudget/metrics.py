@@ -15,7 +15,7 @@ from .errors import (
     UndefinedCorrelationError,
     ZeroAccuracyError,
 )
-from .records import RunMatrix
+from .records import RunMatrix, _positions
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,18 @@ class ValidationReport:
     c_bar: Fraction
 
 
-def _check_same_run_set(matrix: RunMatrix, profile: ComplexityProfile) -> dict[str, float]:
+def _check_same_run_set(matrix: RunMatrix, profile: ComplexityProfile) -> np.ndarray:
+    """The profile's tau (-1 = infinite) of each matrix question, looked up by id."""
     if (matrix.model, matrix.dataset) != (profile.model, profile.dataset):
         raise ConsistencyError(
             f"matrix is ({matrix.model!r}, {matrix.dataset!r}) but profile is "
             f"({profile.model!r}, {profile.dataset!r})"
         )
-    taus = profile.tau_by_question()
-    missing = [q for q in matrix.question_ids if q not in taus]
+    row_of = _positions(profile.question_ids)
+    missing = [q for q in matrix.question_ids if q not in row_of]
     if missing:
         raise ConsistencyError("profile lacks question(s): " + ", ".join(missing[:5]))
-    return taus
+    return profile.tau[[row_of[q] for q in matrix.question_ids]]
 
 
 def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptResult]:
@@ -57,8 +58,8 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
     Predicted accuracy counts present cells whose length reaches the
     question's estimated complexity; infinite complexity predicts incorrect.
     """
-    taus = _check_same_run_set(matrix, profile)
-    tau_row = np.array([taus[q] for q in matrix.question_ids], dtype=float)
+    tau = _check_same_run_set(matrix, profile)
+    solvable = tau >= 0
     results: list[PromptResult] = []
     for j, pid in enumerate(matrix.prompt_ids):
         mask = matrix.present[:, j]
@@ -66,7 +67,7 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
         if count == 0:
             raise CoverageError(f"prompt {pid!r} has no present cells")
         lengths = matrix.tokens[mask, j]
-        predicted = int(np.count_nonzero(lengths >= tau_row[mask]))
+        predicted = int(np.count_nonzero(solvable[mask] & (lengths >= tau[mask])))
         results.append(
             PromptResult(
                 prompt_id=pid,
@@ -146,9 +147,8 @@ def complexity_correlations(
     Pairs token lengths with finite complexities over present cells only;
     rho is NaN when fewer than two pairs exist or ranks are degenerate.
     """
-    taus = _check_same_run_set(matrix, profile)
-    finite = np.array([math.isfinite(taus[q]) for q in matrix.question_ids])
-    tau_row = np.array([taus[q] if math.isfinite(taus[q]) else 0.0 for q in matrix.question_ids])
+    tau = _check_same_run_set(matrix, profile)
+    finite = tau >= 0
     out: list[tuple[str, float, int]] = []
     for j, pid in enumerate(matrix.prompt_ids):
         mask = matrix.present[:, j] & finite
@@ -157,7 +157,7 @@ def complexity_correlations(
             out.append((pid, float("nan"), n))
             continue
         try:
-            rho = spearman(matrix.tokens[mask, j], tau_row[mask])
+            rho = spearman(matrix.tokens[mask, j], tau[mask])
         except UndefinedCorrelationError:
             rho = float("nan")
         out.append((pid, rho, n))

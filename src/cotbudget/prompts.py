@@ -49,9 +49,6 @@ QUESTION_TEMPLATE = (
     "'Answer: ANSWER' (without quotes) where ANSWER is your final answer."
 )
 
-REQUEST_PREAMBLE = "Answer the following question."
-
-
 @dataclass(frozen=True)
 class PromptSpec:
     """One catalog entry: a chain-of-thought instruction, optionally limited to k units."""

@@ -197,8 +197,20 @@ def load_records(path: str | Path) -> list[EvalRecord]:
 
     Raises RecordParseError / RecordSchemaError with 1-based line numbers and
     DuplicateRecordError naming the repeated key. Blank lines are skipped.
+    The records of a file share one string object per distinct id.
     """
-    return [EvalRecord.from_json_dict(obj) for _, _, _, obj in _scan(Path(path))]
+    known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+    return [
+        EvalRecord(
+            *key,
+            tokens,
+            correct,
+            obj.get("response"),
+            obj.get("extracted_answer"),
+            {k: v for k, v in obj.items() if k not in known},
+        )
+        for key, tokens, correct, obj in _scan(Path(path))
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,44 +23,42 @@ from .records import RunMatrix
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class QuestionRoute:
-    """What one policy did on one question."""
-
-    question_id: str
-    tokens_spent: int
-    correct: bool
-    path: tuple[str, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingOutcome:
-    """Aggregate accuracy and spend of a policy, with its per-question trace."""
+    """What a policy did on each question, with its accuracy and mean spend.
+
+    Position i of ``spent`` (int64 tokens) and ``correct`` (bool) belongs to
+    the matrix's i-th question. Its prompt path is ``path(i)``, entry
+    ``path_index[i]`` of ``paths``: the paths the policy can take, one per
+    prefix of a cascade's chain or per member of a budget family.
+    """
 
     policy_id: str
-    accuracy: Fraction
-    avg_tokens: Fraction
-    per_question: tuple[QuestionRoute, ...]
+    spent: np.ndarray
+    correct: np.ndarray
+    paths: tuple[tuple[str, ...], ...]
+    path_index: np.ndarray
 
+    def path(self, i: int) -> tuple[str, ...]:
+        return self.paths[self.path_index[i]]
 
-def _outcome(
-    policy_id: str,
-    matrix: RunMatrix,
-    spent: np.ndarray,
-    correct: np.ndarray,
-    paths: list[tuple[str, ...]],
-) -> RoutingOutcome:
-    """Outcome from per-question spend, correctness and path, in matrix order."""
-    n = matrix.n_questions
-    spent_list = spent.tolist()
-    return RoutingOutcome(
-        policy_id=policy_id,
-        accuracy=Fraction(int(np.count_nonzero(correct)), n),
-        avg_tokens=Fraction(sum(spent_list), n),
-        per_question=tuple(
-            map(QuestionRoute, matrix.question_ids, spent_list, correct.tolist(), paths)
-        ),
-    )
+    @cached_property
+    def accuracy(self) -> Fraction:
+        return Fraction(int(np.count_nonzero(self.correct)), len(self.correct))
+
+    @cached_property
+    def avg_tokens(self) -> Fraction:
+        return Fraction(sum(self.spent.tolist()), len(self.spent))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoutingOutcome):
+            return NotImplemented
+        return (
+            self.policy_id == other.policy_id
+            and np.array_equal(self.spent, other.spent)
+            and np.array_equal(self.correct, other.correct)
+            and all(self.path(i) == other.path(i) for i in range(len(self.spent)))
+        )
 
 
 def _columns(
@@ -100,14 +99,8 @@ def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcom
         i = int(np.argmax(reached_absent))
         raise _coverage_error(matrix, i, prompts[stop[i]])
     spent = np.cumsum(tokens, axis=1)[rows, stop]
-    chains = [tuple(prompts[: s + 1]) for s in range(len(prompts))]
-    return _outcome(
-        "verifier(" + "->".join(prompts) + ")",
-        matrix,
-        spent,
-        halted,
-        [chains[s] for s in stop.tolist()],
-    )
+    chains = tuple(tuple(prompts[: s + 1]) for s in range(len(prompts)))
+    return RoutingOutcome("verifier(" + "->".join(prompts) + ")", spent, halted, chains, stop)
 
 
 def verifier_route(
@@ -147,14 +140,9 @@ def budget_route(
         np.argmin(tokens, axis=1),
     )
     rows = np.arange(matrix.n_questions)
-    picks = [(p,) for p in family]
-    return _outcome(
-        "budget(" + "->".join(family) + ")",
-        matrix,
-        tokens[rows, choice],
-        correct[rows, choice],
-        [picks[c] for c in choice.tolist()],
-    )
+    picks = tuple((p,) for p in family)
+    policy_id = "budget(" + "->".join(family) + ")"
+    return RoutingOutcome(policy_id, tokens[rows, choice], correct[rows, choice], picks, choice)
 
 
 def compare_to_frontier(

@@ -1,8 +1,8 @@
 """Per-record, per-question and per-cell loop versions of the package's code.
 
 These are the straightforward implementations the columnar and whole-matrix
-code in ``cotbudget`` replaced: one record, question or cell at a time,
-exactly as the rules are stated. They are slow, and they are kept only as
+code in ``cotbudget`` replaced: one record, question, cell or field at a
+time, exactly as the rules are stated. They are slow, and they are kept only as
 reference oracles for the differential tests.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from cotbudget.errors import (
     RecordSchemaError,
 )
 from cotbudget.records import EvalRecord, RunMatrix
-from cotbudget.routing import QuestionRoute, RoutingOutcome
+from cotbudget.routing import RoutingOutcome
 
 
 def load_records_loop(path: str | Path) -> list[EvalRecord]:
@@ -97,24 +97,97 @@ def estimate_tau_loop(
     )
 
 
+def classify_accuracy(
+    lengths: Sequence[int], corrects: Sequence[bool], t: float
+) -> Fraction:
+    """Fraction of runs whose correctness matches the prediction length >= t.
+
+    t = INFINITE predicts every run incorrect.
+    """
+    lengths = np.asarray(lengths)
+    corrects = np.asarray(corrects, dtype=bool)
+    if lengths.size == 0 or lengths.shape != corrects.shape:
+        raise ValueError("lengths and corrects must be equal-size, non-empty sequences")
+    predictions = np.zeros(lengths.shape, dtype=bool) if math.isinf(t) else lengths >= t
+    return Fraction(int(np.count_nonzero(predictions == corrects)), int(lengths.size))
+
+
 def profile_loop(matrix: RunMatrix) -> ComplexityProfile:
-    """estimate_tau_loop per question, then the aggregates summed entry by entry."""
+    """estimate_tau_loop per question, then c_bar summed entry by entry."""
     entries: list[QuestionComplexity] = []
     for i, qid in enumerate(matrix.question_ids):
         lengths, corrects = matrix.question_runs(i)
         if lengths.size == 0:
             raise CoverageError(f"question {qid!r} has no present runs")
         entries.append(estimate_tau_loop(lengths, corrects, question_id=qid))
-    n = len(entries)
-    finite = [int(e.tau_hat) for e in entries if e.finite]
     return ComplexityProfile(
         model=matrix.model,
         dataset=matrix.dataset,
-        entries=tuple(entries),
-        c_bar=sum((e.c_star for e in entries), Fraction(0)) / n,
-        a_star=Fraction(len(finite), n),
-        tau_bar_over_n=Fraction(sum(finite), n),
-        tau_bar_finite_mean=Fraction(sum(finite), len(finite)) if finite else Fraction(0),
+        question_ids=tuple(e.question_id for e in entries),
+        tau=[int(e.tau_hat) if e.finite else -1 for e in entries],
+        k_used=[e.k_used for e in entries],
+        c_star=tuple(e.c_star for e in entries),
+        c_bar=sum((e.c_star for e in entries), Fraction(0)) / len(entries),
+    )
+
+
+def profile_from_file_loop(obj: object) -> ComplexityProfile | None:
+    """The profile a parsed complexity file describes, or None if a rule rejects it.
+
+    The rules, one value at a time: model and dataset are non-empty
+    strings; entries is a non-empty list of objects; each question_id is a
+    non-empty string seen once; tau is null or an integer in [0, 2^63 - 1];
+    k_used is an integer in [1, 2^63 - 1]; c_star is a finite number in
+    [0, 1]. Booleans are not numbers here.
+    """
+
+    def text(v: object) -> bool:
+        return isinstance(v, str) and v != ""
+
+    def integer(v: object, low: int) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and low <= v < 2**63
+
+    if not isinstance(obj, dict) or not text(obj.get("model")) or not text(obj.get("dataset")):
+        return None
+    entries = obj.get("entries")
+    if not isinstance(entries, list) or not entries:
+        return None
+    ids: list[str] = []
+    taus: list[int] = []
+    k_used: list[int] = []
+    c_stars: list[Fraction] = []
+    for e in entries:
+        if not isinstance(e, dict) or not {"question_id", "tau", "k_used", "c_star"} <= set(e):
+            return None
+        qid, tau, k, c = e["question_id"], e["tau"], e["k_used"], e["c_star"]
+        if not text(qid) or qid in ids:
+            return None
+        if tau is not None and not integer(tau, 0):
+            return None
+        if not integer(k, 1):
+            return None
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            return None
+        if not 0 <= c <= 1 or not math.isfinite(c):
+            return None
+        ids.append(qid)
+        taus.append(-1 if tau is None else tau)
+        k_used.append(k)
+        c_stars.append(Fraction(str(c)))
+    return ComplexityProfile(
+        obj["model"], obj["dataset"], tuple(ids), taus, k_used, tuple(c_stars),
+        sum(c_stars, Fraction(0)) / len(c_stars),
+    )
+
+
+def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
+    """(A*, finite-tau total over n, mean finite tau), summed tau by tau."""
+    finite = [int(t) for t in taus if is_finite(t)]
+    n = len(taus)
+    return (
+        Fraction(len(finite), n),
+        Fraction(sum(finite), n),
+        Fraction(sum(finite), len(finite)) if finite else Fraction(0),
     )
 
 
@@ -124,20 +197,23 @@ def _cell(matrix: RunMatrix, i: int, j: int, qid: str, pid: str) -> tuple[int, b
     return int(matrix.tokens[i, j]), bool(matrix.correct[i, j])
 
 
-def _outcome(policy_id: str, routes: list[QuestionRoute]) -> RoutingOutcome:
-    n = len(routes)
+def _outcome(
+    policy_id: str, routes: list[tuple[int, bool, tuple[str, ...]]]
+) -> RoutingOutcome:
+    """Outcome from one (tokens spent, correct, path) per question; one path entry each."""
     return RoutingOutcome(
         policy_id=policy_id,
-        accuracy=Fraction(sum(1 for r in routes if r.correct), n),
-        avg_tokens=Fraction(sum(r.tokens_spent for r in routes), n),
-        per_question=tuple(routes),
+        spent=np.array([spent for spent, _, _ in routes], dtype=np.int64),
+        correct=np.array([ok for _, ok, _ in routes], dtype=bool),
+        paths=tuple(path for _, _, path in routes),
+        path_index=np.arange(len(routes)),
     )
 
 
 def verifier_cascade_loop(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcome:
     """Walk each question's chain cell by cell until a correct answer."""
     cols = [matrix.prompt_index(p) for p in prompts]
-    routes: list[QuestionRoute] = []
+    routes = []
     for i, qid in enumerate(matrix.question_ids):
         spent = 0
         correct = False
@@ -149,7 +225,7 @@ def verifier_cascade_loop(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingO
             if ok:
                 correct = True
                 break
-        routes.append(QuestionRoute(qid, spent, correct, tuple(path)))
+        routes.append((spent, correct, tuple(path)))
     return _outcome("verifier(" + "->".join(prompts) + ")", routes)
 
 
@@ -159,7 +235,7 @@ def budget_route_loop(
     """(outcome, unknown budget ids): the longest fitting run, else the shortest."""
     cols = [matrix.prompt_index(p) for p in family]
     unknown = sum(1 for q in budgets if q not in matrix.question_ids)
-    routes: list[QuestionRoute] = []
+    routes = []
     for i, qid in enumerate(matrix.question_ids):
         cells = [(pid, *_cell(matrix, i, j, qid, pid)) for pid, j in zip(family, cols)]
         budget = budgets.get(qid, 0)
@@ -168,7 +244,7 @@ def budget_route_loop(
             choice = max(fitting, key=lambda c: c[1])
         else:
             choice = min(cells, key=lambda c: c[1])
-        routes.append(QuestionRoute(qid, choice[1], choice[2], (choice[0],)))
+        routes.append((choice[1], choice[2], (choice[0],)))
     return _outcome("budget(" + "->".join(family) + ")", routes), unknown
 
 

@@ -29,7 +29,7 @@ from cotbudget.complexity import INFINITE, estimate_tau, profile
 from cotbudget.metrics import spearman, validation_report
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
-from cotbudget.prompts import REQUEST_PREAMBLE, PromptCatalog, fixed_spec
+from cotbudget.prompts import QUESTION_TEMPLATE, PromptCatalog, fixed_spec
 from cotbudget.records import load_records
 from cotbudget.routing import compare_to_frontier, verifier_route
 
@@ -107,7 +107,7 @@ def test_criterion_2_knapsack_equivalence():
             n = int(rng.integers(1, 13))
             taus = random_taus(rng, n)
             prof = profile_from_taus(taus)
-            finite = prof.finite_taus()
+            finite = prof.sorted_finite_taus
             sizes, weights = subset_sums(finite)
             upper = max(1, sum(finite))
             for _ in range(20):
@@ -133,7 +133,7 @@ def test_criterion_3_frontier_consistency():
             assert budgets == sorted(budgets)
             assert alphas == sorted(alphas)
             a_star_val, t_lossless = lossless_bound(prof)
-            finite = prof.finite_taus()
+            finite = prof.sorted_finite_taus
             assert t_lossless == Fraction(sum(finite), prof.n_questions)
             if curve.breakpoints:
                 assert alphas[-1] == a_star_val
@@ -317,7 +317,9 @@ def test_criterion_8_collect_integration(tmp_path):
         records = load_records(out)  # schema-validated on load
         assert len(records) == 6
         for body in bodies:
-            assert body["messages"][0]["content"].startswith(REQUEST_PREAMBLE)
+            assert body["messages"][0]["content"].startswith(
+                QUESTION_TEMPLATE.partition("{prompt}")[0]
+            )
 
         # retry contract: two 500s then success, with retries=3
         with MockChatEndpoint(fail_first=2) as mock:

@@ -10,28 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotbudget.bounds import alpha_star, frontier, lossless_bound, t_star
-from cotbudget.complexity import INFINITE, ComplexityProfile, QuestionComplexity
+from cotbudget.complexity import INFINITE, ComplexityProfile, profile
 from cotbudget.errors import InfeasibleAccuracyError
+
+from conftest import make_matrix
 
 
 def profile_from_taus(taus, model="m", dataset="d") -> ComplexityProfile:
     """Minimal profile wrapper: bounds only read taus and n."""
-    entries = tuple(
-        QuestionComplexity(
-            question_id=f"q{i:03d}", tau_hat=t, c_star=Fraction(1), k_used=1
-        )
-        for i, t in enumerate(taus)
-    )
-    finite = [int(t) for t in taus if not math.isinf(t)]
     n = len(taus)
     return ComplexityProfile(
         model=model,
         dataset=dataset,
-        entries=entries,
+        question_ids=tuple(f"q{i:03d}" for i in range(n)),
+        tau=[-1 if math.isinf(t) else int(t) for t in taus],
+        k_used=[1] * n,
+        c_star=(Fraction(1),) * n,
         c_bar=Fraction(1),
-        a_star=Fraction(len(finite), n),
-        tau_bar_over_n=Fraction(sum(finite), n),
-        tau_bar_finite_mean=Fraction(sum(finite), len(finite)) if finite else Fraction(0),
     )
 
 
@@ -162,16 +157,6 @@ class TestFrontier:
         assert curve.breakpoints[-1][1] == curve.a_star
         assert curve.breakpoints[-1][0] == curve.t_lossless
 
-    def test_samples_validated(self):
-        with pytest.raises(ValueError):
-            frontier(REFERENCE, samples=1)
-
-    def test_plot_points_follow_curve(self):
-        curve = frontier(REFERENCE, samples=7)
-        assert len(curve.plot_points) == 7
-        for t, alpha in curve.plot_points:
-            assert alpha == curve.alpha_at(t)
-
     @given(taus=taus_strategy)
     def test_step_function_consistency(self, taus):
         prof = profile_from_taus(taus)
@@ -189,3 +174,34 @@ class TestFrontier:
     def test_alpha_at_matches_alpha_star(self, taus, budget):
         prof = profile_from_taus(taus)
         assert frontier(prof).alpha_at(budget) == alpha_star(prof, budget)
+
+
+class TestLargeTaus:
+    """Prefix sums past 2^63 stay exact: they are Python ints, not int64."""
+
+    @given(
+        offsets=st.lists(st.integers(0, 2**62 - 1), min_size=2, max_size=2),
+        infinite=st.integers(0, 2),
+    )
+    def test_t_star_and_frontier_exact_near_2_pow_62(self, offsets, infinite):
+        taus = [2**62 + offsets[0], 2**62 + offsets[1]] + [INFINITE] * infinite
+        prof = profile_from_taus(taus)
+        n = len(taus)
+        low, high = sorted(2**62 + o for o in offsets)
+        assert prof.sorted_finite_taus == (low, high)
+        assert prof.tau_prefix_sums == (low, low + high)
+        assert t_star(prof, Fraction(2, n)) == Fraction(low + high, n)
+        assert t_star(prof, Fraction(1, n)) == Fraction(low, n)
+        assert lossless_bound(prof) == (Fraction(2, n), Fraction(low + high, n))
+        want = [(Fraction(low, n), Fraction(1, n)), (Fraction(low + high, n), Fraction(2, n))]
+        assert list(frontier(prof).breakpoints) == want
+        assert alpha_star(prof, Fraction(low + high, n)) == Fraction(2, n)
+        assert alpha_star(prof, Fraction(low + high - 1, n)) == Fraction(1, n)
+
+    def test_profile_of_a_matrix_with_large_lengths(self):
+        big = 2**63 - 1
+        m = make_matrix([[big - 1, big], [big, big]], [[False, True], [True, True]])
+        prof = profile(m)
+        assert prof.tau.tolist() == [big, big]
+        assert t_star(prof, 1) == big
+        assert frontier(prof).breakpoints == ((Fraction(big, 2), Fraction(1, 2)), (big, 1))

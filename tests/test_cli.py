@@ -119,6 +119,58 @@ class TestBoundsCommand:
         assert "T*(A*)=15.000000" in text
 
 
+class TestComplexityFileChecks:
+    """A bad complexity file is a data error naming the file and the JSON location."""
+
+    @pytest.fixture
+    def complexity_file(self, tmp_path, capsys, synth_records):
+        records, _ = synth_records
+        out = tmp_path / "complexity.json"
+        assert run(capsys, "complexity", "--records", str(records), "--out", str(out))[0] == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda o: o["entries"][3].__setitem__("tau", -5), "entries[3].tau must be null or"),
+            (lambda o: o["entries"][3].__setitem__("tau", 12.7), "entries[3].tau must be null or"),
+            (lambda o: o["entries"].append(dict(o["entries"][0])),
+             "entries[12].question_id 'q00' repeats entries[0]"),
+            (lambda o: o.__setitem__("entries", []), "entries must be a non-empty list, got []"),
+            (lambda o: o["entries"][3].pop("k_used"), "entries[3].k_used is missing"),
+            (lambda o: o["entries"][3].__setitem__("c_star", "abc"),
+             "entries[3].c_star must be a finite number in [0, 1], got 'abc'"),
+        ],
+    )
+    def test_bounds_rejects_bad_file(self, tmp_path, capsys, complexity_file, mutate, message):
+        obj = json.loads(complexity_file.read_text())
+        mutate(obj)
+        complexity_file.write_text(json.dumps(obj))
+        out = tmp_path / "frontier.csv"
+        code = main(["bounds", "--complexity", str(complexity_file), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"data error: {complexity_file}: {message}")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_predict_reads_a_reordered_superset(self, tmp_path, capsys, synth_records,
+                                                 complexity_file):
+        records, _ = synth_records
+        plain = tmp_path / "plain.json"
+        assert run(capsys, "predict", "--records", str(records), "--out", str(plain))[0] == 0
+        obj = json.loads(complexity_file.read_text())
+        obj["entries"] = obj["entries"][::-1] + [
+            {"question_id": "zz", "tau": 3, "c_star": 1.0, "k_used": 1}
+        ]
+        complexity_file.write_text(json.dumps(obj))
+        loaded = tmp_path / "loaded.json"
+        code, _ = run(capsys, "predict", "--records", str(records),
+                      "--complexity", str(complexity_file), "--out", str(loaded))
+        assert code == 0
+        assert loaded.read_text() == plain.read_text()
+
+
 class TestPredictCommand:
     def test_perfect_prediction_reports_zero_err(self, tmp_path, capsys, synth_records):
         records, _ = synth_records

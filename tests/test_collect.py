@@ -25,7 +25,7 @@ from cotbudget.collect import (
 )
 from cotbudget.errors import EndpointError, RecordParseError, RecordSchemaError
 from cotbudget.mockserver import MockChatEndpoint, default_reply
-from cotbudget.prompts import PromptCatalog, REQUEST_PREAMBLE, default_catalog, fixed_spec
+from cotbudget.prompts import QUESTION_TEMPLATE, PromptCatalog, default_catalog, fixed_spec
 from cotbudget.records import load_records
 
 MC_QUESTION = Question(
@@ -189,7 +189,7 @@ class TestSweep:
         assert len(bodies) == 3
         for body in bodies:
             content = body["messages"][0]["content"]
-            assert content.startswith(REQUEST_PREAMBLE)
+            assert content.startswith(QUESTION_TEMPLATE.partition("{prompt}")[0])
             assert "Question: One plus one?" in content
             assert body["model"] == "mock-model"
             assert body["temperature"] == 0.0

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,19 +13,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cotbudget import complexity
-from cotbudget.complexity import (
-    INFINITE,
-    ComplexityProfile,
-    classify_accuracy,
-    estimate_tau,
-    profile,
-)
-from cotbudget.errors import CoverageError
+from cotbudget.complexity import INFINITE, ComplexityProfile, estimate_tau, profile
+from cotbudget.errors import CoverageError, RecordParseError, RecordSchemaError
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
 from cotbudget.records import RunMatrix
 
 from conftest import make_matrix, run_matrices
-from loop_oracles import estimate_tau_loop, profile_loop
+from loop_oracles import (
+    classify_accuracy,
+    estimate_tau_loop,
+    profile_from_file_loop,
+    profile_loop,
+    tau_aggregates_loop,
+)
 
 runs_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=400), st.booleans()),
@@ -193,8 +196,10 @@ class TestProfileMatchesLoopOracle:
         got = profile(matrix)
         want = profile_loop(matrix)
         assert got.entries == want.entries
-        for name in ("c_bar", "a_star", "tau_bar_over_n", "tau_bar_finite_mean"):
-            assert getattr(got, name) == getattr(want, name)
+        assert got.c_bar == want.c_bar
+        assert (got.a_star, got.tau_bar_over_n, got.tau_bar_finite_mean) == tau_aggregates_loop(
+            [e.tau_hat for e in want.entries]
+        )
         assert got == want
 
     @settings(max_examples=100)
@@ -222,7 +227,6 @@ class TestProfileMatchesLoopOracle:
         prof = profile(matrix)
         assert prof.sorted_finite_taus == (10, 20)
         assert prof.tau_prefix_sums == (10, 30)
-        assert prof.finite_taus() == [10, 20]
 
 
 class TestProfileSerialization:
@@ -244,3 +248,206 @@ class TestProfileSerialization:
         assert [e.question_id for e in loaded.entries] == [
             e.question_id for e in prof.entries
         ]
+
+
+def _valid_file(tmp_path, matrix=None):
+    """(path, parsed object) of a complexity file saved from a 4-question profile."""
+    if matrix is None:
+        matrix = make_matrix(
+            [[5, 12, 20], [3, 4, 9], [7, 7, 7], [1, 2, 3]],
+            [[False, True, True], [False, False, False], [True, True, True], [True, False, True]],
+        )
+    path = tmp_path / "complexity.json"
+    profile(matrix).save(path)
+    return path, json.loads(path.read_text())
+
+
+def _rewritten(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+class TestProfileFileRoundTrip:
+    @settings(max_examples=100)
+    @given(matrix=run_matrices(max_tokens=2**62))
+    def test_save_load_round_trips(self, matrix):
+        prof = profile(matrix)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second, third = (Path(tmp) / f"{name}.json" for name in "abc")
+            prof.save(first)
+            loaded = ComplexityProfile.load(first)
+            loaded.save(second)
+            assert ComplexityProfile.load(second) == loaded
+            # c_bar is the mean of the rounded c_stars, so only the entries
+            # are byte-stable on the first pass; from then on, all of it.
+            again = json.loads(second.read_text())
+            assert again["entries"] == json.loads(first.read_text())["entries"]
+            ComplexityProfile.load(second).save(third)
+            assert third.read_bytes() == second.read_bytes()
+        assert loaded.question_ids == prof.question_ids
+        assert loaded.tau.tolist() == prof.tau.tolist()
+        assert loaded.k_used.tolist() == prof.k_used.tolist()
+        assert loaded.c_star == tuple(Fraction(str(round(float(c), 6))) for c in prof.c_star)
+        assert loaded.c_bar == sum(loaded.c_star, Fraction(0)) / prof.n_questions
+        assert (loaded.a_star, loaded.tau_bar_over_n, loaded.tau_bar_finite_mean) == (
+            prof.a_star, prof.tau_bar_over_n, prof.tau_bar_finite_mean
+        )
+
+    def test_entries_are_built_from_the_columns(self, oracle_matrix):
+        matrix, taus = oracle_matrix
+        prof = profile(matrix)
+        assert prof.tau.tolist() == [10, 20, -1]
+        assert prof.entries == tuple(
+            estimate_tau_loop(*matrix.question_runs(i), question_id=q)
+            for i, q in enumerate(matrix.question_ids)
+        )
+        assert prof.entries is prof.entries  # built once
+
+    def test_columns_are_read_only(self, oracle_matrix):
+        prof = profile(oracle_matrix[0])
+        with pytest.raises(ValueError):
+            prof.tau[0] = 3
+
+
+class TestProfileFileChecks:
+    """Each bad value is a RecordSchemaError naming the file and the JSON location."""
+
+    @pytest.mark.parametrize(
+        "mutate, location",
+        [
+            (lambda o: o["entries"][3].__setitem__("tau", -5), "entries[3].tau"),
+            (lambda o: o["entries"][3].__setitem__("tau", 12.7), "entries[3].tau"),
+            (lambda o: o["entries"][3].__setitem__("tau", True), "entries[3].tau"),
+            (lambda o: o["entries"][3].__setitem__("tau", 2**63), "entries[3].tau"),
+            (lambda o: o["entries"][3].__setitem__("tau", "12"), "entries[3].tau"),
+            (lambda o: o["entries"].append(dict(o["entries"][0])), "entries[4].question_id"),
+            (lambda o: o.__setitem__("entries", []), "entries"),
+            (lambda o: o.__setitem__("entries", {"q": 1}), "entries"),
+            (lambda o: o.pop("entries"), "entries"),
+            (lambda o: o["entries"][2].pop("k_used"), "entries[2].k_used"),
+            (lambda o: o["entries"][2].__setitem__("k_used", 0), "entries[2].k_used"),
+            (lambda o: o["entries"][2].__setitem__("k_used", 2.0), "entries[2].k_used"),
+            (lambda o: o["entries"][1].__setitem__("c_star", "abc"), "entries[1].c_star"),
+            (lambda o: o["entries"][1].__setitem__("c_star", True), "entries[1].c_star"),
+            (lambda o: o["entries"][1].__setitem__("c_star", 1.5), "entries[1].c_star"),
+            (lambda o: o["entries"][1].__setitem__("c_star", float("nan")), "entries[1].c_star"),
+            (lambda o: o["entries"][1].__setitem__("c_star", float("inf")), "entries[1].c_star"),
+            (lambda o: o["entries"][0].__setitem__("question_id", ""), "entries[0].question_id"),
+            (lambda o: o["entries"][0].__setitem__("question_id", 7), "entries[0].question_id"),
+            (lambda o: o["entries"].__setitem__(1, None), "entries[1]"),
+            (lambda o: o.__setitem__("model", ""), "model"),
+            (lambda o: o.pop("dataset"), "dataset"),
+        ],
+    )
+    def test_bad_value_names_its_location(self, tmp_path, mutate, location):
+        path, obj = _valid_file(tmp_path)
+        mutate(obj)
+        with pytest.raises(RecordSchemaError) as exc:
+            ComplexityProfile.load(_rewritten(path, obj))
+        assert str(exc.value).startswith(f"{path}: {location} ")
+        assert exc.value.path == str(path)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "complexity.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(RecordSchemaError, match="must hold a JSON object, got list"):
+            ComplexityProfile.load(path)
+
+    def test_malformed_json_and_non_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "complexity.json"
+        path.write_text('{"model": "m",\n "dataset": }\n')
+        with pytest.raises(RecordParseError, match=r"complexity\.json:2: malformed JSON"):
+            ComplexityProfile.load(path)
+        path.write_bytes(b'{"model": "m",\n "dataset": "\xff"}\n')
+        with pytest.raises(RecordParseError, match=r"complexity\.json:2: not UTF-8"):
+            ComplexityProfile.load(path)
+
+    def test_int_c_star_and_extra_keys_are_accepted(self, tmp_path):
+        path, obj = _valid_file(tmp_path)
+        obj["entries"][0]["c_star"] = 1
+        obj["entries"][1]["note"] = "kept out"
+        obj["c_bar"] = "ignored: recomputed from the entries"
+        loaded = ComplexityProfile.load(_rewritten(path, obj))
+        assert loaded.c_star[0] == 1
+        assert loaded == profile_from_file_loop(obj)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.sampled_from([2**63 - 1, 2**63, -(2**63), 10**30])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, 0.5, 1.0, 1e-7, 0.999999])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+ENTRY_KEYS = ("question_id", "tau", "k_used", "c_star", "extra")
+TOP_KEYS = ("model", "dataset", "entries", "c_bar", "extra")
+# Values each entry field may validly take, so that some edits keep the file valid.
+VALID_VALUES = {
+    "question_id": st.text(min_size=1, max_size=3),
+    "tau": st.none() | st.integers(0, 2**63 - 1),
+    "k_used": st.integers(1, 2**63 - 1),
+    "c_star": st.floats(0, 1) | st.integers(0, 1),
+    "extra": JSON_VALUES,
+}
+EDITS = ("set", "delete", "entry_set", "entry_delete", "duplicate", "retype_entry", "retype_file")
+
+
+@st.composite
+def mutations(draw, obj):
+    """A copy of a complexity file's object with one to three random edits.
+
+    Half the examples only give entry fields values from their valid
+    ranges, which keeps the file valid unless two ids collide.
+    """
+    obj = json.loads(json.dumps(obj))
+    valid_only = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        entries = obj.get("entries") if isinstance(obj, dict) else None
+        kind = "entry_valid" if valid_only else draw(st.sampled_from(EDITS))
+        if kind in ("entry_valid", "entry_set", "entry_delete", "duplicate", "retype_entry"):
+            if not isinstance(entries, list) or not entries:
+                continue
+            i = draw(st.integers(0, len(entries) - 1))
+            if kind == "duplicate":
+                entries.append(json.loads(json.dumps(entries[i])))
+            elif kind == "retype_entry":
+                entries[i] = draw(JSON_VALUES)
+            elif isinstance(entries[i], dict):
+                key = draw(st.sampled_from(ENTRY_KEYS))
+                if kind == "entry_valid":
+                    entries[i][key] = draw(VALID_VALUES[key])
+                elif kind == "entry_set":
+                    entries[i][key] = draw(JSON_VALUES)
+                else:
+                    entries[i].pop(key, None)
+        elif kind == "retype_file":
+            obj = draw(JSON_VALUES)
+        elif isinstance(obj, dict):
+            key = draw(st.sampled_from(TOP_KEYS))
+            if kind == "set":
+                obj[key] = draw(JSON_VALUES)
+            else:
+                obj.pop(key, None)
+    return obj
+
+
+class TestProfileFileMutations:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), matrix=run_matrices(max_questions=4, max_prompts=4))
+    def test_every_mutation_loads_equal_or_is_a_schema_error(self, data, matrix):
+        valid = profile(matrix).to_json_dict()
+        obj = data.draw(mutations(valid))
+        want = profile_from_file_loop(obj)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "complexity.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            if want is None:
+                with pytest.raises(RecordSchemaError) as exc:
+                    ComplexityProfile.load(path)
+                assert str(exc.value).startswith(f"{path}: ")
+            else:
+                assert ComplexityProfile.load(path) == want

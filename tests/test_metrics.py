@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotbudget.complexity import INFINITE, profile
+from cotbudget.complexity import INFINITE, ComplexityProfile, profile
 from cotbudget.errors import (
     ConsistencyError,
+    CoverageError,
     UndefinedCorrelationError,
     ZeroAccuracyError,
 )
@@ -26,7 +30,7 @@ from cotbudget.metrics import (
 )
 from cotbudget.oracle import OracleSpec, generate, scaled_lengths, straddle_lengths
 
-from conftest import make_matrix
+from conftest import make_matrix, run_matrices
 from loop_oracles import midranks_loop
 
 
@@ -217,6 +221,64 @@ class TestComplexityCorrelations:
         finite = sum(1 for t in taus if not math.isinf(t))
         for _, _, n in complexity_correlations(matrix, profile(matrix)):
             assert n == finite
+
+
+def _same_or_both_nan(a, b):
+    return [(p, n, "nan" if math.isnan(r) else r) for p, r, n in a] == [
+        (p, n, "nan" if math.isnan(r) else r) for p, r, n in b
+    ]
+
+
+class TestLoadedProfileMatchesInMemory:
+    """A saved profile whose ids are a shuffled superset gives the same tables."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        matrix=run_matrices(max_questions=8, max_prompts=5, max_tokens=2**62),
+        extra=st.integers(0, 3),
+        seed=st.randoms(use_true_random=False),
+    )
+    def test_prompt_table_and_correlations(self, matrix, extra, seed):
+        prof = profile(matrix)
+        obj = prof.to_json_dict()
+        obj["entries"] += [
+            {"question_id": f"zz{i}", "tau": i, "c_star": 0.5, "k_used": 2} for i in range(extra)
+        ]
+        seed.shuffle(obj["entries"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "complexity.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            loaded = ComplexityProfile.load(path)
+        assert loaded.question_ids != prof.question_ids or extra == 0
+        try:
+            want = prompt_table(matrix, prof)
+        except CoverageError:
+            with pytest.raises(CoverageError):
+                prompt_table(matrix, loaded)
+        else:
+            assert prompt_table(matrix, loaded) == want
+            taus = dict(zip(prof.question_ids, prof.tau.tolist()))
+            for j, row in enumerate(want):
+                cells = [
+                    (int(matrix.tokens[i, j]), taus[q])
+                    for i, q in enumerate(matrix.question_ids)
+                    if matrix.present[i, j]
+                ]
+                hits = sum(1 for length, tau in cells if tau >= 0 and length >= tau)
+                assert row.predicted_accuracy == Fraction(hits, len(cells))
+        assert _same_or_both_nan(
+            complexity_correlations(matrix, loaded), complexity_correlations(matrix, prof)
+        )
+
+    def test_missing_question_is_consistency_error(self, oracle_matrix):
+        matrix, _ = oracle_matrix
+        prof = profile(matrix)
+        fewer = ComplexityProfile(
+            prof.model, prof.dataset, prof.question_ids[1:], prof.tau[1:], prof.k_used[1:],
+            prof.c_star[1:], prof.c_bar,
+        )
+        with pytest.raises(ConsistencyError, match=matrix.question_ids[0]):
+            prompt_table(matrix, fewer)
 
 
 class TestAdaptivitySplit:

@@ -10,7 +10,7 @@ from cotbudget.prompts import (
     PARAMETERIZED_FAMILIES,
     PromptCatalog,
     PromptSpec,
-    REQUEST_PREAMBLE,
+    QUESTION_TEMPLATE,
     default_catalog,
     limited_spec,
     render,
@@ -88,7 +88,7 @@ class TestRender:
         assert text.startswith("Answer the following question. Be concise.")
         assert "Question: What is 2+2?" in text
         assert "'Answer: ANSWER' (without quotes)" in text
-        assert text.startswith(REQUEST_PREAMBLE)
+        assert text.startswith(QUESTION_TEMPLATE.partition("{prompt}")[0])
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,21 @@ class TestLoadRecords:
         save_records(records, out)
         assert json.loads(out.read_text())["run_id"] == "abc"
 
+    def test_records_share_one_string_per_id(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [
+            base_obj(question_id=q, prompt_id=p, response="r")
+            for q in ("q1", "q2") for p in ("p1", "p2", "p3")
+        ])
+        records = load_records(path)
+        for question in ("q1", "q2"):
+            same = [r for r in records if r.question_id == question]
+            assert len(same) == 3
+            assert all(r.question_id is same[0].question_id for r in same)
+        assert all(r.prompt_id is records[0].prompt_id for r in records[::3])
+        assert all(r.model is records[0].model and r.dataset is records[0].dataset for r in records)
+        assert records == load_records_loop(path)
+
     def test_bool_tokens_rejected(self):
         with pytest.raises(RecordSchemaError):
             EvalRecord.from_json_dict(base_obj(tokens=True))

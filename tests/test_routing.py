@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from cotbudget.errors import CoverageError
 from cotbudget.metrics import prompt_table
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
 from cotbudget.routing import (
+    RoutingOutcome,
     budget_route,
     compare_to_frontier,
     verifier_cascade,
@@ -34,9 +36,8 @@ class TestVerifierRoute:
         out = verifier_route(m, "p00", "p01")
         assert out.accuracy == 1
         assert out.avg_tokens == Fraction(111, 2)  # (5 + 106) / 2
-        assert out.per_question[0].tokens_spent == 5
-        assert out.per_question[1].tokens_spent == 106
-        assert out.per_question[1].path == ("p00", "p01")
+        assert out.spent.tolist() == [5, 106]
+        assert out.path(1) == ("p00", "p01")
 
     def test_all_base_correct_equals_base_prompt(self):
         m = make_matrix([[5, 80], [6, 100]], [[True, True], [True, True]])
@@ -105,7 +106,7 @@ class TestVerifierCascade:
         )
         out = verifier_cascade(m, ["p00", "p01", "p02"])
         assert out.accuracy == 1
-        assert [r.tokens_spent for r in out.per_question] == [1, 11, 111]
+        assert out.spent.tolist() == [1, 11, 111]
         assert out.policy_id == "verifier(p00->p01->p02)"
 
     def test_empty_chain_rejected(self):
@@ -118,24 +119,24 @@ class TestBudgetRoute:
     def test_selects_longest_within_budget(self):
         m = make_matrix([[5, 40, 200]], [[False, True, True]])
         out = budget_route(m, {"q00": 60}, ["p00", "p01", "p02"])
-        assert out.per_question[0].path == ("p01",)
-        assert out.per_question[0].tokens_spent == 40
+        assert out.path(0) == ("p01",)
+        assert out.spent.tolist() == [40]
 
     def test_budget_below_everything_takes_shortest(self):
         m = make_matrix([[5, 40, 200]], [[False, True, True]])
         out = budget_route(m, {"q00": 2}, ["p00", "p01", "p02"])
-        assert out.per_question[0].path == ("p00",)
+        assert out.path(0) == ("p00",)
 
     def test_huge_budget_takes_longest(self):
         m = make_matrix([[5, 40, 200]], [[False, True, True]])
         out = budget_route(m, {"q00": 10**9}, ["p00", "p01", "p02"])
-        assert out.per_question[0].path == ("p02",)
+        assert out.path(0) == ("p02",)
 
     def test_unknown_questions_ignored_with_warning(self, caplog):
         m = make_matrix([[5, 40]], [[False, True]])
         with caplog.at_level(logging.WARNING):
             out = budget_route(m, {"q00": 50, "ghost": 10, "phantom": 9}, ["p00", "p01"])
-        assert out.per_question[0].path == ("p01",)
+        assert out.path(0) == ("p01",)
         assert "2" in caplog.text
 
     def test_empty_family_rejected(self):
@@ -214,7 +215,7 @@ class TestRoutingMatchesLoopOracles:
         )
         out = verifier_cascade(m, ["p00", "p01", "p02"])
         assert out == verifier_cascade_loop(m, ["p00", "p01", "p02"])
-        assert [r.path for r in out.per_question] == [("p00",), ("p00", "p01")]
+        assert [out.path(0), out.path(1)] == [("p00",), ("p00", "p01")]
 
     def test_first_reached_absent_cell_is_named(self):
         m = make_matrix(
@@ -228,11 +229,11 @@ class TestRoutingMatchesLoopOracles:
     def test_budget_ties_go_to_first_family_prompt(self):
         m = make_matrix([[40, 5, 40, 5]], [[False, True, True, False]])
         fitting = budget_route(m, {"q00": 50}, ["p00", "p01", "p02", "p03"])
-        assert fitting.per_question[0].path == ("p00",)
+        assert fitting.path(0) == ("p00",)
         shortest = budget_route(m, {"q00": 1}, ["p00", "p01", "p02", "p03"])
-        assert shortest.per_question[0].path == ("p01",)
+        assert shortest.path(0) == ("p01",)
         reordered = budget_route(m, {"q00": 50}, ["p02", "p00"])
-        assert reordered.per_question[0].path == ("p02",)
+        assert reordered.path(0) == ("p02",)
 
     def test_budget_coverage_error_names_first_absent_family_cell(self):
         m = make_matrix(
@@ -255,19 +256,62 @@ class TestRoutingMatchesLoopOracles:
         ]
 
 
+class TestOutcomeColumns:
+    """spent, correct and path(i) of each policy against the per-question loops."""
+
+    @staticmethod
+    def _assert_same_routes(got, want, n):
+        assert got.spent.dtype == np.int64
+        assert got.correct.dtype == bool
+        assert got.spent.tolist() == want.spent.tolist()
+        assert got.correct.tolist() == want.correct.tolist()
+        assert got.accuracy == Fraction(sum(want.correct.tolist()), n)
+        assert got.avg_tokens == Fraction(sum(want.spent.tolist()), n)
+        assert [got.path(i) for i in range(n)] == [want.path(i) for i in range(n)]
+
+    @settings(max_examples=200)
+    @given(case=cascades())
+    def test_verifier_cascade(self, case):
+        matrix, chain = case
+        try:
+            want = verifier_cascade_loop(matrix, chain)
+        except CoverageError:
+            return
+        got = verifier_cascade(matrix, chain)
+        self._assert_same_routes(got, want, matrix.n_questions)
+        assert got.paths == tuple(tuple(chain[: s + 1]) for s in range(len(chain)))
+
+    @settings(max_examples=200)
+    @given(case=budget_cases())
+    def test_budget_route(self, case):
+        matrix, budgets, family = case
+        try:
+            want, _ = budget_route_loop(matrix, budgets, family)
+        except CoverageError:
+            return
+        got = budget_route(matrix, budgets, family)
+        self._assert_same_routes(got, want, matrix.n_questions)
+        assert got.paths == tuple((p,) for p in family)
+
+    def test_outcomes_differing_in_one_path_are_unequal(self):
+        m = make_matrix([[5, 80], [6, 100]], [[True, True], [False, True]])
+        out = verifier_route(m, "p00", "p01")
+        swapped = dataclasses.replace(out, path_index=out.path_index[::-1])
+        assert out != swapped
+        assert out == dataclasses.replace(out, paths=out.paths + (("p09",),))
+
+
 class TestCompareToFrontier:
     def test_gap_on_breakpoint_is_zero(self, oracle_matrix):
         matrix, _ = oracle_matrix
         prof = profile(matrix)
         curve = frontier(prof)
         t, alpha = curve.breakpoints[-1]
-        fake = verifier_cascade(matrix, [matrix.prompt_ids[0]])
-        on_curve = type(fake)(
-            policy_id="ideal",
-            accuracy=alpha,
-            avg_tokens=t,
-            per_question=(),
+        # Solve exactly the solvable questions, each at its complexity.
+        on_curve = RoutingOutcome(
+            "ideal", np.maximum(prof.tau, 0), prof.tau >= 0, (("oracle",),), np.zeros(3, int)
         )
+        assert (on_curve.accuracy, on_curve.avg_tokens) == (alpha, t)
         gaps = dict(compare_to_frontier([on_curve], curve))
         assert gaps["ideal"] == 0
 
