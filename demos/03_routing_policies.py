@@ -20,7 +20,6 @@ from cotbudget import (
     prompt_table,
     straddle_lengths,
     verifier_cascade,
-    verifier_route,
 )
 
 rng = np.random.default_rng(21)
@@ -45,7 +44,7 @@ for pid in (cheap, mid, verbose):
     print(f"  {pid}: accuracy {float(r.accuracy):.3f} at {float(r.avg_tokens):.1f} tokens")
 
 outcomes = [
-    verifier_route(matrix, cheap, verbose),
+    verifier_cascade(matrix, [cheap, verbose]),
     verifier_cascade(matrix, [cheap, mid, verbose]),
 ]
 

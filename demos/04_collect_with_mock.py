@@ -36,27 +36,27 @@ answers = {
     "Open problem, unanswerable?": "41",
 }
 
-workdir = Path(tempfile.mkdtemp(prefix="cotbudget-demo-"))
-records_path = workdir / "records.jsonl"
-failures_path = workdir / "failures.jsonl"
-
-with MockChatEndpoint(answers=answers) as mock:
-    config = SweepConfig(
-        endpoint=mock.url,
-        model="mock-model",
-        dataset="demo",
-        catalog=catalog,
-        max_parallel=2,
-        retries=2,
-    )
-    with JsonlWriter(records_path) as writer, JsonlWriter(failures_path) as failures:
-        summary = sweep(questions, config, writer, failures)
+# The records and failures files live in a temporary directory that is
+# removed when the demo is done with them.
+with tempfile.TemporaryDirectory(prefix="cotbudget-demo-") as workdir:
+    records_path = Path(workdir) / "records.jsonl"
+    failures_path = Path(workdir) / "failures.jsonl"
+    with MockChatEndpoint(answers=answers) as mock:
+        config = SweepConfig(
+            endpoint=mock.url,
+            model="mock-model",
+            dataset="demo",
+            catalog=catalog,
+            max_parallel=2,
+            retries=2,
+        )
+        with JsonlWriter(records_path) as writer, JsonlWriter(failures_path) as failures:
+            summary = sweep(questions, config, writer, failures)
+    records = load_records(records_path)
 
 print(f"swept {summary.requested} cells: {summary.succeeded} collected, "
       f"{summary.failed} failed, {summary.retries} retries")
-print(f"records written to {records_path}")
 
-records = load_records(records_path)
 print("\nsample records:")
 for record in records[:4]:
     print(f"  {record.question_id:<7} {record.prompt_id:<14} "

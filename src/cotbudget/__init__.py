@@ -45,7 +45,6 @@ from .routing import (
     budget_route,
     compare_to_frontier,
     verifier_cascade,
-    verifier_route,
 )
 
 __version__ = "0.1.0"
@@ -97,5 +96,4 @@ __all__ = [
     "unpivot",
     "validation_report",
     "verifier_cascade",
-    "verifier_route",
 ]

@@ -21,9 +21,9 @@ from . import metrics as metrics_mod
 from . import oracle as oracle_mod
 from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
-from .errors import CotBudgetError, EndpointError, RecordParseError, RecordSchemaError
+from .errors import CotBudgetError, EmptySelectionError, EndpointError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
-from .records import RecordColumns, read_columns, save_matrix, utf8_error
+from .records import RecordColumns, read_columns, read_jsonl, save_matrix
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -47,13 +47,14 @@ def _write_json(path: str, obj: dict) -> None:
 def _select_pair(args, columns: RecordColumns) -> tuple[str, str]:
     if args.model and args.dataset:
         return args.model, args.dataset
-    pairs = columns.pairs
+    pairs = [p for p in columns.pairs
+             if args.model in (None, p[0]) and args.dataset in (None, p[1])]
     if len(pairs) == 1:
         return pairs[0]
+    if not pairs:
+        raise EmptySelectionError(f"no records for model={args.model!r} dataset={args.dataset!r}")
     listing = "; ".join(f"{m}/{d}" for m, d in pairs)
-    raise ValueError(
-        f"--model and --dataset are required (records contain {len(pairs)} pairs: {listing})"
-    )
+    raise ValueError(f"--model and --dataset are required ({len(pairs)} pairs match: {listing})")
 
 
 def _load_matrix(args):
@@ -95,7 +96,7 @@ def cmd_synth(args) -> int:
     n_inf = sum(1 for t in taus if not oracle_mod.is_finite(t))
     print(
         f"synth: wrote {count} records for model={matrix.model} dataset={matrix.dataset} "
-        f"(n={spec.n}, prompts={spec.prompt_lengths.n_prompts}, "
+        f"(n={spec.n}, prompts={matrix.n_prompts}, "
         f"infinite_complexity={n_inf}, violation_rate={_fmt(spec.violation_rate)}, "
         f"seed={spec.seed}) to {args.out}; ground-truth complexities to {taus_out}."
     )
@@ -145,11 +146,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.records:
-        matrix = _load_matrix(args)
-        prof = _profile_for(args, matrix)
-    else:
-        prof = _profile_for(args)
+    prof = _profile_for(args, _load_matrix(args) if args.records else None)
     curve = bounds_mod.frontier(prof)
     rows = [[_fmt(t), _fmt(alpha)] for t, alpha in curve.breakpoints]
     _write_csv(args.out, ["avg_tokens", "accuracy"], rows)
@@ -228,22 +225,12 @@ def _load_budgets(path: str) -> dict[str, int]:
     repeated question keeps its last budget.
     """
     budgets: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
+    for line_no, obj in read_jsonl(path):
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RecordParseError(path, line_no, f"malformed JSON: {exc.msg}") from exc
-                try:
-                    question_id, budget = _budget_entry(obj)
-                except RecordSchemaError as exc:
-                    raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
-                budgets[question_id] = budget
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from exc
+            question_id, budget = _budget_entry(obj)
+        except RecordSchemaError as exc:
+            raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
+        budgets[question_id] = budget
     return budgets
 
 
@@ -383,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bounds", help="compute the oracle accuracy-compression frontier")
-    p.add_argument("--records", default=None, help="records JSONL file")
-    p.add_argument("--model", default=None, help="model id filter")
-    p.add_argument("--dataset", default=None, help="dataset id filter")
+    _add_records_args(p, records_required=False)
     p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
     p.add_argument("--out", required=True, help="output frontier CSV")
     p.set_defaults(func=cmd_bounds)
@@ -458,16 +443,13 @@ def main(argv: list[str] | None = None) -> int:
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
-    except json.JSONDecodeError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except CotBudgetError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
-from .errors import EndpointError, RecordParseError, RecordSchemaError
+from .errors import EndpointError, RecordSchemaError
 from .prompts import PromptCatalog, PromptSpec, render
-from .records import TOKENS_MAX, EvalRecord, utf8_error
+from .records import TOKENS_MAX, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -55,8 +55,10 @@ class Question:
     choices: tuple[Choice, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.gold_answer:
-            raise ValueError(f"question {self.question_id!r} has an empty gold_answer")
+        for name in QUESTION_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not str or not value:
+                raise ValueError(f"field {name!r} must be a non-empty string, got {value!r}")
         if self.choices is not None:
             object.__setattr__(self, "choices", tuple(self.choices))
             labels = {c.label.casefold() for c in self.choices}
@@ -74,10 +76,6 @@ class Question:
         missing = [name for name in QUESTION_FIELDS if name not in obj]
         if missing:
             raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
-        for name in QUESTION_FIELDS:
-            value = obj[name]
-            if not isinstance(value, str) or not value:
-                raise RecordSchemaError(f"field {name!r} must be a non-empty string, got {value!r}")
         choices = obj.get("choices")
         if choices is not None and not (
             isinstance(choices, list)
@@ -116,27 +114,19 @@ def load_questions(path: str | Path) -> list[Question]:
     """
     out = []
     first_line: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
+    for line_no, obj in read_jsonl(path):
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    question = Question.from_json_dict(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
-                except RecordSchemaError as exc:
-                    raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
-                first = first_line.setdefault(question.question_id, line_no)
-                if first != line_no:
-                    raise RecordSchemaError(
-                        f"duplicate question_id {question.question_id!r} (first on line {first})",
-                        path=str(path),
-                        line_no=line_no,
-                    )
-                out.append(question)
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from exc
+            question = Question.from_json_dict(obj)
+        except RecordSchemaError as exc:
+            raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
+        first = first_line.setdefault(question.question_id, line_no)
+        if first != line_no:
+            raise RecordSchemaError(
+                f"duplicate question_id {question.question_id!r} (first on line {first})",
+                path=str(path),
+                line_no=line_no,
+            )
+        out.append(question)
     return out
 
 
@@ -164,6 +154,10 @@ class SweepConfig:
     estimate_missing_usage: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("model", "dataset"):
+            value = getattr(self, name)
+            if type(value) is not str or not value:
+                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
         if self.retries < 0:
@@ -422,7 +416,7 @@ def _post_with_retries(
 
 def _run_cell(
     config: SweepConfig, question: Question, spec: PromptSpec, transport: _Transport
-) -> tuple[EvalRecord | None, str | None, int]:
+) -> tuple[dict | None, str | None, int]:
     prompt_text = render(spec, format_question(question))
     payload = {
         "model": config.model,
@@ -446,12 +440,11 @@ def _run_cell(
         kind = type(usage).__name__
         return None, f"response usage must be an object, got {kind}", retries_used
     tokens = usage.get("completion_tokens")
-    extra: dict = {}
-    if tokens is None:
-        if not config.estimate_missing_usage:
-            return None, "response missing usage.completion_tokens", retries_used
+    estimated = tokens is None and config.estimate_missing_usage
+    if estimated:
         tokens = math.ceil(len(content) / 4)
-        extra["tokens_estimated"] = True
+    elif tokens is None:
+        return None, "response missing usage.completion_tokens", retries_used
     elif type(tokens) is not int or not 0 <= tokens <= TOKENS_MAX:
         return (
             None,
@@ -460,17 +453,20 @@ def _run_cell(
             retries_used,
         )
     correct, extracted = grade(content, question)
-    record = EvalRecord(
-        model=config.model,
-        dataset=config.dataset,
-        question_id=question.question_id,
-        prompt_id=spec.prompt_id,
-        tokens=tokens,
-        correct=correct,
-        response=content,
-        extracted_answer=extracted,
-        extra=extra,
-    )
+    # EvalRecord.to_json_dict's fields and order; the ids were checked up front.
+    record = {
+        "model": config.model,
+        "dataset": config.dataset,
+        "question_id": question.question_id,
+        "prompt_id": spec.prompt_id,
+        "tokens": tokens,
+        "correct": correct,
+        "response": content,
+    }
+    if extracted is not None:
+        record["extracted_answer"] = extracted
+    if estimated:
+        record["tokens_estimated"] = True
     return record, None, retries_used
 
 
@@ -485,7 +481,10 @@ def sweep(
 
     ``skip`` lists (question_id, prompt_id) cells already collected (resume);
     they are never re-issued. Cells that fail after retries go to the
-    failures sidecar and are not fabricated as records.
+    failures sidecar and are not fabricated as records. ``max_parallel``
+    threads take the cells in question x catalog order. An exception out of
+    a cell, such as from a writer, stops the sweep: pool.map cancels the
+    cells still queued, and only those already started finish.
     """
     skip_set = set(skip)
     summary = SweepSummary()
@@ -510,7 +509,7 @@ def sweep(
             else:
                 summary.failed += 1
         if record is not None:
-            writer.write(record.to_json_dict())
+            writer.write(record)
         else:
             log.warning(
                 "cell (%s, %s) failed: %s", question.question_id, spec.prompt_id, error
@@ -525,12 +524,8 @@ def sweep(
                 )
 
     try:
-        if config.max_parallel == 1:
-            for job in jobs:
-                run_job(job)
-        else:
-            with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-                list(pool.map(run_job, jobs))
+        with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
+            list(pool.map(run_job, jobs))
     finally:
         transport.close()
     return summary
@@ -574,14 +569,3 @@ def drop_torn_tail(path: str | Path) -> int:
         fh.seek(0, os.SEEK_END)
         fh.write(b"\n")
         return 0
-
-
-def existing_cells(
-    records: Iterable[EvalRecord], model: str, dataset: str
-) -> set[tuple[str, str]]:
-    """(question_id, prompt_id) cells already present for a (model, dataset) pair."""
-    return {
-        (r.question_id, r.prompt_id)
-        for r in records
-        if r.model == model and r.dataset == dataset
-    }

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError, RecordParseError, RecordSchemaError
-from .records import TOKENS_MAX, RunMatrix, utf8_error
+from .errors import CoverageError, RecordSchemaError
+from .records import NON_EMPTY_STRING, TOKENS_MAX, RunMatrix, checked, read_json
 
 INFINITE = math.inf
 
@@ -162,22 +162,22 @@ class ComplexityProfile:
         """
         if type(obj) is not dict:
             raise RecordSchemaError(f"the file must hold a JSON object, got {type(obj).__name__}")
-        model = _checked(obj, "model", "", _NON_EMPTY_STRING)
-        dataset = _checked(obj, "dataset", "", _NON_EMPTY_STRING)
-        entries = _checked(obj, "entries", "", _NON_EMPTY_LIST)
+        model = checked(obj, "model", "", NON_EMPTY_STRING)
+        dataset = checked(obj, "dataset", "", NON_EMPTY_STRING)
+        entries = checked(obj, "entries", "", _NON_EMPTY_LIST)
         first: dict[str, int] = {}
         tau, k_used, c_star = [], [], []
         for i, entry in enumerate(entries):
             where = f"entries[{i}]"
             if type(entry) is not dict:
                 raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
-            qid = _checked(entry, "question_id", where, _NON_EMPTY_STRING)
+            qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
             if first.setdefault(qid, i) != i:
                 raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
-            t = _checked(entry, "tau", where, _TAU)
+            t = checked(entry, "tau", where, _TAU)
             tau.append(-1 if t is None else t)
-            k_used.append(_checked(entry, "k_used", where, _K_USED))
-            c_star.append(Fraction(str(_checked(entry, "c_star", where, _C_STAR))))
+            k_used.append(checked(entry, "k_used", where, _K_USED))
+            c_star.append(Fraction(str(checked(entry, "c_star", where, _C_STAR))))
         c_bar = sum(c_star, Fraction(0)) / len(c_star)
         return cls(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
 
@@ -189,20 +189,14 @@ class ComplexityProfile:
     @classmethod
     def load(cls, path: str | Path) -> ComplexityProfile:
         """Read a file written by save; bad content is a RecordParseError or RecordSchemaError."""
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from exc
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
+        obj = read_json(path)
         try:
             return cls.from_json_dict(obj)
         except RecordSchemaError as exc:
             raise RecordSchemaError(exc.reason, path=str(path)) from None
 
 
-# The complexity file's field rules: (test, what a valid value is).
-_NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "a non-empty string")
+# The complexity file's own field rules, in the form records.checked reads.
 _NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "a non-empty list")
 _TAU = (
     lambda v: v is None or (type(v) is int and 0 <= v <= TOKENS_MAX),
@@ -212,17 +206,6 @@ _K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"an integer in [1
 # NaN fails both comparisons and infinities fail one, so the range test also
 # requires a finite number.
 _C_STAR = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a finite number in [0, 1]")
-
-
-def _checked(obj: dict, key: str, where: str, rule: tuple) -> object:
-    """obj[key] if it passes the rule; else a RecordSchemaError naming where.key."""
-    location = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise RecordSchemaError(f"{location} is missing")
-    test, expected = rule
-    if not test(obj[key]):
-        raise RecordSchemaError(f"{location} must be {expected}, got {obj[key]!r}")
-    return obj[key]
 
 
 def _best_thresholds(

@@ -58,26 +58,32 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
     Predicted accuracy counts present cells whose length reaches the
     question's estimated complexity; infinite complexity predicts incorrect.
     """
-    tau = _check_same_run_set(matrix, profile)
-    solvable = tau >= 0
-    results: list[PromptResult] = []
-    for j, pid in enumerate(matrix.prompt_ids):
-        mask = matrix.present[:, j]
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            raise CoverageError(f"prompt {pid!r} has no present cells")
-        lengths = matrix.tokens[mask, j]
-        predicted = int(np.count_nonzero(solvable[mask] & (lengths >= tau[mask])))
-        results.append(
-            PromptResult(
-                prompt_id=pid,
-                accuracy=Fraction(int(np.count_nonzero(matrix.correct[mask, j])), count),
-                avg_tokens=Fraction(int(lengths.sum()), count),
-                predicted_accuracy=Fraction(predicted, count),
-                n_questions=count,
-            )
+    tau = _check_same_run_set(matrix, profile)[:, None]
+    present = matrix.present
+    counts = np.count_nonzero(present, axis=0)
+    if not counts.all():
+        pid = matrix.prompt_ids[int(np.argmin(counts))]
+        raise CoverageError(f"prompt {pid!r} has no present cells")
+    hits = np.count_nonzero(present & matrix.correct, axis=0)
+    predicted = np.count_nonzero(present & (tau >= 0) & (matrix.tokens >= tau), axis=0)
+    totals = _column_sums(matrix.tokens, present)
+    return [
+        PromptResult(pid, Fraction(hit, n), Fraction(total, n), Fraction(pred, n), n)
+        for pid, hit, total, pred, n in zip(
+            matrix.prompt_ids, hits.tolist(), totals, predicted.tolist(), counts.tolist()
         )
-    return results
+    ]
+
+
+def _column_sums(tokens: np.ndarray, cells: np.ndarray) -> list[int]:
+    """Exact column sums of the non-negative int64 counts in cells, as Python ints.
+
+    The high and low 32-bit halves are summed apart, each exact as int64
+    for under 2**31 rows, and joined, so no total wraps.
+    """
+    high = (tokens >> 32).sum(axis=0, where=cells).tolist()
+    low = (tokens & 0xFFFFFFFF).sum(axis=0, where=cells).tolist()
+    return [(h << 32) + l for h, l in zip(high, low)]
 
 
 def err_score(results: Sequence[PromptResult]) -> Fraction:
@@ -110,10 +116,13 @@ def validation_report(matrix: RunMatrix, profile: ComplexityProfile) -> Validati
 def midranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions.
 
-    NaN equals nothing, so each NaN gets a rank of its own after every
-    number, in input order.
+    Integers are ranked as they are, so counts above 2**53 stay apart;
+    other values as floats. NaN equals nothing, so each NaN gets a rank of
+    its own after every number, in input order.
     """
-    a = np.asarray(values, dtype=float)
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = a.astype(float)
     # return_index makes np.unique sort stably, which orders the NaNs.
     _, _, inverse, counts = np.unique(
         a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
@@ -124,8 +133,8 @@ def midranks(values: Sequence[float]) -> np.ndarray:
 
 def spearman(lengths: Sequence[float], complexities: Sequence[float]) -> float:
     """Spearman rho with midrank ties: the Pearson correlation of rank vectors."""
-    x = np.asarray(lengths, dtype=float)
-    y = np.asarray(complexities, dtype=float)
+    x = np.asarray(lengths)
+    y = np.asarray(complexities)
     if x.size == 0 or x.shape != y.shape:
         raise ValueError("inputs must be equal-size, non-empty sequences")
     rx = midranks(x)
@@ -173,18 +182,15 @@ def adaptivity_split(
     excluding the split prompt; a side with no cells is None, never zero.
     """
     s = matrix.prompt_index(split_prompt)
-    solved = matrix.present[:, s] & matrix.correct[:, s]
-    unsolved = matrix.present[:, s] & ~matrix.correct[:, s]
-    out: dict[str, tuple[Fraction | None, Fraction | None]] = {}
-    for j, pid in enumerate(matrix.prompt_ids):
-        if j == s:
-            continue
-        sides: list[Fraction | None] = []
-        for group in (solved, unsolved):
-            mask = group & matrix.present[:, j]
-            count = int(np.count_nonzero(mask))
-            sides.append(
-                Fraction(int(matrix.tokens[mask, j].sum()), count) if count else None
-            )
-        out[pid] = (sides[0], sides[1])
-    return out
+    split = matrix.present[:, s : s + 1]
+    sides = []
+    for group in (split & matrix.correct[:, s : s + 1], split & ~matrix.correct[:, s : s + 1]):
+        cells = group & matrix.present
+        counts = np.count_nonzero(cells, axis=0).tolist()
+        totals = _column_sums(matrix.tokens, cells)
+        sides.append([Fraction(t, c) if c else None for t, c in zip(totals, counts)])
+    return {
+        pid: (easy, hard)
+        for j, (pid, easy, hard) in enumerate(zip(matrix.prompt_ids, *sides))
+        if j != s
+    }

@@ -11,58 +11,33 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .complexity import INFINITE, is_finite
 from .errors import GenerationError
-from .records import RunMatrix
+from .records import RunMatrix, read_json
+
+# random_spec's inclusive range of finite taus, and its share of infinite ones.
+TAU_RANGE = (4, 160)
+INFINITE_SHARE = 1 / 6
 
 
-@dataclass(frozen=True)
-class LengthRule:
-    """Maps (question index, prompt index) to a token length.
-
-    ``fn`` is evaluated once, on broadcast integer index arrays: question
-    indices of shape (n, 1) and prompt indices of shape (1, n_prompts). It
-    returns lengths broadcastable to (n, n_prompts); non-integer values are
-    truncated toward zero.
-    """
-
-    n_prompts: int
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def materialize(self, n_questions: int) -> np.ndarray:
-        shape = (n_questions, self.n_prompts)
-        i = np.arange(n_questions).reshape(-1, 1)
-        k = np.arange(self.n_prompts).reshape(1, -1)
-        lengths = np.broadcast_to(self.fn(i, k), shape).astype(np.int64)
-        negative = lengths < 0
-        if negative.any():
-            row, col = np.argwhere(negative)[0]
-            raise GenerationError(
-                f"length rule produced {lengths[row, col]} at cell ({row}, {col})"
-            )
-        return lengths
+def grid_lengths(values: Sequence[int]) -> np.ndarray:
+    """Fixed grid: every question sees the same per-prompt lengths; a (1, K) int64 array."""
+    return np.array([int(v) for v in values], dtype=np.int64).reshape(1, -1)
 
 
-def grid_lengths(values: Sequence[int]) -> LengthRule:
-    """Fixed grid: every question sees the same per-prompt lengths."""
-    vals = np.array([int(v) for v in values], dtype=np.int64)
-    return LengthRule(n_prompts=len(vals), fn=lambda i, k: vals[k])
-
-
-def scaled_lengths(base: Sequence[int], multipliers: Sequence[float]) -> LengthRule:
+def scaled_lengths(base: Sequence[int], multipliers: Sequence[float]) -> np.ndarray:
     """Per-prompt base length scaled by a per-question difficulty multiplier.
 
-    Rounds half to even, as Python's round does.
+    Returns the (len(multipliers), len(base)) int64 lengths, rounded half to
+    even, as Python's round does.
     """
     base_a = np.array([int(b) for b in base], dtype=np.int64)
     mult_a = np.array([float(m) for m in multipliers], dtype=float)
-    return LengthRule(
-        n_prompts=len(base_a), fn=lambda i, k: np.rint(base_a[k] * mult_a[i])
-    )
+    return np.rint(base_a * mult_a[:, None]).astype(np.int64)
 
 
 def straddle_lengths(
@@ -70,14 +45,15 @@ def straddle_lengths(
     n_prompts: int,
     infinite_proxy: int | None = None,
     shuffle_seed: int | None = None,
-) -> LengthRule:
+) -> np.ndarray:
     """Lengths spread geometrically around each question's true complexity.
 
-    The factor grid always contains values below 1 and the value 1 exactly,
-    so every finite-complexity question gets runs on both sides of its
-    threshold and one run of exactly threshold length (which makes the
-    estimate recover the true value). Infinite-complexity questions reuse a
-    long proxy length; their runs are all incorrect regardless.
+    Returns the (len(taus), n_prompts) int64 lengths. The factor grid always
+    contains values below 1 and the value 1 exactly, so every
+    finite-complexity question gets runs on both sides of its threshold and
+    one run of exactly threshold length (which makes the estimate recover
+    the true value). Infinite-complexity questions reuse a long proxy
+    length; their runs are all incorrect regardless.
 
     Without shuffling, a prompt's factor is the same for every question, so
     prompts solve all finite questions or none. shuffle_seed permutes the
@@ -100,21 +76,23 @@ def straddle_lengths(
         cell_factors = np.broadcast_to(factors, (anchors.size, n_prompts))
     else:
         rng = np.random.default_rng(shuffle_seed)
-        perms = [rng.permutation(n_prompts) for _ in taus]
-        cell_factors = factors[np.array(perms, dtype=np.intp).reshape(-1, n_prompts)]
-
-    def fn(i: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return np.floor(cell_factors[i, k] * anchors[i])
-
-    return LengthRule(n_prompts=n_prompts, fn=fn)
+        perms = (rng.permutation(n_prompts) for _ in taus)  # freed before the lengths exist
+        cell_factors = factors[np.array(list(perms), dtype=np.intp).reshape(-1, n_prompts)]
+    return np.floor(cell_factors * anchors[:, None]).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSpec:
-    """Recipe for one synthetic matrix; identical specs generate identical matrices."""
+    """Recipe for one synthetic matrix; identical specs generate identical matrices.
+
+    ``prompt_lengths`` holds the token length of every cell: an (n, K) array,
+    or a (1, K) one that every question shares. It is kept as a read-only
+    int64 array, with non-integer values truncated toward zero. Specs
+    compare and hash by identity.
+    """
 
     n: int
-    prompt_lengths: LengthRule
+    prompt_lengths: np.ndarray
     taus: tuple[float, ...]
     violation_rate: float = 0.0
     seed: int = 0
@@ -122,7 +100,12 @@ class OracleSpec:
     dataset: str = "synthetic"
 
     def __post_init__(self) -> None:
+        lengths = np.array(self.prompt_lengths, dtype=np.int64)
+        lengths.setflags(write=False)
+        object.__setattr__(self, "prompt_lengths", lengths)
         object.__setattr__(self, "taus", tuple(self.taus))
+        if lengths.ndim != 2 or lengths.shape[0] not in (1, self.n):
+            raise ValueError(f"prompt_lengths must be (1, K) or (n, K), got shape {lengths.shape}")
         if len(self.taus) != self.n:
             raise ValueError(f"need {self.n} taus, got {len(self.taus)}")
         if not 0.0 <= self.violation_rate <= 1.0:
@@ -139,7 +122,11 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
     both sides of its threshold (the straddle guarantee), since such a
     question could never be estimated.
     """
-    lengths = spec.prompt_lengths.materialize(spec.n)
+    lengths = np.broadcast_to(spec.prompt_lengths, (spec.n, spec.prompt_lengths.shape[1]))
+    negative = lengths < 0
+    if negative.any():
+        row, col = np.argwhere(negative)[0]
+        raise GenerationError(f"prompt_lengths holds {lengths[row, col]} at cell ({row}, {col})")
     tau_col = np.array(
         [t if is_finite(t) else np.inf for t in spec.taus], dtype=float
     ).reshape(-1, 1)
@@ -158,12 +145,12 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
         flips = rng.random(lengths.shape) < spec.violation_rate
         correct = correct ^ flips
     qw = len(str(max(spec.n - 1, 0)))
-    pw = len(str(max(spec.prompt_lengths.n_prompts - 1, 0)))
+    pw = len(str(max(lengths.shape[1] - 1, 0)))
     matrix = RunMatrix(
         model=spec.model,
         dataset=spec.dataset,
         question_ids=tuple(f"q{i:0{qw}d}" for i in range(spec.n)),
-        prompt_ids=tuple(f"p{k:0{pw}d}" for k in range(spec.prompt_lengths.n_prompts)),
+        prompt_ids=tuple(f"p{k:0{pw}d}" for k in range(lengths.shape[1])),
         tokens=lengths,
         correct=correct,
         present=np.ones(lengths.shape, dtype=bool),
@@ -172,18 +159,17 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
 
 
 def random_spec(
-    n: int,
-    seed: int = 0,
-    violation_rate: float = 0.0,
-    n_prompts: int = 31,
-    infinite_share: float = 1 / 6,
-    tau_range: tuple[int, int] = (4, 160),
+    n: int, seed: int = 0, violation_rate: float = 0.0, n_prompts: int = 31
 ) -> OracleSpec:
-    """Seeded random spec with difficulty-correlated straddling lengths."""
+    """Seeded random spec with difficulty-correlated straddling lengths.
+
+    Taus are drawn uniformly from TAU_RANGE; a share INFINITE_SHARE of the
+    questions, rounded, gets an infinite complexity instead.
+    """
     rng = np.random.default_rng(seed)
-    lo, hi = tau_range
+    lo, hi = TAU_RANGE
     taus = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
-    n_inf = int(round(infinite_share * n))
+    n_inf = int(round(INFINITE_SHARE * n))
     if n_inf:
         for idx in rng.choice(n, size=n_inf, replace=False):
             taus[idx] = INFINITE
@@ -207,7 +193,7 @@ def save_taus(taus: Sequence[float], question_ids: Sequence[str], path: str | Pa
 
 
 def load_taus(path: str | Path) -> dict[str, float]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     return {
         q: (INFINITE if t is None else float(t)) for q, t in payload["taus"].items()
     }

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from .errors import RecordSchemaError
+from .records import NON_EMPTY_STRING, checked, read_json
+
 FIXED_INSTRUCTIONS: dict[str, str] = {
     "NoCoT": "Only give the final answer.",
     "DefaultCoT": "Think step-by-step.",
@@ -60,6 +63,8 @@ class PromptSpec:
     limit_unit: str | None = None
 
     def __post_init__(self) -> None:
+        if type(self.prompt_id) is not str or not self.prompt_id:
+            raise ValueError(f"prompt_id must be a non-empty string, got {self.prompt_id!r}")
         parameterized = self.family in PARAMETERIZED_FAMILIES
         if not parameterized and self.family not in FIXED_INSTRUCTIONS:
             raise ValueError(f"unknown prompt family {self.family!r}")
@@ -85,16 +90,6 @@ class PromptSpec:
             "limit": self.limit,
             "limit_unit": self.limit_unit,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> PromptSpec:
-        return cls(
-            prompt_id=obj["prompt_id"],
-            family=obj["family"],
-            instruction=obj["instruction"],
-            limit=obj.get("limit"),
-            limit_unit=obj.get("limit_unit"),
-        )
 
 
 def fixed_spec(family: str) -> PromptSpec:
@@ -150,8 +145,43 @@ class PromptCatalog:
 
     @classmethod
     def load(cls, path: str | Path) -> PromptCatalog:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(specs=tuple(PromptSpec.from_json_dict(obj) for obj in payload))
+        """Read a file written by save; bad content is a RecordParseError or a
+        RecordSchemaError naming the file and the JSON location (``[2].prompt_id``).
+        """
+        payload = read_json(path)
+        specs: list[PromptSpec] = []
+        first: dict[str, int] = {}
+        try:
+            if type(payload) is not list or not payload:
+                raise RecordSchemaError(
+                    f"the file must hold a non-empty JSON array, got {payload!r:.60}"
+                )
+            for i, obj in enumerate(payload):
+                where = f"[{i}]"
+                if type(obj) is not dict:
+                    raise RecordSchemaError(f"{where} must be an object, got {obj!r}")
+                obj = {"limit": None, "limit_unit": None, **obj}  # both may be left out
+                fields = {key: checked(obj, key, where, rule) for key, rule in _SPEC_RULES.items()}
+                pid = fields["prompt_id"]
+                if first.setdefault(pid, i) != i:
+                    raise RecordSchemaError(f"{where}.prompt_id {pid!r} repeats [{first[pid]}]")
+                try:
+                    specs.append(PromptSpec(**fields))
+                except ValueError as exc:
+                    raise RecordSchemaError(f"{where}: {exc}") from None
+        except RecordSchemaError as exc:
+            raise RecordSchemaError(exc.reason, path=str(path)) from None
+        return cls(tuple(specs))
+
+
+# The catalog file's field rules, in the form records.checked reads.
+_SPEC_RULES = {
+    "prompt_id": NON_EMPTY_STRING,
+    "family": NON_EMPTY_STRING,
+    "instruction": (lambda v: type(v) is str, "a string"),
+    "limit": (lambda v: v is None or type(v) is int, "null or an integer"),
+    "limit_unit": (lambda v: v is None or type(v) is str, "null or a string"),
+}
 
 
 def default_catalog() -> PromptCatalog:

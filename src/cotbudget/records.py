@@ -4,7 +4,8 @@ A record is one chain-of-thought run of a (model, dataset, question, prompt)
 cell: the output token count and whether the graded answer was correct. All
 analysis consumes the pivoted RunMatrix, never loose records. Files go to and
 from the matrix column by column (``read_columns``, ``save_matrix``);
-``EvalRecord`` objects are built only for callers that ask for them.
+``EvalRecord`` objects are built only for callers that ask for them. Every
+input file of the package is read through ``read_jsonl`` or ``read_json``.
 """
 from __future__ import annotations
 
@@ -110,57 +111,91 @@ class EvalRecord:
 Key = tuple[str, str, str, str]
 
 
-def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
-    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield (1-based line number, parsed value) for each non-blank line of a JSONL file.
 
-    The file is read one line at a time. A line that fails the inline field
-    check is handed to EvalRecord, whose error becomes the RecordSchemaError,
-    so both report the same reason. Equal key strings are shared between
-    lines, so a file holds each distinct id in memory once.
+    A line that is not JSON, or not UTF-8, is a RecordParseError naming it.
     """
-    seen: dict[Key, int] = {}
-    shared: dict[str, str] = {}
-    share = shared.setdefault
     loads = json.loads
-    with path.open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 try:
-                    obj = loads(line)
+                    value = loads(line)
                 except json.JSONDecodeError as exc:
                     # A blank line never parses, so it is looked for only here.
                     if not line.strip():
                         continue
                     raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
-                if type(obj) is not dict:
-                    raise _schema_error(obj, path, line_no)
-                model = obj.get("model")
-                dataset = obj.get("dataset")
-                question_id = obj.get("question_id")
-                prompt_id = obj.get("prompt_id")
-                tokens = obj.get("tokens")
-                correct = obj.get("correct")
-                if not (
-                    type(model) is str and model
-                    and type(dataset) is str and dataset
-                    and type(question_id) is str and question_id
-                    and type(prompt_id) is str and prompt_id
-                    and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
-                    and type(correct) is bool
-                ):
-                    raise _schema_error(obj, path, line_no)
-                key = (
-                    share(model, model),
-                    share(dataset, dataset),
-                    share(question_id, question_id),
-                    share(prompt_id, prompt_id),
-                )
-                first = seen.setdefault(key, line_no)
-                if first != line_no:
-                    raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
-                yield key, tokens, correct, obj
+                yield line_no, value
         except UnicodeDecodeError as exc:
             raise utf8_error(path, exc) from exc
+
+
+def read_json(path: str | Path) -> object:
+    """A whole-file JSON input; bad JSON or UTF-8 is a RecordParseError naming its line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, exc) from exc
+    except json.JSONDecodeError as exc:
+        raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
+
+
+# A field rule of a whole-file JSON input: (test, what a valid value is).
+NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "a non-empty string")
+
+
+def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
+    """obj[key] if it passes the rule; else a RecordSchemaError naming where.key."""
+    location = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise RecordSchemaError(f"{location} is missing")
+    test, expected = rule
+    if not test(obj[key]):
+        raise RecordSchemaError(f"{location} must be {expected}, got {obj[key]!r}")
+    return obj[key]
+
+
+def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
+    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
+
+    A line that fails the inline field check is handed to EvalRecord, whose
+    error becomes the RecordSchemaError, so both report the same reason.
+    Equal key strings are shared between lines, so a file holds each
+    distinct id in memory once.
+    """
+    seen: dict[Key, int] = {}
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    for line_no, obj in read_jsonl(path):
+        if type(obj) is not dict:
+            raise _schema_error(obj, path, line_no)
+        model = obj.get("model")
+        dataset = obj.get("dataset")
+        question_id = obj.get("question_id")
+        prompt_id = obj.get("prompt_id")
+        tokens = obj.get("tokens")
+        correct = obj.get("correct")
+        if not (
+            type(model) is str and model
+            and type(dataset) is str and dataset
+            and type(question_id) is str and question_id
+            and type(prompt_id) is str and prompt_id
+            and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
+            and type(correct) is bool
+        ):
+            raise _schema_error(obj, path, line_no)
+        key = (
+            share(model, model),
+            share(dataset, dataset),
+            share(question_id, question_id),
+            share(prompt_id, prompt_id),
+        )
+        first = seen.setdefault(key, line_no)
+        if first != line_no:
+            raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
+        yield key, tokens, correct, obj
 
 
 def utf8_error(path: str | Path, exc: UnicodeDecodeError) -> RecordParseError:
@@ -344,22 +379,11 @@ class RunMatrix:
     def n_prompts(self) -> int:
         return len(self.prompt_ids)
 
-    def question_index(self, question_id: str) -> int:
-        try:
-            return self.question_pos[question_id]
-        except KeyError:
-            raise ValueError(f"unknown question_id {question_id!r}") from None
-
     def prompt_index(self, prompt_id: str) -> int:
         try:
             return self.prompt_pos[prompt_id]
         except KeyError:
             raise ValueError(f"unknown prompt_id {prompt_id!r}") from None
-
-    def question_runs(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Present-cell (lengths, corrects) for question row i."""
-        mask = self.present[i]
-        return self.tokens[i, mask], self.correct[i, mask]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunMatrix):

@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bounds import FrontierCurve
-from .errors import CoverageError
-from .records import RunMatrix
+from .errors import CotBudgetError, CoverageError
+from .records import TOKENS_MAX, RunMatrix
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +85,9 @@ def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcom
 
     Whole-column replay: a question halts at its first cell that is solved
     or absent (argmax over the chain), and spends the running token total
-    up to that cell.
+    up to that cell. A total above 2**63 - 1 is a data error naming the
+    question: the int64 running total wraps there, and the first wrap of a
+    sum of non-negative counts turns it negative.
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
@@ -98,16 +100,17 @@ def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcom
     if reached_absent.any():
         i = int(np.argmax(reached_absent))
         raise _coverage_error(matrix, i, prompts[stop[i]])
-    spent = np.cumsum(tokens, axis=1)[rows, stop]
+    running = np.cumsum(tokens, axis=1)
+    wrapped = ((running < 0) & (np.arange(len(prompts)) <= stop[:, None])).any(axis=1)
+    if wrapped.any():
+        i = int(np.argmax(wrapped))
+        raise CotBudgetError(
+            f"question {matrix.question_ids[i]!r} spends {sum(tokens[i, : stop[i] + 1].tolist())} "
+            f"tokens, above the signed 64-bit limit {TOKENS_MAX}"
+        )
+    spent = running[rows, stop]
     chains = tuple(tuple(prompts[: s + 1]) for s in range(len(prompts)))
     return RoutingOutcome("verifier(" + "->".join(prompts) + ")", spent, halted, chains, stop)
-
-
-def verifier_route(
-    matrix: RunMatrix, base_prompt: str, fallback_prompt: str
-) -> RoutingOutcome:
-    """Two-stage verifier policy: cheap base prompt, fallback only on failure."""
-    return verifier_cascade(matrix, [base_prompt, fallback_prompt])
 
 
 def budget_route(

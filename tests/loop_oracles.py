@@ -23,6 +23,8 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
+from cotbudget.metrics import PromptResult
+from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
 from cotbudget.records import EvalRecord, RunMatrix
 from cotbudget.routing import RoutingOutcome
 
@@ -112,11 +114,17 @@ def classify_accuracy(
     return Fraction(int(np.count_nonzero(predictions == corrects)), int(lengths.size))
 
 
+def question_runs(matrix: RunMatrix, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Present-cell (lengths, corrects) of question row i."""
+    mask = matrix.present[i]
+    return matrix.tokens[i, mask], matrix.correct[i, mask]
+
+
 def profile_loop(matrix: RunMatrix) -> ComplexityProfile:
     """estimate_tau_loop per question, then c_bar summed entry by entry."""
     entries: list[QuestionComplexity] = []
     for i, qid in enumerate(matrix.question_ids):
-        lengths, corrects = matrix.question_runs(i)
+        lengths, corrects = question_runs(matrix, i)
         if lengths.size == 0:
             raise CoverageError(f"question {qid!r} has no present runs")
         entries.append(estimate_tau_loop(lengths, corrects, question_id=qid))
@@ -178,6 +186,43 @@ def profile_from_file_loop(obj: object) -> ComplexityProfile | None:
         obj["model"], obj["dataset"], tuple(ids), taus, k_used, tuple(c_stars),
         sum(c_stars, Fraction(0)) / len(c_stars),
     )
+
+
+def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
+    """The catalog a parsed catalog file describes, or None if a rule rejects it.
+
+    The rules, one spec at a time: the file is a non-empty list of objects;
+    prompt_id is a non-empty string seen once, family a known family and
+    instruction a string; limit (an integer, not a boolean) and limit_unit
+    are given exactly for the length-limited families, the limit in its
+    family's range and the unit its family's own. Missing limit and
+    limit_unit count as null.
+    """
+    if not isinstance(obj, list) or not obj:
+        return None
+    specs: list[PromptSpec] = []
+    for spec in obj:
+        if not isinstance(spec, dict):
+            return None
+        pid, family, instruction = spec.get("prompt_id"), spec.get("family"), spec.get("instruction")
+        limit, unit = spec.get("limit"), spec.get("limit_unit")
+        if not isinstance(pid, str) or not pid or pid in [s.prompt_id for s in specs]:
+            return None
+        if not isinstance(instruction, str) or not isinstance(family, str):
+            return None
+        if family in FIXED_INSTRUCTIONS:
+            if limit is not None or unit is not None:
+                return None
+        elif family in PARAMETERIZED_FAMILIES:
+            _, want_unit, (lo, hi) = PARAMETERIZED_FAMILIES[family]
+            if isinstance(limit, bool) or not isinstance(limit, int) or unit != want_unit:
+                return None
+            if limit < lo or (hi is not None and limit > hi):
+                return None
+        else:
+            return None
+        specs.append(PromptSpec(pid, family, instruction, limit, unit))
+    return PromptCatalog(tuple(specs))
 
 
 def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
@@ -246,6 +291,45 @@ def budget_route_loop(
             choice = min(cells, key=lambda c: c[1])
         routes.append((choice[1], choice[2], (choice[0],)))
     return _outcome("budget(" + "->".join(family) + ")", routes), unknown
+
+
+def prompt_table_loop(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptResult]:
+    """One prompt, then one present cell, at a time; token totals in Python ints."""
+    tau_of = dict(zip(profile.question_ids, profile.tau.tolist()))
+    out = []
+    for j, pid in enumerate(matrix.prompt_ids):
+        rows = [i for i in range(matrix.n_questions) if matrix.present[i, j]]
+        if not rows:
+            raise CoverageError(f"prompt {pid!r} has no present cells")
+        tokens = [int(matrix.tokens[i, j]) for i in rows]
+        taus = [tau_of[matrix.question_ids[i]] for i in rows]
+        hits = sum(1 for i in rows if matrix.correct[i, j])
+        predicted = sum(1 for t, tau in zip(tokens, taus) if 0 <= tau <= t)
+        n = len(rows)
+        out.append(PromptResult(pid, Fraction(hits, n), Fraction(sum(tokens), n),
+                                Fraction(predicted, n), n))
+    return out
+
+
+def adaptivity_split_loop(
+    matrix: RunMatrix, split_prompt: str
+) -> dict[str, tuple[Fraction | None, Fraction | None]]:
+    """Per prompt and side of the split, the mean of a Python list of present lengths."""
+    s = matrix.prompt_ids.index(split_prompt)
+    out = {}
+    for j, pid in enumerate(matrix.prompt_ids):
+        if j == s:
+            continue
+        sides = []
+        for solved in (True, False):
+            tokens = [
+                int(matrix.tokens[i, j])
+                for i in range(matrix.n_questions)
+                if matrix.present[i, s] and matrix.correct[i, s] == solved and matrix.present[i, j]
+            ]
+            sides.append(Fraction(sum(tokens), len(tokens)) if tokens else None)
+        out[pid] = (sides[0], sides[1])
+    return out
 
 
 def midranks_loop(values: Sequence[float]) -> np.ndarray:

@@ -21,7 +21,6 @@ from cotbudget.collect import (
     Choice,
     Question,
     SweepConfig,
-    existing_cells,
     grade,
     sweep,
 )
@@ -30,8 +29,8 @@ from cotbudget.metrics import spearman, validation_report
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.prompts import QUESTION_TEMPLATE, PromptCatalog, fixed_spec
-from cotbudget.records import load_records
-from cotbudget.routing import compare_to_frontier, verifier_route
+from cotbudget.records import load_records, read_columns
+from cotbudget.routing import compare_to_frontier, verifier_cascade
 
 from conftest import make_matrix
 
@@ -263,7 +262,7 @@ def test_criterion_6_verifier_routing_identities(oracle_matrix):
             matrices.append(make_matrix(tokens, correct))
         for m in matrices:
             base, fallback = m.prompt_ids[0], m.prompt_ids[-1]
-            out = verifier_route(m, base, fallback)
+            out = verifier_cascade(m, [base, fallback])
             b, f = m.prompt_index(base), m.prompt_index(fallback)
             union = int(np.count_nonzero(m.correct[:, b] | m.correct[:, f]))
             assert out.accuracy == Fraction(union, m.n_questions)
@@ -276,7 +275,7 @@ def test_criterion_6_verifier_routing_identities(oracle_matrix):
         # violation-free oracle data cannot beat the frontier
         prof = profile(matrix)
         curve = frontier(prof)
-        routed = verifier_route(matrix, matrix.prompt_ids[0], matrix.prompt_ids[-1])
+        routed = verifier_cascade(matrix, [matrix.prompt_ids[0], matrix.prompt_ids[-1]])
         for _, gap in compare_to_frontier([routed], curve):
             assert gap >= 0
 
@@ -349,7 +348,7 @@ def test_criterion_8_collect_integration(tmp_path):
             with JsonlWriter(resume_out) as writer:
                 sweep(questions[:1], config, writer)
             after_first = mock.request_count
-            skip = existing_cells(load_records(resume_out), "mock-model", "mock-ds")
+            skip = read_columns(resume_out).cells("mock-model", "mock-ds")
             with JsonlWriter(resume_out, append=True) as writer:
                 sweep(questions, config, writer, skip=skip)
             assert after_first == 3

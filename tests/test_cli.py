@@ -679,3 +679,109 @@ class TestInputChecksBeforeRequests:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"data error: {budgets}:2: not UTF-8: byte 0xc3 at column 19")
+
+
+class TestCollectChecksBeforeRequests:
+    def collect(self, tmp_path, capsys, *extra, model="m"):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
+        with MockChatEndpoint() as mock:
+            code = main(["collect", "--endpoint", mock.url, "--model", model, "--dataset", "d",
+                         "--questions", str(questions), "--out", str(tmp_path / "r.jsonl"),
+                         *extra])
+        assert mock.request_count == 0
+        assert not (tmp_path / "r.jsonl").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_parallel", ["1", "4"])
+    def test_empty_model_is_a_usage_error(self, tmp_path, capsys, max_parallel):
+        code, err = self.collect(tmp_path, capsys, "--max-parallel", max_parallel, model="")
+        assert code == 2
+        assert err == "usage error: model must be a non-empty string, got ''\n"
+
+    @pytest.mark.parametrize(
+        "payload, location",
+        [
+            ({"prompt_id": "NoCoT"}, "the file must hold a non-empty JSON array, got {'prompt_id'"),
+            ([0, 1, "x"][:0], "the file must hold a non-empty JSON array, got []"),
+            ([{"prompt_id": "NoCoT", "family": "NoCoT", "instruction": "i"}, 5],
+             "[1] must be an object, got 5"),
+            ([{"prompt_id": "A", "family": "NoCoT", "instruction": "i"},
+              {"prompt_id": "B", "family": "NoCoT", "instruction": "i"},
+              {"family": "NoCoT", "instruction": "i"}], "[2].prompt_id is missing"),
+            ([{"prompt_id": "W", "family": "WordLimit", "instruction": "i", "limit": "5",
+               "limit_unit": "words"}], "[0].limit must be null or an integer, got '5'"),
+            ([{"prompt_id": "W", "family": "WordLimit", "instruction": "i", "limit": 500,
+               "limit_unit": "words"}], "[0]: limit 500 out of range [1, 100]"),
+            ([{"prompt_id": "A", "family": "Nope", "instruction": "i"}],
+             "[0]: unknown prompt family 'Nope'"),
+            ([{"prompt_id": "A", "family": "NoCoT", "instruction": "i"},
+              {"prompt_id": "A", "family": "NoCoT", "instruction": "j"}],
+             "[1].prompt_id 'A' repeats [0]"),
+        ],
+    )
+    def test_bad_catalog_is_a_data_error_naming_the_location(self, tmp_path, capsys, payload,
+                                                             location):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps(payload))
+        code, err = self.collect(tmp_path, capsys, "--catalog", str(catalog))
+        assert code == 1
+        assert err.startswith(f"data error: {catalog}: {location}")
+
+    def test_malformed_catalog_names_its_line(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text('[\n  {"prompt_id": "A",\n  "family" "NoCoT"}\n]\n')
+        code, err = self.collect(tmp_path, capsys, "--catalog", str(catalog))
+        assert code == 1
+        assert err.startswith(f"data error: {catalog}:3: malformed JSON")
+
+
+class TestPairSelection:
+    """--model and --dataset each filter the records' pairs, alone or together."""
+
+    @pytest.fixture
+    def two_pairs(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        for model in ("gpt", "llama"):
+            assert main(["synth", "--out", str(tmp_path / f"{model}.jsonl"), "--n", "6",
+                         "--prompts", "4", "--model", model, "--dataset", "math"]) == 0
+        records.write_text((tmp_path / "gpt.jsonl").read_text()
+                           + (tmp_path / "llama.jsonl").read_text())
+        capsys.readouterr()
+        return records
+
+    def complexity(self, tmp_path, capsys, records, *flags):
+        capsys.readouterr()
+        out = tmp_path / "c.json"
+        code = main(["complexity", "--records", str(records), "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        return code, captured.out + captured.err
+
+    @pytest.mark.parametrize("flags", [["--model", "llama"], ["--dataset", "algebra"]])
+    def test_a_lone_flag_matching_nothing_is_a_data_error(self, tmp_path, capsys,
+                                                          synth_records, flags):
+        records, _ = synth_records
+        code, text = self.complexity(tmp_path, capsys, records, *flags)
+        assert code == 1
+        assert text.startswith("data error: no records for model=")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--model", "oracle"], ["--dataset", "synthetic"], []])
+    def test_a_lone_flag_matching_the_one_pair_selects_it(self, tmp_path, capsys,
+                                                          synth_records, flags):
+        records, _ = synth_records
+        code, text = self.complexity(tmp_path, capsys, records, *flags)
+        assert code == 0
+        assert "model=oracle dataset=synthetic" in text
+
+    def test_a_lone_model_picks_its_pair_among_several(self, tmp_path, capsys, two_pairs):
+        code, text = self.complexity(tmp_path, capsys, two_pairs, "--model", "llama")
+        assert code == 0
+        assert "model=llama dataset=math" in text
+
+    def test_a_lone_flag_matching_several_pairs_is_a_usage_error(self, tmp_path, capsys,
+                                                                 two_pairs):
+        code, text = self.complexity(tmp_path, capsys, two_pairs, "--dataset", "math")
+        assert code == 2
+        assert text == ("usage error: --model and --dataset are required "
+                        "(2 pairs match: gpt/math; llama/math)\n")

@@ -11,13 +11,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cotbudget.collect import (
     JsonlWriter,
     Choice,
     Question,
     SweepConfig,
+    _run_cell,
     drop_torn_tail,
-    existing_cells,
     format_question,
     grade,
     load_questions,
@@ -25,8 +28,15 @@ from cotbudget.collect import (
 )
 from cotbudget.errors import EndpointError, RecordParseError, RecordSchemaError
 from cotbudget.mockserver import MockChatEndpoint, default_reply
-from cotbudget.prompts import QUESTION_TEMPLATE, PromptCatalog, default_catalog, fixed_spec
-from cotbudget.records import load_records
+from cotbudget.prompts import (
+    QUESTION_TEMPLATE,
+    PromptCatalog,
+    PromptSpec,
+    default_catalog,
+    fixed_spec,
+    render,
+)
+from cotbudget.records import EvalRecord, load_records, read_columns
 
 MC_QUESTION = Question(
     question_id="mc1",
@@ -269,7 +279,7 @@ class TestSweep:
             with JsonlWriter(out) as writer:
                 sweep([questions[0]], config_for(mock.url), writer)
             first_requests = mock.request_count
-            skip = existing_cells(load_records(out), "mock-model", "mock-ds")
+            skip = read_columns(out).cells("mock-model", "mock-ds")
             with JsonlWriter(out, append=True) as writer:
                 summary = sweep(questions, config_for(mock.url), writer, skip=skip)
         assert first_requests == 3
@@ -742,3 +752,109 @@ def test_question_line_that_is_not_utf8(tmp_path):
     assert str(exc.value) == (
         f"{path}:2: not UTF-8: byte 0xff at column 32 (invalid start byte)"
     )
+
+
+class _OneReply:
+    """Stands in for a sweep's transport: every POST gets the same 200 reply."""
+
+    def __init__(self, reply: dict) -> None:
+        self.body = json.dumps(reply).encode("utf-8")
+
+    def post(self, body: bytes) -> tuple[int, None, bytes]:
+        return 200, None, self.body
+
+
+IDS = st.text(min_size=1, max_size=6)
+CONTENT = st.text(max_size=30) | st.builds(
+    "{}\nAnswer: {}".format, st.text(max_size=10), st.text(min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=IDS, dataset=IDS, question_id=IDS, prompt_id=IDS, gold=IDS, content=CONTENT,
+       tokens=st.none() | st.integers(0, 2**63 - 1))
+def test_collected_record_has_the_bytes_of_an_eval_record(
+    model, dataset, question_id, prompt_id, gold, content, tokens
+):
+    """A collected cell serialises as EvalRecord.to_json_dict did, estimate flag included."""
+    spec = PromptSpec(prompt_id=prompt_id, family="NoCoT", instruction="Only give the final answer.")
+    config = SweepConfig(endpoint="http://127.0.0.1:9/v1", model=model, dataset=dataset,
+                         catalog=PromptCatalog((spec,)), estimate_missing_usage=True)
+    question = Question(question_id=question_id, text="t", gold_answer=gold)
+    reply = {"choices": [{"message": {"content": content}}]}
+    if tokens is not None:
+        reply["usage"] = {"completion_tokens": tokens}
+    record, error, _ = _run_cell(config, question, spec, _OneReply(reply))
+    assert error is None
+    correct, extracted = grade(content, question)
+    estimated = tokens is None
+    want = EvalRecord(
+        model, dataset, question_id, prompt_id,
+        -(-len(content) // 4) if estimated else tokens,
+        correct,
+        response=content,
+        extracted_answer=extracted,
+        extra={"tokens_estimated": True} if estimated else {},
+    )
+    assert json.dumps(record, ensure_ascii=False) == json.dumps(want.to_json_dict(), ensure_ascii=False)
+    assert ("extracted_answer" in record) == (extracted is not None)
+    assert ("tokens_estimated" in record) == estimated
+
+
+def test_one_worker_requests_cells_in_question_by_catalog_order(tmp_path):
+    questions = [Question(f"q{i}", f"Question {i}?", "1") for i in range(4)]
+    out = tmp_path / "records.jsonl"
+    with MockChatEndpoint() as mock:
+        with JsonlWriter(out) as writer:
+            sweep(questions, config_for(mock.url, max_parallel=1), writer)
+        contents = [body["messages"][0]["content"] for body in mock.requests]
+    cells = [(q, spec) for q in questions for spec in small_catalog()]
+    assert contents == [render(spec, format_question(q)) for q, spec in cells]
+    assert [r.key[2:] for r in load_records(out)] == [(q.question_id, s.prompt_id) for q, s in cells]
+
+
+class _FailingWriter:
+    def write(self, obj: dict) -> None:
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("max_parallel", [1, 3])
+def test_a_writer_that_raises_stops_the_sweep(max_parallel):
+    """pool.map cancels the queued cells; only cells already started still run."""
+    questions = [Question(f"q{i}", f"Question {i}?", "1") for i in range(20)]
+
+    def slow_reply(question_text, body):
+        time.sleep(0.02)
+        return default_reply(question_text, "1")
+
+    with MockChatEndpoint(reply_fn=slow_reply) as mock:
+        config = config_for(mock.url, max_parallel=max_parallel)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(questions, config, _FailingWriter())
+        assert 1 <= mock.request_count <= 2 * max_parallel
+
+
+class TestIdsAreCheckedBeforeAnyRequest:
+    """Every id a collected record carries is refused when the sweep's inputs are built."""
+
+    @pytest.mark.parametrize("field", ["model", "dataset"])
+    @pytest.mark.parametrize("value", ["", None, 7])
+    def test_config_ids(self, field, value):
+        with MockChatEndpoint() as mock:
+            with pytest.raises(ValueError, match=f"{field} must be a non-empty string"):
+                config_for(mock.url, **{field: value})
+            assert mock.request_count == 0
+
+    @pytest.mark.parametrize("value", ["", None, 7])
+    def test_prompt_id(self, value):
+        with MockChatEndpoint() as mock:
+            with pytest.raises(ValueError, match="prompt_id must be a non-empty string"):
+                PromptSpec(prompt_id=value, family="NoCoT", instruction="Only give the final answer.")
+            assert mock.request_count == 0
+
+    @pytest.mark.parametrize("value", ["", None])
+    def test_question_id(self, value):
+        with MockChatEndpoint() as mock:
+            with pytest.raises(ValueError, match="field 'question_id' must be a non-empty string"):
+                Question(question_id=value, text="t", gold_answer="1")
+            assert mock.request_count == 0

@@ -24,6 +24,7 @@ from loop_oracles import (
     estimate_tau_loop,
     profile_from_file_loop,
     profile_loop,
+    question_runs,
     tau_aggregates_loop,
 )
 
@@ -183,7 +184,7 @@ class TestProfile:
         matrix, _ = oracle_matrix
         prof = profile(matrix)
         for i, entry in enumerate(prof.entries):
-            lengths, corrects = matrix.question_runs(i)
+            lengths, corrects = question_runs(matrix, i)
             assert classify_accuracy(lengths, corrects, entry.tau_hat) == entry.c_star
 
 
@@ -298,7 +299,7 @@ class TestProfileFileRoundTrip:
         prof = profile(matrix)
         assert prof.tau.tolist() == [10, 20, -1]
         assert prof.entries == tuple(
-            estimate_tau_loop(*matrix.question_runs(i), question_id=q)
+            estimate_tau_loop(*question_runs(matrix, i), question_id=q)
             for i, q in enumerate(matrix.question_ids)
         )
         assert prof.entries is prof.entries  # built once

@@ -18,7 +18,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files a demo leaves behind (demo 04's records) in tmp_path.
+    # Demo 04 writes its records under TMPDIR, and must remove them again.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run(
         [sys.executable, str(demo)],
@@ -30,3 +30,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert list(tmp_path.glob("cotbudget-demo-*")) == []

@@ -31,7 +31,7 @@ from cotbudget.metrics import (
 from cotbudget.oracle import OracleSpec, generate, scaled_lengths, straddle_lengths
 
 from conftest import make_matrix, run_matrices
-from loop_oracles import midranks_loop
+from loop_oracles import adaptivity_split_loop, midranks_loop, prompt_table_loop
 
 
 def rank_oracle(values):
@@ -325,3 +325,41 @@ class TestValidationReport:
         report = validation_report(matrix, profile(matrix))
         assert report.err == 0
         assert report.c_bar == 1
+
+
+BIG = 2**62
+
+
+class TestExactTokenTotals:
+    """Column totals past 2**63 - 1 stay exact; integer ranks above 2**53 stay apart."""
+
+    def test_prompt_table_average_of_huge_counts(self):
+        m = make_matrix([[BIG, BIG], [BIG, BIG]], [[True, True], [False, True]])
+        rows = prompt_table(m, profile(m))
+        assert [r.avg_tokens for r in rows] == [BIG, BIG]
+
+    def test_adaptivity_average_of_huge_counts(self):
+        m = make_matrix([[BIG, BIG], [BIG, BIG]], [[True, True], [True, False]])
+        assert adaptivity_split(m, "p00") == {"p01": (Fraction(BIG), None)}
+
+    def test_spearman_keeps_integers_above_2_53_apart(self):
+        assert spearman([2**53, 2**53 + 1, 2**53 + 2], [1, 2, 3]) == 1.0
+        assert midranks([2**53 + 1, 2**53, 2**53 + 1]).tolist() == [2.5, 1.0, 2.5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=run_matrices(max_tokens=2**63 - 1) | run_matrices())
+    def test_prompt_table_matches_loop(self, matrix):
+        prof = profile(matrix)
+        try:
+            want = prompt_table_loop(matrix, prof)
+        except CoverageError as exc:
+            with pytest.raises(CoverageError, match=str(exc)):
+                prompt_table(matrix, prof)
+            return
+        assert prompt_table(matrix, prof) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), matrix=run_matrices(max_tokens=2**63 - 1) | run_matrices())
+    def test_adaptivity_split_matches_loop(self, data, matrix):
+        split = data.draw(st.sampled_from(matrix.prompt_ids))
+        assert adaptivity_split(matrix, split) == adaptivity_split_loop(matrix, split)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from cotbudget.oracle import (
     save_taus,
 )
 
-from loop_oracles import scaled_lengths_loop, straddle_lengths_loop
+from loop_oracles import question_runs, scaled_lengths_loop, straddle_lengths_loop
 
 
 class TestGenerate:
@@ -81,7 +82,7 @@ class TestGenerate:
         # the constant-classifier floor still holds on fully flipped data
         prof = profile(matrix)
         for i, entry in enumerate(prof.entries):
-            _, corrects = matrix.question_runs(i)
+            _, corrects = question_runs(matrix, i)
             p = Fraction(int(corrects.sum()), int(corrects.size))
             assert entry.c_star >= max(p, 1 - p)
 
@@ -94,31 +95,37 @@ class TestGenerate:
         assert prof.c_bar == 1
 
     def test_scaled_lengths_rule(self):
-        rule = scaled_lengths(base=[10, 20], multipliers=[1.0, 2.5])
-        grid = rule.materialize(2)
+        grid = scaled_lengths(base=[10, 20], multipliers=[1.0, 2.5])
         assert grid.tolist() == [[10, 20], [25, 50]]
+        assert grid.dtype == np.int64
+
+    def test_grid_lengths_are_one_shared_row(self):
+        grid = grid_lengths([5, 15.9, 25])
+        assert grid.shape == (1, 3) and grid.dtype == np.int64
+        assert grid.tolist() == [[5, 15, 25]]
 
 
 class TestLengthRulesMatchPerCellLoops:
-    """Array rules against the one-call-per-cell rules they replaced."""
+    """The array builders against the one-call-per-cell rules they replaced."""
 
     @pytest.mark.parametrize("shuffle_seed", [None, 0, 7])
     @pytest.mark.parametrize("n_prompts", [2, 5, 31])
     def test_straddle_lengths_bit_identical(self, shuffle_seed, n_prompts):
         taus = random_spec(n=300, seed=3).taus
-        rule = straddle_lengths(taus, n_prompts, shuffle_seed=shuffle_seed)
+        got = straddle_lengths(taus, n_prompts, shuffle_seed=shuffle_seed)
         want = straddle_lengths_loop(taus, n_prompts, shuffle_seed=shuffle_seed)
-        assert np.array_equal(rule.materialize(len(taus)), want)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     def test_straddle_lengths_with_proxy_and_no_finite_taus(self):
         taus = (INFINITE, INFINITE)
         for proxy in (None, 7):
-            got = straddle_lengths(taus, 4, infinite_proxy=proxy).materialize(2)
+            got = straddle_lengths(taus, 4, infinite_proxy=proxy)
             assert np.array_equal(got, straddle_lengths_loop(taus, 4, infinite_proxy=proxy))
 
     def test_scaled_lengths_round_half_to_even(self):
         base, multipliers = [1, 3, 5, 7], [0.5, 1.5, 2.5, 0.1, 1.25]
-        got = scaled_lengths(base, multipliers).materialize(len(multipliers))
+        got = scaled_lengths(base, multipliers)
         assert np.array_equal(got, scaled_lengths_loop(base, multipliers))
 
     def test_random_spec_generates_the_same_matrix(self):
@@ -128,9 +135,15 @@ class TestLengthRulesMatchPerCellLoops:
         assert np.array_equal(matrix.tokens, want)
 
     def test_first_negative_cell_is_reported(self):
-        rule = scaled_lengths(base=[1, 2, 3], multipliers=[1.0, 1.0, -1.0, -2.0])
-        with pytest.raises(GenerationError, match=r"produced -1 at cell \(2, 0\)"):
-            rule.materialize(4)
+        lengths = scaled_lengths(base=[1, 2, 3], multipliers=[1.0, 1.0, -1.0, -2.0])
+        spec = OracleSpec(n=4, prompt_lengths=lengths, taus=(2, 2, 2, 2))
+        with pytest.raises(GenerationError, match=r"holds -1 at cell \(2, 0\)"):
+            generate(spec)
+
+    def test_a_shared_row_is_checked_in_every_row(self):
+        spec = OracleSpec(n=3, prompt_lengths=grid_lengths([4, -7]), taus=(2, 2, 2))
+        with pytest.raises(GenerationError, match=r"holds -7 at cell \(0, 1\)"):
+            generate(spec)
 
 
 class TestTausSidecar:
@@ -156,3 +169,32 @@ class TestSpecValidation:
     def test_finite_taus_must_be_positive_integers(self):
         with pytest.raises(ValueError):
             OracleSpec(n=1, prompt_lengths=grid_lengths([5]), taus=(0,))
+
+    @pytest.mark.parametrize("lengths", [[5, 15], [[5, 15]] * 2, np.zeros((1, 2, 1))])
+    def test_lengths_must_be_one_row_or_one_per_question(self, lengths):
+        with pytest.raises(ValueError, match="prompt_lengths must be"):
+            OracleSpec(n=3, prompt_lengths=lengths, taus=(10, 20, 30))
+
+
+class TestSpecArray:
+    def test_lengths_are_read_only_int64_truncated_toward_zero(self):
+        spec = OracleSpec(n=2, prompt_lengths=[[1.9, -0.5, 7.0]], taus=(2, 3))
+        assert spec.prompt_lengths.dtype == np.int64
+        assert spec.prompt_lengths.tolist() == [[1, 0, 7]]
+        with pytest.raises(ValueError):
+            spec.prompt_lengths[0, 0] = 3
+
+    def test_equality_and_hash_do_not_raise(self):
+        spec = random_spec(n=5, seed=1)
+        same = spec
+        assert spec == same and not spec != same
+        assert spec != random_spec(n=5, seed=1)
+        assert spec != "spec"
+        assert hash(spec) == hash(same)
+        assert len({spec, random_spec(n=5, seed=1)}) == 2
+
+    def test_replace_keeps_the_lengths(self):
+        spec = random_spec(n=5, seed=1)
+        renamed = dataclasses.replace(spec, model="m2")
+        assert np.array_equal(renamed.prompt_lengths, spec.prompt_lengths)
+        assert generate(renamed)[0].tokens.tolist() == generate(spec)[0].tokens.tolist()

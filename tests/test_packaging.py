@@ -45,3 +45,26 @@ def test_every_third_party_import_is_declared():
 
 def test_every_declared_dependency_is_imported():
     assert declared_dependencies() - third_party_imports() == set()
+
+
+def test_every_exported_name_resolves():
+    import cotbudget
+
+    assert [name for name in cotbudget.__all__ if not hasattr(cotbudget, name)] == []
+    assert len(set(cotbudget.__all__)) == len(cotbudget.__all__)
+
+
+def test_every_public_import_of_the_package_is_exported():
+    """A name deleted from a module cannot linger in __all__, nor a new one go unlisted."""
+    import cotbudget
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public - set(cotbudget.__all__) == set()
+    assert set(cotbudget.__all__) - public == set()

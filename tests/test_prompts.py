@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from cotbudget.errors import RecordParseError, RecordSchemaError
 
 from cotbudget.prompts import (
     DEFAULT_LIMIT_GRID,
@@ -15,6 +21,8 @@ from cotbudget.prompts import (
     limited_spec,
     render,
 )
+
+from loop_oracles import catalog_from_file_loop
 
 EXPECTED_FIXED = {
     "NoCoT": "Only give the final answer.",
@@ -129,3 +137,82 @@ class TestCatalogSerialization:
         spec = default_catalog().get("NoCoT")
         with pytest.raises(ValueError):
             PromptCatalog(specs=(spec, spec))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 600) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+SPEC_KEYS = ("prompt_id", "family", "instruction", "limit", "limit_unit", "extra")
+# Values each spec field may validly take, so that some edits keep the file valid.
+VALID_VALUES = {
+    "prompt_id": st.text(min_size=1, max_size=3),
+    "family": st.sampled_from([*FIXED_INSTRUCTIONS, *PARAMETERIZED_FAMILIES]),
+    "instruction": st.text(max_size=5),
+    "limit": st.none() | st.integers(1, 600),
+    "limit_unit": st.none() | st.sampled_from([unit for _, unit, _ in PARAMETERIZED_FAMILIES.values()]),
+    "extra": JSON_VALUES,
+}
+EDITS = ("spec_set", "spec_delete", "duplicate", "retype_spec", "retype_file")
+
+
+@st.composite
+def catalog_mutations(draw, obj):
+    """A copy of a catalog file's list with one to three random edits.
+
+    Half the examples only give spec fields values from their valid
+    ranges, which often keeps the file valid.
+    """
+    obj = json.loads(json.dumps(obj))
+    valid_only = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = "spec_valid" if valid_only else draw(st.sampled_from(EDITS))
+        if kind == "retype_file":
+            obj = draw(JSON_VALUES)
+            continue
+        if not isinstance(obj, list) or not obj:
+            continue
+        i = draw(st.integers(0, len(obj) - 1))
+        if kind == "duplicate":
+            obj.append(json.loads(json.dumps(obj[i])))
+        elif kind == "retype_spec":
+            obj[i] = draw(JSON_VALUES)
+        elif isinstance(obj[i], dict):
+            key = draw(st.sampled_from(SPEC_KEYS))
+            if kind == "spec_valid":
+                obj[i][key] = draw(VALID_VALUES[key])
+            elif kind == "spec_set":
+                obj[i][key] = draw(JSON_VALUES)
+            else:
+                obj[i].pop(key, None)
+    return obj
+
+
+class TestCatalogFileMutations:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 4), cut=st.none() | st.integers(0, 200))
+    def test_every_mutation_loads_equal_or_is_a_data_error(self, data, size, cut):
+        """A mutated catalog loads to the catalog the rules describe, or is a data error.
+
+        ``cut`` truncates some files' text, which makes them malformed JSON.
+        """
+        valid = [s.to_json_dict() for s in list(default_catalog())[-size:]]
+        obj = data.draw(catalog_mutations(valid))
+        text = json.dumps(obj, indent=2)
+        want = catalog_from_file_loop(obj) if cut is None or cut >= len(text) else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.json"
+            path.write_text(text if cut is None else text[:cut], encoding="utf-8")
+            if want is None:
+                with pytest.raises((RecordSchemaError, RecordParseError)) as exc:
+                    PromptCatalog.load(path)
+                assert str(exc.value).startswith(f"{path}")
+            else:
+                assert PromptCatalog.load(path) == want
+
+    def test_limit_and_limit_unit_may_be_left_out_of_fixed_specs(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"prompt_id": "NoCoT", "family": "NoCoT",
+                                     "instruction": "Only give the final answer."}]))
+        assert PromptCatalog.load(path) == PromptCatalog((default_catalog().get("NoCoT"),))

@@ -26,7 +26,12 @@ from cotbudget.records import (
     unpivot,
 )
 
-from conftest import make_record, run_matrices
+from cotbudget.cli import _load_budgets
+from cotbudget.collect import load_questions
+from cotbudget.complexity import ComplexityProfile, profile
+from cotbudget.prompts import PromptCatalog, default_catalog
+
+from conftest import make_matrix, make_record, run_matrices
 from loop_oracles import load_records_loop, pivot_loop
 
 
@@ -456,3 +461,66 @@ def test_byte_not_utf8_names_its_line(tmp_path, loader, newline):
     assert exc.value.line_no == 301
     assert exc.value.reason.startswith("not UTF-8: byte 0xe2 at column ")
     assert isinstance(exc.value, ValueError)
+
+
+def _record_lines(path):
+    columns = read_columns(path)
+    return columns.keys, columns.tokens, columns.correct
+
+
+def _valid_catalog(path):
+    default_catalog().save(path)
+
+
+def _valid_profile(path):
+    profile(make_matrix([[1, 5, 9], [2, 2, 7]], [[False, True, True], [True, False, True]])).save(path)
+
+
+def _valid_jsonl(make_obj):
+    def write(path):
+        path.write_text("".join(json.dumps(make_obj(i)) + "\n" for i in range(4)), encoding="utf-8")
+    return write
+
+
+# (loader, comparable result of a load, writer of a valid file of 4+ lines)
+LOADERS = {
+    "records": (_record_lines, _valid_jsonl(lambda i: base_obj(question_id=f"q{i}"))),
+    "budgets": (_load_budgets, _valid_jsonl(lambda i: {"question_id": f"q{i}", "budget": i})),
+    "questions": (load_questions, _valid_jsonl(
+        lambda i: {"question_id": f"q{i}", "text": "t", "gold_answer": "1"})),
+    "complexity": (ComplexityProfile.load, _valid_profile),
+    "catalog": (PromptCatalog.load, _valid_catalog),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@pytest.mark.parametrize(
+    "inserted, reason",
+    [
+        (b"@", "malformed JSON"),
+        (b'"caf\xe9"', "not UTF-8: byte 0xe9 at column 5"),
+        (b"", None),
+        (b" \t", None),
+    ],
+    ids=["malformed", "not-utf8", "blank", "whitespace"],
+)
+def test_every_loader_reads_lines_the_same_way(tmp_path, name, inserted, reason):
+    """Records, budgets, questions, complexity and catalog files share one reader.
+
+    A third line inserted into a valid file is a RecordParseError naming
+    line 3 when it is malformed JSON or not UTF-8, and changes nothing when
+    it is blank.
+    """
+    load, write_valid = LOADERS[name]
+    path = tmp_path / "input"
+    write_valid(path)
+    want = load(str(path))
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:2] + [inserted] + lines[2:]))
+    if reason is None:
+        assert load(str(path)) == want
+        return
+    with pytest.raises(RecordParseError) as exc:
+        load(str(path))
+    assert exc.value.line_no == 3
+    assert str(exc.value).startswith(f"{path}:3: {reason}")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cotbudget.bounds import frontier
 from cotbudget.complexity import INFINITE, profile
-from cotbudget.errors import CoverageError
+from cotbudget.errors import CotBudgetError, CoverageError
 from cotbudget.metrics import prompt_table
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
 from cotbudget.routing import (
@@ -19,7 +19,6 @@ from cotbudget.routing import (
     budget_route,
     compare_to_frontier,
     verifier_cascade,
-    verifier_route,
 )
 
 from conftest import make_matrix, run_matrices
@@ -33,7 +32,7 @@ class TestVerifierRoute:
             [[5, 80], [6, 100]],
             [[True, True], [False, True]],
         )
-        out = verifier_route(m, "p00", "p01")
+        out = verifier_cascade(m, ["p00", "p01"])
         assert out.accuracy == 1
         assert out.avg_tokens == Fraction(111, 2)  # (5 + 106) / 2
         assert out.spent.tolist() == [5, 106]
@@ -41,7 +40,7 @@ class TestVerifierRoute:
 
     def test_all_base_correct_equals_base_prompt(self):
         m = make_matrix([[5, 80], [6, 100]], [[True, True], [True, True]])
-        out = verifier_route(m, "p00", "p01")
+        out = verifier_cascade(m, ["p00", "p01"])
         base_row = prompt_table(m, profile(m))[0]
         assert out.accuracy == base_row.accuracy
         assert out.avg_tokens == base_row.avg_tokens
@@ -49,7 +48,7 @@ class TestVerifierRoute:
     def test_degenerate_fallback(self):
         # fallback == base: accuracy unchanged, failed questions pay double
         m = make_matrix([[5, 5], [6, 6]], [[True, True], [False, False]])
-        out = verifier_route(m, "p00", "p01")
+        out = verifier_cascade(m, ["p00", "p01"])
         assert out.accuracy == Fraction(1, 2)
         assert out.avg_tokens == Fraction(5 + 12, 2)
 
@@ -58,12 +57,12 @@ class TestVerifierRoute:
             [[5, 80]], [[False, True]], present=[[True, False]]
         )
         with pytest.raises(CoverageError):
-            verifier_route(m, "p00", "p01")
+            verifier_cascade(m, ["p00", "p01"])
 
     def test_union_accuracy_identity(self, oracle_matrix):
         matrix, _ = oracle_matrix
         base, fallback = matrix.prompt_ids[0], matrix.prompt_ids[-1]
-        out = verifier_route(matrix, base, fallback)
+        out = verifier_cascade(matrix, [base, fallback])
         b = matrix.prompt_index(base)
         f = matrix.prompt_index(fallback)
         union = np.count_nonzero(matrix.correct[:, b] | matrix.correct[:, f])
@@ -83,7 +82,7 @@ class TestVerifierRoute:
         tokens = [[b_t, f_t] for b_t, _, f_t, _ in data]
         correct = [[b_c, f_c] for _, b_c, _, f_c in data]
         m = make_matrix(tokens, correct)
-        out = verifier_route(m, "p00", "p01")
+        out = verifier_cascade(m, ["p00", "p01"])
         n = len(data)
         expected_cost = Fraction(
             sum(b_t + (0 if b_c else f_t) for b_t, b_c, f_t, _ in data), n
@@ -295,7 +294,7 @@ class TestOutcomeColumns:
 
     def test_outcomes_differing_in_one_path_are_unequal(self):
         m = make_matrix([[5, 80], [6, 100]], [[True, True], [False, True]])
-        out = verifier_route(m, "p00", "p01")
+        out = verifier_cascade(m, ["p00", "p01"])
         swapped = dataclasses.replace(out, path_index=out.path_index[::-1])
         assert out != swapped
         assert out == dataclasses.replace(out, paths=out.paths + (("p09",),))
@@ -320,7 +319,7 @@ class TestCompareToFrontier:
                         [[True, True], [True, True], [True, True], [False, False]])
         prof = profile(m)
         curve = frontier(prof)
-        out = verifier_route(m, "p00", "p01")
+        out = verifier_cascade(m, ["p00", "p01"])
         (policy, gap), = compare_to_frontier([out], curve)
         assert gap == curve.alpha_at(out.avg_tokens) - out.accuracy
 
@@ -329,8 +328,30 @@ class TestCompareToFrontier:
         prof = profile(matrix)
         curve = frontier(prof)
         outcomes = [
-            verifier_route(matrix, matrix.prompt_ids[0], matrix.prompt_ids[-1]),
-            verifier_route(matrix, matrix.prompt_ids[1], matrix.prompt_ids[-2]),
+            verifier_cascade(matrix, [matrix.prompt_ids[0], matrix.prompt_ids[-1]]),
+            verifier_cascade(matrix, [matrix.prompt_ids[1], matrix.prompt_ids[-2]]),
         ]
         for _, gap in compare_to_frontier(outcomes, curve):
             assert gap >= 0
+
+
+class TestCascadeSpendLimit:
+    """A spend past 2**63 - 1 is a data error naming the question, never a wrapped total."""
+
+    def test_two_huge_runs(self):
+        m = make_matrix([[2**62, 2**62], [2**62, 2**62]], [[False, True], [True, True]])
+        with pytest.raises(CotBudgetError, match=r"question 'q00' spends 9223372036854775808 "):
+            verifier_cascade(m, ["p00", "p01"])
+
+    def test_a_wrap_that_comes_back_positive_is_still_caught(self):
+        # The int64 running total goes 2**62, -2**63, -2**62, 0, 2**62.
+        m = make_matrix([[2**62] * 5], [[False] * 4 + [True]])
+        with pytest.raises(CotBudgetError, match=r"'q00' spends 23058430092136939520 "):
+            verifier_cascade(m, [f"p0{j}" for j in range(5)])
+
+    def test_largest_spend_and_unread_cells_pass(self):
+        m = make_matrix([[2**62, 2**62 - 1, 2**62], [5, 2**63 - 1, 2**63 - 1]],
+                        [[False, True, True], [True, True, True]])
+        out = verifier_cascade(m, ["p00", "p01", "p02"])
+        assert out.spent.tolist() == [2**63 - 1, 5]
+        assert out.avg_tokens == Fraction(2**63 + 4, 2)
