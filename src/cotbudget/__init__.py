@@ -36,6 +36,7 @@ from .records import (
     load_records,
     pivot,
     read_columns,
+    read_matrices,
     save_matrix,
     save_records,
     unpivot,
@@ -85,6 +86,7 @@ __all__ = [
     "prompt_table",
     "random_spec",
     "read_columns",
+    "read_matrices",
     "render",
     "save_matrix",
     "save_records",

@@ -23,7 +23,7 @@ from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
 from .errors import CotBudgetError, EmptySelectionError, EndpointError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
-from .records import RecordColumns, read_columns, read_jsonl, save_matrix
+from .records import read_columns, read_jsonl, read_matrices, save_matrix
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -44,11 +44,10 @@ def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _select_pair(args, columns: RecordColumns) -> tuple[str, str]:
+def _select_pair(args, pairs: list[tuple[str, str]]) -> tuple[str, str]:
     if args.model and args.dataset:
         return args.model, args.dataset
-    pairs = [p for p in columns.pairs
-             if args.model in (None, p[0]) and args.dataset in (None, p[1])]
+    pairs = [p for p in pairs if args.model in (None, p[0]) and args.dataset in (None, p[1])]
     if len(pairs) == 1:
         return pairs[0]
     if not pairs:
@@ -58,9 +57,11 @@ def _select_pair(args, columns: RecordColumns) -> tuple[str, str]:
 
 
 def _load_matrix(args):
-    columns = read_columns(args.records)
-    model, dataset = _select_pair(args, columns)
-    return columns.matrix(model, dataset)
+    matrices = read_matrices(args.records)
+    model, dataset = _select_pair(args, list(matrices))
+    if (model, dataset) not in matrices:
+        raise EmptySelectionError(f"no records for model={model!r} dataset={dataset!r}")
+    return matrices[model, dataset]
 
 
 def _profile_for(args, matrix=None) -> ComplexityProfile:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, RecordSchemaError
-from .records import NON_EMPTY_STRING, TOKENS_MAX, RunMatrix, checked, read_json
+from .records import NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, RunMatrix, checked, read_json
 
 INFINITE = math.inf
 
@@ -174,7 +174,7 @@ class ComplexityProfile:
             qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
             if first.setdefault(qid, i) != i:
                 raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
-            t = checked(entry, "tau", where, _TAU)
+            t = checked(entry, "tau", where, NULL_OR_TOKENS)
             tau.append(-1 if t is None else t)
             k_used.append(checked(entry, "k_used", where, _K_USED))
             c_star.append(Fraction(str(checked(entry, "c_star", where, _C_STAR))))
@@ -198,10 +198,6 @@ class ComplexityProfile:
 
 # The complexity file's own field rules, in the form records.checked reads.
 _NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "a non-empty list")
-_TAU = (
-    lambda v: v is None or (type(v) is int and 0 <= v <= TOKENS_MAX),
-    f"null or an integer in [0, {TOKENS_MAX}]",
-)
 _K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"an integer in [1, {TOKENS_MAX}]")
 # NaN fails both comparisons and infinities fail one, so the range test also
 # requires a finite number.

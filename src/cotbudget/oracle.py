@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .complexity import INFINITE, is_finite
-from .errors import GenerationError
-from .records import RunMatrix, read_json
+from .errors import GenerationError, RecordSchemaError
+from .records import NON_EMPTY_STRING, NULL_OR_TOKENS, RunMatrix, checked, read_json
 
 # random_spec's inclusive range of finite taus, and its share of infinite ones.
 TAU_RANGE = (4, 160)
@@ -193,7 +193,23 @@ def save_taus(taus: Sequence[float], question_ids: Sequence[str], path: str | Pa
 
 
 def load_taus(path: str | Path) -> dict[str, float]:
+    """Read a sidecar written by save_taus; bad content is a RecordParseError or a
+    RecordSchemaError naming the file and the JSON location (``taus.q1``).
+    """
     payload = read_json(path)
-    return {
-        q: (INFINITE if t is None else float(t)) for q, t in payload["taus"].items()
-    }
+    try:
+        if type(payload) is not dict:
+            raise RecordSchemaError(f"the file must hold a JSON object, got {payload!r:.60}")
+        taus = checked(payload, "taus", "", _OBJECT)
+        out = {}
+        for qid in taus:
+            if not NON_EMPTY_STRING[0](qid):
+                raise RecordSchemaError(f"taus keys must be non-empty strings, got {qid!r}")
+            tau = checked(taus, qid, "taus", NULL_OR_TOKENS)
+            out[qid] = INFINITE if tau is None else float(tau)
+    except RecordSchemaError as exc:
+        raise RecordSchemaError(exc.reason, path=str(path)) from None
+    return out
+
+
+_OBJECT = (lambda v: type(v) is dict, "an object")

@@ -6,15 +6,18 @@ analysis consumes the pivoted RunMatrix, never loose records. Files go to and
 from the matrix column by column (``read_columns``, ``save_matrix``);
 ``EvalRecord`` objects are built only for callers that ask for them. Every
 input file of the package is read through ``read_jsonl`` or ``read_json``.
+``read_matrices`` keeps the matrices of each records file it parsed in a
+content-addressed cache (``cotbudget.cache``).
 """
 from __future__ import annotations
 
 import functools
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -111,13 +114,21 @@ class EvalRecord:
 Key = tuple[str, str, str, str]
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+def read_jsonl(
+    path: str | Path, source: BinaryIO | None = None
+) -> Iterator[tuple[int, object]]:
     """Yield (1-based line number, parsed value) for each non-blank line of a JSONL file.
 
     A line that is not JSON, or not UTF-8, is a RecordParseError naming it.
+    ``source``, when given, is the file's open raw binary stream, read
+    instead of opening ``path`` and closed at the end.
     """
     loads = json.loads
-    with Path(path).open("r", encoding="utf-8") as fh:
+    if source is None:
+        text = Path(path).open("r", encoding="utf-8")
+    else:
+        text = io.TextIOWrapper(io.BufferedReader(source, 1 << 16), encoding="utf-8")
+    with text as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 try:
@@ -142,8 +153,12 @@ def read_json(path: str | Path) -> object:
         raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
 
 
-# A field rule of a whole-file JSON input: (test, what a valid value is).
+# Field rules of whole-file JSON inputs: (test, what a valid value is).
 NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "a non-empty string")
+NULL_OR_TOKENS = (
+    lambda v: v is None or (type(v) is int and 0 <= v <= TOKENS_MAX),
+    f"null or an integer in [0, {TOKENS_MAX}]",
+)
 
 
 def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
@@ -157,18 +172,18 @@ def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
     return obj[key]
 
 
-def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
+def _scan(path: Path, source: BinaryIO | None = None) -> Iterator[tuple[Key, int, bool, dict]]:
     """Yield (key, tokens, correct, object) for each record line of a JSONL file.
 
     A line that fails the inline field check is handed to EvalRecord, whose
     error becomes the RecordSchemaError, so both report the same reason.
     Equal key strings are shared between lines, so a file holds each
-    distinct id in memory once.
+    distinct id in memory once. ``source`` is as for read_jsonl.
     """
     seen: dict[Key, int] = {}
     shared: dict[str, str] = {}
     share = shared.setdefault
-    for line_no, obj in read_jsonl(path):
+    for line_no, obj in read_jsonl(path, source):
         if type(obj) is not dict:
             raise _schema_error(obj, path, line_no)
         model = obj.get("model")
@@ -297,6 +312,57 @@ def read_columns(path: str | Path) -> RecordColumns:
         tokens.append(count)
         correct.append(ok)
     return RecordColumns(keys, tokens, correct)
+
+
+def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
+    """Every (model, dataset) pair's RunMatrix of a JSONL record file, pairs sorted.
+
+    Each matrix equals ``read_columns(path).matrix(model, dataset)``, and a
+    bad file raises the same error. A regular file is parsed once: its
+    matrices are cached under a hash of its bytes (see cotbudget.cache),
+    and later calls on the same bytes load them from there.
+    """
+    from . import cache  # imported here, so commands that read no records skip it
+
+    path = Path(path)
+    with path.open("rb", buffering=0) as raw:
+        source = raw
+        store = cache.open_cache(raw)
+        if store is not None:
+            found = store.load(cache.content_digest(raw))
+            if found is not None:
+                return {(fields[0], fields[1]): RunMatrix(*fields) for fields in found}
+            raw.seek(0)
+            # The key comes from the bytes the parser reads, so a file that
+            # changes while it is read is stored under what was parsed.
+            source = cache.HashingReader(raw)
+        groups = _pair_columns(path, source)
+    # Each pair's columns are dropped once its matrix is built, so none is
+    # alive when the entry is written.
+    matrices = {pair: _group_matrix(pair, *groups.pop(pair)) for pair in sorted(groups)}
+    if store is not None:
+        store.save(source.digest(), list(matrices.values()))
+    return matrices
+
+
+def _pair_columns(
+    path: Path, source: BinaryIO
+) -> dict[tuple[str, str], tuple[list[Key], list[int], list[bool]]]:
+    """A record file's (keys, tokens, correct) columns, split by pair in one pass."""
+    groups: dict[tuple[str, str], tuple[list[Key], list[int], list[bool]]] = {}
+    for key, count, ok, _ in _scan(path, source):
+        group = groups.get(key[:2])
+        if group is None:
+            group = groups[key[:2]] = ([], [], [])
+        group[0].append(key)
+        group[1].append(count)
+        group[2].append(ok)
+    return groups
+
+
+def _group_matrix(pair: tuple[str, str], keys: list[Key], tokens: list[int],
+                  correct: list[bool]) -> RunMatrix:
+    return _pivot(*pair, [k[2] for k in keys], [k[3] for k in keys], tokens, correct)
 
 
 def save_records(records: Iterable[EvalRecord], path: str | Path) -> int:

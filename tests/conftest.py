@@ -9,6 +9,17 @@ from cotbudget.oracle import OracleSpec, generate, straddle_lengths
 from cotbudget.records import EvalRecord, RunMatrix
 
 
+@pytest.fixture(autouse=True)
+def isolated_record_cache(tmp_path_factory, monkeypatch):
+    """Give each test an empty record cache of its own, never the user's ~/.cache.
+
+    Subprocesses a test starts inherit the variable.
+    """
+    folder = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(folder))
+    return folder / "cotbudget"
+
+
 def make_record(qid="q1", pid="p1", tokens=10, correct=True, model="m", dataset="d", **kw):
     return EvalRecord(
         model=model,

@@ -225,6 +225,29 @@ def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
     return PromptCatalog(tuple(specs))
 
 
+def taus_from_file_loop(obj: object) -> dict[str, float] | None:
+    """The taus a parsed sidecar describes, or None if a rule rejects it.
+
+    The rules, one value at a time: the file is an object whose ``taus`` is
+    an object; each key is a non-empty string, and each value is null
+    (infinite) or an integer in [0, 2^63 - 1]. Booleans are not integers
+    here.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("taus"), dict):
+        return None
+    out: dict[str, float] = {}
+    for qid, tau in obj["taus"].items():
+        if not isinstance(qid, str) or qid == "":
+            return None
+        if tau is None:
+            out[qid] = INFINITE
+        elif isinstance(tau, int) and not isinstance(tau, bool) and 0 <= tau < 2**63:
+            out[qid] = float(tau)
+        else:
+            return None
+    return out
+
+
 def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
     """(A*, finite-tau total over n, mean finite tau), summed tau by tau."""
     finite = [int(t) for t in taus if is_finite(t)]

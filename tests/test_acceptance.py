@@ -5,11 +5,15 @@ PASS/FAIL lines alongside pytest's own verdicts.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import shutil
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,7 +369,7 @@ def test_criterion_8_collect_integration(tmp_path):
         assert grade("Answer: (G)", mc) == (True, "G")
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, isolated_record_cache):
     with criterion(9, "every CLI subcommand is byte-deterministic on identical inputs"):
         questions = tmp_path / "questions.jsonl"
         questions.write_text(
@@ -380,6 +384,18 @@ def test_criterion_9_cli_determinism(tmp_path):
             specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"), fixed_spec("DefaultCoT"))
         ).save(catalog_path)
 
+        def twice(argv: list[str]) -> None:
+            """Run a record-reading command on an empty record cache (a miss), then
+            again (a hit); both print and write the same bytes."""
+            shutil.rmtree(isolated_record_cache, ignore_errors=True)
+            out = Path(argv[argv.index("--out") + 1])
+            runs = []
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()) as printed:
+                    assert main(argv) == 0
+                runs.append((printed.getvalue(), out.read_bytes()))
+            assert runs[0] == runs[1], f"{argv[0]} differs between a cache miss and a hit"
+
         def run_all(tag: str) -> dict[str, bytes]:
             d = tmp_path / tag
             d.mkdir()
@@ -391,14 +407,14 @@ def test_criterion_9_cli_determinism(tmp_path):
             assert main(["synth", "--out", str(records), "--n", "10", "--prompts", "6",
                          "--seed", "4", "--violation-rate", "0.1",
                          "--taus-out", str(taus)]) == 0
-            assert main(["complexity", "--records", str(records),
-                         "--out", str(comp)]) == 0
-            assert main(["predict", "--records", str(records), "--complexity", str(comp),
-                         "--out", str(d / "validation.json")]) == 0
+            twice(["complexity", "--records", str(records), "--out", str(comp)])
+            twice(["predict", "--records", str(records), "--complexity", str(comp),
+                   "--out", str(d / "validation.json")])
             assert main(["bounds", "--complexity", str(comp),
                          "--out", str(d / "frontier.csv")]) == 0
-            assert main(["tradeoff", "--records", str(records), "--complexity", str(comp),
-                         "--out", str(d / "tradeoff.csv")]) == 0
+            twice(["bounds", "--records", str(records), "--out", str(d / "frontier_records.csv")])
+            twice(["tradeoff", "--records", str(records), "--complexity", str(comp),
+                   "--out", str(d / "tradeoff.csv")])
             budgets.write_text(
                 "".join(
                     json.dumps({"question_id": f"q{i}", "budget": 40}) + "\n"
@@ -406,14 +422,14 @@ def test_criterion_9_cli_determinism(tmp_path):
                 ),
                 encoding="utf-8",
             )
-            assert main(["routing", "--records", str(records), "--complexity", str(comp),
-                         "--base-prompt", "p0", "--fallback-prompt", "p5",
-                         "--budgets", str(budgets), "--family", "p0,p3,p5",
-                         "--out", str(d / "routing.csv")]) == 0
-            assert main(["correlate", "--records", str(records), "--complexity", str(comp),
-                         "--out", str(d / "correlate.csv")]) == 0
-            assert main(["adaptivity", "--records", str(records), "--split-prompt", "p5",
-                         "--out", str(d / "adaptivity.csv")]) == 0
+            twice(["routing", "--records", str(records), "--complexity", str(comp),
+                   "--base-prompt", "p0", "--fallback-prompt", "p5",
+                   "--budgets", str(budgets), "--family", "p0,p3,p5",
+                   "--out", str(d / "routing.csv")])
+            twice(["correlate", "--records", str(records), "--complexity", str(comp),
+                   "--out", str(d / "correlate.csv")])
+            twice(["adaptivity", "--records", str(records), "--split-prompt", "p5",
+                   "--out", str(d / "adaptivity.csv")])
             with MockChatEndpoint(answers={"One plus one?": "2"}) as mock:
                 assert main(["collect", "--endpoint", mock.url,
                              "--model", "mock-model", "--dataset", "mock-ds",

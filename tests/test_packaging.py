@@ -68,3 +68,13 @@ def test_every_public_import_of_the_package_is_exported():
     public = {name for name in imported if not name.startswith("_")}
     assert public - set(cotbudget.__all__) == set()
     assert set(cotbudget.__all__) - public == set()
+
+
+def test_record_readers_are_exported():
+    import cotbudget
+    from cotbudget import records
+
+    for name in ("load_records", "read_columns", "read_matrices"):
+        assert name in cotbudget.__all__
+        assert getattr(cotbudget, name) is getattr(records, name)
+    assert "cache" not in cotbudget.__all__
