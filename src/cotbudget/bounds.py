@@ -4,10 +4,12 @@ Under the threshold model the best average-budget allocation is a unit-value
 knapsack: sort questions by complexity and solve the cheapest ones until the
 budget is spent. That greedy structure makes the frontier a right-continuous
 step function with one breakpoint per prefix of the sorted finite
-complexities. The profile caches those sorted complexities and their
-prefix sums once, so alpha_star is one bisection of the prefix sums and
-t_star one lookup. All arithmetic is exact (integer sums over Fractions),
-so breakpoint equalities are exact.
+complexities. The profile caches those sorted complexities
+(``sorted_finite_taus``) and their running totals (``tau_prefix_sums``) once,
+as Python ints, so alpha_star is one bisection of the prefix sums, t_star one
+lookup, and the frontier a slice of them. Every budget and accuracy shares
+the denominator n, so the arithmetic stays on exact integer numerators and
+a Fraction is built only for a value handed back to the caller.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import cached_property
 
 from .complexity import ComplexityProfile
 from .errors import InfeasibleAccuracyError
@@ -34,19 +36,36 @@ def _as_fraction(value: Rational, name: str) -> Fraction:
 class FrontierCurve:
     """Oracle tradeoff: accuracy as a step function of average budget.
 
-    ``breakpoints`` holds the exact (budget, accuracy) steps in increasing
-    budget order.
+    Step i sits at average budget ``budget_numerators[i] / n`` and reaches
+    accuracy ``solved[i] / n``. Both columns are Python ints, so budget
+    totals past 2**63 stay exact; the numerators strictly increase.
+    ``breakpoints`` holds the same steps as (budget, accuracy) Fractions,
+    built on first use.
     """
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    n: int
+    budget_numerators: tuple[int, ...]
+    solved: tuple[int, ...]
     a_star: Fraction
     t_lossless: Fraction
 
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The exact (budget, accuracy) steps in increasing budget order."""
+        n = self.n
+        return tuple(
+            (Fraction(p, n), Fraction(m, n)) for p, m in zip(self.budget_numerators, self.solved)
+        )
+
     def alpha_at(self, budget: Rational) -> Fraction:
-        """Step-function value: best accuracy attainable at the given average budget."""
+        """Step-function value: best accuracy attainable at the given average budget.
+
+        Exact: a step p / n fits the budget t iff the integer p is at most
+        floor(t * n), so the lookup bisects the numerators.
+        """
         t = _as_fraction(budget, "budget")
-        idx = bisect_right(self.breakpoints, t, key=itemgetter(0))
-        return self.breakpoints[idx - 1][1] if idx else Fraction(0)
+        idx = bisect_right(self.budget_numerators, t.numerator * self.n // t.denominator)
+        return Fraction(self.solved[idx - 1], self.n) if idx else Fraction(0)
 
 
 def alpha_star(profile: ComplexityProfile, budget: Rational) -> Fraction:
@@ -54,13 +73,13 @@ def alpha_star(profile: ComplexityProfile, budget: Rational) -> Fraction:
 
     Greedy over ascending finite complexities: the answer is m/n where m is
     the longest prefix whose total cost fits n * budget, i.e. the number of
-    prefix sums at or below it.
+    (integer) prefix sums at or below floor(n * budget).
     """
     t = _as_fraction(budget, "budget")
     if t < 0:
         raise ValueError(f"budget must be non-negative, got {budget!r}")
     n = profile.n_questions
-    return Fraction(bisect_right(profile.tau_prefix_sums, n * t), n)
+    return Fraction(bisect_right(profile.tau_prefix_sums, t.numerator * n // t.denominator), n)
 
 
 def t_star(profile: ComplexityProfile, alpha: Rational) -> Fraction:
@@ -85,18 +104,19 @@ def lossless_bound(profile: ComplexityProfile) -> tuple[Fraction, Fraction]:
 
 
 def frontier(profile: ComplexityProfile) -> FrontierCurve:
-    """Exact frontier breakpoints, one per prefix of the sorted finite complexities."""
-    n = profile.n_questions
-    breakpoints: list[tuple[Fraction, Fraction]] = []
-    last_prefix = None
-    for m, prefix in enumerate(profile.tau_prefix_sums, start=1):
-        point = (Fraction(prefix, n), Fraction(m, n))
-        if prefix == last_prefix:
-            breakpoints[-1] = point  # zero-cost tie: keep the higher accuracy
-        else:
-            breakpoints.append(point)
-        last_prefix = prefix
+    """Exact frontier steps, one per prefix of the sorted finite complexities.
+
+    Two prefixes cost the same only when the longer one adds a zero
+    complexity, and zeros sort first, so of the leading zero-cost prefixes
+    only the last (the highest accuracy) is a step.
+    """
+    prefix = profile.tau_prefix_sums
+    start = max(bisect_right(profile.sorted_finite_taus, 0) - 1, 0)
     a_star_val, t_lossless = lossless_bound(profile)
     return FrontierCurve(
-        breakpoints=tuple(breakpoints), a_star=a_star_val, t_lossless=t_lossless
+        n=profile.n_questions,
+        budget_numerators=prefix[start:],
+        solved=tuple(range(start + 1, len(prefix) + 1)),
+        a_star=a_star_val,
+        t_lossless=t_lossless,
     )

@@ -149,12 +149,14 @@ def cmd_predict(args) -> int:
 def cmd_bounds(args) -> int:
     prof = _profile_for(args, _load_matrix(args) if args.records else None)
     curve = bounds_mod.frontier(prof)
-    rows = [[_fmt(t), _fmt(alpha)] for t, alpha in curve.breakpoints]
+    n = curve.n
+    # Int true division rounds correctly, as float(Fraction(p, n)) does.
+    rows = [[_fmt(p / n), _fmt(m / n)] for p, m in zip(curve.budget_numerators, curve.solved)]
     _write_csv(args.out, ["avg_tokens", "accuracy"], rows)
     print(
         f"bounds: model={prof.model} dataset={prof.dataset} n={prof.n_questions}: "
         f"A*={_fmt(curve.a_star)}, T*(A*)={_fmt(curve.t_lossless)}, "
-        f"{len(curve.breakpoints)} breakpoints; wrote {args.out}."
+        f"{len(curve.solved)} breakpoints; wrote {args.out}."
     )
     return EXIT_OK
 

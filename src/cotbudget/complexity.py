@@ -222,10 +222,15 @@ def _best_thresholds(
     argmax takes the first maximum, which is the paper's tie rule: the
     smallest finite threshold wins, and infinity wins only when strictly
     better.
+
+    The row sort need not be stable. Left of a candidate cut lie exactly
+    the runs shorter than its length (and the absent cells), whatever the
+    order within a tie, so C_before, and with it tau, agree and k_used,
+    are the same for every order the sort may choose.
     """
     rows, width = tokens.shape
     lengths = np.where(present, tokens, -1)
-    order = np.argsort(lengths, axis=1, kind="stable")
+    order = np.argsort(lengths, axis=1)
     ordered = np.take_along_axis(lengths, order, axis=1)
     hits = np.take_along_axis(correct & present, order, axis=1)
     before = np.zeros((rows, width + 1), dtype=np.int64)

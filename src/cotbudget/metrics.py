@@ -39,12 +39,18 @@ class ValidationReport:
 
 
 def _check_same_run_set(matrix: RunMatrix, profile: ComplexityProfile) -> np.ndarray:
-    """The profile's tau (-1 = infinite) of each matrix question, looked up by id."""
+    """The profile's tau (-1 = infinite) of each matrix question, looked up by id.
+
+    A profile estimated from this matrix lists the same ids in the same
+    order, so its tau column is returned as it is.
+    """
     if (matrix.model, matrix.dataset) != (profile.model, profile.dataset):
         raise ConsistencyError(
             f"matrix is ({matrix.model!r}, {matrix.dataset!r}) but profile is "
             f"({profile.model!r}, {profile.dataset!r})"
         )
+    if profile.question_ids == matrix.question_ids:
+        return profile.tau
     row_of = _positions(profile.question_ids)
     missing = [q for q in matrix.question_ids if q not in row_of]
     if missing:
@@ -117,28 +123,36 @@ def midranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions.
 
     Integers are ranked as they are, so counts above 2**53 stay apart;
-    other values as floats. NaN equals nothing, so each NaN gets a rank of
-    its own after every number, in input order.
+    other values as floats. One argsort orders the values (its order
+    within a tie does not matter), and _sorted_midranks ranks each run of
+    equal values. NaN equals nothing and sorts last, so each NaN gets a
+    rank of its own after every number, in input order.
     """
     a = np.asarray(values)
     if a.dtype.kind not in "iu":
         a = a.astype(float)
-    # return_index makes np.unique sort stably, which orders the NaNs.
-    _, _, inverse, counts = np.unique(
-        a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
-    )
-    first = np.cumsum(counts) - counts
-    return ((2 * first + counts - 1) / 2 + 1)[inverse]
+    nan = np.isnan(a) if a.dtype.kind == "f" else np.zeros(a.size, dtype=bool)
+    numbers = np.argsort(a)[: a.size - int(np.count_nonzero(nan))]
+    ranks = np.empty(a.size, dtype=float)
+    ranks[numbers] = _sorted_midranks(a[numbers])
+    ranks[nan] = np.arange(numbers.size + 1, a.size + 1)
+    return ranks
 
 
-def spearman(lengths: Sequence[float], complexities: Sequence[float]) -> float:
-    """Spearman rho with midrank ties: the Pearson correlation of rank vectors."""
-    x = np.asarray(lengths)
-    y = np.asarray(complexities)
-    if x.size == 0 or x.shape != y.shape:
-        raise ValueError("inputs must be equal-size, non-empty sequences")
-    rx = midranks(x)
-    ry = midranks(y)
+def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
+    """Midranks of ascending, NaN-free values, in that order.
+
+    A run of equal values starting at 0-based position first with length
+    count holds ranks first + 1 .. first + count, whose mean
+    first + (count + 1) / 2 is an exact half-integer.
+    """
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    count = np.diff(first, append=ordered.size)
+    return np.repeat(first + (count + 1) / 2, count)
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two rank vectors, which it centres in place."""
     rx -= rx.mean()
     ry -= ry.mean()
     sxx = float(np.dot(rx, rx))
@@ -148,6 +162,15 @@ def spearman(lengths: Sequence[float], complexities: Sequence[float]) -> float:
     return float(np.dot(rx, ry)) / math.sqrt(sxx * syy)
 
 
+def spearman(lengths: Sequence[float], complexities: Sequence[float]) -> float:
+    """Spearman rho with midrank ties: the Pearson correlation of rank vectors."""
+    x = np.asarray(lengths)
+    y = np.asarray(complexities)
+    if x.size == 0 or x.shape != y.shape:
+        raise ValueError("inputs must be equal-size, non-empty sequences")
+    return _rank_correlation(midranks(x), midranks(y))
+
+
 def complexity_correlations(
     matrix: RunMatrix, profile: ComplexityProfile
 ) -> list[tuple[str, float, int]]:
@@ -155,9 +178,14 @@ def complexity_correlations(
 
     Pairs token lengths with finite complexities over present cells only;
     rho is NaN when fewer than two pairs exist or ranks are degenerate.
+    The complexities are sorted once: a prompt's pairs keep that order
+    when the questions it lacks are dropped, so their ranks need no sort
+    of their own. The ranks, and so rho, are those spearman computes.
     """
     tau = _check_same_run_set(matrix, profile)
     finite = tau >= 0
+    by_tau = np.argsort(tau)
+    tau_ranks = np.empty(tau.size, dtype=float)
     out: list[tuple[str, float, int]] = []
     for j, pid in enumerate(matrix.prompt_ids):
         mask = matrix.present[:, j] & finite
@@ -165,8 +193,10 @@ def complexity_correlations(
         if n < 2:
             out.append((pid, float("nan"), n))
             continue
+        rows = by_tau[mask[by_tau]]
+        tau_ranks[rows] = _sorted_midranks(tau[rows])
         try:
-            rho = spearman(matrix.tokens[mask, j], tau[mask])
+            rho = _rank_correlation(midranks(matrix.tokens[:, j][mask]), tau_ranks[mask])
         except UndefinedCorrelationError:
             rho = float("nan")
         out.append((pid, rho, n))

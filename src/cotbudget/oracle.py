@@ -192,9 +192,12 @@ def save_taus(taus: Sequence[float], question_ids: Sequence[str], path: str | Pa
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_taus(path: str | Path) -> dict[str, float]:
+def load_taus(path: str | Path) -> dict[str, int | float]:
     """Read a sidecar written by save_taus; bad content is a RecordParseError or a
     RecordSchemaError naming the file and the JSON location (``taus.q1``).
+
+    A finite tau loads as the exact Python int the file holds; null loads as
+    INFINITE.
     """
     payload = read_json(path)
     try:
@@ -206,7 +209,7 @@ def load_taus(path: str | Path) -> dict[str, float]:
             if not NON_EMPTY_STRING[0](qid):
                 raise RecordSchemaError(f"taus keys must be non-empty strings, got {qid!r}")
             tau = checked(taus, qid, "taus", NULL_OR_TOKENS)
-            out[qid] = INFINITE if tau is None else float(tau)
+            out[qid] = INFINITE if tau is None else tau
     except RecordSchemaError as exc:
         raise RecordSchemaError(exc.reason, path=str(path)) from None
     return out

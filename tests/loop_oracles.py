@@ -2,14 +2,18 @@
 
 These are the straightforward implementations the columnar and whole-matrix
 code in ``cotbudget`` replaced: one record, question, cell or field at a
-time, exactly as the rules are stated. They are slow, and they are kept only as
-reference oracles for the differential tests.
+time, exactly as the rules are stated. A few (the ``*_unique`` and
+``*_stable`` functions, and the Fraction-loop frontier) are the earlier array
+code that a faster version replaced with the same results. They are slow, and
+they are kept only as reference oracles for the differential tests.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -139,6 +143,56 @@ def profile_loop(matrix: RunMatrix) -> ComplexityProfile:
     )
 
 
+def best_thresholds_stable(
+    tokens: np.ndarray, correct: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """complexity._best_thresholds with a stable row sort, as it was written first.
+
+    The stable sort keeps tied lengths in column order; the kernel itself
+    sorts without that guarantee.
+    """
+    rows, width = tokens.shape
+    lengths = np.where(present, tokens, -1)
+    order = np.argsort(lengths, axis=1, kind="stable")
+    ordered = np.take_along_axis(lengths, order, axis=1)
+    hits = np.take_along_axis(correct & present, order, axis=1)
+    before = np.zeros((rows, width + 1), dtype=np.int64)
+    np.cumsum(hits, axis=1, out=before[:, 1:])
+    k_used = np.count_nonzero(present, axis=1)
+    absent = (width - k_used)[:, None]
+    cuts = np.arange(width + 1)
+    agree = cuts - absent - 2 * before + before[:, -1:]
+    candidate = np.empty((rows, width + 1), dtype=bool)
+    candidate[:, 0] = ordered[:, 0] >= 0
+    candidate[:, 1:width] = ordered[:, 1:] > ordered[:, :-1]
+    candidate[:, width] = True
+    best = np.argmax(np.where(candidate, agree, -1), axis=1)
+    tau = np.take_along_axis(ordered, np.minimum(best, width - 1)[:, None], axis=1)[:, 0]
+    tau[best == width] = -1
+    return tau, agree[np.arange(rows), best], k_used.astype(np.int64)
+
+
+def frontier_loop(profile: ComplexityProfile) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Two Fractions per prefix sum; a zero-cost tie replaces the previous step."""
+    n = profile.n_questions
+    breakpoints: list[tuple[Fraction, Fraction]] = []
+    last_prefix = None
+    for m, prefix in enumerate(profile.tau_prefix_sums, start=1):
+        point = (Fraction(prefix, n), Fraction(m, n))
+        if prefix == last_prefix:
+            breakpoints[-1] = point  # zero-cost tie: keep the higher accuracy
+        else:
+            breakpoints.append(point)
+        last_prefix = prefix
+    return tuple(breakpoints)
+
+
+def alpha_at_loop(breakpoints: Sequence[tuple[Fraction, Fraction]], budget: Fraction) -> Fraction:
+    """Accuracy of the last breakpoint whose Fraction budget is at most budget."""
+    idx = bisect_right(breakpoints, Fraction(budget), key=itemgetter(0))
+    return breakpoints[idx - 1][1] if idx else Fraction(0)
+
+
 def profile_from_file_loop(obj: object) -> ComplexityProfile | None:
     """The profile a parsed complexity file describes, or None if a rule rejects it.
 
@@ -225,24 +279,25 @@ def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
     return PromptCatalog(tuple(specs))
 
 
-def taus_from_file_loop(obj: object) -> dict[str, float] | None:
+def taus_from_file_loop(obj: object) -> dict[str, int | float] | None:
     """The taus a parsed sidecar describes, or None if a rule rejects it.
 
     The rules, one value at a time: the file is an object whose ``taus`` is
     an object; each key is a non-empty string, and each value is null
     (infinite) or an integer in [0, 2^63 - 1]. Booleans are not integers
-    here.
+    here. A finite tau is returned as the int itself, an infinite one as
+    INFINITE.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("taus"), dict):
         return None
-    out: dict[str, float] = {}
+    out: dict[str, int | float] = {}
     for qid, tau in obj["taus"].items():
         if not isinstance(qid, str) or qid == "":
             return None
         if tau is None:
             out[qid] = INFINITE
         elif isinstance(tau, int) and not isinstance(tau, bool) and 0 <= tau < 2**63:
-            out[qid] = float(tau)
+            out[qid] = tau
         else:
             return None
     return out
@@ -368,6 +423,44 @@ def midranks_loop(values: Sequence[float]) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j) / 2 + 1
         i = j + 1
     return ranks
+
+
+def midranks_unique(values: Sequence[float]) -> np.ndarray:
+    """Midranks from np.unique's stable sort, its inverse and its run counts."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = a.astype(float)
+    # return_index makes np.unique sort stably, which orders the NaNs.
+    _, _, inverse, counts = np.unique(
+        a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    first = np.cumsum(counts) - counts
+    return ((2 * first + counts - 1) / 2 + 1)[inverse]
+
+
+def complexity_correlations_unique(
+    matrix: RunMatrix, profile: ComplexityProfile
+) -> list[tuple[str, float, int]]:
+    """Per prompt, midranks_unique of both masked sides, then their Pearson correlation."""
+    tau_of = dict(zip(profile.question_ids, profile.tau.tolist()))
+    tau = np.array([tau_of[q] for q in matrix.question_ids], dtype=np.int64)
+    finite = tau >= 0
+    out: list[tuple[str, float, int]] = []
+    for j, pid in enumerate(matrix.prompt_ids):
+        mask = matrix.present[:, j] & finite
+        n = int(np.count_nonzero(mask))
+        rho = float("nan")
+        if n >= 2:
+            rx = midranks_unique(matrix.tokens[mask, j])
+            ry = midranks_unique(tau[mask])
+            rx -= rx.mean()
+            ry -= ry.mean()
+            sxx = float(np.dot(rx, rx))
+            syy = float(np.dot(ry, ry))
+            if sxx != 0.0 and syy != 0.0:
+                rho = float(np.dot(rx, ry)) / math.sqrt(sxx * syy)
+        out.append((pid, rho, n))
+    return out
 
 
 def straddle_lengths_loop(

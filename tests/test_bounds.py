@@ -14,6 +14,7 @@ from cotbudget.complexity import INFINITE, ComplexityProfile, profile
 from cotbudget.errors import InfeasibleAccuracyError
 
 from conftest import make_matrix
+from loop_oracles import alpha_at_loop, frontier_loop
 
 
 def profile_from_taus(taus, model="m", dataset="d") -> ComplexityProfile:
@@ -152,6 +153,22 @@ class TestFrontier:
         curve = frontier(profile_from_taus([7]))
         assert curve.breakpoints == ((7, 1),)
 
+    def test_integer_columns_share_the_denominator_n(self):
+        curve = frontier(REFERENCE)
+        assert (curve.n, curve.budget_numerators, curve.solved) == (4, (10, 30, 60), (1, 2, 3))
+        assert all(type(v) is int for v in curve.budget_numerators + curve.solved)
+
+    def test_breakpoints_are_built_on_first_use(self):
+        curve = frontier(REFERENCE)
+        assert curve.alpha_at(Fraction(15, 2)) == Fraction(1, 2)
+        assert "breakpoints" not in vars(curve)
+        assert curve.breakpoints is curve.breakpoints
+
+    def test_zero_cost_ties_keep_the_highest_accuracy(self):
+        curve = frontier(profile_from_taus([0, 5, 0, INFINITE, 0]))
+        assert (curve.budget_numerators, curve.solved) == ((0, 5), (3, 4))
+        assert curve.alpha_at(0) == Fraction(3, 5)
+
     def test_terminal_alpha_is_a_star(self):
         curve = frontier(REFERENCE)
         assert curve.breakpoints[-1][1] == curve.a_star
@@ -205,3 +222,58 @@ class TestLargeTaus:
         assert prof.tau.tolist() == [big, big]
         assert t_star(prof, 1) == big
         assert frontier(prof).breakpoints == ((Fraction(big, 2), Fraction(1, 2)), (big, 1))
+
+
+# Zeros make zero-cost ties; values near 2**63 push prefix totals past it.
+wide_taus = st.lists(
+    st.one_of(
+        st.integers(0, 3),
+        st.integers(0, 60),
+        st.integers(2**63 - 2**20, 2**63 - 1),
+        st.just(INFINITE),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestFrontierMatchesFractionLoop:
+    """The integer-column frontier equals the Fraction loop it replaced, exactly."""
+
+    @settings(max_examples=300)
+    @given(taus=wide_taus, data=st.data())
+    def test_breakpoints_and_alpha_at(self, taus, data):
+        prof = profile_from_taus(taus)
+        want = frontier_loop(prof)
+        curve = frontier(prof)
+        assert curve.breakpoints == want
+        budgets = [t for t, _ in want] + [t - Fraction(1, 7) for t, _ in want]
+        budgets += data.draw(
+            st.lists(
+                st.fractions(max_denominator=50, min_value=-5, max_value=2**64)
+                | st.integers(-3, 2**64)
+                | st.floats(-3, 2.0**64),
+                max_size=8,
+            )
+        )
+        for budget in budgets:
+            assert curve.alpha_at(budget) == alpha_at_loop(want, budget)
+
+    def test_all_infinite(self):
+        prof = profile_from_taus([INFINITE, INFINITE, INFINITE])
+        curve = frontier(prof)
+        assert curve.breakpoints == frontier_loop(prof) == ()
+        assert (curve.budget_numerators, curve.solved) == ((), ())
+        assert curve.alpha_at(10**30) == alpha_at_loop((), 10**30) == 0
+
+    def test_prefix_totals_past_2_pow_63(self):
+        taus = [0, 0, 2**63 - 1, 2**63 - 1, 2**63 - 2, INFINITE]
+        prof = profile_from_taus(taus)
+        curve = frontier(prof)
+        assert curve.budget_numerators[-1] == 3 * 2**63 - 4
+        assert curve.breakpoints == frontier_loop(prof)
+        for t, a in curve.breakpoints:
+            assert curve.alpha_at(t) == a == alpha_at_loop(curve.breakpoints, t)
+            assert curve.alpha_at(t - Fraction(1, 12)) == alpha_at_loop(
+                curve.breakpoints, t - Fraction(1, 12)
+            )

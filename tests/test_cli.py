@@ -5,14 +5,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cotbudget
+from cotbudget.bounds import FrontierCurve
 from cotbudget.cli import main
+from cotbudget.complexity import ComplexityProfile
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.records import EvalRecord, load_records
+
+from loop_oracles import frontier_loop
 
 QUESTIONS = [
     {"question_id": "q1", "text": "One plus one?", "gold_answer": "2"},
@@ -117,6 +122,27 @@ class TestBoundsCommand:
         )
         assert "A*=0.750000" in text
         assert "T*(A*)=15.000000" in text
+
+    def test_csv_from_integer_columns_matches_fraction_formatting(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        taus = [0, 0, 2**53 + 1, 2**62 + 3, 2**63 - 1, 2**63 - 2, None]
+        prof = ComplexityProfile(
+            "m", "d", tuple(f"q{i}" for i in range(len(taus))),
+            [-1 if t is None else t for t in taus], [1] * len(taus),
+            (Fraction(1),) * len(taus), Fraction(1),
+        )
+        comp = tmp_path / "complexity.json"
+        prof.save(comp)
+        want = "".join(
+            f"{float(t):.6f},{float(a):.6f}\n" for t, a in frontier_loop(ComplexityProfile.load(comp))
+        )
+        monkeypatch.setattr(FrontierCurve, "breakpoints", property(
+            lambda self: pytest.fail("bounds built Fraction breakpoints")))
+        out = tmp_path / "frontier.csv"
+        code, text = run(capsys, "bounds", "--complexity", str(comp), "--out", str(out))
+        assert code == 0
+        assert out.read_text() == "avg_tokens,accuracy\n" + want
+        assert "5 breakpoints" in text
 
 
 class TestComplexityFileChecks:

@@ -20,6 +20,7 @@ from cotbudget.records import RunMatrix
 
 from conftest import make_matrix, run_matrices
 from loop_oracles import (
+    best_thresholds_stable,
     classify_accuracy,
     estimate_tau_loop,
     profile_from_file_loop,
@@ -222,6 +223,17 @@ class TestProfileMatchesLoopOracle:
             profile_loop(matrix)
         assert str(got.value) == str(want.value)
         assert repr(empty[0]) in str(got.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=run_matrices(max_questions=12, max_prompts=40, max_tokens=3)
+           | run_matrices(max_tokens=2**63 - 1))
+    def test_row_sort_tie_order_does_not_matter(self, matrix):
+        cells = (matrix.tokens, matrix.correct, matrix.present)
+        for got, want in zip(complexity._best_thresholds(*cells), best_thresholds_stable(*cells)):
+            assert got.tolist() == want.tolist()
+        with mock.patch.object(complexity, "_best_thresholds", best_thresholds_stable):
+            stable = profile(matrix)
+        assert profile(matrix) == stable
 
     def test_finite_taus_cached_sorted_and_summed(self, oracle_matrix):
         matrix, _ = oracle_matrix

@@ -28,10 +28,17 @@ from cotbudget.metrics import (
     spearman,
     validation_report,
 )
-from cotbudget.oracle import OracleSpec, generate, scaled_lengths, straddle_lengths
+from cotbudget.oracle import OracleSpec, generate, random_spec, scaled_lengths, straddle_lengths
+from cotbudget.records import RunMatrix
 
 from conftest import make_matrix, run_matrices
-from loop_oracles import adaptivity_split_loop, midranks_loop, prompt_table_loop
+from loop_oracles import (
+    adaptivity_split_loop,
+    complexity_correlations_unique,
+    midranks_loop,
+    midranks_unique,
+    prompt_table_loop,
+)
 
 
 def rank_oracle(values):
@@ -198,6 +205,29 @@ class TestMidranks:
     def test_matches_loop_oracle_exactly(self, xs):
         assert midranks(xs).tolist() == midranks_loop(xs).tolist()
 
+    @given(
+        xs=st.lists(
+            st.one_of(
+                st.integers(0, 5).map(float),
+                st.just(float("nan")),
+                st.sampled_from([-0.0, math.inf, -math.inf]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_floats_match_np_unique_ranks(self, xs):
+        assert _same_floats(midranks(xs), midranks_unique(xs))
+
+    @given(
+        xs=st.lists(
+            st.integers(0, 4) | st.integers(2**53 - 2, 2**53 + 2) | st.integers(-(2**63), 2**63 - 1),
+            max_size=40,
+        )
+    )
+    def test_integers_match_np_unique_ranks(self, xs):
+        xs = np.array(xs, dtype=np.int64)
+        assert midranks(xs).tolist() == midranks_unique(xs).tolist()
+
 
 class TestComplexityCorrelations:
     def test_difficulty_scaled_lengths_correlate(self):
@@ -221,6 +251,39 @@ class TestComplexityCorrelations:
         finite = sum(1 for t in taus if not math.isinf(t))
         for _, _, n in complexity_correlations(matrix, profile(matrix)):
             assert n == finite
+
+
+def _same_floats(a, b):
+    """Equal element by element under ==, NaN matching NaN."""
+    return [x if x == x else "nan" for x in np.asarray(a).tolist()] == [
+        x if x == x else "nan" for x in np.asarray(b).tolist()
+    ]
+
+
+class TestCorrelationsMatchNpUniqueRanks:
+    """Every rho is bit-identical to the np.unique-ranked code it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        matrix=run_matrices(max_questions=30, max_prompts=6, max_tokens=5, absent_share=0.3)
+        | run_matrices(max_tokens=2**63 - 1)
+    )
+    def test_rho_equal_under_eq(self, matrix):
+        prof = profile(matrix)
+        assert _same_or_both_nan(
+            complexity_correlations(matrix, prof), complexity_correlations_unique(matrix, prof)
+        )
+
+    def test_replay_size_matrix(self):
+        spec = random_spec(2000, seed=5, violation_rate=0.1)
+        full, _ = generate(spec)
+        absent = np.random.default_rng(5).random(full.tokens.shape) < 0.05
+        matrix = RunMatrix(full.model, full.dataset, full.question_ids, full.prompt_ids,
+                           full.tokens, full.correct, ~absent)
+        prof = profile(matrix)
+        assert _same_or_both_nan(
+            complexity_correlations(matrix, prof), complexity_correlations_unique(matrix, prof)
+        )
 
 
 def _same_or_both_nan(a, b):

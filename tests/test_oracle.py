@@ -166,6 +166,15 @@ class TestTausSidecar:
         assert loaded == {"q0": 5, "q1": INFINITE, "q2": 12}
         assert math.isinf(loaded["q1"])
 
+    def test_taus_past_2_pow_53_load_exactly(self, tmp_path):
+        big = 2**53 + 1
+        path = tmp_path / "taus.json"
+        save_taus((big, 2**63 - 1), ("q", "r"), path)
+        assert '"q": 9007199254740993' in path.read_text(encoding="utf-8")
+        loaded = load_taus(path)
+        assert loaded == {"q": big, "r": 2**63 - 1}
+        assert type(loaded["q"]) is int
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 600) | st.floats()
@@ -222,7 +231,7 @@ class TestTausSidecarChecks:
             else:
                 got = load_taus(path)
                 assert got == want
-                assert all(type(t) is float for t in got.values())
+                assert all(type(t) is (float if t == INFINITE else int) for t in got.values())
 
     @pytest.mark.parametrize(
         "obj, message",
