@@ -31,15 +31,11 @@ from .oracle import OracleSpec, generate, grid_lengths, random_spec, scaled_leng
 from .prompts import PromptCatalog, PromptSpec, default_catalog, render
 from .records import (
     EvalRecord,
-    RecordColumns,
     RunMatrix,
     load_records,
     pivot,
-    read_columns,
     read_matrices,
     save_matrix,
-    save_records,
-    unpivot,
 )
 from .routing import (
     RoutingOutcome,
@@ -61,7 +57,6 @@ __all__ = [
     "PromptSpec",
     "Question",
     "QuestionComplexity",
-    "RecordColumns",
     "RoutingOutcome",
     "RunMatrix",
     "SweepConfig",
@@ -85,17 +80,14 @@ __all__ = [
     "profile",
     "prompt_table",
     "random_spec",
-    "read_columns",
     "read_matrices",
     "render",
     "save_matrix",
-    "save_records",
     "scaled_lengths",
     "spearman",
     "straddle_lengths",
     "sweep",
     "t_star",
-    "unpivot",
     "validation_report",
     "verifier_cascade",
 ]

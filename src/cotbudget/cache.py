@@ -1,6 +1,8 @@
 """Content-addressed cache of parsed record files, behind ``records.read_matrices``.
 
-An entry holds every (model, dataset) RunMatrix of one records file. Its
+Every CLI command that reads a records file goes through it, the prior
+``--out`` file of ``collect --resume`` included. An entry holds every
+(model, dataset) RunMatrix of one records file. Its
 name is a BLAKE2b hash of the format version, the source of this module
 and of ``records.py``, and the hash of the file's bytes, so an edited file,
 or a file read by another version of the reader, never finds an old entry.

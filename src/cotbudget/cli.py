@@ -23,7 +23,7 @@ from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
 from .errors import CotBudgetError, EmptySelectionError, EndpointError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
-from .records import read_columns, read_jsonl, read_matrices, save_matrix
+from .records import read_jsonl, read_matrices, save_matrix
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -44,24 +44,15 @@ def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _select_pair(args, pairs: list[tuple[str, str]]) -> tuple[str, str]:
-    if args.model and args.dataset:
-        return args.model, args.dataset
-    pairs = [p for p in pairs if args.model in (None, p[0]) and args.dataset in (None, p[1])]
+def _load_matrix(args):
+    matrices = read_matrices(args.records)
+    pairs = [p for p in matrices if args.model in (None, p[0]) and args.dataset in (None, p[1])]
     if len(pairs) == 1:
-        return pairs[0]
+        return matrices[pairs[0]]
     if not pairs:
         raise EmptySelectionError(f"no records for model={args.model!r} dataset={args.dataset!r}")
     listing = "; ".join(f"{m}/{d}" for m, d in pairs)
     raise ValueError(f"--model and --dataset are required ({len(pairs)} pairs match: {listing})")
-
-
-def _load_matrix(args):
-    matrices = read_matrices(args.records)
-    model, dataset = _select_pair(args, list(matrices))
-    if (model, dataset) not in matrices:
-        raise EmptySelectionError(f"no records for model={model!r} dataset={dataset!r}")
-    return matrices[model, dataset]
 
 
 def _profile_for(args, matrix=None) -> ComplexityProfile:
@@ -181,26 +172,31 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_routing(args) -> int:
+    # Flags are checked before any file is read.
+    if args.base_prompt and not args.fallback_prompt:
+        raise ValueError("--base-prompt requires at least one --fallback-prompt")
+    if args.fallback_prompt and not args.base_prompt:
+        raise ValueError("--fallback-prompt requires --base-prompt")
+    if args.budgets and not args.family:
+        raise ValueError("--budgets requires --family")
+    if args.family and not args.budgets:
+        raise ValueError("--family requires --budgets")
+    if not (args.base_prompt or args.budgets):
+        raise ValueError(
+            "nothing to do: give --base-prompt/--fallback-prompt and/or --budgets/--family"
+        )
     matrix = _load_matrix(args)
     prof = _profile_for(args, matrix)
     curve = bounds_mod.frontier(prof)
     outcomes = []
     if args.base_prompt:
-        if not args.fallback_prompt:
-            raise ValueError("--base-prompt requires at least one --fallback-prompt")
         outcomes.append(
             routing_mod.verifier_cascade(matrix, [args.base_prompt, *args.fallback_prompt])
         )
     if args.budgets:
-        if not args.family:
-            raise ValueError("--budgets requires --family")
         budgets = _load_budgets(args.budgets)
         family = [p.strip() for p in args.family.split(",") if p.strip()]
         outcomes.append(routing_mod.budget_route(matrix, budgets, family))
-    if not outcomes:
-        raise ValueError(
-            "nothing to do: give --base-prompt/--fallback-prompt and/or --budgets/--family"
-        )
     gaps = dict(routing_mod.compare_to_frontier(outcomes, curve))
     rows = [
         [o.policy_id, _fmt(o.accuracy), _fmt(o.avg_tokens), _fmt(gaps[o.policy_id])]
@@ -311,7 +307,9 @@ def cmd_collect(args) -> int:
     append = False
     if args.resume and Path(args.out).exists():
         collect_mod.drop_torn_tail(args.out)
-        skip = read_columns(args.out).cells(args.model, args.dataset)
+        prior = read_matrices(args.out).get((args.model, args.dataset))
+        if prior is not None:
+            skip = prior.cells()
         append = True
     failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
     with collect_mod.JsonlWriter(args.out, append=append) as writer:

@@ -453,7 +453,8 @@ def _run_cell(
             retries_used,
         )
     correct, extracted = grade(content, question)
-    # EvalRecord.to_json_dict's fields and order; the ids were checked up front.
+    # The required fields in save_matrix's order, then response, extracted_answer
+    # and the estimate flag; the ids were checked up front.
     record = {
         "model": config.model,
         "dataset": config.dataset,

@@ -2,12 +2,12 @@
 
 A record is one chain-of-thought run of a (model, dataset, question, prompt)
 cell: the output token count and whether the graded answer was correct. All
-analysis consumes the pivoted RunMatrix, never loose records. Files go to and
-from the matrix column by column (``read_columns``, ``save_matrix``);
-``EvalRecord`` objects are built only for callers that ask for them. Every
-input file of the package is read through ``read_jsonl`` or ``read_json``.
-``read_matrices`` keeps the matrices of each records file it parsed in a
-content-addressed cache (``cotbudget.cache``).
+analysis consumes the pivoted RunMatrix, never loose records. A records file
+becomes matrices through ``read_matrices``, which keeps the matrices of each
+file it parsed in a content-addressed cache (``cotbudget.cache``), and a
+matrix becomes a file through ``save_matrix``. ``EvalRecord`` objects are
+built only for callers that ask for them (``load_records``). Every input file
+of the package is read through ``read_jsonl`` or ``read_json``.
 """
 from __future__ import annotations
 
@@ -37,8 +37,7 @@ TOKENS_MAX = int(np.iinfo(np.int64).max)
 class EvalRecord:
     """One (model, dataset, question, prompt) run: token length plus correctness.
 
-    ``extra`` holds unknown JSONL fields verbatim; they are written back on
-    save and ignored by every analysis.
+    ``extra`` keeps unknown JSONL fields verbatim; every analysis ignores them.
     """
 
     model: str
@@ -94,22 +93,6 @@ class EvalRecord:
             extra=extra,
         )
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "dataset": self.dataset,
-            "question_id": self.question_id,
-            "prompt_id": self.prompt_id,
-            "tokens": self.tokens,
-            "correct": self.correct,
-        }
-        if self.response is not None:
-            out["response"] = self.response
-        if self.extracted_answer is not None:
-            out["extracted_answer"] = self.extracted_answer
-        out.update(self.extra)
-        return out
-
 
 Key = tuple[str, str, str, str]
 
@@ -124,11 +107,8 @@ def read_jsonl(
     instead of opening ``path`` and closed at the end.
     """
     loads = json.loads
-    if source is None:
-        text = Path(path).open("r", encoding="utf-8")
-    else:
-        text = io.TextIOWrapper(io.BufferedReader(source, 1 << 16), encoding="utf-8")
-    with text as fh:
+    raw = open(path, "rb", buffering=0) if source is None else source
+    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 try:
@@ -263,64 +243,13 @@ def load_records(path: str | Path) -> list[EvalRecord]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class RecordColumns:
-    """A record file's analysed fields as aligned lists, in file order.
-
-    ``keys`` holds each record's (model, dataset, question_id, prompt_id);
-    ``tokens`` and ``correct`` are aligned with it. Optional and unknown
-    fields are not kept.
-    """
-
-    keys: list[Key]
-    tokens: list[int]
-    correct: list[bool]
-
-    @property
-    def pairs(self) -> list[tuple[str, str]]:
-        """Sorted distinct (model, dataset) pairs."""
-        return sorted({(model, dataset) for model, dataset, _, _ in self.keys})
-
-    def _rows(self, model: str, dataset: str) -> list[int]:
-        return [i for i, key in enumerate(self.keys) if key[0] == model and key[1] == dataset]
-
-    def cells(self, model: str, dataset: str) -> set[tuple[str, str]]:
-        """(question_id, prompt_id) cells present for a (model, dataset) pair."""
-        return {(self.keys[i][2], self.keys[i][3]) for i in self._rows(model, dataset)}
-
-    def matrix(self, model: str, dataset: str) -> RunMatrix:
-        """The RunMatrix of one (model, dataset) pair; the same result as pivot."""
-        rows = self._rows(model, dataset)
-        keys, tokens, correct = self.keys, self.tokens, self.correct
-        return _pivot(
-            model,
-            dataset,
-            [keys[i][2] for i in rows],
-            [keys[i][3] for i in rows],
-            [tokens[i] for i in rows],
-            [correct[i] for i in rows],
-        )
-
-
-def read_columns(path: str | Path) -> RecordColumns:
-    """Load a JSONL record file into columns; the checks and errors of load_records."""
-    keys: list[Key] = []
-    tokens: list[int] = []
-    correct: list[bool] = []
-    for key, count, ok, _ in _scan(Path(path)):
-        keys.append(key)
-        tokens.append(count)
-        correct.append(ok)
-    return RecordColumns(keys, tokens, correct)
-
-
 def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
     """Every (model, dataset) pair's RunMatrix of a JSONL record file, pairs sorted.
 
-    Each matrix equals ``read_columns(path).matrix(model, dataset)``, and a
-    bad file raises the same error. A regular file is parsed once: its
-    matrices are cached under a hash of its bytes (see cotbudget.cache),
-    and later calls on the same bytes load them from there.
+    Each matrix equals ``pivot(load_records(path), model, dataset)``, and a
+    bad file raises the error load_records raises. A regular file is parsed
+    once: its matrices are cached under a hash of its bytes (see
+    cotbudget.cache), and later calls on the same bytes load them from there.
     """
     from . import cache  # imported here, so commands that read no records skip it
 
@@ -339,7 +268,11 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
         groups = _pair_columns(path, source)
     # Each pair's columns are dropped once its matrix is built, so none is
     # alive when the entry is written.
-    matrices = {pair: _group_matrix(pair, *groups.pop(pair)) for pair in sorted(groups)}
+    matrices = {
+        pair: _pivot(*pair, [k[2] for k in keys], [k[3] for k in keys], tokens, correct)
+        for pair in sorted(groups)
+        for keys, tokens, correct in [groups.pop(pair)]
+    }
     if store is not None:
         store.save(source.digest(), list(matrices.values()))
     return matrices
@@ -360,27 +293,12 @@ def _pair_columns(
     return groups
 
 
-def _group_matrix(pair: tuple[str, str], keys: list[Key], tokens: list[int],
-                  correct: list[bool]) -> RunMatrix:
-    return _pivot(*pair, [k[2] for k in keys], [k[3] for k in keys], tokens, correct)
-
-
-def save_records(records: Iterable[EvalRecord], path: str | Path) -> int:
-    """Write records as JSONL (one object per line); returns the count written."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n")
-            count += 1
-    return count
-
-
 def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
     """Write a RunMatrix as records JSONL; returns the count written.
 
-    The file is byte-identical to ``save_records(unpivot(matrix), path)``:
-    one line per present cell, row-major, ids JSON-encoded once each.
+    One line per present cell, row-major, ids JSON-encoded once each; the
+    fields of a line are model, dataset, question_id, prompt_id, tokens and
+    correct, in that order, as ``json.dumps(..., ensure_ascii=False)`` writes them.
     """
     dumps = functools.partial(json.dumps, ensure_ascii=False)
     head = f'{{"model": {dumps(matrix.model)}, "dataset": {dumps(matrix.dataset)}, "question_id": '
@@ -444,6 +362,12 @@ class RunMatrix:
     @property
     def n_prompts(self) -> int:
         return len(self.prompt_ids)
+
+    def cells(self) -> set[tuple[str, str]]:
+        """The (question_id, prompt_id) of every present cell."""
+        rows, cols = np.nonzero(self.present)
+        q, p = self.question_ids, self.prompt_ids
+        return {(q[i], p[j]) for i, j in zip(rows.tolist(), cols.tolist())}
 
     def prompt_index(self, prompt_id: str) -> int:
         try:
@@ -532,21 +456,3 @@ def _pivot(
         present.reshape(n, k),
     )
 
-
-def unpivot(matrix: RunMatrix) -> list[EvalRecord]:
-    """Expand a RunMatrix back into one record per present cell (row-major)."""
-    out: list[EvalRecord] = []
-    for i, qid in enumerate(matrix.question_ids):
-        for j, pid in enumerate(matrix.prompt_ids):
-            if matrix.present[i, j]:
-                out.append(
-                    EvalRecord(
-                        model=matrix.model,
-                        dataset=matrix.dataset,
-                        question_id=qid,
-                        prompt_id=pid,
-                        tokens=int(matrix.tokens[i, j]),
-                        correct=bool(matrix.correct[i, j]),
-                    )
-                )
-    return out

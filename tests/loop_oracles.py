@@ -81,6 +81,45 @@ def pivot_loop(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMa
     return RunMatrix(model, dataset, question_ids, prompt_ids, tokens, correct, present)
 
 
+def record_json_loop(record: EvalRecord) -> dict:
+    """A record's JSONL object: the required fields, the optional ones set, then extra."""
+    out = {
+        "model": record.model,
+        "dataset": record.dataset,
+        "question_id": record.question_id,
+        "prompt_id": record.prompt_id,
+        "tokens": record.tokens,
+        "correct": record.correct,
+    }
+    if record.response is not None:
+        out["response"] = record.response
+    if record.extracted_answer is not None:
+        out["extracted_answer"] = record.extracted_answer
+    out.update(record.extra)
+    return out
+
+
+def unpivot_loop(matrix: RunMatrix) -> list[EvalRecord]:
+    """One record per present cell, row-major."""
+    out: list[EvalRecord] = []
+    for i, qid in enumerate(matrix.question_ids):
+        for j, pid in enumerate(matrix.prompt_ids):
+            if matrix.present[i, j]:
+                out.append(EvalRecord(matrix.model, matrix.dataset, qid, pid,
+                                      int(matrix.tokens[i, j]), bool(matrix.correct[i, j])))
+    return out
+
+
+def save_records_loop(records: Iterable[EvalRecord], path: str | Path) -> int:
+    """One json.dumps line per record; returns the count written."""
+    count = 0
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(record_json_loop(record), ensure_ascii=False) + "\n")
+            count += 1
+    return count
+
+
 def estimate_tau_loop(
     lengths: Sequence[int], corrects: Sequence[bool], question_id: str = ""
 ) -> QuestionComplexity:

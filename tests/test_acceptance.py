@@ -33,7 +33,7 @@ from cotbudget.metrics import spearman, validation_report
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.prompts import QUESTION_TEMPLATE, PromptCatalog, fixed_spec
-from cotbudget.records import load_records, read_columns
+from cotbudget.records import load_records, read_matrices
 from cotbudget.routing import compare_to_frontier, verifier_cascade
 
 from conftest import make_matrix
@@ -352,7 +352,7 @@ def test_criterion_8_collect_integration(tmp_path):
             with JsonlWriter(resume_out) as writer:
                 sweep(questions[:1], config, writer)
             after_first = mock.request_count
-            skip = read_columns(resume_out).cells("mock-model", "mock-ds")
+            skip = read_matrices(resume_out)["mock-model", "mock-ds"].cells()
             with JsonlWriter(resume_out, append=True) as writer:
                 sweep(questions, config, writer, skip=skip)
             assert after_first == 3

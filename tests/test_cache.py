@@ -1,6 +1,6 @@
 """The content-addressed record cache behind records.read_matrices.
 
-A miss, a hit and read_columns give the same matrices. A bad entry is a
+A miss, a hit and the per-record loop give the same matrices. A bad entry is a
 silent miss that rewrites it; an unusable cache directory, a pipe or a bad
 records file never changes what a command prints, writes or exits with.
 """
@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from cotbudget import cache, records
 from cotbudget.cli import main
 from cotbudget.errors import CotBudgetError
-from cotbudget.records import read_columns, read_matrices
+from cotbudget.records import load_records, read_matrices
+
+from loop_oracles import load_records_loop, pivot_loop
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = [("m", "d"), ("m2", "d"), ("modèle", "数据")]
@@ -57,7 +59,7 @@ def assert_same_matrices(got, want) -> None:
 
 
 # ---------------------------------------------------------------------------
-# miss, hit and read_columns agree
+# miss, hit and the per-record loop agree
 # ---------------------------------------------------------------------------
 
 record_cells = st.dictionaries(
@@ -70,7 +72,7 @@ record_cells = st.dictionaries(
 
 @settings(max_examples=60, deadline=None)
 @given(cells=record_cells, order=st.randoms())
-def test_miss_hit_and_columns_agree(cells, order):
+def test_miss_hit_and_record_loop_agree(cells, order):
     items = sorted(cells.items())
     order.shuffle(items)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, XDG_CACHE_HOME=tmp):
@@ -81,12 +83,16 @@ def test_miss_hit_and_columns_agree(cells, order):
         assert len(entries(Path(tmp, "cotbudget"))) == 1
         with mock.patch.object(records, "_pair_columns", side_effect=AssertionError("parsed")):
             hit = read_matrices(path)
-        columns = read_columns(path)
-        assert list(miss) == list(hit) == columns.pairs
-        for pair in columns.pairs:
-            want = columns.matrix(*pair)
+        loaded = load_records_loop(path)
+        pairs = sorted({(r.model, r.dataset) for r in loaded})
+        assert list(miss) == list(hit) == pairs
+        for pair in pairs:
+            want = pivot_loop(loaded, *pair)
             assert_same_matrices(miss[pair], want)
             assert_same_matrices(hit[pair], want)
+            assert miss[pair].cells() == hit[pair].cells() == {
+                (r.question_id, r.prompt_id) for r in loaded if (r.model, r.dataset) == pair
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +400,7 @@ def test_bad_records_file_is_the_same_error_and_writes_no_entry(tmp_path, capsys
     path = tmp_path / "r.jsonl"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(CotBudgetError) as want:
-        read_columns(path)
+        load_records(path)
     for _ in range(2):
         with pytest.raises(type(want.value)) as got:
             read_matrices(path)
@@ -411,7 +417,7 @@ def test_unreadable_records_path_gives_the_same_message(tmp_path, capsys, kind):
     if kind == "directory":
         path.mkdir()
     with pytest.raises(OSError) as want:
-        read_columns(path)
+        load_records_loop(path)
     code, out, err, written = run_command(capsys, tmp_path / "c.json", "complexity",
                                           "--records", str(path))
     assert (code, out, err, written) == (1, "", f"data error: {want.value}\n", None)

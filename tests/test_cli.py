@@ -3,21 +3,24 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import cotbudget
+from cotbudget import records as records_mod
 from cotbudget.bounds import FrontierCurve
 from cotbudget.cli import main
 from cotbudget.complexity import ComplexityProfile
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.records import EvalRecord, load_records
 
-from loop_oracles import frontier_loop
+from loop_oracles import frontier_loop, save_records_loop, unpivot_loop
 
 QUESTIONS = [
     {"question_id": "q1", "text": "One plus one?", "gold_answer": "2"},
@@ -276,6 +279,32 @@ class TestRoutingCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budgets", "{budgets}", "--family", "p0,p1", "--fallback-prompt", "p3"],
+             "--fallback-prompt requires --base-prompt"),
+            (["--fallback-prompt", "p3"], "--fallback-prompt requires --base-prompt"),
+            (["--base-prompt", "p0", "--fallback-prompt", "p6", "--family", "p0,p3"],
+             "--family requires --budgets"),
+            (["--family", "p0,p3"], "--family requires --budgets"),
+        ],
+        ids=["budgets-with-fallback", "fallback-alone", "cascade-with-family", "family-alone"],
+    )
+    def test_unpaired_flag_is_usage_error_before_any_read(self, tmp_path, capsys, synth_records,
+                                                          flags, message):
+        """A missing records file would be a data error, so the flags are checked first."""
+        records, _ = synth_records
+        budgets = tmp_path / "budgets.jsonl"
+        budgets.write_text(json.dumps({"question_id": "q00", "budget": 60}) + "\n")
+        flags = [f.format(budgets=budgets) for f in flags]
+        out = tmp_path / "routing.csv"
+        for path in (records, tmp_path / "missing.jsonl"):
+            code = main(["routing", "--records", str(path), *flags, "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+            assert not out.exists()
+
 
 class TestBudgetsFile:
     """Each bad budgets line is a data error (exit 1) naming its line number."""
@@ -533,7 +562,6 @@ class TestRecordsLimits:
 class TestColumnarIO:
     def test_synth_matches_record_writer(self, tmp_path, capsys):
         from cotbudget import oracle
-        from cotbudget.records import save_records, unpivot
 
         out = tmp_path / "r.jsonl"
         code, _ = run(capsys, "synth", "--out", str(out), "--n", "15", "--prompts", "6",
@@ -543,7 +571,7 @@ class TestColumnarIO:
         spec = oracle.random_spec(n=15, seed=4, violation_rate=0.3, n_prompts=6)
         spec = dataclasses.replace(spec, model='modèle "x"', dataset="数据")
         matrix, _ = oracle.generate(spec)
-        save_records(unpivot(matrix), tmp_path / "want.jsonl")
+        save_records_loop(unpivot_loop(matrix), tmp_path / "want.jsonl")
         assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
     def test_analysis_builds_no_eval_record(self, tmp_path, capsys, synth_records,
@@ -633,6 +661,42 @@ class TestResumeTornLine:
         assert code == 0
         assert "3 skipped (resume), 1 collected" in text
         assert len(load_records(out)) == 4
+
+    def test_second_resume_of_unchanged_file_is_a_cache_hit(self, collected, capsys):
+        argv, _ = collected
+        assert self.resume(capsys, argv)[0] == 0
+        with patch.object(records_mod, "_scan", side_effect=AssertionError("parsed")):
+            code, text, _, requests_made = self.resume(capsys, argv)
+        assert code == 0
+        assert "4 skipped (resume), 0 collected" in text
+        assert requests_made == 0
+
+    def test_prior_records_of_another_pair_skip_nothing(self, collected, capsys):
+        argv, out = collected
+        prior = out.read_bytes().replace(b'"model": "m"', b'"model": "m2"')
+        out.write_bytes(prior)
+        code, text, _, requests_made = self.resume(capsys, argv)
+        assert code == 0
+        assert "0 skipped (resume), 4 collected, 0 failed" in text
+        assert requests_made == 4
+        assert out.read_bytes().startswith(prior)
+        assert sorted(r.model for r in load_records(out)) == ["m"] * 4 + ["m2"] * 4
+
+    def test_bad_prior_line_is_the_same_error_cold_and_warm(self, collected, capsys,
+                                                            isolated_record_cache):
+        argv, out = collected
+        assert self.resume(capsys, argv)[0] == 0
+        assert list(isolated_record_cache.glob("*.npz"))
+        lines = out.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"tokens": ', b'"tokens": -1, "was": ')
+        out.write_bytes(b"".join(lines))
+        warm = self.resume(capsys, argv)
+        shutil.rmtree(isolated_record_cache)
+        cold = self.resume(capsys, argv)
+        assert warm == cold
+        assert warm == (1, "", f"data error: {out}:2: field 'tokens' must be non-negative, "
+                               "got -1\n", 0)
+        assert out.read_bytes() == b"".join(lines)
 
     def test_resume_reads_no_eval_record(self, collected, capsys, no_eval_records):
         argv, _ = collected

@@ -36,7 +36,9 @@ from cotbudget.prompts import (
     fixed_spec,
     render,
 )
-from cotbudget.records import EvalRecord, load_records, read_columns
+from cotbudget.records import EvalRecord, load_records, read_matrices
+
+from loop_oracles import record_json_loop
 
 MC_QUESTION = Question(
     question_id="mc1",
@@ -279,7 +281,7 @@ class TestSweep:
             with JsonlWriter(out) as writer:
                 sweep([questions[0]], config_for(mock.url), writer)
             first_requests = mock.request_count
-            skip = read_columns(out).cells("mock-model", "mock-ds")
+            skip = read_matrices(out)["mock-model", "mock-ds"].cells()
             with JsonlWriter(out, append=True) as writer:
                 summary = sweep(questions, config_for(mock.url), writer, skip=skip)
         assert first_requests == 3
@@ -776,7 +778,7 @@ CONTENT = st.text(max_size=30) | st.builds(
 def test_collected_record_has_the_bytes_of_an_eval_record(
     model, dataset, question_id, prompt_id, gold, content, tokens
 ):
-    """A collected cell serialises as EvalRecord.to_json_dict did, estimate flag included."""
+    """A collected cell serialises as the per-record writer writes it, estimate flag included."""
     spec = PromptSpec(prompt_id=prompt_id, family="NoCoT", instruction="Only give the final answer.")
     config = SweepConfig(endpoint="http://127.0.0.1:9/v1", model=model, dataset=dataset,
                          catalog=PromptCatalog((spec,)), estimate_missing_usage=True)
@@ -796,7 +798,8 @@ def test_collected_record_has_the_bytes_of_an_eval_record(
         extracted_answer=extracted,
         extra={"tokens_estimated": True} if estimated else {},
     )
-    assert json.dumps(record, ensure_ascii=False) == json.dumps(want.to_json_dict(), ensure_ascii=False)
+    want_line = json.dumps(record_json_loop(want), ensure_ascii=False)
+    assert json.dumps(record, ensure_ascii=False) == want_line
     assert ("extracted_answer" in record) == (extracted is not None)
     assert ("tokens_estimated" in record) == estimated
 

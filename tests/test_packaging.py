@@ -74,7 +74,10 @@ def test_record_readers_are_exported():
     import cotbudget
     from cotbudget import records
 
-    for name in ("load_records", "read_columns", "read_matrices"):
+    for name in ("load_records", "read_matrices"):
         assert name in cotbudget.__all__
         assert getattr(cotbudget, name) is getattr(records, name)
+    for name in ("read_columns", "RecordColumns", "save_records", "unpivot"):
+        assert name not in cotbudget.__all__
+        assert not hasattr(records, name)
     assert "cache" not in cotbudget.__all__

@@ -20,10 +20,8 @@ from cotbudget.records import (
     RunMatrix,
     load_records,
     pivot,
-    read_columns,
+    read_matrices,
     save_matrix,
-    save_records,
-    unpivot,
 )
 
 from cotbudget.cli import _load_budgets
@@ -32,7 +30,7 @@ from cotbudget.complexity import ComplexityProfile, profile
 from cotbudget.prompts import PromptCatalog, default_catalog
 
 from conftest import make_matrix, make_record, run_matrices
-from loop_oracles import load_records_loop, pivot_loop
+from loop_oracles import load_records_loop, pivot_loop, save_records_loop, unpivot_loop
 
 
 def write_jsonl(path, objs):
@@ -96,9 +94,6 @@ class TestLoadRecords:
         write_jsonl(path, [base_obj(run_id="abc", latency_ms=12)])
         records = load_records(path)
         assert records[0].extra == {"run_id": "abc", "latency_ms": 12}
-        out = tmp_path / "w.jsonl"
-        save_records(records, out)
-        assert json.loads(out.read_text())["run_id"] == "abc"
 
     def test_records_share_one_string_per_id(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -167,7 +162,12 @@ class TestPivot:
             make_record(qid="q2", pid="p1", tokens=3, correct=True),
         ]
         m = pivot(records, "m", "d")
-        assert pivot(unpivot(m), "m", "d") == m
+        assert pivot(unpivot_loop(m), "m", "d") == m
+
+    def test_cells_are_the_present_cells(self):
+        m = make_matrix([[1, 2], [3, 4]], [[True, False], [False, True]],
+                        present=[[True, False], [True, True]])
+        assert m.cells() == {("q00", "p00"), ("q01", "p00"), ("q01", "p01")}
 
     def test_immutable(self):
         m = pivot([make_record()], "m", "d")
@@ -250,24 +250,25 @@ def record_lines(cells, order, blank_at, ascii_flags) -> list[str]:
     blank_at=st.dictionaries(st.integers(0, 40), st.lists(st.integers(0, 3), max_size=2)),
     ascii_flags=st.lists(st.booleans(), min_size=1, max_size=3),
 )
-def test_columns_match_record_loop(tmp_path_factory, cells, order, blank_at, ascii_flags):
+def test_matrices_match_record_loop(tmp_path_factory, cells, order, blank_at, ascii_flags):
     path = tmp_path_factory.mktemp("cols") / "r.jsonl"
     path.write_text("\n".join(record_lines(cells, order, blank_at, ascii_flags)) + "\n",
                     encoding="utf-8")
     records = load_records_loop(path)
-    columns = read_columns(path)
+    matrices = read_matrices(path)
     assert load_records(path) == records
-    assert columns.pairs == sorted({(r.model, r.dataset) for r in records})
-    for model, dataset in PAIRS:
-        want = outcome(lambda: pivot_loop(records, model, dataset))
-        got = outcome(lambda: columns.matrix(model, dataset))
-        assert got == want
-        assert outcome(lambda: pivot(records, model, dataset)) == want
-        if want[0] == "ok":
-            assert got[1].question_ids == want[1].question_ids
-            assert got[1].prompt_ids == want[1].prompt_ids
-        assert columns.cells(model, dataset) == {
-            (r.question_id, r.prompt_id) for r in records if (r.model, r.dataset) == (model, dataset)
+    assert list(matrices) == sorted({(r.model, r.dataset) for r in records})
+    for pair in PAIRS:
+        want = outcome(lambda: pivot_loop(records, *pair))
+        assert outcome(lambda: pivot(records, *pair)) == want
+        if want[0] != "ok":
+            assert pair not in matrices
+            continue
+        got = matrices[pair]
+        assert got == want[1]
+        assert (got.question_ids, got.prompt_ids) == (want[1].question_ids, want[1].prompt_ids)
+        assert got.cells() == {
+            (r.question_id, r.prompt_id) for r in records if (r.model, r.dataset) == pair
         }
 
 
@@ -295,7 +296,7 @@ def test_errors_match_record_loop(tmp_path_factory, objs):
     path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
     want = outcome(lambda: load_records_loop(path))
     assert outcome(lambda: load_records(path)) == want
-    got = outcome(lambda: read_columns(path))
+    got = outcome(lambda: read_matrices(path))
     assert got[0] == want[0]
     if want[0] != "ok":
         assert got[1] == want[1]
@@ -344,7 +345,7 @@ def test_bad_line_keeps_type_and_message(tmp_path, line, error, reason):
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps(base_obj()) + "\n\n" + line + "\n", encoding="utf-8")
     expected = f"{path}:3: {reason}"
-    for load in (load_records_loop, load_records, read_columns):
+    for load in (load_records_loop, load_records, read_matrices):
         with pytest.raises(error) as exc:
             load(path)
         assert type(exc.value) is error
@@ -362,7 +363,7 @@ def test_duplicate_split_across_pairs_names_both_lines(tmp_path):
         base_obj(tokens=11),
     ])
     expected = f"duplicate record key ('m', 'd', 'q1', 'p1') (lines 1 and 5 of {path})"
-    for load in (load_records_loop, load_records, read_columns):
+    for load in (load_records_loop, load_records, read_matrices):
         with pytest.raises(DuplicateRecordError) as exc:
             load(path)
         assert str(exc.value) == expected
@@ -372,13 +373,13 @@ def test_bad_line_of_unselected_pair_still_fails(tmp_path):
     path = tmp_path / "r.jsonl"
     write_jsonl(path, [base_obj(), base_obj(model="m2", tokens=-4), base_obj(prompt_id="p2")])
     with pytest.raises(RecordSchemaError, match=r":2: field 'tokens' must be non-negative"):
-        read_columns(path).matrix("m", "d")
+        read_matrices(path)
 
 
 def test_ids_with_trailing_nul_stay_distinct(tmp_path):
     path = tmp_path / "r.jsonl"
     write_jsonl(path, [base_obj(question_id="q1\x00", tokens=3), base_obj(tokens=5)])
-    m = read_columns(path).matrix("m", "d")
+    m = read_matrices(path)["m", "d"]
     assert m.question_ids == ("q1", "q1\x00")
     assert m.tokens[:, 0].tolist() == [5, 3]
 
@@ -414,7 +415,7 @@ class TestTokenLimit:
     def test_largest_int64_loads_and_pivots(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_jsonl(path, [base_obj(tokens=2**63 - 1)])
-        assert int(read_columns(path).matrix("m", "d").tokens[0, 0]) == 2**63 - 1
+        assert int(read_matrices(path)["m", "d"].tokens[0, 0]) == 2**63 - 1
         assert pivot(load_records(path), "m", "d").tokens[0, 0] == 2**63 - 1
 
     def test_programmatic_record_above_int64_rejected(self):
@@ -432,7 +433,7 @@ ODD_IDS = ["q", "é", 'a"b', "back\\slash", "tab\there", "nl\nx", "\x00", "\x1f"
 @settings(max_examples=60, deadline=None)
 @given(matrix=run_matrices(empty_rows=True), names=st.lists(st.sampled_from(ODD_IDS), min_size=2,
                                                             max_size=2))
-def test_save_matrix_is_byte_identical_to_save_records(tmp_path_factory, matrix, names):
+def test_save_matrix_is_byte_identical_to_record_loop(tmp_path_factory, matrix, names):
     matrix = RunMatrix(
         model=names[0],
         dataset=names[1],
@@ -444,11 +445,11 @@ def test_save_matrix_is_byte_identical_to_save_records(tmp_path_factory, matrix,
     )
     base = tmp_path_factory.mktemp("save")
     direct, via_records = base / "direct.jsonl", base / "records.jsonl"
-    assert save_matrix(matrix, direct) == save_records(unpivot(matrix), via_records)
+    assert save_matrix(matrix, direct) == save_records_loop(unpivot_loop(matrix), via_records)
     assert direct.read_bytes() == via_records.read_bytes()
 
 
-@pytest.mark.parametrize("loader", [load_records, read_columns])
+@pytest.mark.parametrize("loader", [load_records, read_matrices])
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 def test_byte_not_utf8_names_its_line(tmp_path, loader, newline):
     """The line is found past the text reader's first chunk, whatever the line ends."""
@@ -461,11 +462,6 @@ def test_byte_not_utf8_names_its_line(tmp_path, loader, newline):
     assert exc.value.line_no == 301
     assert exc.value.reason.startswith("not UTF-8: byte 0xe2 at column ")
     assert isinstance(exc.value, ValueError)
-
-
-def _record_lines(path):
-    columns = read_columns(path)
-    return columns.keys, columns.tokens, columns.correct
 
 
 def _valid_catalog(path):
@@ -484,7 +480,7 @@ def _valid_jsonl(make_obj):
 
 # (loader, comparable result of a load, writer of a valid file of 4+ lines)
 LOADERS = {
-    "records": (_record_lines, _valid_jsonl(lambda i: base_obj(question_id=f"q{i}"))),
+    "records": (read_matrices, _valid_jsonl(lambda i: base_obj(question_id=f"q{i}"))),
     "budgets": (_load_budgets, _valid_jsonl(lambda i: {"question_id": f"q{i}", "budget": i})),
     "questions": (load_questions, _valid_jsonl(
         lambda i: {"question_id": f"q{i}", "text": "t", "gold_answer": "1"})),
