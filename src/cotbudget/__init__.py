@@ -27,7 +27,7 @@ from .metrics import (
     spearman,
     validation_report,
 )
-from .oracle import OracleSpec, generate, grid_lengths, random_spec, scaled_lengths, straddle_lengths
+from .oracle import OracleSpec, generate, random_spec, straddle_lengths
 from .prompts import PromptCatalog, PromptSpec, default_catalog, render
 from .records import (
     EvalRecord,
@@ -72,7 +72,6 @@ __all__ = [
     "frontier",
     "generate",
     "grade",
-    "grid_lengths",
     "load_questions",
     "load_records",
     "lossless_bound",
@@ -83,7 +82,6 @@ __all__ = [
     "read_matrices",
     "render",
     "save_matrix",
-    "scaled_lengths",
     "spearman",
     "straddle_lengths",
     "sweep",

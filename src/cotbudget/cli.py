@@ -23,7 +23,7 @@ from . import routing as routing_mod
 from .complexity import ComplexityProfile, profile
 from .errors import CotBudgetError, EmptySelectionError, EndpointError, RecordSchemaError
 from .prompts import PromptCatalog, default_catalog
-from .records import read_jsonl, read_matrices, save_matrix
+from .records import INTEGER, NON_EMPTY_STRING, check_line, read_jsonl, read_matrices, save_matrix
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -226,27 +226,14 @@ def _load_budgets(path: str) -> dict[str, int]:
     budgets: dict[str, int] = {}
     for line_no, obj in read_jsonl(path):
         try:
-            question_id, budget = _budget_entry(obj)
+            entry = check_line(obj, "budget", ("question_id", "budget"), _BUDGET_RULES)
         except RecordSchemaError as exc:
             raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
-        budgets[question_id] = budget
+        budgets[entry["question_id"]] = entry["budget"]
     return budgets
 
 
-def _budget_entry(obj: object) -> tuple[str, int]:
-    if not isinstance(obj, dict):
-        raise RecordSchemaError(f"budget must be a JSON object, got {type(obj).__name__}")
-    missing = [name for name in ("question_id", "budget") if name not in obj]
-    if missing:
-        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
-    question_id, budget = obj["question_id"], obj["budget"]
-    if not isinstance(question_id, str) or not question_id:
-        raise RecordSchemaError(
-            f"field 'question_id' must be a non-empty string, got {question_id!r}"
-        )
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise RecordSchemaError(f"field 'budget' must be an integer, got {budget!r}")
-    return question_id, budget
+_BUDGET_RULES = (("question_id", NON_EMPTY_STRING), ("budget", INTEGER))
 
 
 def cmd_correlate(args) -> int:

@@ -26,7 +26,7 @@ from urllib.parse import urlsplit
 
 from .errors import EndpointError, RecordSchemaError
 from .prompts import PromptCatalog, PromptSpec, render
-from .records import TOKENS_MAX, read_jsonl
+from .records import NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -55,15 +55,12 @@ class Question:
     choices: tuple[Choice, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in QUESTION_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not str or not value:
-                raise ValueError(f"field {name!r} must be a non-empty string, got {value!r}")
+        check_line(self.__dict__, "question", (), _QUESTION_RULES)
         if self.choices is not None:
             object.__setattr__(self, "choices", tuple(self.choices))
             labels = {c.label.casefold() for c in self.choices}
             if self.gold_answer.casefold() not in labels:
-                raise ValueError(
+                raise RecordSchemaError(
                     f"question {self.question_id!r}: gold_answer {self.gold_answer!r} "
                     "is not one of the choice labels"
                 )
@@ -71,37 +68,23 @@ class Question:
     @classmethod
     def from_json_dict(cls, obj: object) -> Question:
         """Build a question from one parsed JSONL line; RecordSchemaError if it does not fit."""
-        if not isinstance(obj, dict):
-            raise RecordSchemaError(f"question must be a JSON object, got {type(obj).__name__}")
-        missing = [name for name in QUESTION_FIELDS if name not in obj]
-        if missing:
-            raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
-        choices = obj.get("choices")
-        if choices is not None and not (
-            isinstance(choices, list)
-            and all(
-                isinstance(c, dict)
-                and isinstance(c.get("label"), str)
-                and c["label"]
-                and isinstance(c.get("text"), str)
-                for c in choices
-            )
-        ):
-            raise RecordSchemaError(
-                "field 'choices' must be a list of objects with a non-empty string 'label' "
-                f"and a string 'text', got {choices!r}"
-            )
-        try:
-            return cls(
-                question_id=obj["question_id"],
-                text=obj["text"],
-                gold_answer=obj["gold_answer"],
-                choices=tuple(Choice(c["label"], c["text"]) for c in choices)
-                if choices
-                else None,
-            )
-        except ValueError as exc:
-            raise RecordSchemaError(str(exc)) from exc
+        entry = check_line(obj, "question", QUESTION_FIELDS, (("choices", _CHOICES),))
+        choices = entry.get("choices")
+        return cls(
+            entry["question_id"], entry["text"], entry["gold_answer"],
+            tuple(Choice(c["label"], c["text"]) for c in choices) if choices else None,
+        )
+
+
+# A question's field rules; from_json_dict checks choices before them.
+_QUESTION_RULES = tuple((name, NON_EMPTY_STRING) for name in QUESTION_FIELDS)
+_CHOICES = (
+    lambda v: v is None or type(v) is list and all(
+        type(c) is dict and type(c.get("label")) is str and c["label"] != ""
+        and type(c.get("text")) is str for c in v
+    ),
+    "be a list of objects with a non-empty string 'label' and a string 'text'",
+)
 
 
 def load_questions(path: str | Path) -> list[Question]:
@@ -225,11 +208,18 @@ def grade(response: str, question: Question) -> tuple[bool, str | None]:
 
 
 class JsonlWriter:
-    """Append-style JSONL sink; the lock is the sweep's single serialization point."""
+    """Append-style JSONL sink; the lock is the sweep's single serialization point.
+
+    A line is ``json.dumps(obj, ensure_ascii=False)`` in UTF-8, except that a
+    lone surrogate, which a reply's content can hold and UTF-8 cannot encode,
+    is written as its JSON escape (``\\ud83d``), so the line still parses.
+    """
 
     def __init__(self, path: str | Path, append: bool = False) -> None:
         self.path = Path(path)
-        self._fh = self.path.open("a" if append else "w", encoding="utf-8", newline="\n")
+        self._fh = self.path.open(
+            "a" if append else "w", encoding="utf-8", errors="backslashreplace", newline="\n"
+        )
         self._lock = threading.Lock()
         self.count = 0
 
@@ -409,7 +399,7 @@ def _post_with_retries(
             return None, f"HTTP {status}", retries_used
         try:
             return json.loads(data), None, retries_used
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deeply
             return None, "unparseable response body", retries_used
     return None, last_error, retries_used
 
@@ -557,7 +547,7 @@ def drop_torn_tail(path: str | Path) -> int:
             return 0
         try:
             json.loads(tail.decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError, too deep
             fh.truncate(start)
             log.warning(
                 "%s: cut off a torn final line (%d bytes, no newline) at byte %d; "

@@ -197,11 +197,11 @@ class ComplexityProfile:
 
 
 # The complexity file's own field rules, in the form records.checked reads.
-_NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "a non-empty list")
-_K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"an integer in [1, {TOKENS_MAX}]")
+_NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "be a non-empty list")
+_K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"be an integer in [1, {TOKENS_MAX}]")
 # NaN fails both comparisons and infinities fail one, so the range test also
 # requires a finite number.
-_C_STAR = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a finite number in [0, 1]")
+_C_STAR = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "be a finite number in [0, 1]")
 
 
 def _best_thresholds(

@@ -14,10 +14,10 @@ class CotBudgetError(Exception):
 
 
 class RecordParseError(CotBudgetError, ValueError):
-    """A JSONL line is not UTF-8 or could not be parsed as JSON."""
+    """A JSONL line is not UTF-8 or could not be parsed as JSON; line_no is None for a whole file."""
 
-    def __init__(self, path: str, line_no: int, reason: str) -> None:
-        super().__init__(f"{path}:{line_no}: {reason}")
+    def __init__(self, path: str, line_no: int | None, reason: str) -> None:
+        super().__init__(f"{path}: {reason}" if line_no is None else f"{path}:{line_no}: {reason}")
         self.path = path
         self.line_no = line_no
         self.reason = reason

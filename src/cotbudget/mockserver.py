@@ -95,8 +95,6 @@ class _Handler(BaseHTTPRequestHandler):
             }
         if endpoint.rewrite is not None:
             response = endpoint.rewrite(response)
-        with endpoint.lock:
-            endpoint.responses.append(response)
         self._send(200, response)
 
     def _send(self, status: int, payload: object, headers: dict[str, str] | None = None) -> None:
@@ -117,14 +115,14 @@ class MockChatEndpoint:
     """Local HTTP server speaking just enough chat-completions JSON for sweeps.
 
     answers maps question text (the first line after "Question: ") to the
-    final answer the mock should give; unmatched questions get
-    default_answer. Use fail_first to answer the first requests with
-    fail_status (sending retry_after as Retry-After when given), drop_first
-    to close the connection without replying to the first requests,
-    close_after to close each connection unannounced after it has served
-    that many replies (as a server's idle timeout does), omit_usage to
-    exercise the missing-usage path, and rewrite (called on each 200 reply
-    body, returning the body to send) to send malformed replies.
+    final answer the mock should give; unmatched questions get "42". Use
+    fail_first to answer the first requests with fail_status (sending
+    retry_after as Retry-After when given), drop_first to close the
+    connection without replying to the first requests, close_after to close
+    each connection unannounced after it has served that many replies (as a
+    server's idle timeout does), omit_usage to exercise the missing-usage
+    path, and rewrite (called on each 200 reply body, returning the body to
+    send) to send malformed replies.
 
     request_count, requests (parsed bodies) and raw_requests (target,
     headers and body bytes) record what arrived; connection_count counts
@@ -134,7 +132,6 @@ class MockChatEndpoint:
     def __init__(
         self,
         answers: dict[str, str] | None = None,
-        default_answer: str = "42",
         fail_first: int = 0,
         fail_status: int = 500,
         retry_after: str | None = None,
@@ -145,7 +142,6 @@ class MockChatEndpoint:
         rewrite: RewriteFn | None = None,
     ) -> None:
         self.answers = dict(answers or {})
-        self.default_answer = default_answer
         self.fail_remaining = fail_first
         self.fail_status = fail_status
         self.retry_after = retry_after
@@ -158,7 +154,6 @@ class MockChatEndpoint:
         self.request_count = 0
         self.requests: list[dict] = []
         self.raw_requests: list[tuple[str, dict[str, str], bytes]] = []
-        self.responses: list[object] = []
         self.connection_count = 0
         self.open_sockets: set[socket.socket] = set()
         self._server: ThreadingHTTPServer | None = None
@@ -174,7 +169,7 @@ class MockChatEndpoint:
         question_text = m.group(1) if m else ""
         if self.reply_fn is not None:
             return self.reply_fn(question_text, body)
-        answer = self.answers.get(question_text, self.default_answer)
+        answer = self.answers.get(question_text, "42")
         return default_reply(question_text, answer)
 
     def start(self) -> str:

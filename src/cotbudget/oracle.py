@@ -24,26 +24,9 @@ TAU_RANGE = (4, 160)
 INFINITE_SHARE = 1 / 6
 
 
-def grid_lengths(values: Sequence[int]) -> np.ndarray:
-    """Fixed grid: every question sees the same per-prompt lengths; a (1, K) int64 array."""
-    return np.array([int(v) for v in values], dtype=np.int64).reshape(1, -1)
-
-
-def scaled_lengths(base: Sequence[int], multipliers: Sequence[float]) -> np.ndarray:
-    """Per-prompt base length scaled by a per-question difficulty multiplier.
-
-    Returns the (len(multipliers), len(base)) int64 lengths, rounded half to
-    even, as Python's round does.
-    """
-    base_a = np.array([int(b) for b in base], dtype=np.int64)
-    mult_a = np.array([float(m) for m in multipliers], dtype=float)
-    return np.rint(base_a * mult_a[:, None]).astype(np.int64)
-
-
 def straddle_lengths(
     taus: Sequence[float],
     n_prompts: int,
-    infinite_proxy: int | None = None,
     shuffle_seed: int | None = None,
 ) -> np.ndarray:
     """Lengths spread geometrically around each question's true complexity.
@@ -63,7 +46,7 @@ def straddle_lengths(
     if n_prompts < 2:
         raise ValueError("straddle_lengths needs at least 2 prompts")
     finite = [int(t) for t in taus if is_finite(t)]
-    proxy = infinite_proxy if infinite_proxy is not None else (2 * max(finite) if finite else 64)
+    proxy = 2 * max(finite) if finite else 64
     n_below = max(1, (n_prompts - 1) // 2)
     n_above = n_prompts - 1 - n_below
     factors = np.array(
@@ -215,4 +198,4 @@ def load_taus(path: str | Path) -> dict[str, int | float]:
     return out
 
 
-_OBJECT = (lambda v: type(v) is dict, "an object")
+_OBJECT = (lambda v: type(v) is dict, "be an object")

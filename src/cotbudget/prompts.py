@@ -178,9 +178,9 @@ class PromptCatalog:
 _SPEC_RULES = {
     "prompt_id": NON_EMPTY_STRING,
     "family": NON_EMPTY_STRING,
-    "instruction": (lambda v: type(v) is str, "a string"),
-    "limit": (lambda v: v is None or type(v) is int, "null or an integer"),
-    "limit_unit": (lambda v: v is None or type(v) is str, "null or a string"),
+    "instruction": (lambda v: type(v) is str, "be a string"),
+    "limit": (lambda v: v is None or type(v) is int, "be null or an integer"),
+    "limit_unit": (lambda v: v is None or type(v) is str, "be null or a string"),
 }
 
 

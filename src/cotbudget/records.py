@@ -7,7 +7,9 @@ becomes matrices through ``read_matrices``, which keeps the matrices of each
 file it parsed in a content-addressed cache (``cotbudget.cache``), and a
 matrix becomes a file through ``save_matrix``. ``EvalRecord`` objects are
 built only for callers that ask for them (``load_records``). Every input file
-of the package is read through ``read_jsonl`` or ``read_json``.
+of the package is read through ``read_jsonl`` or ``read_json``, and checked by
+``check_line`` (a JSONL line) or ``checked`` (a whole-file field) against rules
+such as ``RECORD_RULES``, so each rule's message is written once.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .errors import (
 REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
 OPTIONAL_FIELDS = ("response", "extracted_answer")
 TOKENS_MAX = int(np.iinfo(np.int64).max)
+TOO_DEEP = "JSON nested too deeply to parse"
 
 
 @dataclass(frozen=True)
@@ -51,47 +54,11 @@ class EvalRecord:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("model", "dataset", "question_id", "prompt_id"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise RecordSchemaError(f"field {name!r} must be a non-empty string, got {value!r}")
-        if isinstance(self.tokens, bool) or not isinstance(self.tokens, int):
-            raise RecordSchemaError(f"field 'tokens' must be an integer, got {self.tokens!r}")
-        if self.tokens < 0:
-            raise RecordSchemaError(f"field 'tokens' must be non-negative, got {self.tokens}")
-        if self.tokens > TOKENS_MAX:
-            raise RecordSchemaError(
-                f"field 'tokens' must fit in a signed 64-bit integer (at most {TOKENS_MAX}), "
-                f"got {self.tokens}"
-            )
-        if not isinstance(self.correct, bool):
-            raise RecordSchemaError(f"field 'correct' must be a boolean, got {self.correct!r}")
+        check_line(self.__dict__, "record", (), RECORD_RULES)
 
     @property
     def key(self) -> tuple[str, str, str, str]:
         return (self.model, self.dataset, self.question_id, self.prompt_id)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> EvalRecord:
-        """Build a record from a parsed JSONL object, keeping unknown fields."""
-        if not isinstance(obj, dict):
-            raise RecordSchemaError(f"record must be a JSON object, got {type(obj).__name__}")
-        missing = [name for name in REQUIRED_FIELDS if name not in obj]
-        if missing:
-            raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
-        known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
-        extra = {k: v for k, v in obj.items() if k not in known}
-        return cls(
-            model=obj["model"],
-            dataset=obj["dataset"],
-            question_id=obj["question_id"],
-            prompt_id=obj["prompt_id"],
-            tokens=obj["tokens"],
-            correct=obj["correct"],
-            response=obj.get("response"),
-            extracted_answer=obj.get("extracted_answer"),
-            extra=extra,
-        )
 
 
 Key = tuple[str, str, str, str]
@@ -102,7 +69,8 @@ def read_jsonl(
 ) -> Iterator[tuple[int, object]]:
     """Yield (1-based line number, parsed value) for each non-blank line of a JSONL file.
 
-    A line that is not JSON, or not UTF-8, is a RecordParseError naming it.
+    A line that is not JSON, not UTF-8 or nested too deeply for the parser's
+    recursion limit is a RecordParseError naming it.
     ``source``, when given, is the file's open raw binary stream, read
     instead of opening ``path`` and closed at the end.
     """
@@ -118,26 +86,46 @@ def read_jsonl(
                     if not line.strip():
                         continue
                     raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+                except RecursionError as exc:
+                    raise RecordParseError(str(path), line_no, TOO_DEEP) from exc
                 yield line_no, value
         except UnicodeDecodeError as exc:
             raise utf8_error(path, exc) from exc
 
 
 def read_json(path: str | Path) -> object:
-    """A whole-file JSON input; bad JSON or UTF-8 is a RecordParseError naming its line."""
+    """A whole-file JSON input; bad JSON or UTF-8 is a RecordParseError naming its line.
+
+    JSON nested too deeply to parse is a RecordParseError naming the file.
+    """
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise RecordParseError(str(path), None, TOO_DEEP) from exc
 
 
-# Field rules of whole-file JSON inputs: (test, what a valid value is).
-NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "a non-empty string")
+# Field rules of every input, as (test, what a valid value must do); a rule's
+# test runs only once the rules before it on the same field have passed.
+NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "be a non-empty string")
+INTEGER = (lambda v: type(v) is int, "be an integer")
 NULL_OR_TOKENS = (
     lambda v: v is None or (type(v) is int and 0 <= v <= TOKENS_MAX),
-    f"null or an integer in [0, {TOKENS_MAX}]",
+    f"be null or an integer in [0, {TOKENS_MAX}]",
+)
+RECORD_RULES = (
+    ("model", NON_EMPTY_STRING),
+    ("dataset", NON_EMPTY_STRING),
+    ("question_id", NON_EMPTY_STRING),
+    ("prompt_id", NON_EMPTY_STRING),
+    ("tokens", INTEGER),
+    ("tokens", (lambda v: v >= 0, "be non-negative")),
+    ("tokens", (lambda v: v <= TOKENS_MAX,
+                f"fit in a signed 64-bit integer (at most {TOKENS_MAX})")),
+    ("correct", (lambda v: type(v) is bool, "be a boolean")),
 )
 
 
@@ -148,17 +136,37 @@ def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
         raise RecordSchemaError(f"{location} is missing")
     test, expected = rule
     if not test(obj[key]):
-        raise RecordSchemaError(f"{location} must be {expected}, got {obj[key]!r}")
+        raise RecordSchemaError(f"{location} must {expected}, got {obj[key]!r}")
     return obj[key]
+
+
+def check_line(
+    obj: object, what: str, required: Sequence[str], rules: Sequence[tuple[str, tuple]]
+) -> dict:
+    """obj if it is a dict with every required field and passes each (field, rule) in order.
+
+    Else a RecordSchemaError for the first fault: not a dict, then missing
+    fields (all named), then a rule, which sees None for an absent field.
+    """
+    if type(obj) is not dict:
+        raise RecordSchemaError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
+    for name, (test, expected) in rules:
+        value = obj.get(name)
+        if not test(value):
+            raise RecordSchemaError(f"field {name!r} must {expected}, got {value!r}")
+    return obj
 
 
 def _scan(path: Path, source: BinaryIO | None = None) -> Iterator[tuple[Key, int, bool, dict]]:
     """Yield (key, tokens, correct, object) for each record line of a JSONL file.
 
-    A line that fails the inline field check is handed to EvalRecord, whose
-    error becomes the RecordSchemaError, so both report the same reason.
-    Equal key strings are shared between lines, so a file holds each
-    distinct id in memory once. ``source`` is as for read_jsonl.
+    A line that fails the inline field check is handed to check_line, whose
+    error becomes the RecordSchemaError, so EvalRecord and this scan report
+    the same reason. Equal key strings are shared between lines, so a file
+    holds each distinct id in memory once. ``source`` is as for read_jsonl.
     """
     seen: dict[Key, int] = {}
     shared: dict[str, str] = {}
@@ -214,12 +222,12 @@ def utf8_error(path: str | Path, exc: UnicodeDecodeError) -> RecordParseError:
 
 
 def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:
-    """The error EvalRecord raises for a line the inline check rejected."""
+    """The error check_line raises for a line the inline check rejected."""
     try:
-        EvalRecord.from_json_dict(obj)  # type: ignore[arg-type]
+        check_line(obj, "record", REQUIRED_FIELDS, RECORD_RULES)
     except RecordSchemaError as exc:
         return RecordSchemaError(exc.reason, path=str(path), line_no=line_no)
-    raise AssertionError(f"{path}:{line_no}: inline record check disagrees with EvalRecord")
+    raise AssertionError(f"{path}:{line_no}: inline record check disagrees with RECORD_RULES")
 
 
 def load_records(path: str | Path) -> list[EvalRecord]:

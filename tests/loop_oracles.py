@@ -4,8 +4,10 @@ These are the straightforward implementations the columnar and whole-matrix
 code in ``cotbudget`` replaced: one record, question, cell or field at a
 time, exactly as the rules are stated. A few (the ``*_unique`` and
 ``*_stable`` functions, and the Fraction-loop frontier) are the earlier array
-code that a faster version replaced with the same results. They are slow, and
-they are kept only as reference oracles for the differential tests.
+code that a faster version replaced with the same results, and the
+``*_from_json_loop`` and ``budget_entry_loop`` checkers are the hand-written
+line validators that one rule table replaced. They are slow, and they are
+kept only as reference oracles for the differential tests.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from cotbudget.collect import QUESTION_FIELDS, Choice, Question
 from cotbudget.complexity import INFINITE, ComplexityProfile, QuestionComplexity, is_finite
 from cotbudget.errors import (
     CoverageError,
@@ -29,7 +32,14 @@ from cotbudget.errors import (
 )
 from cotbudget.metrics import PromptResult
 from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
-from cotbudget.records import EvalRecord, RunMatrix
+from cotbudget.records import (
+    OPTIONAL_FIELDS,
+    REQUIRED_FIELDS,
+    TOKENS_MAX,
+    EvalRecord,
+    RunMatrix,
+    read_jsonl,
+)
 from cotbudget.routing import RoutingOutcome
 
 
@@ -47,7 +57,7 @@ def load_records_loop(path: str | Path) -> list[EvalRecord]:
             except json.JSONDecodeError as exc:
                 raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
             try:
-                record = EvalRecord.from_json_dict(obj)
+                record = record_from_json_loop(obj)
             except RecordSchemaError as exc:
                 raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
             first = seen.get(record.key)
@@ -56,6 +66,134 @@ def load_records_loop(path: str | Path) -> list[EvalRecord]:
             seen[record.key] = line_no
             records.append(record)
     return records
+
+
+def record_from_json_loop(obj: object) -> EvalRecord:
+    """A record from a parsed JSONL object, each fault checked by hand, unknown fields kept."""
+    if not isinstance(obj, dict):
+        raise RecordSchemaError(f"record must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in REQUIRED_FIELDS if name not in obj]
+    if missing:
+        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
+    for name in ("model", "dataset", "question_id", "prompt_id"):
+        value = obj[name]
+        if not isinstance(value, str) or not value:
+            raise RecordSchemaError(f"field {name!r} must be a non-empty string, got {value!r}")
+    tokens, correct = obj["tokens"], obj["correct"]
+    if isinstance(tokens, bool) or not isinstance(tokens, int):
+        raise RecordSchemaError(f"field 'tokens' must be an integer, got {tokens!r}")
+    if tokens < 0:
+        raise RecordSchemaError(f"field 'tokens' must be non-negative, got {tokens}")
+    if tokens > TOKENS_MAX:
+        raise RecordSchemaError(
+            f"field 'tokens' must fit in a signed 64-bit integer (at most {TOKENS_MAX}), "
+            f"got {tokens}"
+        )
+    if not isinstance(correct, bool):
+        raise RecordSchemaError(f"field 'correct' must be a boolean, got {correct!r}")
+    known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+    return EvalRecord(
+        model=obj["model"],
+        dataset=obj["dataset"],
+        question_id=obj["question_id"],
+        prompt_id=obj["prompt_id"],
+        tokens=tokens,
+        correct=correct,
+        response=obj.get("response"),
+        extracted_answer=obj.get("extracted_answer"),
+        extra={k: v for k, v in obj.items() if k not in known},
+    )
+
+
+def budget_entry_loop(obj: object) -> tuple[str, int]:
+    """One budgets line's (question_id, budget), each fault checked by hand."""
+    if not isinstance(obj, dict):
+        raise RecordSchemaError(f"budget must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in ("question_id", "budget") if name not in obj]
+    if missing:
+        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
+    question_id, budget = obj["question_id"], obj["budget"]
+    if not isinstance(question_id, str) or not question_id:
+        raise RecordSchemaError(
+            f"field 'question_id' must be a non-empty string, got {question_id!r}"
+        )
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise RecordSchemaError(f"field 'budget' must be an integer, got {budget!r}")
+    return question_id, budget
+
+
+def question_from_json_loop(obj: object) -> Question:
+    """A question from one parsed JSONL line, each fault checked by hand.
+
+    The choices are checked before the string fields, and the gold label last.
+    """
+    if not isinstance(obj, dict):
+        raise RecordSchemaError(f"question must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in QUESTION_FIELDS if name not in obj]
+    if missing:
+        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
+    choices = obj.get("choices")
+    if choices is not None and not (
+        isinstance(choices, list)
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("label"), str)
+            and c["label"]
+            and isinstance(c.get("text"), str)
+            for c in choices
+        )
+    ):
+        raise RecordSchemaError(
+            "field 'choices' must be a list of objects with a non-empty string 'label' "
+            f"and a string 'text', got {choices!r}"
+        )
+    for name in QUESTION_FIELDS:
+        value = obj[name]
+        if type(value) is not str or not value:
+            raise RecordSchemaError(f"field {name!r} must be a non-empty string, got {value!r}")
+    if choices and obj["gold_answer"].casefold() not in {c["label"].casefold() for c in choices}:
+        raise RecordSchemaError(
+            f"question {obj['question_id']!r}: gold_answer {obj['gold_answer']!r} "
+            "is not one of the choice labels"
+        )
+    return Question(
+        question_id=obj["question_id"],
+        text=obj["text"],
+        gold_answer=obj["gold_answer"],
+        choices=tuple(Choice(c["label"], c["text"]) for c in choices) if choices else None,
+    )
+
+
+def load_budgets_loop(path: str | Path) -> dict[str, int]:
+    """budget_entry_loop per line; a repeated question keeps its last budget."""
+    budgets: dict[str, int] = {}
+    for line_no, obj in read_jsonl(path):
+        try:
+            question_id, budget = budget_entry_loop(obj)
+        except RecordSchemaError as exc:
+            raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
+        budgets[question_id] = budget
+    return budgets
+
+
+def load_questions_loop(path: str | Path) -> list[Question]:
+    """question_from_json_loop per line, then the repeated-id check of that line."""
+    out: list[Question] = []
+    first: dict[str, int] = {}
+    for line_no, obj in read_jsonl(path):
+        try:
+            question = question_from_json_loop(obj)
+        except RecordSchemaError as exc:
+            raise RecordSchemaError(exc.reason, path=str(path), line_no=line_no) from exc
+        if first.setdefault(question.question_id, line_no) != line_no:
+            raise RecordSchemaError(
+                f"duplicate question_id {question.question_id!r} "
+                f"(first on line {first[question.question_id]})",
+                path=str(path),
+                line_no=line_no,
+            )
+        out.append(question)
+    return out
 
 
 def pivot_loop(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:
@@ -505,12 +643,11 @@ def complexity_correlations_unique(
 def straddle_lengths_loop(
     taus: Sequence[float],
     n_prompts: int,
-    infinite_proxy: int | None = None,
     shuffle_seed: int | None = None,
 ) -> np.ndarray:
     """The straddle length grid, one floor(factor * anchor) per cell."""
     finite = [int(t) for t in taus if is_finite(t)]
-    proxy = infinite_proxy if infinite_proxy is not None else (2 * max(finite) if finite else 64)
+    proxy = 2 * max(finite) if finite else 64
     n_below = max(1, (n_prompts - 1) // 2)
     n_above = n_prompts - 1 - n_below
     factors = (
@@ -530,9 +667,3 @@ def straddle_lengths_loop(
             lengths[i, k] = math.floor(factor * anchor)
     return lengths
 
-
-def scaled_lengths_loop(base: Sequence[int], multipliers: Sequence[float]) -> np.ndarray:
-    """One Python round(base * multiplier) per cell."""
-    return np.array(
-        [[int(round(int(b) * float(m))) for b in base] for m in multipliers], dtype=np.int64
-    ).reshape(len(multipliers), len(base))

@@ -17,7 +17,7 @@ from cotbudget import records as records_mod
 from cotbudget.bounds import FrontierCurve
 from cotbudget.cli import main
 from cotbudget.complexity import ComplexityProfile
-from cotbudget.mockserver import MockChatEndpoint
+from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.records import EvalRecord, load_records
 
 from loop_oracles import frontier_loop, save_records_loop, unpivot_loop
@@ -412,7 +412,6 @@ class TestCollectCommand:
         questions = tmp_path / "questions.jsonl"
         questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
         catalog = tmp_path / "catalog.json"
-        from cotbudget.mockserver import default_reply
         from cotbudget.prompts import PromptCatalog, fixed_spec
 
         PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(catalog)
@@ -769,6 +768,86 @@ class TestInputChecksBeforeRequests:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"data error: {budgets}:2: not UTF-8: byte 0xc3 at column 19")
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+class TestHostileInput:
+    """Deeply nested JSON and lone surrogates: a data error or a finished sweep, no traceback."""
+
+    def test_deep_records_line_is_data_error(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        line = {"model": "m", "dataset": "d", "question_id": "q", "prompt_id": "p",
+                "tokens": 1, "correct": True}
+        records.write_text(json.dumps(line) + "\n" + DEEP + "\n")
+        for argv in (["complexity"], ["bounds"]):
+            code = main([*argv, "--records", str(records), "--out", str(tmp_path / "out")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"data error: {records}:2: JSON nested too deeply to parse\n"
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_deep_complexity_file_is_data_error(self, tmp_path, capsys):
+        comp = tmp_path / "complexity.json"
+        comp.write_text('{"model": "m", "entries": ' + DEEP + "}\n")
+        code = main(["bounds", "--complexity", str(comp), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"data error: {comp}: JSON nested too deeply to parse\n"
+
+    def collect(self, tmp_path, capsys, mock, *extra):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
+        out = tmp_path / "records.jsonl"
+        code = main(["collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                     "--questions", str(questions), "--out", str(out), *extra])
+        return code, capsys.readouterr().out, out
+
+    def test_deep_reply_goes_to_sidecar(self, tmp_path, capsys, monkeypatch):
+        from cotbudget import collect as collect_mod
+
+        post = collect_mod._Transport.post
+
+        def deep_for_q2(self, body):
+            status, retry_after, data = post(self, body)
+            return status, retry_after, DEEP.encode() if b"Two plus two?" in body else data
+
+        monkeypatch.setattr(collect_mod._Transport, "post", deep_for_q2)
+        with MockChatEndpoint() as mock:
+            code, text, out = self.collect(tmp_path, capsys, mock, "--catalog",
+                                           self.catalog(tmp_path))
+        assert code == 0
+        assert "2 collected, 2 failed" in text
+        assert {r.question_id for r in load_records(out)} == {"q1"}
+        sidecar = (tmp_path / "records.failures.jsonl").read_text().splitlines()
+        assert [json.loads(line)["error"] for line in sidecar] == ["unparseable response body"] * 2
+
+    def catalog(self, tmp_path):
+        from cotbudget.prompts import PromptCatalog, fixed_spec
+
+        path = tmp_path / "catalog.json"
+        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(path)
+        return str(path)
+
+    def test_lone_surrogate_reply_is_written_escaped(self, tmp_path, capsys):
+        answer = "x\ud83dy"
+        catalog = self.catalog(tmp_path)
+        with MockChatEndpoint(answers={"Two plus two?": answer}) as mock:
+            code, text, out = self.collect(tmp_path, capsys, mock, "--catalog", catalog)
+            assert code == 0
+            assert "4 collected, 0 failed" in text
+            lines = out.read_bytes().splitlines()
+            assert sum(line.count(b"\\ud83d") for line in lines) == 4  # response, extracted_answer
+            for line in lines:  # every other byte as json.dumps writes it
+                want = json.dumps(json.loads(line), ensure_ascii=False)
+                assert line == want.encode("utf-8", "backslashreplace")
+            got = [(obj["question_id"], obj["response"]) for _, obj in records_mod.read_jsonl(out)]
+            assert [r for q, r in got if q == "q2"] == [default_reply("", answer)[0]] * 2
+            assert records_mod.read_matrices(out)["m", "d"].present.all()
+            code, text, _ = self.collect(tmp_path, capsys, mock, "--catalog", catalog, "--resume")
+        assert code == 0
+        assert "4 skipped (resume), 0 collected" in text
 
 
 class TestCollectChecksBeforeRequests:

@@ -371,6 +371,7 @@ def test_malformed_replies_go_to_sidecar(tmp_path):
         (b'{"a": 1}\n{"b": "\xc3', b'{"a": 1}\n', 8),
         (b'{"a": 1\n{"b": 2}', b'{"a": 1\n{"b": 2}\n', 0),
         (b'{"a": 1}\n\n  ', b'{"a": 1}\n\n', 2),
+        (b'{"a": 1}\n' + b"[" * 5000 + b"]" * 5000, b'{"a": 1}\n', 10000),
     ],
 )
 def test_drop_torn_tail(tmp_path, monkeypatch, block, before, after, cut):
@@ -764,6 +765,15 @@ class _OneReply:
 
     def post(self, body: bytes) -> tuple[int, None, bytes]:
         return 200, None, self.body
+
+
+def test_reply_nested_too_deeply_is_unparseable():
+    spec = fixed_spec("NoCoT")
+    config = SweepConfig(endpoint="http://127.0.0.1:9/v1", model="m", dataset="d",
+                         catalog=PromptCatalog((spec,)))
+    transport = _OneReply({})
+    transport.body = b"[" * 5000 + b"]" * 5000
+    assert _run_cell(config, FREE_QUESTION, spec, transport) == (None, "unparseable response body", 0)
 
 
 IDS = st.text(min_size=1, max_size=6)

@@ -28,7 +28,7 @@ from cotbudget.metrics import (
     spearman,
     validation_report,
 )
-from cotbudget.oracle import OracleSpec, generate, random_spec, scaled_lengths, straddle_lengths
+from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.records import RunMatrix
 
 from conftest import make_matrix, run_matrices
@@ -235,9 +235,7 @@ class TestComplexityCorrelations:
         taus = (10, 20, 40, 80)
         spec = OracleSpec(
             n=4,
-            prompt_lengths=scaled_lengths(
-                base=[4, 8, 16, 32, 64], multipliers=[t / 10 for t in taus]
-            ),
+            prompt_lengths=np.outer([t // 10 for t in taus], [4, 8, 16, 32, 64]),
             taus=taus,
         )
         matrix, _ = generate(spec)

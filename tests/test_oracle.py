@@ -17,9 +17,7 @@ from cotbudget.errors import GenerationError, RecordSchemaError
 from cotbudget.oracle import (
     OracleSpec,
     generate,
-    grid_lengths,
     random_spec,
-    scaled_lengths,
     straddle_lengths,
     load_taus,
     save_taus,
@@ -27,7 +25,6 @@ from cotbudget.oracle import (
 
 from loop_oracles import (
     question_runs,
-    scaled_lengths_loop,
     straddle_lengths_loop,
     taus_from_file_loop,
 )
@@ -38,7 +35,7 @@ class TestGenerate:
         # fixed per-question lengths (5, 15, 25) against taus (10, 20, inf)
         spec = OracleSpec(
             n=3,
-            prompt_lengths=grid_lengths([5, 15, 25]),
+            prompt_lengths=[[5, 15, 25]],
             taus=(10, 20, INFINITE),
         )
         matrix, _ = generate(spec)
@@ -61,7 +58,7 @@ class TestGenerate:
     def test_straddle_violation_rejected(self):
         spec = OracleSpec(
             n=1,
-            prompt_lengths=grid_lengths([50, 60]),  # nothing below tau
+            prompt_lengths=[[50, 60]],  # nothing below tau
             taus=(10,),
         )
         with pytest.raises(GenerationError):
@@ -70,7 +67,7 @@ class TestGenerate:
     def test_all_below_rejected(self):
         spec = OracleSpec(
             n=1,
-            prompt_lengths=grid_lengths([1, 2]),
+            prompt_lengths=[[1, 2]],
             taus=(10,),
         )
         with pytest.raises(GenerationError):
@@ -79,7 +76,7 @@ class TestGenerate:
     def test_violation_rate_one_negates_indicator(self):
         spec = OracleSpec(
             n=2,
-            prompt_lengths=grid_lengths([5, 15, 25]),
+            prompt_lengths=[[5, 15, 25]],
             taus=(10, 20),
             violation_rate=1.0,
             seed=3,
@@ -104,15 +101,12 @@ class TestGenerate:
         assert tuple(e.tau_hat for e in prof.entries) == true_taus
         assert prof.c_bar == 1
 
-    def test_scaled_lengths_rule(self):
-        grid = scaled_lengths(base=[10, 20], multipliers=[1.0, 2.5])
-        assert grid.tolist() == [[10, 20], [25, 50]]
-        assert grid.dtype == np.int64
-
-    def test_grid_lengths_are_one_shared_row(self):
-        grid = grid_lengths([5, 15.9, 25])
-        assert grid.shape == (1, 3) and grid.dtype == np.int64
-        assert grid.tolist() == [[5, 15, 25]]
+    def test_shared_row_is_one_read_only_int64_row(self):
+        spec = OracleSpec(n=2, prompt_lengths=[[5, 15.9, 25]], taus=(10, 20))
+        lengths = spec.prompt_lengths
+        assert lengths.shape == (1, 3) and lengths.dtype == np.int64
+        assert lengths.tolist() == [[5, 15, 25]]
+        assert not lengths.flags.writeable
 
 
 class TestLengthRulesMatchPerCellLoops:
@@ -127,16 +121,9 @@ class TestLengthRulesMatchPerCellLoops:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
-    def test_straddle_lengths_with_proxy_and_no_finite_taus(self):
+    def test_straddle_lengths_with_no_finite_taus(self):
         taus = (INFINITE, INFINITE)
-        for proxy in (None, 7):
-            got = straddle_lengths(taus, 4, infinite_proxy=proxy)
-            assert np.array_equal(got, straddle_lengths_loop(taus, 4, infinite_proxy=proxy))
-
-    def test_scaled_lengths_round_half_to_even(self):
-        base, multipliers = [1, 3, 5, 7], [0.5, 1.5, 2.5, 0.1, 1.25]
-        got = scaled_lengths(base, multipliers)
-        assert np.array_equal(got, scaled_lengths_loop(base, multipliers))
+        assert np.array_equal(straddle_lengths(taus, 4), straddle_lengths_loop(taus, 4))
 
     def test_random_spec_generates_the_same_matrix(self):
         spec = random_spec(n=200, seed=11, violation_rate=0.1)
@@ -145,13 +132,13 @@ class TestLengthRulesMatchPerCellLoops:
         assert np.array_equal(matrix.tokens, want)
 
     def test_first_negative_cell_is_reported(self):
-        lengths = scaled_lengths(base=[1, 2, 3], multipliers=[1.0, 1.0, -1.0, -2.0])
+        lengths = [[1, 2, 3], [1, 2, 3], [-1, -2, -3], [-2, -4, -6]]
         spec = OracleSpec(n=4, prompt_lengths=lengths, taus=(2, 2, 2, 2))
         with pytest.raises(GenerationError, match=r"holds -1 at cell \(2, 0\)"):
             generate(spec)
 
     def test_a_shared_row_is_checked_in_every_row(self):
-        spec = OracleSpec(n=3, prompt_lengths=grid_lengths([4, -7]), taus=(2, 2, 2))
+        spec = OracleSpec(n=3, prompt_lengths=[[4, -7]], taus=(2, 2, 2))
         with pytest.raises(GenerationError, match=r"holds -7 at cell \(0, 1\)"):
             generate(spec)
 
@@ -257,15 +244,15 @@ class TestTausSidecarChecks:
 class TestSpecValidation:
     def test_tau_count_must_match(self):
         with pytest.raises(ValueError):
-            OracleSpec(n=2, prompt_lengths=grid_lengths([5]), taus=(10,))
+            OracleSpec(n=2, prompt_lengths=[[5]], taus=(10,))
 
     def test_violation_rate_range(self):
         with pytest.raises(ValueError):
-            OracleSpec(n=1, prompt_lengths=grid_lengths([5]), taus=(10,), violation_rate=1.5)
+            OracleSpec(n=1, prompt_lengths=[[5]], taus=(10,), violation_rate=1.5)
 
     def test_finite_taus_must_be_positive_integers(self):
         with pytest.raises(ValueError):
-            OracleSpec(n=1, prompt_lengths=grid_lengths([5]), taus=(0,))
+            OracleSpec(n=1, prompt_lengths=[[5]], taus=(0,))
 
     @pytest.mark.parametrize("lengths", [[5, 15], [[5, 15]] * 2, np.zeros((1, 2, 1))])
     def test_lengths_must_be_one_row_or_one_per_question(self, lengths):

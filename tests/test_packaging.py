@@ -81,3 +81,17 @@ def test_record_readers_are_exported():
         assert name not in cotbudget.__all__
         assert not hasattr(records, name)
     assert "cache" not in cotbudget.__all__
+
+
+def test_removed_helpers_stay_gone():
+    """Library surface that only tests called is in no module and no __all__."""
+    import cotbudget
+    from cotbudget import cli, mockserver, oracle, records
+
+    for name in ("grid_lengths", "scaled_lengths"):
+        assert name not in cotbudget.__all__
+        assert not hasattr(oracle, name)
+    assert not hasattr(records.EvalRecord, "from_json_dict")
+    assert not hasattr(cli, "_budget_entry")
+    endpoint = mockserver.MockChatEndpoint()
+    assert not hasattr(endpoint, "responses") and not hasattr(endpoint, "default_answer")

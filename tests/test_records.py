@@ -20,6 +20,8 @@ from cotbudget.records import (
     RunMatrix,
     load_records,
     pivot,
+    read_json,
+    read_jsonl,
     read_matrices,
     save_matrix,
 )
@@ -30,7 +32,15 @@ from cotbudget.complexity import ComplexityProfile, profile
 from cotbudget.prompts import PromptCatalog, default_catalog
 
 from conftest import make_matrix, make_record, run_matrices
-from loop_oracles import load_records_loop, pivot_loop, save_records_loop, unpivot_loop
+from loop_oracles import (
+    load_budgets_loop,
+    load_questions_loop,
+    load_records_loop,
+    pivot_loop,
+    record_from_json_loop,
+    save_records_loop,
+    unpivot_loop,
+)
 
 
 def write_jsonl(path, objs):
@@ -111,12 +121,12 @@ class TestLoadRecords:
         assert records == load_records_loop(path)
 
     def test_bool_tokens_rejected(self):
-        with pytest.raises(RecordSchemaError):
-            EvalRecord.from_json_dict(base_obj(tokens=True))
+        with pytest.raises(RecordSchemaError, match="^field 'tokens' must be an integer, got True$"):
+            EvalRecord(**base_obj(tokens=True))
 
     def test_non_bool_correct_rejected(self):
-        with pytest.raises(RecordSchemaError):
-            EvalRecord.from_json_dict(base_obj(correct=1))
+        with pytest.raises(RecordSchemaError, match="^field 'correct' must be a boolean, got 1$"):
+            EvalRecord(**base_obj(correct=1))
 
 
 class TestPivot:
@@ -278,10 +288,18 @@ field_values = st.one_of(
 )
 
 
+# A valid record with one field, maybe two, set to any value.
+record_faults = st.builds(
+    lambda faults: base_obj(**dict(faults)),
+    st.lists(st.tuples(st.sampled_from(REQUIRED_FIELDS), field_values), min_size=1, max_size=2),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     objs=st.lists(
-        st.dictionaries(st.sampled_from(REQUIRED_FIELDS + ("extra",)), field_values)
+        record_faults
+        | st.dictionaries(st.sampled_from(REQUIRED_FIELDS + ("extra",)), field_values)
         | st.fixed_dictionaries({}, optional={f: field_values for f in REQUIRED_FIELDS})
         | st.builds(base_obj, question_id=st.sampled_from(["q1", "q2"]),
                     prompt_id=st.sampled_from(["p1", "p2"]))
@@ -300,6 +318,65 @@ def test_errors_match_record_loop(tmp_path_factory, objs):
     assert got[0] == want[0]
     if want[0] != "ok":
         assert got[1] == want[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    obj=record_faults
+    | st.fixed_dictionaries({f: field_values for f in REQUIRED_FIELDS})
+    | st.builds(base_obj, tokens=st.integers(-3, 2**64) | field_values)
+)
+def test_programmatic_record_matches_record_loop(obj):
+    """EvalRecord(...) accepts what the hand-written checks accept, else says the same."""
+    want = outcome(lambda: record_from_json_loop(obj))
+    got = outcome(lambda: EvalRecord(**obj))
+    assert got == want
+
+
+# One to four input lines, each a JSON value or an object over some of fields.
+def line_objects(fields, values):
+    return st.lists(
+        st.dictionaries(st.sampled_from(fields + ("extra",)), values)
+        | st.fixed_dictionaries({}, optional={f: values for f in fields})
+        | values,
+        min_size=1,
+        max_size=4,
+    )
+
+
+budget_values = field_values | st.integers() | st.sampled_from(["q1", "q2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(objs=line_objects(("question_id", "budget"), budget_values)
+       | st.lists(st.builds(lambda q, b: {"question_id": q, "budget": b},
+                            st.sampled_from(["q1", "q2"]), budget_values), min_size=1, max_size=4))
+def test_budget_lines_match_budget_loop(tmp_path_factory, objs):
+    """Budgets: the same dict, or the same error type, message and line as the replaced checker."""
+    path = tmp_path_factory.mktemp("budgets") / "b.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+    assert outcome(lambda: _load_budgets(str(path))) == outcome(lambda: load_budgets_loop(path))
+
+
+choice_values = st.none() | st.sampled_from(["AB", 3, [], [{"label": "A"}], [{"label": 1, "text": "x"}],
+                                              [{"label": "", "text": "x"}], [[]]]) | st.lists(
+    st.fixed_dictionaries({"label": st.sampled_from(["A", "b", "C"]), "text": st.sampled_from(["", "x"])}),
+    max_size=3,
+)
+question_values = field_values | st.sampled_from(["A", "a", "B", "q1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(objs=line_objects(("question_id", "text", "gold_answer", "choices"), question_values)
+       | st.lists(st.fixed_dictionaries(
+           {"question_id": st.sampled_from(["q1", "q2", ""]), "text": question_values,
+            "gold_answer": question_values},
+           optional={"choices": choice_values}), min_size=1, max_size=4))
+def test_question_lines_match_question_loop(tmp_path_factory, objs):
+    """Questions: the same list, or the same error type, message and line as the replaced checker."""
+    path = tmp_path_factory.mktemp("questions") / "q.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+    assert outcome(lambda: load_questions(path)) == outcome(lambda: load_questions_loop(path))
 
 
 def _drop(name):
@@ -409,6 +486,32 @@ def test_pivot_matches_record_loop(cells):
     """Programmatic records, repeated cells included: the same matrix or error."""
     records = [make_record(model=m, qid=q, pid=p, tokens=t, correct=c) for m, q, p, t, c in cells]
     assert outcome(lambda: pivot(records, "m", "d")) == outcome(lambda: pivot_loop(records, "m", "d"))
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is a data error, never a RecursionError."""
+
+    @pytest.mark.parametrize("loader", [lambda p: list(read_jsonl(p)), load_records, read_matrices,
+                                        _load_budgets, load_questions])
+    def test_jsonl_line_names_its_line(self, tmp_path, loader):
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n" + DEEP + "\n", encoding="utf-8")
+        with pytest.raises(RecordParseError) as exc:
+            loader(path)
+        assert str(exc.value) == f"{path}:2: JSON nested too deeply to parse"
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("load", [ComplexityProfile.load, PromptCatalog.load, read_json])
+    def test_whole_file_names_the_file(self, tmp_path, load):
+        path = tmp_path / "input.json"
+        path.write_text('{"entries": ' + DEEP + "}\n", encoding="utf-8")
+        with pytest.raises(RecordParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: JSON nested too deeply to parse"
+        assert exc.value.line_no is None
 
 
 class TestTokenLimit:
