@@ -6,86 +6,38 @@ validates how well a pure length-threshold model predicts accuracy, computes
 the oracle accuracy-compression frontier, and replays adaptive routing
 policies against it. A collection harness gathers records from
 chat-completions endpoints and a synthetic oracle generates ground-truth
-matrices for testing.
+matrices for testing. Each public name is imported from its module on
+first use, so a program loads only the modules it uses.
 """
-from .bounds import FrontierCurve, alpha_star, frontier, lossless_bound, t_star
-from .collect import Question, SweepConfig, grade, load_questions, sweep
-from .complexity import (
-    INFINITE,
-    ComplexityProfile,
-    QuestionComplexity,
-    estimate_tau,
-    profile,
-)
-from .metrics import (
-    PromptResult,
-    ValidationReport,
-    adaptivity_split,
-    complexity_correlations,
-    err_score,
-    prompt_table,
-    spearman,
-    validation_report,
-)
-from .oracle import OracleSpec, generate, random_spec, straddle_lengths
-from .prompts import PromptCatalog, PromptSpec, default_catalog, render
-from .records import (
-    EvalRecord,
-    RunMatrix,
-    load_records,
-    pivot,
-    read_matrices,
-    save_matrix,
-)
-from .routing import (
-    RoutingOutcome,
-    budget_route,
-    compare_to_frontier,
-    verifier_cascade,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITE",
-    "ComplexityProfile",
-    "EvalRecord",
-    "FrontierCurve",
-    "OracleSpec",
-    "PromptCatalog",
-    "PromptResult",
-    "PromptSpec",
-    "Question",
-    "QuestionComplexity",
-    "RoutingOutcome",
-    "RunMatrix",
-    "SweepConfig",
-    "ValidationReport",
-    "adaptivity_split",
-    "alpha_star",
-    "budget_route",
-    "compare_to_frontier",
-    "complexity_correlations",
-    "default_catalog",
-    "err_score",
-    "estimate_tau",
-    "frontier",
-    "generate",
-    "grade",
-    "load_questions",
-    "load_records",
-    "lossless_bound",
-    "pivot",
-    "profile",
-    "prompt_table",
-    "random_spec",
-    "read_matrices",
-    "render",
-    "save_matrix",
-    "spearman",
-    "straddle_lengths",
-    "sweep",
-    "t_star",
-    "validation_report",
-    "verifier_cascade",
-]
+# Each public name, listed once under the module that defines it.
+_EXPORTS = {
+    "bounds": ("FrontierCurve", "alpha_star", "frontier", "lossless_bound", "t_star"),
+    "collect": ("Question", "SweepConfig", "grade", "load_questions", "sweep"),
+    "complexity": ("INFINITE", "ComplexityProfile", "QuestionComplexity", "estimate_tau", "profile"),
+    "metrics": ("PromptResult", "ValidationReport", "adaptivity_split", "complexity_correlations",
+                "err_score", "prompt_table", "spearman", "validation_report"),
+    "oracle": ("OracleSpec", "generate", "random_spec", "straddle_lengths"),
+    "prompts": ("PromptCatalog", "PromptSpec", "default_catalog", "render"),
+    "records": ("EvalRecord", "RunMatrix", "load_records", "pivot", "read_matrices", "save_matrix"),
+    "routing": ("RoutingOutcome", "budget_route", "compare_to_frontier", "verifier_cascade"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name's module on its first lookup (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:  # a submodule not yet imported is found by the import system
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,8 +3,8 @@
 Every CLI command that reads a records file goes through it, the prior
 ``--out`` file of ``collect --resume`` included. An entry holds every
 (model, dataset) RunMatrix of one records file. Its
-name is a BLAKE2b hash of the format version, the source of this module
-and of ``records.py``, and the hash of the file's bytes, so an edited file,
+name is a BLAKE2b hash of the format version, the parser's source (this module,
+``records.py`` and ``inputs.py``) and the file's bytes, so an edited file,
 or a file read by another version of the reader, never finds an old entry.
 
 An entry is an uncompressed ``.npz`` (NEP 1 ``.npy`` members, read with
@@ -66,7 +66,7 @@ def _hash(data: bytes = b""):
 def _reader_digest() -> bytes:
     """What else an entry depends on: the format version and the reader's source."""
     digest = _hash(f"cotbudget records cache {FORMAT_VERSION}\n".encode())
-    for name in ("records.py", "cache.py"):
+    for name in ("inputs.py", "records.py", "cache.py"):  # every file of the parser
         digest.update(Path(__file__).with_name(name).read_bytes())
     return digest.digest()
 

@@ -5,7 +5,7 @@ Every subcommand validates its inputs before writing anything, emits
 plot-ready CSV/JSON with numbers fixed at 6 decimal places, and prints a
 one-paragraph summary. Identical inputs and flags produce byte-identical
 outputs. Exit codes: 0 success, 1 data error, 2 usage error, 3 endpoint
-error.
+error. Each subcommand imports the modules it runs when it is called.
 """
 from __future__ import annotations
 
@@ -15,15 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import collect as collect_mod
-from . import metrics as metrics_mod
-from . import oracle as oracle_mod
-from . import routing as routing_mod
-from .complexity import ComplexityProfile, profile
 from .errors import CotBudgetError, EmptySelectionError, EndpointError, RecordSchemaError
-from .prompts import PromptCatalog, default_catalog
-from .records import INTEGER, NON_EMPTY_STRING, check_line, read_jsonl, read_matrices, save_matrix
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -35,9 +27,23 @@ def _fmt(value) -> str:
     return f"{float(value):.6f}"
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field, quoted (RFC 4180) only when it holds a comma, a quote, "\r" or "\n"."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a CSV, or raise a data error before opening it when UTF-8 cannot encode an id."""
+    lines = [",".join(map(_csv_field, row)) + "\n" for row in [header, *rows]]
+    try:
+        data = "".join(lines).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CotBudgetError(
+            f"{path}: cannot write {exc.object[exc.start]!r} as UTF-8 ({exc.reason})"
+        ) from exc
+    Path(path).write_bytes(data)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -45,6 +51,8 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _load_matrix(args):
+    from .records import read_matrices
+
     matrices = read_matrices(args.records)
     pairs = [p for p in matrices if args.model in (None, p[0]) and args.dataset in (None, p[1])]
     if len(pairs) == 1:
@@ -55,12 +63,14 @@ def _load_matrix(args):
     raise ValueError(f"--model and --dataset are required ({len(pairs)} pairs match: {listing})")
 
 
-def _profile_for(args, matrix=None) -> ComplexityProfile:
+def _profile_for(args, matrix=None):
+    from . import complexity
+
     if getattr(args, "complexity", None):
-        return ComplexityProfile.load(args.complexity)
+        return complexity.ComplexityProfile.load(args.complexity)
     if matrix is None:
         raise ValueError("either --records or --complexity is required")
-    return profile(matrix)
+    return complexity.profile(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +79,10 @@ def _profile_for(args, matrix=None) -> ComplexityProfile:
 
 
 def cmd_synth(args) -> int:
-    spec = oracle_mod.random_spec(
+    from . import oracle
+    from .records import save_matrix
+
+    spec = oracle.random_spec(
         n=args.n,
         seed=args.seed,
         violation_rate=args.violation_rate,
@@ -81,11 +94,11 @@ def cmd_synth(args) -> int:
             model=args.model or spec.model,
             dataset=args.dataset or spec.dataset,
         )
-    matrix, taus = oracle_mod.generate(spec)
+    matrix, taus = oracle.generate(spec)
     taus_out = args.taus_out or str(Path(args.out).parent / "taus.json")
     count = save_matrix(matrix, args.out)
-    oracle_mod.save_taus(taus, matrix.question_ids, taus_out)
-    n_inf = sum(1 for t in taus if not oracle_mod.is_finite(t))
+    oracle.save_taus(taus, matrix.question_ids, taus_out)
+    n_inf = sum(1 for t in taus if not oracle.is_finite(t))
     print(
         f"synth: wrote {count} records for model={matrix.model} dataset={matrix.dataset} "
         f"(n={spec.n}, prompts={matrix.n_prompts}, "
@@ -96,8 +109,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    matrix = _load_matrix(args)
-    prof = profile(matrix)
+    prof = _profile_for(args, _load_matrix(args))
     prof.save(args.out)
     print(
         f"complexity: model={prof.model} dataset={prof.dataset} n={prof.n_questions}: "
@@ -109,9 +121,11 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .metrics import validation_report
+
     matrix = _load_matrix(args)
     prof = _profile_for(args, matrix)
-    report = metrics_mod.validation_report(matrix, prof)
+    report = validation_report(matrix, prof)
     payload = {
         "model": matrix.model,
         "dataset": matrix.dataset,
@@ -138,8 +152,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import frontier
+
     prof = _profile_for(args, _load_matrix(args) if args.records else None)
-    curve = bounds_mod.frontier(prof)
+    curve = frontier(prof)
     n = curve.n
     # Int true division rounds correctly, as float(Fraction(p, n)) does.
     rows = [[_fmt(p / n), _fmt(m / n)] for p, m in zip(curve.budget_numerators, curve.solved)]
@@ -153,9 +169,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
+    from .metrics import prompt_table
+
     matrix = _load_matrix(args)
     prof = _profile_for(args, matrix)
-    results = metrics_mod.prompt_table(matrix, prof)
+    results = prompt_table(matrix, prof)
     rows = [
         [r.prompt_id, _fmt(r.accuracy), _fmt(r.avg_tokens), _fmt(r.predicted_accuracy)]
         for r in results
@@ -172,6 +190,9 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_routing(args) -> int:
+    from .bounds import frontier
+    from .routing import budget_route, compare_to_frontier, verifier_cascade
+
     # Flags are checked before any file is read.
     if args.base_prompt and not args.fallback_prompt:
         raise ValueError("--base-prompt requires at least one --fallback-prompt")
@@ -187,17 +208,15 @@ def cmd_routing(args) -> int:
         )
     matrix = _load_matrix(args)
     prof = _profile_for(args, matrix)
-    curve = bounds_mod.frontier(prof)
+    curve = frontier(prof)
     outcomes = []
     if args.base_prompt:
-        outcomes.append(
-            routing_mod.verifier_cascade(matrix, [args.base_prompt, *args.fallback_prompt])
-        )
+        outcomes.append(verifier_cascade(matrix, [args.base_prompt, *args.fallback_prompt]))
     if args.budgets:
         budgets = _load_budgets(args.budgets)
         family = [p.strip() for p in args.family.split(",") if p.strip()]
-        outcomes.append(routing_mod.budget_route(matrix, budgets, family))
-    gaps = dict(routing_mod.compare_to_frontier(outcomes, curve))
+        outcomes.append(budget_route(matrix, budgets, family))
+    gaps = dict(compare_to_frontier(outcomes, curve))
     rows = [
         [o.policy_id, _fmt(o.accuracy), _fmt(o.avg_tokens), _fmt(gaps[o.policy_id])]
         for o in outcomes
@@ -223,23 +242,25 @@ def _load_budgets(path: str) -> dict[str, int]:
     1-based line number, as in load_records. Blank lines are skipped; a
     repeated question keeps its last budget.
     """
+    from .inputs import INTEGER, NON_EMPTY_STRING, check_line, read_jsonl
+
+    rules = (("question_id", NON_EMPTY_STRING), ("budget", INTEGER))
     budgets: dict[str, int] = {}
     for line_no, obj in read_jsonl(path):
         try:
-            entry = check_line(obj, "budget", ("question_id", "budget"), _BUDGET_RULES)
+            entry = check_line(obj, "budget", ("question_id", "budget"), rules)
         except RecordSchemaError as exc:
             raise RecordSchemaError(exc.reason, path=path, line_no=line_no) from exc
         budgets[entry["question_id"]] = entry["budget"]
     return budgets
 
 
-_BUDGET_RULES = (("question_id", NON_EMPTY_STRING), ("budget", INTEGER))
-
-
 def cmd_correlate(args) -> int:
+    from .metrics import complexity_correlations
+
     matrix = _load_matrix(args)
     prof = _profile_for(args, matrix)
-    table = metrics_mod.complexity_correlations(matrix, prof)
+    table = complexity_correlations(matrix, prof)
     rows = [[pid, _fmt(rho), str(n)] for pid, rho, n in table]
     _write_csv(args.out, ["prompt_id", "spearman_rho", "n"], rows)
     usable = [(pid, rho) for pid, rho, _ in table if rho == rho]  # drop NaN
@@ -256,8 +277,10 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_adaptivity(args) -> int:
+    from .metrics import adaptivity_split
+
     matrix = _load_matrix(args)
-    split = metrics_mod.adaptivity_split(matrix, args.split_prompt)
+    split = adaptivity_split(matrix, args.split_prompt)
     rows = [
         [
             pid,
@@ -278,9 +301,12 @@ def cmd_adaptivity(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    questions = collect_mod.load_questions(args.questions)
+    from . import collect
+    from .prompts import PromptCatalog, default_catalog
+
+    questions = collect.load_questions(args.questions)
     catalog = PromptCatalog.load(args.catalog) if args.catalog else default_catalog()
-    config = collect_mod.SweepConfig(
+    config = collect.SweepConfig(
         endpoint=args.endpoint,
         model=args.model,
         dataset=args.dataset,
@@ -293,15 +319,19 @@ def cmd_collect(args) -> int:
     skip: set[tuple[str, str]] = set()
     append = False
     if args.resume and Path(args.out).exists():
-        collect_mod.drop_torn_tail(args.out)
+        from .records import read_matrices
+
+        collect.drop_torn_tail(args.out)
         prior = read_matrices(args.out).get((args.model, args.dataset))
         if prior is not None:
             skip = prior.cells()
         append = True
     failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
-    with collect_mod.JsonlWriter(args.out, append=append) as writer:
-        with collect_mod.JsonlWriter(failures_path, append=append) as failures:
-            summary = collect_mod.sweep(questions, config, writer, failures, skip=skip)
+    if append and Path(failures_path).exists():
+        collect.drop_torn_tail(failures_path)
+    with collect.JsonlWriter(args.out, append=append) as writer:
+        with collect.JsonlWriter(failures_path, append=append) as failures:
+            summary = collect.sweep(questions, config, writer, failures, skip=skip)
     if summary.succeeded == 0 and summary.failed > 0:
         raise EndpointError(
             f"all {summary.failed} attempted cells failed against {args.endpoint} "
@@ -399,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "collect",
         help="sweep a prompt catalog against a chat-completions endpoint",
-        epilog=f"The API credential is read from the {collect_mod.API_KEY_ENV} "
+        epilog="The API credential is read from the COTBUDGET_API_KEY "
         "environment variable and sent as a Bearer token when set.",
     )
     p.add_argument("--endpoint", required=True, help="chat-completions URL")
@@ -431,10 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
-    except CotBudgetError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (CotBudgetError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -6,7 +6,7 @@ counts are taken from the endpoint's reported completion-token usage, never
 recomputed locally; cells that still fail after retries land in a failures
 sidecar instead of the record file. ``http.client``, ``ssl`` and
 ``urllib.request`` are imported when a sweep starts, so importing this module
-(and the analysis CLI) does not pay for them.
+does not pay for them.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from .errors import EndpointError, RecordSchemaError
+from .inputs import NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
 from .prompts import PromptCatalog, PromptSpec, render
-from .records import NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -423,6 +423,9 @@ def _run_cell(
     if not isinstance(content, str):
         kind = type(content).__name__
         return None, f"response content must be a string, got {kind}", retries_used
+    # A CESU-8 body decodes to surrogate pairs, each of which the records file
+    # would read back as one character; join them, so what is graded is stored.
+    content = content.encode("utf-16", "surrogatepass").decode("utf-16", "surrogatepass")
     usage = obj.get("usage")
     if usage is None:
         usage = {}

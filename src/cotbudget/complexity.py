@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, RecordSchemaError
-from .records import NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, RunMatrix, checked, read_json
+from .inputs import NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_json
+from .records import RunMatrix
 
 INFINITE = math.inf
 
@@ -196,7 +197,7 @@ class ComplexityProfile:
             raise RecordSchemaError(exc.reason, path=str(path)) from None
 
 
-# The complexity file's own field rules, in the form records.checked reads.
+# The complexity file's own field rules, in the form inputs.checked reads.
 _NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "be a non-empty list")
 _K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"be an integer in [1, {TOKENS_MAX}]")
 # NaN fails both comparisons and infinities fail one, so the range test also

@@ -17,7 +17,8 @@ import numpy as np
 
 from .complexity import INFINITE, is_finite
 from .errors import GenerationError, RecordSchemaError
-from .records import NON_EMPTY_STRING, NULL_OR_TOKENS, RunMatrix, checked, read_json
+from .inputs import NON_EMPTY_STRING, NULL_OR_TOKENS, checked, read_json
+from .records import RunMatrix
 
 # random_spec's inclusive range of finite taus, and its share of infinite ones.
 TAU_RANGE = (4, 160)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import RecordSchemaError
-from .records import NON_EMPTY_STRING, checked, read_json
+from .inputs import NON_EMPTY_STRING, checked, read_json
 
 FIXED_INSTRUCTIONS: dict[str, str] = {
     "NoCoT": "Only give the final answer.",
@@ -174,7 +174,7 @@ class PromptCatalog:
         return cls(tuple(specs))
 
 
-# The catalog file's field rules, in the form records.checked reads.
+# The catalog file's field rules, in the form inputs.checked reads.
 _SPEC_RULES = {
     "prompt_id": NON_EMPTY_STRING,
     "family": NON_EMPTY_STRING,

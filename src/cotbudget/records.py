@@ -1,4 +1,4 @@
-"""Evaluation-record data model: JSONL ingestion and the question-by-prompt pivot.
+"""Evaluation-record data model: the records line, and the question-by-prompt pivot.
 
 A record is one chain-of-thought run of a (model, dataset, question, prompt)
 cell: the output token count and whether the graded answer was correct. All
@@ -6,15 +6,14 @@ analysis consumes the pivoted RunMatrix, never loose records. A records file
 becomes matrices through ``read_matrices``, which keeps the matrices of each
 file it parsed in a content-addressed cache (``cotbudget.cache``), and a
 matrix becomes a file through ``save_matrix``. ``EvalRecord`` objects are
-built only for callers that ask for them (``load_records``). Every input file
-of the package is read through ``read_jsonl`` or ``read_json``, and checked by
-``check_line`` (a JSONL line) or ``checked`` (a whole-file field) against rules
-such as ``RECORD_RULES``, so each rule's message is written once.
+built only for callers that ask for them (``load_records``). Lines are read
+by ``inputs.read_jsonl`` and a record line is checked against
+``RECORD_RULES``; reading and checking every other input file is left to
+``cotbudget.inputs``, which needs no numpy.
 """
 from __future__ import annotations
 
 import functools
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,17 +22,11 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateRecordError,
-    EmptySelectionError,
-    RecordParseError,
-    RecordSchemaError,
-)
+from .errors import DuplicateRecordError, EmptySelectionError, RecordSchemaError
+from .inputs import INTEGER, NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
 
 REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
 OPTIONAL_FIELDS = ("response", "extracted_answer")
-TOKENS_MAX = int(np.iinfo(np.int64).max)
-TOO_DEEP = "JSON nested too deeply to parse"
 
 
 @dataclass(frozen=True)
@@ -64,58 +57,6 @@ class EvalRecord:
 Key = tuple[str, str, str, str]
 
 
-def read_jsonl(
-    path: str | Path, source: BinaryIO | None = None
-) -> Iterator[tuple[int, object]]:
-    """Yield (1-based line number, parsed value) for each non-blank line of a JSONL file.
-
-    A line that is not JSON, not UTF-8 or nested too deeply for the parser's
-    recursion limit is a RecordParseError naming it.
-    ``source``, when given, is the file's open raw binary stream, read
-    instead of opening ``path`` and closed at the end.
-    """
-    loads = json.loads
-    raw = open(path, "rb", buffering=0) if source is None else source
-    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    value = loads(line)
-                except json.JSONDecodeError as exc:
-                    # A blank line never parses, so it is looked for only here.
-                    if not line.strip():
-                        continue
-                    raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
-                except RecursionError as exc:
-                    raise RecordParseError(str(path), line_no, TOO_DEEP) from exc
-                yield line_no, value
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from exc
-
-
-def read_json(path: str | Path) -> object:
-    """A whole-file JSON input; bad JSON or UTF-8 is a RecordParseError naming its line.
-
-    JSON nested too deeply to parse is a RecordParseError naming the file.
-    """
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, exc) from exc
-    except json.JSONDecodeError as exc:
-        raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise RecordParseError(str(path), None, TOO_DEEP) from exc
-
-
-# Field rules of every input, as (test, what a valid value must do); a rule's
-# test runs only once the rules before it on the same field have passed.
-NON_EMPTY_STRING = (lambda v: type(v) is str and v != "", "be a non-empty string")
-INTEGER = (lambda v: type(v) is int, "be an integer")
-NULL_OR_TOKENS = (
-    lambda v: v is None or (type(v) is int and 0 <= v <= TOKENS_MAX),
-    f"be null or an integer in [0, {TOKENS_MAX}]",
-)
 RECORD_RULES = (
     ("model", NON_EMPTY_STRING),
     ("dataset", NON_EMPTY_STRING),
@@ -127,37 +68,6 @@ RECORD_RULES = (
                 f"fit in a signed 64-bit integer (at most {TOKENS_MAX})")),
     ("correct", (lambda v: type(v) is bool, "be a boolean")),
 )
-
-
-def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
-    """obj[key] if it passes the rule; else a RecordSchemaError naming where.key."""
-    location = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise RecordSchemaError(f"{location} is missing")
-    test, expected = rule
-    if not test(obj[key]):
-        raise RecordSchemaError(f"{location} must {expected}, got {obj[key]!r}")
-    return obj[key]
-
-
-def check_line(
-    obj: object, what: str, required: Sequence[str], rules: Sequence[tuple[str, tuple]]
-) -> dict:
-    """obj if it is a dict with every required field and passes each (field, rule) in order.
-
-    Else a RecordSchemaError for the first fault: not a dict, then missing
-    fields (all named), then a rule, which sees None for an absent field.
-    """
-    if type(obj) is not dict:
-        raise RecordSchemaError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    missing = [name for name in required if name not in obj]
-    if missing:
-        raise RecordSchemaError("missing required field(s): " + ", ".join(missing))
-    for name, (test, expected) in rules:
-        value = obj.get(name)
-        if not test(value):
-            raise RecordSchemaError(f"field {name!r} must {expected}, got {value!r}")
-    return obj
 
 
 def _scan(path: Path, source: BinaryIO | None = None) -> Iterator[tuple[Key, int, bool, dict]]:
@@ -199,26 +109,6 @@ def _scan(path: Path, source: BinaryIO | None = None) -> Iterator[tuple[Key, int
         if first != line_no:
             raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
         yield key, tokens, correct, obj
-
-
-def utf8_error(path: str | Path, exc: UnicodeDecodeError) -> RecordParseError:
-    """The RecordParseError for the first line of a file that is not UTF-8.
-
-    ``exc`` is what the text reader raised; its position counts from the
-    start of a decoder chunk, not of the file, so the file's bytes are read
-    again, split into lines as the text reader splits them (newline, CR-LF
-    or CR), to find the line.
-    """
-    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as bad:
-            return RecordParseError(
-                str(path),
-                line_no,
-                f"not UTF-8: byte {raw[bad.start]:#04x} at column {bad.start + 1} ({bad.reason})",
-            )
-    raise AssertionError(f"{path}: the text reader failed ({exc}) but every line decodes")
 
 
 def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:

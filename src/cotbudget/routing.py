@@ -18,7 +18,8 @@ import numpy as np
 
 from .bounds import FrontierCurve
 from .errors import CotBudgetError, CoverageError
-from .records import TOKENS_MAX, RunMatrix
+from .inputs import TOKENS_MAX
+from .records import RunMatrix
 
 log = logging.getLogger(__name__)
 

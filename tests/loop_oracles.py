@@ -30,16 +30,10 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
+from cotbudget.inputs import TOKENS_MAX, read_jsonl
 from cotbudget.metrics import PromptResult
 from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
-from cotbudget.records import (
-    OPTIONAL_FIELDS,
-    REQUIRED_FIELDS,
-    TOKENS_MAX,
-    EvalRecord,
-    RunMatrix,
-    read_jsonl,
-)
+from cotbudget.records import OPTIONAL_FIELDS, REQUIRED_FIELDS, EvalRecord, RunMatrix
 from cotbudget.routing import RoutingOutcome
 
 

@@ -263,6 +263,17 @@ def test_key_covers_the_reader_and_the_content(cached, monkeypatch):
     assert len(entries(entry.parent)) == 3
 
 
+@pytest.mark.parametrize("name", ["inputs.py", "records.py", "cache.py"])
+def test_key_covers_every_file_of_the_parser(name, monkeypatch):
+    """An edit to read_jsonl's module, or to any other the parser runs, is another key."""
+    before = cache._reader_digest.__wrapped__()
+    read_bytes = Path.read_bytes
+    edited = Path(cache.__file__).with_name(name)
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda path: read_bytes(path) + b"#" * (path == edited))
+    assert cache._reader_digest.__wrapped__() != before
+
+
 def test_least_recently_used_entries_go_first(tmp_path, isolated_record_cache, monkeypatch):
     monkeypatch.setattr(cache, "MAX_ENTRIES", 3)
     paths, made = [], []

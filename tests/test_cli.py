@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -17,6 +18,7 @@ from cotbudget import records as records_mod
 from cotbudget.bounds import FrontierCurve
 from cotbudget.cli import main
 from cotbudget.complexity import ComplexityProfile
+from cotbudget.inputs import read_jsonl
 from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.records import EvalRecord, load_records
 
@@ -375,7 +377,61 @@ class TestCorrelateAndAdaptivity:
         assert len(lines) == 7
 
 
+class TestCsvIds:
+    """Each CSV command writes an id as csv.reader reads it back, or fails with nothing written."""
+
+    COMMANDS = ("tradeoff", "correlate", "adaptivity", "routing")
+
+    def write_records(self, tmp_path, ids):
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(
+            json.dumps({"model": "m", "dataset": "d", "question_id": f"q{i}", "prompt_id": pid,
+                        "tokens": 10 * (i + 1) + j, "correct": (i + j) % 2 == 0}) + "\n"
+            for i in range(3) for j, pid in enumerate(ids)
+        ))
+        return records
+
+    def argv(self, command, ids, records, out):
+        flags = {
+            "adaptivity": ["--split-prompt", ids[-1]],  # its own row is left out
+            "routing": ["--base-prompt", ids[0], "--fallback-prompt", ids[1]],
+        }.get(command, [])
+        return [command, "--records", str(records), *flags, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_ids_read_back_exactly(self, tmp_path, capsys, command):
+        ids = ("a,b", 'x"y', "c\rd")
+        out = tmp_path / "out.csv"
+        assert main(self.argv(command, ids, self.write_records(tmp_path, ids), out)) == 0
+        with out.open(encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(header)}
+        want = {"routing": [f"verifier({ids[0]}->{ids[1]})"], "adaptivity": sorted(ids[:-1])}
+        assert [row[0] for row in rows] == want.get(command, sorted(ids))
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier output\n"], ids=["absent", "present"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_id_utf8_cannot_encode_is_a_data_error(self, tmp_path, capsys, command, earlier):
+        ids = ("p\ud83d", "p2", "p3")
+        out = tmp_path / "out.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        code = main(self.argv(command, ids, self.write_records(tmp_path, ids), out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: {out}: cannot write '\\ud83d' as UTF-8 (surrogates not allowed)\n"
+        )
+        assert (out.read_bytes() if out.exists() else None) == earlier
+
+
 class TestCollectCommand:
+    def test_collect_help_names_the_api_key_variable(self, capsys):
+        from cotbudget.collect import API_KEY_ENV
+
+        with pytest.raises(SystemExit):
+            main(["collect", "--help"])
+        assert f"from the {API_KEY_ENV} environment variable" in capsys.readouterr().out
+
     def test_collect_against_mock(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
         questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
@@ -661,6 +717,19 @@ class TestResumeTornLine:
         assert "3 skipped (resume), 1 collected" in text
         assert len(load_records(out)) == 4
 
+    def test_torn_failures_sidecar_is_cut_before_appending(self, collected, capsys):
+        argv, out = collected
+        sidecar = out.with_suffix(".failures.jsonl")
+        sidecar.write_bytes(b'{"question_id": "q1", "prompt_id": "Def')
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:-1]))
+        with MockChatEndpoint(omit_usage=True) as mock:
+            code = main([*argv, "--endpoint", mock.url, "--resume"])
+        assert code == 3  # the one cell requested failed
+        assert [obj["error"] for _, obj in read_jsonl(sidecar)] == [
+            "response missing usage.completion_tokens"
+        ]
+
     def test_second_resume_of_unchanged_file_is_a_cache_hit(self, collected, capsys):
         argv, _ = collected
         assert self.resume(capsys, argv)[0] == 0
@@ -842,12 +911,33 @@ class TestHostileInput:
             for line in lines:  # every other byte as json.dumps writes it
                 want = json.dumps(json.loads(line), ensure_ascii=False)
                 assert line == want.encode("utf-8", "backslashreplace")
-            got = [(obj["question_id"], obj["response"]) for _, obj in records_mod.read_jsonl(out)]
+            got = [(obj["question_id"], obj["response"]) for _, obj in read_jsonl(out)]
             assert [r for q, r in got if q == "q2"] == [default_reply("", answer)[0]] * 2
             assert records_mod.read_matrices(out)["m", "d"].present.all()
             code, text, _ = self.collect(tmp_path, capsys, mock, "--catalog", catalog, "--resume")
         assert code == 0
         assert "4 skipped (resume), 0 collected" in text
+
+
+    def test_cesu8_reply_is_stored_as_graded(self, tmp_path, capsys, monkeypatch):
+        """A reply body in CESU-8 decodes to a surrogate pair; the record keeps what was graded."""
+        from cotbudget import collect as collect_mod
+
+        body = ('{"choices": [{"message": {"content": "Answer: \\ud83d\\ude00"}}], '
+                '"usage": {"completion_tokens": 3}}').encode()
+        body = body.replace(b"\\ud83d\\ude00", b"\xed\xa0\xbd\xed\xb8\x80")
+        monkeypatch.setattr(collect_mod._Transport, "post", lambda self, _: (200, None, body))
+        graded = []
+        grade = collect_mod.grade
+        monkeypatch.setattr(collect_mod, "grade",
+                            lambda response, question: graded.append(response) or grade(response, question))
+        with MockChatEndpoint() as mock:
+            code, text, out = self.collect(tmp_path, capsys, mock, "--catalog",
+                                           self.catalog(tmp_path))
+        assert code == 0
+        assert "4 collected, 0 failed" in text
+        stored = [obj["response"] for _, obj in read_jsonl(out)]
+        assert stored == graded == ["Answer: \U0001f600"] * 4
 
 
 class TestCollectChecksBeforeRequests:

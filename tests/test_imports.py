@@ -1,0 +1,93 @@
+"""Each command loads only the modules it runs, checked in fresh interpreters.
+
+The package resolves its public names lazily, so nothing here may run in the
+test process, where every module is already loaded. The children run one at
+a time.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cotbudget.cli import main
+from cotbudget.mockserver import MockChatEndpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p.stem for p in (SRC / "cotbudget").glob("*.py") if p.stem != "__init__")
+COLLECTION = {"cotbudget.collect", "cotbudget.oracle", "cotbudget.routing", "concurrent.futures"}
+
+# Runs the CLI, then prints its exit code and every loaded module as the last line.
+LOADED = """
+import json, sys
+from cotbudget.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def loaded_by(*argv: str) -> set[str]:
+    """The modules a fresh `cotbudget ARGV` has loaded when it exits 0."""
+    done = child(LOADED, *argv)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0, done.stderr
+    return set(result["modules"])
+
+
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    path = tmp_path_factory.mktemp("records") / "records.jsonl"
+    assert main(["synth", "--out", str(path), "--n", "8", "--prompts", "5"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["complexity", "bounds", "predict", "correlate"])
+def test_an_analysis_command_loads_no_collection_module(records, tmp_path, command):
+    loaded = loaded_by(command, "--records", str(records), "--out", str(tmp_path / "out"))
+    assert loaded & COLLECTION == set()
+
+
+def test_help_loads_no_numpy():
+    loaded = loaded_by("--help")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("cotbudget")} == {
+        "cotbudget", "cotbudget.cli", "cotbudget.errors"
+    }
+
+
+def test_fresh_collect_loads_no_numpy(tmp_path):
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text(json.dumps({"question_id": "q1", "text": "1+1?", "gold_answer": "2"}))
+    out = tmp_path / "records.jsonl"
+    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
+        loaded = loaded_by("collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                           "--questions", str(questions), "--out", str(out))
+    assert "numpy" not in loaded
+    assert "cotbudget.collect" in loaded
+    assert len(out.read_text().splitlines()) == 31  # the built-in catalog
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    """A fresh `from cotbudget import X` works, so no import cycle hides behind the lazy names."""
+    done = child(f"from cotbudget import {module}; assert {module}.__name__ == 'cotbudget.{module}'")
+    assert done.returncode == 0, done.stderr
+
+
+def test_dir_lists_every_exported_name():
+    done = child("import cotbudget; print(sorted(set(cotbudget.__all__) - set(dir(cotbudget))))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

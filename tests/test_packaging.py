@@ -7,6 +7,7 @@ import names are assumed equal, as they are for every dependency so far.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -54,20 +55,18 @@ def test_every_exported_name_resolves():
     assert len(set(cotbudget.__all__)) == len(cotbudget.__all__)
 
 
-def test_every_public_import_of_the_package_is_exported():
-    """A name deleted from a module cannot linger in __all__, nor a new one go unlisted."""
+def test_every_exported_name_is_the_object_of_its_module():
+    """__all__ is the one table's names, each listed once and each its module's own object."""
     import cotbudget
 
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
-    public = {name for name in imported if not name.startswith("_")}
-    assert public - set(cotbudget.__all__) == set()
-    assert set(cotbudget.__all__) - public == set()
+    source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    table = cotbudget._EXPORTS
+    assert sorted(cotbudget.__all__) == sorted(name for names in table.values() for name in names)
+    for module, names in table.items():
+        defining = importlib.import_module(f"cotbudget.{module}")
+        for name in names:
+            assert source.count(f'"{name}"') == 1, name
+            assert getattr(cotbudget, name) is getattr(defining, name), name
 
 
 def test_record_readers_are_exported():

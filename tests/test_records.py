@@ -14,14 +14,13 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
+from cotbudget.inputs import TOKENS_MAX, read_json, read_jsonl
 from cotbudget.records import (
     REQUIRED_FIELDS,
     EvalRecord,
     RunMatrix,
     load_records,
     pivot,
-    read_json,
-    read_jsonl,
     read_matrices,
     save_matrix,
 )
@@ -515,6 +514,10 @@ class TestDeeplyNestedJson:
 
 
 class TestTokenLimit:
+    def test_limit_is_the_largest_int64(self):
+        """inputs.py spells the limit without numpy; a matrix column must still hold it."""
+        assert TOKENS_MAX == np.iinfo(np.int64).max
+
     def test_largest_int64_loads_and_pivots(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_jsonl(path, [base_obj(tokens=2**63 - 1)])
