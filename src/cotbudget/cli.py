@@ -27,6 +27,17 @@ def _fmt(value) -> str:
     return f"{float(value):.6f}"
 
 
+def _summary(text: str) -> None:
+    """Print a command's summary line once its outputs are written.
+
+    A character stdout cannot encode, such as a lone surrogate that a
+    records file can carry in an id, is printed as its backslash escape,
+    so the summary never fails a command whose outputs are complete.
+    """
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _csv_field(text: str) -> str:
     """A CSV field, quoted (RFC 4180) only when it holds a comma, a quote, "\r" or "\n"."""
     if "," in text or '"' in text or "\n" in text or "\r" in text:
@@ -99,7 +110,7 @@ def cmd_synth(args) -> int:
     count = save_matrix(matrix, args.out)
     oracle.save_taus(taus, matrix.question_ids, taus_out)
     n_inf = sum(1 for t in taus if not oracle.is_finite(t))
-    print(
+    _summary(
         f"synth: wrote {count} records for model={matrix.model} dataset={matrix.dataset} "
         f"(n={spec.n}, prompts={matrix.n_prompts}, "
         f"infinite_complexity={n_inf}, violation_rate={_fmt(spec.violation_rate)}, "
@@ -111,7 +122,7 @@ def cmd_synth(args) -> int:
 def cmd_complexity(args) -> int:
     prof = _profile_for(args, _load_matrix(args))
     prof.save(args.out)
-    print(
+    _summary(
         f"complexity: model={prof.model} dataset={prof.dataset} n={prof.n_questions}: "
         f"c_bar={_fmt(prof.c_bar)}, A*={_fmt(prof.a_star)}, "
         f"tau_bar_over_n={_fmt(prof.tau_bar_over_n)}, "
@@ -143,7 +154,7 @@ def cmd_predict(args) -> int:
         "c_bar": round(float(report.c_bar), 6),
     }
     _write_json(args.out, payload)
-    print(
+    _summary(
         f"predict: model={matrix.model} dataset={matrix.dataset}: "
         f"Err={_fmt(report.err)} over {len(report.per_prompt)} prompts, "
         f"c_bar={_fmt(report.c_bar)}; wrote {args.out}."
@@ -160,7 +171,7 @@ def cmd_bounds(args) -> int:
     # Int true division rounds correctly, as float(Fraction(p, n)) does.
     rows = [[_fmt(p / n), _fmt(m / n)] for p, m in zip(curve.budget_numerators, curve.solved)]
     _write_csv(args.out, ["avg_tokens", "accuracy"], rows)
-    print(
+    _summary(
         f"bounds: model={prof.model} dataset={prof.dataset} n={prof.n_questions}: "
         f"A*={_fmt(curve.a_star)}, T*(A*)={_fmt(curve.t_lossless)}, "
         f"{len(curve.solved)} breakpoints; wrote {args.out}."
@@ -181,7 +192,7 @@ def cmd_tradeoff(args) -> int:
     _write_csv(args.out, ["prompt_id", "accuracy", "avg_tokens", "predicted_accuracy"], rows)
     accs = [r.accuracy for r in results]
     toks = [r.avg_tokens for r in results]
-    print(
+    _summary(
         f"tradeoff: model={matrix.model} dataset={matrix.dataset}: {len(results)} prompts, "
         f"accuracy in [{_fmt(min(accs))}, {_fmt(max(accs))}], "
         f"avg_tokens in [{_fmt(min(toks))}, {_fmt(max(toks))}]; wrote {args.out}."
@@ -227,7 +238,7 @@ def cmd_routing(args) -> int:
         f"frontier_gap={_fmt(gaps[o.policy_id])}"
         for o in outcomes
     ]
-    print(
+    _summary(
         f"routing: model={matrix.model} dataset={matrix.dataset}: "
         + "; ".join(parts)
         + f"; wrote {args.out}."
@@ -269,7 +280,7 @@ def cmd_correlate(args) -> int:
         detail = f"strongest correlation {top[0]} (rho={_fmt(top[1])})"
     else:
         detail = "no computable correlations"
-    print(
+    _summary(
         f"correlate: model={matrix.model} dataset={matrix.dataset}: "
         f"{len(table)} prompts, {detail}; wrote {args.out}."
     )
@@ -292,7 +303,7 @@ def cmd_adaptivity(args) -> int:
     _write_csv(args.out, ["prompt_id", "avg_tokens_easy", "avg_tokens_hard"], rows)
     both = [(e, h) for e, h in split.values() if e is not None and h is not None]
     adaptive = sum(1 for e, h in both if e < h)
-    print(
+    _summary(
         f"adaptivity: model={matrix.model} dataset={matrix.dataset} "
         f"split on {args.split_prompt}: {len(split)} prompts, "
         f"{adaptive}/{len(both)} with easy-side mean below hard-side mean; wrote {args.out}."
@@ -337,7 +348,7 @@ def cmd_collect(args) -> int:
             f"all {summary.failed} attempted cells failed against {args.endpoint} "
             f"(see {failures_path})"
         )
-    print(
+    _summary(
         f"collect: model={args.model} dataset={args.dataset}: "
         f"{summary.requested} cells requested, {summary.skipped} skipped (resume), "
         f"{summary.succeeded} collected, {summary.failed} failed, "

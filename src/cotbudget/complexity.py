@@ -35,6 +35,9 @@ INFINITE = math.inf
 # temporaries (a few arrays of BLOCK_ROWS x (K + 1) int64) whatever n is.
 BLOCK_ROWS = 2048
 
+# Lengths below this fit the packed sort key 2 * length + hit of _best_thresholds.
+PACKED_LIMIT = 2**62
+
 
 def is_finite(tau: float) -> bool:
     return not math.isinf(tau)
@@ -228,12 +231,27 @@ def _best_thresholds(
     the runs shorter than its length (and the absent cells), whatever the
     order within a tie, so C_before, and with it tau, agree and k_used,
     are the same for every order the sort may choose.
+
+    When every length of the block is below PACKED_LIMIT = 2**62, each
+    cell packs into one int64 key, 2 * length + hit, and one in-place value
+    sort orders lengths and hits together: key >> 1 is the length (absent
+    cells stay -1) and key & 1 the hit. Within a tie this sorts misses
+    before hits, which is one of the orders above, so the result is the
+    one the argsort path gives. Longer lengths would overflow the key and
+    take that path: an argsort and two gathers.
     """
     rows, width = tokens.shape
-    lengths = np.where(present, tokens, -1)
-    order = np.argsort(lengths, axis=1)
-    ordered = np.take_along_axis(lengths, order, axis=1)
-    hits = np.take_along_axis(correct & present, order, axis=1)
+    ordered = np.where(present, tokens, -1)
+    if ordered.max(initial=-1) < PACKED_LIMIT:
+        ordered *= 2
+        ordered += correct & present
+        ordered.sort(axis=1)
+        hits = ordered & 1
+        ordered >>= 1
+    else:
+        order = np.argsort(ordered, axis=1)
+        ordered = np.take_along_axis(ordered, order, axis=1)
+        hits = np.take_along_axis(correct & present, order, axis=1)
     before = np.zeros((rows, width + 1), dtype=np.int64)
     np.cumsum(hits, axis=1, out=before[:, 1:])
     k_used = np.count_nonzero(present, axis=1)
@@ -281,9 +299,16 @@ def profile(matrix: RunMatrix) -> ComplexityProfile:
     """Estimate every question's complexity and the mean classifier accuracy.
 
     _best_thresholds runs over blocks of BLOCK_ROWS rows, so its temporaries
-    stay a few megabytes whatever the number of questions. Fractions are
+    stay a few megabytes whatever the number of questions. Each block picks
+    its own row sort from its largest length (the packed sort below
+    PACKED_LIMIT, the argsort at or above it); both give the same tau,
+    agree and k_used, so blocks that differ in that choice join into the
+    profile a single path would give. Fractions are
     built once per distinct (agree, k_used) pair for c_star, and for c_bar
-    from the agreement totals per distinct k_used.
+    from the agreement totals per distinct k_used. A pair is coded as
+    agree * (K + 1) + k_used, which is one-to-one because agree <= k_used
+    <= K, so np.unique finds the distinct pairs and maps each question to
+    its Fraction with no per-question lookup.
     """
     covered = matrix.present.any(axis=1)
     if not covered.all():
@@ -298,8 +323,10 @@ def profile(matrix: RunMatrix) -> ComplexityProfile:
         tau[block], agree[block], k_used[block] = _best_thresholds(
             matrix.tokens[block], matrix.correct[block], matrix.present[block]
         )
-    pairs = list(zip(agree.tolist(), k_used.tolist()))
-    c_stars = {pair: Fraction(*pair) for pair in set(pairs)}
+    base = matrix.n_prompts + 1
+    codes, which = np.unique(agree * base + k_used, return_inverse=True)
+    c_stars = np.empty(codes.size, dtype=object)
+    c_stars[:] = [Fraction(*divmod(code, base)) for code in codes.tolist()]
     agree_by_k = np.zeros(matrix.n_prompts + 1, dtype=np.int64)
     np.add.at(agree_by_k, k_used, agree)
     c_total = sum(
@@ -312,6 +339,6 @@ def profile(matrix: RunMatrix) -> ComplexityProfile:
         question_ids=matrix.question_ids,
         tau=tau,
         k_used=k_used,
-        c_star=tuple(map(c_stars.__getitem__, pairs)),
+        c_star=c_stars[which].tolist(),
         c_bar=c_total / n,
     )

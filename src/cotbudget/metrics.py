@@ -17,6 +17,10 @@ from .errors import (
 )
 from .records import RunMatrix, _positions
 
+# complexity_correlations ranks by counting while no ranked value exceeds
+# this many times the number of questions.
+COUNTING_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class PromptResult:
@@ -84,12 +88,17 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
 def _column_sums(tokens: np.ndarray, cells: np.ndarray) -> list[int]:
     """Exact column sums of the non-negative int64 counts in cells, as Python ints.
 
-    The high and low 32-bit halves are summed apart, each exact as int64
-    for under 2**31 rows, and joined, so no total wraps.
+    Cells outside the mask become 0 once, so the sum below is one plain
+    reduction rather than a masked one; a zero adds nothing, so the totals
+    are those of the masked cells. Each count is read as its low and high
+    unsigned 32-bit halves (a little-endian view, no copy), which are
+    summed apart, each exact as int64 for under 2**31 rows, and joined, so
+    no total wraps, also past 2**63. That holds for every int64 count, so
+    there is one path and nothing to select.
     """
-    high = (tokens >> 32).sum(axis=0, where=cells).tolist()
-    low = (tokens & 0xFFFFFFFF).sum(axis=0, where=cells).tolist()
-    return [(h << 32) + l for h, l in zip(high, low)]
+    kept = np.where(cells, tokens, 0).astype("<i8", copy=False)
+    halves = kept.view("<u4").reshape(*kept.shape, 2).sum(axis=0, dtype=np.int64)
+    return [(h << 32) + l for l, h in halves.tolist()]
 
 
 def err_score(results: Sequence[PromptResult]) -> Fraction:
@@ -151,6 +160,19 @@ def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
     return np.repeat(first + (count + 1) / 2, count)
 
 
+def _counted_midranks(values: np.ndarray) -> np.ndarray:
+    """midranks of small non-negative integers, by counting instead of sorting.
+
+    With counts[v] copies of v and below[v] values less than v, the copies
+    of v hold ranks below[v] + 1 .. below[v] + counts[v], whose mean is the
+    same exact half-integer _sorted_midranks gives. The table has one
+    entry per value up to the largest, so the values must be small.
+    """
+    counts = np.bincount(values)
+    below = np.cumsum(counts) - counts
+    return (below + (counts + 1) / 2)[values]
+
+
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     """Pearson correlation of two rank vectors, which it centres in place."""
     rx -= rx.mean()
@@ -178,14 +200,27 @@ def complexity_correlations(
 
     Pairs token lengths with finite complexities over present cells only;
     rho is NaN when fewer than two pairs exist or ranks are degenerate.
-    The complexities are sorted once: a prompt's pairs keep that order
-    when the questions it lacks are dropped, so their ranks need no sort
-    of their own. The ranks, and so rho, are those spearman computes.
+
+    The ranks come from one of two kernels, chosen once per call. When
+    the largest present length and finite complexity is at most
+    COUNTING_FACTOR times the number of questions, each prompt's lengths
+    and complexities are ranked by counting (_counted_midranks), in time
+    and memory linear in the number of questions. Otherwise (a profile
+    loaded from a file may hold complexities up to TOKENS_MAX) the lengths
+    are argsorted per prompt and the complexities sorted once: a prompt's
+    pairs keep that order when the questions it lacks are dropped, so
+    their ranks need no sort of their own. Both kernels give the exact
+    half-integer midranks spearman computes, in row order, so rho is
+    bit-identical whichever one runs.
     """
     tau = _check_same_run_set(matrix, profile)
     finite = tau >= 0
-    by_tau = np.argsort(tau)
-    tau_ranks = np.empty(tau.size, dtype=float)
+    top = max(int(np.max(matrix.tokens, where=matrix.present, initial=0)),
+              int(tau.max(initial=0)))
+    counting = top <= COUNTING_FACTOR * tau.size
+    if not counting:
+        by_tau = np.argsort(tau)
+        tau_ranks = np.empty(tau.size, dtype=float)
     out: list[tuple[str, float, int]] = []
     for j, pid in enumerate(matrix.prompt_ids):
         mask = matrix.present[:, j] & finite
@@ -193,10 +228,15 @@ def complexity_correlations(
         if n < 2:
             out.append((pid, float("nan"), n))
             continue
-        rows = by_tau[mask[by_tau]]
-        tau_ranks[rows] = _sorted_midranks(tau[rows])
+        lengths = matrix.tokens[:, j][mask]
+        if counting:
+            rx, ry = _counted_midranks(lengths), _counted_midranks(tau[mask])
+        else:
+            rows = by_tau[mask[by_tau]]
+            tau_ranks[rows] = _sorted_midranks(tau[rows])
+            rx, ry = midranks(lengths), tau_ranks[mask]
         try:
-            rho = _rank_correlation(midranks(matrix.tokens[:, j][mask]), tau_ranks[mask])
+            rho = _rank_correlation(rx, ry)
         except UndefinedCorrelationError:
             rho = float("nan")
         out.append((pid, rho, n))

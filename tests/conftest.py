@@ -83,6 +83,22 @@ def run_matrices(draw, max_questions=8, max_prompts=8, max_tokens=6, absent_shar
     return make_matrix(tokens, correct, present)
 
 
+def with_cells(matrix, cells, values):
+    """A copy of matrix with each (row, column) of cells present and holding its value."""
+    tokens, present = matrix.tokens.copy(), matrix.present.copy()
+    for (i, j), value in zip(cells, values):
+        tokens[i, j] = value
+        present[i, j] = True
+    return make_matrix(tokens, matrix.correct, present)
+
+
+def some_cells(data, matrix, max_size=4):
+    """Draw distinct (row, column) positions of matrix, at least one."""
+    n, k = matrix.tokens.shape
+    position = st.tuples(st.integers(0, n - 1), st.integers(0, k - 1))
+    return data.draw(st.lists(position, min_size=1, max_size=max_size, unique=True))
+
+
 @pytest.fixture
 def oracle_matrix():
     """Violation-free 3-question fixture with taus (10, 20, inf)."""

@@ -424,6 +424,56 @@ class TestCsvIds:
         assert (out.read_bytes() if out.exists() else None) == earlier
 
 
+class TestSummaryEscapesIds:
+    """An id UTF-8 cannot encode is escaped in the summary; the outputs are those of a plain id."""
+
+    FLAGS = {
+        "complexity": ["--out", "out.json"],
+        "predict": ["--out", "out.json"],
+        "bounds": ["--out", "out.csv"],
+        "tradeoff": ["--out", "out.csv"],
+        "routing": ["--base-prompt", "p1", "--fallback-prompt", "p2", "--out", "out.csv"],
+        "correlate": ["--out", "out.csv"],
+        "adaptivity": ["--split-prompt", "p3", "--out", "out.csv"],
+    }
+
+    def outputs(self, folder, capsys, command, model, prompt_ids=("p1", "p2", "p3"), flags=()):
+        folder.mkdir()
+        records = folder / "records.jsonl"
+        records.write_text("".join(
+            json.dumps({"model": model, "dataset": "d", "question_id": f"q{i}", "prompt_id": pid,
+                        "tokens": 10 * (i + 1) + j, "correct": (i + j) % 2 == 0}) + "\n"
+            for i in range(4) for j, pid in enumerate(prompt_ids)
+        ))
+        argv = [command, "--records", str(records), *(flags or self.FLAGS[command])]
+        argv[argv.index("--out") + 1] = str(folder / argv[argv.index("--out") + 1])
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = folder / argv[argv.index("--out") + 1]
+        return code, captured.out, captured.err, out.read_bytes()
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_surrogate_model_exits_zero_with_the_plain_outputs(self, tmp_path, capsys, command):
+        code, text, err, data = self.outputs(tmp_path / "odd", capsys, command, "m\ud83d")
+        assert (code, err) == (0, "")
+        assert text.startswith(f"{command}: model=m\\ud83d dataset=d")
+        plain_code, plain_text, _, plain = self.outputs(tmp_path / "plain", capsys, command, "m")
+        assert plain_code == 0
+        assert text.replace("m\\ud83d", "m").replace("odd", "plain") == plain_text
+        assert data == plain.replace(b'"model": "m"', b'"model": "m\\ud83d"')
+
+    def test_surrogate_split_prompt_exits_zero_with_the_plain_outputs(self, tmp_path, capsys):
+        code, text, err, data = self.outputs(
+            tmp_path / "odd", capsys, "adaptivity", "m", ("p\ud83d", "p2", "p3"),
+            ["--split-prompt", "p\ud83d", "--out", "out.csv"],
+        )
+        assert (code, err) == (0, "")
+        assert "split on p\\ud83d: 2 prompts" in text
+        plain = self.outputs(tmp_path / "plain", capsys, "adaptivity", "m", ("p1", "p2", "p3"),
+                             ["--split-prompt", "p1", "--out", "out.csv"])
+        assert data == plain[3]
+
+
 class TestCollectCommand:
     def test_collect_help_names_the_api_key_variable(self, capsys):
         from cotbudget.collect import API_KEY_ENV

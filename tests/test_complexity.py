@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from cotbudget import complexity
 from cotbudget.complexity import INFINITE, ComplexityProfile, estimate_tau, profile
 from cotbudget.errors import CoverageError, RecordParseError, RecordSchemaError
-from cotbudget.oracle import OracleSpec, generate, straddle_lengths
+from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.records import RunMatrix
 
-from conftest import make_matrix, run_matrices
+from conftest import make_matrix, run_matrices, some_cells, with_cells
 from loop_oracles import (
     best_thresholds_stable,
     classify_accuracy,
@@ -234,6 +234,31 @@ class TestProfileMatchesLoopOracle:
         with mock.patch.object(complexity, "_best_thresholds", best_thresholds_stable):
             stable = profile(matrix)
         assert profile(matrix) == stable
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), matrix=run_matrices(max_questions=6, max_prompts=6),
+           top=st.sampled_from([complexity.PACKED_LIMIT - 1, complexity.PACKED_LIMIT]))
+    def test_packed_sort_limit_straddled(self, data, matrix, top):
+        """A block's largest length just below the packed-key limit takes the packed
+        sort, one at the limit the argsort; both give the stable kernel's result."""
+        cells = some_cells(data, matrix)
+        ties = st.sampled_from([top, top - 1, top - 2])
+        lengths = [top, *(data.draw(ties) for _ in cells[1:])]
+        matrix = with_cells(matrix, cells, lengths)
+        assert matrix.tokens[matrix.present].max() == top
+        kernel_input = (matrix.tokens, matrix.correct, matrix.present)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = complexity._best_thresholds(*kernel_input)
+        assert argsort.called == (top >= complexity.PACKED_LIMIT)
+        for column, want in zip(got, best_thresholds_stable(*kernel_input)):
+            assert column.tolist() == want.tolist()
+        assert profile(matrix) == profile_loop(matrix)
+
+    def test_replay_size_matrix_takes_the_packed_sort(self):
+        matrix, _ = generate(random_spec(2000, seed=5, violation_rate=0.1))
+        with mock.patch.object(np, "argsort", side_effect=AssertionError("argsort path")):
+            got = profile(matrix)
+        assert got == profile_loop(matrix)
 
     def test_finite_taus_cached_sorted_and_summed(self, oracle_matrix):
         matrix, _ = oracle_matrix

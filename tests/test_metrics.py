@@ -3,14 +3,17 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotbudget import metrics
 from cotbudget.complexity import INFINITE, ComplexityProfile, profile
 from cotbudget.errors import (
     ConsistencyError,
@@ -18,7 +21,9 @@ from cotbudget.errors import (
     UndefinedCorrelationError,
     ZeroAccuracyError,
 )
+from cotbudget.inputs import TOKENS_MAX
 from cotbudget.metrics import (
+    COUNTING_FACTOR,
     PromptResult,
     adaptivity_split,
     complexity_correlations,
@@ -31,7 +36,7 @@ from cotbudget.metrics import (
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.records import RunMatrix
 
-from conftest import make_matrix, run_matrices
+from conftest import make_matrix, run_matrices, some_cells, with_cells
 from loop_oracles import (
     adaptivity_split_loop,
     complexity_correlations_unique,
@@ -193,6 +198,11 @@ class TestMidranks:
     def test_matches_oracle(self, xs):
         assert list(midranks(xs)) == pytest.approx(rank_oracle(xs))
 
+    @given(xs=st.lists(st.integers(0, 50), min_size=1, max_size=30))
+    def test_counting_ranks_equal_sorted_ranks(self, xs):
+        xs = np.array(xs, dtype=np.int64)
+        assert metrics._counted_midranks(xs).tolist() == midranks(xs).tolist()
+
     def test_each_nan_keeps_its_own_rank(self):
         nan = float("nan")
         assert midranks([nan, 1.0, nan, 1.0, 0.0]).tolist() == [4.0, 2.5, 5.0, 2.5, 1.0]
@@ -279,9 +289,39 @@ class TestCorrelationsMatchNpUniqueRanks:
         matrix = RunMatrix(full.model, full.dataset, full.question_ids, full.prompt_ids,
                            full.tokens, full.correct, ~absent)
         prof = profile(matrix)
-        assert _same_or_both_nan(
-            complexity_correlations(matrix, prof), complexity_correlations_unique(matrix, prof)
-        )
+        with mock.patch.object(metrics, "midranks", side_effect=AssertionError("midranks path")):
+            got = complexity_correlations(matrix, prof)
+        assert _same_or_both_nan(got, complexity_correlations_unique(matrix, prof))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        matrix=run_matrices(max_questions=10, max_prompts=5, max_tokens=3, absent_share=0.3),
+        over=st.sampled_from([0, 1]),
+        side=st.sampled_from(["lengths", "complexities"]),
+    )
+    def test_counting_bound_straddled(self, data, matrix, over, side):
+        """The largest ranked value at the counting bound ranks by counting, one above
+        it by sorting; both give the np.unique ranks. Every other value is at most
+        3, below the smallest bound of 4."""
+        top = COUNTING_FACTOR * matrix.n_questions + over
+        if side == "lengths":
+            cells = some_cells(data, matrix)
+            matrix = with_cells(matrix, cells, [top] * len(cells))
+            prof = profile(matrix)
+        else:
+            prof = profile(matrix)
+            rows = [i for i, _ in some_cells(data, matrix)]
+            tau = prof.tau.copy()
+            tau[rows] = top
+            prof = ComplexityProfile(prof.model, prof.dataset, prof.question_ids, tau,
+                                     prof.k_used, prof.c_star, prof.c_bar)
+        with mock.patch.object(metrics, "midranks", wraps=metrics.midranks) as sorting, \
+                mock.patch.object(metrics, "_counted_midranks",
+                                  wraps=metrics._counted_midranks) as counting:
+            got = complexity_correlations(matrix, prof)
+        assert not (sorting.called if over == 0 else counting.called)
+        assert _same_or_both_nan(got, complexity_correlations_unique(matrix, prof))
 
 
 def _same_or_both_nan(a, b):
@@ -330,6 +370,26 @@ class TestLoadedProfileMatchesInMemory:
         assert _same_or_both_nan(
             complexity_correlations(matrix, loaded), complexity_correlations(matrix, prof)
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), matrix=run_matrices(max_questions=8, max_prompts=5))
+    def test_complexities_past_2_62_over_small_lengths(self, data, matrix):
+        """Huge loaded complexities take the sorting ranks, with no table of their size."""
+        obj = profile(matrix).to_json_dict()
+        for i, _ in some_cells(data, matrix):
+            obj["entries"][i]["tau"] = data.draw(st.integers(2**62, TOKENS_MAX))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "complexity.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            loaded = ComplexityProfile.load(path)
+        tracemalloc.start()
+        try:
+            got = complexity_correlations(matrix, loaded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert _same_or_both_nan(got, complexity_correlations_unique(matrix, loaded))
 
     def test_missing_question_is_consistency_error(self, oracle_matrix):
         matrix, _ = oracle_matrix
