@@ -12,10 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
-from .errors import CotBudgetError, EmptySelectionError, EndpointError, RecordSchemaError
+from .errors import (
+    CotBudgetError,
+    EmptySelectionError,
+    EndpointError,
+    RecordSchemaError,
+    utf8_bytes,
+)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -48,13 +55,7 @@ def _csv_field(text: str) -> str:
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     """Write a CSV, or raise a data error before opening it when UTF-8 cannot encode an id."""
     lines = [",".join(map(_csv_field, row)) + "\n" for row in [header, *rows]]
-    try:
-        data = "".join(lines).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise CotBudgetError(
-            f"{path}: cannot write {exc.object[exc.start]!r} as UTF-8 ({exc.reason})"
-        ) from exc
-    Path(path).write_bytes(data)
+    Path(path).write_bytes(utf8_bytes(path, "".join(lines)))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -315,6 +316,12 @@ def cmd_collect(args) -> int:
     from . import collect
     from .prompts import PromptCatalog, default_catalog
 
+    failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
+    paths = (args.out, failures_path)
+    if os.path.realpath(args.out) == os.path.realpath(failures_path) or (
+        all(map(os.path.exists, paths)) and os.path.samefile(*paths)
+    ):
+        raise ValueError(f"--failures {failures_path} is the --out file; name another file")
     questions = collect.load_questions(args.questions)
     catalog = PromptCatalog.load(args.catalog) if args.catalog else default_catalog()
     config = collect.SweepConfig(
@@ -337,7 +344,6 @@ def cmd_collect(args) -> int:
         if prior is not None:
             skip = prior.cells()
         append = True
-    failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
     if append and Path(failures_path).exists():
         collect.drop_torn_tail(failures_path)
     with collect.JsonlWriter(args.out, append=append) as writer:

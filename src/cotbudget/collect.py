@@ -221,14 +221,12 @@ class JsonlWriter:
             "a" if append else "w", encoding="utf-8", errors="backslashreplace", newline="\n"
         )
         self._lock = threading.Lock()
-        self.count = 0
 
     def write(self, obj: dict) -> None:
         line = json.dumps(obj, ensure_ascii=False)
         with self._lock:
             self._fh.write(line + "\n")
             self._fh.flush()
-            self.count += 1
 
     def close(self) -> None:
         self._fh.close()

@@ -35,9 +35,6 @@ INFINITE = math.inf
 # temporaries (a few arrays of BLOCK_ROWS x (K + 1) int64) whatever n is.
 BLOCK_ROWS = 2048
 
-# Lengths below this fit the packed sort key 2 * length + hit of _best_thresholds.
-PACKED_LIMIT = 2**62
-
 
 def is_finite(tau: float) -> bool:
     return not math.isinf(tau)
@@ -215,52 +212,43 @@ def _best_thresholds(
 
     tau is -1 where the infinite threshold wins; agree counts the present
     runs the best threshold classifies correctly; k_used counts present runs.
-    Token counts of present cells must be non-negative.
+    Token counts of present cells must be in [0, 2**63 - 1].
 
-    Each row is sorted with absent cells first (as -1, below every present
-    length), then cut before sorted position s: the runs left of the cut
+    Each cell packs into one uint64 key, 2 * length + hit, which fits every
+    int64 count; an absent cell gets key 0. One in-place sort of the keys
+    orders each row by length and then hit: key >> 1 is the length and
+    key & 1 the hit. An absent cell shares key 0 with a present length-0
+    miss, and equal keys are interchangeable, so the first
+    absent = K - k_used positions of a sorted row stand for its absent
+    cells and the rest for its present runs.
+
+    The row is then cut before sorted position s: the runs left of the cut
     are predicted incorrect and the rest correct, so the cut agrees with
     (s - absent) - 2*C_before(s) + C_total runs, where C_before(s) counts
-    the correct runs left of it. A cut is a finite candidate where it
-    starts a distinct present length; s = K is the infinite threshold.
-    argmax takes the first maximum, which is the paper's tie rule: the
-    smallest finite threshold wins, and infinity wins only when strictly
-    better.
-
-    The row sort need not be stable. Left of a candidate cut lie exactly
-    the runs shorter than its length (and the absent cells), whatever the
-    order within a tie, so C_before, and with it tau, agree and k_used,
-    are the same for every order the sort may choose.
-
-    When every length of the block is below PACKED_LIMIT = 2**62, each
-    cell packs into one int64 key, 2 * length + hit, and one in-place value
-    sort orders lengths and hits together: key >> 1 is the length (absent
-    cells stay -1) and key & 1 the hit. Within a tie this sorts misses
-    before hits, which is one of the orders above, so the result is the
-    one the argsort path gives. Longer lengths would overflow the key and
-    take that path: an argsort and two gathers.
+    the correct runs left of it. The finite candidates are position
+    absent, where the present runs start, and each later position whose
+    length exceeds the one before; s = K is the infinite threshold. argmax
+    takes the first maximum, which is the paper's tie rule: the smallest
+    finite threshold wins, and infinity wins only when strictly better.
+    Left of a candidate cut lie exactly the runs shorter than its length
+    (and the absent cells), so the order within a tie changes nothing.
     """
     rows, width = tokens.shape
-    ordered = np.where(present, tokens, -1)
-    if ordered.max(initial=-1) < PACKED_LIMIT:
-        ordered *= 2
-        ordered += correct & present
-        ordered.sort(axis=1)
-        hits = ordered & 1
-        ordered >>= 1
-    else:
-        order = np.argsort(ordered, axis=1)
-        ordered = np.take_along_axis(ordered, order, axis=1)
-        hits = np.take_along_axis(correct & present, order, axis=1)
+    keys = np.where(present, tokens, 0).astype(np.uint64)
+    keys <<= np.uint64(1)
+    keys |= correct & present
+    keys.sort(axis=1)
+    hits = (keys & np.uint64(1)).view(np.int64)
+    keys >>= np.uint64(1)
+    ordered = keys.view(np.int64)
     before = np.zeros((rows, width + 1), dtype=np.int64)
     np.cumsum(hits, axis=1, out=before[:, 1:])
     k_used = np.count_nonzero(present, axis=1)
-    absent = (width - k_used)[:, None]
-    cuts = np.arange(width + 1)
-    agree = cuts - absent - 2 * before + before[:, -1:]
-    candidate = np.empty((rows, width + 1), dtype=bool)
-    candidate[:, 0] = ordered[:, 0] >= 0
+    absent = width - k_used
+    agree = np.arange(width + 1) - absent[:, None] - 2 * before + before[:, -1:]
+    candidate = np.zeros((rows, width + 1), dtype=bool)
     candidate[:, 1:width] = ordered[:, 1:] > ordered[:, :-1]
+    candidate[np.arange(rows), absent] = True
     candidate[:, width] = True
     best = np.argmax(np.where(candidate, agree, -1), axis=1)
     tau = np.take_along_axis(ordered, np.minimum(best, width - 1)[:, None], axis=1)[:, 0]
@@ -299,11 +287,8 @@ def profile(matrix: RunMatrix) -> ComplexityProfile:
     """Estimate every question's complexity and the mean classifier accuracy.
 
     _best_thresholds runs over blocks of BLOCK_ROWS rows, so its temporaries
-    stay a few megabytes whatever the number of questions. Each block picks
-    its own row sort from its largest length (the packed sort below
-    PACKED_LIMIT, the argsort at or above it); both give the same tau,
-    agree and k_used, so blocks that differ in that choice join into the
-    profile a single path would give. Fractions are
+    stay a few megabytes whatever the number of questions. Every block
+    takes the same packed sort, for every int64 length. Fractions are
     built once per distinct (agree, k_used) pair for c_star, and for c_bar
     from the agreement totals per distinct k_used. A pair is coded as
     agree * (K + 1) + k_used, which is one-to-one because agree <= k_used

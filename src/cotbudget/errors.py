@@ -8,9 +8,21 @@ errors are, so a caller that caught ValueError from a loader still does.
 """
 from __future__ import annotations
 
+from os import PathLike
+
 
 class CotBudgetError(Exception):
     """Base class for data and domain errors raised by cotbudget."""
+
+
+def utf8_bytes(path: str | PathLike[str], text: str) -> bytes:
+    """text as UTF-8, or a CotBudgetError naming path and the first character UTF-8 cannot encode."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CotBudgetError(
+            f"{path}: cannot write {exc.object[exc.start]!r} as UTF-8 ({exc.reason})"
+        ) from exc
 
 
 class RecordParseError(CotBudgetError, ValueError):

@@ -17,8 +17,8 @@ from .errors import (
 )
 from .records import RunMatrix, _positions
 
-# complexity_correlations ranks by counting while no ranked value exceeds
-# this many times the number of questions.
+# midranks ranks non-negative integers by counting while none exceeds this
+# many times the number of values.
 COUNTING_FACTOR = 4
 
 
@@ -131,46 +131,35 @@ def validation_report(matrix: RunMatrix, profile: ComplexityProfile) -> Validati
 def midranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions.
 
-    Integers are ranked as they are, so counts above 2**53 stay apart;
-    other values as floats. One argsort orders the values (its order
-    within a tie does not matter), and _sorted_midranks ranks each run of
-    equal values. NaN equals nothing and sorts last, so each NaN gets a
-    rank of its own after every number, in input order.
+    A run of equal values holding 0-based sorted positions first ..
+    first + count - 1 gets the exact half-integer first + (count + 1) / 2.
+    Non-negative integers no larger than COUNTING_FACTOR times their number
+    are ranked by counting: with counts[v] copies of v and below[v] values
+    less than v, the copies of v get below[v] + (counts[v] + 1) / 2, in
+    time and memory linear in the number of values. Every other input is
+    ranked by one argsort (its order within a tie does not matter), which
+    finds the runs of equal values: integers as they are, so counts above
+    2**53 stay apart, and other values as floats. NaN equals nothing and
+    sorts last, so each NaN gets a rank of its own after every number, in
+    input order. Both kernels give the same ranks.
     """
     a = np.asarray(values)
+    if a.dtype.kind in "iu" and a.size and a.min() >= 0 and a.max() <= COUNTING_FACTOR * a.size:
+        small = a.astype(np.intp, copy=False)
+        counts = np.bincount(small)
+        below = np.cumsum(counts) - counts
+        return (below + (counts + 1) / 2)[small]
     if a.dtype.kind not in "iu":
         a = a.astype(float)
     nan = np.isnan(a) if a.dtype.kind == "f" else np.zeros(a.size, dtype=bool)
     numbers = np.argsort(a)[: a.size - int(np.count_nonzero(nan))]
-    ranks = np.empty(a.size, dtype=float)
-    ranks[numbers] = _sorted_midranks(a[numbers])
-    ranks[nan] = np.arange(numbers.size + 1, a.size + 1)
-    return ranks
-
-
-def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
-    """Midranks of ascending, NaN-free values, in that order.
-
-    A run of equal values starting at 0-based position first with length
-    count holds ranks first + 1 .. first + count, whose mean
-    first + (count + 1) / 2 is an exact half-integer.
-    """
+    ordered = a[numbers]
     first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     count = np.diff(first, append=ordered.size)
-    return np.repeat(first + (count + 1) / 2, count)
-
-
-def _counted_midranks(values: np.ndarray) -> np.ndarray:
-    """midranks of small non-negative integers, by counting instead of sorting.
-
-    With counts[v] copies of v and below[v] values less than v, the copies
-    of v hold ranks below[v] + 1 .. below[v] + counts[v], whose mean is the
-    same exact half-integer _sorted_midranks gives. The table has one
-    entry per value up to the largest, so the values must be small.
-    """
-    counts = np.bincount(values)
-    below = np.cumsum(counts) - counts
-    return (below + (counts + 1) / 2)[values]
+    ranks = np.empty(a.size, dtype=float)
+    ranks[numbers] = np.repeat(first + (count + 1) / 2, count)
+    ranks[nan] = np.arange(numbers.size + 1, a.size + 1)
+    return ranks
 
 
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
@@ -201,26 +190,11 @@ def complexity_correlations(
     Pairs token lengths with finite complexities over present cells only;
     rho is NaN when fewer than two pairs exist or ranks are degenerate.
 
-    The ranks come from one of two kernels, chosen once per call. When
-    the largest present length and finite complexity is at most
-    COUNTING_FACTOR times the number of questions, each prompt's lengths
-    and complexities are ranked by counting (_counted_midranks), in time
-    and memory linear in the number of questions. Otherwise (a profile
-    loaded from a file may hold complexities up to TOKENS_MAX) the lengths
-    are argsorted per prompt and the complexities sorted once: a prompt's
-    pairs keep that order when the questions it lacks are dropped, so
-    their ranks need no sort of their own. Both kernels give the exact
-    half-integer midranks spearman computes, in row order, so rho is
-    bit-identical whichever one runs.
+    Each side is ranked by midranks, which spearman also uses, so rho is
+    the spearman of the prompt's pairs, in row order.
     """
     tau = _check_same_run_set(matrix, profile)
     finite = tau >= 0
-    top = max(int(np.max(matrix.tokens, where=matrix.present, initial=0)),
-              int(tau.max(initial=0)))
-    counting = top <= COUNTING_FACTOR * tau.size
-    if not counting:
-        by_tau = np.argsort(tau)
-        tau_ranks = np.empty(tau.size, dtype=float)
     out: list[tuple[str, float, int]] = []
     for j, pid in enumerate(matrix.prompt_ids):
         mask = matrix.present[:, j] & finite
@@ -228,15 +202,8 @@ def complexity_correlations(
         if n < 2:
             out.append((pid, float("nan"), n))
             continue
-        lengths = matrix.tokens[:, j][mask]
-        if counting:
-            rx, ry = _counted_midranks(lengths), _counted_midranks(tau[mask])
-        else:
-            rows = by_tau[mask[by_tau]]
-            tau_ranks[rows] = _sorted_midranks(tau[rows])
-            rx, ry = midranks(lengths), tau_ranks[mask]
         try:
-            rho = _rank_correlation(rx, ry)
+            rho = _rank_correlation(midranks(matrix.tokens[:, j][mask]), midranks(tau[mask]))
         except UndefinedCorrelationError:
             rho = float("nan")
         out.append((pid, rho, n))

@@ -22,7 +22,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateRecordError, EmptySelectionError, RecordSchemaError
+from .errors import DuplicateRecordError, EmptySelectionError, RecordSchemaError, utf8_bytes
 from .inputs import INTEGER, NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
 
 REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
@@ -197,11 +197,14 @@ def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
     One line per present cell, row-major, ids JSON-encoded once each; the
     fields of a line are model, dataset, question_id, prompt_id, tokens and
     correct, in that order, as ``json.dumps(..., ensure_ascii=False)`` writes them.
+    An id UTF-8 cannot encode is a CotBudgetError raised before the file is
+    opened, so a file already at path is left as it was.
     """
     dumps = functools.partial(json.dumps, ensure_ascii=False)
     head = f'{{"model": {dumps(matrix.model)}, "dataset": {dumps(matrix.dataset)}, "question_id": '
     questions = [head + dumps(q) + ', "prompt_id": ' for q in matrix.question_ids]
     prompts = [dumps(p) + ', "tokens": ' for p in matrix.prompt_ids]
+    utf8_bytes(path, "".join([head, *questions, *prompts]))
     rows, cols = np.nonzero(matrix.present)
     tokens = matrix.tokens[rows, cols].tolist()
     correct = matrix.correct[rows, cols].tolist()

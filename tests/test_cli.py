@@ -73,6 +73,19 @@ class TestSynth:
         assert code == 0
         assert (tmp_path / "taus.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--model", "--dataset"])
+    def test_id_utf8_cannot_encode_keeps_earlier_output(self, tmp_path, capsys, flag):
+        """A non-UTF-8 byte in argv arrives as a lone surrogate: a data error before --out opens."""
+        out = tmp_path / "s.jsonl"
+        out.write_bytes(b"earlier output\n")
+        code = main(["synth", "--out", str(out), "--n", "5", "--prompts", "3", flag, "m\udcff"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"data error: {out}: cannot write '\\udcff' as UTF-8 (surrogates not allowed)\n"
+        )
+        assert out.read_bytes() == b"earlier output\n"
+        assert not (tmp_path / "taus.json").exists()
+
 
 class TestComplexityCommand:
     def test_oracle_summary_reports_perfect_cbar(self, tmp_path, capsys, synth_records):
@@ -991,6 +1004,34 @@ class TestHostileInput:
 
 
 class TestCollectChecksBeforeRequests:
+    @pytest.mark.parametrize("alias", ["same", "relative", "absent", "hardlink", "symlink"])
+    def test_failures_naming_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, alias):
+        """Two writers on one file would overwrite each other's lines: refused before any
+        file is read (the questions file does not exist) and before any request."""
+        out = tmp_path / "r.jsonl"
+        if alias != "absent":
+            out.write_bytes(b"earlier records\n")
+        monkeypatch.chdir(tmp_path)
+        failures = {"same": str(out), "relative": "./sub/../r.jsonl", "absent": "r.jsonl",
+                    "hardlink": "link.jsonl", "symlink": "sym.jsonl"}[alias]
+        (tmp_path / "sub").mkdir()
+        if alias == "hardlink":
+            os.link(out, failures)
+        elif alias == "symlink":
+            os.symlink(out, failures)
+        with MockChatEndpoint(fail_first=3, fail_status=400) as mock:
+            code = main(["collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                         "--questions", "missing.jsonl", "--out", str(out), "--resume",
+                         "--failures", failures])
+        assert mock.request_count == 0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --failures {failures} is the --out file; name another file\n"
+        )
+        assert (out.read_bytes() if out.exists() else None) == (
+            None if alias == "absent" else b"earlier records\n"
+        )
+
     def collect(self, tmp_path, capsys, *extra, model="m"):
         questions = tmp_path / "questions.jsonl"
         questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")

@@ -236,23 +236,29 @@ class TestProfileMatchesLoopOracle:
         assert profile(matrix) == stable
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), matrix=run_matrices(max_questions=6, max_prompts=6),
-           top=st.sampled_from([complexity.PACKED_LIMIT - 1, complexity.PACKED_LIMIT]))
+    @given(data=st.data(), matrix=run_matrices(max_questions=6, max_prompts=6, absent_share=0.3),
+           top=st.sampled_from([2**62 - 1, 2**62, 2**63 - 1]))
     def test_packed_sort_limit_straddled(self, data, matrix, top):
-        """A block's largest length just below the packed-key limit takes the packed
-        sort, one at the limit the argsort; both give the stable kernel's result."""
+        """Lengths on both sides of 2**62 and up to 2**63 - 1 take the one packed sort,
+        never an argsort, and give the stable kernel's result. An extra row puts an
+        absent cell next to a present length-0 miss, which shares its key, and a
+        length-0 hit."""
         cells = some_cells(data, matrix)
-        ties = st.sampled_from([top, top - 1, top - 2])
+        ties = st.sampled_from([top, top - 1, top - 2, 0])
         lengths = [top, *(data.draw(ties) for _ in cells[1:])]
         matrix = with_cells(matrix, cells, lengths)
-        assert matrix.tokens[matrix.present].max() == top
-        kernel_input = (matrix.tokens, matrix.correct, matrix.present)
-        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        k = matrix.n_prompts
+        tokens = np.vstack([matrix.tokens, [0, 0, 0][:k] + [top] * (k - 3)])
+        correct = np.vstack([matrix.correct, [False, False, True][:k] + [True] * (k - 3)])
+        present = np.vstack([matrix.present, [k == 1] + [True] * (k - 1)])
+        assert tokens[present].max() == top
+        kernel_input = (tokens, correct, present)
+        with mock.patch.object(np, "argsort", side_effect=AssertionError("argsort path")):
             got = complexity._best_thresholds(*kernel_input)
-        assert argsort.called == (top >= complexity.PACKED_LIMIT)
+            packed = profile(matrix)
         for column, want in zip(got, best_thresholds_stable(*kernel_input)):
             assert column.tolist() == want.tolist()
-        assert profile(matrix) == profile_loop(matrix)
+        assert packed == profile_loop(matrix)
 
     def test_replay_size_matrix_takes_the_packed_sort(self):
         matrix, _ = generate(random_spec(2000, seed=5, violation_rate=0.1))

@@ -198,10 +198,50 @@ class TestMidranks:
     def test_matches_oracle(self, xs):
         assert list(midranks(xs)) == pytest.approx(rank_oracle(xs))
 
-    @given(xs=st.lists(st.integers(0, 50), min_size=1, max_size=30))
-    def test_counting_ranks_equal_sorted_ranks(self, xs):
-        xs = np.array(xs, dtype=np.int64)
-        assert metrics._counted_midranks(xs).tolist() == midranks(xs).tolist()
+    @given(data=st.data(), n=st.integers(1, 30),
+           dtype=st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]))
+    def test_counting_ranks_equal_sorted_ranks(self, data, n, dtype):
+        """Non-negative integers up to COUNTING_FACTOR times their number rank by
+        counting, never an argsort, whatever the integer dtype."""
+        values = st.integers(0, COUNTING_FACTOR * n)
+        xs = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+        with mock.patch.object(np, "argsort", side_effect=AssertionError("argsort path")):
+            got = midranks(xs)
+        assert got.tolist() == midranks_loop(xs).tolist()
+
+    @given(data=st.data(), n=st.integers(1, 30), over=st.sampled_from([0, 1]),
+           dtype=st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]))
+    def test_counting_bound_straddled(self, data, n, over, dtype):
+        """A largest value at COUNTING_FACTOR times the size ranks by counting, one
+        above it by sorting; both give the loop oracle's ranks."""
+        xs = data.draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+        xs.insert(data.draw(st.integers(0, n - 1)), COUNTING_FACTOR * n + over)
+        xs = np.array(xs, dtype=dtype)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = midranks(xs)
+        assert argsort.called == bool(over)
+        assert got.tolist() == midranks_loop(xs).tolist()
+
+    @given(xs=st.lists(st.integers(-5, 5), min_size=1, max_size=30),
+           dtype=st.sampled_from([np.int8, np.int32, np.int64]))
+    def test_negative_integers_take_the_sort(self, xs, dtype):
+        xs = np.array([-1, *xs], dtype=dtype)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = midranks(xs)
+        assert argsort.called
+        assert got.tolist() == midranks_loop(xs).tolist()
+
+    @given(xs=st.lists(st.booleans(), min_size=1, max_size=30))
+    def test_bools_rank_as_numbers(self, xs):
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = midranks(np.array(xs))
+        assert argsort.called
+        assert got.tolist() == midranks_loop(xs).tolist() == rank_oracle(xs)
+
+    @given(xs=st.lists(st.integers(0, 4) | st.integers(2**64 - 4, 2**64 - 1), max_size=40))
+    def test_large_unsigned_integers_stay_apart(self, xs):
+        xs = np.array(xs, dtype=np.uint64)
+        assert midranks(xs).tolist() == midranks_unique(xs).tolist()
 
     def test_each_nan_keeps_its_own_rank(self):
         nan = float("nan")
@@ -289,38 +329,43 @@ class TestCorrelationsMatchNpUniqueRanks:
         matrix = RunMatrix(full.model, full.dataset, full.question_ids, full.prompt_ids,
                            full.tokens, full.correct, ~absent)
         prof = profile(matrix)
-        with mock.patch.object(metrics, "midranks", side_effect=AssertionError("midranks path")):
+        with mock.patch.object(np, "argsort", side_effect=AssertionError("argsort path")):
             got = complexity_correlations(matrix, prof)
         assert _same_or_both_nan(got, complexity_correlations_unique(matrix, prof))
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        data=st.data(),
-        matrix=run_matrices(max_questions=10, max_prompts=5, max_tokens=3, absent_share=0.3),
-        over=st.sampled_from([0, 1]),
-        side=st.sampled_from(["lengths", "complexities"]),
-    )
-    def test_counting_bound_straddled(self, data, matrix, over, side):
-        """The largest ranked value at the counting bound ranks by counting, one above
-        it by sorting; both give the np.unique ranks. Every other value is at most
-        3, below the smallest bound of 4."""
-        top = COUNTING_FACTOR * matrix.n_questions + over
-        if side == "lengths":
-            cells = some_cells(data, matrix)
-            matrix = with_cells(matrix, cells, [top] * len(cells))
-            prof = profile(matrix)
-        else:
-            prof = profile(matrix)
-            rows = [i for i, _ in some_cells(data, matrix)]
-            tau = prof.tau.copy()
-            tau[rows] = top
-            prof = ComplexityProfile(prof.model, prof.dataset, prof.question_ids, tau,
-                                     prof.k_used, prof.c_star, prof.c_bar)
-        with mock.patch.object(metrics, "midranks", wraps=metrics.midranks) as sorting, \
-                mock.patch.object(metrics, "_counted_midranks",
-                                  wraps=metrics._counted_midranks) as counting:
+    @given(data=st.data(), n=st.integers(2, 10), k=st.integers(1, 5),
+           over=st.sampled_from([0, 1]))
+    def test_counting_bound_straddled(self, data, n, k, over):
+        """Every ranked array (each prompt's lengths and the complexities, n values
+        each) has its largest value at the counting bound, where it ranks by
+        counting, or one above it, where it ranks by sorting. Both give the rho of
+        midranks_loop's ranks and of the np.unique ranks. Every other value is at
+        most 3, below the smallest bound of 8."""
+        top = COUNTING_FACTOR * n + over
+        small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        columns = []
+        for _ in range(k):
+            column = data.draw(small)
+            column[data.draw(st.integers(0, n - 1))] = top
+            columns.append(column)
+        tau = data.draw(small)
+        tau[data.draw(st.integers(0, n - 1))] = top
+        correct = data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+        matrix = make_matrix(np.array(columns).T, np.reshape(correct, (n, k)))
+        prof = ComplexityProfile(matrix.model, matrix.dataset, matrix.question_ids, tau,
+                                 [k] * n, [Fraction(1)] * n, Fraction(1))
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
             got = complexity_correlations(matrix, prof)
-        assert not (sorting.called if over == 0 else counting.called)
+        assert argsort.call_count == (2 * k if over else 0)
+        want = []
+        for pid, column in zip(matrix.prompt_ids, columns):
+            try:
+                rho = metrics._rank_correlation(midranks_loop(column), midranks_loop(tau))
+            except UndefinedCorrelationError:
+                rho = float("nan")
+            want.append((pid, rho, n))
+        assert _same_or_both_nan(got, want)
         assert _same_or_both_nan(got, complexity_correlations_unique(matrix, prof))
 
 
