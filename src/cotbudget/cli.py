@@ -62,6 +62,14 @@ def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two output paths name one file: the same path once links and
+    ``..`` are resolved, or, when both exist, one inode (a hard link)."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+    )
+
+
 def _load_matrix(args):
     from .records import read_matrices
 
@@ -94,6 +102,9 @@ def cmd_synth(args) -> int:
     from . import oracle
     from .records import save_matrix
 
+    taus_out = args.taus_out or str(Path(args.out).parent / "taus.json")
+    if _same_file(args.out, taus_out):
+        raise ValueError(f"the taus file {taus_out} is the --out file; name another with --taus-out")
     spec = oracle.random_spec(
         n=args.n,
         seed=args.seed,
@@ -107,7 +118,6 @@ def cmd_synth(args) -> int:
             dataset=args.dataset or spec.dataset,
         )
     matrix, taus = oracle.generate(spec)
-    taus_out = args.taus_out or str(Path(args.out).parent / "taus.json")
     count = save_matrix(matrix, args.out)
     oracle.save_taus(taus, matrix.question_ids, taus_out)
     n_inf = sum(1 for t in taus if not oracle.is_finite(t))
@@ -317,10 +327,7 @@ def cmd_collect(args) -> int:
     from .prompts import PromptCatalog, default_catalog
 
     failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
-    paths = (args.out, failures_path)
-    if os.path.realpath(args.out) == os.path.realpath(failures_path) or (
-        all(map(os.path.exists, paths)) and os.path.samefile(*paths)
-    ):
+    if _same_file(args.out, failures_path):
         raise ValueError(f"--failures {failures_path} is the --out file; name another file")
     questions = collect.load_questions(args.questions)
     catalog = PromptCatalog.load(args.catalog) if args.catalog else default_catalog()

@@ -25,6 +25,23 @@ TAU_RANGE = (4, 160)
 INFINITE_SHARE = 1 / 6
 
 
+def _float_taus(taus: Sequence[float]) -> np.ndarray | None:
+    """The taus as one float64 array when each is a Python float or int, else None.
+
+    numpy converts a Python int as float() does, and truncating a float is
+    exact, so float(int(t)) and the checks on int(t) can be read from this
+    array. Other types take the per-question path: float(Fraction(2**54 - 1, 2))
+    rounds up to 2**53, but int() of it truncates to 2**53 - 1. An int too large
+    for a float also gives None, so the per-question path raises what it raised.
+    """
+    if not set(map(type, taus)) <= {float, int}:
+        return None
+    try:
+        return np.array(taus, dtype=float)
+    except OverflowError:
+        return None
+
+
 def straddle_lengths(
     taus: Sequence[float],
     n_prompts: int,
@@ -42,12 +59,22 @@ def straddle_lengths(
     Without shuffling, a prompt's factor is the same for every question, so
     prompts solve all finite questions or none. shuffle_seed permutes the
     factor assignment per question, giving prompts graded accuracies while
-    keeping each question's length multiset (and thus recovery) intact.
+    keeping each question's length multiset (and thus recovery) intact. The
+    permutations come from one call that shuffles every row in order, which
+    draws the same stream as one ``rng.permutation(n_prompts)`` per question.
+
+    A finite tau is anchored at float(int(tau)); a NaN raises what int()
+    raises.
     """
     if n_prompts < 2:
         raise ValueError("straddle_lengths needs at least 2 prompts")
-    finite = [int(t) for t in taus if is_finite(t)]
-    proxy = 2 * max(finite) if finite else 64
+    values = _float_taus(taus)
+    if values is None or np.isnan(values).any():
+        values = np.array([int(t) if is_finite(t) else INFINITE for t in taus], dtype=float)
+    finite = ~np.isinf(values)
+    anchors = np.trunc(values)
+    if not finite.all():
+        anchors[~finite] = 2 * int(anchors[finite].max()) if finite.any() else 64
     n_below = max(1, (n_prompts - 1) // 2)
     n_above = n_prompts - 1 - n_below
     factors = np.array(
@@ -55,13 +82,12 @@ def straddle_lengths(
         + [1.0]
         + [1.0 + 1.0 * (a + 1) / max(1, n_above) for a in range(n_above)]
     )
-    anchors = np.array([int(t) if is_finite(t) else proxy for t in taus], dtype=float)
     if shuffle_seed is None:
         cell_factors = np.broadcast_to(factors, (anchors.size, n_prompts))
     else:
-        rng = np.random.default_rng(shuffle_seed)
-        perms = (rng.permutation(n_prompts) for _ in taus)  # freed before the lengths exist
-        cell_factors = factors[np.array(list(perms), dtype=np.intp).reshape(-1, n_prompts)]
+        order = np.tile(np.arange(n_prompts), (anchors.size, 1))
+        np.random.default_rng(shuffle_seed).permuted(order, axis=1, out=order)
+        cell_factors = factors[order]
     return np.floor(cell_factors * anchors[:, None]).astype(np.int64)
 
 
@@ -94,9 +120,12 @@ class OracleSpec:
             raise ValueError(f"need {self.n} taus, got {len(self.taus)}")
         if not 0.0 <= self.violation_rate <= 1.0:
             raise ValueError(f"violation_rate must be in [0, 1], got {self.violation_rate}")
-        for t in self.taus:
-            if is_finite(t) and (int(t) != t or t < 1):
-                raise ValueError(f"finite taus must be positive integers, got {t!r}")
+        values = _float_taus(self.taus)
+        finite = None if values is None else values[~np.isinf(values)]
+        if finite is None or not ((np.trunc(finite) == finite) & (finite >= 1)).all():
+            for t in self.taus:  # names the first bad tau; int() of a NaN raises
+                if is_finite(t) and (int(t) != t or t < 1):
+                    raise ValueError(f"finite taus must be positive integers, got {t!r}")
 
 
 def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
@@ -111,9 +140,8 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
     if negative.any():
         row, col = np.argwhere(negative)[0]
         raise GenerationError(f"prompt_lengths holds {lengths[row, col]} at cell ({row}, {col})")
-    tau_col = np.array(
-        [t if is_finite(t) else np.inf for t in spec.taus], dtype=float
-    ).reshape(-1, 1)
+    # A valid spec's finite taus are positive, so abs only turns -inf into inf.
+    tau_col = np.abs(np.array(spec.taus, dtype=float)).reshape(-1, 1)
     correct = lengths >= tau_col
     straddled = correct.any(axis=1) & ~correct.all(axis=1)
     unstraddled = np.isfinite(tau_col[:, 0]) & ~straddled
@@ -148,15 +176,19 @@ def random_spec(
     """Seeded random spec with difficulty-correlated straddling lengths.
 
     Taus are drawn uniformly from TAU_RANGE; a share INFINITE_SHARE of the
-    questions, rounded, gets an infinite complexity instead.
+    questions, rounded, gets an infinite complexity instead. Each quantity
+    is one generator call over all n questions, which draws the same stream
+    as one call per question. n must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
     lo, hi = TAU_RANGE
-    taus = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
+    taus = rng.integers(lo, hi + 1, size=n).astype(float)
     n_inf = int(round(INFINITE_SHARE * n))
     if n_inf:
-        for idx in rng.choice(n, size=n_inf, replace=False):
-            taus[idx] = INFINITE
+        taus[rng.choice(n, size=n_inf, replace=False)] = INFINITE
+    taus = taus.tolist()
     return OracleSpec(
         n=n,
         prompt_lengths=straddle_lengths(taus, n_prompts, shuffle_seed=seed),

@@ -27,11 +27,13 @@ from cotbudget.errors import (
     CoverageError,
     DuplicateRecordError,
     EmptySelectionError,
+    GenerationError,
     RecordParseError,
     RecordSchemaError,
 )
 from cotbudget.inputs import TOKENS_MAX, read_jsonl
 from cotbudget.metrics import PromptResult
+from cotbudget.oracle import INFINITE_SHARE, TAU_RANGE, OracleSpec
 from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
 from cotbudget.records import OPTIONAL_FIELDS, REQUIRED_FIELDS, EvalRecord, RunMatrix
 from cotbudget.routing import RoutingOutcome
@@ -661,3 +663,56 @@ def straddle_lengths_loop(
             lengths[i, k] = math.floor(factor * anchor)
     return lengths
 
+
+
+def check_taus_loop(taus: Sequence[float]) -> None:
+    """OracleSpec's rule for its taus, one tau at a time."""
+    for t in taus:
+        if is_finite(t) and (int(t) != t or t < 1):
+            raise ValueError(f"finite taus must be positive integers, got {t!r}")
+
+
+def random_spec_loop(
+    n: int, seed: int = 0, violation_rate: float = 0.0, n_prompts: int = 31
+) -> OracleSpec:
+    """One generator call per question's tau, then each infinite one set by index."""
+    rng = np.random.default_rng(seed)
+    lo, hi = TAU_RANGE
+    taus = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
+    n_inf = int(round(INFINITE_SHARE * n))
+    if n_inf:
+        for idx in rng.choice(n, size=n_inf, replace=False):
+            taus[idx] = INFINITE
+    return OracleSpec(
+        n=n,
+        prompt_lengths=straddle_lengths_loop(taus, n_prompts, shuffle_seed=seed),
+        taus=tuple(taus),
+        violation_rate=violation_rate,
+        seed=seed,
+    )
+
+
+def generate_loop(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A spec's (tokens, correct), one cell at a time.
+
+    A length reaches a finite tau when it does as float64, the way the
+    matrix compares them; the flips are the one (n, K) uniform draw.
+    """
+    n, k = spec.n, spec.prompt_lengths.shape[1]
+    flips = np.zeros((n, k), dtype=bool)
+    if spec.violation_rate > 0:
+        flips = np.random.default_rng(spec.seed).random((n, k)) < spec.violation_rate
+    tokens = np.empty((n, k), dtype=np.int64)
+    correct = np.empty((n, k), dtype=bool)
+    for i, tau in enumerate(spec.taus):
+        row = [int(v) for v in spec.prompt_lengths[i if len(spec.prompt_lengths) == n else 0]]
+        solved = [is_finite(tau) and float(length) >= float(tau) for length in row]
+        if is_finite(tau) and (all(solved) or not any(solved)):
+            raise GenerationError(
+                f"question {i} (tau={int(tau)}) has no straddling lengths: "
+                f"min={min(row)}, max={max(row)}"
+            )
+        for j in range(k):
+            tokens[i, j] = row[j]
+            correct[i, j] = solved[j] != flips[i, j]
+    return tokens, correct

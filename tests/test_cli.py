@@ -86,6 +86,33 @@ class TestSynth:
         assert out.read_bytes() == b"earlier output\n"
         assert not (tmp_path / "taus.json").exists()
 
+    @pytest.mark.parametrize("alias", ["explicit", "default", "hardlink"])
+    def test_taus_file_naming_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, alias):
+        """The taus file would overwrite the records: refused before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        out = "taus.json" if alias == "default" else "r.jsonl"
+        Path(out).write_bytes(b"earlier records\n")
+        argv = ["synth", "--out", out, "--n", "5", "--prompts", "3"]
+        if alias == "explicit":
+            argv += ["--taus-out", out]
+        elif alias == "hardlink":
+            os.link(out, "t.json")
+            argv += ["--taus-out", "t.json"]
+        taus = {"explicit": "r.jsonl", "default": "taus.json", "hardlink": "t.json"}[alias]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: the taus file {taus} is the --out file; name another with --taus-out\n"
+        )
+        assert Path(out).read_bytes() == b"earlier records\n"
+        assert sorted(os.listdir()) == sorted({out, taus})
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_fewer_than_one_question_is_a_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "r.jsonl"
+        assert main(["synth", "--out", str(out), "--n", n]) == 2
+        assert capsys.readouterr().err == f"usage error: n must be a positive integer, got {n}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestComplexityCommand:
     def test_oracle_summary_reports_perfect_cbar(self, tmp_path, capsys, synth_records):

@@ -24,7 +24,10 @@ from cotbudget.oracle import (
 )
 
 from loop_oracles import (
+    check_taus_loop,
+    generate_loop,
     question_runs,
+    random_spec_loop,
     straddle_lengths_loop,
     taus_from_file_loop,
 )
@@ -141,6 +144,178 @@ class TestLengthRulesMatchPerCellLoops:
         spec = OracleSpec(n=3, prompt_lengths=[[4, -7]], taus=(2, 2, 2))
         with pytest.raises(GenerationError, match=r"holds -7 at cell \(0, 1\)"):
             generate(spec)
+
+
+
+def outcome(build, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 (the exception is the outcome compared)
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+# Taus whose float64 value and int() disagree, or that the per-question code
+# rejects: ints and floats past 2**53, halves that round up as floats,
+# infinities of both signs, NaN, zero and negatives.
+EDGE_TAUS = [
+    2**53 + 1, 2**60 + 1, 2.0**53 + 2, Fraction(2**54 - 1, 2), Fraction(2**54 + 1, 2),
+    Fraction(2**53 + 1), Fraction(7, 2), INFINITE, -INFINITE, math.nan, 0, 0.0, -0.0, -3.5, True,
+]
+ANY_TAUS = st.lists(
+    st.integers(-2**60, 2**60)
+    | st.floats(-2.0**60, 2.0**60, allow_nan=False)
+    | st.fractions(-2**60, 2**60)
+    | st.sampled_from(EDGE_TAUS),
+    min_size=1,
+    max_size=30,
+)
+VALID_TAUS = st.lists(
+    st.integers(1, 2**60)
+    | st.integers(1, 2**60).map(float)
+    | st.integers(1, 2**60).map(Fraction)
+    | st.sampled_from([2**53 + 1, Fraction(2**53 + 1), INFINITE, -INFINITE]),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestGeneratorMatchesLoopOracles:
+    """random_spec, straddle_lengths, OracleSpec and generate against the
+    one-call-per-question code they replaced: the same values, types and errors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 500),
+        seed=st.integers(0, 2**64),
+        n_prompts=st.integers(2, 64),
+        violation_rate=st.floats(0, 1),
+    )
+    def test_random_spec_and_generate(self, n, seed, n_prompts, violation_rate):
+        got = random_spec(n, seed, violation_rate, n_prompts)
+        want = random_spec_loop(n, seed, violation_rate, n_prompts)
+        assert got.taus == want.taus
+        assert [type(t) for t in got.taus] == [float] * n
+        assert_same_outcome(got.prompt_lengths, want.prompt_lengths)
+        matrix, taus = generate(got)
+        tokens, correct = generate_loop(want)
+        assert taus == want.taus
+        assert np.array_equal(matrix.tokens, tokens)
+        assert np.array_equal(matrix.correct, correct)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        taus=ANY_TAUS,
+        n_prompts=st.integers(2, 64),
+        shuffle_seed=st.none() | st.integers(0, 2**64),
+    )
+    def test_straddle_lengths_of_any_taus(self, taus, n_prompts, shuffle_seed):
+        assert_same_outcome(
+            outcome(straddle_lengths, taus, n_prompts, shuffle_seed),
+            outcome(straddle_lengths_loop, taus, n_prompts, shuffle_seed),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(taus=ANY_TAUS)
+    def test_spec_accepts_and_rejects_as_the_loop(self, taus):
+        got = outcome(OracleSpec, len(taus), [[1, 2]], taus)
+        want = outcome(check_taus_loop, taus)
+        assert (got if isinstance(got, tuple) else None) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(taus=VALID_TAUS, n_prompts=st.integers(2, 9), shuffle_seed=st.integers(0, 9))
+    def test_generate_of_valid_taus(self, taus, n_prompts, shuffle_seed):
+        lengths = straddle_lengths_loop(taus, n_prompts, shuffle_seed)
+        spec = OracleSpec(n=len(taus), prompt_lengths=lengths, taus=taus)
+        try:
+            tokens, correct = generate_loop(spec)
+        except GenerationError as exc:
+            with pytest.raises(GenerationError) as got:
+                generate(spec)
+            assert str(got.value) == str(exc)
+            return
+        matrix = generate(spec)[0]
+        assert np.array_equal(matrix.tokens, tokens)
+        assert np.array_equal(matrix.correct, correct)
+
+    @pytest.mark.parametrize("tau", EDGE_TAUS)
+    def test_each_edge_tau(self, tau):
+        taus = [tau, 5, INFINITE]
+        for shuffle_seed in (None, 3):
+            assert_same_outcome(
+                outcome(straddle_lengths, taus, 4, shuffle_seed),
+                outcome(straddle_lengths_loop, taus, 4, shuffle_seed),
+            )
+        got = outcome(OracleSpec, 3, [[1, 2]], taus)
+        assert (got if isinstance(got, tuple) else None) == outcome(check_taus_loop, taus)
+
+    def test_halves_are_truncated_before_they_are_rounded(self):
+        half = Fraction(2**54 - 1, 2)  # 2**53 - 1/2: float() rounds it up to 2**53
+        assert straddle_lengths([half, INFINITE], 3)[:, 1].tolist() == [2**53 - 1, 2**54 - 2]
+        assert straddle_lengths([2**53 + 1], 3)[0, 1] == 2**53  # float(2**53 + 1)
+
+    def test_nan_raises_what_int_raises(self):
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            straddle_lengths([3.0, math.nan], 4, shuffle_seed=1)
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            OracleSpec(n=2, prompt_lengths=[[1, 2]], taus=(3.0, math.nan))
+
+    def test_an_int_too_large_for_a_float_raises_in_order(self):
+        with pytest.raises(ValueError, match="NaN"):  # the NaN comes first
+            straddle_lengths([math.nan, 10**400], 4)
+        with pytest.raises(OverflowError):
+            straddle_lengths([10**400, math.nan], 4)
+        with pytest.raises(OverflowError):  # the proxy of an infinite tau overflows
+            straddle_lengths([1e308, INFINITE], 4)
+
+    def test_first_bad_tau_is_named(self):
+        with pytest.raises(ValueError, match=r"positive integers, got 2\.5$"):
+            OracleSpec(n=3, prompt_lengths=[[1, 2]], taus=(4, 2.5, 0))
+
+    def test_negative_infinity_is_unsolvable(self):
+        spec = OracleSpec(n=2, prompt_lengths=[[1, 5, 9]], taus=(-INFINITE, 5))
+        assert generate(spec)[0].correct.tolist() == [[False] * 3, [False, True, True]]
+
+
+class CountingGenerator:
+    """A Generator that logs the name of every method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return logged
+
+
+class TestOneGeneratorCallPerQuantity:
+    @pytest.mark.parametrize("n", [7, 2000])
+    def test_random_spec_calls_do_not_grow_with_n(self, monkeypatch, n):
+        calls = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: CountingGenerator(default_rng(seed), calls)
+        )
+        random_spec(n=n, seed=3)
+        assert calls == ["integers", "choice", "permuted"]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_question_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}$"):
+            random_spec(n=n)
 
 
 class TestTausSidecar:
