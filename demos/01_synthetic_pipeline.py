@@ -20,7 +20,7 @@ from cotbudget import (
 rng = np.random.default_rng(0)
 
 # 40 questions: mostly solvable at 5..120 tokens, a few unsolvable at any length
-taus = [float(rng.integers(5, 121)) for _ in range(40)]
+taus = rng.integers(5, 121, size=40).tolist()
 for i in rng.choice(40, size=6, replace=False):
     taus[i] = INFINITE
 

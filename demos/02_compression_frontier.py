@@ -23,7 +23,7 @@ from cotbudget import (
 )
 
 rng = np.random.default_rng(7)
-taus = [float(rng.integers(10, 200)) for _ in range(60)]
+taus = rng.integers(10, 200, size=60).tolist()
 for i in rng.choice(60, size=8, replace=False):
     taus[i] = INFINITE
 

@@ -23,7 +23,7 @@ from cotbudget import (
 )
 
 rng = np.random.default_rng(21)
-taus = [float(rng.integers(5, 150)) for _ in range(50)]
+taus = rng.integers(5, 150, size=50).tolist()
 for i in rng.choice(50, size=7, replace=False):
     taus[i] = INFINITE
 
@@ -50,7 +50,7 @@ outcomes = [
 
 # Budget routing with a perfect difficulty signal: budget = true complexity.
 budgets = {
-    qid: int(t) if t != INFINITE else 1
+    qid: t if t != INFINITE else 1
     for qid, t in zip(matrix.question_ids, true_taus)
 }
 outcomes.append(budget_route(matrix, budgets, list(matrix.prompt_ids)))

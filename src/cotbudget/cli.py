@@ -120,7 +120,7 @@ def cmd_synth(args) -> int:
     matrix, taus = oracle.generate(spec)
     count = save_matrix(matrix, args.out)
     oracle.save_taus(taus, matrix.question_ids, taus_out)
-    n_inf = sum(1 for t in taus if not oracle.is_finite(t))
+    n_inf = taus.count(oracle.INFINITE)
     _summary(
         f"synth: wrote {count} records for model={matrix.model} dataset={matrix.dataset} "
         f"(n={spec.n}, prompts={matrix.n_prompts}, "

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -36,22 +35,18 @@ INFINITE = math.inf
 BLOCK_ROWS = 2048
 
 
-def is_finite(tau: float) -> bool:
-    return not math.isinf(tau)
-
-
 @dataclass(frozen=True)
 class QuestionComplexity:
     """Estimated threshold and classifier quality for one question."""
 
     question_id: str
-    tau_hat: float  # integer-valued, or INFINITE
+    tau_hat: int | float  # a Python int, or INFINITE
     c_star: Fraction
     k_used: int
 
     @property
     def finite(self) -> bool:
-        return is_finite(self.tau_hat)
+        return self.tau_hat != INFINITE
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,33 +249,6 @@ def _best_thresholds(
     tau = np.take_along_axis(ordered, np.minimum(best, width - 1)[:, None], axis=1)[:, 0]
     tau[best == width] = -1
     return tau, agree[np.arange(rows), best], k_used.astype(np.int64)
-
-
-def estimate_tau(
-    lengths: Sequence[int], corrects: Sequence[bool], question_id: str = ""
-) -> QuestionComplexity:
-    """Best threshold over the observed lengths (plus INFINITE) for one question.
-
-    Ties break toward the smallest finite threshold; INFINITE wins only when
-    it strictly beats every finite candidate. This is _best_thresholds on a
-    single row.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    corrects = np.asarray(corrects, dtype=bool)
-    if lengths.size == 0 or lengths.shape != corrects.shape or lengths.ndim != 1:
-        raise ValueError("lengths and corrects must be equal-size, non-empty sequences")
-    if lengths.min() < 0:
-        raise ValueError("token lengths must be non-negative")
-    tau, agree, k_used = _best_thresholds(
-        lengths[None, :], corrects[None, :], np.ones((1, lengths.size), dtype=bool)
-    )
-    k = int(k_used[0])
-    return QuestionComplexity(
-        question_id=question_id,
-        tau_hat=INFINITE if tau[0] < 0 else int(tau[0]),
-        c_star=Fraction(int(agree[0]), k),
-        k_used=k,
-    )
 
 
 def profile(matrix: RunMatrix) -> ComplexityProfile:

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import INFINITE, is_finite
+from .complexity import INFINITE
 from .errors import GenerationError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, NULL_OR_TOKENS, checked, read_json
+from .inputs import NON_EMPTY_STRING, TOKENS_MAX, checked, read_json
 from .records import RunMatrix
 
 # random_spec's inclusive range of finite taus, and its share of infinite ones.
@@ -25,25 +25,21 @@ TAU_RANGE = (4, 160)
 INFINITE_SHARE = 1 / 6
 
 
-def _float_taus(taus: Sequence[float]) -> np.ndarray | None:
-    """The taus as one float64 array when each is a Python float or int, else None.
+def _tau_column(taus: Sequence[int | float]) -> np.ndarray:
+    """The taus as one int64 column, -1 where a tau is INFINITE.
 
-    numpy converts a Python int as float() does, and truncating a float is
-    exact, so float(int(t)) and the checks on int(t) can be read from this
-    array. Other types take the per-question path: float(Fraction(2**54 - 1, 2))
-    rounds up to 2**53, but int() of it truncates to 2**53 - 1. An int too large
-    for a float also gives None, so the per-question path raises what it raised.
+    A finite tau is a Python int in [1, TOKENS_MAX] and an infinite one is
+    INFINITE. Anything else (a float, a Fraction, a bool, a numpy scalar,
+    -inf, NaN) is a ValueError naming the first such tau.
     """
-    if not set(map(type, taus)) <= {float, int}:
-        return None
-    try:
-        return np.array(taus, dtype=float)
-    except OverflowError:
-        return None
+    for t in taus:
+        if not (type(t) is int and 1 <= t <= TOKENS_MAX or type(t) is float and t == INFINITE):
+            raise ValueError(f"taus must be integers in [1, {TOKENS_MAX}] or INFINITE, got {t!r}")
+    return np.array([-1 if type(t) is float else t for t in taus], dtype=np.int64)
 
 
 def straddle_lengths(
-    taus: Sequence[float],
+    taus: Sequence[int | float],
     n_prompts: int,
     shuffle_seed: int | None = None,
 ) -> np.ndarray:
@@ -63,18 +59,21 @@ def straddle_lengths(
     permutations come from one call that shuffles every row in order, which
     draws the same stream as one ``rng.permutation(n_prompts)`` per question.
 
-    A finite tau is anchored at float(int(tau)); a NaN raises what int()
-    raises.
+    The taus follow OracleSpec's rule. A finite tau is anchored at its
+    float64 value, and every length is floor(factor * anchor) in float64, so
+    a finite tau past 2**53, where float64 stops holding every int, is a
+    ValueError naming the first one.
     """
     if n_prompts < 2:
         raise ValueError("straddle_lengths needs at least 2 prompts")
-    values = _float_taus(taus)
-    if values is None or np.isnan(values).any():
-        values = np.array([int(t) if is_finite(t) else INFINITE for t in taus], dtype=float)
-    finite = ~np.isinf(values)
-    anchors = np.trunc(values)
-    if not finite.all():
-        anchors[~finite] = 2 * int(anchors[finite].max()) if finite.any() else 64
+    tau = _tau_column(taus)
+    too_long = tau > 2**53
+    if too_long.any():
+        first = int(tau[np.argmax(too_long)])
+        raise ValueError(f"straddle_lengths needs finite taus of at most 2**53, got {first}")
+    anchors = tau.astype(float)
+    longest = int(tau.max(initial=0))
+    anchors[tau < 0] = 2 * longest if longest > 0 else 64
     n_below = max(1, (n_prompts - 1) // 2)
     n_above = n_prompts - 1 - n_below
     factors = np.array(
@@ -97,13 +96,15 @@ class OracleSpec:
 
     ``prompt_lengths`` holds the token length of every cell: an (n, K) array,
     or a (1, K) one that every question shares. It is kept as a read-only
-    int64 array, with non-integer values truncated toward zero. Specs
+    int64 array, with non-integer values truncated toward zero. ``taus``
+    holds each question's true complexity: a Python int in [1, TOKENS_MAX],
+    or INFINITE; any other tau is a ValueError naming the first one. Specs
     compare and hash by identity.
     """
 
     n: int
     prompt_lengths: np.ndarray
-    taus: tuple[float, ...]
+    taus: tuple[int | float, ...]
     violation_rate: float = 0.0
     seed: int = 0
     model: str = "oracle"
@@ -120,16 +121,17 @@ class OracleSpec:
             raise ValueError(f"need {self.n} taus, got {len(self.taus)}")
         if not 0.0 <= self.violation_rate <= 1.0:
             raise ValueError(f"violation_rate must be in [0, 1], got {self.violation_rate}")
-        values = _float_taus(self.taus)
-        finite = None if values is None else values[~np.isinf(values)]
-        if finite is None or not ((np.trunc(finite) == finite) & (finite >= 1)).all():
-            for t in self.taus:  # names the first bad tau; int() of a NaN raises
-                if is_finite(t) and (int(t) != t or t < 1):
-                    raise ValueError(f"finite taus must be positive integers, got {t!r}")
+        # The checked column, kept so generate need not check the taus again.
+        tau = _tau_column(self.taus)
+        tau.setflags(write=False)
+        object.__setattr__(self, "_tau", tau)
 
 
-def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
-    """Build the matrix for a spec; returns it with the true taus.
+def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[int | float, ...]]:
+    """Build the matrix for a spec; returns it with the true taus, spec.taus.
+
+    A cell is correct when its length reaches its question's finite tau,
+    compared exactly in int64; no length reaches INFINITE.
 
     Raises GenerationError when some finite-complexity question lacks runs on
     both sides of its threshold (the straddle guarantee), since such a
@@ -140,16 +142,16 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[float, ...]]:
     if negative.any():
         row, col = np.argwhere(negative)[0]
         raise GenerationError(f"prompt_lengths holds {lengths[row, col]} at cell ({row}, {col})")
-    # A valid spec's finite taus are positive, so abs only turns -inf into inf.
-    tau_col = np.abs(np.array(spec.taus, dtype=float)).reshape(-1, 1)
-    correct = lengths >= tau_col
+    tau = spec._tau
+    finite = tau >= 0
+    correct = (lengths >= tau[:, None]) & finite[:, None]
     straddled = correct.any(axis=1) & ~correct.all(axis=1)
-    unstraddled = np.isfinite(tau_col[:, 0]) & ~straddled
+    unstraddled = finite & ~straddled
     if unstraddled.any():
         i = int(np.argmax(unstraddled))
         row = lengths[i]
         raise GenerationError(
-            f"question {i} (tau={int(spec.taus[i])}) has no straddling lengths: "
+            f"question {i} (tau={spec.taus[i]}) has no straddling lengths: "
             f"min={int(row.min())}, max={int(row.max())}"
         )
     if spec.violation_rate > 0:
@@ -184,11 +186,11 @@ def random_spec(
         raise ValueError(f"n must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
     lo, hi = TAU_RANGE
-    taus = rng.integers(lo, hi + 1, size=n).astype(float)
+    taus = rng.integers(lo, hi + 1, size=n).tolist()
     n_inf = int(round(INFINITE_SHARE * n))
     if n_inf:
-        taus[rng.choice(n, size=n_inf, replace=False)] = INFINITE
-    taus = taus.tolist()
+        for i in rng.choice(n, size=n_inf, replace=False).tolist():
+            taus[i] = INFINITE
     return OracleSpec(
         n=n,
         prompt_lengths=straddle_lengths(taus, n_prompts, shuffle_seed=seed),
@@ -198,13 +200,15 @@ def random_spec(
     )
 
 
-def save_taus(taus: Sequence[float], question_ids: Sequence[str], path: str | Path) -> None:
-    """Ground-truth sidecar: question_id -> true tau (null for infinite)."""
-    payload = {
-        "taus": {
-            q: (int(t) if is_finite(t) else None) for q, t in zip(question_ids, taus)
-        }
-    }
+def save_taus(
+    taus: Sequence[int | float], question_ids: Sequence[str], path: str | Path
+) -> None:
+    """Ground-truth sidecar: question_id -> true tau (null for INFINITE).
+
+    The taus follow OracleSpec's rule.
+    """
+    tau = _tau_column(taus).tolist()
+    payload = {"taus": {q: (t if t >= 0 else None) for q, t in zip(question_ids, tau)}}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -212,8 +216,8 @@ def load_taus(path: str | Path) -> dict[str, int | float]:
     """Read a sidecar written by save_taus; bad content is a RecordParseError or a
     RecordSchemaError naming the file and the JSON location (``taus.q1``).
 
-    A finite tau loads as the exact Python int the file holds; null loads as
-    INFINITE.
+    A finite tau loads as the exact Python int the file holds, which follows
+    OracleSpec's rule; null loads as INFINITE.
     """
     payload = read_json(path)
     try:
@@ -224,7 +228,7 @@ def load_taus(path: str | Path) -> dict[str, int | float]:
         for qid in taus:
             if not NON_EMPTY_STRING[0](qid):
                 raise RecordSchemaError(f"taus keys must be non-empty strings, got {qid!r}")
-            tau = checked(taus, qid, "taus", NULL_OR_TOKENS)
+            tau = checked(taus, qid, "taus", _NULL_OR_TAU)
             out[qid] = INFINITE if tau is None else tau
     except RecordSchemaError as exc:
         raise RecordSchemaError(exc.reason, path=str(path)) from None
@@ -232,3 +236,7 @@ def load_taus(path: str | Path) -> dict[str, int | float]:
 
 
 _OBJECT = (lambda v: type(v) is dict, "be an object")
+_NULL_OR_TAU = (
+    lambda v: v is None or (type(v) is int and 1 <= v <= TOKENS_MAX),
+    f"be null or an integer in [1, {TOKENS_MAX}]",
+)

@@ -119,10 +119,11 @@ def budget_route(
 ) -> RoutingOutcome:
     """Pick, per question, the family prompt with the longest recorded run within budget.
 
-    Falls back to the family's shortest recorded run when nothing fits (and
-    when a question has no budget entry). Ties go to the first prompt in
-    family order. Budget keys naming unknown questions are ignored with a
-    logged warning count. Every family cell must be present.
+    Budgets are ints of any size. Falls back to the family's shortest
+    recorded run when nothing fits (and when a question has no budget
+    entry). Ties go to the first prompt in family order. Budget keys naming
+    unknown questions are ignored with a logged warning count. Every family
+    cell must be present.
 
     Whole-column replay: argmax over the fitting runs (argmin over all runs
     for the fallback) picks one column per question.
@@ -136,7 +137,12 @@ def budget_route(
     if not present.all():
         i, j = np.argwhere(~present)[0]
         raise _coverage_error(matrix, int(i), family[j])
-    budget = np.array([budgets.get(q, 0) for q in matrix.question_ids])
+    # Every length is in [0, TOKENS_MAX], so clamping a budget into
+    # [-1, TOKENS_MAX] changes no comparison and keeps the column int64.
+    budget = np.array(
+        [min(max(budgets.get(q, 0), -1), TOKENS_MAX) for q in matrix.question_ids],
+        dtype=np.int64,
+    )
     fits = tokens <= budget.reshape(-1, 1)
     choice = np.where(
         fits.any(axis=1),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cotbudget.complexity import INFINITE
+from cotbudget.complexity import INFINITE, profile
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
 from cotbudget.records import EvalRecord, RunMatrix
 
@@ -47,6 +47,11 @@ def make_matrix(tokens, correct, present=None, model="m", dataset="d"):
         correct=np.asarray(correct, dtype=bool),
         present=np.asarray(present, dtype=bool),
     )
+
+
+def estimate_one(lengths, corrects):
+    """profile's entry for a one-question matrix ("q00") holding the given runs."""
+    return profile(make_matrix([lengths], [corrects])).entries[0]
 
 
 ROW_KINDS = ("mixed", "all_correct", "all_wrong", "single_run")

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from cotbudget.collect import QUESTION_FIELDS, Choice, Question
-from cotbudget.complexity import INFINITE, ComplexityProfile, QuestionComplexity, is_finite
+from cotbudget.complexity import INFINITE, ComplexityProfile, QuestionComplexity
 from cotbudget.errors import (
     CoverageError,
     DuplicateRecordError,
@@ -457,7 +457,7 @@ def taus_from_file_loop(obj: object) -> dict[str, int | float] | None:
 
     The rules, one value at a time: the file is an object whose ``taus`` is
     an object; each key is a non-empty string, and each value is null
-    (infinite) or an integer in [0, 2^63 - 1]. Booleans are not integers
+    (infinite) or an integer in [1, 2^63 - 1]. Booleans are not integers
     here. A finite tau is returned as the int itself, an infinite one as
     INFINITE.
     """
@@ -469,7 +469,7 @@ def taus_from_file_loop(obj: object) -> dict[str, int | float] | None:
             return None
         if tau is None:
             out[qid] = INFINITE
-        elif isinstance(tau, int) and not isinstance(tau, bool) and 0 <= tau < 2**63:
+        elif isinstance(tau, int) and not isinstance(tau, bool) and 1 <= tau < 2**63:
             out[qid] = tau
         else:
             return None
@@ -478,7 +478,7 @@ def taus_from_file_loop(obj: object) -> dict[str, int | float] | None:
 
 def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
     """(A*, finite-tau total over n, mean finite tau), summed tau by tau."""
-    finite = [int(t) for t in taus if is_finite(t)]
+    finite = [int(t) for t in taus if t != INFINITE]
     n = len(taus)
     return (
         Fraction(len(finite), n),
@@ -637,12 +637,19 @@ def complexity_correlations_unique(
 
 
 def straddle_lengths_loop(
-    taus: Sequence[float],
+    taus: Sequence[int | float],
     n_prompts: int,
     shuffle_seed: int | None = None,
 ) -> np.ndarray:
-    """The straddle length grid, one floor(factor * anchor) per cell."""
-    finite = [int(t) for t in taus if is_finite(t)]
+    """The straddle length grid, one floor(factor * anchor) per cell.
+
+    The taus pass check_taus_loop, and no finite one is past 2**53.
+    """
+    check_taus_loop(taus)
+    finite = [t for t in taus if t != INFINITE]
+    for t in finite:
+        if t > 2**53:
+            raise ValueError(f"straddle_lengths needs finite taus of at most 2**53, got {t}")
     proxy = 2 * max(finite) if finite else 64
     n_below = max(1, (n_prompts - 1) // 2)
     n_above = n_prompts - 1 - n_below
@@ -657,7 +664,7 @@ def straddle_lengths_loop(
         perms = [rng.permutation(n_prompts) for _ in taus]
     lengths = np.empty((len(taus), n_prompts), dtype=np.int64)
     for i, tau in enumerate(taus):
-        anchor = int(tau) if is_finite(tau) else proxy
+        anchor = proxy if tau == INFINITE else tau
         for k in range(n_prompts):
             factor = factors[k] if perms is None else factors[perms[i][k]]
             lengths[i, k] = math.floor(factor * anchor)
@@ -665,11 +672,15 @@ def straddle_lengths_loop(
 
 
 
-def check_taus_loop(taus: Sequence[float]) -> None:
-    """OracleSpec's rule for its taus, one tau at a time."""
+def check_taus_loop(taus: Sequence[int | float]) -> None:
+    """OracleSpec's rule for its taus, one tau at a time: a Python int from 1
+    to 2**63 - 1, or positive infinity as a Python float."""
     for t in taus:
-        if is_finite(t) and (int(t) != t or t < 1):
-            raise ValueError(f"finite taus must be positive integers, got {t!r}")
+        if type(t) is int and 0 < t < 2**63:
+            continue
+        if type(t) is float and t > 0 and math.isinf(t):
+            continue
+        raise ValueError(f"taus must be integers in [1, {TOKENS_MAX}] or INFINITE, got {t!r}")
 
 
 def random_spec_loop(
@@ -678,7 +689,7 @@ def random_spec_loop(
     """One generator call per question's tau, then each infinite one set by index."""
     rng = np.random.default_rng(seed)
     lo, hi = TAU_RANGE
-    taus = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
+    taus = [int(rng.integers(lo, hi + 1)) for _ in range(n)]
     n_inf = int(round(INFINITE_SHARE * n))
     if n_inf:
         for idx in rng.choice(n, size=n_inf, replace=False):
@@ -695,8 +706,8 @@ def random_spec_loop(
 def generate_loop(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
     """A spec's (tokens, correct), one cell at a time.
 
-    A length reaches a finite tau when it does as float64, the way the
-    matrix compares them; the flips are the one (n, K) uniform draw.
+    A length reaches a finite tau when it does as Python ints; no length
+    reaches INFINITE. The flips are the one (n, K) uniform draw.
     """
     n, k = spec.n, spec.prompt_lengths.shape[1]
     flips = np.zeros((n, k), dtype=bool)
@@ -706,10 +717,10 @@ def generate_loop(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
     correct = np.empty((n, k), dtype=bool)
     for i, tau in enumerate(spec.taus):
         row = [int(v) for v in spec.prompt_lengths[i if len(spec.prompt_lengths) == n else 0]]
-        solved = [is_finite(tau) and float(length) >= float(tau) for length in row]
-        if is_finite(tau) and (all(solved) or not any(solved)):
+        solved = [tau != INFINITE and length >= tau for length in row]
+        if tau != INFINITE and (all(solved) or not any(solved)):
             raise GenerationError(
-                f"question {i} (tau={int(tau)}) has no straddling lengths: "
+                f"question {i} (tau={tau}) has no straddling lengths: "
                 f"min={min(row)}, max={max(row)}"
             )
         for j in range(k):

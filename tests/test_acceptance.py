@@ -28,7 +28,7 @@ from cotbudget.collect import (
     grade,
     sweep,
 )
-from cotbudget.complexity import INFINITE, estimate_tau, profile
+from cotbudget.complexity import INFINITE, profile
 from cotbudget.metrics import spearman, validation_report
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
@@ -36,7 +36,7 @@ from cotbudget.prompts import QUESTION_TEMPLATE, PromptCatalog, fixed_spec
 from cotbudget.records import load_records, read_matrices
 from cotbudget.routing import compare_to_frontier, verifier_cascade
 
-from conftest import make_matrix
+from conftest import estimate_one, make_matrix
 
 
 class criterion:
@@ -55,8 +55,8 @@ class criterion:
         return False
 
 
-def random_taus(rng: np.random.Generator, n: int) -> list[float]:
-    taus: list[float] = [float(rng.integers(1, 80)) for _ in range(n)]
+def random_taus(rng: np.random.Generator, n: int) -> list[int | float]:
+    taus: list[int | float] = [int(rng.integers(1, 80)) for _ in range(n)]
     for i in range(n):
         if rng.random() < 0.25:
             taus[i] = INFINITE
@@ -291,7 +291,7 @@ def test_criterion_7_threshold_classifier_floor():
             k = int(rng.integers(1, 40))
             lengths = rng.integers(0, 300, size=k).tolist()
             corrects = (rng.random(size=k) < rng.random()).tolist()
-            qc = estimate_tau(lengths, corrects)
+            qc = estimate_one(lengths, corrects)
             p = Fraction(sum(corrects), k)
             assert qc.c_star >= max(p, 1 - p)
 

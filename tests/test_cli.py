@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -20,10 +21,12 @@ from cotbudget.cli import main
 from cotbudget.complexity import ComplexityProfile
 from cotbudget.inputs import read_jsonl
 from cotbudget.mockserver import MockChatEndpoint, default_reply
-from cotbudget.records import EvalRecord, load_records
+from cotbudget.records import EvalRecord, load_records, save_matrix
 
+from conftest import make_matrix
 from loop_oracles import frontier_loop, save_records_loop, unpivot_loop
 
+ROOT = Path(__file__).resolve().parent.parent
 QUESTIONS = [
     {"question_id": "q1", "text": "One plus one?", "gold_answer": "2"},
     {"question_id": "q2", "text": "Two plus two?", "gold_answer": "4"},
@@ -313,6 +316,21 @@ class TestRoutingCommand:
         assert len(lines) == 3
         assert lines[1].startswith("verifier(p0->p6),")
         assert lines[2].startswith("budget(p0->p3->p6),")
+
+    def test_budgets_past_int64_route_exactly(self, tmp_path, capsys):
+        """q00's budget of 2**62 fits only its correct 2**62-token run."""
+        records = tmp_path / "records.jsonl"
+        save_matrix(make_matrix([[2**62, 2**62 + 1]] * 2, [[True, False]] * 2), records)
+        budgets = tmp_path / "budgets.jsonl"
+        budgets.write_text(
+            json.dumps({"question_id": "q00", "budget": 2**62}) + "\n"
+            + json.dumps({"question_id": "q01", "budget": 2**63}) + "\n"
+        )
+        out = tmp_path / "routing.csv"
+        code, _ = run(capsys, "routing", "--records", str(records), "--budgets", str(budgets),
+                      "--family", "p00,p01", "--out", str(out))
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("budget(p00->p01),0.500000,")
 
     def test_routing_without_policy_is_usage_error(self, tmp_path, capsys, synth_records):
         records, _ = synth_records
@@ -665,6 +683,21 @@ class TestDeterminism:
                 (records.read_bytes(), taus.read_bytes(), comp.read_bytes(), csv.read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("model, seed", [("model-a", "1"), ("model-b", "2")])
+    def test_synth_matches_the_benchmark_digests(self, tmp_path, capsys, model, seed):
+        """synth with the cli-pipeline benchmark's seed-0 arguments writes the bytes
+        whose sha256 perfbench/digests.json records."""
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+        records, taus = tmp_path / f"{model}.jsonl", tmp_path / f"{model}.taus.json"
+        code, out = run(capsys, "synth", "--out", str(records), "--n", "2000", "--prompts", "31",
+                        "--seed", seed, "--violation-rate", "0.05", "--model", model,
+                        "--dataset", "synthetic", "--taus-out", str(taus))
+        assert code == 0
+        assert "infinite_complexity=333," in out  # round(2000 / 6)
+        for path in (records, taus):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == digests["cli-pipeline-2x2k"][path.name], path.name
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cotbudget import complexity
-from cotbudget.complexity import INFINITE, ComplexityProfile, estimate_tau, profile
+from cotbudget.complexity import INFINITE, ComplexityProfile, profile
 from cotbudget.errors import CoverageError, RecordParseError, RecordSchemaError
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.records import RunMatrix
 
-from conftest import make_matrix, run_matrices, some_cells, with_cells
+from conftest import estimate_one, make_matrix, run_matrices, some_cells, with_cells
 from loop_oracles import (
     best_thresholds_stable,
     classify_accuracy,
@@ -76,32 +76,34 @@ class TestClassifyAccuracy:
             classify_accuracy([1, 2], [True], 5)
 
 
-class TestEstimateTau:
+class TestOneQuestion:
+    """profile on a one-row matrix: the estimate of a single question."""
+
     def test_clean_threshold(self):
-        qc = estimate_tau([5, 12, 20, 30, 50], [False, False, True, True, True])
+        qc = estimate_one([5, 12, 20, 30, 50], [False, False, True, True, True])
         assert qc.tau_hat == 20
         assert qc.c_star == 1
 
     def test_tie_breaks_to_smallest_threshold(self):
-        qc = estimate_tau([5, 12, 20, 30], [True, False, True, True])
+        qc = estimate_one([5, 12, 20, 30], [True, False, True, True])
         assert qc.tau_hat == 5
         assert qc.c_star == Fraction(3, 4)
 
     def test_all_incorrect_is_infinite(self):
-        qc = estimate_tau([5, 12], [False, False])
+        qc = estimate_one([5, 12], [False, False])
         assert math.isinf(qc.tau_hat)
         assert qc.c_star == 1
 
     def test_infinite_only_when_strictly_better(self):
         # t=9 classifies both runs perfectly, tying nothing: finite must win
-        qc = estimate_tau([5, 9], [False, True])
+        qc = estimate_one([5, 9], [False, True])
         assert qc.tau_hat == 9
 
     @given(runs=runs_strategy)
     def test_matches_independent_scan(self, runs):
         lengths = [r[0] for r in runs]
         corrects = [r[1] for r in runs]
-        qc = estimate_tau(lengths, corrects)
+        qc = estimate_one(lengths, corrects)
         tau, acc = brute_force_best(lengths, corrects)
         assert qc.tau_hat == tau
         assert qc.c_star == acc
@@ -110,18 +112,18 @@ class TestEstimateTau:
     def test_matches_loop_oracle(self, runs):
         lengths = [r[0] for r in runs]
         corrects = [r[1] for r in runs]
-        assert estimate_tau(lengths, corrects, "q") == estimate_tau_loop(lengths, corrects, "q")
+        assert estimate_one(lengths, corrects) == estimate_tau_loop(lengths, corrects, "q00")
 
     def test_negative_lengths_rejected(self):
         with pytest.raises(ValueError):
-            estimate_tau([3, -1], [True, False])
+            estimate_one([3, -1], [True, False])
 
     @given(runs=runs_strategy, seed=st.randoms())
     def test_permutation_invariant(self, runs, seed):
         shuffled = list(runs)
         seed.shuffle(shuffled)
-        a = estimate_tau([r[0] for r in runs], [r[1] for r in runs])
-        b = estimate_tau([r[0] for r in shuffled], [r[1] for r in shuffled])
+        a = estimate_one([r[0] for r in runs], [r[1] for r in runs])
+        b = estimate_one([r[0] for r in shuffled], [r[1] for r in shuffled])
         assert (a.tau_hat, a.c_star) == (b.tau_hat, b.c_star)
 
     @given(runs=runs_strategy)
@@ -129,7 +131,7 @@ class TestEstimateTau:
         """c_star never drops below the better constant classifier."""
         lengths = [r[0] for r in runs]
         corrects = [r[1] for r in runs]
-        qc = estimate_tau(lengths, corrects)
+        qc = estimate_one(lengths, corrects)
         p = Fraction(sum(corrects), len(corrects))
         assert qc.c_star >= max(p, 1 - p)
 
@@ -137,9 +139,9 @@ class TestEstimateTau:
     def test_adding_long_correct_run_never_hurts(self, runs, bump):
         lengths = [r[0] for r in runs]
         corrects = [r[1] for r in runs]
-        before = estimate_tau(lengths, corrects)
+        before = estimate_one(lengths, corrects)
         assume(not math.isinf(before.tau_hat))  # no length can reach an infinite threshold
-        after = estimate_tau(lengths + [int(before.tau_hat) + bump], corrects + [True])
+        after = estimate_one(lengths + [int(before.tau_hat) + bump], corrects + [True])
         assert after.c_star >= before.c_star
 
 

@@ -3,7 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import tempfile
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from cotbudget.complexity import INFINITE, profile
 from cotbudget.errors import GenerationError, RecordSchemaError
+from cotbudget.inputs import TOKENS_MAX
 from cotbudget.oracle import (
     OracleSpec,
     generate,
@@ -163,34 +167,46 @@ def assert_same_outcome(got, want):
         assert np.array_equal(got, want)
 
 
-# Taus whose float64 value and int() disagree, or that the per-question code
-# rejects: ints and floats past 2**53, halves that round up as floats,
-# infinities of both signs, NaN, zero and negatives.
-EDGE_TAUS = [
-    2**53 + 1, 2**60 + 1, 2.0**53 + 2, Fraction(2**54 - 1, 2), Fraction(2**54 + 1, 2),
-    Fraction(2**53 + 1), Fraction(7, 2), INFINITE, -INFINITE, math.nan, 0, 0.0, -0.0, -3.5, True,
+# Taus at the edges of the rule (2**53 is the largest straddle_lengths can
+# anchor), and taus it rejects: floats, even integral ones, Fractions,
+# Decimals, numpy scalars, bools, -inf, NaN, zero, negatives, ints past
+# TOKENS_MAX, and values that are not numbers at all.
+GOOD_EDGE_TAUS = [1, 2**53, 2**53 + 1, 2**62, TOKENS_MAX, INFINITE, float("inf")]
+BAD_TAUS = [
+    0, -1, -(2**63), TOKENS_MAX + 1, 10**400, 5.0, 2.0**53, -0.0, Fraction(5), Fraction(7, 2),
+    Decimal(5), np.int64(5), np.float64(INFINITE), True, False, -INFINITE, math.nan, "5", None,
 ]
+EDGE_TAUS = GOOD_EDGE_TAUS + BAD_TAUS
 ANY_TAUS = st.lists(
-    st.integers(-2**60, 2**60)
-    | st.floats(-2.0**60, 2.0**60, allow_nan=False)
-    | st.fractions(-2**60, 2**60)
+    st.integers(1, 2**53) | st.just(INFINITE) | st.integers(-(2**64), 2**64)
     | st.sampled_from(EDGE_TAUS),
     min_size=1,
     max_size=30,
 )
-VALID_TAUS = st.lists(
-    st.integers(1, 2**60)
-    | st.integers(1, 2**60).map(float)
-    | st.integers(1, 2**60).map(Fraction)
-    | st.sampled_from([2**53 + 1, Fraction(2**53 + 1), INFINITE, -INFINITE]),
-    min_size=1,
-    max_size=30,
-)
+
+
+@st.composite
+def specs_with_near_lengths(draw):
+    """An OracleSpec of valid taus up to TOKENS_MAX whose lengths sit at and
+    beside each finite tau, or anywhere in [0, TOKENS_MAX]."""
+    taus = draw(st.lists(
+        st.integers(1, TOKENS_MAX) | st.sampled_from([2**53 + 1, TOKENS_MAX, INFINITE]),
+        min_size=1,
+        max_size=8,
+    ))
+    n_prompts = draw(st.integers(1, 6))
+    rows = []
+    for tau in taus:
+        near = st.integers(-2, 2).map(lambda d, t=tau: min(max(t + d, 0), TOKENS_MAX))
+        cell = st.integers(0, TOKENS_MAX) if tau == INFINITE else near | st.integers(0, TOKENS_MAX)
+        rows.append(draw(st.lists(cell, min_size=n_prompts, max_size=n_prompts)))
+    return OracleSpec(n=len(taus), prompt_lengths=rows, taus=taus)
 
 
 class TestGeneratorMatchesLoopOracles:
     """random_spec, straddle_lengths, OracleSpec and generate against the
-    one-call-per-question code they replaced: the same values, types and errors."""
+    one-call-per-question and one-call-per-cell code: the same values, types
+    and errors."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -203,7 +219,7 @@ class TestGeneratorMatchesLoopOracles:
         got = random_spec(n, seed, violation_rate, n_prompts)
         want = random_spec_loop(n, seed, violation_rate, n_prompts)
         assert got.taus == want.taus
-        assert [type(t) for t in got.taus] == [float] * n
+        assert all(type(t) is int or t is INFINITE for t in got.taus)
         assert_same_outcome(got.prompt_lengths, want.prompt_lengths)
         matrix, taus = generate(got)
         tokens, correct = generate_loop(want)
@@ -231,10 +247,9 @@ class TestGeneratorMatchesLoopOracles:
         assert (got if isinstance(got, tuple) else None) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(taus=VALID_TAUS, n_prompts=st.integers(2, 9), shuffle_seed=st.integers(0, 9))
-    def test_generate_of_valid_taus(self, taus, n_prompts, shuffle_seed):
-        lengths = straddle_lengths_loop(taus, n_prompts, shuffle_seed)
-        spec = OracleSpec(n=len(taus), prompt_lengths=lengths, taus=taus)
+    @given(spec=specs_with_near_lengths(), violation_rate=st.sampled_from([0.0, 0.3]))
+    def test_generate_compares_exactly(self, spec, violation_rate):
+        spec = dataclasses.replace(spec, violation_rate=violation_rate)
         try:
             tokens, correct = generate_loop(spec)
         except GenerationError as exc:
@@ -242,11 +257,12 @@ class TestGeneratorMatchesLoopOracles:
                 generate(spec)
             assert str(got.value) == str(exc)
             return
-        matrix = generate(spec)[0]
+        matrix, taus = generate(spec)
+        assert taus is spec.taus
         assert np.array_equal(matrix.tokens, tokens)
         assert np.array_equal(matrix.correct, correct)
 
-    @pytest.mark.parametrize("tau", EDGE_TAUS)
+    @pytest.mark.parametrize("tau", EDGE_TAUS, ids=lambda t: repr(t)[:24])
     def test_each_edge_tau(self, tau):
         taus = [tau, 5, INFINITE]
         for shuffle_seed in (None, 3):
@@ -257,32 +273,44 @@ class TestGeneratorMatchesLoopOracles:
         got = outcome(OracleSpec, 3, [[1, 2]], taus)
         assert (got if isinstance(got, tuple) else None) == outcome(check_taus_loop, taus)
 
-    def test_halves_are_truncated_before_they_are_rounded(self):
-        half = Fraction(2**54 - 1, 2)  # 2**53 - 1/2: float() rounds it up to 2**53
-        assert straddle_lengths([half, INFINITE], 3)[:, 1].tolist() == [2**53 - 1, 2**54 - 2]
-        assert straddle_lengths([2**53 + 1], 3)[0, 1] == 2**53  # float(2**53 + 1)
 
-    def test_nan_raises_what_int_raises(self):
-        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
-            straddle_lengths([3.0, math.nan], 4, shuffle_seed=1)
-        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
-            OracleSpec(n=2, prompt_lengths=[[1, 2]], taus=(3.0, math.nan))
+class TestExactTaus:
+    """A finite tau is an exact Python int, compared as one; every other tau is refused."""
 
-    def test_an_int_too_large_for_a_float_raises_in_order(self):
-        with pytest.raises(ValueError, match="NaN"):  # the NaN comes first
-            straddle_lengths([math.nan, 10**400], 4)
-        with pytest.raises(OverflowError):
-            straddle_lengths([10**400, math.nan], 4)
-        with pytest.raises(OverflowError):  # the proxy of an infinite tau overflows
-            straddle_lengths([1e308, INFINITE], 4)
+    def test_a_tau_past_2_pow_53_is_compared_exactly(self):
+        spec = OracleSpec(n=1, prompt_lengths=[[2**52, 2**53, 2**54]], taus=(2**53 + 1,))
+        assert generate(spec)[0].correct.tolist() == [[False, False, True]]
 
-    def test_first_bad_tau_is_named(self):
-        with pytest.raises(ValueError, match=r"positive integers, got 2\.5$"):
-            OracleSpec(n=3, prompt_lengths=[[1, 2]], taus=(4, 2.5, 0))
+    def test_profile_recovers_a_tau_past_2_pow_53(self):
+        tau = 2**53 + 1
+        spec = OracleSpec(n=1, prompt_lengths=[[tau - 1, tau, tau + 1]], taus=(tau,))
+        matrix, taus = generate(spec)
+        assert matrix.correct.tolist() == [[False, True, True]]
+        assert profile(matrix).tau.tolist() == [tau] and taus == (tau,)
 
-    def test_negative_infinity_is_unsolvable(self):
-        spec = OracleSpec(n=2, prompt_lengths=[[1, 5, 9]], taus=(-INFINITE, 5))
-        assert generate(spec)[0].correct.tolist() == [[False] * 3, [False, True, True]]
+    def test_straddle_lengths_names_a_tau_past_2_pow_53(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at most 2\*\*53, got 4611686018427387904$"):
+                straddle_lengths([2**62], 3)
+            with pytest.raises(ValueError, match=r"got 9007199254740993$"):
+                straddle_lengths([5, INFINITE, 2**53 + 1, 2**62], 3)
+
+    def test_straddle_lengths_anchors_2_pow_53_exactly(self):
+        lengths = straddle_lengths([2**53, INFINITE], 3)
+        assert lengths.tolist() == [[2**51, 2**53, 2**54], [2**52, 2**54, 2**55]]
+
+    @pytest.mark.parametrize("bad", BAD_TAUS, ids=lambda t: repr(t)[:24])
+    def test_first_bad_tau_is_named(self, bad, tmp_path):
+        message = rf"^taus must be integers in \[1, {TOKENS_MAX}\] or INFINITE, got {re.escape(repr(bad))}$"
+        taus = (4, INFINITE, bad, 0)
+        with pytest.raises(ValueError, match=message):
+            OracleSpec(n=4, prompt_lengths=[[1, 2]], taus=taus)
+        with pytest.raises(ValueError, match=message):
+            straddle_lengths(taus, 3)
+        with pytest.raises(ValueError, match=message):
+            save_taus(taus, ("q0", "q1", "q2", "q3"), tmp_path / "taus.json")
+        assert not (tmp_path / "taus.json").exists()
 
 
 class CountingGenerator:
@@ -345,8 +373,8 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=4,
 )
-TAU_RULE = "must be null or an integer in [0, 9223372036854775807]"
-VALID_TAUS = st.none() | st.integers(0, 600) | st.just(2**63 - 1)
+TAU_RULE = "must be null or an integer in [1, 9223372036854775807]"
+VALID_TAUS = st.none() | st.integers(1, 600) | st.just(2**63 - 1)
 
 
 @st.composite
@@ -403,6 +431,7 @@ class TestTausSidecarChecks:
             ({"taus": {"q1": True}}, f"taus.q1 {TAU_RULE}, got True"),
             ({"taus": {"q1": 7.0}}, f"taus.q1 {TAU_RULE}, got 7.0"),
             ({"taus": {"q1": -1}}, f"taus.q1 {TAU_RULE}, got -1"),
+            ({"taus": {"q1": 0}}, f"taus.q1 {TAU_RULE}, got 0"),
             ({"taus": {"": 1}}, "taus keys must be non-empty strings, got ''"),
             ({}, "taus is missing"),
             ([], "the file must hold a JSON object, got []"),

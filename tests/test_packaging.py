@@ -85,11 +85,14 @@ def test_record_readers_are_exported():
 def test_removed_helpers_stay_gone():
     """Library surface that only tests called is in no module and no __all__."""
     import cotbudget
-    from cotbudget import cli, mockserver, oracle, records
+    from cotbudget import cli, complexity, mockserver, oracle, records
 
-    for name in ("grid_lengths", "scaled_lengths"):
+    for name in ("grid_lengths", "scaled_lengths", "_float_taus"):
         assert name not in cotbudget.__all__
         assert not hasattr(oracle, name)
+    for name in ("estimate_tau", "is_finite"):
+        assert name not in cotbudget.__all__
+        assert not hasattr(complexity, name) and not hasattr(oracle, name)
     assert not hasattr(records.EvalRecord, "from_json_dict")
     assert not hasattr(cli, "_budget_entry")
     endpoint = mockserver.MockChatEndpoint()

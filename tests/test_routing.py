@@ -131,6 +131,21 @@ class TestBudgetRoute:
         out = budget_route(m, {"q00": 10**9}, ["p00", "p01", "p02"])
         assert out.path(0) == ("p02",)
 
+    @pytest.mark.parametrize(
+        "budgets, spent",
+        [
+            ({"q00": 2**62, "q01": 2**63}, [2**62, 2**62 + 1]),
+            ({"q00": 2**62, "q01": 2**64}, [2**62, 2**62 + 1]),
+            ({"q00": -(2**63) - 1, "q01": 2**62}, [2**62, 2**62]),
+            ({"q00": -(2**70), "q01": 2**70}, [2**62, 2**62 + 1]),
+        ],
+    )
+    def test_budgets_past_int64_compare_exactly(self, budgets, spent):
+        m = make_matrix([[2**62, 2**62 + 1]] * 2, [[True, False]] * 2)
+        out = budget_route(m, budgets, ["p00", "p01"])
+        assert out.spent.tolist() == spent
+        assert out == budget_route_loop(m, budgets, ["p00", "p01"])[0]
+
     def test_unknown_questions_ignored_with_warning(self, caplog):
         m = make_matrix([[5, 40]], [[False, True]])
         with caplog.at_level(logging.WARNING):
