@@ -2,7 +2,10 @@
 
 Every CLI command that reads a records file goes through it, the prior
 ``--out`` file of ``collect --resume`` included. An entry holds every
-(model, dataset) RunMatrix of one records file. Its
+(model, dataset) RunMatrix of one records file. On a miss the file is
+parsed once, through the hashing reader, into int columns per pair (id
+codes, counts, hits and line numbers; no object per record), and the entry
+is written from the matrices after those columns are gone. Its
 name is a BLAKE2b hash of the format version, the parser's source (this module,
 ``records.py`` and ``inputs.py``) and the file's bytes, so an edited file,
 or a file read by another version of the reader, never finds an old entry.

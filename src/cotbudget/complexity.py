@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -151,8 +152,9 @@ class ComplexityProfile:
     def from_json_dict(cls, obj: dict) -> ComplexityProfile:
         """Rebuild a profile from its file form, checking every field it reads.
 
-        c_bar is the mean of the stored (rounded) c_star values. The stored
-        aggregates are not read: the tau ones follow exactly from the taus.
+        c_bar is the mean of the stored (rounded) c_star values, summed once
+        per distinct value. The stored aggregates are not read: the tau ones
+        follow exactly from the taus.
         A bad value is a RecordSchemaError naming its JSON location, such as
         ``entries[3].tau``.
         """
@@ -162,19 +164,29 @@ class ComplexityProfile:
         dataset = checked(obj, "dataset", "", NON_EMPTY_STRING)
         entries = checked(obj, "entries", "", _NON_EMPTY_LIST)
         first: dict[str, int] = {}
-        tau, k_used, c_star = [], [], []
+        tau, k_used, values = [], [], []
         for i, entry in enumerate(entries):
-            where = f"entries[{i}]"
-            if type(entry) is not dict:
-                raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
-            qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
-            if first.setdefault(qid, i) != i:
-                raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
-            t = checked(entry, "tau", where, NULL_OR_TOKENS)
+            # The rules of _check_entry, inline; a failure goes there for its error.
+            if not (
+                type(entry) is dict
+                and type(qid := entry.get("question_id")) is str and qid
+                and ((t := entry.get("tau", _ABSENT)) is None
+                     or (type(t) is int and 0 <= t <= TOKENS_MAX))
+                and type(k := entry.get("k_used")) is int and 1 <= k <= TOKENS_MAX
+                and type(c := entry.get("c_star")) in (int, float) and 0 <= c <= 1
+                and first.setdefault(qid, i) == i
+            ):
+                _check_entry(entry, f"entries[{i}]", first)
+                raise AssertionError(f"entries[{i}]: inline check disagrees with the rules")
             tau.append(-1 if t is None else t)
-            k_used.append(checked(entry, "k_used", where, _K_USED))
-            c_star.append(Fraction(str(checked(entry, "c_star", where, _C_STAR))))
-        c_bar = sum(c_star, Fraction(0)) / len(c_star)
+            k_used.append(k)
+            values.append(c)
+        # One Fraction per distinct value; equal values, such as 1 and 1.0,
+        # give equal Fractions.
+        counts = Counter(values)
+        exact = {v: Fraction(str(v)) for v in counts}
+        c_star = [exact[v] for v in values]
+        c_bar = sum((exact[v] * count for v, count in counts.items()), Fraction(0)) / len(values)
         return cls(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
 
     def save(self, path: str | Path) -> None:
@@ -191,6 +203,23 @@ class ComplexityProfile:
         except RecordSchemaError as exc:
             raise RecordSchemaError(exc.reason, path=str(path)) from None
 
+
+def _check_entry(entry: object, where: str, first: dict[str, int]) -> None:
+    """Raise the RecordSchemaError of the first rule an entry breaks, checked in file order.
+
+    ``first`` maps each question_id already read to its entry index.
+    """
+    if type(entry) is not dict:
+        raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
+    qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
+    if qid in first:
+        raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
+    checked(entry, "tau", where, NULL_OR_TOKENS)
+    checked(entry, "k_used", where, _K_USED)
+    checked(entry, "c_star", where, _C_STAR)
+
+
+_ABSENT = object()  # an entry field's value when the key is missing
 
 # The complexity file's own field rules, in the form inputs.checked reads.
 _NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "be a non-empty list")

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import ComplexityProfile
+from .complexity import BLOCK_ROWS, ComplexityProfile
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -88,16 +88,21 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
 def _column_sums(tokens: np.ndarray, cells: np.ndarray) -> list[int]:
     """Exact column sums of the non-negative int64 counts in cells, as Python ints.
 
-    Cells outside the mask become 0 once, so the sum below is one plain
-    reduction rather than a masked one; a zero adds nothing, so the totals
-    are those of the masked cells. Each count is read as its low and high
-    unsigned 32-bit halves (a little-endian view, no copy), which are
-    summed apart, each exact as int64 for under 2**31 rows, and joined, so
-    no total wraps, also past 2**63. That holds for every int64 count, so
-    there is one path and nothing to select.
+    Blocks of BLOCK_ROWS rows are summed in turn, so the temporaries stay
+    one block's size whatever the number of rows. In a block, cells outside
+    the mask become 0 once, so the sum is one plain reduction rather than a
+    masked one; a zero adds nothing, so the totals are those of the masked
+    cells. Each count is read as its low and high unsigned 32-bit halves (a
+    little-endian view, no copy), which are summed apart, each exact as
+    int64 for under 2**31 rows, and joined, so no total wraps, also past
+    2**63. That holds for every int64 count, so there is one path and
+    nothing to select.
     """
-    kept = np.where(cells, tokens, 0).astype("<i8", copy=False)
-    halves = kept.view("<u4").reshape(*kept.shape, 2).sum(axis=0, dtype=np.int64)
+    halves = np.zeros((tokens.shape[1], 2), dtype=np.int64)
+    for start in range(0, tokens.shape[0], BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        kept = np.where(cells[block], tokens[block], 0).astype("<i8", copy=False)
+        halves += kept.view("<u4").reshape(*kept.shape, 2).sum(axis=0, dtype=np.int64)
     return [(h << 32) + l for l, h in halves.tolist()]
 
 

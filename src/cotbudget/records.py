@@ -5,9 +5,18 @@ cell: the output token count and whether the graded answer was correct. All
 analysis consumes the pivoted RunMatrix, never loose records. A records file
 becomes matrices through ``read_matrices``, which keeps the matrices of each
 file it parsed in a content-addressed cache (``cotbudget.cache``), and a
-matrix becomes a file through ``save_matrix``. ``EvalRecord`` objects are
-built only for callers that ask for them (``load_records``). Lines are read
-by ``inputs.read_jsonl`` and a record line is checked against
+matrix becomes a file through ``save_matrix``, a block of rows at a time.
+
+A miss (``_pair_columns``) holds no object per record: each pair codes its
+question and prompt ids to ints on first sight, and a record adds two codes,
+its token count, its correctness and its line number to flat arrays (about
+25 bytes a record). ``_place`` turns one pair's codes into the n x K matrix,
+for ``read_matrices`` and for ``pivot`` alike, and finds a repeated key
+there; the line numbers serve only to name the repeat the file reaches
+first. ``EvalRecord`` objects are built only for callers that ask for them
+(``load_records``, whose reader is ``_scan``).
+
+Lines are read by ``inputs.read_jsonl`` and a record line is checked against
 ``RECORD_RULES``; reading and checking every other input file is left to
 ``cotbudget.inputs``, which needs no numpy.
 """
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -22,8 +32,17 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateRecordError, EmptySelectionError, RecordSchemaError, utf8_bytes
+from .errors import (
+    CotBudgetError,
+    DuplicateRecordError,
+    EmptySelectionError,
+    RecordSchemaError,
+    utf8_bytes,
+)
 from .inputs import INTEGER, NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
+
+# Cells per block of rows that save_matrix formats at once.
+SAVE_CELLS = 1 << 13
 
 REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
 OPTIONAL_FIELDS = ("response", "extracted_answer")
@@ -164,31 +183,123 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
             # changes while it is read is stored under what was parsed.
             source = cache.HashingReader(raw)
         groups = _pair_columns(path, source)
-    # Each pair's columns are dropped once its matrix is built, so none is
-    # alive when the entry is written.
-    matrices = {
-        pair: _pivot(*pair, [k[2] for k in keys], [k[3] for k in keys], tokens, correct)
-        for pair in sorted(groups)
-        for keys, tokens, correct in [groups.pop(pair)]
-    }
+    matrices = {}
+    for pair in sorted(groups):
+        group = groups[pair]
+        try:
+            matrices[pair] = _place(*pair, group.question_codes, group.prompt_codes,
+                                    group.rows, group.cols, group.tokens, group.hits)
+        except DuplicateRecordError:
+            # Earlier pairs placed without one; the file's first is among the rest.
+            raise _first_duplicate(groups, path) from None
+        # Each pair's columns are dropped once its matrix is built, so none is
+        # alive when the entry is written.
+        del groups[pair]
     if store is not None:
         store.save(source.digest(), list(matrices.values()))
     return matrices
 
 
-def _pair_columns(
-    path: Path, source: BinaryIO
-) -> dict[tuple[str, str], tuple[list[Key], list[int], list[bool]]]:
-    """A record file's (keys, tokens, correct) columns, split by pair in one pass."""
-    groups: dict[tuple[str, str], tuple[list[Key], list[int], list[bool]]] = {}
-    for key, count, ok, _ in _scan(path, source):
-        group = groups.get(key[:2])
-        if group is None:
-            group = groups[key[:2]] = ([], [], [])
-        group[0].append(key)
-        group[1].append(count)
-        group[2].append(ok)
+class _PairColumns:
+    """One pair's records as parsed: int codes and counts, no object per record.
+
+    An id's code is the order in which the pair first saw it. ``rows`` and
+    ``cols`` hold each record's question and prompt code, ``tokens`` and
+    ``hits`` its count and correctness, and ``lines`` its line number, which
+    only a duplicate's error reads.
+    """
+
+    __slots__ = ("question_codes", "prompt_codes", "rows", "cols", "tokens", "hits", "lines")
+
+    def __init__(self) -> None:
+        self.question_codes: dict[str, int] = {}
+        self.prompt_codes: dict[str, int] = {}
+        self.rows = array("i")  # an append past 2**31 - 1 raises, so no code wraps
+        self.cols = array("i")
+        self.tokens = array("q")
+        self.hits = bytearray()
+        self.lines = array("q")
+
+
+def _pair_columns(path: Path, source: BinaryIO) -> dict[tuple[str, str], _PairColumns]:
+    """A record file's columns, split by pair in one pass.
+
+    The line checks are _scan's, and a bad line raises the same error. A
+    repeated key is not looked for here: _place finds it from the codes.
+    When a bad line or a failed read stops the scan, a duplicate among the
+    lines before it comes first, as _scan would have raised it on reaching
+    its second line.
+    """
+    groups: dict[tuple[str, str], _PairColumns] = {}
+    try:
+        for line_no, obj in read_jsonl(path, source):
+            if type(obj) is not dict:
+                raise _schema_error(obj, path, line_no)
+            model = obj.get("model")
+            dataset = obj.get("dataset")
+            question_id = obj.get("question_id")
+            prompt_id = obj.get("prompt_id")
+            tokens = obj.get("tokens")
+            correct = obj.get("correct")
+            if not (
+                type(model) is str and model
+                and type(dataset) is str and dataset
+                and type(question_id) is str and question_id
+                and type(prompt_id) is str and prompt_id
+                and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
+                and type(correct) is bool
+            ):
+                raise _schema_error(obj, path, line_no)
+            group = groups.get((model, dataset))
+            if group is None:
+                group = groups[model, dataset] = _PairColumns()
+            codes = group.question_codes
+            group.rows.append(codes.setdefault(question_id, len(codes)))
+            codes = group.prompt_codes
+            group.cols.append(codes.setdefault(prompt_id, len(codes)))
+            group.tokens.append(tokens)
+            group.hits.append(correct)
+            group.lines.append(line_no)
+    except (CotBudgetError, OSError):  # a bad line, or a read that failed
+        duplicate = _first_duplicate(groups, path)
+        if duplicate is None:
+            raise
+        raise duplicate from None
     return groups
+
+
+def _first_duplicate(
+    groups: dict[tuple[str, str], _PairColumns], path: Path
+) -> DuplicateRecordError | None:
+    """The error for the repeated key whose second line comes first, naming both lines."""
+    found = None
+    for (model, dataset), group in groups.items():
+        cells = np.asarray(group.rows, dtype=np.int64) * len(group.prompt_codes)
+        cells += np.asarray(group.cols)
+        repeat = _first_repeat(cells)
+        if repeat is None:
+            continue
+        first, second = repeat
+        if found is None or group.lines[second] < found[1]:
+            # A dict keeps first-sight order, so an id's code is its position.
+            key = (model, dataset, list(group.question_codes)[group.rows[second]],
+                   list(group.prompt_codes)[group.cols[second]])
+            found = (group.lines[first], group.lines[second], key)
+    if found is None:
+        return None
+    first, second, key = found
+    return DuplicateRecordError(key, f"lines {first} and {second} of {path}")
+
+
+def _first_repeat(cells: np.ndarray) -> tuple[int, int] | None:
+    """(index of the first, index of the second) of the earliest value seen twice, or None."""
+    values, first = np.unique(cells, return_index=True)  # first: where each value starts
+    if values.size == cells.size:
+        return None
+    novel = np.zeros(cells.size, dtype=bool)
+    novel[first] = True
+    second = int(np.argmin(novel))
+    return int(first[np.searchsorted(values, cells[second])]), second
 
 
 def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
@@ -198,22 +309,30 @@ def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
     fields of a line are model, dataset, question_id, prompt_id, tokens and
     correct, in that order, as ``json.dumps(..., ensure_ascii=False)`` writes them.
     An id UTF-8 cannot encode is a CotBudgetError raised before the file is
-    opened, so a file already at path is left as it was.
+    opened, so a file already at path is left as it was. Lines are formatted
+    a block of rows (about SAVE_CELLS cells) at a time, so the Python values
+    alive at once do not grow with the matrix.
     """
     dumps = functools.partial(json.dumps, ensure_ascii=False)
     head = f'{{"model": {dumps(matrix.model)}, "dataset": {dumps(matrix.dataset)}, "question_id": '
     questions = [head + dumps(q) + ', "prompt_id": ' for q in matrix.question_ids]
     prompts = [dumps(p) + ', "tokens": ' for p in matrix.prompt_ids]
     utf8_bytes(path, "".join([head, *questions, *prompts]))
-    rows, cols = np.nonzero(matrix.present)
-    tokens = matrix.tokens[rows, cols].tolist()
-    correct = matrix.correct[rows, cols].tolist()
+    step = max(1, SAVE_CELLS // max(1, matrix.n_prompts))
+    count = 0
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(
-            f'{questions[i]}{prompts[j]}{t}, "correct": {"true" if c else "false"}}}\n'
-            for i, j, t, c in zip(rows.tolist(), cols.tolist(), tokens, correct)
-        )
-    return len(tokens)
+        for start in range(0, matrix.n_questions, step):
+            block = slice(start, start + step)
+            rows, cols = np.nonzero(matrix.present[block])
+            tokens = matrix.tokens[block][rows, cols].tolist()
+            correct = matrix.correct[block][rows, cols].tolist()
+            lines = questions[block]
+            fh.writelines(
+                f'{lines[i]}{prompts[j]}{t}, "correct": {"true" if c else "false"}}}\n'
+                for i, j, t, c in zip(rows.tolist(), cols.tolist(), tokens, correct)
+            )
+            count += len(tokens)
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,48 +424,55 @@ def pivot(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:
     depend on input order. Absent cells are masked out, never fabricated.
     """
     selected = [r for r in records if r.model == model and r.dataset == dataset]
-    return _pivot(
+    question_codes: dict[str, int] = {}
+    prompt_codes: dict[str, int] = {}
+    return _place(
         model,
         dataset,
-        [r.question_id for r in selected],
-        [r.prompt_id for r in selected],
+        question_codes,
+        prompt_codes,
+        [question_codes.setdefault(r.question_id, len(question_codes)) for r in selected],
+        [prompt_codes.setdefault(r.prompt_id, len(prompt_codes)) for r in selected],
         [r.tokens for r in selected],
         [r.correct for r in selected],
     )
 
 
-def _pivot(
+def _place(
     model: str,
     dataset: str,
-    question_ids: list[str],
-    prompt_ids: list[str],
-    tokens: list[int],
-    correct: list[bool],
+    question_codes: Mapping[str, int],
+    prompt_codes: Mapping[str, int],
+    rows: Sequence[int],
+    cols: Sequence[int],
+    tokens: Sequence[int],
+    correct: Sequence[bool],
 ) -> RunMatrix:
-    """Place aligned per-record columns of one pair into an n x K matrix."""
-    if not question_ids:
+    """Place one pair's coded records into an n x K matrix.
+
+    ``question_codes`` and ``prompt_codes`` map each distinct id to a code
+    in [0, count); record i has codes rows[i] and cols[i]. A cell given
+    twice is a DuplicateRecordError naming the first record to repeat one.
+    """
+    if not len(rows):
         raise EmptySelectionError(f"no records for model={model!r} dataset={dataset!r}")
     # Python sorts and dicts, not np.unique: a numpy 'U' array drops trailing
     # NULs, which would merge "q1\x00" with "q1".
-    row_ids = tuple(sorted(set(question_ids)))
-    col_ids = tuple(sorted(set(prompt_ids)))
-    row_of = {q: i for i, q in enumerate(row_ids)}
-    col_of = {p: j for j, p in enumerate(col_ids)}
-    count, n, k = len(question_ids), len(row_ids), len(col_ids)
-    cells = np.fromiter(map(row_of.__getitem__, question_ids), np.intp, count) * k
-    cells += np.fromiter(map(col_of.__getitem__, prompt_ids), np.intp, count)
+    row_ids, row_of = _ranks(question_codes)
+    col_ids, col_of = _ranks(prompt_codes)
+    n, k = len(row_ids), len(col_ids)
+    cells = row_of[np.asarray(rows)]
+    cells *= k
+    cells += col_of[np.asarray(cols)]
     present = np.zeros(n * k, dtype=bool)
     present[cells] = True
-    if np.count_nonzero(present) != count:
-        filled: set[int] = set()
-        for index, cell in enumerate(cells.tolist()):
-            if cell in filled:
-                raise DuplicateRecordError((model, dataset, question_ids[index], prompt_ids[index]))
-            filled.add(cell)
+    if np.count_nonzero(present) != cells.size:
+        row, col = divmod(int(cells[_first_repeat(cells)[1]]), k)
+        raise DuplicateRecordError((model, dataset, row_ids[row], col_ids[col]))
     values = np.zeros(present.shape, dtype=np.int64)
-    values[cells] = np.array(tokens, dtype=np.int64)
+    values[cells] = np.asarray(tokens, dtype=np.int64)
     hits = np.zeros(present.shape, dtype=bool)
-    hits[cells] = np.array(correct, dtype=bool)
+    hits[cells] = np.asarray(correct, dtype=bool)
     return RunMatrix(
         model,
         dataset,
@@ -357,3 +483,10 @@ def _pivot(
         present.reshape(n, k),
     )
 
+
+def _ranks(codes: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids in sorted order, and each code's position in that order (indexed by code)."""
+    ids = tuple(sorted(codes))
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
+    return ids, rank

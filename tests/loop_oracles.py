@@ -6,7 +6,9 @@ time, exactly as the rules are stated. A few (the ``*_unique`` and
 ``*_stable`` functions, and the Fraction-loop frontier) are the earlier array
 code that a faster version replaced with the same results, and the
 ``*_from_json_loop`` and ``budget_entry_loop`` checkers are the hand-written
-line validators that one rule table replaced. They are slow, and they are
+line validators that one rule table replaced. ``profile_from_json_dict_loop``
+and ``column_sums_whole`` are the per-entry loader and the whole-matrix
+column sums that a one-pass loader and a row-blocked sum replaced. They are slow, and they are
 kept only as reference oracles for the differential tests.
 """
 from __future__ import annotations
@@ -22,7 +24,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from cotbudget.collect import QUESTION_FIELDS, Choice, Question
-from cotbudget.complexity import INFINITE, ComplexityProfile, QuestionComplexity
+from cotbudget.complexity import (
+    _C_STAR,
+    _K_USED,
+    _NON_EMPTY_LIST,
+    INFINITE,
+    ComplexityProfile,
+    QuestionComplexity,
+)
 from cotbudget.errors import (
     CoverageError,
     DuplicateRecordError,
@@ -31,7 +40,7 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
-from cotbudget.inputs import TOKENS_MAX, read_jsonl
+from cotbudget.inputs import NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_jsonl
 from cotbudget.metrics import PromptResult
 from cotbudget.oracle import INFINITE_SHARE, TAU_RANGE, OracleSpec
 from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
@@ -415,6 +424,30 @@ def profile_from_file_loop(obj: object) -> ComplexityProfile | None:
     )
 
 
+def profile_from_json_dict_loop(obj: dict) -> ComplexityProfile:
+    """ComplexityProfile.from_json_dict as four checked() calls and one Fraction per entry."""
+    if type(obj) is not dict:
+        raise RecordSchemaError(f"the file must hold a JSON object, got {type(obj).__name__}")
+    model = checked(obj, "model", "", NON_EMPTY_STRING)
+    dataset = checked(obj, "dataset", "", NON_EMPTY_STRING)
+    entries = checked(obj, "entries", "", _NON_EMPTY_LIST)
+    first: dict[str, int] = {}
+    tau, k_used, c_star = [], [], []
+    for i, entry in enumerate(entries):
+        where = f"entries[{i}]"
+        if type(entry) is not dict:
+            raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
+        qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
+        if first.setdefault(qid, i) != i:
+            raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
+        t = checked(entry, "tau", where, NULL_OR_TOKENS)
+        tau.append(-1 if t is None else t)
+        k_used.append(checked(entry, "k_used", where, _K_USED))
+        c_star.append(Fraction(str(checked(entry, "c_star", where, _C_STAR))))
+    c_bar = sum(c_star, Fraction(0)) / len(c_star)
+    return ComplexityProfile(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
+
+
 def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
     """The catalog a parsed catalog file describes, or None if a rule rejects it.
 
@@ -581,6 +614,13 @@ def adaptivity_split_loop(
             sides.append(Fraction(sum(tokens), len(tokens)) if tokens else None)
         out[pid] = (sides[0], sides[1])
     return out
+
+
+def column_sums_whole(tokens: np.ndarray, cells: np.ndarray) -> list[int]:
+    """Exact masked column sums from one whole-matrix copy, split into 32-bit halves."""
+    kept = np.where(cells, tokens, 0).astype("<i8", copy=False)
+    halves = kept.view("<u4").reshape(*kept.shape, 2).sum(axis=0, dtype=np.int64)
+    return [(h << 32) + l for l, h in halves.tolist()]
 
 
 def midranks_loop(values: Sequence[float]) -> np.ndarray:

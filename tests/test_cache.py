@@ -397,6 +397,41 @@ def test_fifo_is_read_uncached(tmp_path, synth_file, caplog, isolated_record_cac
 @pytest.mark.parametrize(
     "text",
     [
+        record_line("m", "d", "q1", "p1", 1, True) + record_line("m", "d", "q1", "p1", 2, True)
+        + record_line("m", "d", "q2", "p1", -1, True),
+        record_line("m", "d", "q1", "p1", 1, True) + "{not json\n"
+        + record_line("m", "d", "q1", "p1", 2, True),
+        record_line("m", "d", "q1", "p1", 1, True) + record_line("m2", "d", "q1", "p1", 1, True)
+        + record_line("m2", "d", "q1", "p1", 2, True) + record_line("m", "d", "q1", "p1", 2, True),
+        record_line("m2", "d", "q1", "p1", 1, True) + record_line("m", "d", "q1", "p1", 1, True)
+        + record_line("m", "d", "q1", "p1", 2, True) + "[1]\n",
+    ],
+    ids=["repeat-then-bad", "bad-then-repeat", "later-pair-repeats-first", "repeat-across-pairs"],
+)
+def test_fifo_gives_the_first_error_in_one_read(tmp_path, text, isolated_record_cache):
+    """A FIFO cannot be read twice, so the first error comes from the one pass."""
+    regular = tmp_path / "records.jsonl"
+    regular.write_text(text, encoding="utf-8")
+    with pytest.raises(CotBudgetError) as loop:
+        load_records_loop(regular)
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(text, encoding="utf-8"), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(CotBudgetError) as exc:
+            read_matrices(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert type(exc.value) is type(loop.value)
+    assert str(exc.value).replace(str(fifo), "{path}") == str(loop.value).replace(str(regular),
+                                                                                 "{path}")
+    assert entries(isolated_record_cache) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         record_line("m", "d", "q1", "p1", 1, True) + "{not json\n",
         record_line("m", "d", "q1", "p1", 1, True) + record_line("m", "d", "q1", "p1", 2, True),
         record_line("m", "d", "q1", "p1", -1, True),

@@ -856,7 +856,9 @@ class TestResumeTornLine:
     def test_second_resume_of_unchanged_file_is_a_cache_hit(self, collected, capsys):
         argv, _ = collected
         assert self.resume(capsys, argv)[0] == 0
-        with patch.object(records_mod, "_scan", side_effect=AssertionError("parsed")):
+        parsed = AssertionError("parsed")
+        with patch.object(records_mod, "_scan", side_effect=parsed), \
+                patch.object(records_mod, "_pair_columns", side_effect=parsed):
             code, text, _, requests_made = self.resume(capsys, argv)
         assert code == 0
         assert "4 skipped (resume), 0 collected" in text

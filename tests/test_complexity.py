@@ -24,6 +24,7 @@ from loop_oracles import (
     classify_accuracy,
     estimate_tau_loop,
     profile_from_file_loop,
+    profile_from_json_dict_loop,
     profile_loop,
     question_runs,
     tau_aggregates_loop,
@@ -497,3 +498,57 @@ class TestProfileFileMutations:
                 assert str(exc.value).startswith(f"{path}: ")
             else:
                 assert ComplexityProfile.load(path) == want
+
+
+def _loaded(obj):
+    """from_json_dict's profile, or the type and message of the schema error it raised."""
+    try:
+        return "ok", ComplexityProfile.from_json_dict(obj)
+    except RecordSchemaError as exc:
+        return type(exc), str(exc)
+
+
+def _loaded_loop(obj):
+    try:
+        return "ok", profile_from_json_dict_loop(obj)
+    except RecordSchemaError as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassLoader:
+    """The one-pass loader against the per-entry loader it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), matrix=run_matrices(max_questions=6, max_prompts=4))
+    def test_same_profile_or_same_first_error(self, data, matrix):
+        obj = data.draw(mutations(profile(matrix).to_json_dict()))
+        got, want = _loaded(obj), _loaded_loop(obj)
+        assert got == want
+        if want[0] == "ok":
+            assert got[1].c_bar == want[1].c_bar
+            assert got[1].c_star == want[1].c_star
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0, 1, 0.0, 1.0, -0.0, 0.5, 1 / 3, 0.333333, 1e-7]),
+                        min_size=1, max_size=30)
+    )
+    def test_equal_values_of_two_types_share_one_exact_mean(self, values):
+        obj = {"model": "m", "dataset": "d", "entries": [
+            {"question_id": f"q{i}", "tau": None, "k_used": 1, "c_star": c}
+            for i, c in enumerate(values)
+        ]}
+        got = ComplexityProfile.from_json_dict(obj)
+        want = profile_from_json_dict_loop(obj)
+        assert got == want
+        assert got.c_bar == want.c_bar == sum(map(Fraction, map(str, values)), Fraction(0)) / len(values)
+
+    def test_each_bad_field_keeps_its_order(self):
+        entry = {"question_id": "q0", "tau": -1, "k_used": 0, "c_star": 2}
+        obj = {"model": "m", "dataset": "d", "entries": [dict(entry, tau=1, k_used=1, c_star=1)]}
+        for bad in ({**entry, "question_id": "q0"}, {**entry, "question_id": "q1"},
+                    {**entry, "question_id": "q1", "tau": 3},
+                    {**entry, "question_id": "q1", "tau": 3, "k_used": 2}):
+            assert _loaded({**obj, "entries": obj["entries"] + [bad]}) == _loaded_loop(
+                {**obj, "entries": obj["entries"] + [bad]}
+            )

@@ -39,6 +39,7 @@ from cotbudget.records import RunMatrix
 from conftest import make_matrix, run_matrices, some_cells, with_cells
 from loop_oracles import (
     adaptivity_split_loop,
+    column_sums_whole,
     complexity_correlations_unique,
     midranks_loop,
     midranks_unique,
@@ -529,3 +530,46 @@ class TestExactTokenTotals:
     def test_adaptivity_split_matches_loop(self, data, matrix):
         split = data.draw(st.sampled_from(matrix.prompt_ids))
         assert adaptivity_split(matrix, split) == adaptivity_split_loop(matrix, split)
+
+
+class TestBlockedColumnSums:
+    """_column_sums sums blocks of rows; the totals are those of one whole-matrix sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), matrix=run_matrices(max_questions=12, max_tokens=2**63 - 1)
+           | run_matrices(max_questions=12), block=st.integers(1, 5))
+    def test_equal_to_the_whole_matrix_sum(self, data, matrix, block):
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=matrix.tokens.size,
+                                           max_size=matrix.tokens.size)), dtype=bool)
+        cells = mask.reshape(matrix.tokens.shape) & matrix.present
+        with mock.patch.object(metrics, "BLOCK_ROWS", block):
+            got = metrics._column_sums(matrix.tokens, cells)
+        assert got == column_sums_whole(matrix.tokens, cells)
+        assert got == metrics._column_sums(matrix.tokens, cells)
+
+    def test_totals_past_int64_over_several_blocks(self):
+        tokens = np.full((3 * metrics.BLOCK_ROWS + 1, 2), TOKENS_MAX, dtype=np.int64)
+        cells = np.ones(tokens.shape, dtype=bool)
+        cells[:, 1] = False
+        assert metrics._column_sums(tokens, cells) == [TOKENS_MAX * tokens.shape[0], 0]
+
+    def test_peak_memory_stays_one_block_at_20k(self):
+        """No n x K copy: at n = 20k, K = 31 the int64 matrix alone is 5 MB."""
+        rng = np.random.default_rng(7)
+        n, k = 20_000, 31
+        matrix = RunMatrix("m", "d", tuple(f"q{i:05d}" for i in range(n)),
+                           tuple(f"p{j:02d}" for j in range(k)),
+                           rng.integers(0, 10**6, (n, k)), rng.random((n, k)) < 0.5,
+                           rng.random((n, k)) < 0.95)
+        cells = matrix.present & matrix.correct
+        prof = profile(matrix)
+        for call in (lambda: metrics._column_sums(matrix.tokens, cells),
+                     lambda: adaptivity_split(matrix, "p00"),
+                     lambda: validation_report(matrix, prof)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * 2**20

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from cotbudget.records import (
 from cotbudget.cli import _load_budgets
 from cotbudget.collect import load_questions
 from cotbudget.complexity import ComplexityProfile, profile
+from cotbudget.oracle import generate, random_spec
 from cotbudget.prompts import PromptCatalog, default_catalog
 
 from conftest import make_matrix, make_record, run_matrices
@@ -445,6 +448,74 @@ def test_duplicate_split_across_pairs_names_both_lines(tmp_path):
         assert str(exc.value) == expected
 
 
+# Lines for the duplicate-placement tests: few keys, so repeats are common,
+# and bad lines of every kind the scan stops at.
+DUPLICATE_PRONE = st.builds(
+    base_obj,
+    model=st.sampled_from(["m", "m2"]),
+    question_id=st.sampled_from(["q1", "q2"]),
+    prompt_id=st.sampled_from(["p1", "p2"]),
+    tokens=st.integers(0, 9),
+).map(json.dumps)
+BAD_RECORD_LINES = st.sampled_from([
+    "{not json", "[1]", json.dumps(base_obj(tokens=-1)), json.dumps(base_obj(model="")),
+    json.dumps({"model": "m"}),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(DUPLICATE_PRONE | BAD_RECORD_LINES | st.just(""), min_size=1, max_size=12))
+def test_first_error_matches_record_loop_cold_and_warm(tmp_path_factory, lines):
+    """Duplicates before and after bad lines, in one pair or two: the loop's first error.
+
+    The second read finds the entry the first wrote (a valid file) or the
+    cache without one (a bad file writes none); both give the same outcome.
+    """
+    path = tmp_path_factory.mktemp("first") / "r.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    want = outcome(lambda: load_records_loop(path))
+    if want[0] == "ok":
+        records = want[1]
+        want = "ok", {pair: pivot_loop(records, *pair)
+                      for pair in sorted({(r.model, r.dataset) for r in records})}
+    for _ in ("cold", "warm"):
+        got = outcome(lambda: read_matrices(path))
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            assert list(got[1]) == list(want[1])
+            for pair, matrix in want[1].items():
+                assert got[1][pair] == matrix
+        else:
+            assert got[1] == want[1]
+
+
+@pytest.mark.parametrize(
+    "objs, expected",
+    [
+        # the later pair repeats first: its error, though the earlier pair is placed first
+        ([base_obj(), base_obj(model="m2"), base_obj(model="m2", tokens=3), base_obj(tokens=4)],
+         "duplicate record key ('m2', 'd', 'q1', 'p1') (lines 2 and 3 of {path})"),
+        # a repeat before a bad line wins
+        ([base_obj(), base_obj(tokens=3), base_obj(tokens=-1)],
+         "duplicate record key ('m', 'd', 'q1', 'p1') (lines 1 and 2 of {path})"),
+        # a bad line before a repeat wins
+        ([base_obj(), base_obj(tokens=-1), base_obj(tokens=3)],
+         "{path}:2: field 'tokens' must be non-negative, got -1"),
+        # of two repeats of one key, the second line names the first repeat
+        ([base_obj(), base_obj(question_id="q2"), base_obj(question_id="q2"), base_obj()],
+         "duplicate record key ('m', 'd', 'q2', 'p1') (lines 2 and 3 of {path})"),
+    ],
+    ids=["later-pair-first", "repeat-then-bad", "bad-then-repeat", "earliest-second-line"],
+)
+def test_first_error_of_the_file_is_raised(tmp_path, objs, expected):
+    path = tmp_path / "r.jsonl"
+    write_jsonl(path, objs)
+    for load in (load_records_loop, load_records, read_matrices):
+        with pytest.raises(CotBudgetError) as exc:
+            load(path)
+        assert str(exc.value) == expected.format(path=path)
+
+
 def test_bad_line_of_unselected_pair_still_fails(tmp_path):
     path = tmp_path / "r.jsonl"
     write_jsonl(path, [base_obj(), base_obj(model="m2", tokens=-4), base_obj(prompt_id="p2")])
@@ -626,3 +697,48 @@ def test_every_loader_reads_lines_the_same_way(tmp_path, name, inserted, reason)
         load(str(path))
     assert exc.value.line_no == 3
     assert str(exc.value).startswith(f"{path}:3: {reason}")
+
+
+# ---------------------------------------------------------------------------
+# memory: a miss and a write grow with the matrix, not with Python objects
+# ---------------------------------------------------------------------------
+
+MiB = 2**20
+
+
+@pytest.fixture(scope="module")
+def two_pair_file(tmp_path_factory):
+    """A two-pair synth records file of 2,000 questions x 31 prompts each (124k records)."""
+    base = tmp_path_factory.mktemp("two-pair")
+    path = base / "records.jsonl"
+    with path.open("wb") as sink:
+        for seed, model in enumerate(("model-a", "model-b"), start=1):
+            spec = dataclasses.replace(random_spec(2000, seed=seed, violation_rate=0.05),
+                                       model=model)
+            save_matrix(generate(spec)[0], base / "part.jsonl")
+            sink.write((base / "part.jsonl").read_bytes())
+    return path
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_miss_peak_grows_with_the_matrix(two_pair_file, isolated_record_cache):
+    """No object per record: the miss holds int codes and counts (about 25 B a record)."""
+    peak = traced_peak(lambda: read_matrices(two_pair_file))
+    assert len(list(isolated_record_cache.glob("*.npz"))) == 1  # it was a miss
+    assert peak <= 8 * MiB
+
+
+def test_save_matrix_peak_is_one_block(two_pair_file, tmp_path):
+    matrix = read_matrices(two_pair_file)["model-a", "synthetic"]
+    assert matrix.tokens.shape == (2000, 31)
+    peak = traced_peak(lambda: save_matrix(matrix, tmp_path / "out.jsonl"))
+    assert peak <= 1.5 * MiB
+    assert read_matrices(tmp_path / "out.jsonl")["model-a", "synthetic"] == matrix
