@@ -166,18 +166,8 @@ class ComplexityProfile:
         first: dict[str, int] = {}
         tau, k_used, values = [], [], []
         for i, entry in enumerate(entries):
-            # The rules of _check_entry, inline; a failure goes there for its error.
-            if not (
-                type(entry) is dict
-                and type(qid := entry.get("question_id")) is str and qid
-                and ((t := entry.get("tau", _ABSENT)) is None
-                     or (type(t) is int and 0 <= t <= TOKENS_MAX))
-                and type(k := entry.get("k_used")) is int and 1 <= k <= TOKENS_MAX
-                and type(c := entry.get("c_star")) in (int, float) and 0 <= c <= 1
-                and first.setdefault(qid, i) == i
-            ):
-                _check_entry(entry, f"entries[{i}]", first)
-                raise AssertionError(f"entries[{i}]: inline check disagrees with the rules")
+            qid, t, k, c = _check_entry(entry, f"entries[{i}]", first)
+            first[qid] = i
             tau.append(-1 if t is None else t)
             k_used.append(k)
             values.append(c)
@@ -204,8 +194,9 @@ class ComplexityProfile:
             raise RecordSchemaError(exc.reason, path=str(path)) from None
 
 
-def _check_entry(entry: object, where: str, first: dict[str, int]) -> None:
-    """Raise the RecordSchemaError of the first rule an entry breaks, checked in file order.
+def _check_entry(entry: object, where: str, first: dict[str, int]) -> tuple:
+    """An entry's (question_id, tau, k_used, c_star), or the RecordSchemaError of
+    the first rule it breaks, checked in file order.
 
     ``first`` maps each question_id already read to its entry index.
     """
@@ -214,12 +205,13 @@ def _check_entry(entry: object, where: str, first: dict[str, int]) -> None:
     qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
     if qid in first:
         raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
-    checked(entry, "tau", where, NULL_OR_TOKENS)
-    checked(entry, "k_used", where, _K_USED)
-    checked(entry, "c_star", where, _C_STAR)
+    return (
+        qid,
+        checked(entry, "tau", where, NULL_OR_TOKENS),
+        checked(entry, "k_used", where, _K_USED),
+        checked(entry, "c_star", where, _C_STAR),
+    )
 
-
-_ABSENT = object()  # an entry field's value when the key is missing
 
 # The complexity file's own field rules, in the form inputs.checked reads.
 _NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "be a non-empty list")

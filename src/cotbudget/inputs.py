@@ -94,13 +94,13 @@ NULL_OR_TOKENS = (
 
 def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
     """obj[key] if it passes the rule; else a RecordSchemaError naming where.key."""
+    test, expected = rule
+    if key in obj and test(value := obj[key]):
+        return value
     location = f"{where}.{key}" if where else key
     if key not in obj:
         raise RecordSchemaError(f"{location} is missing")
-    test, expected = rule
-    if not test(obj[key]):
-        raise RecordSchemaError(f"{location} must {expected}, got {obj[key]!r}")
-    return obj[key]
+    raise RecordSchemaError(f"{location} must {expected}, got {value!r}")
 
 
 def check_line(

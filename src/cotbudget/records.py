@@ -41,7 +41,10 @@ from .errors import (
 )
 from .inputs import INTEGER, NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
 
-# Cells per block of rows that save_matrix formats at once.
+# Cells per block of rows that save_matrix formats at once. The numpy kernels
+# block by complexity.BLOCK_ROWS rows, a few bytes a cell; here each cell
+# becomes Python ints and a line (about 100 B), and K differs from file to
+# file, so the block is sized in cells: about 1 MB of objects at any K.
 SAVE_CELLS = 1 << 13
 
 REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
@@ -89,17 +92,16 @@ RECORD_RULES = (
 )
 
 
-def _scan(path: Path, source: BinaryIO | None = None) -> Iterator[tuple[Key, int, bool, dict]]:
-    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
+def _record_lines(
+    path: Path, source: BinaryIO | None = None
+) -> Iterator[tuple[int, str, str, str, str, int, bool, dict]]:
+    """Yield (line_no, model, dataset, question_id, prompt_id, tokens, correct, object)
+    for each record line of a JSONL file.
 
     A line that fails the inline field check is handed to check_line, whose
-    error becomes the RecordSchemaError, so EvalRecord and this scan report
-    the same reason. Equal key strings are shared between lines, so a file
-    holds each distinct id in memory once. ``source`` is as for read_jsonl.
+    error becomes the RecordSchemaError, so EvalRecord and every reader of
+    records report the same reason. ``source`` is as for read_jsonl.
     """
-    seen: dict[Key, int] = {}
-    shared: dict[str, str] = {}
-    share = shared.setdefault
     for line_no, obj in read_jsonl(path, source):
         if type(obj) is not dict:
             raise _schema_error(obj, path, line_no)
@@ -118,6 +120,21 @@ def _scan(path: Path, source: BinaryIO | None = None) -> Iterator[tuple[Key, int
             and type(correct) is bool
         ):
             raise _schema_error(obj, path, line_no)
+        yield line_no, model, dataset, question_id, prompt_id, tokens, correct, obj
+
+
+def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
+    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
+
+    The lines are _record_lines's. A repeated key raises on its second line.
+    Equal key strings are shared between lines, so a file holds each
+    distinct id in memory once.
+    """
+    seen: dict[Key, int] = {}
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    lines = _record_lines(path)
+    for line_no, model, dataset, question_id, prompt_id, tokens, correct, obj in lines:
         key = (
             share(model, model),
             share(dataset, dataset),
@@ -194,7 +211,7 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
             raise _first_duplicate(groups, path) from None
         # Each pair's columns are dropped once its matrix is built, so none is
         # alive when the entry is written.
-        del groups[pair]
+        del groups[pair], group
     if store is not None:
         store.save(source.digest(), list(matrices.values()))
     return matrices
@@ -224,32 +241,16 @@ class _PairColumns:
 def _pair_columns(path: Path, source: BinaryIO) -> dict[tuple[str, str], _PairColumns]:
     """A record file's columns, split by pair in one pass.
 
-    The line checks are _scan's, and a bad line raises the same error. A
-    repeated key is not looked for here: _place finds it from the codes.
+    The lines are _record_lines's, as for _scan, so a bad line raises the same
+    error. A repeated key is not looked for here: _place finds it from the codes.
     When a bad line or a failed read stops the scan, a duplicate among the
     lines before it comes first, as _scan would have raised it on reaching
     its second line.
     """
     groups: dict[tuple[str, str], _PairColumns] = {}
     try:
-        for line_no, obj in read_jsonl(path, source):
-            if type(obj) is not dict:
-                raise _schema_error(obj, path, line_no)
-            model = obj.get("model")
-            dataset = obj.get("dataset")
-            question_id = obj.get("question_id")
-            prompt_id = obj.get("prompt_id")
-            tokens = obj.get("tokens")
-            correct = obj.get("correct")
-            if not (
-                type(model) is str and model
-                and type(dataset) is str and dataset
-                and type(question_id) is str and question_id
-                and type(prompt_id) is str and prompt_id
-                and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
-                and type(correct) is bool
-            ):
-                raise _schema_error(obj, path, line_no)
+        lines = _record_lines(path, source)
+        for line_no, model, dataset, question_id, prompt_id, tokens, correct, _ in lines:
             group = groups.get((model, dataset))
             if group is None:
                 group = groups[model, dataset] = _PairColumns()
