@@ -344,12 +344,8 @@ def cmd_collect(args) -> int:
     skip: set[tuple[str, str]] = set()
     append = False
     if args.resume and Path(args.out).exists():
-        from .records import read_matrices
-
         collect.drop_torn_tail(args.out)
-        prior = read_matrices(args.out).get((args.model, args.dataset))
-        if prior is not None:
-            skip = prior.cells()
+        skip = collect.prior_cells(args.out, args.model, args.dataset)
         append = True
     if append and Path(failures_path).exists():
         collect.drop_torn_tail(failures_path)

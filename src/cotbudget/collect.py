@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from .errors import EndpointError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
+from .inputs import NON_EMPTY_STRING, TOKENS_MAX, _scan, check_line, read_jsonl
 from .prompts import PromptCatalog, PromptSpec, render
 
 log = logging.getLogger(__name__)
@@ -561,3 +561,12 @@ def drop_torn_tail(path: str | Path) -> int:
         fh.seek(0, os.SEEK_END)
         fh.write(b"\n")
         return 0
+
+
+def prior_cells(path: str | Path, model: str, dataset: str) -> set[tuple[str, str]]:
+    """The (question_id, prompt_id) cells of (model, dataset) a records file already holds.
+
+    The file is read line by line through the records check, so a bad line
+    or a repeated key raises the error ``records.read_matrices`` raises for it.
+    """
+    return {(q, p) for (m, d, q, p), *_ in _scan(Path(path)) if (m, d) == (model, dataset)}

@@ -4,6 +4,12 @@ Every input file is read through ``read_jsonl`` or ``read_json``, and a
 parsed value is checked by ``check_line`` (a JSONL line) or ``checked`` (a
 whole-file field) against rules such as ``NON_EMPTY_STRING``, so each
 fault's message is written once.
+
+A records line is checked here too, against ``RECORD_RULES``:
+``_record_lines`` yields each checked line's fields, and ``_scan`` adds the
+duplicate-key check. ``records`` builds its matrices and ``EvalRecord``
+objects from them, and ``collect --resume`` takes the cells a prior records
+file holds from ``_scan`` alone, so a resume loads no numpy.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import json
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
-from .errors import RecordParseError, RecordSchemaError
+from .errors import DuplicateRecordError, RecordParseError, RecordSchemaError
 
 TOKENS_MAX = 2**63 - 1  # the largest int64, so every count fits a matrix column
 TOO_DEEP = "JSON nested too deeply to parse"
@@ -121,3 +127,84 @@ def check_line(
         if not test(value):
             raise RecordSchemaError(f"field {name!r} must {expected}, got {value!r}")
     return obj
+
+
+REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
+
+RECORD_RULES = (
+    ("model", NON_EMPTY_STRING),
+    ("dataset", NON_EMPTY_STRING),
+    ("question_id", NON_EMPTY_STRING),
+    ("prompt_id", NON_EMPTY_STRING),
+    ("tokens", INTEGER),
+    ("tokens", (lambda v: v >= 0, "be non-negative")),
+    ("tokens", (lambda v: v <= TOKENS_MAX,
+                f"fit in a signed 64-bit integer (at most {TOKENS_MAX})")),
+    ("correct", (lambda v: type(v) is bool, "be a boolean")),
+)
+
+Key = tuple[str, str, str, str]
+
+
+def _record_lines(
+    path: Path, source: BinaryIO | None = None
+) -> Iterator[tuple[int, str, str, str, str, int, bool, dict]]:
+    """Yield (line_no, model, dataset, question_id, prompt_id, tokens, correct, object)
+    for each record line of a JSONL file.
+
+    A line that fails the inline field check is handed to check_line, whose
+    error becomes the RecordSchemaError, so EvalRecord and every reader of
+    records report the same reason. ``source`` is as for read_jsonl.
+    """
+    for line_no, obj in read_jsonl(path, source):
+        if type(obj) is not dict:
+            raise _schema_error(obj, path, line_no)
+        model = obj.get("model")
+        dataset = obj.get("dataset")
+        question_id = obj.get("question_id")
+        prompt_id = obj.get("prompt_id")
+        tokens = obj.get("tokens")
+        correct = obj.get("correct")
+        if not (
+            type(model) is str and model
+            and type(dataset) is str and dataset
+            and type(question_id) is str and question_id
+            and type(prompt_id) is str and prompt_id
+            and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
+            and type(correct) is bool
+        ):
+            raise _schema_error(obj, path, line_no)
+        yield line_no, model, dataset, question_id, prompt_id, tokens, correct, obj
+
+
+def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
+    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
+
+    The lines are _record_lines's. A repeated key raises on its second line.
+    Equal key strings are shared between lines, so a file holds each
+    distinct id in memory once.
+    """
+    seen: dict[Key, int] = {}
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    lines = _record_lines(path)
+    for line_no, model, dataset, question_id, prompt_id, tokens, correct, obj in lines:
+        key = (
+            share(model, model),
+            share(dataset, dataset),
+            share(question_id, question_id),
+            share(prompt_id, prompt_id),
+        )
+        first = seen.setdefault(key, line_no)
+        if first != line_no:
+            raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
+        yield key, tokens, correct, obj
+
+
+def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:
+    """The error check_line raises for a line the inline check rejected."""
+    try:
+        check_line(obj, "record", REQUIRED_FIELDS, RECORD_RULES)
+    except RecordSchemaError as exc:
+        return RecordSchemaError(exc.reason, path=str(path), line_no=line_no)
+    raise AssertionError(f"{path}:{line_no}: inline record check disagrees with RECORD_RULES")

@@ -1,4 +1,4 @@
-"""Evaluation-record data model: the records line, and the question-by-prompt pivot.
+"""Evaluation-record data model: the record object, and the question-by-prompt pivot.
 
 A record is one chain-of-thought run of a (model, dataset, question, prompt)
 cell: the output token count and whether the graded answer was correct. All
@@ -14,11 +14,13 @@ its token count, its correctness and its line number to flat arrays (about
 for ``read_matrices`` and for ``pivot`` alike, and finds a repeated key
 there; the line numbers serve only to name the repeat the file reaches
 first. ``EvalRecord`` objects are built only for callers that ask for them
-(``load_records``, whose reader is ``_scan``).
+(``load_records``).
 
-Lines are read by ``inputs.read_jsonl`` and a record line is checked against
-``RECORD_RULES``; reading and checking every other input file is left to
-``cotbudget.inputs``, which needs no numpy.
+Record lines are read and checked by ``inputs._record_lines``, against
+``inputs.RECORD_RULES``, and ``load_records`` reads them through
+``inputs._scan``, which also finds a repeated key. Both live in
+``cotbudget.inputs``, which needs no numpy, so ``collect --resume`` reads a
+prior file through the same checks without loading this module.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,10 +38,9 @@ from .errors import (
     CotBudgetError,
     DuplicateRecordError,
     EmptySelectionError,
-    RecordSchemaError,
     utf8_bytes,
 )
-from .inputs import INTEGER, NON_EMPTY_STRING, TOKENS_MAX, check_line, read_jsonl
+from .inputs import RECORD_RULES, REQUIRED_FIELDS, _record_lines, _scan, check_line
 
 # Cells per block of rows that save_matrix formats at once. The numpy kernels
 # block by complexity.BLOCK_ROWS rows, a few bytes a cell; here each cell
@@ -47,7 +48,6 @@ from .inputs import INTEGER, NON_EMPTY_STRING, TOKENS_MAX, check_line, read_json
 # file, so the block is sized in cells: about 1 MB of objects at any K.
 SAVE_CELLS = 1 << 13
 
-REQUIRED_FIELDS = ("model", "dataset", "question_id", "prompt_id", "tokens", "correct")
 OPTIONAL_FIELDS = ("response", "extracted_answer")
 
 
@@ -74,86 +74,6 @@ class EvalRecord:
     @property
     def key(self) -> tuple[str, str, str, str]:
         return (self.model, self.dataset, self.question_id, self.prompt_id)
-
-
-Key = tuple[str, str, str, str]
-
-
-RECORD_RULES = (
-    ("model", NON_EMPTY_STRING),
-    ("dataset", NON_EMPTY_STRING),
-    ("question_id", NON_EMPTY_STRING),
-    ("prompt_id", NON_EMPTY_STRING),
-    ("tokens", INTEGER),
-    ("tokens", (lambda v: v >= 0, "be non-negative")),
-    ("tokens", (lambda v: v <= TOKENS_MAX,
-                f"fit in a signed 64-bit integer (at most {TOKENS_MAX})")),
-    ("correct", (lambda v: type(v) is bool, "be a boolean")),
-)
-
-
-def _record_lines(
-    path: Path, source: BinaryIO | None = None
-) -> Iterator[tuple[int, str, str, str, str, int, bool, dict]]:
-    """Yield (line_no, model, dataset, question_id, prompt_id, tokens, correct, object)
-    for each record line of a JSONL file.
-
-    A line that fails the inline field check is handed to check_line, whose
-    error becomes the RecordSchemaError, so EvalRecord and every reader of
-    records report the same reason. ``source`` is as for read_jsonl.
-    """
-    for line_no, obj in read_jsonl(path, source):
-        if type(obj) is not dict:
-            raise _schema_error(obj, path, line_no)
-        model = obj.get("model")
-        dataset = obj.get("dataset")
-        question_id = obj.get("question_id")
-        prompt_id = obj.get("prompt_id")
-        tokens = obj.get("tokens")
-        correct = obj.get("correct")
-        if not (
-            type(model) is str and model
-            and type(dataset) is str and dataset
-            and type(question_id) is str and question_id
-            and type(prompt_id) is str and prompt_id
-            and type(tokens) is int and 0 <= tokens <= TOKENS_MAX
-            and type(correct) is bool
-        ):
-            raise _schema_error(obj, path, line_no)
-        yield line_no, model, dataset, question_id, prompt_id, tokens, correct, obj
-
-
-def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
-    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
-
-    The lines are _record_lines's. A repeated key raises on its second line.
-    Equal key strings are shared between lines, so a file holds each
-    distinct id in memory once.
-    """
-    seen: dict[Key, int] = {}
-    shared: dict[str, str] = {}
-    share = shared.setdefault
-    lines = _record_lines(path)
-    for line_no, model, dataset, question_id, prompt_id, tokens, correct, obj in lines:
-        key = (
-            share(model, model),
-            share(dataset, dataset),
-            share(question_id, question_id),
-            share(prompt_id, prompt_id),
-        )
-        first = seen.setdefault(key, line_no)
-        if first != line_no:
-            raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
-        yield key, tokens, correct, obj
-
-
-def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:
-    """The error check_line raises for a line the inline check rejected."""
-    try:
-        check_line(obj, "record", REQUIRED_FIELDS, RECORD_RULES)
-    except RecordSchemaError as exc:
-        return RecordSchemaError(exc.reason, path=str(path), line_no=line_no)
-    raise AssertionError(f"{path}:{line_no}: inline record check disagrees with RECORD_RULES")
 
 
 def load_records(path: str | Path) -> list[EvalRecord]:
@@ -366,7 +286,7 @@ class RunMatrix:
             if arr.shape != (n, k):
                 raise ValueError(f"{name} has shape {arr.shape}, expected {(n, k)}")
             arr.setflags(write=False)
-        if tokens[present].size and tokens[present].min() < 0:
+        if np.any((tokens < 0) & present):  # two bool masks, no copy of the counts
             raise ValueError("token counts must be non-negative")
         object.__setattr__(self, "question_ids", tuple(self.question_ids))
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +18,7 @@ from cotbudget import records as records_mod
 from cotbudget.bounds import FrontierCurve
 from cotbudget.cli import main
 from cotbudget.complexity import ComplexityProfile
+from cotbudget.errors import RecordSchemaError
 from cotbudget.inputs import read_jsonl
 from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.records import EvalRecord, load_records, save_matrix
@@ -853,16 +853,18 @@ class TestResumeTornLine:
             "response missing usage.completion_tokens"
         ]
 
-    def test_second_resume_of_unchanged_file_is_a_cache_hit(self, collected, capsys):
+    def test_resumes_build_no_matrix_and_write_no_cache_entry(self, collected, capsys,
+                                                              isolated_record_cache):
         argv, _ = collected
-        assert self.resume(capsys, argv)[0] == 0
-        parsed = AssertionError("parsed")
-        with patch.object(records_mod, "_scan", side_effect=parsed), \
-                patch.object(records_mod, "_pair_columns", side_effect=parsed):
-            code, text, _, requests_made = self.resume(capsys, argv)
-        assert code == 0
-        assert "4 skipped (resume), 0 collected" in text
-        assert requests_made == 0
+        built = AssertionError("matrix built")
+        with patch.object(records_mod, "_pair_columns", side_effect=built), \
+                patch.object(records_mod, "_place", side_effect=built):
+            for _ in range(2):
+                code, text, _, requests_made = self.resume(capsys, argv)
+                assert code == 0
+                assert "4 skipped (resume), 0 collected" in text
+                assert requests_made == 0
+        assert not list(isolated_record_cache.glob("*.npz"))
 
     def test_prior_records_of_another_pair_skip_nothing(self, collected, capsys):
         argv, out = collected
@@ -875,21 +877,20 @@ class TestResumeTornLine:
         assert out.read_bytes().startswith(prior)
         assert sorted(r.model for r in load_records(out)) == ["m"] * 4 + ["m2"] * 4
 
-    def test_bad_prior_line_is_the_same_error_cold_and_warm(self, collected, capsys,
-                                                            isolated_record_cache):
+    def test_bad_prior_line_is_the_error_read_matrices_raises(self, collected, capsys,
+                                                              isolated_record_cache):
         argv, out = collected
         assert self.resume(capsys, argv)[0] == 0
-        assert list(isolated_record_cache.glob("*.npz"))
         lines = out.read_bytes().splitlines(keepends=True)
         lines[1] = lines[1].replace(b'"tokens": ', b'"tokens": -1, "was": ')
         out.write_bytes(b"".join(lines))
-        warm = self.resume(capsys, argv)
-        shutil.rmtree(isolated_record_cache)
-        cold = self.resume(capsys, argv)
-        assert warm == cold
-        assert warm == (1, "", f"data error: {out}:2: field 'tokens' must be non-negative, "
-                               "got -1\n", 0)
+        reason = f"{out}:2: field 'tokens' must be non-negative, got -1"
+        assert self.resume(capsys, argv) == (1, "", f"data error: {reason}\n", 0)
         assert out.read_bytes() == b"".join(lines)
+        assert not list(isolated_record_cache.glob("*.npz"))
+        with pytest.raises(RecordSchemaError) as caught:
+            records_mod.read_matrices(out)
+        assert str(caught.value) == reason
 
     def test_resume_reads_no_eval_record(self, collected, capsys, no_eval_records):
         argv, _ = collected

@@ -80,6 +80,26 @@ def test_fresh_collect_loads_no_numpy(tmp_path):
     assert len(out.read_text().splitlines()) == 31  # the built-in catalog
 
 
+def test_resume_loads_no_numpy(tmp_path):
+    """A resume reads its prior --out line by line: no matrix, no cache."""
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text("".join(
+        json.dumps({"question_id": f"q{i}", "text": f"{i}+1?", "gold_answer": str(i + 1)}) + "\n"
+        for i in range(2)
+    ))
+    out = tmp_path / "records.jsonl"
+    argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+            "--out", str(out)]
+    with MockChatEndpoint() as mock:
+        assert main([*argv, "--endpoint", mock.url]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:40]))
+        loaded = loaded_by(*argv, "--endpoint", mock.url, "--resume")
+        assert mock.request_count == 62 + 22
+    assert loaded & {"numpy", "cotbudget.cache", "cotbudget.records"} == set()
+    assert len(out.read_bytes().splitlines()) == 62
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_alone(module):
     """A fresh `from cotbudget import X` works, so no import cycle hides behind the lazy names."""

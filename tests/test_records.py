@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotbudget.collect import prior_cells
 from cotbudget.errors import (
     CotBudgetError,
     DuplicateRecordError,
@@ -180,6 +181,12 @@ class TestPivot:
         m = make_matrix([[1, 2], [3, 4]], [[True, False], [False, True]],
                         present=[[True, False], [True, True]])
         assert m.cells() == {("q00", "p00"), ("q01", "p00"), ("q01", "p01")}
+
+    def test_negative_count_is_refused_only_in_a_present_cell(self):
+        m = make_matrix([[-1, 4]], [[False, True]], present=[[False, True]])
+        assert m.cells() == {("q00", "p01")}
+        with pytest.raises(ValueError, match="token counts must be non-negative"):
+            make_matrix([[-1, 4]], [[False, True]], present=[[True, True]])
 
     def test_immutable(self):
         m = pivot([make_record()], "m", "d")
@@ -489,6 +496,21 @@ def test_first_error_matches_record_loop_cold_and_warm(tmp_path_factory, lines):
             assert got[1] == want[1]
 
 
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(DUPLICATE_PRONE | BAD_RECORD_LINES | st.just(""), min_size=1, max_size=12),
+       pair=st.sampled_from([("m", "d"), ("m2", "d"), ("m3", "d")]))
+def test_prior_cells_match_read_matrices(tmp_path_factory, lines, pair):
+    """A resume's skip set is the pair's present cells, or the error read_matrices raises."""
+    path = tmp_path_factory.mktemp("prior") / "r.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def matrix_cells():
+        matrix = read_matrices(path).get(pair)
+        return set() if matrix is None else matrix.cells()
+
+    assert outcome(lambda: prior_cells(path, *pair)) == outcome(matrix_cells)
+
+
 @pytest.mark.parametrize(
     "objs, expected",
     [
@@ -734,6 +756,22 @@ def test_miss_peak_grows_with_the_matrix(two_pair_file, isolated_record_cache):
     peak = traced_peak(lambda: read_matrices(two_pair_file))
     assert len(list(isolated_record_cache.glob("*.npz"))) == 1  # it was a miss
     assert peak <= 8 * MiB
+
+
+def test_run_matrix_peak_is_its_copies():
+    """The constructor copies the caller's arrays (6.2 MB here) and checks them without
+    copying the counts again."""
+    n, k = 20_000, 31
+    tokens = np.arange(n * k, dtype=np.int64).reshape(n, k)
+    correct = np.ones((n, k), dtype=bool)
+    present = np.ones((n, k), dtype=bool)
+    question_ids = tuple(f"q{i}" for i in range(n))
+    prompt_ids = tuple(f"p{j}" for j in range(k))
+    built = []
+    peak = traced_peak(lambda: built.append(RunMatrix("m", "d", question_ids, prompt_ids,
+                                                      tokens, correct, present)))
+    assert peak <= 8 * MiB
+    assert not np.shares_memory(built[0].tokens, tokens)
 
 
 def test_save_matrix_peak_is_one_block(two_pair_file, tmp_path):
