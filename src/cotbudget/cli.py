@@ -341,7 +341,7 @@ def cmd_collect(args) -> int:
         temperature=args.temperature,
         estimate_missing_usage=args.estimate_usage,
     )
-    skip: set[tuple[str, str]] = set()
+    skip = collect.CellSet()
     append = False
     if args.resume and Path(args.out).exists():
         collect.drop_torn_tail(args.out)
@@ -349,6 +349,7 @@ def cmd_collect(args) -> int:
         append = True
     if append and Path(failures_path).exists():
         collect.drop_torn_tail(failures_path)
+        collect.drop_settled_failures(failures_path, questions, catalog, skip)
     with collect.JsonlWriter(args.out, append=append) as writer:
         with collect.JsonlWriter(failures_path, append=append) as failures:
             summary = collect.sweep(questions, config, writer, failures, skip=skip)

@@ -17,15 +17,16 @@ import os
 import re
 import threading
 import time
+from collections.abc import Set
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import EndpointError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, TOKENS_MAX, _scan, check_line, read_jsonl
+from .inputs import NON_EMPTY_STRING, TOKENS_MAX, _record_lines, _scan, check_line, read_jsonl
 from .prompts import PromptCatalog, PromptSpec, render
 
 log = logging.getLogger(__name__)
@@ -471,14 +472,16 @@ def sweep(
 ) -> SweepSummary:
     """Issue one request per (question, prompt) cell, writing records as they finish.
 
-    ``skip`` lists (question_id, prompt_id) cells already collected (resume);
-    they are never re-issued. Cells that fail after retries go to the
-    failures sidecar and are not fabricated as records. ``max_parallel``
-    threads take the cells in question x catalog order. An exception out of
-    a cell, such as from a writer, stops the sweep: pool.map cancels the
-    cells still queued, and only those already started finish.
+    ``skip`` holds (question_id, prompt_id) cells already collected (resume);
+    they are never re-issued. A ``collections.abc.Set``, such as the CellSet
+    of prior_cells, is used as it is; any other iterable is copied into a
+    set. Cells that fail after retries go to the failures sidecar and are
+    not fabricated as records. ``max_parallel`` threads take the cells in
+    question x catalog order. An exception out of a cell, such as from a
+    writer, stops the sweep: pool.map cancels the cells still queued, and
+    only those already started finish.
     """
-    skip_set = set(skip)
+    skip_set = skip if isinstance(skip, Set) else set(skip)
     summary = SweepSummary()
     jobs: list[tuple[Question, PromptSpec]] = []
     for question in questions:
@@ -563,10 +566,101 @@ def drop_torn_tail(path: str | Path) -> int:
         return 0
 
 
-def prior_cells(path: str | Path, model: str, dataset: str) -> set[tuple[str, str]]:
+class CellSet(Set):
+    """The (question_id, prompt_id) cells of one (model, dataset) pair.
+
+    Each prompt id gets a bit position when first seen, and each question
+    holds one Python int with the bits of its prompts set, so a cell costs a
+    bit, not a tuple. Masks grow past a machine word as prompts are added.
+    """
+
+    def __init__(self, cells: Iterable[tuple[str, str]] = ()) -> None:
+        self._bits: dict[str, int] = {}  # prompt_id -> its bit
+        self._prompts: list[str] = []  # bit position -> prompt_id
+        self._masks: dict[str, int] = {}  # question_id -> bits of its prompts
+        self._len = 0
+        for question_id, prompt_id in cells:
+            self.add(question_id, prompt_id)
+
+    def add(self, question_id: str, prompt_id: str) -> bool:
+        """Add a cell; False, with nothing changed, if the set already holds it."""
+        bit = self._bits.get(prompt_id)
+        if bit is None:
+            bit = self._bits[prompt_id] = 1 << len(self._prompts)
+            self._prompts.append(prompt_id)
+        mask = self._masks.get(question_id, 0)
+        if mask & bit:
+            return False
+        self._masks[question_id] = mask | bit
+        self._len += 1
+        return True
+
+    def __contains__(self, cell: object) -> bool:
+        if not isinstance(cell, tuple) or len(cell) != 2:
+            return False
+        question_id, prompt_id = cell
+        return bool(self._masks.get(question_id, 0) & self._bits.get(prompt_id, 0))
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        prompts = self._prompts
+        for question_id, mask in self._masks.items():
+            while mask:
+                low = mask & -mask
+                yield question_id, prompts[low.bit_length() - 1]
+                mask ^= low
+
+    def __len__(self) -> int:
+        return self._len
+
+
+def prior_cells(path: str | Path, model: str, dataset: str) -> CellSet:
     """The (question_id, prompt_id) cells of (model, dataset) a records file already holds.
 
-    The file is read line by line through the records check, so a bad line
-    or a repeated key raises the error ``records.read_matrices`` raises for it.
+    One pass reads the file line by line through the records check and adds
+    each line's cell to its pair's CellSet, so a resume holds a bit per prior
+    record. A bad line raises the error ``records.read_matrices`` raises for
+    it. A cell that is already set is a repeated key: the file is then read
+    again through ``_scan``, which raises that error with both line numbers.
     """
-    return {(q, p) for (m, d, q, p), *_ in _scan(Path(path)) if (m, d) == (model, dataset)}
+    path = Path(path)
+    pairs: dict[tuple[str, str], CellSet] = {}
+    for _, line_model, line_dataset, question_id, prompt_id, _, _, _ in _record_lines(path):
+        cells = pairs.get((line_model, line_dataset))
+        if cells is None:
+            cells = pairs[line_model, line_dataset] = CellSet()
+        if not cells.add(question_id, prompt_id):
+            for _ in _scan(path):
+                pass
+            raise AssertionError(f"{path} changed while it was read")
+    return pairs.get((model, dataset), CellSet())
+
+
+def drop_settled_failures(
+    path: str | Path, questions: Sequence[Question], catalog: PromptCatalog, prior: Set
+) -> None:
+    """Rewrite a resume's failures sidecar without the cells the resume settles.
+
+    A line stays only when its cell is outside the questions x catalog grid,
+    which this run requests again or skips, and not in ``prior``, the cells
+    ``--out`` holds. A line that is not a {question_id, prompt_id, ...}
+    object is kept as it is. The lines kept go to a file beside the sidecar
+    that then replaces it, so a kill leaves either the old sidecar or the new.
+    """
+    path = Path(path)
+    question_ids = {question.question_id for question in questions}
+    prompt_ids = {spec.prompt_id for spec in catalog}
+    scratch = path.with_name(path.name + ".tmp")
+    with path.open("rb") as lines, scratch.open("wb") as kept:
+        for line in lines:
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError, too deep
+                obj = None
+            if type(obj) is dict:
+                cell = obj.get("question_id"), obj.get("prompt_id")
+                if type(cell[0]) is str and type(cell[1]) is str and (
+                    cell in prior or cell[0] in question_ids and cell[1] in prompt_ids
+                ):
+                    continue
+            kept.write(line)
+    os.replace(scratch, path)

@@ -9,7 +9,7 @@ A records line is checked here too, against ``RECORD_RULES``:
 ``_record_lines`` yields each checked line's fields, and ``_scan`` adds the
 duplicate-key check. ``records`` builds its matrices and ``EvalRecord``
 objects from them, and ``collect --resume`` takes the cells a prior records
-file holds from ``_scan`` alone, so a resume loads no numpy.
+file holds with ``_record_lines``, so resumes load no numpy.
 """
 from __future__ import annotations
 

@@ -44,6 +44,12 @@ class _Handler(BaseHTTPRequestHandler):
             endpoint.connection_count += 1
             endpoint.open_sockets.add(self.connection)
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client went away mid-reply, which ends this connection
+
     def finish(self) -> None:
         endpoint: MockChatEndpoint = self.server.endpoint  # type: ignore[attr-defined]
         with endpoint.lock:

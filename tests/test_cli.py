@@ -572,35 +572,68 @@ class TestCollectCommand:
         assert len(out.read_text().splitlines()) == 6
         assert (tmp_path / "records.failures.jsonl").read_text() == ""
 
-    def test_resume_keeps_earlier_failures(self, tmp_path, capsys):
+    def test_resume_drops_the_failures_it_settles(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
         questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
-        catalog = tmp_path / "catalog.json"
         from cotbudget.prompts import PromptCatalog, fixed_spec
 
-        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(catalog)
+        both, no_cot = tmp_path / "both.json", tmp_path / "nocot.json"
+        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(both)
+        PromptCatalog(specs=(fixed_spec("NoCoT"),)).save(no_cot)
         out = tmp_path / "records.jsonl"
         failures = tmp_path / "records.failures.jsonl"
         argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
-                "--catalog", str(catalog), "--out", str(out), "--retries", "0"]
+                "--out", str(out), "--retries", "0"]
 
         def no_usage_for_q2(question_text, body):
             content, tokens = default_reply(question_text, "2")
             return content, None if question_text == "Two plus two?" else tokens
 
         with MockChatEndpoint(reply_fn=no_usage_for_q2) as mock:
-            code, text = run(capsys, *argv, "--endpoint", mock.url)
+            code, text = run(capsys, *argv, "--catalog", str(both), "--endpoint", mock.url)
         assert code == 0
         assert "2 collected, 2 failed" in text
-        first_failures = failures.read_text().splitlines()
-        assert len(first_failures) == 2
+        q2_no_cot, q2_concise = failures.read_text().splitlines()
+        foreign = [
+            json.dumps({"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"}),
+            "[1, 2]",
+            json.dumps({"question_id": 5, "prompt_id": "NoCoT"}),
+        ]
+        in_out = json.dumps({"question_id": "q1", "prompt_id": "BeConcise", "error": "HTTP 500"})
+        failures.write_text("\n".join([q2_no_cot, *foreign, in_out, q2_concise]) + "\n")
+
+        # (q2, NoCoT) is requested again and succeeds; (q1, BeConcise) is in --out;
+        # (q2, BeConcise) is outside this catalog and still missing, so it stays.
+        with MockChatEndpoint(answers={"Two plus two?": "4"}) as mock:
+            code, text = run(capsys, *argv, "--catalog", str(no_cot), "--endpoint", mock.url,
+                             "--resume")
+        assert code == 0
+        assert "1 skipped (resume), 1 collected, 0 failed" in text
+        assert failures.read_text().splitlines() == [*foreign, q2_concise]
 
         with MockChatEndpoint(answers={"Two plus two?": "4"}) as mock:
-            code, text = run(capsys, *argv, "--endpoint", mock.url, "--resume")
+            code, text = run(capsys, *argv, "--catalog", str(both), "--endpoint", mock.url,
+                             "--resume")
         assert code == 0
-        assert "2 skipped (resume), 2 collected, 0 failed" in text
-        assert failures.read_text().splitlines() == first_failures
+        assert "3 skipped (resume), 1 collected, 0 failed" in text
+        assert failures.read_text().splitlines() == foreign
         assert len(out.read_text().splitlines()) == 4
+        assert not failures.with_name(failures.name + ".tmp").exists()
+
+    def test_resumes_that_keep_failing_list_each_cell_once(self, tmp_path, capsys):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
+        out = tmp_path / "records.jsonl"
+        failures = tmp_path / "records.failures.jsonl"
+        argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+                "--out", str(out)]
+        with MockChatEndpoint(omit_usage=True) as mock:
+            assert run(capsys, *argv, "--endpoint", mock.url)[0] == 3
+            for _ in range(3):
+                assert run(capsys, *argv, "--endpoint", mock.url, "--resume")[0] == 3
+        cells = [(obj["question_id"], obj["prompt_id"]) for _, obj in read_jsonl(failures)]
+        assert len(cells) == len(set(cells)) == 31  # the built-in catalog
+        assert out.read_text() == ""
 
     def test_unreachable_endpoint_exit_code(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import socket
+import struct
 import sys
 import threading
 import time
+import tracemalloc
+from collections.abc import Set
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -15,15 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotbudget.collect import (
+    CellSet,
     JsonlWriter,
     Choice,
     Question,
     SweepConfig,
     _run_cell,
+    drop_settled_failures,
     drop_torn_tail,
     format_question,
     grade,
     load_questions,
+    prior_cells,
     sweep,
 )
 from cotbudget.errors import EndpointError, RecordParseError, RecordSchemaError
@@ -871,3 +878,124 @@ class TestIdsAreCheckedBeforeAnyRequest:
             with pytest.raises(ValueError, match="field 'question_id' must be a non-empty string"):
                 Question(question_id=value, text="t", gold_answer="1")
             assert mock.request_count == 0
+
+
+# Question ids with non-ASCII and NUL characters; prompt ids from a pool of
+# 100, so a question's mask often passes one machine word.
+CELL_QUESTION_IDS = st.sampled_from(["q1", "q2", "é", "问题", "q1\x00"]) | st.text(min_size=1,
+                                                                                  max_size=2)
+CELL_PROMPT_IDS = st.integers(0, 99).map(lambda i: f"п{i}")
+
+
+class TestCellSet:
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(CELL_QUESTION_IDS, CELL_PROMPT_IDS), max_size=300),
+           probes=st.lists(st.tuples(CELL_QUESTION_IDS, CELL_PROMPT_IDS | st.text(max_size=2))))
+    def test_matches_a_python_set(self, cells, probes):
+        got, want = CellSet(), set()
+        for cell in cells:
+            assert got.add(*cell) is (cell not in want)
+            want.add(cell)
+        assert len(got) == len(want)
+        assert len(list(got)) == len(want)
+        assert set(got) == want
+        assert got == want and want == got
+        assert CellSet(want) == got
+        for probe in probes:
+            assert (probe in got) is (probe in want)
+
+    def test_masks_past_one_machine_word(self):
+        prompts = [f"p{i}" for i in range(130)]
+        cells = CellSet(("q", p) for p in prompts[::-1])
+        assert cells.add("q", "p129") is False
+        assert ("q", "p0") in cells and ("q", "p130") not in cells
+        assert sorted(cells) == sorted(("q", p) for p in prompts)
+        assert len(cells) == 130
+
+    @pytest.mark.parametrize("probe", ["qp", ("q",), ("q", "p", "x"), ["q", "p"], None])
+    def test_anything_but_a_pair_is_absent(self, probe):
+        assert probe not in CellSet([("q", "p")])
+
+
+def test_prior_cells_peak_stays_below_one_mib(tmp_path):
+    """27,600 prior records: a bit each, not a tuple and a dict entry each."""
+    path = tmp_path / "records.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        for q in range(920):
+            for p in range(30):
+                fh.write(json.dumps({
+                    "model": "m", "dataset": "d", "question_id": f"question-{q}",
+                    "prompt_id": f"prompt-{p}", "tokens": q + p, "correct": q % 3 == 0,
+                    "response": f"Thinking about question {q} under prompt {p}. Answer: {q}",
+                }) + "\n")
+    tracemalloc.start()
+    try:
+        cells = prior_cells(path, "m", "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 27_600
+    assert peak <= 2**20
+
+
+class _UncopyableCells(Set):
+    def __init__(self, cells):
+        self._cells = frozenset(cells)
+
+    def __contains__(self, cell):
+        return cell in self._cells
+
+    def __len__(self):
+        return len(self._cells)
+
+    def __iter__(self):
+        raise AssertionError("the skip set was copied")
+
+
+def test_sweep_uses_a_set_skip_as_it_is(tmp_path):
+    skip = _UncopyableCells([("q0", "NoCoT"), ("q1", "BeConcise")])
+    with MockChatEndpoint() as mock:
+        with JsonlWriter(tmp_path / "records.jsonl") as writer:
+            summary = sweep(_questions(2), config_for(mock.url), writer, skip=skip)
+    assert (summary.requested, summary.skipped, summary.succeeded) == (6, 2, 4)
+    assert mock.request_count == 4
+
+
+def test_an_interrupted_sidecar_rewrite_leaves_the_old_sidecar(tmp_path, monkeypatch):
+    sidecar = tmp_path / "failures.jsonl"
+    before = b'{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
+    sidecar.write_bytes(before)
+
+    def killed(src, dst):
+        raise KeyboardInterrupt  # as a kill before the new file is moved into place
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, CellSet())
+    assert sidecar.read_bytes() == before
+
+
+def test_client_gone_before_the_reply_ends_the_connection_quietly(capfd):
+    entered, closed = threading.Event(), threading.Event()
+    handlers = []
+
+    def reply_after_the_client_left(question_text, body):
+        handlers.append(threading.current_thread())
+        entered.set()
+        closed.wait(5)
+        return default_reply(question_text, "42")
+
+    with MockChatEndpoint(reply_fn=reply_after_the_client_left) as mock:
+        body = json.dumps({"messages": [{"role": "user", "content": "Question: gone"}]}).encode()
+        head = (f"POST /v1/chat/completions HTTP/1.1\r\nHost: mock\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n")
+        port = int(mock.url.split(":")[2].split("/")[0])
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(head.encode() + body)
+            assert entered.wait(5)
+            # A zero linger makes close() send a reset, so the reply's first write fails.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        closed.set()
+        handlers[0].join(5)
+        assert not handlers[0].is_alive()
+    assert capfd.readouterr().err == ""
