@@ -4,9 +4,9 @@ Talks plain chat-completions JSON over HTTP/1.1 with the standard library:
 each worker of a sweep keeps one connection alive for all its cells. Token
 counts are taken from the endpoint's reported completion-token usage, never
 recomputed locally; cells that still fail after retries land in a failures
-sidecar instead of the record file. ``http.client``, ``ssl`` and
-``urllib.request`` are imported when a sweep starts, so importing this module
-does not pay for them.
+sidecar instead of the record file. ``http.client`` and ``ssl`` are imported
+when a sweep starts, and ``urllib.request`` only when a proxy could apply (see
+_proxy_for), so importing this module does not pay for them.
 """
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ import logging
 import math
 import os
 import re
+import sys
 import threading
 import time
 from collections.abc import Set
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +35,8 @@ API_KEY_ENV = "COTBUDGET_API_KEY"
 ANSWER_PATTERN = re.compile(r"(?i)\banswer\s*:\s*([^\n]*)")
 BACKOFF_BASE_SECONDS = 0.25
 BACKOFF_CAP_SECONDS = 8.0
+# The interpreter's default int-string digit limit; see _as_rational.
+EXPONENT_MAX = 4300
 RETRY_AFTER_MAX_SECONDS = 60
 QUESTION_FIELDS = ("question_id", "text", "gold_answer")
 TAIL_BLOCK_BYTES = 1 << 16
@@ -46,7 +48,7 @@ class Choice:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """One benchmark item: body text, gold answer, optional labeled choices."""
 
@@ -56,7 +58,8 @@ class Question:
     choices: tuple[Choice, ...] | None = None
 
     def __post_init__(self) -> None:
-        check_line(self.__dict__, "question", (), _QUESTION_RULES)
+        fields = {name: getattr(self, name) for name in QUESTION_FIELDS}
+        check_line(fields, "question", (), _QUESTION_RULES)
         if self.choices is not None:
             object.__setattr__(self, "choices", tuple(self.choices))
             labels = {c.label.casefold() for c in self.choices}
@@ -169,9 +172,22 @@ def _strip_wrapping(s: str) -> str:
     return s.rstrip(".").strip()
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
 def _as_rational(s: str) -> Fraction | None:
+    """s as an exact rational, or None.
+
+    Fraction computes 10**exponent while holding the GIL, so an exponent
+    past EXPONENT_MAX is refused before it is built: that value is compared
+    as text only. A longer mantissa already fails int()'s digit limit.
+    """
+    s = s.replace(",", "").replace(" ", "")
+    exponent = _EXPONENT.search(s)
     try:
-        return Fraction(s.replace(",", "").replace(" ", ""))
+        if exponent and abs(int(exponent[1])) > EXPONENT_MAX:
+            return None
+        return Fraction(s)
     except (ValueError, ZeroDivisionError):
         return None
 
@@ -266,21 +282,42 @@ def _tls_context():
         raise EndpointError(f"cannot load the CA bundle {bundle}: {exc}") from exc
 
 
+def _proxy_for(scheme: str, host: str) -> str | None:
+    """The proxy urllib.request would use for scheme://host, or None.
+
+    On Linux getproxies() reads only variables named {scheme}_proxy or
+    all_proxy, in any letter case, so without one there is no proxy and
+    urllib.request, which loads hashlib and tempfile, is not imported. On
+    macOS and Windows it also reads the system's settings, so it always runs.
+    """
+    names = (f"{scheme}_proxy", "all_proxy")
+    if sys.platform != "darwin" and os.name != "nt" and not any(
+        name.lower() in names for name in os.environ
+    ):
+        return None
+    import urllib.request
+
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if proxy and urllib.request.proxy_bypass(host):
+        return None
+    return proxy
+
+
 class _Transport:
     """Where one sweep's requests go, worked out once, and its open connections.
 
     The endpoint's host, port and path, the proxy (HTTP_PROXY, HTTPS_PROXY,
-    ALL_PROXY and NO_PROXY, as urllib.request reads them), the TLS context
-    and the headers are fixed when the sweep starts. ``max_parallel``
-    connections are made then but open their sockets on first use; a worker
-    takes one for each request, so no two workers share one, and keeps it
-    alive between cells. close() closes them all.
+    ALL_PROXY and NO_PROXY, as urllib.request reads them; see _proxy_for),
+    the TLS context and the headers are fixed when the sweep starts.
+    ``max_parallel`` connections are made then but open their sockets on
+    first use; a worker takes one for each request, so no two workers share
+    one, and keeps it alive between cells. close() closes them all.
     """
 
     def __init__(self, config: SweepConfig) -> None:
         import http.client
         import queue
-        import urllib.request
         from base64 import b64encode
         from urllib.parse import unquote
 
@@ -289,10 +326,7 @@ class _Transport:
         self.target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.headers = _request_headers()
         context = _tls_context() if url.scheme == "https" else None
-        proxies = urllib.request.getproxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and urllib.request.proxy_bypass(host):
-            proxy = None
+        proxy = _proxy_for(url.scheme, host)
         tunnel_headers: dict[str, str] = {}
         if proxy:
             via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
@@ -476,26 +510,31 @@ def sweep(
     they are never re-issued. A ``collections.abc.Set``, such as the CellSet
     of prior_cells, is used as it is; any other iterable is copied into a
     set. Cells that fail after retries go to the failures sidecar and are
-    not fabricated as records. ``max_parallel`` threads take the cells in
-    question x catalog order. An exception out of a cell, such as from a
-    writer, stops the sweep: pool.map cancels the cells still queued, and
-    only those already started finish.
+    not fabricated as records. ``max_parallel`` workers, the calling thread
+    among them, take the cells one at a time in question x catalog order
+    from one generator, so nothing is held per cell beyond the cells in
+    hand. An exception out of a cell, such as from a writer, stops the
+    sweep: the other workers finish the cell in hand and take no new one,
+    and the first exception is raised.
     """
     skip_set = skip if isinstance(skip, Set) else set(skip)
     summary = SweepSummary()
-    jobs: list[tuple[Question, PromptSpec]] = []
-    for question in questions:
-        for spec in config.catalog:
-            summary.requested += 1
-            if (question.question_id, spec.prompt_id) in skip_set:
-                summary.skipped += 1
-            else:
-                jobs.append((question, spec))
-    transport = _Transport(config)
     lock = threading.Lock()
+    stopped: list[BaseException] = []
 
-    def run_job(job: tuple[Question, PromptSpec]) -> None:
-        question, spec = job
+    def cells() -> Iterator[tuple[Question, PromptSpec]]:
+        for question in questions:
+            for spec in config.catalog:
+                summary.requested += 1
+                if (question.question_id, spec.prompt_id) in skip_set:
+                    summary.skipped += 1
+                else:
+                    yield question, spec
+
+    pending = cells()
+    transport = _Transport(config)
+
+    def run_job(question: Question, spec: PromptSpec) -> None:
         record, error, retries_used = _run_cell(config, question, spec, transport)
         with lock:
             summary.retries += retries_used
@@ -518,11 +557,33 @@ def sweep(
                     }
                 )
 
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    cell = None if stopped else next(pending, None)
+                if cell is None:
+                    return
+                run_job(*cell)
+        except BaseException as exc:
+            with lock:
+                stopped.append(exc)
+
+    workers = [threading.Thread(target=work) for _ in range(config.max_parallel - 1)]
     try:
-        with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-            list(pool.map(run_job, jobs))
+        for worker in workers:
+            worker.start()
+        work()
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:  # a worker that would not start, or an interrupted join
+        with lock:
+            stopped.append(exc)
+        raise
     finally:
         transport.close()
+    if stopped:
+        raise stopped[0]
     return summary
 
 

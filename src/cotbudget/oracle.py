@@ -163,8 +163,8 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[int | float, ...]]:
     matrix = RunMatrix(
         model=spec.model,
         dataset=spec.dataset,
-        question_ids=tuple(f"q{i:0{qw}d}" for i in range(spec.n)),
-        prompt_ids=tuple(f"p{k:0{pw}d}" for k in range(lengths.shape[1])),
+        question_ids=tuple("q" + str(i).zfill(qw) for i in range(spec.n)),
+        prompt_ids=tuple("p" + str(k).zfill(pw) for k in range(lengths.shape[1])),
         tokens=lengths,
         correct=correct,
         present=np.ones(lengths.shape, dtype=bool),

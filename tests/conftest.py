@@ -20,6 +20,19 @@ def isolated_record_cache(tmp_path_factory, monkeypatch):
     return folder / "cotbudget"
 
 
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No proxy, CA bundle or API key variables from the caller's environment.
+
+    Subprocesses a test starts inherit the cleaned environment.
+    """
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+                 "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "COTBUDGET_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    return monkeypatch
+
+
 def make_record(qid="q1", pid="p1", tokens=10, correct=True, model="m", dataset="d", **kw):
     return EvalRecord(
         model=model,

@@ -5,6 +5,7 @@ import json
 import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -12,6 +13,7 @@ import tracemalloc
 from collections.abc import Set
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,7 @@ from cotbudget.records import EvalRecord, load_records, read_matrices
 
 from loop_oracles import record_json_loop
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 MC_QUESTION = Question(
     question_id="mc1",
     text="What is the order of Z18?",
@@ -76,6 +79,19 @@ def config_for(url: str, **kw) -> SweepConfig:
     return SweepConfig(**defaults)
 
 
+HUGE_EXPONENTS = """
+from fractions import Fraction
+from cotbudget.collect import Question, _as_rational, grade
+for answer in ("1e999999999", "1E-999999999", "2.5e+4301"):
+    assert grade("Answer: " + answer, Question("q", "t", "1000")) == (False, answer)
+    assert grade("Answer: 1000", Question("q", "t", answer)) == (False, "1000")
+    assert grade("Answer: " + answer, Question("q", "t", answer)) == (True, answer)
+assert _as_rational("1e4301") is None and _as_rational("1e-4_301") is None
+assert _as_rational("1e4300") == 10**4300
+assert _as_rational("1e-4300") == Fraction(1, 10**4300)
+"""
+
+
 class TestGrade:
     def test_parenthesized_choice_letter(self):
         correct, extracted = grade("The order is 18.\nAnswer: (G)", MC_QUESTION)
@@ -86,6 +102,16 @@ class TestGrade:
         correct, extracted = grade("I have no idea.", MC_QUESTION)
         assert correct is False
         assert extracted is None
+
+    def test_exponent_in_range_is_rational(self):
+        assert grade("Answer: 1e3", Question("q", "t", "1000")) == (True, "1e3")
+        assert grade("Answer: 1000", Question("q", "t", "1E+3")) == (True, "1000")
+
+    def test_huge_exponent_is_compared_as_text(self):
+        """Fraction would compute 10**exponent holding the GIL, stalling every worker."""
+        done = subprocess.run([sys.executable, "-c", HUGE_EXPONENTS], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=10)
+        assert done.returncode == 0, done.stderr
 
     def test_rational_equivalence(self):
         correct, extracted = grade("Answer: 0.50", FREE_QUESTION)
@@ -564,16 +590,6 @@ def connect_proxy():
         server.server_close()
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    """No proxy, CA bundle or API key variables from the caller's environment."""
-    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
-                 "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "COTBUDGET_API_KEY"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.lower(), raising=False)
-    return monkeypatch
-
-
 def _closed_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -833,6 +849,11 @@ def test_one_worker_requests_cells_in_question_by_catalog_order(tmp_path):
     assert [r.key[2:] for r in load_records(out)] == [(q.question_id, s.prompt_id) for q, s in cells]
 
 
+def _slow_reply(question_text, body):
+    time.sleep(0.02)
+    return default_reply(question_text, "1")
+
+
 class _FailingWriter:
     def write(self, obj: dict) -> None:
         raise OSError("disk full")
@@ -840,18 +861,83 @@ class _FailingWriter:
 
 @pytest.mark.parametrize("max_parallel", [1, 3])
 def test_a_writer_that_raises_stops_the_sweep(max_parallel):
-    """pool.map cancels the queued cells; only cells already started still run."""
+    """The other workers finish the cell in hand and take no new one."""
     questions = [Question(f"q{i}", f"Question {i}?", "1") for i in range(20)]
-
-    def slow_reply(question_text, body):
-        time.sleep(0.02)
-        return default_reply(question_text, "1")
-
-    with MockChatEndpoint(reply_fn=slow_reply) as mock:
+    with MockChatEndpoint(reply_fn=_slow_reply) as mock:
         config = config_for(mock.url, max_parallel=max_parallel)
         with pytest.raises(OSError, match="disk full"):
             sweep(questions, config, _FailingWriter())
         assert 1 <= mock.request_count <= 2 * max_parallel
+
+
+class _ThreadRecordingWriter:
+    def __init__(self) -> None:
+        self.threads: list[int] = []
+
+    def write(self, obj: dict) -> None:
+        self.threads.append(threading.get_ident())
+
+
+def test_one_worker_is_the_calling_thread():
+    writer = _ThreadRecordingWriter()
+    with MockChatEndpoint() as mock:
+        sweep(_questions(4), config_for(mock.url, max_parallel=1), writer)
+    assert writer.threads == [threading.get_ident()] * 12
+
+
+class _OneThreadFailingWriter:
+    """Raises on a write from the calling thread, or from any other thread."""
+
+    def __init__(self, calling: bool) -> None:
+        self.caller, self.calling = threading.get_ident(), calling
+
+    def write(self, obj: dict) -> None:
+        if (threading.get_ident() == self.caller) is self.calling:
+            raise OSError("disk full")
+
+
+@pytest.mark.parametrize("calling", [True, False], ids=["calling thread", "worker thread"])
+def test_a_cell_that_raises_in_either_thread_stops_the_sweep(calling):
+    questions = [Question(f"q{i}", f"Question {i}?", "1") for i in range(20)]
+    with MockChatEndpoint(reply_fn=_slow_reply) as mock:
+        with pytest.raises(OSError, match="disk full"):
+            sweep(questions, config_for(mock.url, max_parallel=3), _OneThreadFailingWriter(calling))
+        assert 1 <= mock.request_count <= 6
+
+
+# Spawns the sweep child and prints its exit status and peak RSS in KiB.
+# Linux charges a child's ru_maxrss with its spawner's RSS, so the child is
+# spawned from this small process, not from the test process.
+LAUNCH = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(status, usage.ru_maxrss)
+"""
+SWEEP = """
+import sys
+from cotbudget.collect import JsonlWriter, Question, SweepConfig, sweep
+from cotbudget.prompts import default_catalog
+url, n, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+questions = [Question(f"q{i}", f"Question {i}?", "42") for i in range(n)]
+with JsonlWriter(out) as writer:
+    summary = sweep(questions, SweepConfig(url, "m", "d", default_catalog(), max_parallel=2), writer)
+assert summary.succeeded == 31 * n, summary
+"""
+
+
+def test_sweep_memory_is_flat_in_the_number_of_cells(tmp_path):
+    """217 and 2,170 cells peak alike; a Future per cell grew the larger by about 4 MB."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    peaks = []
+    with MockChatEndpoint() as mock:
+        for n in (7, 70):
+            argv = [sys.executable, "-c", LAUNCH, SWEEP, mock.url, str(n), str(tmp_path / f"{n}.jsonl")]
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            status, kib = map(int, done.stdout.split())
+            assert status == 0, done.stderr
+            peaks.append(kib / 1024)
+    assert abs(peaks[1] - peaks[0]) < 1.0, peaks
 
 
 class TestIdsAreCheckedBeforeAnyRequest:

@@ -68,20 +68,46 @@ def test_help_loads_no_numpy():
     }
 
 
-def test_fresh_collect_loads_no_numpy(tmp_path):
+def collect_one_question(tmp_path, mock) -> set[str]:
+    """The modules a fresh `cotbudget collect` of one question loads; checks its 31 records."""
     questions = tmp_path / "questions.jsonl"
     questions.write_text(json.dumps({"question_id": "q1", "text": "1+1?", "gold_answer": "2"}))
     out = tmp_path / "records.jsonl"
-    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
-        loaded = loaded_by("collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
-                           "--questions", str(questions), "--out", str(out))
-    assert "numpy" not in loaded
-    assert "cotbudget.collect" in loaded
+    loaded = loaded_by("collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                       "--questions", str(questions), "--out", str(out))
     assert len(out.read_text().splitlines()) == 31  # the built-in catalog
+    return loaded
 
 
-def test_resume_loads_no_numpy(tmp_path):
-    """A resume reads its prior --out line by line: no matrix, no cache."""
+def test_fresh_collect_loads_no_numpy(tmp_path, clean_env):
+    """Nor a thread pool, nor urllib.request when no proxy variable is set."""
+    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
+        loaded = collect_one_question(tmp_path, mock)
+    assert loaded & {"numpy", "concurrent.futures", "urllib.request"} == set()
+    assert "cotbudget.collect" in loaded
+
+
+@pytest.mark.parametrize("variable, loads", [
+    ("NO_PROXY", False),
+    ("HTTPS_PROXY", False),  # the endpoint is http://
+    ("HTTP_PROXY", True),
+    ("all_proxy", True),
+])
+def test_collect_loads_urllib_request_only_when_a_proxy_may_apply(tmp_path, clean_env, variable,
+                                                                  loads):
+    """A proxy variable points at the mock, which serves absolute request targets too."""
+    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
+        base = mock.url.rsplit("/v1/", 1)[0]
+        clean_env.setenv(variable, "localhost,127.0.0.1" if variable == "NO_PROXY" else base)
+        loaded = collect_one_question(tmp_path, mock)
+        targets = {target for target, _, _ in mock.raw_requests}
+    assert ("urllib.request" in loaded) is loads
+    assert targets == ({mock.url} if loads else {"/v1/chat/completions"})
+    assert "concurrent.futures" not in loaded
+
+
+def test_resume_loads_no_numpy(tmp_path, clean_env):
+    """A resume reads its prior --out line by line: no matrix, no cache, no thread pool."""
     questions = tmp_path / "questions.jsonl"
     questions.write_text("".join(
         json.dumps({"question_id": f"q{i}", "text": f"{i}+1?", "gold_answer": str(i + 1)}) + "\n"
@@ -96,7 +122,8 @@ def test_resume_loads_no_numpy(tmp_path):
         out.write_bytes(b"".join(lines[:40]))
         loaded = loaded_by(*argv, "--endpoint", mock.url, "--resume")
         assert mock.request_count == 62 + 22
-    assert loaded & {"numpy", "cotbudget.cache", "cotbudget.records"} == set()
+    assert loaded & {"numpy", "cotbudget.cache", "cotbudget.records", "concurrent.futures",
+                     "urllib.request"} == set()
     assert len(out.read_bytes().splitlines()) == 62
 
 

@@ -62,6 +62,15 @@ class TestGenerate:
         b, _ = generate(random_spec(n=20, seed=2, violation_rate=0.3))
         assert a != b
 
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101])
+    def test_ids_are_padded_as_the_format_spec_pads_them(self, n):
+        """n questions and n + 1 prompts, so both widths cross a power of ten."""
+        spec = OracleSpec(n=n, prompt_lengths=[[0] + [20] * n], taus=(10,) * n)
+        matrix, _ = generate(spec)
+        qw, pw = len(str(n - 1)), len(str(n))
+        assert matrix.question_ids == tuple(f"q{i:0{qw}d}" for i in range(n))
+        assert matrix.prompt_ids == tuple(f"p{k:0{pw}d}" for k in range(n + 1))
+
     def test_straddle_violation_rejected(self):
         spec = OracleSpec(
             n=1,
