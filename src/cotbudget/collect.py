@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .errors import EndpointError, RecordSchemaError
+from .errors import CotBudgetError, EndpointError, RecordSchemaError
 from .inputs import NON_EMPTY_STRING, TOKENS_MAX, _record_lines, _scan, check_line, read_jsonl
 from .prompts import PromptCatalog, PromptSpec, render
 
@@ -37,6 +37,9 @@ BACKOFF_BASE_SECONDS = 0.25
 BACKOFF_CAP_SECONDS = 8.0
 # The interpreter's default int-string digit limit; see _as_rational.
 EXPONENT_MAX = 4300
+# The largest reply body read. A 32k-token completion is about 128 KB; a
+# larger body is a failed cell, not a record every later command must parse.
+MAX_REPLY_BYTES = 8 << 20
 RETRY_AFTER_MAX_SECONDS = 60
 QUESTION_FIELDS = ("question_id", "text", "gold_answer")
 TAIL_BLOCK_BYTES = 1 << 16
@@ -361,7 +364,9 @@ class _Transport:
         """POST body on an idle connection; returns (status, Retry-After, reply body).
 
         The reply body is read in full, whatever the status, so the
-        connection can carry the next request. A kept-alive connection that
+        connection can carry the next request. A body longer than
+        MAX_REPLY_BYTES is not: its first MAX_REPLY_BYTES + 1 bytes are
+        returned and the connection is closed. A kept-alive connection that
         the server closed while idle fails before any reply arrives; the
         request is then sent once more on a new connection. Any other
         failure closes the connection and propagates.
@@ -378,7 +383,14 @@ class _Transport:
                 conn.close()
                 conn.request("POST", self.target, body, self.headers)
                 reply = conn.getresponse()
-            return reply.status, reply.getheader("Retry-After"), reply.read()
+            data = reply.read(MAX_REPLY_BYTES + 1)
+            if len(data) > MAX_REPLY_BYTES:
+                conn.close()  # the rest of the body is never read
+            elif reply.length:  # the body ended before its Content-Length, as read() raises
+                from http.client import IncompleteRead
+
+                raise IncompleteRead(data, reply.length)
+            return reply.status, reply.getheader("Retry-After"), data
         except BaseException:
             conn.close()
             raise
@@ -423,6 +435,8 @@ def _post_with_retries(
         except (OSError, HTTPException) as exc:
             last_error = f"transport: {str(exc) or type(exc).__name__}"
             continue
+        if len(data) > MAX_REPLY_BYTES:
+            return None, f"reply body longer than {MAX_REPLY_BYTES} bytes", retries_used
         if status == 429 or status >= 500:
             last_error = f"HTTP {status}"
             if status in (429, 503):
@@ -680,8 +694,10 @@ def prior_cells(path: str | Path, model: str, dataset: str) -> CellSet:
     One pass reads the file line by line through the records check and adds
     each line's cell to its pair's CellSet, so a resume holds a bit per prior
     record. A bad line raises the error ``records.read_matrices`` raises for
-    it. A cell that is already set is a repeated key: the file is then read
-    again through ``_scan``, which raises that error with both line numbers.
+    it. A cell that is already set is a repeated key: the file, the regular
+    file the resume appends to, is then read again through ``_scan``, which
+    raises that error with both line numbers. If the second read finds no
+    repeat, the file changed in between, and that is a CotBudgetError.
     """
     path = Path(path)
     pairs: dict[tuple[str, str], CellSet] = {}
@@ -692,7 +708,7 @@ def prior_cells(path: str | Path, model: str, dataset: str) -> CellSet:
         if not cells.add(question_id, prompt_id):
             for _ in _scan(path):
                 pass
-            raise AssertionError(f"{path} changed while it was read")
+            raise CotBudgetError(f"{path}: changed while it was read (a repeated key is gone)")
     return pairs.get((model, dataset), CellSet())
 
 

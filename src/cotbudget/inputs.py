@@ -1,7 +1,9 @@
 """Reading and checking the package's JSON input files, without numpy.
 
-Every input file is read through ``read_jsonl`` or ``read_json``, and a
-parsed value is checked by ``check_line`` (a JSONL line) or ``checked`` (a
+Every input file is read once, through ``read_jsonl`` or ``read_json``,
+which check UTF-8 line by line as they read, so the first bad line of a
+file is the one named and a pipe gives a regular file's error. A parsed
+value is checked by ``check_line`` (a JSONL line) or ``checked`` (a
 whole-file field) against rules such as ``NON_EMPTY_STRING``, so each
 fault's message is written once.
 
@@ -30,62 +32,70 @@ def read_jsonl(
     """Yield (1-based line number, parsed value) for each non-blank line of a JSONL file.
 
     A line that is not JSON, not UTF-8 or nested too deeply for the parser's
-    recursion limit is a RecordParseError naming it.
+    recursion limit is a RecordParseError naming it. Each line is checked as
+    it is read, before it is parsed, so the first bad line of the file is
+    the one named, and a pipe is read once.
     ``source``, when given, is the file's open raw binary stream, read
     instead of opening ``path`` and closed at the end.
     """
     loads = json.loads
     raw = open(path, "rb", buffering=0) if source is None else source
-    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    value = loads(line)
-                except json.JSONDecodeError as exc:
-                    # A blank line never parses, so it is looked for only here.
-                    if not line.strip():
-                        continue
-                    raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
-                except RecursionError as exc:
-                    raise RecordParseError(str(path), line_no, TOO_DEEP) from exc
-                yield line_no, value
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from exc
+    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), "utf-8", "surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                _check_utf8(path, line, line_no)
+            try:
+                value = loads(line)
+            except json.JSONDecodeError as exc:
+                # A blank line never parses, so it is looked for only here.
+                if not line.strip():
+                    continue
+                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise RecordParseError(str(path), line_no, TOO_DEEP) from exc
+            yield line_no, value
 
 
 def read_json(path: str | Path) -> object:
     """A whole-file JSON input; bad JSON or UTF-8 is a RecordParseError naming its line.
 
-    JSON nested too deeply to parse is a RecordParseError naming the file.
+    The file is read once, so a pipe works. JSON nested too deeply to parse
+    is a RecordParseError naming the file.
     """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        _check_utf8(path, text)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, exc) from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise RecordParseError(str(path), None, TOO_DEEP) from exc
 
 
-def utf8_error(path: str | Path, exc: UnicodeDecodeError) -> RecordParseError:
-    """The RecordParseError for the first line of a file that is not UTF-8.
+def _check_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
+    """Raise a RecordParseError naming the first line of text that was not UTF-8.
 
-    ``exc`` is what the text reader raised; its position counts from the
-    start of a decoder chunk, not of the file, so the file's bytes are read
-    again, split into lines as the text reader splits them (newline, CR-LF
-    or CR), to find the line.
+    ``text`` was read with universal newlines and errors="surrogateescape",
+    so its lines end in "\n" and a lone surrogate is a byte that did not
+    decode. The reason is what decoding that line's own bytes reports.
     """
-    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        start = text.rfind("\n", 0, exc.start) + 1
+        end = text.find("\n", exc.start)
+        line = text[start:] if end < 0 else text[start:end]
+        raw = line.encode("utf-8", "surrogateescape")
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as bad:
-            return RecordParseError(
+            raise RecordParseError(
                 str(path),
-                line_no,
+                first_line + text.count("\n", 0, start),
                 f"not UTF-8: byte {raw[bad.start]:#04x} at column {bad.start + 1} ({bad.reason})",
-            )
-    raise AssertionError(f"{path}: the text reader failed ({exc}) but every line decodes")
+            ) from None
 
 
 # Field rules of every input, as (test, what a valid value must do); a rule's

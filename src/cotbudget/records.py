@@ -10,11 +10,12 @@ matrix becomes a file through ``save_matrix``, a block of rows at a time.
 A miss (``_pair_columns``) holds no object per record: each pair codes its
 question and prompt ids to ints on first sight, and a record adds two codes,
 its token count, its correctness and its line number to flat arrays (about
-25 bytes a record). ``_place`` turns one pair's codes into the n x K matrix,
-for ``read_matrices`` and for ``pivot`` alike, and finds a repeated key
-there; the line numbers serve only to name the repeat the file reaches
-first. ``EvalRecord`` objects are built only for callers that ask for them
-(``load_records``).
+25 bytes a record). Each question keeps one bitmask of its prompts, so a
+repeated key raises on its second line, as the file is read, and its error
+names both lines. ``_place`` turns one pair's codes into the n x K matrix,
+for ``read_matrices`` and for ``pivot`` alike; for ``pivot`` it also finds
+a repeated key. ``EvalRecord`` objects are built only for callers that ask
+for them (``load_records``).
 
 Record lines are read and checked by ``inputs._record_lines``, against
 ``inputs.RECORD_RULES``, and ``load_records`` reads them through
@@ -34,12 +35,7 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CotBudgetError,
-    DuplicateRecordError,
-    EmptySelectionError,
-    utf8_bytes,
-)
+from .errors import DuplicateRecordError, EmptySelectionError, utf8_bytes
 from .inputs import RECORD_RULES, REQUIRED_FIELDS, _record_lines, _scan, check_line
 
 # Cells per block of rows that save_matrix formats at once. The numpy kernels
@@ -123,12 +119,8 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
     matrices = {}
     for pair in sorted(groups):
         group = groups[pair]
-        try:
-            matrices[pair] = _place(*pair, group.question_codes, group.prompt_codes,
-                                    group.rows, group.cols, group.tokens, group.hits)
-        except DuplicateRecordError:
-            # Earlier pairs placed without one; the file's first is among the rest.
-            raise _first_duplicate(groups, path) from None
+        matrices[pair] = _place(*pair, group.question_codes, group.prompt_codes,
+                                group.rows, group.cols, group.tokens, group.hits)
         # Each pair's columns are dropped once its matrix is built, so none is
         # alive when the entry is written.
         del groups[pair], group
@@ -143,10 +135,12 @@ class _PairColumns:
     An id's code is the order in which the pair first saw it. ``rows`` and
     ``cols`` hold each record's question and prompt code, ``tokens`` and
     ``hits`` its count and correctness, and ``lines`` its line number, which
-    only a duplicate's error reads.
+    only a duplicate's error reads. ``masks`` holds, per question code, one
+    bit per prompt code it has a record for.
     """
 
-    __slots__ = ("question_codes", "prompt_codes", "rows", "cols", "tokens", "hits", "lines")
+    __slots__ = ("question_codes", "prompt_codes", "rows", "cols", "tokens", "hits", "lines",
+                 "masks")
 
     def __init__(self) -> None:
         self.question_codes: dict[str, int] = {}
@@ -156,71 +150,41 @@ class _PairColumns:
         self.tokens = array("q")
         self.hits = bytearray()
         self.lines = array("q")
+        self.masks: list[int] = []
 
 
 def _pair_columns(path: Path, source: BinaryIO) -> dict[tuple[str, str], _PairColumns]:
     """A record file's columns, split by pair in one pass.
 
-    The lines are _record_lines's, as for _scan, so a bad line raises the same
-    error. A repeated key is not looked for here: _place finds it from the codes.
-    When a bad line or a failed read stops the scan, a duplicate among the
-    lines before it comes first, as _scan would have raised it on reaching
-    its second line.
+    The lines are _record_lines's, and a repeated key raises on its second
+    line, as in _scan, so the first bad line of the file raises _scan's error.
     """
     groups: dict[tuple[str, str], _PairColumns] = {}
-    try:
-        lines = _record_lines(path, source)
-        for line_no, model, dataset, question_id, prompt_id, tokens, correct, _ in lines:
-            group = groups.get((model, dataset))
-            if group is None:
-                group = groups[model, dataset] = _PairColumns()
-            codes = group.question_codes
-            group.rows.append(codes.setdefault(question_id, len(codes)))
-            codes = group.prompt_codes
-            group.cols.append(codes.setdefault(prompt_id, len(codes)))
-            group.tokens.append(tokens)
-            group.hits.append(correct)
-            group.lines.append(line_no)
-    except (CotBudgetError, OSError):  # a bad line, or a read that failed
-        duplicate = _first_duplicate(groups, path)
-        if duplicate is None:
-            raise
-        raise duplicate from None
+    lines = _record_lines(path, source)
+    for line_no, model, dataset, question_id, prompt_id, tokens, correct, _ in lines:
+        group = groups.get((model, dataset))
+        if group is None:
+            group = groups[model, dataset] = _PairColumns()
+        codes, masks = group.question_codes, group.masks
+        row = codes.get(question_id)
+        if row is None:
+            row = codes[question_id] = len(masks)
+            masks.append(0)
+        codes = group.prompt_codes
+        col = codes.setdefault(prompt_id, len(codes))
+        mask, bit = masks[row], 1 << col
+        if mask & bit:
+            first = next(line for r, c, line in zip(group.rows, group.cols, group.lines)
+                         if r == row and c == col)
+            raise DuplicateRecordError((model, dataset, question_id, prompt_id),
+                                       f"lines {first} and {line_no} of {path}")
+        masks[row] = mask | bit
+        group.rows.append(row)
+        group.cols.append(col)
+        group.tokens.append(tokens)
+        group.hits.append(correct)
+        group.lines.append(line_no)
     return groups
-
-
-def _first_duplicate(
-    groups: dict[tuple[str, str], _PairColumns], path: Path
-) -> DuplicateRecordError | None:
-    """The error for the repeated key whose second line comes first, naming both lines."""
-    found = None
-    for (model, dataset), group in groups.items():
-        cells = np.asarray(group.rows, dtype=np.int64) * len(group.prompt_codes)
-        cells += np.asarray(group.cols)
-        repeat = _first_repeat(cells)
-        if repeat is None:
-            continue
-        first, second = repeat
-        if found is None or group.lines[second] < found[1]:
-            # A dict keeps first-sight order, so an id's code is its position.
-            key = (model, dataset, list(group.question_codes)[group.rows[second]],
-                   list(group.prompt_codes)[group.cols[second]])
-            found = (group.lines[first], group.lines[second], key)
-    if found is None:
-        return None
-    first, second, key = found
-    return DuplicateRecordError(key, f"lines {first} and {second} of {path}")
-
-
-def _first_repeat(cells: np.ndarray) -> tuple[int, int] | None:
-    """(index of the first, index of the second) of the earliest value seen twice, or None."""
-    values, first = np.unique(cells, return_index=True)  # first: where each value starts
-    if values.size == cells.size:
-        return None
-    novel = np.zeros(cells.size, dtype=bool)
-    novel[first] = True
-    second = int(np.argmin(novel))
-    return int(first[np.searchsorted(values, cells[second])]), second
 
 
 def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
@@ -388,7 +352,9 @@ def _place(
     present = np.zeros(n * k, dtype=bool)
     present[cells] = True
     if np.count_nonzero(present) != cells.size:
-        row, col = divmod(int(cells[_first_repeat(cells)[1]]), k)
+        novel = np.zeros(cells.size, dtype=bool)
+        novel[np.unique(cells, return_index=True)[1]] = True  # where each value is first
+        row, col = divmod(int(cells[np.argmin(novel)]), k)
         raise DuplicateRecordError((model, dataset, row_ids[row], col_ids[col]))
     values = np.zeros(present.shape, dtype=np.int64)
     values[cells] = np.asarray(tokens, dtype=np.int64)

@@ -7,6 +7,7 @@ records file never changes what a command prints, writes or exits with.
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import logging
 import os
@@ -24,8 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotbudget import cache, records
-from cotbudget.cli import main
-from cotbudget.errors import CotBudgetError
+from cotbudget.cli import _load_budgets, main
+from cotbudget.collect import load_questions, prior_cells
+from cotbudget.complexity import ComplexityProfile, profile
+from cotbudget.errors import CotBudgetError, RecordParseError
+from cotbudget.inputs import read_jsonl
+from cotbudget.oracle import generate, load_taus, random_spec, save_taus
+from cotbudget.prompts import PromptCatalog, default_catalog
 from cotbudget.records import load_records, read_matrices
 
 from loop_oracles import load_records_loop, pivot_loop
@@ -427,6 +433,88 @@ def test_fifo_gives_the_first_error_in_one_read(tmp_path, text, isolated_record_
     assert str(exc.value).replace(str(fifo), "{path}") == str(loop.value).replace(str(regular),
                                                                                  "{path}")
     assert entries(isolated_record_cache) == []
+
+
+def _jsonl(line) -> bytes:
+    return "".join(line(i) for i in range(4)).encode()
+
+
+def _whole_file(save) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        save(path)
+        return path.read_bytes()
+
+
+RECORDS = _jsonl(lambda i: record_line("m", "d", f"q{i}", "p1", i, True))
+# (loader, the valid file it reads), for every reader of a JSONL or JSON input
+READERS = {
+    "read_jsonl": (lambda p: list(read_jsonl(p)), RECORDS),
+    "load_records": (load_records, RECORDS),
+    "read_matrices": (read_matrices, RECORDS),
+    "prior_cells": (lambda p: prior_cells(p, "m", "d"), RECORDS),
+    "budgets": (_load_budgets, _jsonl(lambda i: json.dumps({"question_id": f"q{i}",
+                                                           "budget": i}) + "\n")),
+    "questions": (load_questions, _jsonl(lambda i: json.dumps(
+        {"question_id": f"q{i}", "text": "t", "gold_answer": "1"}) + "\n")),
+    "complexity": (ComplexityProfile.load, _whole_file(lambda path: profile(
+        generate(random_spec(n=4, seed=1, n_prompts=3))[0]).save(path))),
+    "catalog": (PromptCatalog.load, _whole_file(default_catalog().save)),
+    "taus": (load_taus, _whole_file(lambda path: save_taus([3, 5], ["q1", "q2"], path))),
+}
+
+
+def _outcome(load, path: str):
+    """load(path)'s result, or the type and message (path as {path}) of what it raised."""
+    try:
+        return "ok", load(path)
+    except Exception as exc:  # noqa: BLE001 (the exception is the outcome compared)
+        return type(exc), str(exc).replace(path, "{path}")
+
+
+def _read_once(kind: str, tmp_path: Path, data: bytes, load):
+    """_outcome of load on data sent through an os.pipe() path or a FIFO.
+
+    The reader runs in a daemon thread, so a reader that blocks, as one that
+    opened a FIFO a second time would, fails the test instead of hanging it.
+    """
+    if kind == "pipe":
+        read_end, write_end = os.pipe()
+        path, sink = f"/dev/fd/{read_end}", write_end
+    else:
+        path = sink = str(tmp_path / "input.fifo")
+        os.mkfifo(path)
+
+    def write() -> None:
+        with contextlib.suppress(BrokenPipeError), open(sink, "wb") as fh:
+            fh.write(data)
+
+    got = []
+    reader = threading.Thread(target=lambda: got.append(_outcome(load, path)), daemon=True)
+    threading.Thread(target=write, daemon=True).start()
+    reader.start()
+    reader.join(timeout=30)
+    if kind == "pipe":
+        os.close(read_end)
+    assert not reader.is_alive(), f"the reader still blocks on a {kind}"
+    return got[0]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads an os.pipe() through /dev/fd")
+@pytest.mark.parametrize("kind", ["pipe", "fifo"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_pipe_and_fifo_give_the_regular_file_utf8_error(tmp_path, name, kind,
+                                                         isolated_record_cache):
+    """A byte that is not UTF-8 is found in the one read a pipe allows."""
+    load, valid = READERS[name]
+    lines = valid.split(b"\n")
+    data = b"\n".join(lines[:2] + [b'"caf\xe9"'] + lines[2:])
+    regular = tmp_path / "input"
+    regular.write_bytes(data)
+    want = _outcome(load, str(regular))
+    assert want[0] is RecordParseError
+    assert want[1].startswith("{path}:3: not UTF-8: byte 0xe9 at column 5")
+    assert _read_once(kind, tmp_path, data, load) == want
 
 
 @pytest.mark.parametrize(

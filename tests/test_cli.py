@@ -925,6 +925,18 @@ class TestResumeTornLine:
             records_mod.read_matrices(out)
         assert str(caught.value) == reason
 
+    def test_repeat_gone_on_the_second_read_is_a_data_error(self, collected, capsys):
+        """A file rewritten between prior_cells's two reads: exit 1, no request, no append."""
+        argv, out = collected
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines + lines[:1]))
+        before = out.read_bytes()
+        with patch("cotbudget.collect._scan", return_value=iter(())):
+            code, text, err, requests_made = self.resume(capsys, argv)
+        assert (code, text, requests_made) == (1, "", 0)
+        assert err == f"data error: {out}: changed while it was read (a repeated key is gone)\n"
+        assert out.read_bytes() == before
+
     def test_resume_reads_no_eval_record(self, collected, capsys, no_eval_records):
         argv, _ = collected
         code, text, _, requests_made = self.resume(capsys, argv)

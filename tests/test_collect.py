@@ -527,6 +527,50 @@ class TestConnections:
         assert (summary.failed, summary.retries, mock.request_count) == (1, 0, 1)
         assert sidecar[0]["error"] == "HTTP 307"
 
+    def test_a_reply_over_the_cap_fails_its_cell_once(self, tmp_path, waits, monkeypatch):
+        """One request, one sidecar line naming the cap; the next cell reconnects."""
+        monkeypatch.setattr("cotbudget.collect.MAX_REPLY_BYTES", 4096)
+
+        def oversized(response):
+            message = response["choices"][0]["message"]
+            if message["content"].endswith("Answer: big"):
+                message["content"] = "x" * 8192
+            return response
+
+        questions = [Question("big", "Big?", "1"), Question("small", "Small?", "1")]
+        with MockChatEndpoint(answers={"Big?": "big"}, rewrite=oversized) as mock:
+            summary, sidecar = _sweep(tmp_path, mock, questions, catalog=ONE_PROMPT)
+        assert (summary.succeeded, summary.failed, summary.retries) == (1, 1, 0)
+        assert (mock.request_count, mock.connection_count) == (2, 2)
+        assert sidecar == [{"question_id": "big", "prompt_id": "NoCoT",
+                            "error": "reply body longer than 4096 bytes"}]
+        assert [r.question_id for r in load_records(tmp_path / "records.jsonl")] == ["small"]
+        assert waits == []
+
+    def test_a_body_shorter_than_its_length_is_a_transport_error(self, tmp_path, waits):
+        """As reading the whole body raised: the attempt is retried on a new connection."""
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def serve(attempts: int) -> None:
+                for _ in range(attempts):
+                    conn, _ = server.accept()
+                    with conn, conn.makefile("rb") as request:
+                        length = 0
+                        while (line := request.readline()) != b"\r\n":
+                            name, _, value = line.partition(b":")
+                            if name.lower() == b"content-length":
+                                length = int(value)
+                        request.read(length)  # unread bytes would make close() reset
+                        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+
+            thread = threading.Thread(target=serve, args=(2,), daemon=True)
+            thread.start()
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/v1"
+            summary, sidecar = _sweep(tmp_path, type("Url", (), {"url": url}), _questions(1),
+                                      catalog=ONE_PROMPT, retries=1)
+            thread.join(10)
+        assert (summary.failed, summary.retries) == (1, 1)
+        assert sidecar[0]["error"] == "transport: IncompleteRead(2 bytes read, 98 more expected)"
+
     def test_workers_never_share_a_connection_under_stress(self, tmp_path):
         """More workers than cores, switching threads often: a shared connection
         would interleave two requests and fail or cross their replies."""

@@ -5,17 +5,22 @@ a changed byte, a value JSON treats specially (NaN, Infinity, 2**63, a lone
 surrogate escape), a raw byte that is not UTF-8, NUL or CR, a duplicated or
 deleted line, or a cut. Whatever the edits, a command ends with exit 0
 (success), 1 (data error) or 2 (usage error), prints no traceback, and a
-failing command creates or changes no ``--out`` file.
+failing command creates or changes no ``--out`` file. The same holds when
+one input arrives through a pipe, which can be read only once.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
+import sys
 import tempfile
+import threading
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,34 +96,49 @@ def mutated(draw, data: bytes) -> bytes:
     return data
 
 
+def readable(command: str) -> list[str]:
+    """The inputs a command reads."""
+    return ["records"] + [name for name in ("complexity", "budgets")
+                          if "{" + name + "}" in COMMANDS[command]]
+
+
 @st.composite
 def runs(draw):
     """(command, input files, whether --out exists before the run)."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     inputs = dict(base_files())
-    readable = ["records"] + [name for name in ("complexity", "budgets")
-                              if "{" + name + "}" in COMMANDS[command]]
-    for name in draw(st.lists(st.sampled_from(readable), min_size=1, max_size=2, unique=True)):
+    for name in draw(st.lists(st.sampled_from(readable(command)), min_size=1, max_size=2,
+                              unique=True)):
         inputs[name] = draw(mutated(inputs[name]))
     return command, inputs, draw(st.booleans())
 
 
-@settings(max_examples=200, deadline=None)
-@given(run=runs())
-def test_hostile_inputs_exit_cleanly(run):
+def run_main(run, piped: str | None = None) -> None:
+    """Run one example in process; ``piped`` names the input sent through an os.pipe() path."""
     command, inputs, out_exists = run
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: Path(tmp) / f"{name}.in" for name in inputs}
         for name, data in inputs.items():
             paths[name].write_bytes(data)
+        writer = None
+        if piped is not None:
+            read_end, write_end = os.pipe()
+            paths[piped] = f"/dev/fd/{read_end}"
+            writer = threading.Thread(target=feed, args=(write_end, inputs[piped]), daemon=True)
+            writer.start()
         out = Path(tmp) / "out"
         if out_exists:
             out.write_bytes(b"earlier output\n")
         argv = [command, "--records", str(paths["records"]), "--out", str(out)]
         argv += [flag.format(**paths) for flag in COMMANDS[command]]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            if writer is not None:
+                os.close(read_end)  # a writer the command never read from gets EPIPE
+                writer.join(timeout=30)
         assert code in (0, 1, 2), stderr.getvalue()
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
@@ -126,3 +146,25 @@ def test_hostile_inputs_exit_cleanly(run):
                 assert out.read_bytes() == b"earlier output\n"
             else:
                 assert not out.exists()
+
+
+def feed(fd: int, data: bytes) -> None:
+    """Write data to a pipe's write end, then close it, whether or not it is read."""
+    try:
+        with open(fd, "wb") as sink:
+            sink.write(data)
+    except BrokenPipeError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=runs())
+def test_hostile_inputs_exit_cleanly(run):
+    run_main(run)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads an os.pipe() through /dev/fd")
+@settings(max_examples=60, deadline=None)
+@given(run=runs(), data=st.data())
+def test_hostile_inputs_through_a_pipe_exit_cleanly(run, data):
+    run_main(run, piped=data.draw(st.sampled_from(readable(run[0]))))

@@ -721,6 +721,91 @@ def test_every_loader_reads_lines_the_same_way(tmp_path, name, inserted, reason)
     assert str(exc.value).startswith(f"{path}:3: {reason}")
 
 
+# Valid UTF-8 text, non-ASCII included: every character but a lone surrogate.
+UTF8_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | UTF8_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(UTF8_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(JSON_VALUES.map(lambda v: json.dumps(v, ensure_ascii=False))
+                  | st.sampled_from(["", " ", " \t"]),
+                  st.sampled_from(["\n", "\r\n", "\r"])),
+        max_size=20,
+    ),
+    last_ends=st.booleans(),
+)
+def test_read_jsonl_matches_the_text_reader(tmp_path_factory, lines, last_ends):
+    """Any line ends, blank lines and non-ASCII text: the text reader's lines, parsed."""
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_ends:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("lines") / "in.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = [(n, json.loads(line)) for n, line in enumerate(fh, start=1) if line.strip()]
+    assert list(read_jsonl(path)) == want
+
+
+def _record_line(i):
+    return json.dumps(base_obj(question_id=f"q{i}"))
+
+
+def _budget_line(i):
+    return json.dumps({"question_id": f"q{i}", "budget": i})
+
+
+def _question_line(i):
+    return json.dumps({"question_id": f"q{i}", "text": "t", "gold_answer": "1"})
+
+
+RECORD_FAULTS = {
+    "malformed": "{not json",
+    "schema": json.dumps(base_obj(tokens=-1)),
+    "repeat": _record_line(1),
+}
+# (loader, writer of line i of a valid file, a third line that is the file's first error)
+EARLIER_FAULTS = {
+    f"{name}-{fault}": (load, line, third)
+    for name, load, line, faults in [
+        ("read_matrices", read_matrices, _record_line, RECORD_FAULTS),
+        ("load_records", load_records, _record_line, RECORD_FAULTS),
+        ("budgets", _load_budgets, _budget_line, {
+            "malformed": "{not json",
+            "schema": json.dumps({"question_id": "q3", "budget": "x"}),
+        }),
+        ("questions", load_questions, _question_line, {
+            "malformed": "{not json",
+            "schema": json.dumps({"question_id": "a"}),
+            "repeat": _question_line(1),
+        }),
+    ]
+    for fault, third in faults.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLIER_FAULTS))
+def test_first_bad_line_wins_over_a_later_byte_not_utf8(tmp_path, name):
+    """A fault on line 3 and a byte that is not UTF-8 on line 5, both in the reader's
+    first chunk: line 3's error, as if line 5 were valid."""
+    load, line, third = EARLIER_FAULTS[name]
+    lines = [line(1).encode(), line(2).encode(), third.encode(), line(4).encode(),
+             b'"caf\xe9"', line(6).encode()]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    got = outcome(lambda: load(path))
+    lines[4] = line(5).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    want = outcome(lambda: load(path))
+    assert want[0] != "ok" and "not UTF-8" not in want[1]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # memory: a miss and a write grow with the matrix, not with Python objects
 # ---------------------------------------------------------------------------
