@@ -341,7 +341,7 @@ def cmd_collect(args) -> int:
         temperature=args.temperature,
         estimate_missing_usage=args.estimate_usage,
     )
-    skip = collect.CellSet()
+    skip = collect.PairCells()
     append = False
     if args.resume and Path(args.out).exists():
         collect.drop_torn_tail(args.out)

@@ -1,12 +1,16 @@
 """Record collection: sweep a prompt catalog over questions against an endpoint.
 
 Talks plain chat-completions JSON over HTTP/1.1 with the standard library:
-each worker of a sweep keeps one connection alive for all its cells. Token
+each worker of a sweep keeps one connection alive for all its cells, and a
+reply body must arrive within the sweep's timeout of its request. Token
 counts are taken from the endpoint's reported completion-token usage, never
 recomputed locally; cells that still fail after retries land in a failures
-sidecar instead of the record file. ``http.client`` and ``ssl`` are imported
-when a sweep starts, and ``urllib.request`` only when a proxy could apply (see
-_proxy_for), so importing this module does not pay for them.
+sidecar instead of the record file. A resume skips the cells ``prior_cells``
+reads from the prior records file through ``inputs.record_cells``, the
+reader of every analysis command, keeping a bit per cell. ``http.client``
+and ``ssl`` are imported when a sweep starts, and ``urllib.request`` only
+when a proxy could apply (see _proxy_for), so importing this module does not
+pay for them.
 """
 from __future__ import annotations
 
@@ -25,8 +29,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .errors import CotBudgetError, EndpointError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, TOKENS_MAX, _record_lines, _scan, check_line, read_jsonl
+from .errors import EndpointError, RecordSchemaError
+from .inputs import (
+    NON_EMPTY_STRING, TOKENS_MAX, PairCells, check_line, read_jsonl, record_cells,
+)
 from .prompts import PromptCatalog, PromptSpec, render
 
 log = logging.getLogger(__name__)
@@ -355,6 +361,7 @@ class _Transport:
                 conn.set_tunnel(host, port, headers=tunnel_headers)
             return conn
 
+        self.timeout = config.timeout
         self._connections = [connection() for _ in range(config.max_parallel)]
         self._idle: queue.SimpleQueue = queue.SimpleQueue()
         for conn in self._connections:
@@ -366,36 +373,60 @@ class _Transport:
         The reply body is read in full, whatever the status, so the
         connection can carry the next request. A body longer than
         MAX_REPLY_BYTES is not: its first MAX_REPLY_BYTES + 1 bytes are
-        returned and the connection is closed. A kept-alive connection that
-        the server closed while idle fails before any reply arrives; the
-        request is then sent once more on a new connection. Any other
-        failure closes the connection and propagates.
+        returned and the connection is closed. The body is read a chunk at a
+        time, each read given the time left of ``timeout`` counted from the
+        request, so a reply that trickles in past it is a TimeoutError. A
+        kept-alive connection that the server closed while idle fails before
+        any reply arrives; the request is then sent once more on a new
+        connection. Any other failure closes the connection and propagates.
         """
         conn = self._idle.get()
+        deadline = time.monotonic() + self.timeout
         try:
             reused = conn.sock is not None
+            if reused:
+                conn.sock.settimeout(self.timeout)  # a body read left it shorter
             try:
-                conn.request("POST", self.target, body, self.headers)
-                reply = conn.getresponse()
+                sock, reply = self._exchange(conn, body)
             except ConnectionError:
                 if not reused:
                     raise
                 conn.close()
-                conn.request("POST", self.target, body, self.headers)
-                reply = conn.getresponse()
-            data = reply.read(MAX_REPLY_BYTES + 1)
-            if len(data) > MAX_REPLY_BYTES:
+                sock, reply = self._exchange(conn, body)
+            chunks, size = [], 0
+            while size <= MAX_REPLY_BYTES:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("timed out")  # as the socket's own timeout reads
+                sock.settimeout(left)
+                chunk = reply.read1(MAX_REPLY_BYTES + 1 - size)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+            data = b"".join(chunks)
+            if size > MAX_REPLY_BYTES:
                 conn.close()  # the rest of the body is never read
             elif reply.length:  # the body ended before its Content-Length, as read() raises
                 from http.client import IncompleteRead
 
                 raise IncompleteRead(data, reply.length)
+            reply.close()  # read1 leaves a body that ended at its Content-Length open
             return reply.status, reply.getheader("Retry-After"), data
         except BaseException:
             conn.close()
             raise
         finally:
             self._idle.put(conn)
+
+    def _exchange(self, conn, body: bytes):
+        """Send body on conn; returns the socket the reply arrives on, and the reply.
+
+        The socket is taken before the reply is, since a reply that closes
+        the connection detaches it from conn.
+        """
+        conn.request("POST", self.target, body, self.headers)
+        return conn.sock, conn.getresponse()
 
     def close(self) -> None:
         for conn in self._connections:
@@ -521,10 +552,10 @@ def sweep(
     """Issue one request per (question, prompt) cell, writing records as they finish.
 
     ``skip`` holds (question_id, prompt_id) cells already collected (resume);
-    they are never re-issued. A ``collections.abc.Set``, such as the CellSet
-    of prior_cells, is used as it is; any other iterable is copied into a
-    set. Cells that fail after retries go to the failures sidecar and are
-    not fabricated as records. ``max_parallel`` workers, the calling thread
+    they are never re-issued. A ``collections.abc.Set``, such as the
+    PairCells of prior_cells, is used as it is; any other iterable is copied
+    into a set. Cells that fail after retries go to the failures sidecar and
+    are not fabricated as records. ``max_parallel`` workers, the calling thread
     among them, take the cells one at a time in question x catalog order
     from one generator, so nothing is held per cell beyond the cells in
     hand. An exception out of a cell, such as from a writer, stops the
@@ -641,75 +672,19 @@ def drop_torn_tail(path: str | Path) -> int:
         return 0
 
 
-class CellSet(Set):
-    """The (question_id, prompt_id) cells of one (model, dataset) pair.
-
-    Each prompt id gets a bit position when first seen, and each question
-    holds one Python int with the bits of its prompts set, so a cell costs a
-    bit, not a tuple. Masks grow past a machine word as prompts are added.
-    """
-
-    def __init__(self, cells: Iterable[tuple[str, str]] = ()) -> None:
-        self._bits: dict[str, int] = {}  # prompt_id -> its bit
-        self._prompts: list[str] = []  # bit position -> prompt_id
-        self._masks: dict[str, int] = {}  # question_id -> bits of its prompts
-        self._len = 0
-        for question_id, prompt_id in cells:
-            self.add(question_id, prompt_id)
-
-    def add(self, question_id: str, prompt_id: str) -> bool:
-        """Add a cell; False, with nothing changed, if the set already holds it."""
-        bit = self._bits.get(prompt_id)
-        if bit is None:
-            bit = self._bits[prompt_id] = 1 << len(self._prompts)
-            self._prompts.append(prompt_id)
-        mask = self._masks.get(question_id, 0)
-        if mask & bit:
-            return False
-        self._masks[question_id] = mask | bit
-        self._len += 1
-        return True
-
-    def __contains__(self, cell: object) -> bool:
-        if not isinstance(cell, tuple) or len(cell) != 2:
-            return False
-        question_id, prompt_id = cell
-        return bool(self._masks.get(question_id, 0) & self._bits.get(prompt_id, 0))
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        prompts = self._prompts
-        for question_id, mask in self._masks.items():
-            while mask:
-                low = mask & -mask
-                yield question_id, prompts[low.bit_length() - 1]
-                mask ^= low
-
-    def __len__(self) -> int:
-        return self._len
-
-
-def prior_cells(path: str | Path, model: str, dataset: str) -> CellSet:
+def prior_cells(path: str | Path, model: str, dataset: str) -> PairCells:
     """The (question_id, prompt_id) cells of (model, dataset) a records file already holds.
 
-    One pass reads the file line by line through the records check and adds
-    each line's cell to its pair's CellSet, so a resume holds a bit per prior
-    record. A bad line raises the error ``records.read_matrices`` raises for
-    it. A cell that is already set is a repeated key: the file, the regular
-    file the resume appends to, is then read again through ``_scan``, which
-    raises that error with both line numbers. If the second read finds no
-    repeat, the file changed in between, and that is a CotBudgetError.
+    One pass reads the file through inputs.record_cells, the reader of
+    ``records.read_matrices``, so a bad line or a repeated key raises the
+    error read_matrices raises for it. Only the pair's PairCells is kept, so
+    a resume holds a bit per prior cell once the file is read.
     """
-    path = Path(path)
-    pairs: dict[tuple[str, str], CellSet] = {}
-    for _, line_model, line_dataset, question_id, prompt_id, _, _, _ in _record_lines(path):
-        cells = pairs.get((line_model, line_dataset))
-        if cells is None:
-            cells = pairs[line_model, line_dataset] = CellSet()
-        if not cells.add(question_id, prompt_id):
-            for _ in _scan(path):
-                pass
-            raise CotBudgetError(f"{path}: changed while it was read (a repeated key is gone)")
-    return pairs.get((model, dataset), CellSet())
+    found = PairCells()
+    for pair, _, _, _ in record_cells(Path(path)):
+        if pair.cells is not found and pair.model == model and pair.dataset == dataset:
+            found = pair.cells
+    return found
 
 
 def drop_settled_failures(
@@ -720,24 +695,33 @@ def drop_settled_failures(
     A line stays only when its cell is outside the questions x catalog grid,
     which this run requests again or skips, and not in ``prior``, the cells
     ``--out`` holds. A line that is not a {question_id, prompt_id, ...}
-    object is kept as it is. The lines kept go to a file beside the sidecar
-    that then replaces it, so a kill leaves either the old sidecar or the new.
+    object is kept as it is. The lines kept go to a new file beside the
+    sidecar, never to one that exists, with the sidecar's permissions; it
+    then replaces the sidecar, so a kill leaves either the old sidecar or
+    the new.
     """
+    import tempfile
+
     path = Path(path)
     question_ids = {question.question_id for question in questions}
     prompt_ids = {spec.prompt_id for spec in catalog}
-    scratch = path.with_name(path.name + ".tmp")
-    with path.open("rb") as lines, scratch.open("wb") as kept:
-        for line in lines:
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError, too deep
-                obj = None
-            if type(obj) is dict:
-                cell = obj.get("question_id"), obj.get("prompt_id")
-                if type(cell[0]) is str and type(cell[1]) is str and (
-                    cell in prior or cell[0] in question_ids and cell[1] in prompt_ids
-                ):
-                    continue
-            kept.write(line)
-    os.replace(scratch, path)
+    fd, scratch = tempfile.mkstemp(suffix=".tmp", prefix=path.name + ".", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as kept, path.open("rb") as lines:
+            os.chmod(scratch, os.stat(lines.fileno()).st_mode & 0o777)
+            for line in lines:
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
+                    obj = None
+                if type(obj) is dict:
+                    cell = obj.get("question_id"), obj.get("prompt_id")
+                    if type(cell[0]) is str and type(cell[1]) is str and (
+                        cell in prior or cell[0] in question_ids and cell[1] in prompt_ids
+                    ):
+                        continue
+                kept.write(line)
+        os.replace(scratch, path)
+    except BaseException:
+        os.unlink(scratch)
+        raise

@@ -7,16 +7,18 @@ value is checked by ``check_line`` (a JSONL line) or ``checked`` (a
 whole-file field) against rules such as ``NON_EMPTY_STRING``, so each
 fault's message is written once.
 
-A records line is checked here too, against ``RECORD_RULES``:
-``_record_lines`` yields each checked line's fields, and ``_scan`` adds the
-duplicate-key check. ``records`` builds its matrices and ``EvalRecord``
-objects from them, and ``collect --resume`` takes the cells a prior records
-file holds with ``_record_lines``, so resumes load no numpy.
+Record lines are read only by ``record_cells``, which checks each against
+``RECORD_RULES``, codes each pair's ids and raises a repeated key on its
+second line. ``records`` builds its matrices and ``EvalRecord`` objects
+from what it yields, and ``collect --resume`` keeps the PairCells it
+builds, so the three agree on every error and resumes load no numpy.
 """
 from __future__ import annotations
 
 import io
 import json
+from array import array
+from collections.abc import Set
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
@@ -153,19 +155,73 @@ RECORD_RULES = (
     ("correct", (lambda v: type(v) is bool, "be a boolean")),
 )
 
-Key = tuple[str, str, str, str]
 
+class PairCells(Set):
+    """The (question_id, prompt_id) cells of one (model, dataset) pair, a bit a cell.
 
-def _record_lines(
-    path: Path, source: BinaryIO | None = None
-) -> Iterator[tuple[int, str, str, str, str, int, bool, dict]]:
-    """Yield (line_no, model, dataset, question_id, prompt_id, tokens, correct, object)
-    for each record line of a JSONL file.
-
-    A line that fails the inline field check is handed to check_line, whose
-    error becomes the RecordSchemaError, so EvalRecord and every reader of
-    records report the same reason. ``source`` is as for read_jsonl.
+    An id's code is the order in which the pair first saw it. ``masks``
+    holds, per question code, one Python int with the bit of each prompt
+    code it has a record for, so a mask grows past a machine word as prompts
+    are added. Nothing is held per record.
     """
+
+    __slots__ = ("question_codes", "prompt_codes", "masks")
+
+    def __init__(self) -> None:
+        self.question_codes: dict[str, int] = {}
+        self.prompt_codes: dict[str, int] = {}
+        self.masks: list[int] = []
+
+    def __contains__(self, cell: object) -> bool:
+        if not isinstance(cell, tuple) or len(cell) != 2:
+            return False
+        row = self.question_codes.get(cell[0])
+        col = self.prompt_codes.get(cell[1])
+        return row is not None and col is not None and bool(self.masks[row] >> col & 1)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        prompts = list(self.prompt_codes)
+        for question_id, mask in zip(self.question_codes, self.masks):
+            while mask:
+                low = mask & -mask
+                yield question_id, prompts[low.bit_length() - 1]
+                mask ^= low
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self.masks))
+
+
+class PairRecords:
+    """One pair's records as read: its cells, and each record's row, column and line.
+
+    ``rows`` and ``cols`` hold each record's question and prompt code, and
+    ``lines`` its line number, which only a repeated key's error reads.
+    """
+
+    __slots__ = ("model", "dataset", "cells", "rows", "cols", "lines")
+
+    def __init__(self, model: str, dataset: str) -> None:
+        self.model = model
+        self.dataset = dataset
+        self.cells = PairCells()
+        self.rows = array("i")  # an append past 2**31 - 1 raises, so no code wraps
+        self.cols = array("i")
+        self.lines = array("q")
+
+
+def record_cells(
+    path: Path, source: BinaryIO | None = None
+) -> Iterator[tuple[PairRecords, int, bool, dict]]:
+    """Yield (pair, tokens, correct, object) for each record line of a JSONL file.
+
+    ``pair`` is the PairRecords of the line's (model, dataset), the same
+    object for every line of that pair, with the line's record already
+    added. A line that fails the inline field check is handed to check_line,
+    whose error becomes the RecordSchemaError, so EvalRecord and every
+    reader of records report the same reason. A repeated key raises on its
+    second line, naming both lines. ``source`` is as for read_jsonl.
+    """
+    pairs: dict[tuple[str, str], PairRecords] = {}
     for line_no, obj in read_jsonl(path, source):
         if type(obj) is not dict:
             raise _schema_error(obj, path, line_no)
@@ -184,31 +240,28 @@ def _record_lines(
             and type(correct) is bool
         ):
             raise _schema_error(obj, path, line_no)
-        yield line_no, model, dataset, question_id, prompt_id, tokens, correct, obj
-
-
-def _scan(path: Path) -> Iterator[tuple[Key, int, bool, dict]]:
-    """Yield (key, tokens, correct, object) for each record line of a JSONL file.
-
-    The lines are _record_lines's. A repeated key raises on its second line.
-    Equal key strings are shared between lines, so a file holds each
-    distinct id in memory once.
-    """
-    seen: dict[Key, int] = {}
-    shared: dict[str, str] = {}
-    share = shared.setdefault
-    lines = _record_lines(path)
-    for line_no, model, dataset, question_id, prompt_id, tokens, correct, obj in lines:
-        key = (
-            share(model, model),
-            share(dataset, dataset),
-            share(question_id, question_id),
-            share(prompt_id, prompt_id),
-        )
-        first = seen.setdefault(key, line_no)
-        if first != line_no:
-            raise DuplicateRecordError(key, f"lines {first} and {line_no} of {path}")
-        yield key, tokens, correct, obj
+        pair = pairs.get((model, dataset))
+        if pair is None:
+            pair = pairs[model, dataset] = PairRecords(model, dataset)
+        cells = pair.cells
+        codes, masks = cells.question_codes, cells.masks
+        row = codes.get(question_id)
+        if row is None:
+            row = codes[question_id] = len(masks)
+            masks.append(0)
+        codes = cells.prompt_codes
+        col = codes.setdefault(prompt_id, len(codes))
+        mask, bit = masks[row], 1 << col
+        if mask & bit:
+            first = next(line for r, c, line in zip(pair.rows, pair.cols, pair.lines)
+                         if r == row and c == col)
+            raise DuplicateRecordError((model, dataset, question_id, prompt_id),
+                                       f"lines {first} and {line_no} of {path}")
+        masks[row] = mask | bit
+        pair.rows.append(row)
+        pair.cols.append(col)
+        pair.lines.append(line_no)
+        yield pair, tokens, correct, obj
 
 
 def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:

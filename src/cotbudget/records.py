@@ -7,21 +7,17 @@ becomes matrices through ``read_matrices``, which keeps the matrices of each
 file it parsed in a content-addressed cache (``cotbudget.cache``), and a
 matrix becomes a file through ``save_matrix``, a block of rows at a time.
 
-A miss (``_pair_columns``) holds no object per record: each pair codes its
-question and prompt ids to ints on first sight, and a record adds two codes,
-its token count, its correctness and its line number to flat arrays (about
-25 bytes a record). Each question keeps one bitmask of its prompts, so a
-repeated key raises on its second line, as the file is read, and its error
-names both lines. ``_place`` turns one pair's codes into the n x K matrix,
-for ``read_matrices`` and for ``pivot`` alike; for ``pivot`` it also finds
-a repeated key. ``EvalRecord`` objects are built only for callers that ask
-for them (``load_records``).
-
-Record lines are read and checked by ``inputs._record_lines``, against
-``inputs.RECORD_RULES``, and ``load_records`` reads them through
-``inputs._scan``, which also finds a repeated key. Both live in
-``cotbudget.inputs``, which needs no numpy, so ``collect --resume`` reads a
-prior file through the same checks without loading this module.
+Record lines are read only by ``inputs.record_cells``, which needs no
+numpy, so ``collect --resume`` reads a prior file through the same checks
+without loading this module. It codes each pair's question and prompt ids
+to ints on first sight and keeps each record's two codes and line number,
+and one bitmask of prompts per question, so a repeated key raises on its
+second line, as the file is read, naming both lines. A miss
+(``_pair_columns``) adds each record's token count and correctness, so it
+holds no object per record (about 25 bytes a record). ``_place`` turns one
+pair's codes into the n x K matrix, for ``read_matrices`` and for ``pivot``
+alike; for ``pivot`` it also finds a repeated key. ``EvalRecord`` objects
+are built only for callers that ask for them (``load_records``).
 """
 from __future__ import annotations
 
@@ -36,7 +32,7 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DuplicateRecordError, EmptySelectionError, utf8_bytes
-from .inputs import RECORD_RULES, REQUIRED_FIELDS, _record_lines, _scan, check_line
+from .inputs import RECORD_RULES, REQUIRED_FIELDS, PairRecords, check_line, record_cells
 
 # Cells per block of rows that save_matrix formats at once. The numpy kernels
 # block by complexity.BLOCK_ROWS rows, a few bytes a cell; here each cell
@@ -80,16 +76,20 @@ def load_records(path: str | Path) -> list[EvalRecord]:
     The records of a file share one string object per distinct id.
     """
     known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+    share = {}.setdefault  # a pair's model and dataset are shared already
     return [
         EvalRecord(
-            *key,
+            pair.model,
+            pair.dataset,
+            share(obj["question_id"], obj["question_id"]),
+            share(obj["prompt_id"], obj["prompt_id"]),
             tokens,
             correct,
             obj.get("response"),
             obj.get("extracted_answer"),
             {k: v for k, v in obj.items() if k not in known},
         )
-        for key, tokens, correct, obj in _scan(Path(path))
+        for pair, tokens, correct, obj in record_cells(Path(path))
     ]
 
 
@@ -118,73 +118,34 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
         groups = _pair_columns(path, source)
     matrices = {}
     for pair in sorted(groups):
-        group = groups[pair]
-        matrices[pair] = _place(*pair, group.question_codes, group.prompt_codes,
-                                group.rows, group.cols, group.tokens, group.hits)
+        read, tokens, hits = groups.pop(pair)
+        cells = read.cells
+        matrices[pair] = _place(*pair, cells.question_codes, cells.prompt_codes,
+                                read.rows, read.cols, tokens, hits)
         # Each pair's columns are dropped once its matrix is built, so none is
         # alive when the entry is written.
-        del groups[pair], group
+        del read, cells, tokens, hits
     if store is not None:
         store.save(source.digest(), list(matrices.values()))
     return matrices
 
 
-class _PairColumns:
-    """One pair's records as parsed: int codes and counts, no object per record.
+def _pair_columns(
+    path: Path, source: BinaryIO
+) -> dict[tuple[str, str], tuple[PairRecords, array, bytearray]]:
+    """A record file's columns, split by pair in one pass of inputs.record_cells.
 
-    An id's code is the order in which the pair first saw it. ``rows`` and
-    ``cols`` hold each record's question and prompt code, ``tokens`` and
-    ``hits`` its count and correctness, and ``lines`` its line number, which
-    only a duplicate's error reads. ``masks`` holds, per question code, one
-    bit per prompt code it has a record for.
+    Each pair maps to its PairRecords (codes, and each record's row and
+    column) and its records' token counts and correctness, in line order.
     """
-
-    __slots__ = ("question_codes", "prompt_codes", "rows", "cols", "tokens", "hits", "lines",
-                 "masks")
-
-    def __init__(self) -> None:
-        self.question_codes: dict[str, int] = {}
-        self.prompt_codes: dict[str, int] = {}
-        self.rows = array("i")  # an append past 2**31 - 1 raises, so no code wraps
-        self.cols = array("i")
-        self.tokens = array("q")
-        self.hits = bytearray()
-        self.lines = array("q")
-        self.masks: list[int] = []
-
-
-def _pair_columns(path: Path, source: BinaryIO) -> dict[tuple[str, str], _PairColumns]:
-    """A record file's columns, split by pair in one pass.
-
-    The lines are _record_lines's, and a repeated key raises on its second
-    line, as in _scan, so the first bad line of the file raises _scan's error.
-    """
-    groups: dict[tuple[str, str], _PairColumns] = {}
-    lines = _record_lines(path, source)
-    for line_no, model, dataset, question_id, prompt_id, tokens, correct, _ in lines:
-        group = groups.get((model, dataset))
-        if group is None:
-            group = groups[model, dataset] = _PairColumns()
-        codes, masks = group.question_codes, group.masks
-        row = codes.get(question_id)
-        if row is None:
-            row = codes[question_id] = len(masks)
-            masks.append(0)
-        codes = group.prompt_codes
-        col = codes.setdefault(prompt_id, len(codes))
-        mask, bit = masks[row], 1 << col
-        if mask & bit:
-            first = next(line for r, c, line in zip(group.rows, group.cols, group.lines)
-                         if r == row and c == col)
-            raise DuplicateRecordError((model, dataset, question_id, prompt_id),
-                                       f"lines {first} and {line_no} of {path}")
-        masks[row] = mask | bit
-        group.rows.append(row)
-        group.cols.append(col)
-        group.tokens.append(tokens)
-        group.hits.append(correct)
-        group.lines.append(line_no)
-    return groups
+    groups: dict[PairRecords, tuple[array, bytearray]] = {}
+    for pair, tokens, correct, _ in record_cells(path, source):
+        columns = groups.get(pair)
+        if columns is None:
+            columns = groups[pair] = (array("q"), bytearray())
+        columns[0].append(tokens)
+        columns[1].append(correct)
+    return {(pair.model, pair.dataset): (pair, *columns) for pair, columns in groups.items()}
 
 
 def save_matrix(matrix: RunMatrix, path: str | Path) -> int:

@@ -620,6 +620,33 @@ class TestCollectCommand:
         assert len(out.read_text().splitlines()) == 4
         assert not failures.with_name(failures.name + ".tmp").exists()
 
+    def test_sidecar_rewrite_leaves_an_out_file_named_like_its_scratch(self, tmp_path, capsys):
+        """--out side.jsonl.tmp beside --failures side.jsonl: a resume keeps --out's bytes."""
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
+        catalog = tmp_path / "catalog.json"
+        from cotbudget.prompts import PromptCatalog, fixed_spec
+
+        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(catalog)
+        out, failures = tmp_path / "side.jsonl.tmp", tmp_path / "side.jsonl"
+        argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+                "--catalog", str(catalog), "--out", str(out), "--failures", str(failures)]
+        with MockChatEndpoint() as mock:
+            assert run(capsys, *argv, "--endpoint", mock.url)[0] == 0
+        records = out.read_bytes()
+        assert len(records.splitlines()) == 2
+        foreign = json.dumps({"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"})
+        settled = json.dumps({"question_id": "q1", "prompt_id": "NoCoT", "error": "HTTP 500"})
+        failures.write_text(foreign + "\n" + settled + "\n")
+        with MockChatEndpoint() as mock:
+            code, text = run(capsys, *argv, "--endpoint", mock.url, "--resume")
+        assert code == 0
+        assert "2 skipped (resume), 0 collected" in text
+        assert out.read_bytes() == records
+        assert failures.read_text() == foreign + "\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "catalog.json", "questions.jsonl", "side.jsonl", "side.jsonl.tmp"]
+
     def test_resumes_that_keep_failing_list_each_cell_once(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
         questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
@@ -924,18 +951,6 @@ class TestResumeTornLine:
         with pytest.raises(RecordSchemaError) as caught:
             records_mod.read_matrices(out)
         assert str(caught.value) == reason
-
-    def test_repeat_gone_on_the_second_read_is_a_data_error(self, collected, capsys):
-        """A file rewritten between prior_cells's two reads: exit 1, no request, no append."""
-        argv, out = collected
-        lines = out.read_bytes().splitlines(keepends=True)
-        out.write_bytes(b"".join(lines + lines[:1]))
-        before = out.read_bytes()
-        with patch("cotbudget.collect._scan", return_value=iter(())):
-            code, text, err, requests_made = self.resume(capsys, argv)
-        assert (code, text, requests_made) == (1, "", 0)
-        assert err == f"data error: {out}: changed while it was read (a repeated key is gone)\n"
-        assert out.read_bytes() == before
 
     def test_resume_reads_no_eval_record(self, collected, capsys, no_eval_records):
         argv, _ = collected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 import socket
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotbudget.collect import (
-    CellSet,
     JsonlWriter,
     Choice,
     Question,
@@ -35,7 +35,10 @@ from cotbudget.collect import (
     prior_cells,
     sweep,
 )
-from cotbudget.errors import EndpointError, RecordParseError, RecordSchemaError
+from cotbudget.errors import (
+    DuplicateRecordError, EndpointError, RecordParseError, RecordSchemaError,
+)
+from cotbudget.inputs import PairCells
 from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.prompts import (
     QUESTION_TEMPLATE,
@@ -434,6 +437,33 @@ def _sweep(tmp_path, mock, questions, **kw):
     return summary, [json.loads(line) for line in sidecar]
 
 
+@contextlib.contextmanager
+def _raw_endpoint(attempts, reply):
+    """An endpoint on a bare socket: each of `attempts` connections gets one
+    request read, then reply(conn) writes what comes back, then it is closed.
+    Yields an object with the url, as _sweep takes a mock."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def serve() -> None:
+            for _ in range(attempts):
+                conn, _ = server.accept()
+                with conn, conn.makefile("rb") as request:
+                    length = 0
+                    while (line := request.readline()) != b"\r\n":
+                        name, _, value = line.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    request.read(length)  # unread bytes would make close() reset
+                    try:
+                        reply(conn)
+                    except OSError:
+                        pass  # the client gave up on the reply
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield type("Url", (), {"url": f"http://127.0.0.1:{server.getsockname()[1]}/v1"})
+        thread.join(10)
+
+
 @pytest.fixture
 def waits(monkeypatch):
     """The retry waits a sweep asks for, recorded instead of slept."""
@@ -549,27 +579,66 @@ class TestConnections:
 
     def test_a_body_shorter_than_its_length_is_a_transport_error(self, tmp_path, waits):
         """As reading the whole body raised: the attempt is retried on a new connection."""
-        with socket.create_server(("127.0.0.1", 0)) as server:
-            def serve(attempts: int) -> None:
-                for _ in range(attempts):
-                    conn, _ = server.accept()
-                    with conn, conn.makefile("rb") as request:
-                        length = 0
-                        while (line := request.readline()) != b"\r\n":
-                            name, _, value = line.partition(b":")
-                            if name.lower() == b"content-length":
-                                length = int(value)
-                        request.read(length)  # unread bytes would make close() reset
-                        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+        def short(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
 
-            thread = threading.Thread(target=serve, args=(2,), daemon=True)
-            thread.start()
-            url = f"http://127.0.0.1:{server.getsockname()[1]}/v1"
-            summary, sidecar = _sweep(tmp_path, type("Url", (), {"url": url}), _questions(1),
-                                      catalog=ONE_PROMPT, retries=1)
-            thread.join(10)
+        with _raw_endpoint(2, short) as endpoint:
+            summary, sidecar = _sweep(tmp_path, endpoint, _questions(1), catalog=ONE_PROMPT,
+                                      retries=1)
         assert (summary.failed, summary.retries) == (1, 1)
         assert sidecar[0]["error"] == "transport: IncompleteRead(2 bytes read, 98 more expected)"
+
+    def test_a_trickled_reply_fails_at_the_timeout(self, tmp_path, waits):
+        """One byte every 0.4 s of a 12-byte body: the attempt ends at timeout, not at 4.8 s."""
+        stop = threading.Event()
+
+        def trickle(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n")
+            for byte in b'{"x": "abc"}':
+                if stop.wait(0.4):
+                    return
+                conn.sendall(bytes([byte]))
+
+        with _raw_endpoint(1, trickle) as endpoint:
+            start = time.monotonic()
+            summary, sidecar = _sweep(tmp_path, endpoint, _questions(1), catalog=ONE_PROMPT,
+                                      retries=0, timeout=1.0)
+            elapsed = time.monotonic() - start
+            stop.set()
+        assert elapsed < 2 * 1.0
+        assert (summary.failed, summary.retries) == (1, 0)
+        assert sidecar == [{"question_id": "q0", "prompt_id": "NoCoT",
+                            "error": "transport: timed out"}]
+
+    def test_a_reply_in_pieces_within_the_timeout_keeps_its_bytes(self, tmp_path):
+        content = "Thinking in pieces. Answer: 42"
+        body = json.dumps({"choices": [{"message": {"content": content}}],
+                           "usage": {"completion_tokens": 7}}).encode()
+
+        def pieces(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body))
+            for start in range(0, len(body), 16):
+                time.sleep(0.02)
+                conn.sendall(body[start:start + 16])
+
+        with _raw_endpoint(1, pieces) as endpoint:
+            summary, _ = _sweep(tmp_path, endpoint, _questions(1), catalog=ONE_PROMPT,
+                                retries=0, timeout=5.0)
+        assert (summary.succeeded, summary.failed) == (1, 0)
+        [record] = load_records(tmp_path / "records.jsonl")
+        assert (record.response, record.tokens, record.correct) == (content, 7, True)
+
+    def test_a_kept_alive_connection_gets_the_whole_timeout_again(self, tmp_path):
+        """A body read shortens the socket's timeout; the next request starts with all of it."""
+        def slow(question_text, body):
+            time.sleep(1.2)
+            return default_reply(question_text, "42")
+
+        with MockChatEndpoint(reply_fn=slow) as mock:
+            summary, _ = _sweep(tmp_path, mock, _questions(2), catalog=ONE_PROMPT, retries=0,
+                                timeout=2.0)
+        assert (summary.succeeded, summary.failed) == (2, 0)
+        assert mock.connection_count == 1
 
     def test_workers_never_share_a_connection_under_stress(self, tmp_path):
         """More workers than cores, switching threads often: a shared connection
@@ -1017,34 +1086,89 @@ CELL_QUESTION_IDS = st.sampled_from(["q1", "q2", "é", "问题", "q1\x00"]) | st
 CELL_PROMPT_IDS = st.integers(0, 99).map(lambda i: f"п{i}")
 
 
-class TestCellSet:
+def _write_cells(path, cells, model="m"):
+    """A records file with one line per (question_id, prompt_id) cell, in order."""
+    with path.open("a", encoding="utf-8") as fh:
+        for question_id, prompt_id in cells:
+            fh.write(json.dumps({"model": model, "dataset": "d", "question_id": question_id,
+                                 "prompt_id": prompt_id, "tokens": 1, "correct": True}) + "\n")
+    return path
+
+
+class TestPairCells:
+    """The skip set a resume reads: a records file's cells of one pair."""
+
     @settings(max_examples=200, deadline=None)
     @given(cells=st.lists(st.tuples(CELL_QUESTION_IDS, CELL_PROMPT_IDS), max_size=300),
            probes=st.lists(st.tuples(CELL_QUESTION_IDS, CELL_PROMPT_IDS | st.text(max_size=2))))
-    def test_matches_a_python_set(self, cells, probes):
-        got, want = CellSet(), set()
-        for cell in cells:
-            assert got.add(*cell) is (cell not in want)
-            want.add(cell)
+    def test_matches_a_python_set(self, tmp_path_factory, cells, probes):
+        folder = tmp_path_factory.mktemp("cells")
+        want = set(cells)
+        # Another pair's lines between the pair's own: they are not its cells.
+        path = folder / "unique.jsonl"
+        path.touch()
+        for cell in dict.fromkeys(cells):
+            _write_cells(path, [cell])
+            _write_cells(path, [cell[::-1]], model="m2")
+        got = prior_cells(path, "m", "d")
         assert len(got) == len(want)
         assert len(list(got)) == len(want)
         assert set(got) == want
         assert got == want and want == got
-        assert CellSet(want) == got
         for probe in probes:
             assert (probe in got) is (probe in want)
+        first = {}
+        for line_no, cell in enumerate(cells, start=1):
+            if first.setdefault(cell, line_no) != line_no:
+                path = _write_cells(folder / "repeats.jsonl", cells)
+                with pytest.raises(DuplicateRecordError) as caught:
+                    prior_cells(path, "m", "d")
+                assert str(caught.value) == (f"duplicate record key {('m', 'd', *cell)!r} "
+                                             f"(lines {first[cell]} and {line_no} of {path})")
+                break
 
-    def test_masks_past_one_machine_word(self):
+    def test_masks_past_one_machine_word(self, tmp_path):
         prompts = [f"p{i}" for i in range(130)]
-        cells = CellSet(("q", p) for p in prompts[::-1])
-        assert cells.add("q", "p129") is False
+        path = _write_cells(tmp_path / "r.jsonl", [("q", p) for p in prompts[::-1]])
+        cells = prior_cells(path, "m", "d")
         assert ("q", "p0") in cells and ("q", "p130") not in cells
         assert sorted(cells) == sorted(("q", p) for p in prompts)
         assert len(cells) == 130
+        _write_cells(path, [("q", "p129")])
+        with pytest.raises(DuplicateRecordError, match=r"\(lines 1 and 131 of "):
+            prior_cells(path, "m", "d")
 
     @pytest.mark.parametrize("probe", ["qp", ("q",), ("q", "p", "x"), ["q", "p"], None])
-    def test_anything_but_a_pair_is_absent(self, probe):
-        assert probe not in CellSet([("q", "p")])
+    def test_anything_but_a_pair_is_absent(self, tmp_path, probe):
+        cells = prior_cells(_write_cells(tmp_path / "r.jsonl", [("q", "p")]), "m", "d")
+        assert ("q", "p") in cells
+        assert probe not in cells
+
+
+def _prior_records(path):
+    """27,600 records of one pair, with a response each, as a resume reads them."""
+    with path.open("w", encoding="utf-8") as fh:
+        for q in range(920):
+            for p in range(30):
+                fh.write(json.dumps({
+                    "model": "m", "dataset": "d", "question_id": f"question-{q}",
+                    "prompt_id": f"prompt-{p}", "tokens": q + p, "correct": q % 3 == 0,
+                    "response": f"Thinking about question {q} under prompt {p}. Answer: {q}",
+                }) + "\n")
+    return path
+
+
+def test_prior_cells_hold_a_bit_per_cell_once_read(tmp_path):
+    """What stays alive after the read: the pair's ids and masks, no per-record column."""
+    path = _prior_records(tmp_path / "records.jsonl")
+    tracemalloc.start()
+    try:
+        cells = prior_cells(path, "m", "d")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 27_600
+    assert held <= 256 << 10
 
 
 def test_prior_cells_peak_stays_below_one_mib(tmp_path):
@@ -1101,8 +1225,37 @@ def test_an_interrupted_sidecar_rewrite_leaves_the_old_sidecar(tmp_path, monkeyp
 
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(KeyboardInterrupt):
-        drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, CellSet())
+        drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, PairCells())
     assert sidecar.read_bytes() == before
+
+
+def test_a_sidecar_rewrite_leaves_a_file_named_like_its_scratch(tmp_path):
+    sidecar = tmp_path / "failures.jsonl"
+    kept = b'{"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
+    sidecar.write_bytes(b'{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
+                        + kept)
+    sidecar.chmod(0o640)
+    other = tmp_path / "failures.jsonl.tmp"
+    other.write_bytes(b"not the sidecar's\n")
+    drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, PairCells())
+    assert sidecar.read_bytes() == kept
+    assert sidecar.stat().st_mode & 0o777 == 0o640
+    assert other.read_bytes() == b"not the sidecar's\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "failures.jsonl", "failures.jsonl.tmp"]
+
+
+def test_an_interrupted_sidecar_rewrite_leaves_no_scratch(tmp_path, monkeypatch):
+    sidecar = tmp_path / "failures.jsonl"
+    sidecar.write_bytes(b'{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n')
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, PairCells())
+    assert [path.name for path in tmp_path.iterdir()] == ["failures.jsonl"]
 
 
 def test_client_gone_before_the_reply_ends_the_connection_quietly(capfd):

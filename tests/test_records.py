@@ -500,7 +500,10 @@ def test_first_error_matches_record_loop_cold_and_warm(tmp_path_factory, lines):
 @given(lines=st.lists(DUPLICATE_PRONE | BAD_RECORD_LINES | st.just(""), min_size=1, max_size=12),
        pair=st.sampled_from([("m", "d"), ("m2", "d"), ("m3", "d")]))
 def test_prior_cells_match_read_matrices(tmp_path_factory, lines, pair):
-    """A resume's skip set is the pair's present cells, or the error read_matrices raises."""
+    """A resume's skip set is the pair's present cells, or the error read_matrices raises.
+
+    On a bad file, load_records raises that error too.
+    """
     path = tmp_path_factory.mktemp("prior") / "r.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
@@ -508,7 +511,10 @@ def test_prior_cells_match_read_matrices(tmp_path_factory, lines, pair):
         matrix = read_matrices(path).get(pair)
         return set() if matrix is None else matrix.cells()
 
-    assert outcome(lambda: prior_cells(path, *pair)) == outcome(matrix_cells)
+    want = outcome(matrix_cells)
+    assert outcome(lambda: prior_cells(path, *pair)) == want
+    if want[0] != "ok":
+        assert outcome(lambda: load_records(path)) == want
 
 
 @pytest.mark.parametrize(
