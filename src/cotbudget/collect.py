@@ -2,18 +2,19 @@
 
 Talks plain chat-completions JSON over HTTP/1.1 with the standard library:
 each worker of a sweep keeps one connection alive for all its cells, and a
-reply body must arrive within the sweep's timeout of its request. Token
-counts are taken from the endpoint's reported completion-token usage, never
-recomputed locally; cells that still fail after retries land in a failures
-sidecar instead of the record file. A resume skips the cells ``prior_cells``
-reads from the prior records file through ``inputs.record_cells``, the
-reader of every analysis command, keeping a bit per cell. ``http.client``
-and ``ssl`` are imported when a sweep starts, and ``urllib.request`` only
-when a proxy could apply (see _proxy_for), so importing this module does not
-pay for them.
+reply, status line and headers included, must arrive within the sweep's
+timeout of its request. Token counts are taken from the endpoint's reported
+completion-token usage, never recomputed locally; cells that still fail
+after retries land in a failures sidecar instead of the record file. A
+resume skips the cells ``prior_cells`` reads from the prior records file
+through ``inputs.record_cells``, the reader of every analysis command,
+keeping a bit per cell. ``http.client`` and ``ssl`` are imported when a
+sweep starts, and ``urllib.request`` only when a proxy could apply (see
+_proxy_for), so importing this module does not pay for them.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -25,6 +26,7 @@ import time
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
@@ -160,6 +162,8 @@ class SweepConfig:
             raise ValueError("retries must be >= 0")
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be a finite number")
+        if not 0 < self.timeout < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout!r}")
         url = urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
@@ -313,6 +317,42 @@ def _proxy_for(scheme: str, host: str) -> str | None:
     return proxy
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's reader that gives each read the time left until a deadline.
+
+    Past the deadline a read raises TimeoutError("timed out"), as the
+    socket's own timeout reads, so a reply that trickles in ends there
+    however small its pieces.
+    """
+
+    def __init__(self, source: io.RawIOBase, sock, deadline: float) -> None:
+        self._source, self._sock, self._deadline = source, sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self._sock.settimeout(left)
+        return self._source.readinto(buffer)
+
+    def close(self) -> None:
+        self._source.close()
+        super().close()
+
+
+def _reply_by(deadline: float, sock, *args, **kwargs):
+    """An http.client reply that reads sock, status line and headers included,
+    through a _DeadlineReader: a connection's ``response_class``."""
+    from http.client import HTTPResponse
+
+    reply = HTTPResponse(sock, *args, **kwargs)
+    reply.fp = io.BufferedReader(_DeadlineReader(reply.fp.detach(), sock, deadline))
+    return reply
+
+
 class _Transport:
     """Where one sweep's requests go, worked out once, and its open connections.
 
@@ -373,32 +413,29 @@ class _Transport:
         The reply body is read in full, whatever the status, so the
         connection can carry the next request. A body longer than
         MAX_REPLY_BYTES is not: its first MAX_REPLY_BYTES + 1 bytes are
-        returned and the connection is closed. The body is read a chunk at a
-        time, each read given the time left of ``timeout`` counted from the
-        request, so a reply that trickles in past it is a TimeoutError. A
-        kept-alive connection that the server closed while idle fails before
-        any reply arrives; the request is then sent once more on a new
-        connection. Any other failure closes the connection and propagates.
+        returned and the connection is closed. Every read of the reply,
+        status line and headers included, is given the time left of
+        ``timeout`` counted from the request (see _reply_by), so a reply that
+        trickles in past it is a TimeoutError. A kept-alive connection that
+        the server closed while idle fails before any reply arrives; the
+        request is then sent once more on a new connection. Any other
+        failure closes the connection and propagates.
         """
         conn = self._idle.get()
-        deadline = time.monotonic() + self.timeout
+        conn.response_class = partial(_reply_by, time.monotonic() + self.timeout)
         try:
             reused = conn.sock is not None
             if reused:
-                conn.sock.settimeout(self.timeout)  # a body read left it shorter
+                conn.sock.settimeout(self.timeout)  # a reply read left it shorter
             try:
-                sock, reply = self._exchange(conn, body)
+                reply = self._exchange(conn, body)
             except ConnectionError:
                 if not reused:
                     raise
                 conn.close()
-                sock, reply = self._exchange(conn, body)
+                reply = self._exchange(conn, body)
             chunks, size = [], 0
             while size <= MAX_REPLY_BYTES:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TimeoutError("timed out")  # as the socket's own timeout reads
-                sock.settimeout(left)
                 chunk = reply.read1(MAX_REPLY_BYTES + 1 - size)
                 if not chunk:
                     break
@@ -420,13 +457,9 @@ class _Transport:
             self._idle.put(conn)
 
     def _exchange(self, conn, body: bytes):
-        """Send body on conn; returns the socket the reply arrives on, and the reply.
-
-        The socket is taken before the reply is, since a reply that closes
-        the connection detaches it from conn.
-        """
+        """Send body on conn; returns the reply."""
         conn.request("POST", self.target, body, self.headers)
-        return conn.sock, conn.getresponse()
+        return conn.getresponse()
 
     def close(self) -> None:
         for conn in self._connections:

@@ -7,7 +7,7 @@ infinite threshold (predict everything incorrect) models unsolvable
 questions.
 
 One integer kernel, _best_thresholds, scores every candidate threshold of
-many questions at once from a row sort and a cumulative count of correct
+many questions at once from a row sort and one running sum over the sorted
 runs; profile runs it over blocks of rows of the whole run matrix. The
 profile keeps the result as columns: one int64 tau per question (-1 for
 infinite), the runs used, and exact Fraction classifier accuracies.
@@ -227,11 +227,12 @@ def _best_thresholds(
     """Best threshold of every row at once: int64 arrays (tau, agree, k_used).
 
     tau is -1 where the infinite threshold wins; agree counts the present
-    runs the best threshold classifies correctly; k_used counts present runs.
-    Token counts of present cells must be in [0, 2**63 - 1].
+    runs the best threshold classifies correctly; k_used counts present runs,
+    all that ``present`` is read for. Token counts must be in [0, 2**63 - 1],
+    and absent cells must hold 0 and False, as a RunMatrix's do.
 
     Each cell packs into one uint64 key, 2 * length + hit, which fits every
-    int64 count; an absent cell gets key 0. One in-place sort of the keys
+    int64 count; an absent cell has key 0. One in-place sort of the keys
     orders each row by length and then hit: key >> 1 is the length and
     key & 1 the hit. An absent cell shares key 0 with a present length-0
     miss, and equal keys are interchangeable, so the first
@@ -239,10 +240,11 @@ def _best_thresholds(
     cells and the rest for its present runs.
 
     The row is then cut before sorted position s: the runs left of the cut
-    are predicted incorrect and the rest correct, so the cut agrees with
-    (s - absent) - 2*C_before(s) + C_total runs, where C_before(s) counts
-    the correct runs left of it. The finite candidates are position
-    absent, where the present runs start, and each later position whose
+    are predicted incorrect and the rest correct, so each run the cut passes
+    adds 1 to its agreement if a miss and -1 if a hit. One flat cumsum of
+    these steps, rows led by a 0, scores every cut up to a constant per row;
+    cut absent agrees with exactly the correct runs, which fixes it. The
+    finite candidates are position absent and each later position whose
     length exceeds the one before; s = K is the infinite threshold. argmax
     takes the first maximum, which is the paper's tie rule: the smallest
     finite threshold wins, and infinity wins only when strictly better.
@@ -250,26 +252,29 @@ def _best_thresholds(
     (and the absent cells), so the order within a tie changes nothing.
     """
     rows, width = tokens.shape
-    keys = np.where(present, tokens, 0).astype(np.uint64)
+    keys = tokens.astype(np.uint64)
     keys <<= np.uint64(1)
-    keys |= correct & present
+    keys |= correct
     keys.sort(axis=1)
-    hits = (keys & np.uint64(1)).view(np.int64)
+    score = np.zeros((rows, width + 1), dtype=np.int64)
+    steps = score[:, 1:]
+    np.bitwise_and(keys, np.uint64(1), out=steps.view(np.uint64))
+    steps <<= 1
+    np.subtract(1, steps, out=steps)
+    np.cumsum(score.reshape(-1), out=score.reshape(-1))
     keys >>= np.uint64(1)
     ordered = keys.view(np.int64)
-    before = np.zeros((rows, width + 1), dtype=np.int64)
-    np.cumsum(hits, axis=1, out=before[:, 1:])
-    k_used = np.count_nonzero(present, axis=1)
-    absent = width - k_used
-    agree = np.arange(width + 1) - absent[:, None] - 2 * before + before[:, -1:]
-    candidate = np.zeros((rows, width + 1), dtype=bool)
-    candidate[:, 1:width] = ordered[:, 1:] > ordered[:, :-1]
-    candidate[np.arange(rows), absent] = True
-    candidate[:, width] = True
-    best = np.argmax(np.where(candidate, agree, -1), axis=1)
-    tau = np.take_along_axis(ordered, np.minimum(best, width - 1)[:, None], axis=1)[:, 0]
-    tau[best == width] = -1
-    return tau, agree[np.arange(rows), best], k_used.astype(np.int64)
+    k_used = np.count_nonzero(present, axis=1).astype(np.int64)
+    every, absent = np.arange(rows), width - k_used
+    blocked = np.ones((rows, width + 1), dtype=bool)
+    np.less_equal(ordered[:, 1:], ordered[:, :-1], out=blocked[:, 1:width])
+    blocked[every, absent] = False
+    blocked[:, width] = False
+    np.putmask(score, blocked, np.iinfo(np.int64).min)
+    best = np.argmax(score, axis=1)
+    tau = np.where(best < width, ordered[every, np.minimum(best, width - 1)], -1)
+    agree = score[every, best] - score[every, absent] + np.count_nonzero(correct, axis=1)
+    return tau, agree, k_used
 
 
 def profile(matrix: RunMatrix) -> ComplexityProfile:

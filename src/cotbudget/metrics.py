@@ -74,7 +74,7 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
     if not counts.all():
         pid = matrix.prompt_ids[int(np.argmin(counts))]
         raise CoverageError(f"prompt {pid!r} has no present cells")
-    hits = np.count_nonzero(present & matrix.correct, axis=0)
+    hits = np.count_nonzero(matrix.correct, axis=0)
     predicted = np.count_nonzero(present & (tau >= 0) & (matrix.tokens >= tau), axis=0)
     totals = _column_sums(matrix.tokens, present)
     return [
@@ -222,11 +222,12 @@ def adaptivity_split(
 
     Returns prompt_id -> (easy mean, hard mean) in matrix prompt order,
     excluding the split prompt; a side with no cells is None, never zero.
+    Easy is a correct split cell (so a present one), hard a present, incorrect one.
     """
     s = matrix.prompt_index(split_prompt)
-    split = matrix.present[:, s : s + 1]
+    solved = matrix.correct[:, s : s + 1]
     sides = []
-    for group in (split & matrix.correct[:, s : s + 1], split & ~matrix.correct[:, s : s + 1]):
+    for group in (solved, matrix.present[:, s : s + 1] & ~solved):
         cells = group & matrix.present
         counts = np.count_nonzero(cells, axis=0).tolist()
         totals = _column_sums(matrix.tokens, cells)

@@ -185,11 +185,11 @@ def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
 class RunMatrix:
     """The n x K pivot of records for one (model, dataset) pair.
 
-    ``present`` masks cells that have no record; token and correctness values
-    of absent cells are padding and must never be read. ``question_pos`` and
-    ``prompt_pos`` map each id to its row or column (the first one, should
-    an id repeat). Instances are immutable after construction and safe to
-    share across threads.
+    ``present`` masks cells that have no record; every absent cell holds 0
+    tokens and False in the copies the constructor makes, so kernels may read
+    all cells. ``question_pos`` and ``prompt_pos`` map each id to its row or
+    column (the first one, should an id repeat). Instances are immutable
+    after construction and safe to share across threads.
     """
 
     model: str
@@ -207,17 +207,19 @@ class RunMatrix:
         tokens = np.array(self.tokens, dtype=np.int64)
         correct = np.array(self.correct, dtype=bool)
         present = np.array(self.present, dtype=bool)
-        for name, arr in (("tokens", tokens), ("correct", correct), ("present", present)):
+        arrays = {"tokens": tokens, "correct": correct, "present": present}
+        for name, arr in arrays.items():
             if arr.shape != (n, k):
                 raise ValueError(f"{name} has shape {arr.shape}, expected {(n, k)}")
-            arr.setflags(write=False)
-        if np.any((tokens < 0) & present):  # two bool masks, no copy of the counts
+        tokens *= present
+        correct &= present
+        if np.any(tokens < 0):
             raise ValueError("token counts must be non-negative")
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "question_ids", tuple(self.question_ids))
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "correct", correct)
-        object.__setattr__(self, "present", present)
         object.__setattr__(self, "question_pos", _positions(self.question_ids))
         object.__setattr__(self, "prompt_pos", _positions(self.prompt_ids))
 
@@ -250,8 +252,8 @@ class RunMatrix:
             and self.question_ids == other.question_ids
             and self.prompt_ids == other.prompt_ids
             and np.array_equal(self.present, other.present)
-            and np.array_equal(self.tokens[self.present], other.tokens[other.present])
-            and np.array_equal(self.correct[self.present], other.correct[other.present])
+            and np.array_equal(self.tokens, other.tokens)
+            and np.array_equal(self.correct, other.correct)
         )
 
 
@@ -321,15 +323,8 @@ def _place(
     values[cells] = np.asarray(tokens, dtype=np.int64)
     hits = np.zeros(present.shape, dtype=bool)
     hits[cells] = np.asarray(correct, dtype=bool)
-    return RunMatrix(
-        model,
-        dataset,
-        row_ids,
-        col_ids,
-        values.reshape(n, k),
-        hits.reshape(n, k),
-        present.reshape(n, k),
-    )
+    return RunMatrix(model, dataset, row_ids, col_ids,
+                     values.reshape(n, k), hits.reshape(n, k), present.reshape(n, k))
 
 
 def _ranks(codes: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray]:

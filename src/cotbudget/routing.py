@@ -12,6 +12,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -137,12 +138,10 @@ def budget_route(
     if not present.all():
         i, j = np.argwhere(~present)[0]
         raise _coverage_error(matrix, int(i), family[j])
-    # Every length is in [0, TOKENS_MAX], so clamping a budget into
-    # [-1, TOKENS_MAX] changes no comparison and keeps the column int64.
-    budget = np.array(
-        [min(max(budgets.get(q, 0), -1), TOKENS_MAX) for q in matrix.question_ids],
-        dtype=np.int64,
-    )
+    # Every length is in [0, TOKENS_MAX], so clamping a budget (a Python int,
+    # exact) into [-1, TOKENS_MAX] changes no comparison and keeps the column int64.
+    wanted = np.array(list(map(budgets.get, matrix.question_ids, repeat(0))), dtype=object)
+    budget = np.clip(wanted, -1, TOKENS_MAX).astype(np.int64)
     fits = tokens <= budget.reshape(-1, 1)
     choice = np.where(
         fits.any(axis=1),

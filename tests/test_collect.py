@@ -610,6 +610,50 @@ class TestConnections:
         assert sidecar == [{"question_id": "q0", "prompt_id": "NoCoT",
                             "error": "transport: timed out"}]
 
+    @pytest.mark.parametrize("head", [b"HTTP/1.1 200 OK\r\n", b""],
+                             ids=["header-trickle", "status-trickle"])
+    def test_a_trickled_head_fails_at_the_timeout(self, tmp_path, waits, head):
+        """The status line, or then a header, one byte every 0.4 s: the attempt ends at
+        timeout, as a trickled body does, not when the last byte comes."""
+        stop = threading.Event()
+        rest = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"[len(head):]
+
+        def trickle(conn):
+            conn.sendall(head)
+            for byte in rest:
+                if stop.wait(0.4):
+                    return
+                conn.sendall(bytes([byte]))
+
+        with _raw_endpoint(1, trickle) as endpoint:
+            start = time.monotonic()
+            summary, sidecar = _sweep(tmp_path, endpoint, _questions(1), catalog=ONE_PROMPT,
+                                      retries=0, timeout=1.0)
+            elapsed = time.monotonic() - start
+            stop.set()
+        assert elapsed < 2 * 1.0
+        assert (summary.failed, summary.retries) == (1, 0)
+        assert sidecar == [{"question_id": "q0", "prompt_id": "NoCoT",
+                            "error": "transport: timed out"}]
+
+    def test_a_head_in_pieces_within_the_timeout_keeps_its_bytes(self, tmp_path):
+        content = "Headers in pieces. Answer: 42"
+        body = json.dumps({"choices": [{"message": {"content": content}}],
+                           "usage": {"completion_tokens": 9}}).encode()
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+        def pieces(conn):
+            for start in range(0, len(reply), 8):
+                time.sleep(0.01)
+                conn.sendall(reply[start:start + 8])
+
+        with _raw_endpoint(1, pieces) as endpoint:
+            summary, _ = _sweep(tmp_path, endpoint, _questions(1), catalog=ONE_PROMPT,
+                                retries=0, timeout=5.0)
+        assert (summary.succeeded, summary.failed) == (1, 0)
+        [record] = load_records(tmp_path / "records.jsonl")
+        assert (record.response, record.tokens, record.correct) == (content, 9, True)
+
     def test_a_reply_in_pieces_within_the_timeout_keeps_its_bytes(self, tmp_path):
         content = "Thinking in pieces. Answer: 42"
         body = json.dumps({"choices": [{"message": {"content": content}}],
@@ -732,6 +776,16 @@ class TestTransportParity:
     def test_non_finite_temperature_is_refused_before_any_request(self):
         with pytest.raises(ValueError, match="temperature"):
             config_for("http://127.0.0.1:9/", temperature=float("nan"))
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan"), float("inf")])
+    def test_a_timeout_that_cannot_work_is_refused(self, timeout):
+        """0 failed every cell at the socket, -1 and NaN raised out of sweep after it had
+        made its files, and inf overflowed."""
+        with pytest.raises(ValueError, match="timeout must be a finite number above 0"):
+            config_for("http://127.0.0.1:9/", timeout=timeout)
+
+    def test_a_small_timeout_is_accepted(self):
+        assert config_for("http://127.0.0.1:9/", timeout=1e-3).timeout == 1e-3
 
     @pytest.mark.parametrize("key", [None, "sk-test"])
     def test_headers(self, tmp_path, clean_env, key):

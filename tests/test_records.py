@@ -188,6 +188,13 @@ class TestPivot:
         with pytest.raises(ValueError, match="token counts must be non-negative"):
             make_matrix([[-1, 4]], [[False, True]], present=[[True, True]])
 
+    def test_matrices_that_differ_only_in_padding_are_equal(self):
+        m = make_matrix([[5, 7]], [[True, False]], present=[[True, False]])
+        padded = make_matrix([[5, -3]], [[True, True]], present=[[True, False]])
+        assert padded == m
+        assert (int(padded.tokens[0, 1]), bool(padded.correct[0, 1])) == (0, False)
+        assert make_matrix([[5, 7]], [[True, False]], present=[[True, True]]) != m
+
     def test_immutable(self):
         m = pivot([make_record()], "m", "d")
         with pytest.raises(ValueError):
@@ -196,6 +203,31 @@ class TestPivot:
     def test_programmatic_duplicates_rejected(self):
         with pytest.raises(DuplicateRecordError):
             pivot([make_record(), make_record(tokens=99)], "m", "d")
+
+
+@settings(max_examples=200)
+@given(data=st.data(), matrix=run_matrices(max_tokens=2**63 - 1))
+def test_absent_cells_hold_zero_whatever_the_caller_passed(data, matrix):
+    """Random padding, negative counts included, becomes 0 and False in the matrix's
+    own copies; the caller's arrays keep every value and stay writable."""
+    absent = ~matrix.present
+    count = int(np.count_nonzero(absent))
+    tokens, correct, present = matrix.tokens.copy(), matrix.correct.copy(), matrix.present.copy()
+    tokens[absent] = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1),
+                                        min_size=count, max_size=count))
+    correct[absent] = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    given_arrays = [tokens.copy(), correct.copy(), present.copy()]
+    built = RunMatrix(matrix.model, matrix.dataset, matrix.question_ids, matrix.prompt_ids,
+                      tokens, correct, present)
+    for caller, before in zip((tokens, correct, present), given_arrays):
+        assert np.array_equal(caller, before)
+        assert caller.flags.writeable
+    assert not built.tokens[absent].any()
+    assert not built.correct[absent].any()
+    assert np.array_equal(built.tokens[matrix.present], tokens[matrix.present])
+    assert np.array_equal(built.correct[matrix.present], correct[matrix.present])
+    assert built == matrix
+    assert profile(built) == profile(matrix)
 
 
 @settings(max_examples=50)
