@@ -9,8 +9,8 @@ after retries land in a failures sidecar instead of the record file. A
 resume skips the cells ``prior_cells`` reads from the prior records file
 through ``inputs.record_cells``, the reader of every analysis command,
 keeping a bit per cell. ``http.client`` and ``ssl`` are imported when a
-sweep starts, and ``urllib.request`` only when a proxy could apply (see
-_proxy_for), so importing this module does not pay for them.
+sweep has a cell to send, and ``urllib.request`` only when a proxy could
+apply (see _proxy_for), so importing this module does not pay for them.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .errors import EndpointError, RecordSchemaError
@@ -354,19 +354,18 @@ def _reply_by(deadline: float, sock, *args, **kwargs):
 
 
 class _Transport:
-    """Where one sweep's requests go, worked out once, and its open connections.
+    """Where one sweep's requests go, worked out once.
 
     The endpoint's host, port and path, the proxy (HTTP_PROXY, HTTPS_PROXY,
     ALL_PROXY and NO_PROXY, as urllib.request reads them; see _proxy_for),
-    the TLS context and the headers are fixed when the sweep starts.
-    ``max_parallel`` connections are made then but open their sockets on
-    first use; a worker takes one for each request, so no two workers share
-    one, and keeps it alive between cells. close() closes them all.
+    the TLS context and the headers are fixed when the sweep starts. It
+    holds no connection: connect() makes one, which opens its socket on
+    first use. Each worker makes its own, keeps it alive for all its cells
+    and closes it when it stops, so no two workers share one.
     """
 
     def __init__(self, config: SweepConfig) -> None:
         import http.client
-        import queue
         from base64 import b64encode
         from urllib.parse import unquote
 
@@ -393,7 +392,7 @@ class _Transport:
         else:
             address = (host, port)
 
-        def connection() -> http.client.HTTPConnection:
+        def connect() -> http.client.HTTPConnection:
             if url.scheme == "http":
                 return http.client.HTTPConnection(*address, timeout=config.timeout)
             conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
@@ -401,27 +400,22 @@ class _Transport:
                 conn.set_tunnel(host, port, headers=tunnel_headers)
             return conn
 
+        self.connect = connect
         self.timeout = config.timeout
-        self._connections = [connection() for _ in range(config.max_parallel)]
-        self._idle: queue.SimpleQueue = queue.SimpleQueue()
-        for conn in self._connections:
-            self._idle.put(conn)
 
-    def post(self, body: bytes) -> tuple[int, str | None, bytes]:
-        """POST body on an idle connection; returns (status, Retry-After, reply body).
+    def post(self, conn, body: bytes) -> tuple[int, str | None, bytes]:
+        """POST body on conn; returns (status, Retry-After, reply body).
 
-        The reply body is read in full, whatever the status, so the
-        connection can carry the next request. A body longer than
-        MAX_REPLY_BYTES is not: its first MAX_REPLY_BYTES + 1 bytes are
-        returned and the connection is closed. Every read of the reply,
-        status line and headers included, is given the time left of
-        ``timeout`` counted from the request (see _reply_by), so a reply that
-        trickles in past it is a TimeoutError. A kept-alive connection that
-        the server closed while idle fails before any reply arrives; the
-        request is then sent once more on a new connection. Any other
-        failure closes the connection and propagates.
+        The reply body is read in full, whatever the status, so conn can
+        carry the next request. A body longer than MAX_REPLY_BYTES is not:
+        its first MAX_REPLY_BYTES + 1 bytes are returned and conn is closed.
+        Every read of the reply, status line and headers included, is given
+        the time left of ``timeout`` counted from the request (see
+        _reply_by), so a reply that trickles in past it is a TimeoutError.
+        A kept-alive connection that the server closed while idle fails
+        before any reply arrives; the request is then sent once more on a
+        new connection. Any other failure closes conn and propagates.
         """
-        conn = self._idle.get()
         conn.response_class = partial(_reply_by, time.monotonic() + self.timeout)
         try:
             reused = conn.sock is not None
@@ -434,36 +428,26 @@ class _Transport:
                     raise
                 conn.close()
                 reply = self._exchange(conn, body)
-            chunks, size = [], 0
-            while size <= MAX_REPLY_BYTES:
-                chunk = reply.read1(MAX_REPLY_BYTES + 1 - size)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                size += len(chunk)
-            data = b"".join(chunks)
-            if size > MAX_REPLY_BYTES:
+            data = reply.read(MAX_REPLY_BYTES + 1)
+            if len(data) > MAX_REPLY_BYTES:
                 conn.close()  # the rest of the body is never read
             elif reply.length:  # the body ended before its Content-Length, as read() raises
                 from http.client import IncompleteRead
 
                 raise IncompleteRead(data, reply.length)
-            reply.close()  # read1 leaves a body that ended at its Content-Length open
             return reply.status, reply.getheader("Retry-After"), data
         except BaseException:
             conn.close()
             raise
-        finally:
-            self._idle.put(conn)
 
     def _exchange(self, conn, body: bytes):
         """Send body on conn; returns the reply."""
         conn.request("POST", self.target, body, self.headers)
         return conn.getresponse()
 
-    def close(self) -> None:
-        for conn in self._connections:
-            conn.close()
+
+# A worker's POST: _Transport.post bound to the worker's own connection.
+Post = Callable[[bytes], tuple[int, str | None, bytes]]
 
 
 def _retry_after_seconds(value: str | None) -> int:
@@ -475,7 +459,7 @@ def _retry_after_seconds(value: str | None) -> int:
 
 
 def _post_with_retries(
-    config: SweepConfig, transport: _Transport, payload: dict
+    config: SweepConfig, post: Post, payload: dict
 ) -> tuple[dict | None, str | None, int]:
     """Returns (response JSON, error, retries used). Retries transport errors, 429 and 5xx.
 
@@ -495,7 +479,7 @@ def _post_with_retries(
             retries_used += 1
         retry_after = 0
         try:
-            status, retry_after_header, data = transport.post(body)
+            status, retry_after_header, data = post(body)
         except (OSError, HTTPException) as exc:
             last_error = f"transport: {str(exc) or type(exc).__name__}"
             continue
@@ -516,7 +500,7 @@ def _post_with_retries(
 
 
 def _run_cell(
-    config: SweepConfig, question: Question, spec: PromptSpec, transport: _Transport
+    config: SweepConfig, question: Question, spec: PromptSpec, post: Post
 ) -> tuple[dict | None, str | None, int]:
     prompt_text = render(spec, format_question(question))
     payload = {
@@ -524,7 +508,7 @@ def _run_cell(
         "messages": [{"role": "user", "content": prompt_text}],
         "temperature": config.temperature,
     }
-    obj, error, retries_used = _post_with_retries(config, transport, payload)
+    obj, error, retries_used = _post_with_retries(config, post, payload)
     if obj is None:
         return None, error, retries_used
     try:
@@ -588,32 +572,35 @@ def sweep(
     they are never re-issued. A ``collections.abc.Set``, such as the
     PairCells of prior_cells, is used as it is; any other iterable is copied
     into a set. Cells that fail after retries go to the failures sidecar and
-    are not fabricated as records. ``max_parallel`` workers, the calling thread
-    among them, take the cells one at a time in question x catalog order
-    from one generator, so nothing is held per cell beyond the cells in
-    hand. An exception out of a cell, such as from a writer, stops the
-    sweep: the other workers finish the cell in hand and take no new one,
-    and the first exception is raised.
+    are not fabricated as records. With no cell left nothing is sent;
+    otherwise min(max_parallel, cells left) workers, the calling thread
+    among them, each with its own connection, take the cells one at a time
+    in question x catalog order from one generator, so nothing is held per
+    cell beyond the cells in hand. An exception out of a cell (a writer's,
+    say) or a worker that would not start stops the sweep: the other
+    workers finish the cell in hand and take no new one, and the first
+    exception is raised.
     """
     skip_set = skip if isinstance(skip, Set) else set(skip)
-    summary = SweepSummary()
     lock = threading.Lock()
     stopped: list[BaseException] = []
 
     def cells() -> Iterator[tuple[Question, PromptSpec]]:
         for question in questions:
             for spec in config.catalog:
-                summary.requested += 1
-                if (question.question_id, spec.prompt_id) in skip_set:
-                    summary.skipped += 1
-                else:
+                if (question.question_id, spec.prompt_id) not in skip_set:
                     yield question, spec
 
+    left = sum(1 for _ in cells())
+    summary = SweepSummary(requested=len(questions) * len(config.catalog))
+    summary.skipped = summary.requested - left
+    if not left:
+        return summary
     pending = cells()
     transport = _Transport(config)
 
-    def run_job(question: Question, spec: PromptSpec) -> None:
-        record, error, retries_used = _run_cell(config, question, spec, transport)
+    def run_job(post: Post, question: Question, spec: PromptSpec) -> None:
+        record, error, retries_used = _run_cell(config, question, spec, post)
         with lock:
             summary.retries += retries_used
             if record is not None:
@@ -627,39 +614,42 @@ def sweep(
                 "cell (%s, %s) failed: %s", question.question_id, spec.prompt_id, error
             )
             if failures is not None:
-                failures.write(
-                    {
-                        "question_id": question.question_id,
-                        "prompt_id": spec.prompt_id,
-                        "error": error,
-                    }
-                )
+                failures.write({"question_id": question.question_id,
+                                "prompt_id": spec.prompt_id, "error": error})
 
     def work() -> None:
+        conn = transport.connect()
+        post = partial(transport.post, conn)
         try:
             while True:
                 with lock:
                     cell = None if stopped else next(pending, None)
                 if cell is None:
                     return
-                run_job(*cell)
+                run_job(post, *cell)
         except BaseException as exc:
             with lock:
                 stopped.append(exc)
+        finally:
+            conn.close()
 
-    workers = [threading.Thread(target=work) for _ in range(config.max_parallel - 1)]
+    workers = []
     try:
-        for worker in workers:
+        for _ in range(min(config.max_parallel, left) - 1):
+            worker = threading.Thread(target=work)
             worker.start()
-        work()
+            workers.append(worker)
+    except BaseException as exc:  # a worker that would not start
+        with lock:
+            stopped.append(exc)
+    try:
+        work()  # takes no cell after a start failure
         for worker in workers:
             worker.join()
-    except BaseException as exc:  # a worker that would not start, or an interrupted join
+    except BaseException as exc:  # an interrupted join
         with lock:
             stopped.append(exc)
         raise
-    finally:
-        transport.close()
     if stopped:
         raise stopped[0]
     return summary

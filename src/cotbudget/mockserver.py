@@ -5,8 +5,8 @@ question text, reporting a deterministic completion-token count, so sweeps
 against it are fully reproducible. It speaks HTTP/1.1 and keeps connections
 alive, as a real endpoint does. Failure injection (leading error replies
 with an optional Retry-After, dropped connections, connections closed while
-idle, missing usage, rewritten reply bodies) covers the retry, reconnect and
-sidecar contracts.
+idle, rewritten reply bodies) covers the retry, reconnect and sidecar
+contracts.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ class _Handler(BaseHTTPRequestHandler):
                 }
             ],
         }
-        if tokens is not None and not endpoint.omit_usage:
+        if tokens is not None:
             response["usage"] = {
                 "prompt_tokens": 1,
                 "completion_tokens": tokens,
@@ -126,9 +126,8 @@ class MockChatEndpoint:
     retry_after as Retry-After when given), drop_first to close the
     connection without replying to the first requests, close_after to close
     each connection unannounced after it has served that many replies (as a
-    server's idle timeout does), omit_usage to exercise the missing-usage
-    path, and rewrite (called on each 200 reply body, returning the body to
-    send) to send malformed replies.
+    server's idle timeout does), and rewrite (called on each 200 reply body,
+    returning the body to send) to send malformed replies or to drop usage.
 
     request_count, requests (parsed bodies) and raw_requests (target,
     headers and body bytes) record what arrived; connection_count counts
@@ -143,7 +142,6 @@ class MockChatEndpoint:
         retry_after: str | None = None,
         drop_first: int = 0,
         close_after: int = 0,
-        omit_usage: bool = False,
         reply_fn: ReplyFn | None = None,
         rewrite: RewriteFn | None = None,
     ) -> None:
@@ -153,7 +151,6 @@ class MockChatEndpoint:
         self.retry_after = retry_after
         self.drop_remaining = drop_first
         self.close_after = close_after
-        self.omit_usage = omit_usage
         self.reply_fn = reply_fn
         self.rewrite = rewrite
         self.lock = threading.Lock()

@@ -33,6 +33,12 @@ def clean_env(monkeypatch):
     return monkeypatch
 
 
+def without_usage(reply: dict) -> dict:
+    """A MockChatEndpoint rewrite: the reply without its usage object."""
+    reply.pop("usage", None)
+    return reply
+
+
 def make_record(qid="q1", pid="p1", tokens=10, correct=True, model="m", dataset="d", **kw):
     return EvalRecord(
         model=model,

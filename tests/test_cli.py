@@ -23,7 +23,7 @@ from cotbudget.inputs import read_jsonl
 from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.records import EvalRecord, load_records, save_matrix
 
-from conftest import make_matrix
+from conftest import make_matrix, without_usage
 from loop_oracles import frontier_loop, save_records_loop, unpivot_loop
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -654,7 +654,7 @@ class TestCollectCommand:
         failures = tmp_path / "records.failures.jsonl"
         argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
                 "--out", str(out)]
-        with MockChatEndpoint(omit_usage=True) as mock:
+        with MockChatEndpoint(rewrite=without_usage) as mock:
             assert run(capsys, *argv, "--endpoint", mock.url)[0] == 3
             for _ in range(3):
                 assert run(capsys, *argv, "--endpoint", mock.url, "--resume")[0] == 3
@@ -906,7 +906,7 @@ class TestResumeTornLine:
         sidecar.write_bytes(b'{"question_id": "q1", "prompt_id": "Def')
         lines = out.read_bytes().splitlines(keepends=True)
         out.write_bytes(b"".join(lines[:-1]))
-        with MockChatEndpoint(omit_usage=True) as mock:
+        with MockChatEndpoint(rewrite=without_usage) as mock:
             code = main([*argv, "--endpoint", mock.url, "--resume"])
         assert code == 3  # the one cell requested failed
         assert [obj["error"] for _, obj in read_jsonl(sidecar)] == [
@@ -1064,8 +1064,8 @@ class TestHostileInput:
 
         post = collect_mod._Transport.post
 
-        def deep_for_q2(self, body):
-            status, retry_after, data = post(self, body)
+        def deep_for_q2(self, conn, body):
+            status, retry_after, data = post(self, conn, body)
             return status, retry_after, DEEP.encode() if b"Two plus two?" in body else data
 
         monkeypatch.setattr(collect_mod._Transport, "post", deep_for_q2)
@@ -1112,7 +1112,7 @@ class TestHostileInput:
         body = ('{"choices": [{"message": {"content": "Answer: \\ud83d\\ude00"}}], '
                 '"usage": {"completion_tokens": 3}}').encode()
         body = body.replace(b"\\ud83d\\ude00", b"\xed\xa0\xbd\xed\xb8\x80")
-        monkeypatch.setattr(collect_mod._Transport, "post", lambda self, _: (200, None, body))
+        monkeypatch.setattr(collect_mod._Transport, "post", lambda self, conn, _: (200, None, body))
         graded = []
         grade = collect_mod.grade
         monkeypatch.setattr(collect_mod, "grade",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import io
 import json
 import os
 import socket
@@ -26,6 +27,7 @@ from cotbudget.collect import (
     Choice,
     Question,
     SweepConfig,
+    _DeadlineReader,
     _run_cell,
     drop_settled_failures,
     drop_torn_tail,
@@ -50,6 +52,7 @@ from cotbudget.prompts import (
 )
 from cotbudget.records import EvalRecord, load_records, read_matrices
 
+from conftest import without_usage
 from loop_oracles import record_json_loop
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -281,7 +284,7 @@ class TestSweep:
         catalog = PromptCatalog(specs=(fixed_spec("NoCoT"),))
         out = tmp_path / "records.jsonl"
         fail_path = tmp_path / "failures.jsonl"
-        with MockChatEndpoint(omit_usage=True) as mock:
+        with MockChatEndpoint(rewrite=without_usage) as mock:
             with JsonlWriter(out) as writer, JsonlWriter(fail_path) as failures:
                 summary = sweep(
                     questions, config_for(mock.url, catalog=catalog), writer, failures
@@ -294,7 +297,7 @@ class TestSweep:
         questions = [Question(question_id="q1", text="One plus one?", gold_answer="2")]
         catalog = PromptCatalog(specs=(fixed_spec("NoCoT"),))
         out = tmp_path / "records.jsonl"
-        with MockChatEndpoint(omit_usage=True) as mock:
+        with MockChatEndpoint(rewrite=without_usage) as mock:
             with JsonlWriter(out) as writer:
                 summary = sweep(
                     questions,
@@ -428,35 +431,46 @@ def _questions(count: int) -> list[Question]:
 ONE_PROMPT = PromptCatalog(specs=(fixed_spec("NoCoT"),))
 
 
-def _sweep(tmp_path, mock, questions, **kw):
+def _sweep(tmp_path, mock, questions, skip=(), **kw):
     """Sweep into fresh records and failures files; returns (summary, sidecar entries)."""
     with JsonlWriter(tmp_path / "records.jsonl") as writer:
         with JsonlWriter(tmp_path / "failures.jsonl") as failures:
-            summary = sweep(questions, config_for(mock.url, **kw), writer, failures)
+            summary = sweep(questions, config_for(mock.url, **kw), writer, failures, skip)
     sidecar = (tmp_path / "failures.jsonl").read_text().splitlines()
     return summary, [json.loads(line) for line in sidecar]
 
 
+def _read_request(request) -> bool:
+    """Read one request, head and body, off a connection; False if the client closed it."""
+    length = 0
+    while (line := request.readline()) != b"\r\n":
+        if not line:
+            return False
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    request.read(length)  # unread bytes would make close() reset
+    return True
+
+
 @contextlib.contextmanager
-def _raw_endpoint(attempts, reply):
-    """An endpoint on a bare socket: each of `attempts` connections gets one
-    request read, then reply(conn) writes what comes back, then it is closed.
-    Yields an object with the url, as _sweep takes a mock."""
+def _raw_endpoint(attempts, reply, per_connection=1):
+    """An endpoint on a bare socket: each of `attempts` connections gets up to
+    `per_connection` requests read, each answered by reply(conn), which writes
+    what comes back; then it is closed. Yields an object with the url, as
+    _sweep takes a mock."""
     with socket.create_server(("127.0.0.1", 0)) as server:
         def serve() -> None:
             for _ in range(attempts):
                 conn, _ = server.accept()
                 with conn, conn.makefile("rb") as request:
-                    length = 0
-                    while (line := request.readline()) != b"\r\n":
-                        name, _, value = line.partition(b":")
-                        if name.lower() == b"content-length":
-                            length = int(value)
-                    request.read(length)  # unread bytes would make close() reset
-                    try:
-                        reply(conn)
-                    except OSError:
-                        pass  # the client gave up on the reply
+                    for _ in range(per_connection):
+                        if not _read_request(request):
+                            break
+                        try:
+                            reply(conn)
+                        except OSError:
+                            break  # the client gave up on the reply
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -671,6 +685,54 @@ class TestConnections:
         assert (summary.succeeded, summary.failed) == (1, 0)
         [record] = load_records(tmp_path / "records.jsonl")
         assert (record.response, record.tokens, record.correct) == (content, 7, True)
+
+    def test_chunked_replies_on_a_kept_alive_connection_keep_their_bytes(self, tmp_path):
+        content = "Thinking in chunks, one after another. Answer: 42"
+        body = json.dumps({"choices": [{"message": {"content": content}}],
+                           "usage": {"completion_tokens": 11}}).encode()
+
+        def chunked(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+            for start in range(0, len(body), 16):
+                piece = body[start:start + 16]
+                conn.sendall(b"%x\r\n%s\r\n" % (len(piece), piece))
+            conn.sendall(b"0\r\n\r\n")
+
+        with _raw_endpoint(1, chunked, per_connection=6) as endpoint:
+            summary, _ = _sweep(tmp_path, endpoint, _questions(2), retries=0, timeout=5.0)
+        assert (summary.succeeded, summary.failed) == (6, 0)
+        records = load_records(tmp_path / "records.jsonl")
+        assert {(r.response, r.tokens, r.correct) for r in records} == {(content, 11, True)}
+
+    def test_close_delimited_replies_keep_their_bytes(self, tmp_path):
+        """No Content-Length and no chunks: the body ends when the server closes."""
+        content = "Thinking until the connection ends. Answer: 42"
+        body = json.dumps({"choices": [{"message": {"content": content}}],
+                           "usage": {"completion_tokens": 12}}).encode()
+
+        def close_delimited(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n")
+            for start in range(0, len(body), 16):
+                conn.sendall(body[start:start + 16])
+
+        with _raw_endpoint(6, close_delimited) as endpoint:
+            summary, _ = _sweep(tmp_path, endpoint, _questions(2), retries=0, timeout=5.0)
+        assert (summary.succeeded, summary.failed) == (6, 0)
+        records = load_records(tmp_path / "records.jsonl")
+        assert {(r.response, r.tokens, r.correct) for r in records} == {(content, 12, True)}
+
+    def test_a_read_past_the_deadline_reads_nothing(self):
+        source = io.BytesIO(b"reply")
+
+        class Socket:
+            def settimeout(self, seconds):
+                raise AssertionError("the timeout was set past the deadline")
+
+        reader = _DeadlineReader(source, Socket(), time.monotonic() - 1)
+        with pytest.raises(TimeoutError, match="^timed out$"):
+            reader.readinto(bytearray(8))
+        assert source.tell() == 0
+        reader.close()
 
     def test_a_kept_alive_connection_gets_the_whole_timeout_again(self, tmp_path):
         """A body read shortens the socket's timeout; the next request starts with all of it."""
@@ -948,7 +1010,7 @@ def test_question_line_that_is_not_utf8(tmp_path):
 
 
 class _OneReply:
-    """Stands in for a sweep's transport: every POST gets the same 200 reply."""
+    """Its post stands in for a sweep worker's: every POST gets the same 200 reply."""
 
     def __init__(self, reply: dict) -> None:
         self.body = json.dumps(reply).encode("utf-8")
@@ -963,7 +1025,7 @@ def test_reply_nested_too_deeply_is_unparseable():
                          catalog=PromptCatalog((spec,)))
     transport = _OneReply({})
     transport.body = b"[" * 5000 + b"]" * 5000
-    assert _run_cell(config, FREE_QUESTION, spec, transport) == (None, "unparseable response body", 0)
+    assert _run_cell(config, FREE_QUESTION, spec, transport.post) == (None, "unparseable response body", 0)
 
 
 IDS = st.text(min_size=1, max_size=6)
@@ -986,7 +1048,7 @@ def test_collected_record_has_the_bytes_of_an_eval_record(
     reply = {"choices": [{"message": {"content": content}}]}
     if tokens is not None:
         reply["usage"] = {"completion_tokens": tokens}
-    record, error, _ = _run_cell(config, question, spec, _OneReply(reply))
+    record, error, _ = _run_cell(config, question, spec, _OneReply(reply).post)
     assert error is None
     correct, extracted = grade(content, question)
     estimated = tokens is None
@@ -1050,6 +1112,75 @@ def test_one_worker_is_the_calling_thread():
     with MockChatEndpoint() as mock:
         sweep(_questions(4), config_for(mock.url, max_parallel=1), writer)
     assert writer.threads == [threading.get_ident()] * 12
+
+
+def _is_sweep_worker(target) -> bool:
+    return getattr(target, "__qualname__", "") == "sweep.<locals>.work"
+
+
+@pytest.mark.parametrize("left, max_parallel, threads", [(0, 4, 0), (1, 8, 0), (3, 8, 2),
+                                                          (40, 2, 1)])
+def test_a_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch, left, max_parallel,
+                                                   threads):
+    """The calling thread is one of min(max_parallel, cells left) workers."""
+    made = []
+    thread = threading.Thread
+
+    def counting(*args, **kwargs):
+        if _is_sweep_worker(kwargs.get("target")):
+            made.append(kwargs["target"])
+        return thread(*args, **kwargs)
+
+    questions = _questions(50)
+    skip = {(q.question_id, "NoCoT") for q in questions[left:]}
+    with MockChatEndpoint() as mock:
+        monkeypatch.setattr(threading, "Thread", counting)
+        summary, _ = _sweep(tmp_path, mock, questions, catalog=ONE_PROMPT, skip=skip,
+                            max_parallel=max_parallel)
+    assert len(made) == threads
+    assert (summary.requested, summary.skipped, summary.succeeded) == (50, 50 - left, left)
+    assert mock.request_count == left
+
+
+def test_a_sweep_with_nothing_left_builds_no_transport(tmp_path, monkeypatch):
+    def refused(config):
+        raise AssertionError("transport built")
+
+    monkeypatch.setattr("cotbudget.collect._Transport", refused)
+    questions = _questions(2)
+    skip = {(q.question_id, spec.prompt_id) for q in questions for spec in small_catalog()}
+    with MockChatEndpoint() as mock:
+        summary, sidecar = _sweep(tmp_path, mock, questions, skip=skip, max_parallel=4)
+    assert (summary.requested, summary.skipped, summary.succeeded, summary.failed) == (6, 6, 0, 0)
+    assert sidecar == []
+    assert (mock.connection_count, mock.request_count) == (0, 0)
+
+
+def test_a_worker_that_fails_to_start_lets_the_cells_in_flight_finish(tmp_path, monkeypatch):
+    """The started worker's reply is written before the start failure is raised."""
+    def slow(question_text, body):
+        time.sleep(0.5)
+        return default_reply(question_text, "42")
+
+    start = threading.Thread.start
+    starts = []
+
+    def second_fails(self):
+        if _is_sweep_worker(getattr(self, "_target", None)):
+            starts.append(self)
+            if len(starts) == 2:
+                deadline = time.monotonic() + 10
+                while mock.request_count == 0 and time.monotonic() < deadline:
+                    time.sleep(0.01)  # the first worker's cell is in flight
+                raise RuntimeError("can't start new thread")
+        start(self)
+
+    with MockChatEndpoint(reply_fn=slow) as mock:
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _sweep(tmp_path, mock, _questions(4), max_parallel=3, retries=0)
+        assert mock.request_count == 1
+    assert len(load_records(tmp_path / "records.jsonl")) == 1
 
 
 class _OneThreadFailingWriter:

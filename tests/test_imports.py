@@ -127,6 +127,19 @@ def test_resume_loads_no_numpy(tmp_path, clean_env):
     assert len(out.read_bytes().splitlines()) == 62
 
 
+def test_resume_with_nothing_left_loads_no_http_client(tmp_path, clean_env):
+    """Nothing is sent, so neither http.client nor ssl is imported."""
+    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
+        collect_one_question(tmp_path, mock)
+        argv = ["collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                "--questions", str(tmp_path / "questions.jsonl"),
+                "--out", str(tmp_path / "records.jsonl"), "--resume"]
+        loaded = loaded_by(*argv)
+        assert mock.request_count == 31
+    assert loaded & {"http.client", "ssl"} == set()
+    assert "cotbudget.collect" in loaded
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_alone(module):
     """A fresh `from cotbudget import X` works, so no import cycle hides behind the lazy names."""
