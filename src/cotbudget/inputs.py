@@ -8,10 +8,11 @@ whole-file field) against rules such as ``NON_EMPTY_STRING``, so each
 fault's message is written once.
 
 Record lines are read only by ``record_cells``, which checks each against
-``RECORD_RULES``, codes each pair's ids and raises a repeated key on its
-second line. ``records`` builds its matrices and ``EvalRecord`` objects
-from what it yields, and ``collect --resume`` keeps the PairCells it
-builds, so the three agree on every error and resumes load no numpy.
+``RECORD_RULES`` and codes its key with ``PairRecords.add``, the coder
+``records.pivot`` uses too, so a repeated key raises on its second line.
+``records`` builds its matrices and ``EvalRecord`` objects from what it
+yields, and ``collect --resume`` keeps the PairCells it builds, so the
+three agree on every error and resumes load no numpy.
 """
 from __future__ import annotations
 
@@ -192,7 +193,7 @@ class PairCells(Set):
 
 
 class PairRecords:
-    """One pair's records as read: its cells, and each record's row, column and line.
+    """One pair's records as added: its cells, and each record's row, column and line.
 
     ``rows`` and ``cols`` hold each record's question and prompt code, and
     ``lines`` its line number, which only a repeated key's error reads.
@@ -207,6 +208,25 @@ class PairRecords:
         self.rows = array("i")  # an append past 2**31 - 1 raises, so no code wraps
         self.cols = array("i")
         self.lines = array("q")
+
+    def add(self, question_id: str, prompt_id: str, line: int) -> int | None:
+        """Code a record's key, keep its row, column and line and return None; or,
+        when its cell already holds a record, keep nothing and return that one's line."""
+        cells = self.cells
+        masks = cells.masks
+        row = cells.question_codes.setdefault(question_id, len(masks))
+        if row == len(masks):
+            masks.append(0)
+        col = cells.prompt_codes.setdefault(prompt_id, len(cells.prompt_codes))
+        mask, bit = masks[row], 1 << col
+        if mask & bit:
+            return next(first for r, c, first in zip(self.rows, self.cols, self.lines)
+                        if r == row and c == col)
+        masks[row] = mask | bit
+        self.rows.append(row)
+        self.cols.append(col)
+        self.lines.append(line)
+        return None
 
 
 def record_cells(
@@ -243,24 +263,10 @@ def record_cells(
         pair = pairs.get((model, dataset))
         if pair is None:
             pair = pairs[model, dataset] = PairRecords(model, dataset)
-        cells = pair.cells
-        codes, masks = cells.question_codes, cells.masks
-        row = codes.get(question_id)
-        if row is None:
-            row = codes[question_id] = len(masks)
-            masks.append(0)
-        codes = cells.prompt_codes
-        col = codes.setdefault(prompt_id, len(codes))
-        mask, bit = masks[row], 1 << col
-        if mask & bit:
-            first = next(line for r, c, line in zip(pair.rows, pair.cols, pair.lines)
-                         if r == row and c == col)
+        first = pair.add(question_id, prompt_id, line_no)
+        if first is not None:
             raise DuplicateRecordError((model, dataset, question_id, prompt_id),
                                        f"lines {first} and {line_no} of {path}")
-        masks[row] = mask | bit
-        pair.rows.append(row)
-        pair.cols.append(col)
-        pair.lines.append(line_no)
         yield pair, tokens, correct, obj
 
 

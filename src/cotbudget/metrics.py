@@ -124,12 +124,14 @@ def validation_report(matrix: RunMatrix, profile: ComplexityProfile) -> Validati
     """Full per-prompt table plus the discrepancy score.
 
     Zero-accuracy prompts stay in the table but are excluded from the Err
-    mean (the relative discrepancy is undefined for them).
+    mean (the relative discrepancy is undefined for them). When no prompt
+    has a correct cell, it raises a ZeroAccuracyError naming every prompt.
     """
     results = prompt_table(matrix, profile)
     scorable = [r for r in results if r.accuracy > 0]
     return ValidationReport(
-        per_prompt=tuple(results), err=err_score(scorable), c_bar=profile.c_bar
+        # err_score of all-zero results is the ZeroAccuracyError naming them
+        per_prompt=tuple(results), err=err_score(scorable or results), c_bar=profile.c_bar
     )
 
 

@@ -205,8 +205,13 @@ def save_taus(
 ) -> None:
     """Ground-truth sidecar: question_id -> true tau (null for INFINITE).
 
-    The taus follow OracleSpec's rule.
+    The taus follow OracleSpec's rule. Taus and ids of different lengths, or
+    a repeated id, are a ValueError raised before the file is opened.
     """
+    if len(taus) != len(question_ids):
+        raise ValueError(f"{len(taus)} taus for {len(question_ids)} question ids")
+    if len(set(question_ids)) != len(question_ids):
+        raise ValueError("question ids must not repeat")
     tau = _tau_column(taus).tolist()
     payload = {"taus": {q: (t if t >= 0 else None) for q, t in zip(question_ids, tau)}}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

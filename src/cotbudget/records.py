@@ -9,15 +9,13 @@ matrix becomes a file through ``save_matrix``, a block of rows at a time.
 
 Record lines are read only by ``inputs.record_cells``, which needs no
 numpy, so ``collect --resume`` reads a prior file through the same checks
-without loading this module. It codes each pair's question and prompt ids
-to ints on first sight and keeps each record's two codes and line number,
-and one bitmask of prompts per question, so a repeated key raises on its
-second line, as the file is read, naming both lines. A miss
-(``_pair_columns``) adds each record's token count and correctness, so it
-holds no object per record (about 25 bytes a record). ``_place`` turns one
-pair's codes into the n x K matrix, for ``read_matrices`` and for ``pivot``
-alike; for ``pivot`` it also finds a repeated key. ``EvalRecord`` objects
-are built only for callers that ask for them (``load_records``).
+without loading this module. ``inputs.PairRecords.add`` codes the keys of
+a file and of ``pivot`` alike: it keeps each record's two int codes and
+line, and a bitmask of prompts per question, so a file's repeated key
+raises on its second line, naming both. A miss (``_pair_columns``) adds
+each record's tokens and correctness, holding no object per record (about
+25 bytes a record). ``_place`` only places one pair's records into the
+n x K matrix. ``EvalRecord`` objects are built only for ``load_records``.
 """
 from __future__ import annotations
 
@@ -119,12 +117,10 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
     matrices = {}
     for pair in sorted(groups):
         read, tokens, hits = groups.pop(pair)
-        cells = read.cells
-        matrices[pair] = _place(*pair, cells.question_codes, cells.prompt_codes,
-                                read.rows, read.cols, tokens, hits)
+        matrices[pair] = _place(read, tokens, hits)
         # Each pair's columns are dropped once its matrix is built, so none is
         # alive when the entry is written.
-        del read, cells, tokens, hits
+        del read, tokens, hits
     if store is not None:
         store.save(source.digest(), list(matrices.values()))
     return matrices
@@ -188,8 +184,10 @@ class RunMatrix:
     ``present`` masks cells that have no record; every absent cell holds 0
     tokens and False in the copies the constructor makes, so kernels may read
     all cells. ``question_pos`` and ``prompt_pos`` map each id to its row or
-    column (the first one, should an id repeat). Instances are immutable
-    after construction and safe to share across threads.
+    column. An empty or non-string model or dataset, and a repeated or empty
+    id, are a ValueError, as the records and profile formats refuse them.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     model: str
@@ -203,6 +201,10 @@ class RunMatrix:
     prompt_pos: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("model", "dataset"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
         n, k = len(self.question_ids), len(self.prompt_ids)
         tokens = np.array(self.tokens, dtype=np.int64)
         correct = np.array(self.correct, dtype=bool)
@@ -218,10 +220,18 @@ class RunMatrix:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "question_ids", tuple(self.question_ids))
-        object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
-        object.__setattr__(self, "question_pos", _positions(self.question_ids))
-        object.__setattr__(self, "prompt_pos", _positions(self.prompt_ids))
+        # The id maps are built after the arrays' checks, so the maps and the
+        # checks' temporaries are never alive at once.
+        for name, pos in (("question_ids", "question_pos"), ("prompt_ids", "prompt_pos")):
+            ids = tuple(getattr(self, name))
+            positions = _positions(ids)
+            if len(positions) != len(ids):
+                repeat = next(key for index, key in enumerate(ids) if positions[key] != index)
+                raise ValueError(f"{name} repeat {repeat!r}")
+            if "" in positions:
+                raise ValueError(f"{name} hold an empty id")
+            object.__setattr__(self, name, ids)
+            object.__setattr__(self, pos, positions)
 
     @property
     def n_questions(self) -> int:
@@ -271,59 +281,38 @@ def pivot(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:
     Question and prompt orderings are lexicographic, so the result does not
     depend on input order. Absent cells are masked out, never fabricated.
     """
-    selected = [r for r in records if r.model == model and r.dataset == dataset]
-    question_codes: dict[str, int] = {}
-    prompt_codes: dict[str, int] = {}
-    return _place(
-        model,
-        dataset,
-        question_codes,
-        prompt_codes,
-        [question_codes.setdefault(r.question_id, len(question_codes)) for r in selected],
-        [prompt_codes.setdefault(r.prompt_id, len(prompt_codes)) for r in selected],
-        [r.tokens for r in selected],
-        [r.correct for r in selected],
-    )
-
-
-def _place(
-    model: str,
-    dataset: str,
-    question_codes: Mapping[str, int],
-    prompt_codes: Mapping[str, int],
-    rows: Sequence[int],
-    cols: Sequence[int],
-    tokens: Sequence[int],
-    correct: Sequence[bool],
-) -> RunMatrix:
-    """Place one pair's coded records into an n x K matrix.
-
-    ``question_codes`` and ``prompt_codes`` map each distinct id to a code
-    in [0, count); record i has codes rows[i] and cols[i]. A cell given
-    twice is a DuplicateRecordError naming the first record to repeat one.
-    """
-    if not len(rows):
+    pair = PairRecords(model, dataset)
+    tokens, correct = array("q"), bytearray()
+    for position, r in enumerate(records):
+        if r.model == model and r.dataset == dataset:
+            if pair.add(r.question_id, r.prompt_id, position) is not None:
+                raise DuplicateRecordError(r.key)
+            tokens.append(r.tokens)
+            correct.append(r.correct)
+    if not tokens:
         raise EmptySelectionError(f"no records for model={model!r} dataset={dataset!r}")
+    return _place(pair, tokens, correct)
+
+
+def _place(pair: PairRecords, tokens: Sequence[int], correct: Sequence[bool]) -> RunMatrix:
+    """One pair's n x K matrix, ids sorted: record i, the one ``pair`` kept i-th,
+    fills its cell (rows[i], cols[i]) in code order with tokens[i] and correct[i]."""
     # Python sorts and dicts, not np.unique: a numpy 'U' array drops trailing
     # NULs, which would merge "q1\x00" with "q1".
-    row_ids, row_of = _ranks(question_codes)
-    col_ids, col_of = _ranks(prompt_codes)
+    row_ids, row_of = _ranks(pair.cells.question_codes)
+    col_ids, col_of = _ranks(pair.cells.prompt_codes)
     n, k = len(row_ids), len(col_ids)
-    cells = row_of[np.asarray(rows)]
+    cells = row_of[np.asarray(pair.rows)]
     cells *= k
-    cells += col_of[np.asarray(cols)]
+    cells += col_of[np.asarray(pair.cols)]
     present = np.zeros(n * k, dtype=bool)
     present[cells] = True
-    if np.count_nonzero(present) != cells.size:
-        novel = np.zeros(cells.size, dtype=bool)
-        novel[np.unique(cells, return_index=True)[1]] = True  # where each value is first
-        row, col = divmod(int(cells[np.argmin(novel)]), k)
-        raise DuplicateRecordError((model, dataset, row_ids[row], col_ids[col]))
     values = np.zeros(present.shape, dtype=np.int64)
     values[cells] = np.asarray(tokens, dtype=np.int64)
     hits = np.zeros(present.shape, dtype=bool)
     hits[cells] = np.asarray(correct, dtype=bool)
-    return RunMatrix(model, dataset, row_ids, col_ids,
+    del cells  # a record's index is no longer needed when RunMatrix copies the arrays
+    return RunMatrix(pair.model, pair.dataset, row_ids, col_ids,
                      values.reshape(n, k), hits.reshape(n, k), present.reshape(n, k))
 
 

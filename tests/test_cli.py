@@ -246,6 +246,16 @@ class TestComplexityFileChecks:
 
 
 class TestPredictCommand:
+    def test_no_prompt_solved_anything_is_a_data_error(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        save_matrix(make_matrix([[3, 5], [4, 6], [2, 9]], [[False, False]] * 3), records)
+        out = tmp_path / "v.json"
+        assert main(["predict", "--records", str(records), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "data error: relative discrepancy undefined for prompts with zero accuracy: p00, p01\n"
+        )
+        assert not out.exists()
+
     def test_perfect_prediction_reports_zero_err(self, tmp_path, capsys, synth_records):
         records, _ = synth_records
         out = tmp_path / "validation.json"

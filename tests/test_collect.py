@@ -849,6 +849,14 @@ class TestTransportParity:
     def test_a_small_timeout_is_accepted(self):
         assert config_for("http://127.0.0.1:9/", timeout=1e-3).timeout == 1e-3
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_parallel", 0, "max_parallel must be >= 1"),
+        ("retries", -1, "retries must be >= 0"),
+    ])
+    def test_a_count_below_its_floor_is_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            config_for("http://127.0.0.1:9/", **{field: value})
+
     @pytest.mark.parametrize("key", [None, "sk-test"])
     def test_headers(self, tmp_path, clean_env, key):
         import cotbudget

@@ -147,6 +147,11 @@ class TestOneQuestion:
 
 
 class TestProfile:
+    def test_a_profile_does_not_compare_with_another_type(self):
+        prof = profile(make_matrix([[5, 12]], [[False, True]]))
+        assert prof.__eq__(prof.entries) is NotImplemented
+        assert prof != "profile"
+
     def test_oracle_recovery(self, oracle_matrix):
         matrix, taus = oracle_matrix
         prof = profile(matrix)

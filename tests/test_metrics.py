@@ -493,6 +493,18 @@ class TestValidationReport:
         assert report.err == 0
         assert report.c_bar == 1
 
+    def test_no_scorable_prompt_names_every_prompt(self):
+        matrix = make_matrix([[3, 5], [4, 6], [2, 9]], [[False, False]] * 3)
+        with pytest.raises(ZeroAccuracyError) as exc:
+            validation_report(matrix, profile(matrix))
+        assert exc.value.prompt_ids == ("p00", "p01")
+
+    def test_a_zero_accuracy_prompt_is_left_out_of_err(self):
+        matrix = make_matrix([[3, 5], [4, 6]], [[False, True], [False, True]])
+        report = validation_report(matrix, profile(matrix))
+        assert [r.accuracy for r in report.per_prompt] == [0, 1]
+        assert report.err == 0
+
 
 BIG = 2**62
 

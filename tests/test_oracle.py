@@ -415,6 +415,22 @@ def sidecar_mutations(draw):
     return obj
 
 
+class TestTausSidecarRefusals:
+    """save_taus writes every tau or none: never a silent truncation."""
+
+    @pytest.mark.parametrize("taus, question_ids, message", [
+        ((5, 7, INFINITE), ("q0", "q1"), "3 taus for 2 question ids"),
+        ((5,), ("q0", "q1"), "1 taus for 2 question ids"),
+        ((5, 7), ("q0", "q0"), "question ids must not repeat"),
+    ])
+    def test_refused_before_the_file_is_opened(self, tmp_path, taus, question_ids, message):
+        path = tmp_path / "taus.json"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            save_taus(taus, question_ids, path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+
 class TestTausSidecarChecks:
     @settings(max_examples=300, deadline=None)
     @given(obj=sidecar_mutations())

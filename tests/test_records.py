@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import re
 import tracemalloc
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +21,12 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
-from cotbudget.inputs import TOKENS_MAX, read_json, read_jsonl
+from cotbudget.inputs import TOKENS_MAX, PairRecords, read_json, read_jsonl
 from cotbudget.records import (
     REQUIRED_FIELDS,
     EvalRecord,
     RunMatrix,
+    _place,
     load_records,
     pivot,
     read_matrices,
@@ -203,6 +208,53 @@ class TestPivot:
     def test_programmatic_duplicates_rejected(self):
         with pytest.raises(DuplicateRecordError):
             pivot([make_record(), make_record(tokens=99)], "m", "d")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"question_ids": ("q", "q")}, "question_ids repeat 'q'"),
+        ({"prompt_ids": ("p", "p")}, "prompt_ids repeat 'p'"),
+        ({"question_ids": ("q", "")}, "question_ids hold an empty id"),
+        ({"prompt_ids": ("", "p")}, "prompt_ids hold an empty id"),
+        ({"model": ""}, "model must be a non-empty string, got ''"),
+        ({"dataset": None}, "dataset must be a non-empty string, got None"),
+    ])
+    def test_keys_the_file_formats_refuse_are_refused(self, fields, message):
+        """Each of these used to build a matrix whose saved file or profile would not load."""
+        cells = np.ones((2, 2), dtype=bool)
+        kw = {"model": "m", "dataset": "d", "question_ids": ("q1", "q2"),
+              "prompt_ids": ("p1", "p2"), "tokens": cells, "correct": cells, "present": cells}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunMatrix(**{**kw, **fields})
+
+    def test_a_matrix_does_not_compare_with_another_type(self):
+        m = make_matrix([[1]], [[True]])
+        assert m.__eq__(m.tokens) is NotImplemented
+        assert m != "matrix"
+
+
+class TestPairRecordsAdd:
+    def test_a_new_key_is_kept_and_a_repeat_leaves_everything_as_it_was(self):
+        pair = PairRecords("m", "d")
+        assert [pair.add(q, p, line) for q, p, line in
+                [("q1", "p1", 3), ("q2", "p1", 5), ("q1", "p2", 8)]] == [None] * 3
+
+        def kept():
+            return list(pair.rows), list(pair.cols), list(pair.lines), list(pair.cells.masks)
+
+        assert kept() == ([0, 1, 0], [0, 0, 1], [3, 5, 8], [0b11, 0b01])
+        assert pair.add("q2", "p1", 9) == 5
+        assert pair.add("q1", "p2", 12) == 8
+        assert kept() == ([0, 1, 0], [0, 0, 1], [3, 5, 8], [0b11, 0b01])
+        assert set(pair.cells) == {("q1", "p1"), ("q2", "p1"), ("q1", "p2")}
+
+    def test_a_file_and_pivot_code_keys_through_it(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [base_obj(), base_obj(question_id="q2"), base_obj(model="m2")])
+        with mock.patch.object(PairRecords, "add", autospec=True,
+                               side_effect=PairRecords.add) as add:
+            records = load_records(path)
+            assert add.call_count == 3
+            assert pivot(records, "m", "d") == pivot_loop(records, "m", "d")
+            assert add.call_count == 5
 
 
 @settings(max_examples=200)
@@ -895,6 +947,24 @@ def test_run_matrix_peak_is_its_copies():
                                                       tokens, correct, present)))
     assert peak <= 8 * MiB
     assert not np.shares_memory(built[0].tokens, tokens)
+
+
+def test_place_holds_no_record_index_while_the_matrix_is_copied():
+    """A full 5,000 x 31 pair: its arrays, their copies and one check's temporary.
+
+    Holding each record's flat cell index until RunMatrix had copied the
+    arrays peaked at 3.0 times the matrix's bytes.
+    """
+    n, k = 5000, 31
+    pair = PairRecords("m", "d")
+    for line, (q, p) in enumerate(itertools.product(range(n), range(k)), start=1):
+        pair.add(f"q{q}", f"p{p}", line)
+    tokens, correct = array("q", range(n * k)), bytearray(n * k)
+    built = []
+    peak = traced_peak(lambda: built.append(_place(pair, tokens, correct)))
+    matrix = built[0]
+    assert matrix.present.all() and int(matrix.tokens.sum()) == sum(tokens)
+    assert peak <= 2.6 * sum(a.nbytes for a in (matrix.tokens, matrix.correct, matrix.present))
 
 
 def test_save_matrix_peak_is_one_block(two_pair_file, tmp_path):

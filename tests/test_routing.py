@@ -314,6 +314,11 @@ class TestOutcomeColumns:
         assert out != swapped
         assert out == dataclasses.replace(out, paths=out.paths + (("p09",),))
 
+    def test_an_outcome_does_not_compare_with_another_type(self):
+        out = verifier_cascade(make_matrix([[5, 80]], [[True, True]]), ["p00", "p01"])
+        assert out.__eq__(out.spent) is NotImplemented
+        assert out != "outcome"
+
 
 class TestCompareToFrontier:
     def test_gap_on_breakpoint_is_zero(self, oracle_matrix):
