@@ -34,8 +34,10 @@ matrix, true_taus = generate(spec)
 print(f"generated a {matrix.n_questions}x{matrix.n_prompts} run matrix "
       f"({int(matrix.correct.sum())} correct cells)")
 
+# The profile keeps one int64 tau per question, -1 where it is infinite.
 prof = profile(matrix)
-recovered = sum(1 for e, t in zip(prof.entries, true_taus) if e.tau_hat == t)
+truth = np.array([-1 if t == INFINITE else t for t in true_taus])
+recovered = int((prof.tau == truth).sum())
 print(f"recovered {recovered}/{len(true_taus)} true complexities exactly")
 print(f"mean classifier accuracy c_bar = {float(prof.c_bar):.4f}")
 print(f"max attainable accuracy A* = {float(prof.a_star):.4f}")

@@ -5,10 +5,11 @@ Uses the bundled deterministic mock server so the demo runs offline; point
 SweepConfig.endpoint at a real server (with COTBUDGET_API_KEY exported) to
 collect real records. Run: python demos/04_collect_with_mock.py
 """
+import json
 import tempfile
 from pathlib import Path
 
-from cotbudget import Question, SweepConfig, load_records, pivot, profile, sweep
+from cotbudget import Question, SweepConfig, profile, read_matrices, sweep
 from cotbudget.collect import JsonlWriter
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.prompts import PromptCatalog, fixed_spec, limited_spec
@@ -52,21 +53,23 @@ with tempfile.TemporaryDirectory(prefix="cotbudget-demo-") as workdir:
         )
         with JsonlWriter(records_path) as writer, JsonlWriter(failures_path) as failures:
             summary = sweep(questions, config, writer, failures)
-    records = load_records(records_path)
+    lines = records_path.read_text(encoding="utf-8").splitlines()
+    sample = [json.loads(line) for line in lines[:4]]
+    matrix = read_matrices(records_path)["mock-model", "demo"]
 
 print(f"swept {summary.requested} cells: {summary.succeeded} collected, "
       f"{summary.failed} failed, {summary.retries} retries")
 
 print("\nsample records:")
-for record in records[:4]:
-    print(f"  {record.question_id:<7} {record.prompt_id:<14} "
-          f"tokens={record.tokens:<3} correct={record.correct} "
-          f"extracted={record.extracted_answer!r}")
+for record in sample:
+    print(f"  {record['question_id']:<7} {record['prompt_id']:<14} "
+          f"tokens={record['tokens']:<3} correct={record['correct']} "
+          f"extracted={record['extracted_answer']!r}")
 
-matrix = pivot(records, "mock-model", "demo")
+# The profile's columns line up with matrix.question_ids; tau is -1 where infinite.
 prof = profile(matrix)
-print(f"\npivoted to a {matrix.n_questions}x{matrix.n_prompts} matrix; "
+print(f"\nread a {matrix.n_questions}x{matrix.n_prompts} matrix; "
       f"estimated complexities:")
-for entry in prof.entries:
-    tau = "infinite" if not entry.finite else f"{int(entry.tau_hat)} tokens"
-    print(f"  {entry.question_id}: {tau} (classifier accuracy {float(entry.c_star):.2f})")
+for qid, tau, c_star in zip(prof.question_ids, prof.tau.tolist(), prof.c_star):
+    shown = "infinite" if tau < 0 else f"{tau} tokens"
+    print(f"  {qid}: {shown} (classifier accuracy {float(c_star):.2f})")

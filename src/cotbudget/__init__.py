@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": ("FrontierCurve", "alpha_star", "frontier", "lossless_bound", "t_star"),
     "collect": ("Question", "SweepConfig", "grade", "load_questions", "sweep"),
-    "complexity": ("INFINITE", "ComplexityProfile", "QuestionComplexity", "profile"),
+    "complexity": ("ComplexityProfile", "QuestionComplexity", "profile"),
+    "inputs": ("INFINITE",),
     "metrics": ("PromptResult", "ValidationReport", "adaptivity_split", "complexity_correlations",
                 "err_score", "prompt_table", "spearman", "validation_report"),
     "oracle": ("OracleSpec", "generate", "random_spec", "straddle_lengths"),

@@ -341,18 +341,34 @@ def cmd_collect(args) -> int:
         temperature=args.temperature,
         estimate_missing_usage=args.estimate_usage,
     )
-    skip = collect.PairCells()
-    append = False
-    if args.resume and Path(args.out).exists():
-        collect.drop_torn_tail(args.out)
-        skip = collect.prior_cells(args.out, args.model, args.dataset)
-        append = True
-    if append and Path(failures_path).exists():
-        collect.drop_torn_tail(failures_path)
-        collect.drop_settled_failures(failures_path, questions, catalog, skip)
-    with collect.JsonlWriter(args.out, append=append) as writer:
-        with collect.JsonlWriter(failures_path, append=append) as failures:
-            summary = collect.sweep(questions, config, writer, failures, skip=skip)
+    append = args.resume and Path(args.out).exists()
+    # One writer per --out: the file is opened without truncating it and
+    # locked before it is read or written; the lock dies with the process.
+    with open(args.out, "ab") as held:
+        try:
+            import fcntl
+
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except ImportError:  # no fcntl (Windows): nothing is locked
+            pass
+        except BlockingIOError:
+            raise ValueError(f"--out {args.out} is locked by another process, such as a collect "
+                             "writing it") from None
+        except OSError as exc:  # a filesystem that refuses locks: nothing is locked
+            import errno
+
+            if exc.errno not in (errno.ENOLCK, errno.EOPNOTSUPP):
+                raise
+        skip = collect.PairCells()
+        if append:
+            collect.drop_torn_tail(args.out)
+            skip = collect.prior_cells(args.out, args.model, args.dataset)
+        if append and Path(failures_path).exists():
+            collect.drop_torn_tail(failures_path)
+            collect.drop_settled_failures(failures_path, questions, catalog, skip)
+        with collect.JsonlWriter(args.out, append=append) as writer:
+            with collect.JsonlWriter(failures_path, append=append) as failures:
+                summary = collect.sweep(questions, config, writer, failures, skip=skip)
     if summary.succeeded == 0 and summary.failed > 0:
         raise EndpointError(
             f"all {summary.failed} attempted cells failed against {args.endpoint} "

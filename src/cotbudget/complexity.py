@@ -15,7 +15,6 @@ infinite), the runs used, and exact Fraction classifier accuracies.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_json
+from .inputs import INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_json
 from .records import RunMatrix
-
-INFINITE = math.inf
 
 # Questions per _best_thresholds call in profile. It bounds the kernel's
 # temporaries (a few arrays of BLOCK_ROWS x (K + 1) int64) whatever n is.
@@ -44,10 +41,6 @@ class QuestionComplexity:
     tau_hat: int | float  # a Python int, or INFINITE
     c_star: Fraction
     k_used: int
-
-    @property
-    def finite(self) -> bool:
-        return self.tau_hat != INFINITE
 
 
 @dataclass(frozen=True, eq=False)

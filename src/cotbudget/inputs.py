@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from array import array
 from collections.abc import Set
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import BinaryIO, Iterator, Sequence
 from .errors import DuplicateRecordError, RecordParseError, RecordSchemaError
 
 TOKENS_MAX = 2**63 - 1  # the largest int64, so every count fits a matrix column
+INFINITE = math.inf  # the complexity of a question that no length solves
 TOO_DEEP = "JSON nested too deeply to parse"
 
 

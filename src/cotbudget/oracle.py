@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import INFINITE
-from .errors import GenerationError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, TOKENS_MAX, checked, read_json
+from .errors import GenerationError
+from .inputs import INFINITE, TOKENS_MAX
 from .records import RunMatrix
 
 # random_spec's inclusive range of finite taus, and its share of infinite ones.
@@ -215,33 +214,3 @@ def save_taus(
     tau = _tau_column(taus).tolist()
     payload = {"taus": {q: (t if t >= 0 else None) for q, t in zip(question_ids, tau)}}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_taus(path: str | Path) -> dict[str, int | float]:
-    """Read a sidecar written by save_taus; bad content is a RecordParseError or a
-    RecordSchemaError naming the file and the JSON location (``taus.q1``).
-
-    A finite tau loads as the exact Python int the file holds, which follows
-    OracleSpec's rule; null loads as INFINITE.
-    """
-    payload = read_json(path)
-    try:
-        if type(payload) is not dict:
-            raise RecordSchemaError(f"the file must hold a JSON object, got {payload!r:.60}")
-        taus = checked(payload, "taus", "", _OBJECT)
-        out = {}
-        for qid in taus:
-            if not NON_EMPTY_STRING[0](qid):
-                raise RecordSchemaError(f"taus keys must be non-empty strings, got {qid!r}")
-            tau = checked(taus, qid, "taus", _NULL_OR_TAU)
-            out[qid] = INFINITE if tau is None else tau
-    except RecordSchemaError as exc:
-        raise RecordSchemaError(exc.reason, path=str(path)) from None
-    return out
-
-
-_OBJECT = (lambda v: type(v) is dict, "be an object")
-_NULL_OR_TAU = (
-    lambda v: v is None or (type(v) is int and 1 <= v <= TOKENS_MAX),
-    f"be null or an integer in [1, {TOKENS_MAX}]",
-)

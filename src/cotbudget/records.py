@@ -241,12 +241,6 @@ class RunMatrix:
     def n_prompts(self) -> int:
         return len(self.prompt_ids)
 
-    def cells(self) -> set[tuple[str, str]]:
-        """The (question_id, prompt_id) of every present cell."""
-        rows, cols = np.nonzero(self.present)
-        q, p = self.question_ids, self.prompt_ids
-        return {(q[i], p[j]) for i, j in zip(rows.tolist(), cols.tolist())}
-
     def prompt_index(self, prompt_id: str) -> int:
         try:
             return self.prompt_pos[prompt_id]

@@ -300,6 +300,16 @@ def classify_accuracy(
     return Fraction(int(np.count_nonzero(predictions == corrects)), int(lengths.size))
 
 
+def present_cells(matrix: RunMatrix) -> set[tuple[str, str]]:
+    """The (question_id, prompt_id) of every present cell, read cell by cell."""
+    return {
+        (q, p)
+        for i, q in enumerate(matrix.question_ids)
+        for j, p in enumerate(matrix.prompt_ids)
+        if matrix.present[i, j]
+    }
+
+
 def question_runs(matrix: RunMatrix, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Present-cell (lengths, corrects) of question row i."""
     mask = matrix.present[i]
@@ -318,7 +328,7 @@ def profile_loop(matrix: RunMatrix) -> ComplexityProfile:
         model=matrix.model,
         dataset=matrix.dataset,
         question_ids=tuple(e.question_id for e in entries),
-        tau=[int(e.tau_hat) if e.finite else -1 for e in entries],
+        tau=[-1 if e.tau_hat == INFINITE else e.tau_hat for e in entries],
         k_used=[e.k_used for e in entries],
         c_star=tuple(e.c_star for e in entries),
         c_bar=sum((e.c_star for e in entries), Fraction(0)) / len(entries),
@@ -483,30 +493,6 @@ def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
             return None
         specs.append(PromptSpec(pid, family, instruction, limit, unit))
     return PromptCatalog(tuple(specs))
-
-
-def taus_from_file_loop(obj: object) -> dict[str, int | float] | None:
-    """The taus a parsed sidecar describes, or None if a rule rejects it.
-
-    The rules, one value at a time: the file is an object whose ``taus`` is
-    an object; each key is a non-empty string, and each value is null
-    (infinite) or an integer in [1, 2^63 - 1]. Booleans are not integers
-    here. A finite tau is returned as the int itself, an infinite one as
-    INFINITE.
-    """
-    if not isinstance(obj, dict) or not isinstance(obj.get("taus"), dict):
-        return None
-    out: dict[str, int | float] = {}
-    for qid, tau in obj["taus"].items():
-        if not isinstance(qid, str) or qid == "":
-            return None
-        if tau is None:
-            out[qid] = INFINITE
-        elif isinstance(tau, int) and not isinstance(tau, bool) and 1 <= tau < 2**63:
-            out[qid] = tau
-        else:
-            return None
-    return out
 
 
 def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:

@@ -37,6 +37,7 @@ from cotbudget.records import load_records, read_matrices
 from cotbudget.routing import compare_to_frontier, verifier_cascade
 
 from conftest import estimate_one, make_matrix
+from loop_oracles import present_cells
 
 
 class criterion:
@@ -352,7 +353,7 @@ def test_criterion_8_collect_integration(tmp_path):
             with JsonlWriter(resume_out) as writer:
                 sweep(questions[:1], config, writer)
             after_first = mock.request_count
-            skip = read_matrices(resume_out)["mock-model", "mock-ds"].cells()
+            skip = present_cells(read_matrices(resume_out)["mock-model", "mock-ds"])
             with JsonlWriter(resume_out, append=True) as writer:
                 sweep(questions, config, writer, skip=skip)
             assert after_first == 3

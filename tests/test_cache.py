@@ -30,11 +30,11 @@ from cotbudget.collect import load_questions, prior_cells
 from cotbudget.complexity import ComplexityProfile, profile
 from cotbudget.errors import CotBudgetError, RecordParseError
 from cotbudget.inputs import read_jsonl
-from cotbudget.oracle import generate, load_taus, random_spec, save_taus
+from cotbudget.oracle import generate, random_spec
 from cotbudget.prompts import PromptCatalog, default_catalog
 from cotbudget.records import load_records, read_matrices
 
-from loop_oracles import load_records_loop, pivot_loop
+from loop_oracles import load_records_loop, pivot_loop, present_cells
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = [("m", "d"), ("m2", "d"), ("modèle", "数据")]
@@ -96,7 +96,7 @@ def test_miss_hit_and_record_loop_agree(cells, order):
             want = pivot_loop(loaded, *pair)
             assert_same_matrices(miss[pair], want)
             assert_same_matrices(hit[pair], want)
-            assert miss[pair].cells() == hit[pair].cells() == {
+            assert present_cells(miss[pair]) == present_cells(hit[pair]) == {
                 (r.question_id, r.prompt_id) for r in loaded if (r.model, r.dataset) == pair
             }
 
@@ -460,7 +460,6 @@ READERS = {
     "complexity": (ComplexityProfile.load, _whole_file(lambda path: profile(
         generate(random_spec(n=4, seed=1, n_prompts=3))[0]).save(path))),
     "catalog": (PromptCatalog.load, _whole_file(default_catalog().save)),
-    "taus": (load_taus, _whole_file(lambda path: save_taus([3, 5], ["q1", "q2"], path))),
 }
 
 

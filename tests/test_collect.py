@@ -53,7 +53,7 @@ from cotbudget.prompts import (
 from cotbudget.records import EvalRecord, load_records, read_matrices
 
 from conftest import without_usage
-from loop_oracles import record_json_loop
+from loop_oracles import present_cells, record_json_loop
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MC_QUESTION = Question(
@@ -320,7 +320,7 @@ class TestSweep:
             with JsonlWriter(out) as writer:
                 sweep([questions[0]], config_for(mock.url), writer)
             first_requests = mock.request_count
-            skip = read_matrices(out)["mock-model", "mock-ds"].cells()
+            skip = present_cells(read_matrices(out)["mock-model", "mock-ds"])
             with JsonlWriter(out, append=True) as writer:
                 summary = sweep(questions, config_for(mock.url), writer, skip=skip)
         assert first_requests == 3

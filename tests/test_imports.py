@@ -56,8 +56,24 @@ def records(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["complexity", "bounds", "predict", "correlate"])
 def test_an_analysis_command_loads_no_collection_module(records, tmp_path, command):
+    """Nor fcntl: only collect locks a file."""
     loaded = loaded_by(command, "--records", str(records), "--out", str(tmp_path / "out"))
     assert loaded & COLLECTION == set()
+    assert "fcntl" not in loaded
+
+
+def test_synth_loads_no_estimator(tmp_path):
+    """The generator needs no profile, so neither complexity nor fractions is compiled."""
+    loaded = loaded_by("synth", "--out", str(tmp_path / "records.jsonl"), "--n", "8")
+    assert loaded & {"cotbudget.complexity", "fractions"} == set()
+    assert "cotbudget.oracle" in loaded
+
+
+def test_importing_oracle_loads_no_estimator():
+    done = child("import sys, cotbudget.oracle; print(sorted(m for m in sys.modules "
+                 "if m in ('cotbudget.complexity', 'fractions')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_help_loads_no_numpy():

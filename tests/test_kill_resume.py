@@ -101,7 +101,7 @@ def kill_then_resume(argv, out, mock, killed, *options):
         done = subprocess.run(cli(*args, "--resume"), env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        if len(read_matrices(out)["m", "d"].cells()) == CELLS:
+        if read_matrices(out)["m", "d"].present.sum() == CELLS:
             return
     pytest.fail(f"cells still missing after {MAX_RESUMES} resumes")
 

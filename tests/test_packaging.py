@@ -87,13 +87,15 @@ def test_removed_helpers_stay_gone():
     import cotbudget
     from cotbudget import cli, complexity, mockserver, oracle, records
 
-    for name in ("grid_lengths", "scaled_lengths", "_float_taus"):
+    for name in ("grid_lengths", "scaled_lengths", "_float_taus", "load_taus"):
         assert name not in cotbudget.__all__
         assert not hasattr(oracle, name)
     for name in ("estimate_tau", "is_finite"):
         assert name not in cotbudget.__all__
         assert not hasattr(complexity, name) and not hasattr(oracle, name)
     assert not hasattr(records.EvalRecord, "from_json_dict")
+    assert not hasattr(records.RunMatrix, "cells")
+    assert not hasattr(complexity.QuestionComplexity, "finite")
     assert not hasattr(cli, "_budget_entry")
     endpoint = mockserver.MockChatEndpoint()
     assert not hasattr(endpoint, "responses") and not hasattr(endpoint, "default_answer")

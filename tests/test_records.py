@@ -45,6 +45,7 @@ from loop_oracles import (
     load_questions_loop,
     load_records_loop,
     pivot_loop,
+    present_cells,
     record_from_json_loop,
     save_records_loop,
     unpivot_loop,
@@ -185,11 +186,11 @@ class TestPivot:
     def test_cells_are_the_present_cells(self):
         m = make_matrix([[1, 2], [3, 4]], [[True, False], [False, True]],
                         present=[[True, False], [True, True]])
-        assert m.cells() == {("q00", "p00"), ("q01", "p00"), ("q01", "p01")}
+        assert present_cells(m) == {("q00", "p00"), ("q01", "p00"), ("q01", "p01")}
 
     def test_negative_count_is_refused_only_in_a_present_cell(self):
         m = make_matrix([[-1, 4]], [[False, True]], present=[[False, True]])
-        assert m.cells() == {("q00", "p01")}
+        assert present_cells(m) == {("q00", "p01")}
         with pytest.raises(ValueError, match="token counts must be non-negative"):
             make_matrix([[-1, 4]], [[False, True]], present=[[True, True]])
 
@@ -370,7 +371,7 @@ def test_matrices_match_record_loop(tmp_path_factory, cells, order, blank_at, as
         got = matrices[pair]
         assert got == want[1]
         assert (got.question_ids, got.prompt_ids) == (want[1].question_ids, want[1].prompt_ids)
-        assert got.cells() == {
+        assert present_cells(got) == {
             (r.question_id, r.prompt_id) for r in records if (r.model, r.dataset) == pair
         }
 
@@ -593,7 +594,7 @@ def test_prior_cells_match_read_matrices(tmp_path_factory, lines, pair):
 
     def matrix_cells():
         matrix = read_matrices(path).get(pair)
-        return set() if matrix is None else matrix.cells()
+        return set() if matrix is None else present_cells(matrix)
 
     want = outcome(matrix_cells)
     assert outcome(lambda: prior_cells(path, *pair)) == want
