@@ -10,11 +10,13 @@ error. Each subcommand imports the modules it runs when it is called.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     CotBudgetError,
@@ -322,6 +324,33 @@ def cmd_adaptivity(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _locked(path: str, name: str) -> Iterator[None]:
+    """Hold an exclusive, non-blocking flock on path, opened without truncating it.
+
+    The lock dies with its process. A lock that another process holds is a
+    usage error, and any other refusal a data error; both name ``name``.
+    Where nothing can be locked, without fcntl (as on Windows) or on a
+    filesystem that answers ENOLCK or EOPNOTSUPP, nothing is.
+    """
+    with open(path, "ab") as held:
+        try:
+            import fcntl
+
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except ImportError:
+            pass
+        except BlockingIOError:
+            raise ValueError(f"{name} is locked by another process, such as a collect "
+                             "writing it") from None
+        except OSError as exc:
+            import errno
+
+            if exc.errno not in (errno.ENOLCK, errno.EOPNOTSUPP):
+                raise CotBudgetError(f"cannot lock {name}: {exc}") from exc
+        yield
+
+
 def cmd_collect(args) -> int:
     from . import collect
     from .prompts import PromptCatalog, default_catalog
@@ -329,6 +358,9 @@ def cmd_collect(args) -> int:
     failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
     if _same_file(args.out, failures_path):
         raise ValueError(f"--failures {failures_path} is the --out file; name another file")
+    if _same_file(args.out, failures_path + ".lock"):
+        raise ValueError(f"--out {args.out} is the lock file of --failures {failures_path}; "
+                         "name another file")
     questions = collect.load_questions(args.questions)
     catalog = PromptCatalog.load(args.catalog) if args.catalog else default_catalog()
     config = collect.SweepConfig(
@@ -339,26 +371,13 @@ def cmd_collect(args) -> int:
         max_parallel=args.max_parallel,
         retries=args.retries,
         temperature=args.temperature,
-        estimate_missing_usage=args.estimate_usage,
     )
     append = args.resume and Path(args.out).exists()
-    # One writer per --out: the file is opened without truncating it and
-    # locked before it is read or written; the lock dies with the process.
-    with open(args.out, "ab") as held:
-        try:
-            import fcntl
-
-            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except ImportError:  # no fcntl (Windows): nothing is locked
-            pass
-        except BlockingIOError:
-            raise ValueError(f"--out {args.out} is locked by another process, such as a collect "
-                             "writing it") from None
-        except OSError as exc:  # a filesystem that refuses locks: nothing is locked
-            import errno
-
-            if exc.errno not in (errno.ENOLCK, errno.EOPNOTSUPP):
-                raise
+    # One writer per --out and per sidecar, each locked before it is read or
+    # written. A resume replaces the sidecar's inode, so the sidecar is locked
+    # through <sidecar>.lock, which is never replaced.
+    with (_locked(args.out, f"--out {args.out}"),
+          _locked(failures_path + ".lock", f"--failures {failures_path}")):
         skip = collect.PairCells()
         if append:
             collect.drop_torn_tail(args.out)
@@ -480,11 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=0.0, help="sampling temperature")
     p.add_argument("--resume", action="store_true", help="skip cells already in --out")
     p.add_argument("--failures", default=None, help="failures sidecar path")
-    p.add_argument(
-        "--estimate-usage",
-        action="store_true",
-        help="estimate tokens as ceil(chars/4) when the endpoint omits usage",
-    )
     p.set_defaults(func=cmd_collect)
 
     return parser

@@ -149,7 +149,6 @@ class SweepConfig:
     retries: int = 3
     temperature: float = 0.0
     timeout: float = 120.0
-    estimate_missing_usage: bool = False
 
     def __post_init__(self) -> None:
         for name in ("model", "dataset"):
@@ -528,10 +527,7 @@ def _run_cell(
         kind = type(usage).__name__
         return None, f"response usage must be an object, got {kind}", retries_used
     tokens = usage.get("completion_tokens")
-    estimated = tokens is None and config.estimate_missing_usage
-    if estimated:
-        tokens = math.ceil(len(content) / 4)
-    elif tokens is None:
+    if tokens is None:
         return None, "response missing usage.completion_tokens", retries_used
     elif type(tokens) is not int or not 0 <= tokens <= TOKENS_MAX:
         return (
@@ -541,8 +537,8 @@ def _run_cell(
             retries_used,
         )
     correct, extracted = grade(content, question)
-    # The required fields in save_matrix's order, then response, extracted_answer
-    # and the estimate flag; the ids were checked up front.
+    # The required fields in save_matrix's order, then response and
+    # extracted_answer; the ids were checked up front.
     record = {
         "model": config.model,
         "dataset": config.dataset,
@@ -554,8 +550,6 @@ def _run_cell(
     }
     if extracted is not None:
         record["extracted_answer"] = extracted
-    if estimated:
-        record["tokens_estimated"] = True
     return record, None, retries_used
 
 
@@ -718,17 +712,26 @@ def drop_settled_failures(
     A line stays only when its cell is outside the questions x catalog grid,
     which this run requests again or skips, and not in ``prior``, the cells
     ``--out`` holds. A line that is not a {question_id, prompt_id, ...}
-    object is kept as it is. The lines kept go to a new file beside the
-    sidecar, never to one that exists, with the sidecar's permissions; it
-    then replaces the sidecar, so a kill leaves either the old sidecar or
-    the new.
+    object is kept as it is. The lines kept go to a new, hidden file beside
+    the sidecar, ``.<sidecar>.<random>.cotbudget-tmp``, never to one that
+    exists, with the sidecar's permissions; it then replaces the sidecar, so
+    a kill leaves either the old sidecar or the new. The scratch files that
+    killed rewrites left, and only files named exactly so, are removed
+    first: the caller holds the sidecar's lock, so no rewrite of it is
+    running.
     """
     import tempfile
 
     path = Path(path)
+    prefix, suffix = f".{path.name}.", ".cotbudget-tmp"
+    stale = re.compile(re.escape(prefix) + "[a-z0-9_]+" + re.escape(suffix))
+    with os.scandir(path.parent) as entries:
+        for entry in entries:
+            if stale.fullmatch(entry.name) and entry.is_file(follow_symlinks=False):
+                os.unlink(entry.path)
     question_ids = {question.question_id for question in questions}
     prompt_ids = {spec.prompt_id for spec in catalog}
-    fd, scratch = tempfile.mkstemp(suffix=".tmp", prefix=path.name + ".", dir=path.parent)
+    fd, scratch = tempfile.mkstemp(suffix=suffix, prefix=prefix, dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as kept, path.open("rb") as lines:
             os.chmod(scratch, os.stat(lines.fileno()).st_mode & 0o777)

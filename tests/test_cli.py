@@ -550,6 +550,18 @@ class TestCollectCommand:
             main(["collect", "--help"])
         assert f"from the {API_KEY_ENV} environment variable" in capsys.readouterr().out
 
+    def test_collect_has_no_usage_estimate_option(self, capsys):
+        """Token counts come only from the reply's usage.completion_tokens."""
+        with pytest.raises(SystemExit):
+            main(["collect", "--help"])
+        assert "--estimate-usage" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["collect", "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+                  "--dataset", "d", "--questions", "q.jsonl", "--out", "r.jsonl",
+                  "--estimate-usage"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --estimate-usage" in capsys.readouterr().err
+
     def test_collect_against_mock(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
         questions.write_text("\n".join(json.dumps(q) for q in QUESTIONS) + "\n")
@@ -655,7 +667,7 @@ class TestCollectCommand:
         assert out.read_bytes() == records
         assert failures.read_text() == foreign + "\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "catalog.json", "questions.jsonl", "side.jsonl", "side.jsonl.tmp"]
+            "catalog.json", "questions.jsonl", "side.jsonl", "side.jsonl.lock", "side.jsonl.tmp"]
 
     def test_resumes_that_keep_failing_list_each_cell_once(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
@@ -1164,6 +1176,22 @@ class TestCollectChecksBeforeRequests:
         assert (out.read_bytes() if out.exists() else None) == (
             None if alias == "absent" else b"earlier records\n"
         )
+
+    def test_out_naming_the_failures_lock_is_a_usage_error(self, tmp_path, capsys):
+        """The run would lock its own --out a second time through the sidecar's lock."""
+        failures = tmp_path / "f.jsonl"
+        out = tmp_path / "f.jsonl.lock"
+        with MockChatEndpoint() as mock:
+            code = main(["collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
+                         "--questions", "missing.jsonl", "--out", str(out),
+                         "--failures", str(failures)])
+        assert mock.request_count == 0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --out {out} is the lock file of --failures {failures}; "
+            "name another file\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def collect(self, tmp_path, capsys, *extra, model="m"):
         questions = tmp_path / "questions.jsonl"

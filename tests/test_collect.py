@@ -16,12 +16,14 @@ from collections.abc import Set
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotbudget import collect as collect_module
 from cotbudget.collect import (
     JsonlWriter,
     Choice,
@@ -292,23 +294,6 @@ class TestSweep:
         assert summary.failed == 1
         sidecar = [json.loads(line) for line in fail_path.read_text().splitlines()]
         assert "usage" in sidecar[0]["error"]
-
-    def test_missing_usage_with_fallback_estimates(self, tmp_path):
-        questions = [Question(question_id="q1", text="One plus one?", gold_answer="2")]
-        catalog = PromptCatalog(specs=(fixed_spec("NoCoT"),))
-        out = tmp_path / "records.jsonl"
-        with MockChatEndpoint(rewrite=without_usage) as mock:
-            with JsonlWriter(out) as writer:
-                summary = sweep(
-                    questions,
-                    config_for(mock.url, catalog=catalog, estimate_missing_usage=True),
-                    writer,
-                )
-        assert summary.succeeded == 1
-        record = load_records(out)[0]
-        content = default_reply("One plus one?", "42")[0]
-        assert record.tokens == -(-len(content) // 4)
-        assert record.extra["tokens_estimated"] is True
 
     def test_resume_skips_existing_cells(self, tmp_path):
         questions = [
@@ -1044,34 +1029,43 @@ CONTENT = st.text(max_size=30) | st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(model=IDS, dataset=IDS, question_id=IDS, prompt_id=IDS, gold=IDS, content=CONTENT,
-       tokens=st.none() | st.integers(0, 2**63 - 1))
+       tokens=st.integers(0, 2**63 - 1))
 def test_collected_record_has_the_bytes_of_an_eval_record(
     model, dataset, question_id, prompt_id, gold, content, tokens
 ):
-    """A collected cell serialises as the per-record writer writes it, estimate flag included."""
+    """A collected cell serialises as the per-record writer writes it."""
     spec = PromptSpec(prompt_id=prompt_id, family="NoCoT", instruction="Only give the final answer.")
     config = SweepConfig(endpoint="http://127.0.0.1:9/v1", model=model, dataset=dataset,
-                         catalog=PromptCatalog((spec,)), estimate_missing_usage=True)
+                         catalog=PromptCatalog((spec,)))
     question = Question(question_id=question_id, text="t", gold_answer=gold)
-    reply = {"choices": [{"message": {"content": content}}]}
-    if tokens is not None:
-        reply["usage"] = {"completion_tokens": tokens}
+    reply = {"choices": [{"message": {"content": content}}], "usage": {"completion_tokens": tokens}}
     record, error, _ = _run_cell(config, question, spec, _OneReply(reply).post)
     assert error is None
     correct, extracted = grade(content, question)
-    estimated = tokens is None
-    want = EvalRecord(
-        model, dataset, question_id, prompt_id,
-        -(-len(content) // 4) if estimated else tokens,
-        correct,
-        response=content,
-        extracted_answer=extracted,
-        extra={"tokens_estimated": True} if estimated else {},
-    )
+    want = EvalRecord(model, dataset, question_id, prompt_id, tokens, correct,
+                      response=content, extracted_answer=extracted)
     want_line = json.dumps(record_json_loop(want), ensure_ascii=False)
     assert json.dumps(record, ensure_ascii=False) == want_line
     assert ("extracted_answer" in record) == (extracted is not None)
-    assert ("tokens_estimated" in record) == estimated
+
+
+@pytest.mark.parametrize("usage", [None, {}, {"completion_tokens": None}])
+def test_a_reply_without_completion_tokens_fails_its_cell(usage):
+    """The token count comes only from the reply's usage; nothing is estimated."""
+    spec = fixed_spec("NoCoT")
+    config = SweepConfig(endpoint="http://127.0.0.1:9/v1", model="m", dataset="d",
+                         catalog=PromptCatalog((spec,)))
+    reply = {"choices": [{"message": {"content": "Answer: 1/2"}}]}
+    if usage is not None:
+        reply["usage"] = usage
+    assert _run_cell(config, FREE_QUESTION, spec, _OneReply(reply).post) == (
+        None, "response missing usage.completion_tokens", 0)
+
+
+def test_a_sweep_config_takes_no_usage_estimate():
+    with pytest.raises(TypeError, match="estimate_missing_usage"):
+        SweepConfig(endpoint="http://127.0.0.1:9/v1", model="m", dataset="d",
+                    catalog=small_catalog(), estimate_missing_usage=True)
 
 
 def test_one_worker_requests_cells_in_question_by_catalog_order(tmp_path):
@@ -1475,3 +1469,35 @@ def test_client_gone_before_the_reply_ends_the_connection_quietly(capfd):
         handlers[0].join(5)
         assert not handlers[0].is_alive()
     assert capfd.readouterr().err == ""
+
+
+@settings(max_examples=25, deadline=None)
+@given(fail_first=st.integers(0, 4), fail_status=st.sampled_from([404, 429, 500, 503]),
+       drop_first=st.integers(0, 3), close_after=st.sampled_from([0, 1, 2]),
+       drop_usage=st.booleans(), max_parallel=st.integers(1, 3), retries=st.integers(0, 2))
+def test_a_sweep_under_a_fault_script_lists_every_cell_once(
+    tmp_path_factory, fail_first, fail_status, drop_first, close_after, drop_usage,
+    max_parallel, retries,
+):
+    """Error replies, dropped and idle-closed connections and replies without
+    usage, in any mix: the sweep returns, and each cell lands once, as a
+    record or as a sidecar line, as the summary counts them."""
+    folder = tmp_path_factory.mktemp("faults")
+    questions = _questions(2)
+    mock = MockChatEndpoint(fail_first=fail_first, fail_status=fail_status, drop_first=drop_first,
+                            close_after=close_after, rewrite=without_usage if drop_usage else None)
+    with mock, patch.object(collect_module, "BACKOFF_BASE_SECONDS", 0):
+        with JsonlWriter(folder / "records.jsonl") as writer, \
+                JsonlWriter(folder / "failures.jsonl") as failures:
+            summary = sweep(questions, config_for(mock.url, max_parallel=max_parallel,
+                                                  retries=retries, timeout=5.0),
+                            writer, failures)
+    records, sidecar = (
+        [json.loads(line) for line in (folder / name).read_text(encoding="utf-8").splitlines()]
+        for name in ("records.jsonl", "failures.jsonl")
+    )
+    cells = sorted((line["question_id"], line["prompt_id"]) for line in records + sidecar)
+    assert cells == sorted((q.question_id, spec.prompt_id)
+                           for q in questions for spec in small_catalog())
+    assert (summary.succeeded, summary.failed) == (len(records), len(sidecar))
+    assert not drop_usage or not records

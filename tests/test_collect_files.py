@@ -1,10 +1,11 @@
 """What concurrent and killed `collect` runs leave in --out and the failures sidecar.
 
-`collect` locks --out before it reads or writes it, so a second run on the
-same file is a usage error raised before any request or write. A SIGKILL
+`collect` locks --out, and the failures sidecar through ``<sidecar>.lock``,
+before it reads or writes either, so a second run on the same --out or the
+same sidecar is a usage error raised before any request or write. A SIGKILL
 while a resume rewrites its sidecar leaves the old sidecar or the new one,
-never a mix. The children run one at a time, except the two that race for
-one --out.
+never a mix, and the next resume removes the scratch file the kill left.
+The children run one at a time, except the two that race for one file.
 """
 from __future__ import annotations
 
@@ -100,6 +101,81 @@ def test_a_locked_out_is_a_usage_error_before_any_request(argv, tmp_path, capsys
     assert (out.read_bytes(), failures.read_bytes()) == before
 
 
+@pytest.mark.parametrize("resume", [False, True])
+def test_a_locked_sidecar_is_a_usage_error_before_any_request(argv, tmp_path, capsys, resume):
+    """Another run holds the sidecar's lock. Neither file changes: a resume
+    would cut the torn tails and drop the settled failure, and a fresh run
+    would empty both files."""
+    out = tmp_path / "records.jsonl"
+    failures = tmp_path / "shared.failures.jsonl"
+    out.write_text(record_line("q0", "NoCoT") + '{"torn', encoding="utf-8")
+    failures.write_text(failure_line("q1", "NoCoT") + '{"torn', encoding="utf-8")
+    before = out.read_bytes(), failures.read_bytes()
+    with (MockChatEndpoint(reply_fn=echo_reply) as mock,
+          open(f"{failures}.lock", "ab") as held):
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code = main([*argv, "--endpoint", mock.url, "--out", str(out), "--failures", str(failures),
+                     *(["--resume"] if resume else [])])
+        assert mock.request_count == 0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --failures {failures} is locked by another process, such as a collect "
+        "writing it\n"
+    )
+    assert (out.read_bytes(), failures.read_bytes()) == before
+
+
+def test_two_collects_that_share_only_a_sidecar_run_one(tmp_path):
+    """Each run has its own --out and questions (3 x 31 cells) and --retries 0,
+    and every reply lacks its choices, so every cell fails. The second run
+    starts once the first has sent a request, whose reply waits until the
+    second has exited: the second sends nothing and changes no file, and the
+    sidecar lists each of the first run's cells once."""
+    release = threading.Event()
+    runs = []
+    for run in ("first", "second"):
+        questions = tmp_path / f"{run}.questions.jsonl"
+        questions.write_text("".join(
+            json.dumps({"question_id": f"{run}{i}", "text": f"{run} {i}", "gold_answer": "1"})
+            + "\n" for i in range(3)
+        ))
+        out = tmp_path / f"{run}.jsonl"
+        out.write_text(record_line("q0", "NoCoT"), encoding="utf-8")
+        runs.append(["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+                     "--out", str(out), "--retries", "0"])
+    sidecar = tmp_path / "shared.failures.jsonl"
+    with MockChatEndpoint(reply_fn=held_until(release), rewrite=lambda reply: {"id": "mock"}) as mock:
+        first, second = (
+            [*run, "--endpoint", mock.url, "--failures", str(sidecar)] for run in runs
+        )
+        winner = subprocess.Popen(cli(*first), env=child_env(), stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while mock.request_count == 0:
+                assert winner.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            held = sidecar.read_bytes()
+            loser = subprocess.run(cli(*second), env=child_env(), capture_output=True, text=True,
+                                   timeout=60)
+            assert mock.request_count == 1
+            assert sidecar.read_bytes() == held
+        finally:
+            release.set()
+            _, err = winner.communicate(timeout=60)
+        requests = [body["messages"][0]["content"] for body in mock.requests]
+    assert (winner.returncode, loser.returncode) == (3, 2), err
+    assert loser.stderr == (
+        f"usage error: --failures {sidecar} is locked by another process, such as a collect "
+        "writing it\n"
+    )
+    assert len(requests) == 93 and not any("second" in content for content in requests)
+    lines = [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()]
+    assert len({(line["question_id"], line["prompt_id"]) for line in lines}) == len(lines) == 93
+    assert {line["question_id"] for line in lines} == {"first0", "first1", "first2"}
+    assert (tmp_path / "second.jsonl").read_text(encoding="utf-8") == record_line("q0", "NoCoT")
+
+
 def test_two_collects_on_one_new_out_run_one(argv, tmp_path):
     """The winner's replies wait until the loser has exited, so the two overlap
     whichever starts first; the loser sends nothing and the file reads."""
@@ -180,19 +256,28 @@ def test_where_nothing_can_be_locked_collect_runs_unlocked(argv, tmp_path, monke
     assert read_matrices(out)["m", "d"].present.sum() == CELLS
 
 
+@pytest.mark.parametrize("failing", ["--out", "--failures"])
 def test_another_lock_error_is_a_data_error_before_any_request(argv, tmp_path, monkeypatch,
-                                                               capsys):
+                                                               capsys, failing):
+    """flock fails with EIO on --out's lock, or on the sidecar's; the error names that file."""
+    out = tmp_path / "records.jsonl"
+    failures = out.with_suffix(".failures.jsonl")
+
     def fail(fd, operation):
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
+        if fd.name == {"--out": str(out), "--failures": f"{failures}.lock"}[failing]:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
 
     monkeypatch.setattr(fcntl, "flock", fail)
-    out = tmp_path / "records.jsonl"
     out.write_text(record_line("q0", "NoCoT"), encoding="utf-8")
     with MockChatEndpoint(reply_fn=echo_reply) as mock:
         assert main([*argv, "--endpoint", mock.url, "--out", str(out)]) == 1
         assert mock.request_count == 0
-    assert capsys.readouterr().err == f"data error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+    named = out if failing == "--out" else failures
+    assert capsys.readouterr().err == (
+        f"data error: cannot lock {failing} {named}: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+    )
     assert out.read_text(encoding="utf-8") == record_line("q0", "NoCoT")
+    assert not failures.exists()
 
 
 def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(argv, tmp_path):
@@ -207,7 +292,7 @@ def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(arg
     sidecar.write_bytes(old)
 
     def scratch_files() -> list[Path]:
-        return sorted(tmp_path.glob(sidecar.name + ".*.tmp"))
+        return sorted(tmp_path.glob(f".{sidecar.name}.*.cotbudget-tmp"))
 
     with MockChatEndpoint(reply_fn=echo_reply) as mock:
         args = [*argv, "--endpoint", mock.url, "--out", str(out), "--resume"]
@@ -225,8 +310,7 @@ def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(arg
         assert mock.request_count == 0
         assert sidecar.read_bytes() in (old, new)
         # SIGKILL skips the rewrite's clean-up: its scratch file stays beside the sidecar.
-        left = scratch_files()
-        assert len(left) == 1
+        assert len(scratch_files()) == 1
 
         done = subprocess.run(cli(*args), env=child_env(), capture_output=True, text=True,
                               timeout=120)
@@ -234,4 +318,35 @@ def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(arg
         assert mock.request_count == CELLS - len(PROMPTS)
     assert sidecar.read_bytes() == new
     assert read_matrices(out)["m", "d"].present.sum() == CELLS
-    assert scratch_files() == left  # nothing removes it later
+    assert scratch_files() == []  # the next resume removes it
+
+
+def test_a_resume_removes_only_the_scratch_files_of_its_sidecar(argv, tmp_path):
+    """Only hidden files named ``.<sidecar>.<random>.cotbudget-tmp`` go."""
+    out = tmp_path / "records.jsonl"
+    sidecar = out.with_suffix(".failures.jsonl")
+    out.write_text("".join(record_line("q0", p) for p in PROMPTS), encoding="utf-8")
+    sidecar.write_text(failure_line("q1", "NoCoT"), encoding="utf-8")
+    stale = [f".{sidecar.name}.abc_123x.cotbudget-tmp", f".{sidecar.name}.q.cotbudget-tmp"]
+    kept = [
+        f"{sidecar.name}.backup.tmp",  # a user's copy
+        f"{sidecar.name}.abc_123x.tmp",  # named as earlier versions named the scratch
+        f"{sidecar.name}.abc_123x.cotbudget-tmp",  # not hidden
+        f".{sidecar.name}.a.b.cotbudget-tmp",
+        f".{sidecar.name}.abc_123x.cotbudget-tmp.bak",
+        f".{sidecar.name}..cotbudget-tmp",
+        f".other.{sidecar.name}.abc_123x.cotbudget-tmp",
+        ".records.jsonl.abc_123x.cotbudget-tmp",  # another sidecar's
+    ]
+    for name in stale + kept:
+        (tmp_path / name).write_text(name, encoding="utf-8")
+    (tmp_path / f".{sidecar.name}.dir.cotbudget-tmp").mkdir()
+    kept.append(f".{sidecar.name}.dir.cotbudget-tmp")
+    with MockChatEndpoint(reply_fn=echo_reply) as mock:
+        assert main([*argv, "--endpoint", mock.url, "--out", str(out), "--resume"]) == 0
+    assert sidecar.read_bytes() == b""
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([
+        *kept, "catalog.json", "questions.jsonl", out.name, sidecar.name, f"{sidecar.name}.lock",
+    ])
+    assert all((tmp_path / name).is_dir() or (tmp_path / name).read_text(encoding="utf-8") == name
+               for name in kept)

@@ -114,6 +114,18 @@ class TestLoadRecords:
         records = load_records(path)
         assert records[0].extra == {"run_id": "abc", "latency_ms": 12}
 
+    def test_a_usage_estimate_flag_changes_no_matrix(self, tmp_path):
+        """Files that collect wrote when it could estimate missing usage carry
+        "tokens_estimated": true; that field is kept as extra and read by nothing."""
+        plain, flagged = tmp_path / "plain.jsonl", tmp_path / "flagged.jsonl"
+        objs = [base_obj(question_id=q, prompt_id=p, tokens=t, correct=c)
+                for q, p, t, c in (("q1", "p1", 10, True), ("q1", "p2", 20, False),
+                                   ("q2", "p1", 7, False))]
+        write_jsonl(plain, objs)
+        write_jsonl(flagged, [{**obj, "tokens_estimated": True} for obj in objs])
+        assert read_matrices(flagged) == read_matrices(plain)
+        assert [r.extra for r in load_records(flagged)] == [{"tokens_estimated": True}] * 3
+
     def test_records_share_one_string_per_id(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_jsonl(path, [
