@@ -10,13 +10,11 @@ error. Each subcommand imports the modules it runs when it is called.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 from .errors import (
     CotBudgetError,
@@ -324,43 +322,10 @@ def cmd_adaptivity(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _locked(path: str, name: str) -> Iterator[None]:
-    """Hold an exclusive, non-blocking flock on path, opened without truncating it.
-
-    The lock dies with its process. A lock that another process holds is a
-    usage error, and any other refusal a data error; both name ``name``.
-    Where nothing can be locked, without fcntl (as on Windows) or on a
-    filesystem that answers ENOLCK or EOPNOTSUPP, nothing is.
-    """
-    with open(path, "ab") as held:
-        try:
-            import fcntl
-
-            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except ImportError:
-            pass
-        except BlockingIOError:
-            raise ValueError(f"{name} is locked by another process, such as a collect "
-                             "writing it") from None
-        except OSError as exc:
-            import errno
-
-            if exc.errno not in (errno.ENOLCK, errno.EOPNOTSUPP):
-                raise CotBudgetError(f"cannot lock {name}: {exc}") from exc
-        yield
-
-
 def cmd_collect(args) -> int:
     from . import collect
     from .prompts import PromptCatalog, default_catalog
 
-    failures_path = args.failures or str(Path(args.out).with_suffix(".failures.jsonl"))
-    if _same_file(args.out, failures_path):
-        raise ValueError(f"--failures {failures_path} is the --out file; name another file")
-    if _same_file(args.out, failures_path + ".lock"):
-        raise ValueError(f"--out {args.out} is the lock file of --failures {failures_path}; "
-                         "name another file")
     questions = collect.load_questions(args.questions)
     catalog = PromptCatalog.load(args.catalog) if args.catalog else default_catalog()
     config = collect.SweepConfig(
@@ -374,30 +339,27 @@ def cmd_collect(args) -> int:
     )
     append = args.resume and Path(args.out).exists()
     # One writer per --out and per sidecar, each locked before it is read or
-    # written. A resume replaces the sidecar's inode, so the sidecar is locked
-    # through <sidecar>.lock, which is never replaced.
-    with (_locked(args.out, f"--out {args.out}"),
-          _locked(failures_path + ".lock", f"--failures {failures_path}")):
+    # written. The sidecar is resolved once, so every spelling locks one file.
+    sidecar, name = os.path.realpath(args.failures), f"--failures {args.failures}"
+    with collect.locked(args.out, f"--out {args.out}"), collect.locked(sidecar, name):
         skip = collect.PairCells()
         if append:
             collect.drop_torn_tail(args.out)
             skip = collect.prior_cells(args.out, args.model, args.dataset)
-        if append and Path(failures_path).exists():
-            collect.drop_torn_tail(failures_path)
-            collect.drop_settled_failures(failures_path, questions, catalog, skip)
-        with collect.JsonlWriter(args.out, append=append) as writer:
-            with collect.JsonlWriter(failures_path, append=append) as failures:
-                summary = collect.sweep(questions, config, writer, failures, skip=skip)
+        with (collect.failures_writer(sidecar, name, questions, catalog,
+                                      skip if append else None) as failures,
+              collect.JsonlWriter(args.out, append=append) as writer):
+            summary = collect.sweep(questions, config, writer, failures, skip=skip)
     if summary.succeeded == 0 and summary.failed > 0:
         raise EndpointError(
             f"all {summary.failed} attempted cells failed against {args.endpoint} "
-            f"(see {failures_path})"
+            f"(see {args.failures})"
         )
     _summary(
         f"collect: model={args.model} dataset={args.dataset}: "
         f"{summary.requested} cells requested, {summary.skipped} skipped (resume), "
         f"{summary.succeeded} collected, {summary.failed} failed, "
-        f"{summary.retries} retries; records to {args.out}, failures to {failures_path}."
+        f"{summary.retries} retries; records to {args.out}, failures to {args.failures}."
     )
     return EXIT_OK
 
@@ -498,16 +460,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=3, help="retries per cell")
     p.add_argument("--temperature", type=float, default=0.0, help="sampling temperature")
     p.add_argument("--resume", action="store_true", help="skip cells already in --out")
-    p.add_argument("--failures", default=None, help="failures sidecar path")
+    p.add_argument("--failures", default=None,
+                   help="failures sidecar path (default: --out with suffix .failures.jsonl)")
     p.set_defaults(func=cmd_collect)
 
     return parser
 
 
+OUTPUT_FLAGS = ("out", "taus_out", "failures")
+INPUT_FLAGS = ("records", "complexity", "budgets", "questions", "catalog")
+
+
+def _check_paths(args) -> None:
+    """Refuse an output flag that names the file of an input flag, or a
+    failures sidecar that names --out, before anything is read or written."""
+    pairs = [(out, given) for out in OUTPUT_FLAGS for given in INPUT_FLAGS]
+    for out, other in [*pairs, ("failures", "out")]:
+        path, taken = getattr(args, out, None), getattr(args, other, None)
+        if path and taken and _same_file(path, taken):
+            flag, other_flag = (f"--{name.replace('_', '-')}" for name in (out, other))
+            raise ValueError(f"{flag} {path} is the {other_flag} file; name another file")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "collect" and args.failures is None:
+        args.failures = str(Path(args.out).with_suffix(".failures.jsonl"))
     try:
+        _check_paths(args)
         return args.func(args)
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)

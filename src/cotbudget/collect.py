@@ -14,6 +14,7 @@ apply (see _proxy_for), so importing this module does not pay for them.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
@@ -29,9 +30,9 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
-from .errors import EndpointError, RecordSchemaError
+from .errors import CotBudgetError, EndpointError, RecordSchemaError
 from .inputs import (
     NON_EMPTY_STRING, TOKENS_MAX, PairCells, check_line, read_jsonl, record_cells,
 )
@@ -166,6 +167,9 @@ class SweepConfig:
         url = urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
+        # What the environment adds to each request, checked before a file is opened.
+        _api_key()
+        _proxy(url)
 
 
 @dataclass
@@ -275,10 +279,24 @@ def _request_headers() -> dict[str, str]:
         "User-Agent": f"cotbudget/{__version__}",
         "Accept-Encoding": "identity",
     }
-    key = os.environ.get(API_KEY_ENV, "")
+    key = _api_key()
     if key:
         headers["Authorization"] = f"Bearer {key}"
     return headers
+
+
+def _api_key() -> str:
+    """The API key, or "" when unset.
+
+    A key that an HTTP header cannot carry, one with a control character
+    (CR and LF among them) or a character outside Latin-1, is a ValueError
+    that names the variable, never the key.
+    """
+    key = os.environ.get(API_KEY_ENV, "")
+    if not key.isprintable() or any(c > "\xff" for c in key):
+        raise ValueError(f"{API_KEY_ENV} holds a character that an HTTP header cannot carry "
+                         "(a control character, or one outside Latin-1)")
+    return key
 
 
 def _tls_context():
@@ -292,6 +310,22 @@ def _tls_context():
         return ssl.create_default_context(cafile=bundle or None)
     except OSError as exc:  # ssl.SSLError included
         raise EndpointError(f"cannot load the CA bundle {bundle}: {exc}") from exc
+
+
+def _proxy(url: SplitResult) -> SplitResult | None:
+    """The proxy that an endpoint's split URL goes through, split, or None (see _proxy_for).
+
+    A proxy that is not http:// is a ValueError, which shows its URL
+    without the ``user:password@`` part.
+    """
+    proxy = _proxy_for(url.scheme, url.hostname)
+    if not proxy:
+        return None
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if via.scheme != "http" or not via.hostname:
+        shown = via._replace(netloc=via.netloc.rpartition("@")[2]).geturl()
+        raise ValueError(f"only http:// proxies are supported, got {shown!r}")
+    return via
 
 
 def _proxy_for(scheme: str, host: str) -> str | None:
@@ -373,12 +407,9 @@ class _Transport:
         self.target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.headers = _request_headers()
         context = _tls_context() if url.scheme == "https" else None
-        proxy = _proxy_for(url.scheme, host)
+        via = _proxy(url)
         tunnel_headers: dict[str, str] = {}
-        if proxy:
-            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if via.scheme != "http" or not via.hostname:
-                raise ValueError(f"only http:// proxies are supported, got {proxy!r}")
+        if via:
             if via.username:
                 credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
                 token = b64encode(credentials.encode("utf-8")).decode("ascii")
@@ -395,7 +426,7 @@ class _Transport:
             if url.scheme == "http":
                 return http.client.HTTPConnection(*address, timeout=config.timeout)
             conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
-            if proxy:
+            if via:
                 conn.set_tunnel(host, port, headers=tunnel_headers)
             return conn
 
@@ -704,50 +735,86 @@ def prior_cells(path: str | Path, model: str, dataset: str) -> PairCells:
     return found
 
 
-def drop_settled_failures(
-    path: str | Path, questions: Sequence[Question], catalog: PromptCatalog, prior: Set
-) -> None:
-    """Rewrite a resume's failures sidecar without the cells the resume settles.
+@contextlib.contextmanager
+def locked(path: str | Path, name: str, opener=None) -> Iterator[None]:
+    """Hold an exclusive, non-blocking flock on path, opened (through
+    ``opener``) for appending, so never truncated, until the block ends.
 
-    A line stays only when its cell is outside the questions x catalog grid,
-    which this run requests again or skips, and not in ``prior``, the cells
-    ``--out`` holds. A line that is not a {question_id, prompt_id, ...}
-    object is kept as it is. The lines kept go to a new, hidden file beside
-    the sidecar, ``.<sidecar>.<random>.cotbudget-tmp``, never to one that
-    exists, with the sidecar's permissions; it then replaces the sidecar, so
-    a kill leaves either the old sidecar or the new. The scratch files that
-    killed rewrites left, and only files named exactly so, are removed
-    first: the caller holds the sidecar's lock, so no rewrite of it is
-    running.
+    Another process's lock, or a path that names another file once locked
+    (a run that held the old one replaced it), is a usage error, and any
+    other refusal a data error; both name ``name``. Nothing is locked where
+    the filesystem answers ENOLCK or EOPNOTSUPP, and nothing is even opened
+    without fcntl (as on Windows, which cannot replace an open file).
     """
-    import tempfile
+    try:
+        import fcntl
+    except ImportError:
+        yield
+        return
+    with open(path, "ab", opener=opener) as held:
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            taken = os.path.samestat(os.fstat(held.fileno()), os.stat(path))
+        except BlockingIOError:
+            taken = False
+        except OSError as exc:
+            import errno
 
-    path = Path(path)
-    prefix, suffix = f".{path.name}.", ".cotbudget-tmp"
-    stale = re.compile(re.escape(prefix) + "[a-z0-9_]+" + re.escape(suffix))
-    with os.scandir(path.parent) as entries:
-        for entry in entries:
-            if stale.fullmatch(entry.name) and entry.is_file(follow_symlinks=False):
-                os.unlink(entry.path)
+            if exc.errno not in (errno.ENOLCK, errno.EOPNOTSUPP):
+                raise CotBudgetError(f"cannot lock {name}: {exc}") from exc
+            taken = True
+        if not taken:
+            raise ValueError(f"{name} is locked by another process, such as a collect writing it")
+        yield
+
+
+def _no_follow(path: str, flags: int) -> int:
+    return os.open(path, flags | getattr(os, "O_NOFOLLOW", 0), 0o666)
+
+
+@contextlib.contextmanager
+def failures_writer(path: str, name: str, questions: Sequence[Question],
+                    catalog: Iterable[PromptSpec], prior: Set | None) -> Iterator[JsonlWriter]:
+    """Write the failures sidecar ``path`` (links resolved, locked by the
+    caller) anew, and yield the sweep's writer of it.
+
+    The lines go to ``.<sidecar>.cotbudget-tmp`` beside it, opened without
+    following a link, locked, then emptied: only the sidecar's lock holder
+    opens it, so one that a killed run left is taken over. A fresh run
+    passes ``prior`` None and copies nothing. A resume passes the cells
+    --out holds, and copies the sidecar's lines less those it settles, whose
+    cell is in ``prior`` or in the questions x catalog grid; a final line
+    without its newline gets one if it parses, and is cut with a warning if
+    not. The scratch takes the sidecar's permissions and replaces it still
+    locked, so the path names a locked file at every instant; the writer
+    appends to that file.
+    """
+    scratch = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.cotbudget-tmp")
     question_ids = {question.question_id for question in questions}
     prompt_ids = {spec.prompt_id for spec in catalog}
-    fd, scratch = tempfile.mkstemp(suffix=suffix, prefix=prefix, dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as kept, path.open("rb") as lines:
-            os.chmod(scratch, os.stat(lines.fileno()).st_mode & 0o777)
-            for line in lines:
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
-                    obj = None
-                if type(obj) is dict:
-                    cell = obj.get("question_id"), obj.get("prompt_id")
-                    if type(cell[0]) is str and type(cell[1]) is str and (
-                        cell in prior or cell[0] in question_ids and cell[1] in prompt_ids
-                    ):
-                        continue
-                kept.write(line)
+    with locked(scratch, name, _no_follow):
+        # A second handle, closed before the replace: Windows cannot replace an open file.
+        with open(scratch, "wb", opener=_no_follow) as kept:
+            with contextlib.suppress(FileNotFoundError), open(path, "rb") as lines:
+                os.chmod(scratch, os.fstat(lines.fileno()).st_mode & 0o777)
+                for line in lines if prior is not None else ():
+                    torn = not line.endswith(b"\n")
+                    try:
+                        obj = json.loads(line.decode("utf-8") if torn else line)
+                    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
+                        if torn:
+                            log.warning("%s: cut off a torn final line (%d bytes, no newline) "
+                                        "at byte %d; its cell will be requested again",
+                                        path, len(line), lines.tell() - len(line))
+                            break
+                        obj = None
+                    if type(obj) is dict:
+                        cell = obj.get("question_id"), obj.get("prompt_id")
+                        if type(cell[0]) is str and type(cell[1]) is str and (
+                            cell in prior or cell[0] in question_ids and cell[1] in prompt_ids
+                        ):
+                            continue
+                    kept.write(line + b"\n" if torn else line)
         os.replace(scratch, path)
-    except BaseException:
-        os.unlink(scratch)
-        raise
+        with JsonlWriter(path, append=True) as writer:
+            yield writer

@@ -31,8 +31,8 @@ from cotbudget.collect import (
     SweepConfig,
     _DeadlineReader,
     _run_cell,
-    drop_settled_failures,
     drop_torn_tail,
+    failures_writer,
     format_question,
     grade,
     load_questions,
@@ -1402,6 +1402,12 @@ def test_sweep_uses_a_set_skip_as_it_is(tmp_path):
     assert mock.request_count == 4
 
 
+def _rewrite(sidecar, prior=PairCells()) -> None:
+    """A resume's failures_writer over sidecar, for one question and NoCoT, that writes nothing."""
+    with failures_writer(str(sidecar), "--failures s", _questions(1), ONE_PROMPT, prior):
+        pass
+
+
 def test_an_interrupted_sidecar_rewrite_leaves_the_old_sidecar(tmp_path, monkeypatch):
     sidecar = tmp_path / "failures.jsonl"
     before = b'{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
@@ -1412,7 +1418,7 @@ def test_an_interrupted_sidecar_rewrite_leaves_the_old_sidecar(tmp_path, monkeyp
 
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(KeyboardInterrupt):
-        drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, PairCells())
+        _rewrite(sidecar)
     assert sidecar.read_bytes() == before
 
 
@@ -1424,7 +1430,7 @@ def test_a_sidecar_rewrite_leaves_a_file_named_like_its_scratch(tmp_path):
     sidecar.chmod(0o640)
     other = tmp_path / "failures.jsonl.tmp"
     other.write_bytes(b"not the sidecar's\n")
-    drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, PairCells())
+    _rewrite(sidecar)
     assert sidecar.read_bytes() == kept
     assert sidecar.stat().st_mode & 0o777 == 0o640
     assert other.read_bytes() == b"not the sidecar's\n"
@@ -1432,17 +1438,59 @@ def test_a_sidecar_rewrite_leaves_a_file_named_like_its_scratch(tmp_path):
         "failures.jsonl", "failures.jsonl.tmp"]
 
 
-def test_an_interrupted_sidecar_rewrite_leaves_no_scratch(tmp_path, monkeypatch):
+def test_the_next_rewrite_takes_over_the_scratch_an_interrupted_one_left(tmp_path, monkeypatch):
     sidecar = tmp_path / "failures.jsonl"
-    sidecar.write_bytes(b'{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n')
-
+    kept = b'{"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
+    sidecar.write_bytes(kept)
     def killed(src, dst):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(os, "replace", killed)
-    with pytest.raises(KeyboardInterrupt):
-        drop_settled_failures(sidecar, _questions(1), ONE_PROMPT, PairCells())
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            _rewrite(sidecar)
+    scratch = tmp_path / ".failures.jsonl.cotbudget-tmp"
+    assert scratch.read_bytes() == kept
+    scratch.write_bytes(b"what a killed rewrite wrote\n" * 3)
+    _rewrite(sidecar)
+    assert sidecar.read_bytes() == kept
     assert [path.name for path in tmp_path.iterdir()] == ["failures.jsonl"]
+
+
+@pytest.mark.parametrize("tail, written, cut", [
+    (b'{"question_id": "q9", "prompt_id": "NoCoT"}',
+     b'{"question_id": "q9", "prompt_id": "NoCoT"}\n', False),
+    (b'{"question_id": "q0", "prompt_id": "NoCoT"}', b"", False),  # parses, and is settled
+    (b'{"question_id": "q9", "prompt_id": "No', b"", True),
+    ('{"question_id": "é'.encode()[:-1], b"", True),
+])
+def test_a_sidecar_rewrite_mends_or_cuts_the_final_line(tmp_path, caplog, tail, written, cut):
+    """A final line without a newline gets one if it parses, and is cut with a warning if not."""
+    sidecar = tmp_path / "failures.jsonl"
+    head = b'[1, 2]\n{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
+    sidecar.write_bytes(head + tail)
+    with caplog.at_level("WARNING", logger="cotbudget.collect"):
+        _rewrite(sidecar)
+    assert sidecar.read_bytes() == b"[1, 2]\n" + written
+    warning = f"{sidecar}: cut off a torn final line ({len(tail)} bytes, no newline) at byte "
+    assert (warning + str(len(head)) in caplog.text) == cut
+
+
+def test_a_fresh_sidecar_keeps_no_line_and_no_symlink_is_followed(tmp_path):
+    """A fresh run empties the sidecar through the scratch; a scratch name that is a
+    link is refused, and the file it names is untouched."""
+    sidecar = tmp_path / "failures.jsonl"
+    sidecar.write_bytes(b'{"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"}\n')
+    with failures_writer(str(sidecar), "--failures s", _questions(1), ONE_PROMPT, None) as failures:
+        failures.write({"question_id": "q1", "prompt_id": "NoCoT", "error": "HTTP 503"})
+    assert [json.loads(line) for line in sidecar.read_bytes().splitlines()] == [
+        {"question_id": "q1", "prompt_id": "NoCoT", "error": "HTTP 503"}]
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"someone else's\n")
+    (tmp_path / ".failures.jsonl.cotbudget-tmp").symlink_to(target)
+    with pytest.raises(OSError):
+        _rewrite(sidecar)
+    assert target.read_bytes() == b"someone else's\n"
 
 
 def test_client_gone_before_the_reply_ends_the_connection_quietly(capfd):

@@ -1,11 +1,14 @@
 """What concurrent and killed `collect` runs leave in --out and the failures sidecar.
 
-`collect` locks --out, and the failures sidecar through ``<sidecar>.lock``,
-before it reads or writes either, so a second run on the same --out or the
-same sidecar is a usage error raised before any request or write. A SIGKILL
-while a resume rewrites its sidecar leaves the old sidecar or the new one,
-never a mix, and the next resume removes the scratch file the kill left.
-The children run one at a time, except the two that race for one file.
+`collect` locks --out, and then the failures sidecar itself, its links
+resolved, before it reads or writes either, so a second run on the same
+--out or the same sidecar, however it is spelled, is a usage error raised
+before any request or write. Every run writes its sidecar anew through one
+fixed scratch file, ``.<sidecar>.cotbudget-tmp``, which it locks before the
+scratch replaces the sidecar, so the sidecar's path names a locked file at
+every instant. A SIGKILL while a resume rewrites its sidecar leaves the old
+sidecar or the new one, never a mix, and the next run takes the scratch
+over. The children run one at a time, except the two that race for one file.
 """
 from __future__ import annotations
 
@@ -111,8 +114,7 @@ def test_a_locked_sidecar_is_a_usage_error_before_any_request(argv, tmp_path, ca
     out.write_text(record_line("q0", "NoCoT") + '{"torn', encoding="utf-8")
     failures.write_text(failure_line("q1", "NoCoT") + '{"torn', encoding="utf-8")
     before = out.read_bytes(), failures.read_bytes()
-    with (MockChatEndpoint(reply_fn=echo_reply) as mock,
-          open(f"{failures}.lock", "ab") as held):
+    with MockChatEndpoint(reply_fn=echo_reply) as mock, open(failures, "ab") as held:
         fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
         code = main([*argv, "--endpoint", mock.url, "--out", str(out), "--failures", str(failures),
                      *(["--resume"] if resume else [])])
@@ -125,12 +127,15 @@ def test_a_locked_sidecar_is_a_usage_error_before_any_request(argv, tmp_path, ca
     assert (out.read_bytes(), failures.read_bytes()) == before
 
 
-def test_two_collects_that_share_only_a_sidecar_run_one(tmp_path):
+@pytest.mark.parametrize("resume", [False, True])
+def test_two_collects_that_share_only_a_sidecar_run_one(tmp_path, resume):
     """Each run has its own --out and questions (3 x 31 cells) and --retries 0,
     and every reply lacks its choices, so every cell fails. The second run
     starts once the first has sent a request, whose reply waits until the
     second has exited: the second sends nothing and changes no file, and the
-    sidecar lists each of the first run's cells once."""
+    sidecar lists each of the first run's cells once. In a resume, the first
+    run has rewritten the sidecar, which it found, before its first request,
+    and the second names the sidecar through a symbolic link."""
     release = threading.Event()
     runs = []
     for run in ("first", "second"):
@@ -142,11 +147,17 @@ def test_two_collects_that_share_only_a_sidecar_run_one(tmp_path):
         out = tmp_path / f"{run}.jsonl"
         out.write_text(record_line("q0", "NoCoT"), encoding="utf-8")
         runs.append(["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
-                     "--out", str(out), "--retries", "0"])
+                     "--out", str(out), "--retries", "0", *(["--resume"] if resume else [])])
     sidecar = tmp_path / "shared.failures.jsonl"
+    kept, named = "", sidecar
+    if resume:
+        kept, named = failure_line("old", "NoCoT"), tmp_path / "link.failures.jsonl"
+        sidecar.write_text(failure_line("q0", "NoCoT") + kept, encoding="utf-8")  # q0 is settled
+        named.symlink_to(sidecar)
     with MockChatEndpoint(reply_fn=held_until(release), rewrite=lambda reply: {"id": "mock"}) as mock:
         first, second = (
-            [*run, "--endpoint", mock.url, "--failures", str(sidecar)] for run in runs
+            [*run, "--endpoint", mock.url, "--failures", str(path)]
+            for run, path in zip(runs, (sidecar, named))
         )
         winner = subprocess.Popen(cli(*first), env=child_env(), stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True)
@@ -156,6 +167,7 @@ def test_two_collects_that_share_only_a_sidecar_run_one(tmp_path):
                 assert winner.poll() is None and time.monotonic() < deadline
                 time.sleep(0.005)
             held = sidecar.read_bytes()
+            assert held == kept.encode()
             loser = subprocess.run(cli(*second), env=child_env(), capture_output=True, text=True,
                                    timeout=60)
             assert mock.request_count == 1
@@ -166,14 +178,41 @@ def test_two_collects_that_share_only_a_sidecar_run_one(tmp_path):
         requests = [body["messages"][0]["content"] for body in mock.requests]
     assert (winner.returncode, loser.returncode) == (3, 2), err
     assert loser.stderr == (
-        f"usage error: --failures {sidecar} is locked by another process, such as a collect "
+        f"usage error: --failures {named} is locked by another process, such as a collect "
         "writing it\n"
     )
     assert len(requests) == 93 and not any("second" in content for content in requests)
-    lines = [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()]
+    text = sidecar.read_text(encoding="utf-8")
+    assert text.startswith(kept) and named.resolve() == sidecar
+    lines = [json.loads(line) for line in text[len(kept):].splitlines()]
     assert len({(line["question_id"], line["prompt_id"]) for line in lines}) == len(lines) == 93
     assert {line["question_id"] for line in lines} == {"first0", "first1", "first2"}
     assert (tmp_path / "second.jsonl").read_text(encoding="utf-8") == record_line("q0", "NoCoT")
+
+
+def test_a_sidecar_replaced_before_its_lock_is_taken_counts_as_held(argv, tmp_path, monkeypatch,
+                                                                   capsys):
+    """Another run replaced the sidecar between this run's open and its flock, so the
+    lock is on a file the path no longer names: the run stops before any request."""
+    out = tmp_path / "records.jsonl"
+    failures = out.with_suffix(".failures.jsonl")
+    flock = fcntl.flock
+
+    def replaced_first(fd, operation):
+        if fd.name == os.path.realpath(failures):
+            (tmp_path / "theirs").write_bytes(b"theirs\n")
+            os.replace(tmp_path / "theirs", failures)
+        flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", replaced_first)
+    with MockChatEndpoint(reply_fn=echo_reply) as mock:
+        assert main([*argv, "--endpoint", mock.url, "--out", str(out)]) == 2
+        assert mock.request_count == 0
+    assert capsys.readouterr().err == (
+        f"usage error: --failures {failures} is locked by another process, such as a collect "
+        "writing it\n"
+    )
+    assert failures.read_bytes() == b"theirs\n"
 
 
 def test_two_collects_on_one_new_out_run_one(argv, tmp_path):
@@ -264,7 +303,7 @@ def test_another_lock_error_is_a_data_error_before_any_request(argv, tmp_path, m
     failures = out.with_suffix(".failures.jsonl")
 
     def fail(fd, operation):
-        if fd.name == {"--out": str(out), "--failures": f"{failures}.lock"}[failing]:
+        if fd.name == {"--out": str(out), "--failures": os.path.realpath(failures)}[failing]:
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
     monkeypatch.setattr(fcntl, "flock", fail)
@@ -277,7 +316,10 @@ def test_another_lock_error_is_a_data_error_before_any_request(argv, tmp_path, m
         f"data error: cannot lock {failing} {named}: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
     )
     assert out.read_text(encoding="utf-8") == record_line("q0", "NoCoT")
-    assert not failures.exists()
+    # A sidecar is created to be locked, so it exists, empty, once its lock failed.
+    assert (failures.read_bytes() if failures.exists() else None) == (
+        b"" if failing == "--failures" else None
+    )
 
 
 def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(argv, tmp_path):
@@ -292,7 +334,7 @@ def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(arg
     sidecar.write_bytes(old)
 
     def scratch_files() -> list[Path]:
-        return sorted(tmp_path.glob(f".{sidecar.name}.*.cotbudget-tmp"))
+        return sorted(tmp_path.glob(f".{sidecar.name}.cotbudget-tmp"))
 
     with MockChatEndpoint(reply_fn=echo_reply) as mock:
         args = [*argv, "--endpoint", mock.url, "--out", str(out), "--resume"]
@@ -318,35 +360,61 @@ def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(arg
         assert mock.request_count == CELLS - len(PROMPTS)
     assert sidecar.read_bytes() == new
     assert read_matrices(out)["m", "d"].present.sum() == CELLS
-    assert scratch_files() == []  # the next resume removes it
+    assert scratch_files() == []  # the next run takes it over
 
 
-def test_a_resume_removes_only_the_scratch_files_of_its_sidecar(argv, tmp_path):
-    """Only hidden files named ``.<sidecar>.<random>.cotbudget-tmp`` go."""
+def test_a_resume_leaves_every_other_file_beside_the_sidecar(argv, tmp_path):
+    """Files named like the sidecar's scratch, or like the random scratch names
+    of earlier versions, keep their bytes."""
     out = tmp_path / "records.jsonl"
     sidecar = out.with_suffix(".failures.jsonl")
     out.write_text("".join(record_line("q0", p) for p in PROMPTS), encoding="utf-8")
     sidecar.write_text(failure_line("q1", "NoCoT"), encoding="utf-8")
-    stale = [f".{sidecar.name}.abc_123x.cotbudget-tmp", f".{sidecar.name}.q.cotbudget-tmp"]
-    kept = [
+    others = [
+        f".{sidecar.name}.abc_123x.cotbudget-tmp",  # as earlier versions named the scratch
+        f".{sidecar.name}.q.cotbudget-tmp",
         f"{sidecar.name}.backup.tmp",  # a user's copy
-        f"{sidecar.name}.abc_123x.tmp",  # named as earlier versions named the scratch
-        f"{sidecar.name}.abc_123x.cotbudget-tmp",  # not hidden
-        f".{sidecar.name}.a.b.cotbudget-tmp",
-        f".{sidecar.name}.abc_123x.cotbudget-tmp.bak",
-        f".{sidecar.name}..cotbudget-tmp",
-        f".other.{sidecar.name}.abc_123x.cotbudget-tmp",
-        ".records.jsonl.abc_123x.cotbudget-tmp",  # another sidecar's
+        f"{sidecar.name}.cotbudget-tmp",  # not hidden
+        f".{sidecar.name}.cotbudget-tmp.bak",
+        f".other.{sidecar.name}.cotbudget-tmp",
+        ".records.jsonl.cotbudget-tmp",  # another sidecar's
     ]
-    for name in stale + kept:
+    for name in others:
         (tmp_path / name).write_text(name, encoding="utf-8")
-    (tmp_path / f".{sidecar.name}.dir.cotbudget-tmp").mkdir()
-    kept.append(f".{sidecar.name}.dir.cotbudget-tmp")
     with MockChatEndpoint(reply_fn=echo_reply) as mock:
         assert main([*argv, "--endpoint", mock.url, "--out", str(out), "--resume"]) == 0
     assert sidecar.read_bytes() == b""
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted([
-        *kept, "catalog.json", "questions.jsonl", out.name, sidecar.name, f"{sidecar.name}.lock",
+        *others, "catalog.json", "questions.jsonl", out.name, sidecar.name,
     ])
-    assert all((tmp_path / name).is_dir() or (tmp_path / name).read_text(encoding="utf-8") == name
-               for name in kept)
+    assert all((tmp_path / name).read_text(encoding="utf-8") == name for name in others)
+
+
+def test_a_resume_through_a_symlinked_sidecar_rewrites_its_target(argv, tmp_path):
+    out = tmp_path / "records.jsonl"
+    real, link = tmp_path / "real.failures.jsonl", tmp_path / "link.failures.jsonl"
+    out.write_text("".join(record_line("q0", p) for p in PROMPTS), encoding="utf-8")
+    real.write_text(failure_line("q1", "NoCoT") + failure_line("old", "NoCoT"), encoding="utf-8")
+    link.symlink_to(real.name)
+    with MockChatEndpoint(reply_fn=echo_reply) as mock:
+        assert main([*argv, "--endpoint", mock.url, "--out", str(out), "--resume",
+                     "--failures", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text(encoding="utf-8") == failure_line("old", "NoCoT")
+    assert read_matrices(out)["m", "d"].present.sum() == CELLS
+
+
+def test_no_run_leaves_a_lock_file(argv, tmp_path):
+    """Not a fresh run, a resume, or a run refused because another holds --out."""
+    out = tmp_path / "records.jsonl"
+    with MockChatEndpoint(reply_fn=echo_reply) as mock:
+        run = [*argv, "--endpoint", mock.url, "--out", str(out)]
+        assert main(run) == 0
+        assert list(tmp_path.rglob("*.lock")) == []
+        assert main([*run, "--resume"]) == 0
+        assert list(tmp_path.rglob("*.lock")) == []
+        with open(out, "ab") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(run) == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "catalog.json", "questions.jsonl", "records.failures.jsonl", "records.jsonl"]
