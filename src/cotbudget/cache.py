@@ -1,7 +1,9 @@
 """Content-addressed cache of parsed record files, behind ``records.read_matrices``.
 
-Every CLI command that reads a records file goes through it, the prior
-``--out`` file of ``collect --resume`` included. An entry holds every
+Every analysis command that reads a records file goes through it. The
+prior ``--out`` of ``collect --resume`` does not: ``collect.prior_cells``
+reads it once, line by line, and it grows as soon as the resume appends.
+An entry holds every
 (model, dataset) RunMatrix of one records file. On a miss the file is
 parsed once, through the hashing reader, into int columns per pair (id
 codes, counts, hits and line numbers; no object per record), and the entry

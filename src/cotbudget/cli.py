@@ -325,6 +325,7 @@ def cmd_adaptivity(args) -> int:
 def cmd_collect(args) -> int:
     from . import collect
     from .prompts import PromptCatalog, default_catalog
+    from .transport import shown_url
 
     questions = collect.load_questions(args.questions)
     catalog = PromptCatalog.load(args.catalog) if args.catalog else default_catalog()
@@ -352,8 +353,8 @@ def cmd_collect(args) -> int:
             summary = collect.sweep(questions, config, writer, failures, skip=skip)
     if summary.succeeded == 0 and summary.failed > 0:
         raise EndpointError(
-            f"all {summary.failed} attempted cells failed against {args.endpoint} "
-            f"(see {args.failures})"
+            f"all {summary.failed} attempted cells failed against "
+            f"{shown_url(args.endpoint)} (see {args.failures})"
         )
     _summary(
         f"collect: model={args.model} dataset={args.dataset}: "
@@ -473,13 +474,20 @@ INPUT_FLAGS = ("records", "complexity", "budgets", "questions", "catalog")
 
 def _check_paths(args) -> None:
     """Refuse an output flag that names the file of an input flag, or a
-    failures sidecar that names --out, before anything is read or written."""
+    failures sidecar that names --out, or an --out that names the scratch
+    file the sidecar is written through, before anything is read or written."""
     pairs = [(out, given) for out in OUTPUT_FLAGS for given in INPUT_FLAGS]
     for out, other in [*pairs, ("failures", "out")]:
         path, taken = getattr(args, out, None), getattr(args, other, None)
         if path and taken and _same_file(path, taken):
             flag, other_flag = (f"--{name.replace('_', '-')}" for name in (out, other))
             raise ValueError(f"{flag} {path} is the {other_flag} file; name another file")
+    if getattr(args, "failures", None):
+        from .collect import scratch_path
+
+        if _same_file(args.out, scratch_path(os.path.realpath(args.failures))):
+            raise ValueError(f"--out {args.out} is the scratch file through which "
+                             f"--failures {args.failures} is written; name another file")
 
 
 def main(argv: list[str] | None = None) -> int:

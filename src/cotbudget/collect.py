@@ -1,55 +1,46 @@
 """Record collection: sweep a prompt catalog over questions against an endpoint.
 
-Talks plain chat-completions JSON over HTTP/1.1 with the standard library:
-each worker of a sweep keeps one connection alive for all its cells, and a
-reply, status line and headers included, must arrive within the sweep's
-timeout of its request. Token counts are taken from the endpoint's reported
-completion-token usage, never recomputed locally; cells that still fail
-after retries land in a failures sidecar instead of the record file. A
-resume skips the cells ``prior_cells`` reads from the prior records file
-through ``inputs.record_cells``, the reader of every analysis command,
-keeping a bit per cell. ``http.client`` and ``ssl`` are imported when a
-sweep has a cell to send, and ``urllib.request`` only when a proxy could
-apply (see _proxy_for), so importing this module does not pay for them.
+This module holds the questions and their grading, the sweep's settings
+(``SweepConfig``), the sweep itself and the files it writes. Each worker of
+a sweep takes cells one at a time and posts each through ``transport``,
+the HTTP/1.1 client, on a connection it keeps alive for all its cells.
+Token counts are taken from the endpoint's reported completion-token
+usage, never recomputed locally; cells that still fail after retries land
+in a failures sidecar instead of the record file. A resume skips the cells
+``prior_cells`` reads from the prior records file through
+``inputs.record_cells``, the reader of every analysis command, keeping a
+bit per cell. ``ssl`` is imported only when an https:// sweep has a cell to
+send, and ``urllib.request`` only when a proxy could apply (see
+``transport._proxy_for``), so importing this module does not pay for them.
 """
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import logging
 import math
 import os
 import re
-import sys
 import threading
-import time
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
-from urllib.parse import SplitResult, urlsplit
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CotBudgetError, EndpointError, RecordSchemaError
+from .errors import CotBudgetError, RecordSchemaError
 from .inputs import (
     NON_EMPTY_STRING, TOKENS_MAX, PairCells, check_line, read_jsonl, record_cells,
 )
 from .prompts import PromptCatalog, PromptSpec, render
+from .transport import Post, _post_with_retries, _Transport, check_endpoint
 
 log = logging.getLogger(__name__)
 
-API_KEY_ENV = "COTBUDGET_API_KEY"
 ANSWER_PATTERN = re.compile(r"(?i)\banswer\s*:\s*([^\n]*)")
-BACKOFF_BASE_SECONDS = 0.25
-BACKOFF_CAP_SECONDS = 8.0
 # The interpreter's default int-string digit limit; see _as_rational.
 EXPONENT_MAX = 4300
-# The largest reply body read. A 32k-token completion is about 128 KB; a
-# larger body is a failed cell, not a record every later command must parse.
-MAX_REPLY_BYTES = 8 << 20
-RETRY_AFTER_MAX_SECONDS = 60
 QUESTION_FIELDS = ("question_id", "text", "gold_answer")
 TAIL_BLOCK_BYTES = 1 << 16
 
@@ -164,12 +155,8 @@ class SweepConfig:
             raise ValueError("temperature must be a finite number")
         if not 0 < self.timeout < math.inf:  # NaN fails both comparisons
             raise ValueError(f"timeout must be a finite number above 0, got {self.timeout!r}")
-        url = urlsplit(self.endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
-            raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
-        # What the environment adds to each request, checked before a file is opened.
-        _api_key()
-        _proxy(url)
+        # With what the environment adds to each request, before a file is opened.
+        check_endpoint(self.endpoint)
 
 
 @dataclass
@@ -269,264 +256,6 @@ class JsonlWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _request_headers() -> dict[str, str]:
-    from . import __version__
-
-    headers = {
-        "Content-Type": "application/json",
-        "User-Agent": f"cotbudget/{__version__}",
-        "Accept-Encoding": "identity",
-    }
-    key = _api_key()
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    return headers
-
-
-def _api_key() -> str:
-    """The API key, or "" when unset.
-
-    A key that an HTTP header cannot carry, one with a control character
-    (CR and LF among them) or a character outside Latin-1, is a ValueError
-    that names the variable, never the key.
-    """
-    key = os.environ.get(API_KEY_ENV, "")
-    if not key.isprintable() or any(c > "\xff" for c in key):
-        raise ValueError(f"{API_KEY_ENV} holds a character that an HTTP header cannot carry "
-                         "(a control character, or one outside Latin-1)")
-    return key
-
-
-def _tls_context():
-    """The default TLS context, trusting REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE when set."""
-    import ssl
-
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    try:
-        if bundle and os.path.isdir(bundle):
-            return ssl.create_default_context(capath=bundle)
-        return ssl.create_default_context(cafile=bundle or None)
-    except OSError as exc:  # ssl.SSLError included
-        raise EndpointError(f"cannot load the CA bundle {bundle}: {exc}") from exc
-
-
-def _proxy(url: SplitResult) -> SplitResult | None:
-    """The proxy that an endpoint's split URL goes through, split, or None (see _proxy_for).
-
-    A proxy that is not http:// is a ValueError, which shows its URL
-    without the ``user:password@`` part.
-    """
-    proxy = _proxy_for(url.scheme, url.hostname)
-    if not proxy:
-        return None
-    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-    if via.scheme != "http" or not via.hostname:
-        shown = via._replace(netloc=via.netloc.rpartition("@")[2]).geturl()
-        raise ValueError(f"only http:// proxies are supported, got {shown!r}")
-    return via
-
-
-def _proxy_for(scheme: str, host: str) -> str | None:
-    """The proxy urllib.request would use for scheme://host, or None.
-
-    On Linux getproxies() reads only variables named {scheme}_proxy or
-    all_proxy, in any letter case, so without one there is no proxy and
-    urllib.request, which loads hashlib and tempfile, is not imported. On
-    macOS and Windows it also reads the system's settings, so it always runs.
-    """
-    names = (f"{scheme}_proxy", "all_proxy")
-    if sys.platform != "darwin" and os.name != "nt" and not any(
-        name.lower() in names for name in os.environ
-    ):
-        return None
-    import urllib.request
-
-    proxies = urllib.request.getproxies()
-    proxy = proxies.get(scheme) or proxies.get("all")
-    if proxy and urllib.request.proxy_bypass(host):
-        return None
-    return proxy
-
-
-class _DeadlineReader(io.RawIOBase):
-    """A socket's reader that gives each read the time left until a deadline.
-
-    Past the deadline a read raises TimeoutError("timed out"), as the
-    socket's own timeout reads, so a reply that trickles in ends there
-    however small its pieces.
-    """
-
-    def __init__(self, source: io.RawIOBase, sock, deadline: float) -> None:
-        self._source, self._sock, self._deadline = source, sock, deadline
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        left = self._deadline - time.monotonic()
-        if left <= 0:
-            raise TimeoutError("timed out")
-        self._sock.settimeout(left)
-        return self._source.readinto(buffer)
-
-    def close(self) -> None:
-        self._source.close()
-        super().close()
-
-
-def _reply_by(deadline: float, sock, *args, **kwargs):
-    """An http.client reply that reads sock, status line and headers included,
-    through a _DeadlineReader: a connection's ``response_class``."""
-    from http.client import HTTPResponse
-
-    reply = HTTPResponse(sock, *args, **kwargs)
-    reply.fp = io.BufferedReader(_DeadlineReader(reply.fp.detach(), sock, deadline))
-    return reply
-
-
-class _Transport:
-    """Where one sweep's requests go, worked out once.
-
-    The endpoint's host, port and path, the proxy (HTTP_PROXY, HTTPS_PROXY,
-    ALL_PROXY and NO_PROXY, as urllib.request reads them; see _proxy_for),
-    the TLS context and the headers are fixed when the sweep starts. It
-    holds no connection: connect() makes one, which opens its socket on
-    first use. Each worker makes its own, keeps it alive for all its cells
-    and closes it when it stops, so no two workers share one.
-    """
-
-    def __init__(self, config: SweepConfig) -> None:
-        import http.client
-        from base64 import b64encode
-        from urllib.parse import unquote
-
-        url = urlsplit(config.endpoint)
-        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
-        self.target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self.headers = _request_headers()
-        context = _tls_context() if url.scheme == "https" else None
-        via = _proxy(url)
-        tunnel_headers: dict[str, str] = {}
-        if via:
-            if via.username:
-                credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
-                token = b64encode(credentials.encode("utf-8")).decode("ascii")
-                tunnel_headers["Proxy-Authorization"] = f"Basic {token}"
-            address = (via.hostname, via.port or 80)
-            if url.scheme == "http":
-                # The proxy takes the absolute URL as the request target.
-                self.target = f"http://{url.netloc.rpartition('@')[2]}{self.target}"
-                self.headers.update(tunnel_headers)
-        else:
-            address = (host, port)
-
-        def connect() -> http.client.HTTPConnection:
-            if url.scheme == "http":
-                return http.client.HTTPConnection(*address, timeout=config.timeout)
-            conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
-            if via:
-                conn.set_tunnel(host, port, headers=tunnel_headers)
-            return conn
-
-        self.connect = connect
-        self.timeout = config.timeout
-
-    def post(self, conn, body: bytes) -> tuple[int, str | None, bytes]:
-        """POST body on conn; returns (status, Retry-After, reply body).
-
-        The reply body is read in full, whatever the status, so conn can
-        carry the next request. A body longer than MAX_REPLY_BYTES is not:
-        its first MAX_REPLY_BYTES + 1 bytes are returned and conn is closed.
-        Every read of the reply, status line and headers included, is given
-        the time left of ``timeout`` counted from the request (see
-        _reply_by), so a reply that trickles in past it is a TimeoutError.
-        A kept-alive connection that the server closed while idle fails
-        before any reply arrives; the request is then sent once more on a
-        new connection. Any other failure closes conn and propagates.
-        """
-        conn.response_class = partial(_reply_by, time.monotonic() + self.timeout)
-        try:
-            reused = conn.sock is not None
-            if reused:
-                conn.sock.settimeout(self.timeout)  # a reply read left it shorter
-            try:
-                reply = self._exchange(conn, body)
-            except ConnectionError:
-                if not reused:
-                    raise
-                conn.close()
-                reply = self._exchange(conn, body)
-            data = reply.read(MAX_REPLY_BYTES + 1)
-            if len(data) > MAX_REPLY_BYTES:
-                conn.close()  # the rest of the body is never read
-            elif reply.length:  # the body ended before its Content-Length, as read() raises
-                from http.client import IncompleteRead
-
-                raise IncompleteRead(data, reply.length)
-            return reply.status, reply.getheader("Retry-After"), data
-        except BaseException:
-            conn.close()
-            raise
-
-    def _exchange(self, conn, body: bytes):
-        """Send body on conn; returns the reply."""
-        conn.request("POST", self.target, body, self.headers)
-        return conn.getresponse()
-
-
-# A worker's POST: _Transport.post bound to the worker's own connection.
-Post = Callable[[bytes], tuple[int, str | None, bytes]]
-
-
-def _retry_after_seconds(value: str | None) -> int:
-    """A delta-seconds Retry-After value; 0 for none, an HTTP-date, junk or above the cap."""
-    value = (value or "").strip()
-    if value.isascii() and value.isdigit() and int(value) <= RETRY_AFTER_MAX_SECONDS:
-        return int(value)
-    return 0
-
-
-def _post_with_retries(
-    config: SweepConfig, post: Post, payload: dict
-) -> tuple[dict | None, str | None, int]:
-    """Returns (response JSON, error, retries used). Retries transport errors, 429 and 5xx.
-
-    The wait before a retry is the exponential backoff, or the reply's
-    Retry-After when a 429 or 503 asks for longer.
-    """
-    from http.client import HTTPException
-
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    last_error = "no attempt made"
-    retries_used = 0
-    retry_after = 0
-    for attempt in range(config.retries + 1):
-        if attempt:
-            backoff = min(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1), BACKOFF_CAP_SECONDS)
-            time.sleep(max(backoff, retry_after))
-            retries_used += 1
-        retry_after = 0
-        try:
-            status, retry_after_header, data = post(body)
-        except (OSError, HTTPException) as exc:
-            last_error = f"transport: {str(exc) or type(exc).__name__}"
-            continue
-        if len(data) > MAX_REPLY_BYTES:
-            return None, f"reply body longer than {MAX_REPLY_BYTES} bytes", retries_used
-        if status == 429 or status >= 500:
-            last_error = f"HTTP {status}"
-            if status in (429, 503):
-                retry_after = _retry_after_seconds(retry_after_header)
-            continue
-        if status != 200:
-            return None, f"HTTP {status}", retries_used
-        try:
-            return json.loads(data), None, retries_used
-        except (ValueError, RecursionError):  # RecursionError: nested too deeply
-            return None, "unparseable response body", retries_used
-    return None, last_error, retries_used
 
 
 def _run_cell(
@@ -772,13 +501,18 @@ def _no_follow(path: str, flags: int) -> int:
     return os.open(path, flags | getattr(os, "O_NOFOLLOW", 0), 0o666)
 
 
+def scratch_path(sidecar: str) -> str:
+    """The scratch file that failures_writer writes the sidecar ``sidecar`` through."""
+    return os.path.join(os.path.dirname(sidecar), f".{os.path.basename(sidecar)}.cotbudget-tmp")
+
+
 @contextlib.contextmanager
 def failures_writer(path: str, name: str, questions: Sequence[Question],
                     catalog: Iterable[PromptSpec], prior: Set | None) -> Iterator[JsonlWriter]:
     """Write the failures sidecar ``path`` (links resolved, locked by the
     caller) anew, and yield the sweep's writer of it.
 
-    The lines go to ``.<sidecar>.cotbudget-tmp`` beside it, opened without
+    The lines go to ``.<sidecar>.cotbudget-tmp`` beside it (scratch_path), opened without
     following a link, locked, then emptied: only the sidecar's lock holder
     opens it, so one that a killed run left is taken over. A fresh run
     passes ``prior`` None and copies nothing. A resume passes the cells
@@ -789,7 +523,7 @@ def failures_writer(path: str, name: str, questions: Sequence[Question],
     locked, so the path names a locked file at every instant; the writer
     appends to that file.
     """
-    scratch = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.cotbudget-tmp")
+    scratch = scratch_path(path)
     question_ids = {question.question_id for question in questions}
     prompt_ids = {spec.prompt_id for spec in catalog}
     with locked(scratch, name, _no_follow):

@@ -5,7 +5,8 @@ question text, reporting a deterministic completion-token count, so sweeps
 against it are fully reproducible. It speaks HTTP/1.1 and keeps connections
 alive, as a real endpoint does. Failure injection (leading error replies
 with an optional Retry-After, dropped connections, connections closed while
-idle, rewritten reply bodies) covers the retry, reconnect and sidecar
+idle, rewritten reply bodies, and replies sent as raw bytes, such as a
+trickled, short or chunked one) covers the retry, reconnect and sidecar
 contracts.
 """
 from __future__ import annotations
@@ -15,13 +16,14 @@ import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Callable, Iterable
 
 QUESTION_RE = re.compile(r"Question: ([^\n]*)")
 
 Reply = tuple[str, int | None]
 ReplyFn = Callable[[str, dict], Reply]
 RewriteFn = Callable[[dict], object]
+RawFn = Callable[[bytes], Iterable[bytes] | None]
 
 
 def default_reply(question_text: str, answer: str) -> Reply:
@@ -101,6 +103,13 @@ class _Handler(BaseHTTPRequestHandler):
             }
         if endpoint.rewrite is not None:
             response = endpoint.rewrite(response)
+        if endpoint.raw is not None:
+            pieces = endpoint.raw(json.dumps(response).encode("utf-8"))
+            if pieces is not None:
+                self.close_connection = True  # unannounced, as after a dropped reply
+                for piece in pieces:
+                    self.wfile.write(piece)
+                return
         self._send(200, response)
 
     def _send(self, status: int, payload: object, headers: dict[str, str] | None = None) -> None:
@@ -128,6 +137,11 @@ class MockChatEndpoint:
     each connection unannounced after it has served that many replies (as a
     server's idle timeout does), and rewrite (called on each 200 reply body,
     returning the body to send) to send malformed replies or to drop usage.
+    raw, off by default, is called with each 200 reply's JSON body bytes; it
+    returns None to send the reply as usual, or the bytes to send in its
+    place, status line and headers included, as pieces written one at a
+    time (a generator may sleep between them). The connection is closed
+    after a raw reply.
 
     request_count, requests (parsed bodies) and raw_requests (target,
     headers and body bytes) record what arrived; connection_count counts
@@ -144,6 +158,7 @@ class MockChatEndpoint:
         close_after: int = 0,
         reply_fn: ReplyFn | None = None,
         rewrite: RewriteFn | None = None,
+        raw: RawFn | None = None,
     ) -> None:
         self.answers = dict(answers or {})
         self.fail_remaining = fail_first
@@ -153,6 +168,7 @@ class MockChatEndpoint:
         self.close_after = close_after
         self.reply_fn = reply_fn
         self.rewrite = rewrite
+        self.raw = raw
         self.lock = threading.Lock()
         self.request_count = 0
         self.requests: list[dict] = []

@@ -8,15 +8,20 @@ code that a faster version replaced with the same results, and the
 ``*_from_json_loop`` and ``budget_entry_loop`` checkers are the hand-written
 line validators that one rule table replaced. ``profile_from_json_dict_loop``
 and ``column_sums_whole`` are the per-entry loader and the whole-matrix
-column sums that a one-pass loader and a row-blocked sum replaced. They are slow, and they are
-kept only as reference oracles for the differential tests.
+column sums that a one-pass loader and a row-blocked sum replaced.
+``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
+socket-level one replaced. They are slow, and they are kept only as
+reference oracles for the differential tests.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
+import time
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -46,6 +51,8 @@ from cotbudget.oracle import INFINITE_SHARE, TAU_RANGE, OracleSpec
 from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
 from cotbudget.records import OPTIONAL_FIELDS, REQUIRED_FIELDS, EvalRecord, RunMatrix
 from cotbudget.routing import RoutingOutcome
+from cotbudget import transport
+from cotbudget.transport import _proxy, _request_headers, _tls_context
 
 
 def load_records_loop(path: str | Path) -> list[EvalRecord]:
@@ -753,3 +760,103 @@ def generate_loop(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
             tokens[i, j] = row[j]
             correct[i, j] = solved[j] != flips[i, j]
     return tokens, correct
+
+
+class _SourceDeadlineReader(io.RawIOBase):
+    """A socket file's reader that gives each read the time left until a deadline."""
+
+    def __init__(self, source: io.RawIOBase, sock, deadline: float) -> None:
+        self._source, self._sock, self._deadline = source, sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self._sock.settimeout(left)
+        return self._source.readinto(buffer)
+
+    def close(self) -> None:
+        self._source.close()
+        super().close()
+
+
+def _reply_by(deadline: float, sock, *args, **kwargs):
+    """An http.client reply that reads sock, status line and headers included,
+    through a _SourceDeadlineReader: a connection's ``response_class``."""
+    from http.client import HTTPResponse
+
+    reply = HTTPResponse(sock, *args, **kwargs)
+    reply.fp = io.BufferedReader(_SourceDeadlineReader(reply.fp.detach(), sock, deadline))
+    return reply
+
+
+class HttpClientTransport:
+    """The http.client transport: connect() makes an HTTPConnection, and post
+    sends on it as transport._Transport.post does (see its docstring)."""
+
+    def __init__(self, config) -> None:
+        import http.client
+        from base64 import b64encode
+        from urllib.parse import unquote, urlsplit
+
+        url = urlsplit(config.endpoint)
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        self.target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self.headers = _request_headers()
+        context = _tls_context() if url.scheme == "https" else None
+        via = _proxy(url)
+        tunnel_headers: dict[str, str] = {}
+        if via:
+            if via.username:
+                credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                token = b64encode(credentials.encode("utf-8")).decode("ascii")
+                tunnel_headers["Proxy-Authorization"] = f"Basic {token}"
+            address = (via.hostname, via.port or 80)
+            if url.scheme == "http":
+                self.target = f"http://{url.netloc.rpartition('@')[2]}{self.target}"
+                self.headers.update(tunnel_headers)
+        else:
+            address = (host, port)
+
+        def connect() -> http.client.HTTPConnection:
+            if url.scheme == "http":
+                return http.client.HTTPConnection(*address, timeout=config.timeout)
+            conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
+            if via:
+                conn.set_tunnel(host, port, headers=tunnel_headers)
+            return conn
+
+        self.connect = connect
+        self.timeout = config.timeout
+
+    def post(self, conn, body: bytes) -> tuple[int, str | None, bytes]:
+        conn.response_class = partial(_reply_by, time.monotonic() + self.timeout)
+        try:
+            reused = conn.sock is not None
+            if reused:
+                conn.sock.settimeout(self.timeout)
+            try:
+                reply = self._exchange(conn, body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                reply = self._exchange(conn, body)
+            data = reply.read(transport.MAX_REPLY_BYTES + 1)
+            if len(data) > transport.MAX_REPLY_BYTES:
+                conn.close()
+            elif reply.length:
+                from http.client import IncompleteRead
+
+                raise IncompleteRead(data, reply.length)
+            return reply.status, reply.getheader("Retry-After"), data
+        except BaseException:
+            conn.close()
+            raise
+
+    def _exchange(self, conn, body: bytes):
+        conn.request("POST", self.target, body, self.headers)
+        return conn.getresponse()

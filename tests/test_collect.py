@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import io
 import json
 import os
 import socket
@@ -29,7 +28,6 @@ from cotbudget.collect import (
     Choice,
     Question,
     SweepConfig,
-    _DeadlineReader,
     _run_cell,
     drop_torn_tail,
     failures_writer,
@@ -53,6 +51,8 @@ from cotbudget.prompts import (
     render,
 )
 from cotbudget.records import EvalRecord, load_records, read_matrices
+from cotbudget import transport as transport_module
+from cotbudget.transport import _DeadlineReader
 
 from conftest import without_usage
 from loop_oracles import present_cells, record_json_loop
@@ -467,7 +467,7 @@ def _raw_endpoint(attempts, reply, per_connection=1):
 def waits(monkeypatch):
     """The retry waits a sweep asks for, recorded instead of slept."""
     recorded: list[float] = []
-    monkeypatch.setattr("cotbudget.collect.time.sleep", recorded.append)
+    monkeypatch.setattr("cotbudget.transport.time.sleep", recorded.append)
     return recorded
 
 
@@ -558,7 +558,7 @@ class TestConnections:
 
     def test_a_reply_over_the_cap_fails_its_cell_once(self, tmp_path, waits, monkeypatch):
         """One request, one sidecar line naming the cap; the next cell reconnects."""
-        monkeypatch.setattr("cotbudget.collect.MAX_REPLY_BYTES", 4096)
+        monkeypatch.setattr("cotbudget.transport.MAX_REPLY_BYTES", 4096)
 
         def oversized(response):
             message = response["choices"][0]["message"]
@@ -707,16 +707,16 @@ class TestConnections:
         assert {(r.response, r.tokens, r.correct) for r in records} == {(content, 12, True)}
 
     def test_a_read_past_the_deadline_reads_nothing(self):
-        source = io.BytesIO(b"reply")
-
         class Socket:
             def settimeout(self, seconds):
                 raise AssertionError("the timeout was set past the deadline")
 
-        reader = _DeadlineReader(source, Socket(), time.monotonic() - 1)
+            def recv_into(self, buffer):
+                raise AssertionError("the socket was read past the deadline")
+
+        reader = _DeadlineReader(Socket(), time.monotonic() - 1)
         with pytest.raises(TimeoutError, match="^timed out$"):
             reader.readinto(bytearray(8))
-        assert source.tell() == 0
         reader.close()
 
     def test_a_kept_alive_connection_gets_the_whole_timeout_again(self, tmp_path):
@@ -1519,26 +1519,78 @@ def test_client_gone_before_the_reply_ends_the_connection_quietly(capfd):
     assert capfd.readouterr().err == ""
 
 
+def _trickled(body: bytes):
+    yield b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)
+    step = len(body) // 4 + 1
+    for start in range(0, len(body), step):
+        time.sleep(0.01)
+        yield body[start:start + step]
+
+
+# Raw replies for MockChatEndpoint's raw hook, by fault: each is sent in place of a 200 reply.
+RAW_FAULTS = {
+    "trickled": _trickled,
+    "short": lambda body: [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                           % (len(body) + 10, body)],
+    "not-utf8": lambda body: [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                              % (len(body) + 1, body.replace(b"Answer", b"\xffAnswer"))],
+    "chunked": lambda body: [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+                             b"%x;x=1\r\n%s\r\n0\r\nX-Trailer: 1\r\n\r\n" % (len(body), body)],
+}
+
+
+def _raw_fault(kind: str | None, count: int):
+    """A raw hook that sends the first ``count`` 200 replies as RAW_FAULTS[kind], or None."""
+    if kind is None:
+        return None
+    left, lock = [count], threading.Lock()
+
+    def raw(body: bytes):
+        with lock:
+            if not left[0]:
+                return None
+            left[0] -= 1
+        return RAW_FAULTS[kind](body)
+
+    return raw
+
+
 @settings(max_examples=25, deadline=None)
 @given(fail_first=st.integers(0, 4), fail_status=st.sampled_from([404, 429, 500, 503]),
        drop_first=st.integers(0, 3), close_after=st.sampled_from([0, 1, 2]),
-       drop_usage=st.booleans(), max_parallel=st.integers(1, 3), retries=st.integers(0, 2))
+       drop_usage=st.booleans(), max_parallel=st.integers(1, 3), retries=st.integers(0, 2),
+       raw_fault=st.sampled_from([None, *RAW_FAULTS]), raw_first=st.integers(0, 3))
 def test_a_sweep_under_a_fault_script_lists_every_cell_once(
     tmp_path_factory, fail_first, fail_status, drop_first, close_after, drop_usage,
-    max_parallel, retries,
+    max_parallel, retries, raw_fault, raw_first,
 ):
-    """Error replies, dropped and idle-closed connections and replies without
-    usage, in any mix: the sweep returns, and each cell lands once, as a
-    record or as a sidecar line, as the summary counts them."""
+    """Error replies, dropped and idle-closed connections, replies without
+    usage, and raw replies (trickled, shorter than their Content-Length, not
+    UTF-8, or chunked), in any mix: the sweep returns, and each cell lands
+    once, as a record or as a sidecar line, as the summary counts them, each
+    within its retries' share of timeout and backoff."""
     folder = tmp_path_factory.mktemp("faults")
     questions = _questions(2)
+    timeout = 5.0
     mock = MockChatEndpoint(fail_first=fail_first, fail_status=fail_status, drop_first=drop_first,
-                            close_after=close_after, rewrite=without_usage if drop_usage else None)
-    with mock, patch.object(collect_module, "BACKOFF_BASE_SECONDS", 0):
+                            close_after=close_after, rewrite=without_usage if drop_usage else None,
+                            raw=_raw_fault(raw_fault, raw_first))
+    walls: list[float] = []
+    run_cell = collect_module._run_cell
+
+    def timed(*args):
+        start = time.monotonic()
+        try:
+            return run_cell(*args)
+        finally:
+            walls.append(time.monotonic() - start)
+
+    with mock, patch.object(transport_module, "BACKOFF_BASE_SECONDS", 0), \
+            patch.object(collect_module, "_run_cell", timed):
         with JsonlWriter(folder / "records.jsonl") as writer, \
                 JsonlWriter(folder / "failures.jsonl") as failures:
             summary = sweep(questions, config_for(mock.url, max_parallel=max_parallel,
-                                                  retries=retries, timeout=5.0),
+                                                  retries=retries, timeout=timeout),
                             writer, failures)
     records, sidecar = (
         [json.loads(line) for line in (folder / name).read_text(encoding="utf-8").splitlines()]
@@ -1549,3 +1601,5 @@ def test_a_sweep_under_a_fault_script_lists_every_cell_once(
                            for q in questions for spec in small_catalog())
     assert (summary.succeeded, summary.failed) == (len(records), len(sidecar))
     assert not drop_usage or not records
+    assert len(walls) == len(cells)
+    assert max(walls) <= (retries + 1) * (timeout + transport_module.BACKOFF_CAP_SECONDS)

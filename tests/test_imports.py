@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,34 @@ def test_fresh_collect_loads_no_numpy(tmp_path, clean_env):
         loaded = collect_one_question(tmp_path, mock)
     assert loaded & {"numpy", "concurrent.futures", "urllib.request"} == set()
     assert "cotbudget.collect" in loaded
+
+
+def _tls_or_http_client(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.split(".")[0] in ("ssl", "_ssl", "email")
+            or m == "http.client"}
+
+
+def test_an_http_collect_loads_no_tls_and_no_http_client(tmp_path, clean_env):
+    """The socket-level client: no ssl, no http.client and no email for http://."""
+    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
+        loaded = collect_one_question(tmp_path, mock)
+    assert _tls_or_http_client(loaded) == set()
+    assert {"cotbudget.transport", "socket"} <= loaded
+
+
+def test_an_https_collect_loads_ssl_but_no_http_client(tmp_path, clean_env):
+    """Each cell is refused at a closed port, so the run exits 3, after its TLS context is made."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text(json.dumps({"question_id": "q1", "text": "1+1?", "gold_answer": "2"}))
+    done = child(LOADED, "collect", "--endpoint", f"https://127.0.0.1:{port}/v1", "--model", "m",
+                 "--dataset", "d", "--questions", str(questions), "--out",
+                 str(tmp_path / "records.jsonl"), "--retries", "0")
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 3, done.stderr
+    assert _tls_or_http_client(set(result["modules"])) == {"ssl", "_ssl"}
 
 
 @pytest.mark.parametrize("variable, loads", [
