@@ -48,15 +48,31 @@ class ReplyError(Exception):
 
 
 def shown_url(url: str) -> str:
-    """url as it may be shown: without anything up to the last "@" before its query.
+    """url as it may be shown: its authority without ``user:password@``.
 
-    That drops ``user:password@``, even a password with an unescaped "/".
+    The authority ends at the first "/", "?" or "#", as RFC 3986 reads it,
+    so an "@" in the path or the query is kept. A password must
+    percent-encode those three characters; where it does not, urlsplit
+    reads no password either, and a port that is not a number is refused
+    without showing the URL (see check_endpoint and _proxy).
     """
     scheme, sep, rest = url.partition("://")
     if not sep:
         scheme, rest = "", url
-    end = min(i for i in (rest.find("?"), rest.find("#"), len(rest)) if i >= 0)
+    end = min((i for i in map(rest.find, "/?#") if i >= 0), default=len(rest))
     return scheme + sep + rest[:end].rpartition("@")[2] + rest[end:]
+
+
+def _port(url: SplitResult) -> int | None:
+    """url's port, None when it names none, or -1 when it is not a number up to 65535.
+
+    urlsplit's own error shows the text after the last ":" of the
+    authority, which is part of a password that holds an unescaped "/".
+    """
+    try:
+        return url.port
+    except ValueError:
+        return -1
 
 
 def check_endpoint(endpoint: str) -> None:
@@ -67,12 +83,15 @@ def check_endpoint(endpoint: str) -> None:
     COTBUDGET_API_KEY. What the environment adds to each request, the API
     key and the proxy, is checked too. No message shows a secret.
     """
-    shown = shown_url(endpoint)
-    if shown != endpoint:
+    url, shown = urlsplit(endpoint), shown_url(endpoint)
+    if "@" in url.netloc:
         raise ValueError(f"endpoint {shown!r} must not carry user:password@; "
                          f"set the credential in {API_KEY_ENV}")
-    url = urlsplit(endpoint)
-    if (url.scheme not in DEFAULT_PORTS or not url.hostname or url.port == 0
+    port = _port(url)
+    if port == -1:
+        raise ValueError("Port could not be cast to an integer from 0 to 65535 in the endpoint; "
+                         f"a password must percent-encode \"/\", and goes in {API_KEY_ENV}")
+    if (url.scheme not in DEFAULT_PORTS or not url.hostname or port == 0
             or not all("!" <= c <= "~" for c in endpoint)):
         raise ValueError(f"endpoint must be an http:// or https:// URL, got {shown!r}")
     _api_key()
@@ -124,7 +143,8 @@ def _proxy(url: SplitResult) -> SplitResult | None:
     """The proxy that an endpoint's split URL goes through, split, or None (see _proxy_for).
 
     A proxy that is not http://, or lacks a host or a valid port, is a
-    ValueError, which shows its URL through shown_url.
+    ValueError, which shows its URL through shown_url, or not at all when
+    its port is not a number.
     """
     proxy = _proxy_for(url.scheme, url.hostname)
     if not proxy:
@@ -133,10 +153,10 @@ def _proxy(url: SplitResult) -> SplitResult | None:
     via = urlsplit(proxy)
     if via.scheme != "http":
         raise ValueError(f"only http:// proxies are supported, got {shown_url(proxy)!r}")
-    try:
-        port = via.port
-    except ValueError:  # its message shows the port, which may be part of a password
-        port = 0
+    port = _port(via)
+    if port == -1:
+        raise ValueError("the proxy's port could not be cast to an integer from 0 to 65535; "
+                         'a password in its URL must percent-encode "/"')
     if not via.hostname or port == 0:
         raise ValueError(f"the proxy {shown_url(proxy)!r} needs a host, and a port from 1 "
                          "to 65535 if it names one")
@@ -216,7 +236,8 @@ class _Transport:
     (with no port when the port is the scheme's default), Content-Length,
     then _request_headers in order, in Latin-1. An http:// request through
     a proxy names the absolute URL and carries Proxy-Authorization; an
-    https:// one goes through a CONNECT tunnel, which carries it instead.
+    https:// one goes through an HTTP/1.1 CONNECT tunnel, whose request
+    carries Proxy-Authorization, then Host.
     """
 
     def __init__(self, config: SweepConfig) -> None:
@@ -239,9 +260,12 @@ class _Transport:
                 target, authority = f"http://{url.netloc}{target}", url.netloc
                 headers.update(auth)
             else:
-                host = f"[{self._host}]" if ":" in self._host else self._host
+                # As the standard library frames it from Python 3.12 on: HTTP/1.1,
+                # with Host last (RFC 9110 asks for it).
+                host = f"[{self._host}]:{port}" if ":" in self._host else f"{self._host}:{port}"
+                auth["Host"] = host
                 self._tunnel = "".join(
-                    [f"CONNECT {host}:{port} HTTP/1.0\r\n",
+                    [f"CONNECT {host} HTTP/1.1\r\n",
                      *(f"{name}: {value}\r\n" for name, value in auth.items()), "\r\n"]
                 ).encode("latin-1")
         else:
