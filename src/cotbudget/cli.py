@@ -10,7 +10,6 @@ error. Each subcommand imports the modules it runs when it is called.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -99,6 +98,8 @@ def _profile_for(args, matrix=None):
 
 
 def cmd_synth(args) -> int:
+    import dataclasses
+
     from . import oracle
     from .records import save_matrix
 

@@ -12,6 +12,9 @@ in a failures sidecar instead of the record file. A resume skips the cells
 bit per cell. ``ssl`` is imported only when an https:// sweep has a cell to
 send, and ``urllib.request`` only when a proxy could apply (see
 ``transport._proxy_for``), so importing this module does not pay for them.
+Nor does it load ``dataclasses``: its records are ``inputs.FrozenValue``
+classes. A sweep imports ``fractions`` only when it grades a free-form
+answer that is not a plain integer, such as "0.5" against "1/2".
 """
 from __future__ import annotations
 
@@ -23,18 +26,20 @@ import os
 import re
 import threading
 from collections.abc import Set
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CotBudgetError, RecordSchemaError
 from .inputs import (
-    NON_EMPTY_STRING, TOKENS_MAX, PairCells, check_line, read_jsonl, record_cells,
+    NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, PairCells, check_line, read_jsonl, record_cells,
+    set_fields,
 )
 from .prompts import PromptCatalog, PromptSpec, render
 from .transport import Post, _post_with_retries, _Transport, check_endpoint
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 log = logging.getLogger(__name__)
 
@@ -45,32 +50,33 @@ QUESTION_FIELDS = ("question_id", "text", "gold_answer")
 TAIL_BLOCK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class Choice:
-    label: str
-    text: str
+class Choice(FrozenValue):
+    """One labeled option of a multiple-choice question."""
+
+    __slots__ = ("label", "text")
+
+    def __init__(self, label: str, text: str) -> None:
+        set_fields(self, (label, text))
 
 
-@dataclass(frozen=True, slots=True)
-class Question:
+class Question(FrozenValue):
     """One benchmark item: body text, gold answer, optional labeled choices."""
 
-    question_id: str
-    text: str
-    gold_answer: str
-    choices: tuple[Choice, ...] | None = None
+    __slots__ = ("question_id", "text", "gold_answer", "choices")
 
-    def __post_init__(self) -> None:
-        fields = {name: getattr(self, name) for name in QUESTION_FIELDS}
+    def __init__(self, question_id: str, text: str, gold_answer: str,
+                 choices: tuple[Choice, ...] | None = None) -> None:
+        fields = dict(zip(QUESTION_FIELDS, (question_id, text, gold_answer)))
         check_line(fields, "question", (), _QUESTION_RULES)
-        if self.choices is not None:
-            object.__setattr__(self, "choices", tuple(self.choices))
-            labels = {c.label.casefold() for c in self.choices}
-            if self.gold_answer.casefold() not in labels:
+        if choices is not None:
+            choices = tuple(choices)
+            labels = {c.label.casefold() for c in choices}
+            if gold_answer.casefold() not in labels:
                 raise RecordSchemaError(
-                    f"question {self.question_id!r}: gold_answer {self.gold_answer!r} "
+                    f"question {question_id!r}: gold_answer {gold_answer!r} "
                     "is not one of the choice labels"
                 )
+        set_fields(self, (question_id, text, gold_answer, choices))
 
     @classmethod
     def from_json_dict(cls, obj: object) -> Question:
@@ -129,43 +135,48 @@ def format_question(question: Question) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(FrozenValue):
     """Endpoint, catalog, and decoding settings for one collection sweep."""
 
-    endpoint: str
-    model: str
-    dataset: str
-    catalog: PromptCatalog
-    max_parallel: int = 1
-    retries: int = 3
-    temperature: float = 0.0
-    timeout: float = 120.0
+    __slots__ = ("endpoint", "model", "dataset", "catalog", "max_parallel", "retries",
+                 "temperature", "timeout")
 
-    def __post_init__(self) -> None:
-        for name in ("model", "dataset"):
-            value = getattr(self, name)
+    def __init__(self, endpoint: str, model: str, dataset: str, catalog: PromptCatalog,
+                 max_parallel: int = 1, retries: int = 3, temperature: float = 0.0,
+                 timeout: float = 120.0) -> None:
+        for name, value in (("model", model), ("dataset", dataset)):
             if type(value) is not str or not value:
                 raise ValueError(f"{name} must be a non-empty string, got {value!r}")
-        if self.max_parallel < 1:
+        if max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
-        if self.retries < 0:
+        if retries < 0:
             raise ValueError("retries must be >= 0")
-        if not math.isfinite(self.temperature):
+        if not math.isfinite(temperature):
             raise ValueError("temperature must be a finite number")
-        if not 0 < self.timeout < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout!r}")
+        if not 0 < timeout < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"timeout must be a finite number above 0, got {timeout!r}")
         # With what the environment adds to each request, before a file is opened.
-        check_endpoint(self.endpoint)
+        check_endpoint(endpoint)
+        set_fields(self, (endpoint, model, dataset, catalog, max_parallel, retries, temperature,
+                          timeout))
 
 
-@dataclass
 class SweepSummary:
-    requested: int = 0
-    skipped: int = 0
-    succeeded: int = 0
-    failed: int = 0
-    retries: int = 0
+    """A sweep's cell counts, added to as its cells finish."""
+
+    __slots__ = ("requested", "skipped", "succeeded", "failed", "retries")
+    # Compared, shown and pickled field by field as a FrozenValue is, but mutable, so unhashable.
+    __eq__, __repr__ = FrozenValue.__eq__, FrozenValue.__repr__
+    __getstate__, __setstate__ = FrozenValue.__getstate__, FrozenValue.__setstate__
+    __hash__ = None
+
+    def __init__(self, requested: int = 0, skipped: int = 0, succeeded: int = 0,
+                 failed: int = 0, retries: int = 0) -> None:
+        self.requested = requested
+        self.skipped = skipped
+        self.succeeded = succeeded
+        self.failed = failed
+        self.retries = retries
 
 
 def _strip_wrapping(s: str) -> str:
@@ -176,16 +187,26 @@ def _strip_wrapping(s: str) -> str:
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+_INTEGER = re.compile(r"[-+]?[0-9]+\Z")
 
 
-def _as_rational(s: str) -> Fraction | None:
+def _as_rational(s: str) -> int | Fraction | None:
     """s as an exact rational, or None.
 
-    Fraction computes 10**exponent while holding the GIL, so an exponent
-    past EXPONENT_MAX is refused before it is built: that value is compared
-    as text only. A longer mantissa already fails int()'s digit limit.
+    A plain ASCII integer (an optional sign, then digits) is an int, so
+    grading integer answers never imports fractions. Fraction computes
+    10**exponent while holding the GIL, so an exponent past EXPONENT_MAX is
+    refused before it is built: that value is compared as text only. A
+    longer mantissa, or integer, already fails int()'s digit limit.
     """
     s = s.replace(",", "").replace(" ", "")
+    if _INTEGER.match(s):
+        try:
+            return int(s)
+        except ValueError:
+            return None
+    from fractions import Fraction
+
     exponent = _EXPONENT.search(s)
     try:
         if exponent and abs(int(exponent[1])) > EXPONENT_MAX:

@@ -279,3 +279,47 @@ def _schema_error(obj: object, path: Path, line_no: int) -> RecordSchemaError:
     except RecordSchemaError as exc:
         return RecordSchemaError(exc.reason, path=str(path), line_no=line_no)
     raise AssertionError(f"{path}:{line_no}: inline record check disagrees with RECORD_RULES")
+
+
+def _values(obj: object) -> tuple:
+    return tuple(getattr(obj, name) for name in type(obj).__slots__)
+
+
+def set_fields(obj: object, values: Sequence) -> None:
+    """Set a FrozenValue's fields, in ``__slots__`` order, from values."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+
+
+class FrozenValue:
+    """A frozen record over ``__slots__``, without the import cost of ``dataclasses``.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` sets them with ``set_fields``. As a frozen dataclass
+    does, an instance refuses every assignment and deletion, equals only an
+    instance of its own class whose fields are equal, hashes and shows its
+    fields (``Name(field=value, ...)``) and survives copy and pickle.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _values(self) == _values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    __getstate__ = _values
+    __setstate__ = set_fields

@@ -9,12 +9,11 @@ final-line answer-format contract that the grader relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .errors import RecordSchemaError
-from .inputs import NON_EMPTY_STRING, checked, read_json
+from .inputs import NON_EMPTY_STRING, FrozenValue, checked, read_json, set_fields
 
 FIXED_INSTRUCTIONS: dict[str, str] = {
     "NoCoT": "Only give the final answer.",
@@ -52,35 +51,32 @@ QUESTION_TEMPLATE = (
     "'Answer: ANSWER' (without quotes) where ANSWER is your final answer."
 )
 
-@dataclass(frozen=True)
-class PromptSpec:
+class PromptSpec(FrozenValue):
     """One catalog entry: a chain-of-thought instruction, optionally limited to k units."""
 
-    prompt_id: str
-    family: str
-    instruction: str
-    limit: int | None = None
-    limit_unit: str | None = None
+    __slots__ = ("prompt_id", "family", "instruction", "limit", "limit_unit")
 
-    def __post_init__(self) -> None:
-        if type(self.prompt_id) is not str or not self.prompt_id:
-            raise ValueError(f"prompt_id must be a non-empty string, got {self.prompt_id!r}")
-        parameterized = self.family in PARAMETERIZED_FAMILIES
-        if not parameterized and self.family not in FIXED_INSTRUCTIONS:
-            raise ValueError(f"unknown prompt family {self.family!r}")
+    def __init__(self, prompt_id: str, family: str, instruction: str, limit: int | None = None,
+                 limit_unit: str | None = None) -> None:
+        if type(prompt_id) is not str or not prompt_id:
+            raise ValueError(f"prompt_id must be a non-empty string, got {prompt_id!r}")
+        parameterized = family in PARAMETERIZED_FAMILIES
+        if not parameterized and family not in FIXED_INSTRUCTIONS:
+            raise ValueError(f"unknown prompt family {family!r}")
         if parameterized:
-            if self.limit is None:
-                raise ValueError(f"family {self.family!r} requires a limit")
-            _, unit, (lo, hi) = PARAMETERIZED_FAMILIES[self.family]
-            if self.limit < lo or (hi is not None and self.limit > hi):
+            if limit is None:
+                raise ValueError(f"family {family!r} requires a limit")
+            _, unit, (lo, hi) = PARAMETERIZED_FAMILIES[family]
+            if limit < lo or (hi is not None and limit > hi):
                 upper = hi if hi is not None else "inf"
                 raise ValueError(
-                    f"limit {self.limit} out of range [{lo}, {upper}] for family {self.family!r}"
+                    f"limit {limit} out of range [{lo}, {upper}] for family {family!r}"
                 )
-            if self.limit_unit != unit:
-                raise ValueError(f"family {self.family!r} uses limit_unit {unit!r}")
-        elif self.limit is not None or self.limit_unit is not None:
-            raise ValueError(f"family {self.family!r} does not take a limit")
+            if limit_unit != unit:
+                raise ValueError(f"family {family!r} uses limit_unit {unit!r}")
+        elif limit is not None or limit_unit is not None:
+            raise ValueError(f"family {family!r} does not take a limit")
+        set_fields(self, (prompt_id, family, instruction, limit, limit_unit))
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,18 +106,18 @@ def limited_spec(family: str, k: int) -> PromptSpec:
     )
 
 
-@dataclass(frozen=True)
-class PromptCatalog:
+class PromptCatalog(FrozenValue):
     """Ordered, id-unique collection of prompt specs."""
 
-    specs: tuple[PromptSpec, ...]
+    __slots__ = ("specs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-        ids = [s.prompt_id for s in self.specs]
+    def __init__(self, specs: tuple[PromptSpec, ...]) -> None:
+        specs = tuple(specs)
+        ids = [s.prompt_id for s in specs]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError("duplicate prompt_id(s): " + ", ".join(dupes))
+        set_fields(self, (specs,))
 
     def __len__(self) -> int:
         return len(self.specs)

@@ -10,8 +10,12 @@ line validators that one rule table replaced. ``profile_from_json_dict_loop``
 and ``column_sums_whole`` are the per-entry loader and the whole-matrix
 column sums that a one-pass loader and a row-blocked sum replaced.
 ``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
-socket-level one replaced. They are slow, and they are kept only as
-reference oracles for the differential tests.
+socket-level one replaced. The dataclasses ``Choice``, ``Question``,
+``PromptSpec``, ``PromptCatalog``, ``SweepConfig`` and ``SweepSummary`` are
+the originals of the slotted classes in ``collect`` and ``prompts``, and
+``as_rational_fraction`` is the grader's parse before plain integers were
+read with ``int()``. They are slow, and they are kept only as reference
+oracles for the differential tests.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import json
 import math
 import time
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -28,7 +33,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from cotbudget.collect import QUESTION_FIELDS, Choice, Question
+import cotbudget.collect
+import cotbudget.prompts
+from cotbudget.collect import _QUESTION_RULES, QUESTION_FIELDS
 from cotbudget.complexity import (
     _C_STAR,
     _K_USED,
@@ -45,14 +52,16 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
-from cotbudget.inputs import NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_jsonl
+from cotbudget.inputs import (
+    NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, check_line, checked, read_jsonl,
+)
 from cotbudget.metrics import PromptResult
 from cotbudget.oracle import INFINITE_SHARE, TAU_RANGE, OracleSpec
-from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES, PromptCatalog, PromptSpec
+from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES
 from cotbudget.records import OPTIONAL_FIELDS, REQUIRED_FIELDS, EvalRecord, RunMatrix
 from cotbudget.routing import RoutingOutcome
 from cotbudget import transport
-from cotbudget.transport import _proxy, _request_headers, _tls_context
+from cotbudget.transport import _proxy, _request_headers, _tls_context, check_endpoint
 
 
 def load_records_loop(path: str | Path) -> list[EvalRecord]:
@@ -134,7 +143,7 @@ def budget_entry_loop(obj: object) -> tuple[str, int]:
     return question_id, budget
 
 
-def question_from_json_loop(obj: object) -> Question:
+def question_from_json_loop(obj: object) -> cotbudget.collect.Question:
     """A question from one parsed JSONL line, each fault checked by hand.
 
     The choices are checked before the string fields, and the gold label last.
@@ -168,11 +177,12 @@ def question_from_json_loop(obj: object) -> Question:
             f"question {obj['question_id']!r}: gold_answer {obj['gold_answer']!r} "
             "is not one of the choice labels"
         )
-    return Question(
+    return cotbudget.collect.Question(
         question_id=obj["question_id"],
         text=obj["text"],
         gold_answer=obj["gold_answer"],
-        choices=tuple(Choice(c["label"], c["text"]) for c in choices) if choices else None,
+        choices=(tuple(cotbudget.collect.Choice(c["label"], c["text"]) for c in choices)
+                 if choices else None),
     )
 
 
@@ -188,9 +198,9 @@ def load_budgets_loop(path: str | Path) -> dict[str, int]:
     return budgets
 
 
-def load_questions_loop(path: str | Path) -> list[Question]:
+def load_questions_loop(path: str | Path) -> list[cotbudget.collect.Question]:
     """question_from_json_loop per line, then the repeated-id check of that line."""
-    out: list[Question] = []
+    out: list[cotbudget.collect.Question] = []
     first: dict[str, int] = {}
     for line_no, obj in read_jsonl(path):
         try:
@@ -465,7 +475,7 @@ def profile_from_json_dict_loop(obj: dict) -> ComplexityProfile:
     return ComplexityProfile(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
 
 
-def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
+def catalog_from_file_loop(obj: object) -> cotbudget.prompts.PromptCatalog | None:
     """The catalog a parsed catalog file describes, or None if a rule rejects it.
 
     The rules, one spec at a time: the file is a non-empty list of objects;
@@ -477,7 +487,7 @@ def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
     """
     if not isinstance(obj, list) or not obj:
         return None
-    specs: list[PromptSpec] = []
+    specs: list[cotbudget.prompts.PromptSpec] = []
     for spec in obj:
         if not isinstance(spec, dict):
             return None
@@ -498,8 +508,8 @@ def catalog_from_file_loop(obj: object) -> PromptCatalog | None:
                 return None
         else:
             return None
-        specs.append(PromptSpec(pid, family, instruction, limit, unit))
-    return PromptCatalog(tuple(specs))
+        specs.append(cotbudget.prompts.PromptSpec(pid, family, instruction, limit, unit))
+    return cotbudget.prompts.PromptCatalog(tuple(specs))
 
 
 def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
@@ -860,3 +870,123 @@ class HttpClientTransport:
     def _exchange(self, conn, body: bytes):
         conn.request("POST", self.target, body, self.headers)
         return conn.getresponse()
+
+
+# The dataclasses that collect's and prompts' slotted FrozenValue classes
+# replaced, so that a sweep need not import dataclasses. Each keeps the
+# original's name, so that reprs compare as text.
+
+
+@dataclass(frozen=True)
+class Choice:
+    label: str
+    text: str
+
+
+@dataclass(frozen=True, slots=True)
+class Question:
+    question_id: str
+    text: str
+    gold_answer: str
+    choices: tuple[Choice, ...] | None = None
+
+    def __post_init__(self) -> None:
+        fields = {name: getattr(self, name) for name in QUESTION_FIELDS}
+        check_line(fields, "question", (), _QUESTION_RULES)
+        if self.choices is not None:
+            object.__setattr__(self, "choices", tuple(self.choices))
+            labels = {c.label.casefold() for c in self.choices}
+            if self.gold_answer.casefold() not in labels:
+                raise RecordSchemaError(
+                    f"question {self.question_id!r}: gold_answer {self.gold_answer!r} "
+                    "is not one of the choice labels"
+                )
+
+
+@dataclass(frozen=True)
+class PromptSpec:
+    prompt_id: str
+    family: str
+    instruction: str
+    limit: int | None = None
+    limit_unit: str | None = None
+
+    def __post_init__(self) -> None:
+        if type(self.prompt_id) is not str or not self.prompt_id:
+            raise ValueError(f"prompt_id must be a non-empty string, got {self.prompt_id!r}")
+        parameterized = self.family in PARAMETERIZED_FAMILIES
+        if not parameterized and self.family not in FIXED_INSTRUCTIONS:
+            raise ValueError(f"unknown prompt family {self.family!r}")
+        if parameterized:
+            if self.limit is None:
+                raise ValueError(f"family {self.family!r} requires a limit")
+            _, unit, (lo, hi) = PARAMETERIZED_FAMILIES[self.family]
+            if self.limit < lo or (hi is not None and self.limit > hi):
+                upper = hi if hi is not None else "inf"
+                raise ValueError(
+                    f"limit {self.limit} out of range [{lo}, {upper}] for family {self.family!r}"
+                )
+            if self.limit_unit != unit:
+                raise ValueError(f"family {self.family!r} uses limit_unit {unit!r}")
+        elif self.limit is not None or self.limit_unit is not None:
+            raise ValueError(f"family {self.family!r} does not take a limit")
+
+
+@dataclass(frozen=True)
+class PromptCatalog:
+    specs: tuple[PromptSpec, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "specs", tuple(self.specs))
+        ids = [s.prompt_id for s in self.specs]
+        if len(set(ids)) != len(ids):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValueError("duplicate prompt_id(s): " + ", ".join(dupes))
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    endpoint: str
+    model: str
+    dataset: str
+    catalog: PromptCatalog
+    max_parallel: int = 1
+    retries: int = 3
+    temperature: float = 0.0
+    timeout: float = 120.0
+
+    def __post_init__(self) -> None:
+        for name in ("model", "dataset"):
+            value = getattr(self, name)
+            if type(value) is not str or not value:
+                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        if self.max_parallel < 1:
+            raise ValueError("max_parallel must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be a finite number")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout!r}")
+        check_endpoint(self.endpoint)
+
+
+@dataclass
+class SweepSummary:
+    requested: int = 0
+    skipped: int = 0
+    succeeded: int = 0
+    failed: int = 0
+    retries: int = 0
+
+
+def as_rational_fraction(s: str) -> Fraction | None:
+    """collect._as_rational before plain integers were read with int(): all through Fraction."""
+    s = s.replace(",", "").replace(" ", "")
+    exponent = cotbudget.collect._EXPONENT.search(s)
+    try:
+        if exponent and abs(int(exponent[1])) > cotbudget.collect.EXPONENT_MAX:
+            return None
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None

@@ -85,15 +85,20 @@ def test_help_loads_no_numpy():
     }
 
 
-def collect_one_question(tmp_path, mock) -> set[str]:
+def collect_one_question(tmp_path, mock, gold: str = "2") -> set[str]:
     """The modules a fresh `cotbudget collect` of one question loads; checks its 31 records."""
     questions = tmp_path / "questions.jsonl"
-    questions.write_text(json.dumps({"question_id": "q1", "text": "1+1?", "gold_answer": "2"}))
+    questions.write_text(json.dumps({"question_id": "q1", "text": "1+1?", "gold_answer": gold}))
     out = tmp_path / "records.jsonl"
     loaded = loaded_by("collect", "--endpoint", mock.url, "--model", "m", "--dataset", "d",
                        "--questions", str(questions), "--out", str(out))
     assert len(out.read_text().splitlines()) == 31  # the built-in catalog
     return loaded
+
+
+def all_correct(tmp_path) -> bool:
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    return all(json.loads(line)["correct"] for line in lines)
 
 
 def test_fresh_collect_loads_no_numpy(tmp_path, clean_env):
@@ -110,11 +115,23 @@ def _tls_or_http_client(loaded: set[str]) -> set[str]:
 
 
 def test_an_http_collect_loads_no_tls_and_no_http_client(tmp_path, clean_env):
-    """The socket-level client: no ssl, no http.client and no email for http://."""
-    with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
+    """The socket-level client: no ssl, no http.client and no email for http://.
+
+    Nor, with slotted records and integer answers graded as ints, dataclasses
+    or fractions, with what they import. "+2" is graded against "2" as an
+    int; "0.5" against "1/2" imports fractions and is still correct.
+    """
+    with MockChatEndpoint(answers={"1+1?": "+2"}) as mock:
         loaded = collect_one_question(tmp_path, mock)
     assert _tls_or_http_client(loaded) == set()
     assert {"cotbudget.transport", "socket"} <= loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "fractions", "decimal"} == set()
+    assert all_correct(tmp_path)
+    (tmp_path / "half").mkdir()
+    with MockChatEndpoint(answers={"1+1?": "0.5"}) as mock:
+        loaded = collect_one_question(tmp_path / "half", mock, gold="1/2")
+    assert "fractions" in loaded and "dataclasses" not in loaded
+    assert all_correct(tmp_path / "half")
 
 
 def test_an_https_collect_loads_ssl_but_no_http_client(tmp_path, clean_env):
