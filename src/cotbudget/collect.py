@@ -13,8 +13,7 @@ bit per cell. ``ssl`` is imported only when an https:// sweep has a cell to
 send, and ``urllib.request`` only when a proxy could apply (see
 ``transport._proxy_for``), so importing this module does not pay for them.
 Nor does it load ``dataclasses``: its records are ``inputs.FrozenValue``
-classes. A sweep imports ``fractions`` only when it grades a free-form
-answer that is not a plain integer, such as "0.5" against "1/2".
+classes.
 """
 from __future__ import annotations
 
@@ -26,9 +25,10 @@ import os
 import re
 import threading
 from collections.abc import Set
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CotBudgetError, RecordSchemaError
 from .inputs import (
@@ -37,9 +37,6 @@ from .inputs import (
 )
 from .prompts import PromptCatalog, PromptSpec, render
 from .transport import Post, _post_with_retries, _Transport, check_endpoint
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +165,6 @@ class SweepSummary:
     # Compared, shown and pickled field by field as a FrozenValue is, but mutable, so unhashable.
     __eq__, __repr__ = FrozenValue.__eq__, FrozenValue.__repr__
     __getstate__, __setstate__ = FrozenValue.__getstate__, FrozenValue.__setstate__
-    __hash__ = None
 
     def __init__(self, requested: int = 0, skipped: int = 0, succeeded: int = 0,
                  failed: int = 0, retries: int = 0) -> None:
@@ -187,26 +183,16 @@ def _strip_wrapping(s: str) -> str:
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
-_INTEGER = re.compile(r"[-+]?[0-9]+\Z")
 
 
-def _as_rational(s: str) -> int | Fraction | None:
+def _as_rational(s: str) -> Fraction | None:
     """s as an exact rational, or None.
 
-    A plain ASCII integer (an optional sign, then digits) is an int, so
-    grading integer answers never imports fractions. Fraction computes
-    10**exponent while holding the GIL, so an exponent past EXPONENT_MAX is
-    refused before it is built: that value is compared as text only. A
-    longer mantissa, or integer, already fails int()'s digit limit.
+    Fraction computes 10**exponent while holding the GIL, so an exponent
+    past EXPONENT_MAX is refused before it is built: that value is compared
+    as text only. A longer mantissa already fails int()'s digit limit.
     """
     s = s.replace(",", "").replace(" ", "")
-    if _INTEGER.match(s):
-        try:
-            return int(s)
-        except ValueError:
-            return None
-    from fractions import Fraction
-
     exponent = _EXPONENT.search(s)
     try:
         if exponent and abs(int(exponent[1])) > EXPONENT_MAX:

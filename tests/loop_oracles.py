@@ -12,10 +12,9 @@ column sums that a one-pass loader and a row-blocked sum replaced.
 ``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
 socket-level one replaced. The dataclasses ``Choice``, ``Question``,
 ``PromptSpec``, ``PromptCatalog``, ``SweepConfig`` and ``SweepSummary`` are
-the originals of the slotted classes in ``collect`` and ``prompts``, and
-``as_rational_fraction`` is the grader's parse before plain integers were
-read with ``int()``. They are slow, and they are kept only as reference
-oracles for the differential tests.
+the originals of the slotted classes in ``collect`` and ``prompts``. They
+are slow, and they are kept only as reference oracles for the differential
+tests.
 """
 from __future__ import annotations
 
@@ -978,15 +977,3 @@ class SweepSummary:
     succeeded: int = 0
     failed: int = 0
     retries: int = 0
-
-
-def as_rational_fraction(s: str) -> Fraction | None:
-    """collect._as_rational before plain integers were read with int(): all through Fraction."""
-    s = s.replace(",", "").replace(" ", "")
-    exponent = cotbudget.collect._EXPONENT.search(s)
-    try:
-        if exponent and abs(int(exponent[1])) > cotbudget.collect.EXPONENT_MAX:
-            return None
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        return None

@@ -28,7 +28,6 @@ from cotbudget.collect import (
     Choice,
     Question,
     SweepConfig,
-    _as_rational,
     _run_cell,
     drop_torn_tail,
     failures_writer,
@@ -56,7 +55,7 @@ from cotbudget import transport as transport_module
 from cotbudget.transport import _DeadlineReader
 
 from conftest import without_usage
-from loop_oracles import as_rational_fraction, present_cells, record_json_loop
+from loop_oracles import present_cells, record_json_loop
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MC_QUESTION = Question(
@@ -156,40 +155,6 @@ class TestGrade:
         correct, extracted = grade("|Z18| = 18. Answer: (G)", MC_QUESTION)
         assert correct is True
         assert extracted == "G"
-
-
-
-RATIONAL_PIECES = st.sampled_from([
-    "0", "1", "7", "00", "+", "-", "_", ".", "/", "e", "E", ",", " ", "\t", "١٢", "٣", "²", "x",
-    "1/0", "e4301", "e-4301", "e4300", "e+4_301",
-])
-# Around int()'s 4,300-digit limit, which leading zeros count towards and a sign does not.
-LONG_NUMBERS = st.builds(
-    lambda sign, zeros, digits, tail: sign + "0" * zeros + "9" * digits + tail,
-    st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(4296, 4304),
-    st.sampled_from(["", ".5", "e2", "/3", "/0"]),
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(st.lists(RATIONAL_PIECES, max_size=8).map("".join), LONG_NUMBERS,
-                 st.text(max_size=6)))
-def test_as_rational_agrees_with_the_fraction_parse(text):
-    """A plain ASCII integer is read with int(), every other form with Fraction, as before."""
-    ours, theirs = _as_rational(text), as_rational_fraction(text)
-    assert (ours is None) == (theirs is None)
-    assert ours == theirs
-    assert type(ours) in (int, Fraction, type(None))
-
-
-@pytest.mark.parametrize("text, value", [
-    ("-0", 0), ("+0042", 42), ("1,000", 1000), ("1 000", 1000), ("١٢", 12), ("1_000", 1000),
-    ("1/0", None), ("9" * 4300, int("9" * 4300)), ("-" + "9" * 4301, None),
-    ("0" + "9" * 4300, None), ("12.", 12), ("0.5", Fraction(1, 2)),
-], ids=lambda v: f"{len(v)} chars" if isinstance(v, str) and len(v) > 12 else None)
-def test_as_rational_edges(text, value):
-    assert _as_rational(text) == as_rational_fraction(text) == value
-    assert (_as_rational(text) is None) == (value is None)
 
 
 class TestQuestionModel:
@@ -1273,7 +1238,6 @@ def test_sweep_memory_is_flat_in_the_number_of_cells(tmp_path):
             assert status == 0, done.stderr
             peaks.append(kib / 1024)
     assert abs(peaks[1] - peaks[0]) < 1.0, peaks
-
 
 
 @contextlib.contextmanager

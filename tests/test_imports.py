@@ -96,11 +96,6 @@ def collect_one_question(tmp_path, mock, gold: str = "2") -> set[str]:
     return loaded
 
 
-def all_correct(tmp_path) -> bool:
-    lines = (tmp_path / "records.jsonl").read_text().splitlines()
-    return all(json.loads(line)["correct"] for line in lines)
-
-
 def test_fresh_collect_loads_no_numpy(tmp_path, clean_env):
     """Nor a thread pool, nor urllib.request when no proxy variable is set."""
     with MockChatEndpoint(answers={"1+1?": "2"}) as mock:
@@ -117,21 +112,16 @@ def _tls_or_http_client(loaded: set[str]) -> set[str]:
 def test_an_http_collect_loads_no_tls_and_no_http_client(tmp_path, clean_env):
     """The socket-level client: no ssl, no http.client and no email for http://.
 
-    Nor, with slotted records and integer answers graded as ints, dataclasses
-    or fractions, with what they import. "+2" is graded against "2" as an
-    int; "0.5" against "1/2" imports fractions and is still correct.
+    Nor, with slotted records, dataclasses, with what it imports. "0.5" is
+    graded against "1/2" through Fraction and is correct.
     """
-    with MockChatEndpoint(answers={"1+1?": "+2"}) as mock:
-        loaded = collect_one_question(tmp_path, mock)
+    with MockChatEndpoint(answers={"1+1?": "0.5"}) as mock:
+        loaded = collect_one_question(tmp_path, mock, gold="1/2")
     assert _tls_or_http_client(loaded) == set()
     assert {"cotbudget.transport", "socket"} <= loaded
-    assert loaded & {"dataclasses", "inspect", "ast", "fractions", "decimal"} == set()
-    assert all_correct(tmp_path)
-    (tmp_path / "half").mkdir()
-    with MockChatEndpoint(answers={"1+1?": "0.5"}) as mock:
-        loaded = collect_one_question(tmp_path / "half", mock, gold="1/2")
-    assert "fractions" in loaded and "dataclasses" not in loaded
-    assert all_correct(tmp_path / "half")
+    assert loaded & {"dataclasses", "inspect", "ast"} == set()
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert all(json.loads(line)["correct"] for line in lines)
 
 
 def test_an_https_collect_loads_ssl_but_no_http_client(tmp_path, clean_env):
