@@ -324,7 +324,7 @@ def cmd_adaptivity(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    from . import collect
+    from . import collect, sweepfiles
     from .prompts import PromptCatalog, default_catalog
     from .transport import shown_url
 
@@ -339,19 +339,9 @@ def cmd_collect(args) -> int:
         retries=args.retries,
         temperature=args.temperature,
     )
-    append = args.resume and Path(args.out).exists()
-    # One writer per --out and per sidecar, each locked before it is read or
-    # written. The sidecar is resolved once, so every spelling locks one file.
-    sidecar, name = os.path.realpath(args.failures), f"--failures {args.failures}"
-    with collect.locked(args.out, f"--out {args.out}"), collect.locked(sidecar, name):
-        skip = collect.PairCells()
-        if append:
-            collect.drop_torn_tail(args.out)
-            skip = collect.prior_cells(args.out, args.model, args.dataset)
-        with (collect.failures_writer(sidecar, name, questions, catalog,
-                                      skip if append else None) as failures,
-              collect.JsonlWriter(args.out, append=append) as writer):
-            summary = collect.sweep(questions, config, writer, failures, skip=skip)
+    with sweepfiles.open_sweep(args.out, args.failures, questions, catalog, args.model,
+                               args.dataset, args.resume) as (writer, failures, skip):
+        summary = collect.sweep(questions, config, writer, failures, skip=skip)
     if summary.succeeded == 0 and summary.failed > 0:
         raise EndpointError(
             f"all {summary.failed} attempted cells failed against "
@@ -484,7 +474,7 @@ def _check_paths(args) -> None:
             flag, other_flag = (f"--{name.replace('_', '-')}" for name in (out, other))
             raise ValueError(f"{flag} {path} is the {other_flag} file; name another file")
     if getattr(args, "failures", None):
-        from .collect import scratch_path
+        from .sweepfiles import scratch_path
 
         if _same_file(args.out, scratch_path(os.path.realpath(args.failures))):
             raise ValueError(f"--out {args.out} is the scratch file through which "

@@ -1,15 +1,15 @@
 """Record collection: sweep a prompt catalog over questions against an endpoint.
 
 This module holds the questions and their grading, the sweep's settings
-(``SweepConfig``), the sweep itself and the files it writes. Each worker of
-a sweep takes cells one at a time and posts each through ``transport``,
-the HTTP/1.1 client, on a connection it keeps alive for all its cells.
-Token counts are taken from the endpoint's reported completion-token
-usage, never recomputed locally; cells that still fail after retries land
-in a failures sidecar instead of the record file. A resume skips the cells
-``prior_cells`` reads from the prior records file through
-``inputs.record_cells``, the reader of every analysis command, keeping a
-bit per cell. ``ssl`` is imported only when an https:// sweep has a cell to
+(``SweepConfig``), the JSONL writer and the sweep itself; ``sweepfiles``
+opens, locks and resumes the files the sweep writes. Each worker of a
+sweep takes cells one at a time and posts each through ``transport``, the
+HTTP/1.1 client, on a connection it keeps alive for all its cells. Token
+counts are taken from the endpoint's reported completion-token usage,
+never recomputed locally; cells that still fail after retries land in a
+failures sidecar instead of the record file. A resume skips the cells
+that ``sweepfiles.prior_cells`` reads from the prior records file, keeping
+a bit per cell. ``ssl`` is imported only when an https:// sweep has a cell to
 send, and ``urllib.request`` only when a proxy could apply (see
 ``transport._proxy_for``), so importing this module does not pay for them.
 Nor does it load ``dataclasses``: its records are ``inputs.FrozenValue``
@@ -17,11 +17,9 @@ classes.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
-import os
 import re
 import threading
 from collections.abc import Set
@@ -30,11 +28,8 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CotBudgetError, RecordSchemaError
-from .inputs import (
-    NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, PairCells, check_line, read_jsonl, record_cells,
-    set_fields,
-)
+from .errors import RecordSchemaError
+from .inputs import NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, check_line, read_jsonl, set_fields
 from .prompts import PromptCatalog, PromptSpec, render
 from .transport import Post, _post_with_retries, _Transport, check_endpoint
 
@@ -44,7 +39,7 @@ ANSWER_PATTERN = re.compile(r"(?i)\banswer\s*:\s*([^\n]*)")
 # The interpreter's default int-string digit limit; see _as_rational.
 EXPONENT_MAX = 4300
 QUESTION_FIELDS = ("question_id", "text", "gold_answer")
-TAIL_BLOCK_BYTES = 1 << 16
+SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 class Choice(FrozenValue):
@@ -252,7 +247,10 @@ class JsonlWriter:
     def write(self, obj: dict) -> None:
         line = json.dumps(obj, ensure_ascii=False)
         with self._lock:
-            self._fh.write(line + "\n")
+            # Two writes, so the line is not copied to add its newline. A kill
+            # between them leaves a final line that parses; a resume keeps it.
+            self._fh.write(line)
+            self._fh.write("\n")
             self._fh.flush()
 
     def close(self) -> None:
@@ -286,7 +284,8 @@ def _run_cell(
         return None, f"response content must be a string, got {kind}", retries_used
     # A CESU-8 body decodes to surrogate pairs, each of which the records file
     # would read back as one character; join them, so what is graded is stored.
-    content = content.encode("utf-16", "surrogatepass").decode("utf-16", "surrogatepass")
+    if SURROGATE.search(content):
+        content = content.encode("utf-16", "surrogatepass").decode("utf-16", "surrogatepass")
     usage = obj.get("usage")
     if usage is None:
         usage = {}
@@ -331,7 +330,7 @@ def sweep(
 
     ``skip`` holds (question_id, prompt_id) cells already collected (resume);
     they are never re-issued. A ``collections.abc.Set``, such as the
-    PairCells of prior_cells, is used as it is; any other iterable is copied
+    PairCells a resume reads, is used as it is; any other iterable is copied
     into a set. Cells that fail after retries go to the failures sidecar and
     are not fabricated as records. With no cell left nothing is sent;
     otherwise min(max_parallel, cells left) workers, the calling thread
@@ -414,148 +413,3 @@ def sweep(
     if stopped:
         raise stopped[0]
     return summary
-
-
-def drop_torn_tail(path: str | Path) -> int:
-    """Make a records file safe to append to; returns the number of bytes cut.
-
-    A final line without a newline that is not UTF-8 JSON is what a crash in
-    the middle of a write leaves behind: it is logged and cut off, so its
-    cell is requested again. A final line that parses but lacks its newline
-    gets one. Lines before the last are left for the loader to judge.
-    """
-    with Path(path).open("r+b") as fh:
-        start, tail = fh.seek(0, os.SEEK_END), b""
-        while start > 0:
-            step = min(TAIL_BLOCK_BYTES, start)
-            fh.seek(start - step)
-            block = fh.read(step)
-            newline = block.rfind(b"\n")
-            if newline >= 0:
-                start -= step - newline - 1
-                tail = block[newline + 1 :] + tail
-                break
-            start -= step
-            tail = block + tail
-        if not tail:
-            return 0
-        try:
-            json.loads(tail.decode("utf-8"))
-        except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError, too deep
-            fh.truncate(start)
-            log.warning(
-                "%s: cut off a torn final line (%d bytes, no newline) at byte %d; "
-                "its cell will be requested again",
-                path,
-                len(tail),
-                start,
-            )
-            return len(tail)
-        fh.seek(0, os.SEEK_END)
-        fh.write(b"\n")
-        return 0
-
-
-def prior_cells(path: str | Path, model: str, dataset: str) -> PairCells:
-    """The (question_id, prompt_id) cells of (model, dataset) a records file already holds.
-
-    One pass reads the file through inputs.record_cells, the reader of
-    ``records.read_matrices``, so a bad line or a repeated key raises the
-    error read_matrices raises for it. Only the pair's PairCells is kept, so
-    a resume holds a bit per prior cell once the file is read.
-    """
-    found = PairCells()
-    for pair, _, _, _ in record_cells(Path(path)):
-        if pair.cells is not found and pair.model == model and pair.dataset == dataset:
-            found = pair.cells
-    return found
-
-
-@contextlib.contextmanager
-def locked(path: str | Path, name: str, opener=None) -> Iterator[None]:
-    """Hold an exclusive, non-blocking flock on path, opened (through
-    ``opener``) for appending, so never truncated, until the block ends.
-
-    Another process's lock, or a path that names another file once locked
-    (a run that held the old one replaced it), is a usage error, and any
-    other refusal a data error; both name ``name``. Nothing is locked where
-    the filesystem answers ENOLCK or EOPNOTSUPP, and nothing is even opened
-    without fcntl (as on Windows, which cannot replace an open file).
-    """
-    try:
-        import fcntl
-    except ImportError:
-        yield
-        return
-    with open(path, "ab", opener=opener) as held:
-        try:
-            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            taken = os.path.samestat(os.fstat(held.fileno()), os.stat(path))
-        except BlockingIOError:
-            taken = False
-        except OSError as exc:
-            import errno
-
-            if exc.errno not in (errno.ENOLCK, errno.EOPNOTSUPP):
-                raise CotBudgetError(f"cannot lock {name}: {exc}") from exc
-            taken = True
-        if not taken:
-            raise ValueError(f"{name} is locked by another process, such as a collect writing it")
-        yield
-
-
-def _no_follow(path: str, flags: int) -> int:
-    return os.open(path, flags | getattr(os, "O_NOFOLLOW", 0), 0o666)
-
-
-def scratch_path(sidecar: str) -> str:
-    """The scratch file that failures_writer writes the sidecar ``sidecar`` through."""
-    return os.path.join(os.path.dirname(sidecar), f".{os.path.basename(sidecar)}.cotbudget-tmp")
-
-
-@contextlib.contextmanager
-def failures_writer(path: str, name: str, questions: Sequence[Question],
-                    catalog: Iterable[PromptSpec], prior: Set | None) -> Iterator[JsonlWriter]:
-    """Write the failures sidecar ``path`` (links resolved, locked by the
-    caller) anew, and yield the sweep's writer of it.
-
-    The lines go to ``.<sidecar>.cotbudget-tmp`` beside it (scratch_path), opened without
-    following a link, locked, then emptied: only the sidecar's lock holder
-    opens it, so one that a killed run left is taken over. A fresh run
-    passes ``prior`` None and copies nothing. A resume passes the cells
-    --out holds, and copies the sidecar's lines less those it settles, whose
-    cell is in ``prior`` or in the questions x catalog grid; a final line
-    without its newline gets one if it parses, and is cut with a warning if
-    not. The scratch takes the sidecar's permissions and replaces it still
-    locked, so the path names a locked file at every instant; the writer
-    appends to that file.
-    """
-    scratch = scratch_path(path)
-    question_ids = {question.question_id for question in questions}
-    prompt_ids = {spec.prompt_id for spec in catalog}
-    with locked(scratch, name, _no_follow):
-        # A second handle, closed before the replace: Windows cannot replace an open file.
-        with open(scratch, "wb", opener=_no_follow) as kept:
-            with contextlib.suppress(FileNotFoundError), open(path, "rb") as lines:
-                os.chmod(scratch, os.fstat(lines.fileno()).st_mode & 0o777)
-                for line in lines if prior is not None else ():
-                    torn = not line.endswith(b"\n")
-                    try:
-                        obj = json.loads(line.decode("utf-8") if torn else line)
-                    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
-                        if torn:
-                            log.warning("%s: cut off a torn final line (%d bytes, no newline) "
-                                        "at byte %d; its cell will be requested again",
-                                        path, len(line), lines.tell() - len(line))
-                            break
-                        obj = None
-                    if type(obj) is dict:
-                        cell = obj.get("question_id"), obj.get("prompt_id")
-                        if type(cell[0]) is str and type(cell[1]) is str and (
-                            cell in prior or cell[0] in question_ids and cell[1] in prompt_ids
-                        ):
-                            continue
-                    kept.write(line + b"\n" if torn else line)
-        os.replace(scratch, path)
-        with JsonlWriter(path, append=True) as writer:
-            yield writer

@@ -94,8 +94,20 @@ def check_endpoint(endpoint: str) -> None:
     if (url.scheme not in DEFAULT_PORTS or not url.hostname or port == 0
             or not all("!" <= c <= "~" for c in endpoint)):
         raise ValueError(f"endpoint must be an http:// or https:// URL, got {shown!r}")
+    _check_host(url.hostname, f"endpoint {shown!r}")
     _api_key()
     _proxy(url)
+
+
+def _check_host(host: str, what: str) -> None:
+    """Refuse, as a ValueError naming ``what``, a host that the idna codec would not pass
+    as it is: one not ASCII, or with an empty label but a final one, or a label of 64 or
+    more characters. A host is sent to the resolver as its ASCII bytes, so an http://
+    sweep loads no IDNA codec (an https:// one does, through ssl's server_hostname)."""
+    *labels, last = host.split(".")
+    if not (host.isascii() and all(0 < len(label) < 64 for label in labels) and len(last) < 64):
+        raise ValueError(f"{what} names a host that is not ASCII, or has an empty label or a "
+                         "label of 64 or more characters")
 
 
 def _request_headers() -> dict[str, str]:
@@ -160,6 +172,7 @@ def _proxy(url: SplitResult) -> SplitResult | None:
     if not via.hostname or port == 0:
         raise ValueError(f"the proxy {shown_url(proxy)!r} needs a host, and a port from 1 "
                          "to 65535 if it names one")
+    _check_host(via.hostname, f"the proxy {shown_url(proxy)!r}")
     return via
 
 
@@ -253,7 +266,7 @@ class _Transport:
         via = _proxy(url)
         self._tunnel = None
         if via:
-            self._address = (via.hostname, via.port or 80)
+            self._address = (via.hostname.encode("ascii"), via.port or 80)
             auth = _proxy_authorization(via)
             if url.scheme == "http":
                 # The proxy takes the absolute URL as the request target.
@@ -269,7 +282,7 @@ class _Transport:
                      *(f"{name}: {value}\r\n" for name, value in auth.items()), "\r\n"]
                 ).encode("latin-1")
         else:
-            self._address = (self._host, port)
+            self._address = (self._host.encode("ascii"), port)
         self._head = f"POST {target} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: ".encode()
         self._fields = "".join(
             f"\r\n{name}: {value}" for name, value in headers.items()

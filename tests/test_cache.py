@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 
 from cotbudget import cache, records
 from cotbudget.cli import _load_budgets, main
-from cotbudget.collect import load_questions, prior_cells
+from cotbudget.collect import load_questions
 from cotbudget.complexity import ComplexityProfile, profile
 from cotbudget.errors import CotBudgetError, RecordParseError
 from cotbudget.inputs import read_jsonl
 from cotbudget.oracle import generate, random_spec
 from cotbudget.prompts import PromptCatalog, default_catalog
 from cotbudget.records import load_records, read_matrices
+from cotbudget.sweepfiles import prior_cells
 
 from loop_oracles import load_records_loop, pivot_loop, present_cells
 

@@ -893,7 +893,7 @@ class TestResumeTornLine:
         whole = out.read_bytes()
         lines = whole.splitlines(keepends=True)
         out.write_bytes(b"".join(lines[:-1]) + lines[-1][:-9])
-        with caplog.at_level("WARNING", logger="cotbudget.collect"):
+        with caplog.at_level("WARNING", logger="cotbudget.sweepfiles"):
             code, text, _, requests_made = self.resume(capsys, argv)
         assert code == 0
         assert "3 skipped (resume), 1 collected, 0 failed" in text
@@ -1193,6 +1193,26 @@ class TestCollectChecksBeforeRequests:
             "usage error: COTBUDGET_API_KEY holds a character that an HTTP header cannot carry "
             "(a control character, or one outside Latin-1)\n"
         )
+
+    def test_an_endpoint_host_the_idna_codec_refuses_is_a_usage_error(self, tmp_path, capsys,
+                                                                       clean_env):
+        """It failed at the first connection, once --out and the sidecar had been emptied."""
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
+        out, failures = tmp_path / "r.jsonl", tmp_path / "r.failures.jsonl"
+        out.write_bytes(b"earlier records\n")
+        failures.write_bytes(b"earlier failures\n")
+        code = main(["collect", "--endpoint", "http://a..b:9/v1/chat/completions", "--model", "m",
+                     "--dataset", "d", "--questions", str(questions), "--out", str(out),
+                     "--retries", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "usage error: endpoint 'http://a..b:9/v1/chat/completions' names a host that is not "
+            "ASCII, or has an empty label or a label of 64 or more characters\n")
+        assert (out.read_bytes(), failures.read_bytes()) == (b"earlier records\n",
+                                                              b"earlier failures\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "questions.jsonl", "r.failures.jsonl", "r.jsonl"]
 
     def test_a_proxy_that_is_not_http_is_shown_without_its_credentials(self, tmp_path, capsys,
                                                                        clean_env):

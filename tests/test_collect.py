@@ -29,18 +29,14 @@ from cotbudget.collect import (
     Question,
     SweepConfig,
     _run_cell,
-    drop_torn_tail,
-    failures_writer,
     format_question,
     grade,
     load_questions,
-    prior_cells,
     sweep,
 )
 from cotbudget.errors import (
     DuplicateRecordError, EndpointError, RecordParseError, RecordSchemaError,
 )
-from cotbudget.inputs import PairCells
 from cotbudget.mockserver import MockChatEndpoint, default_reply
 from cotbudget.prompts import (
     QUESTION_TEMPLATE,
@@ -51,6 +47,7 @@ from cotbudget.prompts import (
     render,
 )
 from cotbudget.records import EvalRecord, load_records, read_matrices
+from cotbudget.sweepfiles import drop_torn_tail, open_sweep, prior_cells
 from cotbudget import transport as transport_module
 from cotbudget.transport import _DeadlineReader
 
@@ -399,7 +396,7 @@ def test_malformed_replies_go_to_sidecar(tmp_path):
     ],
 )
 def test_drop_torn_tail(tmp_path, monkeypatch, block, before, after, cut):
-    monkeypatch.setattr("cotbudget.collect.TAIL_BLOCK_BYTES", block)
+    monkeypatch.setattr("cotbudget.sweepfiles.TAIL_BLOCK_BYTES", block)
     path = tmp_path / "records.jsonl"
     path.write_bytes(before)
     assert drop_torn_tail(path) == cut
@@ -1270,12 +1267,14 @@ def _replying_endpoint(reply: bytes):
 
 def test_a_sweep_peaks_at_a_few_replies(tmp_path, monkeypatch):
     """Two workers, each reply just under MAX_REPLY_BYTES: the sweep's Python
-    allocations peak below 10 caps, however many cells it has.
+    allocations peak below 8 caps, however many cells it has.
 
-    Each worker holds a reply about four times at its peak: the parsed
-    content, its UTF-16 round trip (two bytes a character) and the joined
-    result, so two workers reach about 8.2 caps. The cap is lowered to 1 MiB
-    to keep the test small; at the real 8 MiB the ratio is the same.
+    Content with no surrogate skips the UTF-16 round trip, and a line is
+    written without a copy to add its newline, so each worker holds a reply
+    about three times at its peak: the parsed content, the record's line and
+    that line's UTF-8 bytes on their way to the file. Two workers reach about
+    6.3 caps. The cap is lowered to 1 MiB to keep the test small; at the real
+    8 MiB the ratio is the same.
     """
     cap = 1 << 20
     monkeypatch.setattr(transport_module, "MAX_REPLY_BYTES", cap)
@@ -1293,7 +1292,7 @@ def test_a_sweep_peaks_at_a_few_replies(tmp_path, monkeypatch):
             tracemalloc.stop()
     assert (summary.succeeded, summary.failed) == (16, 0)
     assert cap - 2 <= len(body) <= cap
-    assert peak < 10 * cap, peak / cap
+    assert peak < 8 * cap, peak / cap
 
 
 class TestIdsAreCheckedBeforeAnyRequest:
@@ -1458,9 +1457,17 @@ def test_sweep_uses_a_set_skip_as_it_is(tmp_path):
     assert mock.request_count == 4
 
 
-def _rewrite(sidecar, prior=PairCells()) -> None:
-    """A resume's failures_writer over sidecar, for one question and NoCoT, that writes nothing."""
-    with failures_writer(str(sidecar), "--failures s", _questions(1), ONE_PROMPT, prior):
+def _files(sidecar, resume=True):
+    """open_sweep over sidecar and records.jsonl beside it (made empty if new), for one
+    question and NoCoT."""
+    out = sidecar.with_name("records.jsonl")
+    out.touch()
+    return open_sweep(str(out), str(sidecar), _questions(1), ONE_PROMPT, "m", "d", resume)
+
+
+def _rewrite(sidecar) -> None:
+    """A resume's open_sweep over sidecar that writes nothing."""
+    with _files(sidecar):
         pass
 
 
@@ -1491,7 +1498,7 @@ def test_a_sidecar_rewrite_leaves_a_file_named_like_its_scratch(tmp_path):
     assert sidecar.stat().st_mode & 0o777 == 0o640
     assert other.read_bytes() == b"not the sidecar's\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "failures.jsonl", "failures.jsonl.tmp"]
+        "failures.jsonl", "failures.jsonl.tmp", "records.jsonl"]
 
 
 def test_the_next_rewrite_takes_over_the_scratch_an_interrupted_one_left(tmp_path, monkeypatch):
@@ -1510,7 +1517,7 @@ def test_the_next_rewrite_takes_over_the_scratch_an_interrupted_one_left(tmp_pat
     scratch.write_bytes(b"what a killed rewrite wrote\n" * 3)
     _rewrite(sidecar)
     assert sidecar.read_bytes() == kept
-    assert [path.name for path in tmp_path.iterdir()] == ["failures.jsonl"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["failures.jsonl", "records.jsonl"]
 
 
 @pytest.mark.parametrize("tail, written, cut", [
@@ -1525,10 +1532,11 @@ def test_a_sidecar_rewrite_mends_or_cuts_the_final_line(tmp_path, caplog, tail, 
     sidecar = tmp_path / "failures.jsonl"
     head = b'[1, 2]\n{"question_id": "q0", "prompt_id": "NoCoT", "error": "HTTP 500"}\n'
     sidecar.write_bytes(head + tail)
-    with caplog.at_level("WARNING", logger="cotbudget.collect"):
+    with caplog.at_level("WARNING", logger="cotbudget.sweepfiles"):
         _rewrite(sidecar)
     assert sidecar.read_bytes() == b"[1, 2]\n" + written
-    warning = f"{sidecar}: cut off a torn final line ({len(tail)} bytes, no newline) at byte "
+    warning = (f"{os.path.realpath(sidecar)}: cut off a torn final line ({len(tail)} bytes, "
+               "no newline) at byte ")
     assert (warning + str(len(head)) in caplog.text) == cut
 
 
@@ -1537,7 +1545,7 @@ def test_a_fresh_sidecar_keeps_no_line_and_no_symlink_is_followed(tmp_path):
     link is refused, and the file it names is untouched."""
     sidecar = tmp_path / "failures.jsonl"
     sidecar.write_bytes(b'{"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"}\n')
-    with failures_writer(str(sidecar), "--failures s", _questions(1), ONE_PROMPT, None) as failures:
+    with _files(sidecar, resume=False) as (_, failures, _):
         failures.write({"question_id": "q1", "prompt_id": "NoCoT", "error": "HTTP 503"})
     assert [json.loads(line) for line in sidecar.read_bytes().splitlines()] == [
         {"question_id": "q1", "prompt_id": "NoCoT", "error": "HTTP 503"}]

@@ -322,15 +322,23 @@ def test_another_lock_error_is_a_data_error_before_any_request(argv, tmp_path, m
     )
 
 
-def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(argv, tmp_path):
+@pytest.mark.parametrize("tail, mended", [
+    (b"", b""),
+    (failure_line("last", "NoCoT").encode()[:-1], failure_line("last", "NoCoT").encode()),
+    (b'{"question_id": "la', b""),
+], ids=["whole", "parses", "torn"])
+def test_a_kill_during_the_sidecar_rewrite_leaves_the_old_or_the_new_sidecar(argv, tmp_path,
+                                                                            tail, mended):
     """--out holds q0's cells. The sidecar holds a failure for each cell of q1,
     which the resume settles, then SIDECAR_LINES failures of an earlier grid,
-    which it keeps. The resume is killed once its scratch file has bytes."""
+    which it keeps, then a final line without its newline, which it mends or
+    cuts. The resume is killed once its scratch file has bytes."""
     out = tmp_path / "records.jsonl"
     sidecar = out.with_suffix(".failures.jsonl")
     out.write_text("".join(record_line("q0", p) for p in PROMPTS), encoding="utf-8")
-    new = "".join(failure_line(f"old{i}", "NoCoT") for i in range(SIDECAR_LINES)).encode()
-    old = "".join(failure_line("q1", p) for p in PROMPTS).encode() + new
+    kept = "".join(failure_line(f"old{i}", "NoCoT") for i in range(SIDECAR_LINES)).encode()
+    old = "".join(failure_line("q1", p) for p in PROMPTS).encode() + kept + tail
+    new = kept + mended
     sidecar.write_bytes(old)
 
     def scratch_files() -> list[Path]:

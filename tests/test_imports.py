@@ -20,7 +20,8 @@ from cotbudget.mockserver import MockChatEndpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(p.stem for p in (SRC / "cotbudget").glob("*.py") if p.stem != "__init__")
-COLLECTION = {"cotbudget.collect", "cotbudget.oracle", "cotbudget.routing", "concurrent.futures"}
+COLLECTION = {"cotbudget.collect", "cotbudget.sweepfiles", "cotbudget.oracle", "cotbudget.routing",
+              "concurrent.futures"}
 
 # Runs the CLI, then prints its exit code and every loaded module as the last line.
 LOADED = """
@@ -112,14 +113,16 @@ def _tls_or_http_client(loaded: set[str]) -> set[str]:
 def test_an_http_collect_loads_no_tls_and_no_http_client(tmp_path, clean_env):
     """The socket-level client: no ssl, no http.client and no email for http://.
 
-    Nor, with slotted records, dataclasses, with what it imports. "0.5" is
-    graded against "1/2" through Fraction and is correct.
+    Nor, with slotted records, dataclasses, with what it imports; nor, as the
+    host goes to the resolver as ASCII bytes, the IDNA codec and unicodedata.
+    "0.5" is graded against "1/2" through Fraction and is correct.
     """
     with MockChatEndpoint(answers={"1+1?": "0.5"}) as mock:
         loaded = collect_one_question(tmp_path, mock, gold="1/2")
     assert _tls_or_http_client(loaded) == set()
-    assert {"cotbudget.transport", "socket"} <= loaded
+    assert {"cotbudget.transport", "cotbudget.sweepfiles", "socket"} <= loaded
     assert loaded & {"dataclasses", "inspect", "ast"} == set()
+    assert loaded & {"encodings.idna", "stringprep", "unicodedata"} == set()
     lines = (tmp_path / "records.jsonl").read_text().splitlines()
     assert all(json.loads(line)["correct"] for line in lines)
 

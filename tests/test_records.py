@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotbudget.collect import prior_cells
 from cotbudget.errors import (
     CotBudgetError,
     DuplicateRecordError,
@@ -32,6 +31,7 @@ from cotbudget.records import (
     read_matrices,
     save_matrix,
 )
+from cotbudget.sweepfiles import prior_cells
 
 from cotbudget.cli import _load_budgets
 from cotbudget.collect import load_questions
