@@ -1,16 +1,16 @@
 """Content-addressed cache of parsed record files, behind ``records.read_matrices``.
 
 Every analysis command that reads a records file goes through it. The
-prior ``--out`` of ``collect --resume`` does not: ``collect.prior_cells``
+prior ``--out`` of ``collect --resume`` does not: ``sweepfiles.prior_cells``
 reads it once, line by line, and it grows as soon as the resume appends.
-An entry holds every
-(model, dataset) RunMatrix of one records file. On a miss the file is
-parsed once, through the hashing reader, into int columns per pair (id
-codes, counts, hits and line numbers; no object per record), and the entry
-is written from the matrices after those columns are gone. Its
-name is a BLAKE2b hash of the format version, the parser's source (this module,
-``records.py`` and ``inputs.py``) and the file's bytes, so an edited file,
-or a file read by another version of the reader, never finds an old entry.
+An entry holds every (model, dataset) RunMatrix of one records file. On a
+miss the file is parsed once, through the hashing reader, into int columns
+per pair (id codes, counts, hits and line numbers; no object per record),
+and the entry is written from the matrices after those columns are gone.
+Its name is a BLAKE2b hash of the format version, the parser's source
+(this module, ``records.py`` and ``inputs.py``) and the file's bytes, so an
+edited file, or a file read by another version of the reader, never finds
+an old entry.
 
 An entry is an uncompressed ``.npz`` (NEP 1 ``.npy`` members, read with
 ``allow_pickle=False``): ``header`` is the UTF-8 bytes of a JSON object
@@ -78,16 +78,14 @@ def _reader_digest() -> bytes:
 
 def content_digest(source: BinaryIO) -> bytes:
     """The hash of an open binary file's bytes from its current position."""
-    digest = _hash()
-    buffer = bytearray(1 << 18)
-    view = memoryview(buffer)
-    while count := source.readinto(buffer):
-        digest.update(view[:count])
-    return digest.digest()
+    reader, buffer = HashingReader(source), bytearray(1 << 18)
+    while reader.readinto(buffer):
+        pass
+    return reader.digest()
 
 
 class HashingReader(io.RawIOBase):
-    """A raw binary stream that hashes the bytes read through it, as content_digest does."""
+    """A raw binary stream that hashes the bytes read through it."""
 
     def __init__(self, raw: BinaryIO) -> None:
         self._raw = raw

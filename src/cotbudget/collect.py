@@ -9,8 +9,8 @@ counts are taken from the endpoint's reported completion-token usage,
 never recomputed locally; cells that still fail after retries land in a
 failures sidecar instead of the record file. A resume skips the cells
 that ``sweepfiles.prior_cells`` reads from the prior records file, keeping
-a bit per cell. ``ssl`` is imported only when an https:// sweep has a cell to
-send, and ``urllib.request`` only when a proxy could apply (see
+a bit per cell. ``ssl`` is imported only when an https:// sweep is
+configured, and ``urllib.request`` only when a proxy could apply (see
 ``transport._proxy_for``), so importing this module does not pay for them.
 Nor does it load ``dataclasses``: its records are ``inputs.FrozenValue``
 classes.
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import RecordSchemaError
 from .inputs import NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, check_line, read_jsonl, set_fields
 from .prompts import PromptCatalog, PromptSpec, render
-from .transport import Post, _post_with_retries, _Transport, check_endpoint
+from .transport import Post, _post_with_retries, _Transport
 
 log = logging.getLogger(__name__)
 
@@ -147,10 +147,10 @@ class SweepConfig(FrozenValue):
             raise ValueError("temperature must be a finite number")
         if not 0 < timeout < math.inf:  # NaN fails both comparisons
             raise ValueError(f"timeout must be a finite number above 0, got {timeout!r}")
-        # With what the environment adds to each request, before a file is opened.
-        check_endpoint(endpoint)
         set_fields(self, (endpoint, model, dataset, catalog, max_parallel, retries, temperature,
                           timeout))
+        # The route, with what the environment adds to it, is checked before a file is opened.
+        _Transport(self)
 
 
 class SweepSummary:

@@ -76,7 +76,7 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
         raise CoverageError(f"prompt {pid!r} has no present cells")
     hits = np.count_nonzero(matrix.correct, axis=0)
     predicted = np.count_nonzero(present & (tau >= 0) & (matrix.tokens >= tau), axis=0)
-    totals = _column_sums(matrix.tokens, present)
+    totals = _column_sums(matrix.tokens)
     return [
         PromptResult(pid, Fraction(hit, n), Fraction(total, n), Fraction(pred, n), n)
         for pid, hit, total, pred, n in zip(
@@ -85,24 +85,22 @@ def prompt_table(matrix: RunMatrix, profile: ComplexityProfile) -> list[PromptRe
     ]
 
 
-def _column_sums(tokens: np.ndarray, cells: np.ndarray) -> list[int]:
-    """Exact column sums of the non-negative int64 counts in cells, as Python ints.
+def _column_sums(tokens: np.ndarray) -> list[int]:
+    """Exact column sums of non-negative int64 counts, as Python ints.
 
-    Blocks of BLOCK_ROWS rows are summed in turn, so the temporaries stay
-    one block's size whatever the number of rows. In a block, cells outside
-    the mask become 0 once, so the sum is one plain reduction rather than a
-    masked one; a zero adds nothing, so the totals are those of the masked
-    cells. Each count is read as its low and high unsigned 32-bit halves (a
-    little-endian view, no copy), which are summed apart, each exact as
-    int64 for under 2**31 rows, and joined, so no total wraps, also past
-    2**63. That holds for every int64 count, so there is one path and
+    An absent cell of a RunMatrix holds 0 tokens, so the sums of its token
+    rows are those of their present cells. Blocks of BLOCK_ROWS rows are
+    summed in turn, so the temporaries stay one block's size whatever the
+    number of rows. Each count is read as its low and high unsigned 32-bit
+    halves (a little-endian view, no copy), which are summed apart, each
+    exact as int64 for under 2**31 rows, and joined, so no total wraps, also
+    past 2**63. That holds for every int64 count, so there is one path and
     nothing to select.
     """
     halves = np.zeros((tokens.shape[1], 2), dtype=np.int64)
     for start in range(0, tokens.shape[0], BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        kept = np.where(cells[block], tokens[block], 0).astype("<i8", copy=False)
-        halves += kept.view("<u4").reshape(*kept.shape, 2).sum(axis=0, dtype=np.int64)
+        block = np.ascontiguousarray(tokens[start : start + BLOCK_ROWS], dtype="<i8")
+        halves += block.view("<u4").reshape(*block.shape, 2).sum(axis=0, dtype=np.int64)
     return [(h << 32) + l for l, h in halves.tolist()]
 
 
@@ -227,12 +225,11 @@ def adaptivity_split(
     Easy is a correct split cell (so a present one), hard a present, incorrect one.
     """
     s = matrix.prompt_index(split_prompt)
-    solved = matrix.correct[:, s : s + 1]
+    solved = matrix.correct[:, s]
     sides = []
-    for group in (solved, matrix.present[:, s : s + 1] & ~solved):
-        cells = group & matrix.present
-        counts = np.count_nonzero(cells, axis=0).tolist()
-        totals = _column_sums(matrix.tokens, cells)
+    for rows in (solved, matrix.present[:, s] & ~solved):
+        counts = np.count_nonzero(matrix.present[rows], axis=0).tolist()
+        totals = _column_sums(matrix.tokens[rows])
         sides.append([Fraction(t, c) if c else None for t, c in zip(totals, counts)])
     return {
         pid: (easy, hard)

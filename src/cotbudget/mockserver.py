@@ -195,15 +195,23 @@ class MockChatEndpoint:
         server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         server.endpoint = self  # type: ignore[attr-defined]
         self._server = server
-        # A short poll interval lets stop() return within 50 ms, not 0.5 s.
+        # Where stop() cannot wake the poll (see there), a short interval lets it
+        # return within 50 ms, not 0.5 s.
         self._thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         self._thread.start()
         self.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
         return self.url
 
     def stop(self) -> None:
-        """Stop accepting, then end kept-alive connections so their threads exit."""
+        """Stop accepting, then end kept-alive connections so their threads exit.
+
+        Shutting the listening socket down first wakes serve_forever's poll on
+        Linux, so shutdown() does not wait for the poll to time out."""
         if self._server is not None:
+            try:
+                self._server.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._server.shutdown()
             self._server.server_close()
             self._server = None

@@ -14,6 +14,7 @@ none of them. A URL is shown only through ``shown_url``, which drops its
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -54,7 +55,7 @@ def shown_url(url: str) -> str:
     so an "@" in the path or the query is kept. A password must
     percent-encode those three characters; where it does not, urlsplit
     reads no password either, and a port that is not a number is refused
-    without showing the URL (see check_endpoint and _proxy).
+    without showing the URL (see _Transport and _proxy).
     """
     scheme, sep, rest = url.partition("://")
     if not sep:
@@ -75,30 +76,6 @@ def _port(url: SplitResult) -> int | None:
         return -1
 
 
-def check_endpoint(endpoint: str) -> None:
-    """Refuse, as a ValueError, an endpoint that this client cannot send to.
-
-    It must be an http:// or https:// URL of printable ASCII with a host,
-    and carry no ``user:password@``: the credential goes in
-    COTBUDGET_API_KEY. What the environment adds to each request, the API
-    key and the proxy, is checked too. No message shows a secret.
-    """
-    url, shown = urlsplit(endpoint), shown_url(endpoint)
-    if "@" in url.netloc:
-        raise ValueError(f"endpoint {shown!r} must not carry user:password@; "
-                         f"set the credential in {API_KEY_ENV}")
-    port = _port(url)
-    if port == -1:
-        raise ValueError("Port could not be cast to an integer from 0 to 65535 in the endpoint; "
-                         f"a password must percent-encode \"/\", and goes in {API_KEY_ENV}")
-    if (url.scheme not in DEFAULT_PORTS or not url.hostname or port == 0
-            or not all("!" <= c <= "~" for c in endpoint)):
-        raise ValueError(f"endpoint must be an http:// or https:// URL, got {shown!r}")
-    _check_host(url.hostname, f"endpoint {shown!r}")
-    _api_key()
-    _proxy(url)
-
-
 def _check_host(host: str, what: str) -> None:
     """Refuse, as a ValueError naming ``what``, a host that the idna codec would not pass
     as it is: one not ASCII, or with an empty label but a final one, or a label of 64 or
@@ -111,38 +88,38 @@ def _check_host(host: str, what: str) -> None:
 
 
 def _request_headers() -> dict[str, str]:
-    from . import __version__
-
-    headers = {
-        "Content-Type": "application/json",
-        "User-Agent": f"cotbudget/{__version__}",
-        "Accept-Encoding": "identity",
-    }
-    key = _api_key()
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    return headers
-
-
-def _api_key() -> str:
-    """The API key, or "" when unset.
+    """Every request's head fields, with Authorization when COTBUDGET_API_KEY is set.
 
     A key that an HTTP header cannot carry, one with a control character
     (CR and LF among them) or a character outside Latin-1, is a ValueError
     that names the variable, never the key.
     """
+    from . import __version__
+
     key = os.environ.get(API_KEY_ENV, "")
     if not key.isprintable() or any(c > "\xff" for c in key):
         raise ValueError(f"{API_KEY_ENV} holds a character that an HTTP header cannot carry "
                          "(a control character, or one outside Latin-1)")
-    return key
+    headers = {
+        "Content-Type": "application/json",
+        "User-Agent": f"cotbudget/{__version__}",
+        "Accept-Encoding": "identity",
+    }
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    return headers
 
 
 def _tls_context():
     """The default TLS context, trusting REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE when set."""
+    return _load_tls_context(os.environ.get("REQUESTS_CA_BUNDLE")
+                             or os.environ.get("CURL_CA_BUNDLE"))
+
+
+@functools.lru_cache(maxsize=1)  # the last one, so a config's check and its sweep share it
+def _load_tls_context(bundle: str | None):
     import ssl
 
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
     try:
         if bundle and os.path.isdir(bundle):
             return ssl.create_default_context(capath=bundle)
@@ -236,14 +213,17 @@ class _Connection:
 
 
 class _Transport:
-    """Where one sweep's requests go, worked out once.
+    """Where one sweep's requests go, worked out once, or a ValueError if this
+    client cannot send there.
 
-    The endpoint's host, port and path, the proxy (HTTP_PROXY, HTTPS_PROXY,
-    ALL_PROXY and NO_PROXY, as urllib.request reads them; see _proxy_for),
-    the TLS context and the request head are fixed when the sweep starts.
-    It holds no connection: connect() makes one, which opens its socket on
-    first use. Each worker makes its own, keeps it alive for all its cells
-    and closes it when it stops, so no two workers share one.
+    The endpoint must be an http:// or https:// URL of printable ASCII with a
+    host and no ``user:password@`` (the credential goes in COTBUDGET_API_KEY).
+    Then the API key and the proxy (HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and
+    NO_PROXY, as urllib.request reads them; see _proxy_for) are checked and,
+    last, an https:// endpoint's TLS context is loaded (an EndpointError if
+    its CA bundle cannot be). No message shows a secret. connect() makes a
+    connection, which opens its socket on first use; each worker keeps its
+    own alive for all its cells and closes it when it stops.
 
     A request is framed as the standard library frames it: the request line, Host
     (with no port when the port is the scheme's default), Content-Length,
@@ -254,16 +234,26 @@ class _Transport:
     """
 
     def __init__(self, config: SweepConfig) -> None:
-        url = urlsplit(config.endpoint)
+        url, shown = urlsplit(config.endpoint), shown_url(config.endpoint)
+        if "@" in url.netloc:
+            raise ValueError(f"endpoint {shown!r} must not carry user:password@; "
+                             f"set the credential in {API_KEY_ENV}")
+        port = _port(url)
+        if port == -1:
+            raise ValueError("Port could not be cast to an integer from 0 to 65535 in the endpoint;"
+                             f' a password must percent-encode "/", and goes in {API_KEY_ENV}')
+        if (url.scheme not in DEFAULT_PORTS or not url.hostname or port == 0
+                or not all("!" <= c <= "~" for c in config.endpoint)):
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {shown!r}")
+        _check_host(url.hostname, f"endpoint {shown!r}")
+        headers = _request_headers()
+        via = _proxy(url)
         self.timeout = config.timeout
-        self._host, port = url.hostname, url.port or DEFAULT_PORTS[url.scheme]
-        self._context = _tls_context() if url.scheme == "https" else None
+        self._host, port = url.hostname, port or DEFAULT_PORTS[url.scheme]
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         authority = f"[{self._host.partition('%')[0]}]" if ":" in self._host else self._host
         if port != DEFAULT_PORTS[url.scheme]:
             authority += f":{port}"
-        headers = _request_headers()
-        via = _proxy(url)
         self._tunnel = None
         if via:
             self._address = (via.hostname.encode("ascii"), via.port or 80)
@@ -287,6 +277,7 @@ class _Transport:
         self._fields = "".join(
             f"\r\n{name}: {value}" for name, value in headers.items()
         ).encode("latin-1") + b"\r\n\r\n"
+        self._context = _tls_context() if url.scheme == "https" else None
 
     def connect(self) -> _Connection:
         return _Connection()

@@ -60,7 +60,7 @@ from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES
 from cotbudget.records import OPTIONAL_FIELDS, REQUIRED_FIELDS, EvalRecord, RunMatrix
 from cotbudget.routing import RoutingOutcome
 from cotbudget import transport
-from cotbudget.transport import _proxy, _request_headers, _tls_context, check_endpoint
+from cotbudget.transport import _proxy, _request_headers, _tls_context, _Transport
 
 
 def load_records_loop(path: str | Path) -> list[EvalRecord]:
@@ -967,7 +967,7 @@ class SweepConfig:
             raise ValueError("temperature must be a finite number")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number above 0, got {self.timeout!r}")
-        check_endpoint(self.endpoint)
+        _Transport(self)
 
 
 @dataclass

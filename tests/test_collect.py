@@ -1142,16 +1142,19 @@ def test_a_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch, left, 
 
 
 def test_a_sweep_with_nothing_left_builds_no_transport(tmp_path, monkeypatch):
+    """The config's check builds one; the sweep builds none."""
     def refused(config):
         raise AssertionError("transport built")
 
-    monkeypatch.setattr("cotbudget.collect._Transport", refused)
     questions = _questions(2)
     skip = {(q.question_id, spec.prompt_id) for q in questions for spec in small_catalog()}
     with MockChatEndpoint() as mock:
-        summary, sidecar = _sweep(tmp_path, mock, questions, skip=skip, max_parallel=4)
+        config = config_for(mock.url, max_parallel=4)
+        monkeypatch.setattr("cotbudget.collect._Transport", refused)
+        with JsonlWriter(tmp_path / "records.jsonl") as writer:
+            summary = sweep(questions, config, writer, skip=skip)
     assert (summary.requested, summary.skipped, summary.succeeded, summary.failed) == (6, 6, 0, 0)
-    assert sidecar == []
+    assert (tmp_path / "records.jsonl").read_bytes() == b""
     assert (mock.connection_count, mock.request_count) == (0, 0)
 
 
@@ -1581,6 +1584,19 @@ def test_client_gone_before_the_reply_ends_the_connection_quietly(capfd):
         handlers[0].join(5)
         assert not handlers[0].is_alive()
     assert capfd.readouterr().err == ""
+
+
+def test_the_mock_stops_without_waiting_out_its_poll():
+    """serve_forever polls every 50 ms; a stop 10 ms into a poll took the other 40."""
+    took = []
+    for _ in range(5):
+        mock = MockChatEndpoint()
+        mock.start()
+        time.sleep(0.01)
+        start = time.perf_counter()
+        mock.stop()
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.02
 
 
 def _trickled(body: bytes):

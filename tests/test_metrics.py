@@ -526,7 +526,8 @@ class TestExactTokenTotals:
         assert midranks([2**53 + 1, 2**53, 2**53 + 1]).tolist() == [2.5, 1.0, 2.5]
 
     @settings(max_examples=150, deadline=None)
-    @given(matrix=run_matrices(max_tokens=2**63 - 1) | run_matrices())
+    @given(matrix=run_matrices(max_tokens=2**63 - 1) | run_matrices()
+           | run_matrices(absent_share=0.5))
     def test_prompt_table_matches_loop(self, matrix):
         prof = profile(matrix)
         try:
@@ -538,10 +539,18 @@ class TestExactTokenTotals:
         assert prompt_table(matrix, prof) == want
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), matrix=run_matrices(max_tokens=2**63 - 1) | run_matrices())
+    @given(data=st.data(), matrix=run_matrices(max_tokens=2**63 - 1) | run_matrices()
+           | run_matrices(absent_share=0.5, empty_rows=True))
     def test_adaptivity_split_matches_loop(self, data, matrix):
         split = data.draw(st.sampled_from(matrix.prompt_ids))
         assert adaptivity_split(matrix, split) == adaptivity_split_loop(matrix, split)
+
+    def test_a_row_with_an_absent_split_cell_is_on_neither_side(self):
+        m = make_matrix([[1, 5, 7], [9, 100, 300], [2, 6, 8]],
+                        [[True, True, False], [True, True, True], [False, False, True]],
+                        [[True, True, True], [False, True, True], [True, True, False]])
+        want = {"p01": (Fraction(5), Fraction(6)), "p02": (Fraction(7), None)}
+        assert adaptivity_split(m, "p00") == adaptivity_split_loop(m, "p00") == want
 
 
 class TestBlockedColumnSums:
@@ -551,19 +560,18 @@ class TestBlockedColumnSums:
     @given(data=st.data(), matrix=run_matrices(max_questions=12, max_tokens=2**63 - 1)
            | run_matrices(max_questions=12), block=st.integers(1, 5))
     def test_equal_to_the_whole_matrix_sum(self, data, matrix, block):
-        mask = np.array(data.draw(st.lists(st.booleans(), min_size=matrix.tokens.size,
-                                           max_size=matrix.tokens.size)), dtype=bool)
-        cells = mask.reshape(matrix.tokens.shape) & matrix.present
+        rows = np.array(data.draw(st.lists(st.booleans(), min_size=matrix.n_questions,
+                                           max_size=matrix.n_questions)), dtype=bool)
+        tokens = matrix.tokens[rows]
         with mock.patch.object(metrics, "BLOCK_ROWS", block):
-            got = metrics._column_sums(matrix.tokens, cells)
-        assert got == column_sums_whole(matrix.tokens, cells)
-        assert got == metrics._column_sums(matrix.tokens, cells)
+            got = metrics._column_sums(tokens)
+        assert got == column_sums_whole(tokens, matrix.present[rows])
+        assert got == metrics._column_sums(tokens)
 
     def test_totals_past_int64_over_several_blocks(self):
         tokens = np.full((3 * metrics.BLOCK_ROWS + 1, 2), TOKENS_MAX, dtype=np.int64)
-        cells = np.ones(tokens.shape, dtype=bool)
-        cells[:, 1] = False
-        assert metrics._column_sums(tokens, cells) == [TOKENS_MAX * tokens.shape[0], 0]
+        tokens[:, 1] = 0
+        assert metrics._column_sums(tokens) == [TOKENS_MAX * tokens.shape[0], 0]
 
     def test_peak_memory_stays_one_block_at_20k(self):
         """No n x K copy: at n = 20k, K = 31 the int64 matrix alone is 5 MB."""
@@ -573,9 +581,8 @@ class TestBlockedColumnSums:
                            tuple(f"p{j:02d}" for j in range(k)),
                            rng.integers(0, 10**6, (n, k)), rng.random((n, k)) < 0.5,
                            rng.random((n, k)) < 0.95)
-        cells = matrix.present & matrix.correct
         prof = profile(matrix)
-        for call in (lambda: metrics._column_sums(matrix.tokens, cells),
+        for call in (lambda: metrics._column_sums(matrix.tokens),
                      lambda: adaptivity_split(matrix, "p00"),
                      lambda: validation_report(matrix, prof)):
             tracemalloc.start()

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from cotbudget import transport
 from cotbudget.collect import SweepConfig
 from cotbudget.prompts import PromptCatalog, fixed_spec
-from cotbudget.transport import ReplyError, _Transport, check_endpoint, shown_url
+from cotbudget.transport import ReplyError, _Transport, shown_url
 
 from loop_oracles import HttpClientTransport
 
@@ -343,7 +343,7 @@ def test_shown_url_drops_the_userinfo(url, shown):
 ])
 def test_an_endpoint_with_userinfo_is_refused_without_its_password(clean_env, endpoint):
     with pytest.raises(ValueError) as caught:
-        check_endpoint(endpoint)
+        _config(endpoint)
     message = str(caught.value)
     assert "COTBUDGET_API_KEY" in message and "must not carry user:password@" in message
     assert "hunter2" not in message and "alice" not in message and "pa%2Fss" not in message
@@ -351,7 +351,6 @@ def test_an_endpoint_with_userinfo_is_refused_without_its_password(clean_env, en
 
 def test_an_endpoint_with_an_at_sign_in_its_path_is_sent_there(clean_env):
     endpoint = "http://example.test:8080/v1/m@v2/chat/completions?x=a@b"
-    check_endpoint(endpoint)
     assert _Transport(_config(endpoint))._head.startswith(
         b"POST /v1/m@v2/chat/completions?x=a@b HTTP/1.1\r\nHost: example.test:8080\r\n")
 
@@ -362,7 +361,7 @@ def test_an_endpoint_with_a_bad_port_is_refused_without_showing_it(clean_env, en
     """A password with an unescaped "/" ends the authority there, so its start reads as
     the port; the message shows no part of the URL."""
     with pytest.raises(ValueError, match="^Port could not be cast to an integer") as caught:
-        check_endpoint(endpoint)
+        _config(endpoint)
     message = str(caught.value)
     assert "COTBUDGET_API_KEY" in message and "alice" not in message and "pa/ss" not in message
 
@@ -372,7 +371,7 @@ def test_an_endpoint_with_a_bad_port_is_refused_without_showing_it(clean_env, en
 def test_an_endpoint_that_is_not_printable_ascii_is_refused(endpoint):
     """http.client failed each cell of these at the request line; now nothing is sent."""
     with pytest.raises(ValueError, match="must be an http:// or https:// URL"):
-        check_endpoint(endpoint)
+        _config(endpoint)
 
 
 @pytest.mark.parametrize("host", ["a..b", ".a", "a" * 64 + ".test", "a." + "b" * 64])
@@ -380,7 +379,7 @@ def test_an_endpoint_host_the_idna_codec_refuses_is_refused(clean_env, host):
     with pytest.raises(ValueError, match=f"^endpoint 'http://{host}:9/v1' names a host that is "
                                          "not ASCII, or has an empty label or a label of 64 or "
                                          "more characters$"):
-        check_endpoint(f"http://{host}:9/v1")
+        _config(f"http://{host}:9/v1")
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,5 +411,5 @@ def test_a_proxy_without_a_host_or_a_port_is_refused_without_its_password(clean_
                                                                           error):
     clean_env.setenv("HTTP_PROXY", proxy)
     with pytest.raises(ValueError, match=error) as caught:
-        check_endpoint("http://api.example.test/v1")
+        _config("http://api.example.test/v1")
     assert "pa/ss" not in str(caught.value)
