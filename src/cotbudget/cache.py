@@ -1,16 +1,15 @@
-"""Content-addressed cache of parsed record files, behind ``records.read_matrices``.
+"""Content-addressed cache of parsed record files: ``read`` runs the whole protocol.
 
-Every analysis command that reads a records file goes through it. The
-prior ``--out`` of ``collect --resume`` does not: ``sweepfiles.prior_cells``
-reads it once, line by line, and it grows as soon as the resume appends.
-An entry holds every (model, dataset) RunMatrix of one records file. On a
-miss the file is parsed once, through the hashing reader, into int columns
-per pair (id codes, counts, hits and line numbers; no object per record),
-and the entry is written from the matrices after those columns are gone.
-Its name is a BLAKE2b hash of the format version, the parser's source
-(this module, ``records.py`` and ``inputs.py``) and the file's bytes, so an
-edited file, or a file read by another version of the reader, never finds
-an old entry.
+``records.read_matrices`` is one call of ``read``, so every analysis command
+that reads a records file goes through it. The prior ``--out`` of
+``collect --resume`` does not: ``sweepfiles.prior_cells`` reads it once,
+line by line, and it grows as soon as the resume appends. An entry holds
+every (model, dataset) RunMatrix of one records file. On a miss the
+caller's parser reads the file once, through the hashing reader, and the
+entry is written from the matrices it returns. Its name is a BLAKE2b hash
+of the format version, the parser's source (this module, ``records.py``
+and ``inputs.py``) and the file's bytes, so an edited file, or a file read
+by another version of the reader, never finds an old entry.
 
 An entry is an uncompressed ``.npz`` (NEP 1 ``.npy`` members, read with
 ``allow_pickle=False``): ``header`` is the UTF-8 bytes of a JSON object
@@ -38,12 +37,11 @@ import os
 import stat
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .records import RunMatrix
+from .records import RunMatrix
 
 try:
     # The interpreter's own BLAKE2b: importing hashlib loads OpenSSL, which
@@ -58,9 +56,7 @@ ARRAYS = ("tokens", "correct", "present")  # pair i's members are tokens{i}, ...
 
 log = logging.getLogger(__name__)
 
-# One pair's matrix as RunMatrix takes it:
-# (model, dataset, question_ids, prompt_ids, tokens, correct, present).
-Fields = tuple[str, str, tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
+Matrices = dict[tuple[str, str], RunMatrix]  # each (model, dataset) pair's, pairs sorted
 
 
 def _hash(data: bytes = b""):
@@ -104,83 +100,92 @@ class HashingReader(io.RawIOBase):
         return self._digest.digest()
 
 
-class RecordCache:
-    """A usable cache directory, and the key part shared by all its entries."""
+def read(path: Path, parse: Callable[[Path, BinaryIO], Matrices]) -> Matrices:
+    """The matrices of the records file at path: its entry's, or ``parse(path, source)``'s.
 
-    def __init__(self, folder: Path) -> None:
-        self.folder = folder
-        self.reader = _reader_digest()
-
-    def entry(self, content: bytes) -> Path:
-        """The entry path of a records file whose bytes hash to ``content``."""
-        return self.folder / f"{_hash(self.reader + content).hexdigest()}.npz"
-
-    def load(self, content: bytes) -> list[Fields] | None:
-        """The cached pairs of a file, or None (a miss) when no valid entry exists."""
-        entry = self.entry(content)
+    A file that _folder refuses is parsed uncached. Otherwise a miss parses
+    the file again through a HashingReader and stores the matrices under
+    the hash of the bytes parsed, so a file that changes while it is read
+    is stored under what was parsed.
+    """
+    with path.open("rb", buffering=0) as raw:
         try:
-            with entry.open("rb") as fh, np.load(fh, allow_pickle=False) as npz:
-                fields = _checked(npz)
-        except FileNotFoundError:
-            log.debug("record cache miss: %s", entry)
-            return None
-        except Exception as exc:  # whatever is wrong with an entry, it is only a miss
-            log.debug("record cache miss (bad entry: %s): %s", exc, entry)
-            return None
-        with contextlib.suppress(OSError):
-            os.utime(entry)
-        log.debug("record cache hit: %s", entry)
-        return fields
+            folder, reader = _folder(raw), _reader_digest()
+        except (OSError, _Unusable) as exc:
+            log.debug("record cache skipped (%s): %s", exc, raw.name)
+            return parse(path, raw)
+        found = _load(_entry(folder, reader, content_digest(raw)))
+        if found is not None:
+            return found
+        raw.seek(0)
+        source = HashingReader(raw)
+        matrices = parse(path, source)
+    _save(_entry(folder, reader, source.digest()), matrices)
+    return matrices
 
-    def save(self, content: bytes, matrices: list[RunMatrix]) -> None:
-        """Write an entry atomically, then evict the oldest beyond MAX_ENTRIES."""
-        entry = self.entry(content)
-        header = json.dumps({
-            "version": FORMAT_VERSION,
-            "pairs": [[m.model, m.dataset, m.question_ids, m.prompt_ids] for m in matrices],
-        })  # ASCII-escaped, so ids with lone surrogates encode too
-        arrays = {"header": np.frombuffer(header.encode("ascii"), dtype=np.uint8)}
-        for i, m in enumerate(matrices):
-            arrays.update({f"{a}{i}": getattr(m, a) for a in ARRAYS})
+
+def _entry(folder: Path, reader: bytes, content: bytes) -> Path:
+    """The entry of a records file whose bytes hash to ``content``."""
+    return folder / f"{_hash(reader + content).hexdigest()}.npz"
+
+
+def _load(entry: Path) -> Matrices | None:
+    """The matrices of a valid entry, or None (a miss)."""
+    try:
+        with entry.open("rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            matrices = _checked(npz)
+    except FileNotFoundError:
+        log.debug("record cache miss: %s", entry)
+        return None
+    except Exception as exc:  # whatever is wrong with an entry, it is only a miss
+        log.debug("record cache miss (bad entry: %s): %s", exc, entry)
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    log.debug("record cache hit: %s", entry)
+    return matrices
+
+
+def _save(entry: Path, matrices: Matrices) -> None:
+    """Write an entry atomically, then evict the oldest beyond MAX_ENTRIES."""
+    header = json.dumps({
+        "version": FORMAT_VERSION,
+        "pairs": [[m.model, m.dataset, m.question_ids, m.prompt_ids] for m in matrices.values()],
+    })  # ASCII-escaped, so ids with lone surrogates encode too
+    arrays = {"header": np.frombuffer(header.encode("ascii"), dtype=np.uint8)}
+    for i, m in enumerate(matrices.values()):
+        arrays.update({f"{a}{i}": getattr(m, a) for a in ARRAYS})
+    try:
+        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
         try:
-            fd, temp = tempfile.mkstemp(suffix=".tmp", dir=self.folder)
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, **arrays)
-                os.replace(temp, entry)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(temp)
-            self._evict()
-        except OSError as exc:
-            log.debug("record cache skipped (cannot write: %s): %s", exc, entry)
-            return
-        log.debug("record cache wrote: %s", entry)
-
-    def _evict(self) -> None:
-        # Every regular file counts, so temp files of writers that died go in time.
-        ages = []
-        with os.scandir(self.folder) as items:
-            for item in items:
-                with contextlib.suppress(FileNotFoundError):  # another process removed it
-                    if item.is_file(follow_symlinks=False):
-                        ages.append((item.stat(follow_symlinks=False).st_mtime_ns, item.path))
-        for _, path in sorted(ages, reverse=True)[MAX_ENTRIES:]:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(temp, entry)
+        finally:
             with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
+                os.unlink(temp)
+        _evict(entry.parent)
+    except OSError as exc:
+        log.debug("record cache skipped (cannot write: %s): %s", exc, entry)
+        return
+    log.debug("record cache wrote: %s", entry)
+
+
+def _evict(folder: Path) -> None:
+    # Every regular file counts, so temp files of writers that died go in time.
+    ages = []
+    with os.scandir(folder) as items:
+        for item in items:
+            with contextlib.suppress(FileNotFoundError):  # another process removed it
+                if item.is_file(follow_symlinks=False):
+                    ages.append((item.stat(follow_symlinks=False).st_mtime_ns, item.path))
+    for _, path in sorted(ages, reverse=True)[MAX_ENTRIES:]:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
 
 
 class _Unusable(Exception):
     """Why a records file is read without the cache."""
-
-
-def open_cache(source: BinaryIO) -> RecordCache | None:
-    """The cache for an open records file, or None when it must be read uncached."""
-    try:
-        return RecordCache(_folder(source))
-    except (OSError, _Unusable) as exc:
-        log.debug("record cache skipped (%s): %s", exc, source.name)
-        return None
 
 
 def _folder(source: BinaryIO) -> Path:
@@ -218,8 +223,8 @@ def _sorted_ids(ids: object) -> bool:
     )
 
 
-def _checked(npz) -> list[Fields]:
-    """Every pair of an entry, after checking all that the parser guarantees."""
+def _checked(npz) -> Matrices:
+    """Every pair's matrix of an entry, after checking all that the parser guarantees."""
     header = npz["header"]
     _require(header.dtype == np.uint8 and header.ndim == 1, "header is not a byte string")
     meta = json.loads(header.tobytes().decode("utf-8"))
@@ -228,7 +233,7 @@ def _checked(npz) -> list[Fields]:
     _require(type(pairs) is list, "pairs is not a list")
     names = {"header"} | {f"{a}{i}" for a in ARRAYS for i in range(len(pairs))}
     _require(set(npz.files) == names, "member names")
-    out: list[Fields] = []
+    out: Matrices = {}
     for i, pair in enumerate(pairs):
         _require(type(pair) is list and len(pair) == 4, f"pair {i}")
         model, dataset, question_ids, prompt_ids = pair
@@ -244,9 +249,9 @@ def _checked(npz) -> list[Fields]:
         _require(not tokens[~present].any() and not correct[~present].any(),
                  f"pair {i} padding is not zero")
         _require(int(tokens.min()) >= 0, f"pair {i} has negative tokens")
-        out.append(
-            (model, dataset, tuple(question_ids), tuple(prompt_ids), tokens, correct, present)
-        )
-    keys = [(model, dataset) for model, dataset, *_ in out]
-    _require(all(a < b for a, b in zip(keys, keys[1:])), "pairs are not sorted and distinct")
+        out[model, dataset] = RunMatrix(model, dataset, tuple(question_ids), tuple(prompt_ids),
+                                        tokens, correct, present)
+    keys = list(out)
+    _require(len(keys) == len(pairs) and all(a < b for a, b in zip(keys, keys[1:])),
+             "pairs are not sorted and distinct")
     return out

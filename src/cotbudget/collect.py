@@ -28,10 +28,10 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import RecordSchemaError
+from .errors import EndpointError, RecordSchemaError
 from .inputs import NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, check_line, read_jsonl, set_fields
 from .prompts import PromptCatalog, PromptSpec, render
-from .transport import Post, _post_with_retries, _Transport
+from .transport import Post, _Connection, _post_with_retries, _Transport, shown_url
 
 log = logging.getLogger(__name__)
 
@@ -339,7 +339,8 @@ def sweep(
     cell beyond the cells in hand. An exception out of a cell (a writer's,
     say) or a worker that would not start stops the sweep: the other
     workers finish the cell in hand and take no new one, and the first
-    exception is raised.
+    exception is raised. So is an EndpointError when the first cell to
+    finish failed without any of its attempts opening a connection.
     """
     skip_set = skip if isinstance(skip, Set) else set(skip)
     lock = threading.Lock()
@@ -359,9 +360,10 @@ def sweep(
     pending = cells()
     transport = _Transport(config)
 
-    def run_job(post: Post, question: Question, spec: PromptSpec) -> None:
+    def run_job(conn: _Connection, post: Post, question: Question, spec: PromptSpec) -> None:
         record, error, retries_used = _run_cell(config, question, spec, post)
         with lock:
+            unreached = record is None and not (conn.opened or summary.succeeded or summary.failed)
             summary.retries += retries_used
             if record is not None:
                 summary.succeeded += 1
@@ -376,6 +378,8 @@ def sweep(
             if failures is not None:
                 failures.write({"question_id": question.question_id,
                                 "prompt_id": spec.prompt_id, "error": error})
+        if unreached:
+            raise EndpointError(f"cannot connect to {shown_url(config.endpoint)}: {error}")
 
     def work() -> None:
         conn = transport.connect()
@@ -386,7 +390,7 @@ def sweep(
                     cell = None if stopped else next(pending, None)
                 if cell is None:
                     return
-                run_job(post, *cell)
+                run_job(conn, post, *cell)
         except BaseException as exc:
             with lock:
                 stopped.append(exc)

@@ -101,29 +101,15 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
     """
     from . import cache  # imported here, so commands that read no records skip it
 
-    path = Path(path)
-    with path.open("rb", buffering=0) as raw:
-        source = raw
-        store = cache.open_cache(raw)
-        if store is not None:
-            found = store.load(cache.content_digest(raw))
-            if found is not None:
-                return {(fields[0], fields[1]): RunMatrix(*fields) for fields in found}
-            raw.seek(0)
-            # The key comes from the bytes the parser reads, so a file that
-            # changes while it is read is stored under what was parsed.
-            source = cache.HashingReader(raw)
-        groups = _pair_columns(path, source)
-    matrices = {}
-    for pair in sorted(groups):
-        read, tokens, hits = groups.pop(pair)
-        matrices[pair] = _place(read, tokens, hits)
-        # Each pair's columns are dropped once its matrix is built, so none is
-        # alive when the entry is written.
-        del read, tokens, hits
-    if store is not None:
-        store.save(source.digest(), list(matrices.values()))
-    return matrices
+    return cache.read(Path(path), _parse)
+
+
+def _parse(path: Path, source: BinaryIO) -> dict[tuple[str, str], RunMatrix]:
+    """A records file's matrices, pairs sorted: _pair_columns, then _place for each
+    pair, whose columns are dropped once its matrix is built, so none is alive
+    when the cache writes its entry."""
+    groups = _pair_columns(path, source)
+    return {pair: _place(*groups.pop(pair)) for pair in sorted(groups)}
 
 
 def _pair_columns(

@@ -200,6 +200,8 @@ class _DeadlineReader(io.RawIOBase):
 class _Connection:
     """One worker's connection: a socket and its buffered reader, or none until a POST opens one."""
 
+    opened = False  # True once a socket opened, past any tunnel and TLS handshake
+
     def __init__(self) -> None:
         self.sock: socket.socket | None = None
         self.reader: io.BufferedReader | None = None
@@ -341,6 +343,7 @@ class _Transport:
             sock.close()
             raise
         conn.sock, conn.reader = sock, io.BufferedReader(_DeadlineReader(sock))
+        conn.opened = True
 
 
 def _proxy_authorization(via: SplitResult) -> dict[str, str]:

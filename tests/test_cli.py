@@ -11,6 +11,7 @@ import socket
 import string
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -718,6 +719,35 @@ class TestCollectCommand:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("max_parallel", [1, 4])
+    def test_a_sweep_stops_at_an_endpoint_it_never_reached(self, tmp_path, capsys, max_parallel):
+        """31 cells against a closed port, with real backoff (0.25 s a cell): the first
+        cell to finish stops the sweep, and the cells never sent are in neither file,
+        so a resume against a live endpoint sends them."""
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
+        out, failures = tmp_path / "r.jsonl", tmp_path / "r.failures.jsonl"
+        argv = ["collect", "--model", "m", "--dataset", "d", "--questions", str(questions),
+                "--out", str(out), "--retries", "1", "--max-parallel", str(max_parallel)]
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            closed = f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+        start = time.monotonic()
+        code = main([*argv, "--endpoint", closed])
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith(f"endpoint error: cannot connect to {closed}: transport: ")
+        assert elapsed < 2.0
+        assert out.read_text() == ""
+        assert 1 <= len(failures.read_text().splitlines()) <= max_parallel
+        with MockChatEndpoint() as mock:
+            code, text = run(capsys, *argv, "--endpoint", mock.url, "--resume")
+        assert code == 0
+        assert "0 skipped (resume), 31 collected, 0 failed" in text
+        assert (mock.request_count, failures.read_text()) == (31, "")
+        assert len(out.read_text().splitlines()) == 31
 
 
 class TestExitCodes:

@@ -418,8 +418,19 @@ def _sweep(tmp_path, mock, questions, skip=(), **kw):
     with JsonlWriter(tmp_path / "records.jsonl") as writer:
         with JsonlWriter(tmp_path / "failures.jsonl") as failures:
             summary = sweep(questions, config_for(mock.url, **kw), writer, failures, skip)
-    sidecar = (tmp_path / "failures.jsonl").read_text().splitlines()
-    return summary, [json.loads(line) for line in sidecar]
+    return summary, _sidecar(tmp_path)
+
+
+def _sidecar(tmp_path) -> list[dict]:
+    return [json.loads(line) for line in (tmp_path / "failures.jsonl").read_text().splitlines()]
+
+
+def _unreached(tmp_path, mock, questions, **kw) -> list[dict]:
+    """_sweep of cells whose connections never open: its sidecar entries, after the
+    EndpointError that stops the sweep at the first cell to finish."""
+    with pytest.raises(EndpointError, match="^cannot connect to .*: transport: "):
+        _sweep(tmp_path, mock, questions, **kw)
+    return _sidecar(tmp_path)
 
 
 def _read_request(request) -> bool:
@@ -517,6 +528,33 @@ class TestConnections:
             summary, sidecar = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT, retries=1)
         assert (summary.failed, summary.retries, mock.request_count) == (1, 1, 2)
         assert sidecar[0]["error"].startswith("transport: ")
+
+    @pytest.mark.parametrize("status", [200, 500])
+    def test_a_sweep_whose_first_cell_got_a_reply_keeps_going(self, tmp_path, status):
+        """The endpoint answers the first cell, then stops listening: the later cells
+        fail to connect, and each still lands in the sidecar."""
+        body = json.dumps({"choices": [{"message": {"content": "Answer: 42"}}],
+                           "usage": {"completion_tokens": 5}}).encode()
+        reply = b"HTTP/1.1 %d X\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s" % (
+            status, len(body), body)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/v1"
+
+            def serve() -> None:
+                conn, _ = server.accept()
+                server.close()
+                with conn, conn.makefile("rb") as request:
+                    _read_request(request)
+                    conn.sendall(reply)
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            summary, sidecar = _sweep(tmp_path, type("Url", (), {"url": url}), _questions(3),
+                                      catalog=ONE_PROMPT, retries=0)
+            thread.join(10)
+        assert (summary.succeeded, summary.failed) == ((1, 2) if status == 200 else (0, 3))
+        assert [cell["question_id"] for cell in sidecar] == ["q0", "q1", "q2"][summary.succeeded:]
+        assert all("refused" in entry["error"] for entry in sidecar[-2:])
 
     def test_connection_closed_while_idle_is_reopened_without_a_retry(self, tmp_path, waits):
         with MockChatEndpoint(close_after=1) as mock:
@@ -880,21 +918,19 @@ class TestTransportParity:
         with MockChatEndpoint() as proxy:
             clean_env.setenv("HTTP_PROXY", proxy.url.rsplit("/v1/", 1)[0])
             clean_env.setenv("NO_PROXY", "localhost,127.0.0.1")
-            summary, sidecar = _sweep(tmp_path, proxy, _questions(1), catalog=ONE_PROMPT,
-                                      endpoint=endpoint, retries=0)
-        assert summary.failed == 1
-        assert "refused" in sidecar[0]["error"]
+            [failed] = _unreached(tmp_path, proxy, _questions(1), catalog=ONE_PROMPT,
+                                  endpoint=endpoint, retries=0)
+        assert "refused" in failed["error"]
         assert proxy.request_count == 0
 
     def test_https_goes_through_a_connect_tunnel(self, tmp_path, clean_env, connect_proxy):
         url, targets = connect_proxy
         clean_env.setenv("HTTPS_PROXY", url)
         with MockChatEndpoint() as mock:  # only for its URL in _sweep's config
-            summary, sidecar = _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT,
-                                      endpoint="https://api.example.test/v1/chat", retries=0)
-        assert summary.failed == 1
+            [failed] = _unreached(tmp_path, mock, _questions(1), catalog=ONE_PROMPT,
+                                  endpoint="https://api.example.test/v1/chat", retries=0)
         assert targets == ["api.example.test:443"]
-        assert "403" in sidecar[0]["error"]
+        assert "403" in failed["error"]
 
     @pytest.mark.parametrize(
         "variable, kind",
@@ -921,8 +957,8 @@ class TestTransportParity:
         clean_env.setenv(variable, str(bundle))
         clean_env.setenv("HTTPS_PROXY", connect_proxy[0])
         with MockChatEndpoint() as mock:
-            _sweep(tmp_path, mock, _questions(1), catalog=ONE_PROMPT,
-                   endpoint="https://api.example.test/v1/chat", retries=0)
+            _unreached(tmp_path, mock, _questions(1), catalog=ONE_PROMPT,
+                       endpoint="https://api.example.test/v1/chat", retries=0)
         assert calls == [{kind: str(bundle)}]
 
     def test_missing_ca_bundle_is_an_endpoint_error(self, tmp_path, clean_env):
