@@ -3,14 +3,15 @@
 This module holds the questions and their grading, the sweep's settings
 (``SweepConfig``), the JSONL writer and the sweep itself; ``sweepfiles``
 opens, locks and resumes the files the sweep writes. Each worker of a
-sweep takes cells one at a time and posts each through ``transport``, the
-HTTP/1.1 client, on a connection it keeps alive for all its cells. Token
-counts are taken from the endpoint's reported completion-token usage,
-never recomputed locally; cells that still fail after retries land in a
-failures sidecar instead of the record file. A resume skips the cells
-that ``sweepfiles.prior_cells`` reads from the prior records file, keeping
-a bit per cell. ``ssl`` is imported only when an https:// sweep is
-configured, and ``urllib.request`` only when a proxy could apply (see
+sweep takes cells one at a time and posts each through its own
+``transport._Transport``, the HTTP/1.1 client, which keeps one connection
+alive for all the worker's cells. Token counts are taken from the
+endpoint's reported completion-token usage, never recomputed locally;
+cells that still fail after retries land in a failures sidecar instead of
+the record file. A resume skips the cells that ``sweepfiles.prior_cells``
+reads from the prior records file, keeping a bit per cell. ``ssl`` is
+imported only when an https:// sweep is configured, and
+``urllib.request`` only when a proxy could apply (see
 ``transport._proxy_for``), so importing this module does not pay for them.
 Nor does it load ``dataclasses``: its records are ``inputs.FrozenValue``
 classes.
@@ -24,14 +25,13 @@ import re
 import threading
 from collections.abc import Set
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EndpointError, RecordSchemaError
 from .inputs import NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, check_line, read_jsonl, set_fields
 from .prompts import PromptCatalog, PromptSpec, render
-from .transport import Post, _Connection, _post_with_retries, _Transport, shown_url
+from .transport import _post_with_retries, _Transport, shown_url
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ class SweepConfig(FrozenValue):
         set_fields(self, (endpoint, model, dataset, catalog, max_parallel, retries, temperature,
                           timeout))
         # The route, with what the environment adds to it, is checked before a file is opened.
-        _Transport(self)
+        _Transport(endpoint, timeout)
 
 
 class SweepSummary:
@@ -264,7 +264,7 @@ class JsonlWriter:
 
 
 def _run_cell(
-    config: SweepConfig, question: Question, spec: PromptSpec, post: Post
+    config: SweepConfig, question: Question, spec: PromptSpec, transport: _Transport
 ) -> tuple[dict | None, str | None, int]:
     prompt_text = render(spec, format_question(question))
     payload = {
@@ -272,7 +272,7 @@ def _run_cell(
         "messages": [{"role": "user", "content": prompt_text}],
         "temperature": config.temperature,
     }
-    obj, error, retries_used = _post_with_retries(config, post, payload)
+    obj, error, retries_used = _post_with_retries(config.retries, transport, payload)
     if obj is None:
         return None, error, retries_used
     try:
@@ -334,13 +334,14 @@ def sweep(
     into a set. Cells that fail after retries go to the failures sidecar and
     are not fabricated as records. With no cell left nothing is sent;
     otherwise min(max_parallel, cells left) workers, the calling thread
-    among them, each with its own connection, take the cells one at a time
-    in question x catalog order from one generator, so nothing is held per
-    cell beyond the cells in hand. An exception out of a cell (a writer's,
-    say) or a worker that would not start stops the sweep: the other
-    workers finish the cell in hand and take no new one, and the first
-    exception is raised. So is an EndpointError when the first cell to
-    finish failed without any of its attempts opening a connection.
+    among them, take the cells one at a time in question x catalog order
+    from one generator, so nothing is held per cell beyond the cells in
+    hand. Each worker sends on its own _Transport, all built (so a bad
+    route raises) before any worker starts. An exception out of a cell (a
+    writer's, say) or a worker that would not start stops the sweep: the
+    other workers finish the cell in hand and take no new one, and the
+    first exception is raised. So is an EndpointError when the first cell
+    to finish failed without any of its attempts opening a connection.
     """
     skip_set = skip if isinstance(skip, Set) else set(skip)
     lock = threading.Lock()
@@ -358,12 +359,14 @@ def sweep(
     if not left:
         return summary
     pending = cells()
-    transport = _Transport(config)
+    transports = [_Transport(config.endpoint, config.timeout)
+                  for _ in range(min(config.max_parallel, left))]
 
-    def run_job(conn: _Connection, post: Post, question: Question, spec: PromptSpec) -> None:
-        record, error, retries_used = _run_cell(config, question, spec, post)
+    def run_job(transport: _Transport, question: Question, spec: PromptSpec) -> None:
+        record, error, retries_used = _run_cell(config, question, spec, transport)
         with lock:
-            unreached = record is None and not (conn.opened or summary.succeeded or summary.failed)
+            unreached = record is None and not (
+                transport.opened or summary.succeeded or summary.failed)
             summary.retries += retries_used
             if record is not None:
                 summary.succeeded += 1
@@ -381,33 +384,30 @@ def sweep(
         if unreached:
             raise EndpointError(f"cannot connect to {shown_url(config.endpoint)}: {error}")
 
-    def work() -> None:
-        conn = transport.connect()
-        post = partial(transport.post, conn)
-        try:
-            while True:
+    def work(transport: _Transport) -> None:
+        with transport:
+            try:
+                while True:
+                    with lock:
+                        cell = None if stopped else next(pending, None)
+                    if cell is None:
+                        return
+                    run_job(transport, *cell)
+            except BaseException as exc:
                 with lock:
-                    cell = None if stopped else next(pending, None)
-                if cell is None:
-                    return
-                run_job(conn, post, *cell)
-        except BaseException as exc:
-            with lock:
-                stopped.append(exc)
-        finally:
-            conn.close()
+                    stopped.append(exc)
 
     workers = []
     try:
-        for _ in range(min(config.max_parallel, left) - 1):
-            worker = threading.Thread(target=work)
+        for transport in transports[1:]:
+            worker = threading.Thread(target=work, args=(transport,))
             worker.start()
             workers.append(worker)
     except BaseException as exc:  # a worker that would not start
         with lock:
             stopped.append(exc)
     try:
-        work()  # takes no cell after a start failure
+        work(transports[0])  # takes no cell after a start failure
         for worker in workers:
             worker.join()
     except BaseException as exc:  # an interrupted join

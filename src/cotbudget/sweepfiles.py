@@ -138,12 +138,12 @@ def open_sweep(out: str, failures: str, questions: Sequence[Question],
     and truncates it. The sidecar is written anew through its scratch file
     (scratch_path), opened without following a link, locked, then emptied:
     only the sidecar's lock holder opens it, so one that a killed run left
-    is taken over. A resume copies the sidecar's lines less those it
-    settles, whose cell is in ``--out`` or in the questions x catalog grid;
-    a final line without its newline gets one, or is cut if torn (see
-    _final_line). The scratch takes the sidecar's permissions and replaces
-    it still locked, so the path names a locked file at every instant; the
-    failures writer appends to that file.
+    is taken over. A resume, with ``--out`` or without it, copies the
+    sidecar's lines less those it settles, whose cell is in ``--out`` or in
+    the questions x catalog grid; a final line without its newline gets
+    one, or is cut if torn (see _final_line). The scratch takes the
+    sidecar's permissions and replaces it still locked, so the path names a
+    locked file at every instant; the failures writer appends to that file.
     """
     append = resume and os.path.exists(out)
     sidecar, name = os.path.realpath(failures), f"--failures {failures}"
@@ -160,7 +160,7 @@ def open_sweep(out: str, failures: str, questions: Sequence[Question],
             with (open(scratch, "wb", opener=_no_follow) as kept,
                   contextlib.suppress(FileNotFoundError), open(sidecar, "rb") as lines):
                 os.chmod(scratch, os.fstat(lines.fileno()).st_mode & 0o777)
-                for line in lines if append else ():
+                for line in lines if resume else ():
                     if line.endswith(b"\n"):
                         try:
                             obj = json.loads(line)

@@ -22,13 +22,9 @@ import os
 import socket
 import sys
 import time
-from typing import TYPE_CHECKING, Callable
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import EndpointError
-
-if TYPE_CHECKING:
-    from .collect import SweepConfig
 
 API_KEY_ENV = "COTBUDGET_API_KEY"
 BACKOFF_BASE_SECONDS = 0.25
@@ -116,7 +112,7 @@ def _tls_context():
                              or os.environ.get("CURL_CA_BUNDLE"))
 
 
-@functools.lru_cache(maxsize=1)  # the last one, so a config's check and its sweep share it
+@functools.lru_cache(maxsize=1)  # the last one: a config's check and each worker share it
 def _load_tls_context(bundle: str | None):
     import ssl
 
@@ -178,9 +174,9 @@ def _proxy_for(scheme: str, host: str) -> str | None:
 class _DeadlineReader(io.RawIOBase):
     """A socket's raw reader that gives each read the time left until ``deadline``.
 
-    Past the deadline a read raises TimeoutError("timed out"), as the
-    socket's own timeout reads, so a reply that trickles in ends there
-    however small its pieces. Closing it leaves the socket open.
+    Past the deadline a read raises TimeoutError("timed out"), as a plain
+    socket's own timeout reads, over TLS too, so a reply that trickles in
+    ends there however small its pieces. Closing it leaves the socket open.
     """
 
     def __init__(self, sock, deadline: float = math.inf) -> None:
@@ -194,38 +190,25 @@ class _DeadlineReader(io.RawIOBase):
         if left <= 0:
             raise TimeoutError("timed out")
         self._sock.settimeout(left)
-        return self._sock.recv_into(buffer)
-
-
-class _Connection:
-    """One worker's connection: a socket and its buffered reader, or none until a POST opens one."""
-
-    opened = False  # True once a socket opened, past any tunnel and TLS handshake
-
-    def __init__(self) -> None:
-        self.sock: socket.socket | None = None
-        self.reader: io.BufferedReader | None = None
-
-    def close(self) -> None:
-        """Close the reader and its socket together; the next POST opens a new connection."""
-        if self.sock is not None:
-            self.reader.close()
-            self.sock.close()
-            self.sock = self.reader = None
+        try:
+            return self._sock.recv_into(buffer)
+        except TimeoutError:  # an SSLSocket's reads "The read operation timed out"
+            raise TimeoutError("timed out") from None
 
 
 class _Transport:
-    """Where one sweep's requests go, worked out once, or a ValueError if this
-    client cannot send there.
+    """One sweep worker's client: where its requests go, worked out once, or a
+    ValueError if this client cannot send there; then its kept-alive connection.
 
     The endpoint must be an http:// or https:// URL of printable ASCII with a
     host and no ``user:password@`` (the credential goes in COTBUDGET_API_KEY).
     Then the API key and the proxy (HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and
     NO_PROXY, as urllib.request reads them; see _proxy_for) are checked and,
     last, an https:// endpoint's TLS context is loaded (an EndpointError if
-    its CA bundle cannot be). No message shows a secret. connect() makes a
-    connection, which opens its socket on first use; each worker keeps its
-    own alive for all its cells and closes it when it stops.
+    its CA bundle cannot be). No message shows a secret. SweepConfig builds
+    one only for these checks. A worker's first POST opens the socket, which
+    it keeps alive for all its cells and closes when it stops (close(), or
+    the end of a ``with`` block).
 
     A request is framed as the standard library frames it: the request line, Host
     (with no port when the port is the scheme's default), Content-Length,
@@ -235,8 +218,10 @@ class _Transport:
     carries Proxy-Authorization, then Host.
     """
 
-    def __init__(self, config: SweepConfig) -> None:
-        url, shown = urlsplit(config.endpoint), shown_url(config.endpoint)
+    opened = False  # True once a socket opened, past any tunnel and TLS handshake
+
+    def __init__(self, endpoint: str, timeout: float) -> None:
+        url, shown = urlsplit(endpoint), shown_url(endpoint)
         if "@" in url.netloc:
             raise ValueError(f"endpoint {shown!r} must not carry user:password@; "
                              f"set the credential in {API_KEY_ENV}")
@@ -245,12 +230,12 @@ class _Transport:
             raise ValueError("Port could not be cast to an integer from 0 to 65535 in the endpoint;"
                              f' a password must percent-encode "/", and goes in {API_KEY_ENV}')
         if (url.scheme not in DEFAULT_PORTS or not url.hostname or port == 0
-                or not all("!" <= c <= "~" for c in config.endpoint)):
+                or not all("!" <= c <= "~" for c in endpoint)):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {shown!r}")
         _check_host(url.hostname, f"endpoint {shown!r}")
         headers = _request_headers()
         via = _proxy(url)
-        self.timeout = config.timeout
+        self.timeout = timeout
         self._host, port = url.hostname, port or DEFAULT_PORTS[url.scheme]
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         authority = f"[{self._host.partition('%')[0]}]" if ":" in self._host else self._host
@@ -280,56 +265,68 @@ class _Transport:
             f"\r\n{name}: {value}" for name, value in headers.items()
         ).encode("latin-1") + b"\r\n\r\n"
         self._context = _tls_context() if url.scheme == "https" else None
+        self.sock: socket.socket | None = None
+        self.reader: io.BufferedReader | None = None
 
-    def connect(self) -> _Connection:
-        return _Connection()
+    def __enter__(self) -> _Transport:
+        return self
 
-    def post(self, conn: _Connection, body: bytes) -> tuple[int, str | None, bytes]:
-        """POST body on conn; returns (status, Retry-After, reply body).
+    def __exit__(self, *exc) -> None:
+        self.close()
 
-        The reply body is read in full, whatever the status, so conn can
-        carry the next request. A body longer than MAX_REPLY_BYTES is not:
-        its first MAX_REPLY_BYTES + 1 bytes are returned and conn is closed.
-        Every read of the reply, status line and headers included, is given
-        the time left of ``timeout`` counted from the request (see
-        _DeadlineReader), so a reply that trickles in past it is a
-        TimeoutError. A kept-alive connection that the server closed while
+    def close(self) -> None:
+        """Close the reader and its socket together; the next POST opens a new connection."""
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = self.reader = None
+
+    def post(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """POST body; returns (status, Retry-After, reply body).
+
+        The reply body is read in full, whatever the status, so the
+        connection can carry the next request. A body longer than
+        MAX_REPLY_BYTES is not: its first MAX_REPLY_BYTES + 1 bytes are
+        returned and the connection is closed. Every read of the reply,
+        status line and headers included, is given the time left of
+        ``timeout`` counted from the request (see _DeadlineReader), so a
+        reply that trickles in past it is a TimeoutError. A kept-alive connection that the server closed while
         idle fails before any reply arrives; the request is then sent once
         more on a new connection. Any other failure (an OSError, or a
-        ReplyError for a reply that breaks its framing) closes conn and
-        propagates.
+        ReplyError for a reply that breaks its framing) closes the
+        connection and propagates.
         """
         deadline = time.monotonic() + self.timeout
         message = b"%s%d%s%s" % (self._head, len(body), self._fields, body)
         try:
-            reused = conn.sock is not None
+            reused = self.sock is not None
             try:
-                status, headers, keep = self._exchange(conn, message, deadline)
+                status, headers, keep = self._exchange(message, deadline)
             except ConnectionError:
                 if not reused:
                     raise
-                conn.close()
-                status, headers, keep = self._exchange(conn, message, deadline)
-            data, framed = _read_body(conn.reader, status, headers)
+                self.close()
+                status, headers, keep = self._exchange(message, deadline)
+            data, framed = _read_body(self.reader, status, headers)
             if len(data) > MAX_REPLY_BYTES or not (keep and framed):
-                conn.close()  # the rest of the body is never read, or the server ends it
+                self.close()  # the rest of the body is never read, or the server ends it
             retry_after = headers.get("retry-after")
             return status, ", ".join(retry_after) if retry_after else None, data
         except BaseException:
-            conn.close()
+            self.close()
             raise
 
-    def _exchange(self, conn: _Connection, message: bytes,
+    def _exchange(self, message: bytes,
                   deadline: float) -> tuple[int, dict[str, list[str]], bool]:
-        """Send message on conn, opening it if need be; returns _read_head's reply head."""
-        if conn.sock is None:
-            self._open(conn, deadline)
-        conn.sock.settimeout(self.timeout)  # a read of a reply left it shorter
-        conn.sock.sendall(message)
-        conn.reader.raw.deadline = deadline
-        return _read_head(conn.reader)
+        """Send message, opening the connection if need be; returns _read_head's reply head."""
+        if self.sock is None:
+            self._open(deadline)
+        self.sock.settimeout(self.timeout)  # a read of a reply left it shorter
+        self.sock.sendall(message)
+        self.reader.raw.deadline = deadline
+        return _read_head(self.reader)
 
-    def _open(self, conn: _Connection, deadline: float) -> None:
+    def _open(self, deadline: float) -> None:
         sock = socket.create_connection(self._address, self.timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -342,8 +339,8 @@ class _Transport:
         except BaseException:
             sock.close()
             raise
-        conn.sock, conn.reader = sock, io.BufferedReader(_DeadlineReader(sock))
-        conn.opened = True
+        self.sock, self.reader = sock, io.BufferedReader(_DeadlineReader(sock))
+        self.opened = True
 
 
 def _proxy_authorization(via: SplitResult) -> dict[str, str]:
@@ -489,10 +486,6 @@ def _skip_lines(reader: io.BufferedReader, what: str) -> None:
         pass
 
 
-# A worker's POST: _Transport.post bound to the worker's own connection.
-Post = Callable[[bytes], tuple[int, str | None, bytes]]
-
-
 def _retry_after_seconds(value: str | None) -> int:
     """A delta-seconds Retry-After value; 0 for none, an HTTP-date, junk or above the cap."""
     value = (value or "").strip()
@@ -502,39 +495,38 @@ def _retry_after_seconds(value: str | None) -> int:
 
 
 def _post_with_retries(
-    config: SweepConfig, post: Post, payload: dict
+    retries: int, transport: _Transport, payload: dict
 ) -> tuple[dict | None, str | None, int]:
-    """Returns (response JSON, error, retries used). Retries transport errors, 429 and 5xx.
+    """Returns (response JSON, error, retries used): POSTs payload on transport, and
+    retries transport errors, 429 and 5xx up to ``retries`` times.
 
     The wait before a retry is the exponential backoff, or the reply's
     Retry-After when a 429 or 503 asks for longer.
     """
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     last_error = "no attempt made"
-    retries_used = 0
     retry_after = 0
-    for attempt in range(config.retries + 1):
+    for attempt in range(retries + 1):
         if attempt:
             backoff = min(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1), BACKOFF_CAP_SECONDS)
             time.sleep(max(backoff, retry_after))
-            retries_used += 1
         retry_after = 0
         try:
-            status, retry_after_header, data = post(body)
+            status, retry_after_header, data = transport.post(body)
         except (OSError, ReplyError) as exc:
             last_error = f"transport: {str(exc) or type(exc).__name__}"
             continue
         if len(data) > MAX_REPLY_BYTES:
-            return None, f"reply body longer than {MAX_REPLY_BYTES} bytes", retries_used
+            return None, f"reply body longer than {MAX_REPLY_BYTES} bytes", attempt
         if status == 429 or status >= 500:
             last_error = f"HTTP {status}"
             if status in (429, 503):
                 retry_after = _retry_after_seconds(retry_after_header)
             continue
         if status != 200:
-            return None, f"HTTP {status}", retries_used
+            return None, f"HTTP {status}", attempt
         try:
-            return json.loads(data), None, retries_used
+            return json.loads(data), None, attempt
         except (ValueError, RecursionError):  # RecursionError: nested too deeply
-            return None, "unparseable response body", retries_used
-    return None, last_error, retries_used
+            return None, "unparseable response body", attempt
+    return None, last_error, retries

@@ -803,15 +803,15 @@ def _reply_by(deadline: float, sock, *args, **kwargs):
 
 
 class HttpClientTransport:
-    """The http.client transport: connect() makes an HTTPConnection, and post
-    sends on it as transport._Transport.post does (see its docstring)."""
+    """The http.client transport: one HTTPConnection, on which post sends as
+    transport._Transport.post does (see its docstring)."""
 
-    def __init__(self, config) -> None:
+    def __init__(self, endpoint: str, timeout: float) -> None:
         import http.client
         from base64 import b64encode
         from urllib.parse import unquote, urlsplit
 
-        url = urlsplit(config.endpoint)
+        url = urlsplit(endpoint)
         host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
         self.target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.headers = _request_headers()
@@ -830,18 +830,22 @@ class HttpClientTransport:
         else:
             address = (host, port)
 
-        def connect() -> http.client.HTTPConnection:
-            if url.scheme == "http":
-                return http.client.HTTPConnection(*address, timeout=config.timeout)
-            conn = http.client.HTTPSConnection(*address, timeout=config.timeout, context=context)
+        if url.scheme == "http":
+            self.conn = http.client.HTTPConnection(*address, timeout=timeout)
+        else:
+            self.conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
             if via:
-                conn.set_tunnel(host, port, headers=tunnel_headers)
-            return conn
+                self.conn.set_tunnel(host, port, headers=tunnel_headers)
+        self.timeout = timeout
 
-        self.connect = connect
-        self.timeout = config.timeout
+    def __enter__(self) -> HttpClientTransport:
+        return self
 
-    def post(self, conn, body: bytes) -> tuple[int, str | None, bytes]:
+    def __exit__(self, *exc) -> None:
+        self.conn.close()
+
+    def post(self, body: bytes) -> tuple[int, str | None, bytes]:
+        conn = self.conn
         conn.response_class = partial(_reply_by, time.monotonic() + self.timeout)
         try:
             reused = conn.sock is not None
@@ -967,7 +971,7 @@ class SweepConfig:
             raise ValueError("temperature must be a finite number")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number above 0, got {self.timeout!r}")
-        _Transport(self)
+        _Transport(self.endpoint, self.timeout)
 
 
 @dataclass

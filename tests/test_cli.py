@@ -677,6 +677,28 @@ class TestCollectCommand:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "catalog.json", "questions.jsonl", "side.jsonl", "side.jsonl.tmp"]
 
+    def test_a_resume_with_no_out_file_keeps_the_failures_it_does_not_settle(self, tmp_path,
+                                                                            capsys):
+        """The sidecar is copied less the cells of the run's grid, whether or not --out exists."""
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
+        catalog = tmp_path / "catalog.json"
+        from cotbudget.prompts import PromptCatalog, fixed_spec
+
+        PromptCatalog(specs=(fixed_spec("NoCoT"), fixed_spec("BeConcise"))).save(catalog)
+        out, failures = tmp_path / "o.jsonl", tmp_path / "o.failures.jsonl"
+        foreign = json.dumps({"question_id": "q9", "prompt_id": "NoCoT", "error": "HTTP 500"})
+        settled = json.dumps({"question_id": "q1", "prompt_id": "NoCoT", "error": "HTTP 500"})
+        failures.write_text(foreign + "\n" + settled + "\n")
+        with MockChatEndpoint() as mock:
+            code, text = run(capsys, "collect", "--endpoint", mock.url, "--model", "m",
+                             "--dataset", "d", "--questions", str(questions), "--catalog",
+                             str(catalog), "--out", str(out), "--resume")
+        assert code == 0
+        assert "0 skipped (resume), 2 collected, 0 failed" in text
+        assert len(out.read_text().splitlines()) == 2
+        assert failures.read_text() == foreign + "\n"
+
     def test_resumes_that_keep_failing_list_each_cell_once(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
         questions.write_text(json.dumps(QUESTIONS[0]) + "\n")
@@ -1121,8 +1143,8 @@ class TestHostileInput:
     def test_deep_reply_goes_to_sidecar(self, tmp_path, capsys, monkeypatch):
         post = transport._Transport.post
 
-        def deep_for_q2(self, conn, body):
-            status, retry_after, data = post(self, conn, body)
+        def deep_for_q2(self, body):
+            status, retry_after, data = post(self, body)
             return status, retry_after, DEEP.encode() if b"Two plus two?" in body else data
 
         monkeypatch.setattr(transport._Transport, "post", deep_for_q2)
@@ -1169,7 +1191,7 @@ class TestHostileInput:
         body = ('{"choices": [{"message": {"content": "Answer: \\ud83d\\ude00"}}], '
                 '"usage": {"completion_tokens": 3}}').encode()
         body = body.replace(b"\\ud83d\\ude00", b"\xed\xa0\xbd\xed\xb8\x80")
-        monkeypatch.setattr(transport._Transport, "post", lambda self, conn, _: (200, None, body))
+        monkeypatch.setattr(transport._Transport, "post", lambda self, _: (200, None, body))
         graded = []
         grade = collect_mod.grade
         monkeypatch.setattr(collect_mod, "grade",

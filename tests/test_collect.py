@@ -1036,7 +1036,7 @@ def test_question_line_that_is_not_utf8(tmp_path):
 
 
 class _OneReply:
-    """Its post stands in for a sweep worker's: every POST gets the same 200 reply."""
+    """It stands in for a sweep worker's _Transport: every POST gets the same 200 reply."""
 
     def __init__(self, reply: dict) -> None:
         self.body = json.dumps(reply).encode("utf-8")
@@ -1051,7 +1051,7 @@ def test_reply_nested_too_deeply_is_unparseable():
                          catalog=PromptCatalog((spec,)))
     transport = _OneReply({})
     transport.body = b"[" * 5000 + b"]" * 5000
-    assert _run_cell(config, FREE_QUESTION, spec, transport.post) == (None, "unparseable response body", 0)
+    assert _run_cell(config, FREE_QUESTION, spec, transport) == (None, "unparseable response body", 0)
 
 
 IDS = st.text(min_size=1, max_size=6)
@@ -1072,7 +1072,7 @@ def test_collected_record_has_the_bytes_of_an_eval_record(
                          catalog=PromptCatalog((spec,)))
     question = Question(question_id=question_id, text="t", gold_answer=gold)
     reply = {"choices": [{"message": {"content": content}}], "usage": {"completion_tokens": tokens}}
-    record, error, _ = _run_cell(config, question, spec, _OneReply(reply).post)
+    record, error, _ = _run_cell(config, question, spec, _OneReply(reply))
     assert error is None
     correct, extracted = grade(content, question)
     want = EvalRecord(model, dataset, question_id, prompt_id, tokens, correct,
@@ -1091,7 +1091,7 @@ def test_a_reply_without_completion_tokens_fails_its_cell(usage):
     reply = {"choices": [{"message": {"content": "Answer: 1/2"}}]}
     if usage is not None:
         reply["usage"] = usage
-    assert _run_cell(config, FREE_QUESTION, spec, _OneReply(reply).post) == (
+    assert _run_cell(config, FREE_QUESTION, spec, _OneReply(reply)) == (
         None, "response missing usage.completion_tokens", 0)
 
 
@@ -1179,7 +1179,7 @@ def test_a_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch, left, 
 
 def test_a_sweep_with_nothing_left_builds_no_transport(tmp_path, monkeypatch):
     """The config's check builds one; the sweep builds none."""
-    def refused(config):
+    def refused(endpoint, timeout):
         raise AssertionError("transport built")
 
     questions = _questions(2)

@@ -6,6 +6,7 @@ a time.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import socket
@@ -194,6 +195,21 @@ def test_resume_with_nothing_left_loads_no_http_client(tmp_path, clean_env):
         assert mock.request_count == 31
     assert loaded & {"http.client", "ssl"} == set()
     assert "cotbudget.collect" in loaded
+
+
+def test_transport_imports_nothing_from_collect():
+    """The HTTP client sits below the sweep: it takes an endpoint and a timeout, never a
+    SweepConfig, so it imports no name of collect's, not even for type checking."""
+    tree = ast.parse((SRC / "cotbudget" / "transport.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cotbudget" if node.level else "", node.module]))
+            imported.update([module, *(f"{module}.{alias.name}" for alias in node.names)])
+    assert {name for name in imported
+            if name == "cotbudget.collect" or name.startswith("cotbudget.collect.")} == set()
 
 
 @pytest.mark.parametrize("module", MODULES)
