@@ -4,12 +4,14 @@
 that reads a records file goes through it. The prior ``--out`` of
 ``collect --resume`` does not: ``sweepfiles.prior_cells`` reads it once,
 line by line, and it grows as soon as the resume appends. An entry holds
-every (model, dataset) RunMatrix of one records file. On a miss the
-caller's parser reads the file once, through the hashing reader, and the
-entry is written from the matrices it returns. Its name is a BLAKE2b hash
-of the format version, the parser's source (this module, ``records.py``
-and ``inputs.py``) and the file's bytes, so an edited file, or a file read
-by another version of the reader, never finds an old entry.
+every (model, dataset) RunMatrix of one records file. ``read`` has one
+parser, ``records._parse``: on a miss it reads the file once, through the
+hashing reader, and the entry is written from the matrices it returns. An
+entry's name is a BLAKE2b hash of the format version, that parser's source
+(every file it runs: this module, ``records.py`` and ``inputs.py``) and the
+file's bytes, so an edited file, or a file read by another version of the
+parser, never finds an old entry. A second parser would share entries with
+the first, which is why ``read`` takes none.
 
 An entry is an uncompressed ``.npz`` (NEP 1 ``.npy`` members, read with
 ``allow_pickle=False``): ``header`` is the UTF-8 bytes of a JSON object
@@ -37,11 +39,11 @@ import os
 import stat
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 import numpy as np
 
-from .records import RunMatrix
+from . import records
 
 try:
     # The interpreter's own BLAKE2b: importing hashlib loads OpenSSL, which
@@ -56,7 +58,7 @@ ARRAYS = ("tokens", "correct", "present")  # pair i's members are tokens{i}, ...
 
 log = logging.getLogger(__name__)
 
-Matrices = dict[tuple[str, str], RunMatrix]  # each (model, dataset) pair's, pairs sorted
+Matrices = dict[tuple[str, str], records.RunMatrix]  # each (model, dataset) pair's, pairs sorted
 
 
 def _hash(data: bytes = b""):
@@ -100,8 +102,8 @@ class HashingReader(io.RawIOBase):
         return self._digest.digest()
 
 
-def read(path: Path, parse: Callable[[Path, BinaryIO], Matrices]) -> Matrices:
-    """The matrices of the records file at path: its entry's, or ``parse(path, source)``'s.
+def read(path: Path) -> Matrices:
+    """The matrices of the records file at path: its entry's, or ``records._parse``'s.
 
     A file that _folder refuses is parsed uncached. Otherwise a miss parses
     the file again through a HashingReader and stores the matrices under
@@ -113,13 +115,13 @@ def read(path: Path, parse: Callable[[Path, BinaryIO], Matrices]) -> Matrices:
             folder, reader = _folder(raw), _reader_digest()
         except (OSError, _Unusable) as exc:
             log.debug("record cache skipped (%s): %s", exc, raw.name)
-            return parse(path, raw)
+            return records._parse(path, raw)
         found = _load(_entry(folder, reader, content_digest(raw)))
         if found is not None:
             return found
         raw.seek(0)
         source = HashingReader(raw)
-        matrices = parse(path, source)
+        matrices = records._parse(path, source)
     _save(_entry(folder, reader, source.digest()), matrices)
     return matrices
 
@@ -249,8 +251,8 @@ def _checked(npz) -> Matrices:
         _require(not tokens[~present].any() and not correct[~present].any(),
                  f"pair {i} padding is not zero")
         _require(int(tokens.min()) >= 0, f"pair {i} has negative tokens")
-        out[model, dataset] = RunMatrix(model, dataset, tuple(question_ids), tuple(prompt_ids),
-                                        tokens, correct, present)
+        out[model, dataset] = records.RunMatrix(
+            model, dataset, tuple(question_ids), tuple(prompt_ids), tokens, correct, present)
     keys = list(out)
     _require(len(keys) == len(pairs) and all(a < b for a, b in zip(keys, keys[1:])),
              "pairs are not sorted and distinct")

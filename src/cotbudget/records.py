@@ -12,10 +12,11 @@ numpy, so ``collect --resume`` reads a prior file through the same checks
 without loading this module. ``inputs.PairRecords.add`` codes the keys of
 a file and of ``pivot`` alike: it keeps each record's two int codes and
 line, and a bitmask of prompts per question, so a file's repeated key
-raises on its second line, naming both. A miss (``_pair_columns``) adds
-each record's tokens and correctness, holding no object per record (about
-25 bytes a record). ``_place`` only places one pair's records into the
-n x K matrix. ``EvalRecord`` objects are built only for ``load_records``.
+raises on its second line, naming both. ``_parse``, the cache's one
+parser, adds each record's tokens and correctness, holding no object per
+record (about 25 bytes a record). ``_place`` only places one pair's records
+into the n x K matrix. ``EvalRecord`` objects are built only for
+``load_records``.
 """
 from __future__ import annotations
 
@@ -101,33 +102,26 @@ def read_matrices(path: str | Path) -> dict[tuple[str, str], RunMatrix]:
     """
     from . import cache  # imported here, so commands that read no records skip it
 
-    return cache.read(Path(path), _parse)
+    return cache.read(Path(path))
 
 
 def _parse(path: Path, source: BinaryIO) -> dict[tuple[str, str], RunMatrix]:
-    """A records file's matrices, pairs sorted: _pair_columns, then _place for each
-    pair, whose columns are dropped once its matrix is built, so none is alive
-    when the cache writes its entry."""
-    groups = _pair_columns(path, source)
-    return {pair: _place(*groups.pop(pair)) for pair in sorted(groups)}
+    """A records file's matrices, pairs sorted, from one pass of inputs.record_cells.
 
-
-def _pair_columns(
-    path: Path, source: BinaryIO
-) -> dict[tuple[str, str], tuple[PairRecords, array, bytearray]]:
-    """A record file's columns, split by pair in one pass of inputs.record_cells.
-
-    Each pair maps to its PairRecords (codes, and each record's row and
-    column) and its records' token counts and correctness, in line order.
+    Each pair's PairRecords (codes, and each record's row and column) is kept
+    with its records' token counts and correctness, in line order. A pair's
+    columns are dropped once _place has built its matrix, so none is alive
+    when the cache writes its entry.
     """
-    groups: dict[PairRecords, tuple[array, bytearray]] = {}
+    groups: dict[PairRecords, tuple[array, bytearray]] = {}  # by object: one lookup a record
     for pair, tokens, correct, _ in record_cells(path, source):
         columns = groups.get(pair)
         if columns is None:
             columns = groups[pair] = (array("q"), bytearray())
         columns[0].append(tokens)
         columns[1].append(correct)
-    return {(pair.model, pair.dataset): (pair, *columns) for pair, columns in groups.items()}
+    named = {(pair.model, pair.dataset): (pair, *groups.pop(pair)) for pair in list(groups)}
+    return {key: _place(*named.pop(key)) for key in sorted(named)}
 
 
 def save_matrix(matrix: RunMatrix, path: str | Path) -> int:

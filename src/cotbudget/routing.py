@@ -84,6 +84,8 @@ def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcom
     and the next prompt in the chain is charged. Tokens accumulate across
     every prompt actually run. Only cells the cascade reaches must be
     present; an absent cell after a question's stopping prompt is never read.
+    A prompt named twice is a ValueError: its second stage would replay the
+    recorded cell that already failed, and charge it again.
 
     Whole-column replay: a question halts at its first cell that is solved
     or absent (argmax over the chain), and spends the running token total
@@ -93,6 +95,9 @@ def verifier_cascade(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcom
     """
     if not prompts:
         raise ValueError("prompts must be non-empty")
+    repeat = next((p for i, p in enumerate(prompts) if p in prompts[:i]), None)
+    if repeat is not None:
+        raise ValueError(f"the cascade names prompt {repeat!r} twice")
     tokens, correct, present = _columns(matrix, prompts)
     halts = ~present | correct
     halted = halts.any(axis=1)

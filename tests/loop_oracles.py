@@ -543,6 +543,9 @@ def _outcome(
 
 def verifier_cascade_loop(matrix: RunMatrix, prompts: Sequence[str]) -> RoutingOutcome:
     """Walk each question's chain cell by cell until a correct answer."""
+    for i, pid in enumerate(prompts):
+        if pid in prompts[:i]:
+            raise ValueError(f"the cascade names prompt {pid!r} twice")
     cols = [matrix.prompt_index(p) for p in prompts]
     routes = []
     for i, qid in enumerate(matrix.question_ids):

@@ -88,7 +88,7 @@ def test_miss_hit_and_record_loop_agree(cells, order):
                         encoding="utf-8")
         miss = read_matrices(path)
         assert len(entries(Path(tmp, "cotbudget"))) == 1
-        with mock.patch.object(records, "_pair_columns", side_effect=AssertionError("parsed")):
+        with mock.patch.object(records, "_parse", side_effect=AssertionError("parsed")):
             hit = read_matrices(path)
         loaded = load_records_loop(path)
         pairs = sorted({(r.model, r.dataset) for r in loaded})
@@ -279,6 +279,42 @@ def test_key_covers_every_file_of_the_parser(name, monkeypatch):
     monkeypatch.setattr(Path, "read_bytes",
                         lambda path: read_bytes(path) + b"#" * (path == edited))
     assert cache._reader_digest.__wrapped__() != before
+
+
+def test_key_covers_every_file_the_parser_runs(tmp_path, monkeypatch):
+    """Every cotbudget file that one records._parse executes is one _reader_digest hashes."""
+    keyed = set()
+    read_bytes = Path.read_bytes
+    with monkeypatch.context() as m:
+        m.setattr(Path, "read_bytes", lambda path: keyed.add(path.resolve()) or read_bytes(path))
+        cache._reader_digest.__wrapped__()
+    path = tmp_path / "r.jsonl"
+    extra = json.dumps({"model": "m", "dataset": "d", "question_id": "é", "prompt_id": "p1",
+                        "tokens": 4, "correct": True, "response": "4", "extracted_answer": "4",
+                        "note": [1]})
+    path.write_text(
+        record_line("m", "d", "q1", "p1", 5, True) + "\n" + extra + "\n"
+        + record_line("m", "d", "q1", "p2", 7, False) + record_line("m2", "d", "q1", "p1", 2, True),
+        encoding="utf-8",
+    )
+    ran = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    with path.open("rb", buffering=0) as raw:
+        sys.setprofile(profiler)
+        try:
+            matrices = records._parse(path, cache.HashingReader(raw))
+        finally:
+            sys.setprofile(previous)
+    assert list(matrices) == [("m", "d"), ("m2", "d")]
+    package = Path(cache.__file__).resolve().parent
+    executed = {Path(name).resolve() for name in ran if Path(name).resolve().parent == package}
+    assert {package / "records.py", package / "inputs.py"} <= executed
+    assert executed <= keyed
 
 
 def test_least_recently_used_entries_go_first(tmp_path, isolated_record_cache, monkeypatch):

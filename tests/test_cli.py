@@ -383,6 +383,15 @@ class TestRoutingCommand:
             assert capsys.readouterr().err == f"usage error: {message}\n"
             assert not out.exists()
 
+    def test_cascade_naming_a_prompt_twice_is_usage_error(self, tmp_path, capsys, synth_records):
+        records, _ = synth_records
+        out = tmp_path / "routing.csv"
+        code = main(["routing", "--records", str(records), "--base-prompt", "p0",
+                     "--fallback-prompt", "p6", "--fallback-prompt", "p0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "usage error: the cascade names prompt 'p0' twice\n"
+        assert not out.exists()
+
 
 class TestBudgetsFile:
     """Each bad budgets line is a data error (exit 1) naming its line number."""
@@ -998,7 +1007,7 @@ class TestResumeTornLine:
                                                               isolated_record_cache):
         argv, _ = collected
         built = AssertionError("matrix built")
-        with patch.object(records_mod, "_pair_columns", side_effect=built), \
+        with patch.object(records_mod, "_parse", side_effect=built), \
                 patch.object(records_mod, "_place", side_effect=built):
             for _ in range(2):
                 code, text, _, requests_made = self.resume(capsys, argv)

@@ -171,11 +171,11 @@ class TestBudgetRoute:
 
 
 def _same_result(fn, oracle):
-    """Both raise the same CoverageError, or both return equal outcomes."""
+    """Both raise the same CoverageError or ValueError, or both return equal outcomes."""
     try:
         want = oracle()
-    except CoverageError as exc:
-        with pytest.raises(CoverageError) as got:
+    except (CoverageError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
             fn()
         assert str(got.value) == str(exc)
         return None
@@ -230,6 +230,13 @@ class TestRoutingMatchesLoopOracles:
         out = verifier_cascade(m, ["p00", "p01", "p02"])
         assert out == verifier_cascade_loop(m, ["p00", "p01", "p02"])
         assert [out.path(0), out.path(1)] == [("p00",), ("p00", "p01")]
+
+    @pytest.mark.parametrize("chain", [["p00", "p00"], ["p00", "p01", "p00"]])
+    def test_a_prompt_named_twice_is_refused(self, chain):
+        """A second stage on the same prompt would charge its failed cell again."""
+        m = make_matrix([[5, 80], [6, 100]], [[True, True], [False, True]])
+        with pytest.raises(ValueError, match=f"names prompt '{chain[-1]}' twice"):
+            verifier_cascade(m, chain)
 
     def test_first_reached_absent_cell_is_named(self):
         m = make_matrix(
@@ -289,7 +296,7 @@ class TestOutcomeColumns:
         matrix, chain = case
         try:
             want = verifier_cascade_loop(matrix, chain)
-        except CoverageError:
+        except (CoverageError, ValueError):
             return
         got = verifier_cascade(matrix, chain)
         self._assert_same_routes(got, want, matrix.n_questions)

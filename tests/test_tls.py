@@ -6,11 +6,15 @@ real ``SSLSocket``, with no option added to the mock or to ``collect``.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
+import socketserver
 import ssl
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -78,6 +82,65 @@ def test_an_https_sweep_trusts_a_ca_bundle_and_keeps_one_connection_per_worker(
     assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 93
     assert connections == 3
     assert loads == [{"cafile": str(CERT)}]
+
+
+class _Tunnel(socketserver.StreamRequestHandler):
+    """A CONNECT proxy's connection: it records the target, opens it, answers 200 and
+    relays bytes both ways until each side has closed."""
+
+    targets: list[str] = []
+
+    def handle(self) -> None:
+        target = self.rfile.readline().split()[1].decode()
+        while self.rfile.readline() not in (b"\r\n", b""):
+            pass
+        self.targets.append(target)
+        host, _, port = target.rpartition(":")
+        with socket.create_connection((host, int(port))) as upstream:
+            self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=_relay, args=(upstream, self.request))
+            back.start()
+            _relay(self.request, upstream)
+            back.join(10)
+
+
+def _relay(source: socket.socket, sink: socket.socket) -> None:
+    with contextlib.suppress(OSError):
+        while data := source.recv(1 << 16):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+
+
+@pytest.fixture
+def tunnel_proxy():
+    """A proxy URL whose server tunnels each CONNECT; yields (url, targets)."""
+    handler = type("Handler", (_Tunnel,), {"targets": []})
+    with socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler) as server:
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}", handler.targets
+        finally:
+            server.shutdown()
+            thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_an_https_sweep_through_a_connect_proxy_tunnels_each_worker_once(
+        tls_mock, tunnel_proxy, tmp_path, clean_env, capsys):
+    """TLS runs end to end inside each tunnel, so the certificate still names 127.0.0.1."""
+    proxy, targets = tunnel_proxy
+    clean_env.setenv("HTTPS_PROXY", proxy)
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(CERT))
+    with MockChatEndpoint() as mock:
+        code = _collect(tmp_path, https(mock), "--max-parallel", "3")
+        connections, requests = mock.connection_count, mock.request_count
+    assert code == 0
+    assert "93 cells requested, 0 skipped (resume), 93 collected, 0 failed" in (
+        capsys.readouterr().out)
+    assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 93
+    assert (connections, requests) == (3, 93)
+    assert targets == [urlsplit(mock.url).netloc] * 3
 
 
 def test_an_untrusted_certificate_ends_the_sweep_without_showing_the_key(

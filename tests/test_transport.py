@@ -18,9 +18,11 @@ from __future__ import annotations
 import base64
 import contextlib
 import socket
+import ssl
 import sys
 import threading
 from http.client import HTTPException
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -35,6 +37,7 @@ from cotbudget.transport import ReplyError, _Transport, shown_url
 from loop_oracles import HttpClientTransport
 
 BODY = b'{"choices": []}'
+TLS = Path(__file__).resolve().parent / "tls"
 
 
 def _config(url: str, timeout: float = 5.0) -> SweepConfig:
@@ -56,14 +59,24 @@ def _read_request(request) -> bytes | None:
 
 
 @contextlib.contextmanager
-def raw_server(reply: bytes, connections: int):
+def raw_server(reply: bytes, connections: int, close_notify: bool | None = None):
     """A server that answers one request on each of ``connections`` connections with
-    ``reply`` and then closes it; yields (port, the requests it read)."""
+    ``reply`` and then closes it; yields (port, the requests it read).
+
+    Unless close_notify is None, it serves TLS with the certificate in tests/tls/
+    and ends each connection with a close_notify alert, or with none (a ragged EOF).
+    """
     requests: list[bytes] = []
+    context = None
+    if close_notify is not None:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
     with socket.create_server(("127.0.0.1", 0)) as server:
         def serve() -> None:
             for _ in range(connections):
                 conn, _ = server.accept()
+                if context is not None:
+                    conn = context.wrap_socket(conn, server_side=True)
                 with conn, conn.makefile("rb") as request:
                     got = _read_request(request)
                     if got is None:
@@ -71,6 +84,8 @@ def raw_server(reply: bytes, connections: int):
                     requests.append(got)
                     with contextlib.suppress(OSError):  # the client gave up on the reply
                         conn.sendall(reply)
+                        if close_notify:
+                            conn.unwrap()
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -88,9 +103,10 @@ def _outcome(client, body: bytes = BODY):
             return "failed"
 
 
-def both(reply: bytes, endpoint: str = "http://127.0.0.1:{port}/v1/chat/completions"):
+def both(reply: bytes, endpoint: str = "http://127.0.0.1:{port}/v1/chat/completions",
+         close_notify: bool | None = None):
     """The new client's outcome and the oracle's on ``reply``, and the requests each sent."""
-    with raw_server(reply, 2) as (port, requests):
+    with raw_server(reply, 2, close_notify) as (port, requests):
         url = endpoint.format(port=port)
         got = _outcome(_Transport(url, 5.0)), _outcome(HttpClientTransport(url, 5.0))
     return got, requests
@@ -173,6 +189,23 @@ def test_an_interim_reply_other_than_100_is_skipped():
     (new, oracle), _ = both(reply)
     assert new == (200, None, BODY)
     assert oracle == (103, None, b"")
+
+
+@pytest.mark.parametrize("close_notify", [True, False], ids=["close_notify", "ragged_eof"])
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(BODY), BODY),
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+    % (len(BODY), BODY),
+    b"HTTP/1.1 200 OK\r\n\r\n" + BODY,
+], ids=["content_length", "chunked", "read_to_close"])
+def test_post_agrees_with_http_client_over_tls(clean_env, reply, close_notify):
+    """The server closes after its reply, with or without close_notify: both clients read
+    the body, the one framed by the close too, since ssl suppresses a ragged EOF."""
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(TLS / "cert.pem"))
+    (new, oracle), requests = both(reply, "https://127.0.0.1:{port}/v1/chat/completions",
+                                   close_notify)
+    assert new == oracle == (200, None, BODY)
+    assert requests[0] == requests[1]
 
 
 @pytest.mark.parametrize("reply, connections", [
