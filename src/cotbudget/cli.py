@@ -10,7 +10,6 @@ error. Each subcommand imports the modules it runs when it is called.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -55,10 +54,6 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     """Write a CSV, or raise a data error before opening it when UTF-8 cannot encode an id."""
     lines = [",".join(map(_csv_field, row)) + "\n" for row in [header, *rows]]
     Path(path).write_bytes(utf8_bytes(path, "".join(lines)))
-
-
-def _write_json(path: str, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -144,6 +139,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .inputs import write_json
     from .metrics import validation_report
 
     matrix = _load_matrix(args)
@@ -165,7 +161,7 @@ def cmd_predict(args) -> int:
         "err": round(float(report.err), 6),
         "c_bar": round(float(report.c_bar), 6),
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     _summary(
         f"predict: model={matrix.model} dataset={matrix.dataset}: "
         f"Err={_fmt(report.err)} over {len(report.per_prompt)} prompts, "

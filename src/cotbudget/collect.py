@@ -178,16 +178,25 @@ def _strip_wrapping(s: str) -> str:
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+# A comma or a space in a number: a thousands separator only between groups of
+# three digits after a first group of one to three, the same one throughout.
+_THOUSANDS = re.compile(r"(?<![\d.])\d{1,3}([, ])\d{3}(?:\1\d{3})*(?!\d)")
+# The other spaces a number may hold: around a fraction's slash, after a sign.
+_LOOSE_SPACES = re.compile(r"\s*/\s*|\A[-+]\s+")
 
 
 def _as_rational(s: str) -> Fraction | None:
     """s as an exact rational, or None.
 
+    A comma or a space is read only as a thousands separator (``12,345``,
+    ``1 000``), or as spacing around a slash or after a sign (``3 / 4``), so
+    ``2, 3`` is no number, rather than 23.
     Fraction computes 10**exponent while holding the GIL, so an exponent
     past EXPONENT_MAX is refused before it is built: that value is compared
     as text only. A longer mantissa already fails int()'s digit limit.
     """
-    s = s.replace(",", "").replace(" ", "")
+    s = _THOUSANDS.sub(lambda m: m[0].replace(m[1], ""), s)
+    s = _LOOSE_SPACES.sub(lambda m: "".join(m[0].split()), s)
     exponent = _EXPONENT.search(s)
     try:
         if exponent and abs(int(exponent[1])) > EXPONENT_MAX:
@@ -206,9 +215,10 @@ def grade(response: str, question: Question) -> tuple[bool, str | None]:
     """Score a response against the gold answer.
 
     Takes the last 'Answer:' line, strips wrapping parentheses and trailing
-    periods, and compares case-insensitively; free-form answers also match
-    when both sides parse to the same exact rational. Ungradable responses
-    are (False, None), never an error.
+    periods from it and from the gold alike, and compares case-insensitively;
+    free-form answers also match when both sides parse to the same exact
+    rational (see _as_rational). Ungradable responses are (False, None),
+    never an error.
     """
     matches = ANSWER_PATTERN.findall(response or "")
     if not matches:
@@ -222,7 +232,7 @@ def grade(response: str, question: Question) -> tuple[bool, str | None]:
             label is not None and label.casefold() == question.gold_answer.casefold(),
             extracted,
         )
-    gold = question.gold_answer.strip()
+    gold = _strip_wrapping(question.gold_answer)
     if extracted.casefold() == gold.casefold():
         return True, extracted
     ours, theirs = _as_rational(extracted), _as_rational(gold)

@@ -14,7 +14,6 @@ infinite), the runs used, and exact Fraction classifier accuracies.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, RecordSchemaError
-from .inputs import INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_json
+from .inputs import (
+    INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_json, write_json,
+)
 from .records import RunMatrix
 
 # Questions per _best_thresholds call in profile. It bounds the kernel's
@@ -173,9 +174,7 @@ class ComplexityProfile:
         return cls(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> ComplexityProfile:

@@ -25,21 +25,10 @@ def utf8_bytes(path: str | PathLike[str], text: str) -> bytes:
         ) from exc
 
 
-class RecordParseError(CotBudgetError, ValueError):
-    """A JSONL line is not UTF-8 or could not be parsed as JSON; line_no is None for a whole file."""
-
-    def __init__(self, path: str, line_no: int | None, reason: str) -> None:
-        super().__init__(f"{path}: {reason}" if line_no is None else f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
-
-
-class RecordSchemaError(CotBudgetError, ValueError):
-    """A record is missing a required field or carries an invalid value.
-
-    The message starts with ``path:line_no: `` when both are given, and with
-    ``path: `` for a whole-file JSON input, whose reason names the location.
+class _InputError(CotBudgetError, ValueError):
+    """An input that cannot be read. The message starts with ``path:line_no: ``
+    when both are given, and with ``path: `` for a whole file or a whole-file
+    JSON input, whose reason names the location; without a path it is the reason.
     """
 
     def __init__(self, reason: str, path: str | None = None, line_no: int | None = None) -> None:
@@ -48,6 +37,14 @@ class RecordSchemaError(CotBudgetError, ValueError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+
+class RecordParseError(_InputError):
+    """A JSONL line is not UTF-8 or could not be parsed as JSON; line_no is None for a whole file."""
+
+
+class RecordSchemaError(_InputError):
+    """A record is missing a required field or carries an invalid value."""
 
 
 class DuplicateRecordError(CotBudgetError):

@@ -1,4 +1,5 @@
-"""Reading and checking the package's JSON input files, without numpy.
+"""Reading and checking the package's JSON input files, and writing its
+JSON outputs through ``write_json``, without numpy.
 
 Every input file is read once, through ``read_jsonl`` or ``read_json``,
 which check UTF-8 line by line as they read, so the first bad line of a
@@ -55,9 +56,9 @@ def read_jsonl(
                 # A blank line never parses, so it is looked for only here.
                 if not line.strip():
                     continue
-                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+                raise RecordParseError(f"malformed JSON: {exc.msg}", str(path), line_no) from exc
             except RecursionError as exc:
-                raise RecordParseError(str(path), line_no, TOO_DEEP) from exc
+                raise RecordParseError(TOO_DEEP, str(path), line_no) from exc
             yield line_no, value
 
 
@@ -74,9 +75,15 @@ def read_json(path: str | Path) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise RecordParseError(str(path), exc.lineno, f"malformed JSON: {exc.msg}") from exc
+        raise RecordParseError(f"malformed JSON: {exc.msg}", str(path), exc.lineno) from exc
     except RecursionError as exc:
-        raise RecordParseError(str(path), None, TOO_DEEP) from exc
+        raise RecordParseError(TOO_DEEP, str(path)) from exc
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    """Write obj as every JSON output of the package is written: ASCII JSON
+    with a 2-space indent and one final LF, the same bytes on every platform."""
+    Path(path).write_bytes(json.dumps(obj, indent=2).encode("ascii") + b"\n")
 
 
 def _check_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
@@ -97,9 +104,9 @@ def _check_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
             raw.decode("utf-8")
         except UnicodeDecodeError as bad:
             raise RecordParseError(
+                f"not UTF-8: byte {raw[bad.start]:#04x} at column {bad.start + 1} ({bad.reason})",
                 str(path),
                 first_line + text.count("\n", 0, start),
-                f"not UTF-8: byte {raw[bad.start]:#04x} at column {bad.start + 1} ({bad.reason})",
             ) from None
 
 

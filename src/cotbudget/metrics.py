@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import BLOCK_ROWS, ComplexityProfile
+from .complexity import ComplexityProfile
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -89,18 +89,16 @@ def _column_sums(tokens: np.ndarray) -> list[int]:
     """Exact column sums of non-negative int64 counts, as Python ints.
 
     An absent cell of a RunMatrix holds 0 tokens, so the sums of its token
-    rows are those of their present cells. Blocks of BLOCK_ROWS rows are
-    summed in turn, so the temporaries stay one block's size whatever the
-    number of rows. Each count is read as its low and high unsigned 32-bit
-    halves (a little-endian view, no copy), which are summed apart, each
+    rows are those of their present cells. Each count is read as its low
+    and high unsigned 32-bit halves (a little-endian view, no copy of a
+    C-ordered matrix, as RunMatrix holds), which are summed apart, each
     exact as int64 for under 2**31 rows, and joined, so no total wraps, also
     past 2**63. That holds for every int64 count, so there is one path and
-    nothing to select.
+    nothing to select. numpy's reduction into int64 is buffered, so the
+    whole matrix is summed at once without an n x K temporary.
     """
-    halves = np.zeros((tokens.shape[1], 2), dtype=np.int64)
-    for start in range(0, tokens.shape[0], BLOCK_ROWS):
-        block = np.ascontiguousarray(tokens[start : start + BLOCK_ROWS], dtype="<i8")
-        halves += block.view("<u4").reshape(*block.shape, 2).sum(axis=0, dtype=np.int64)
+    tokens = np.ascontiguousarray(tokens, dtype="<i8")
+    halves = tokens.view("<u4").reshape(*tokens.shape, 2).sum(axis=0, dtype=np.int64)
     return [(h << 32) + l for l, h in halves.tolist()]
 
 

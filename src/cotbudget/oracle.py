@@ -8,7 +8,6 @@ tested against matrices built here.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GenerationError
-from .inputs import INFINITE, TOKENS_MAX
+from .inputs import INFINITE, TOKENS_MAX, write_json
 from .records import RunMatrix
 
 # random_spec's inclusive range of finite taus, and its share of infinite ones.
@@ -211,6 +210,5 @@ def save_taus(
         raise ValueError(f"{len(taus)} taus for {len(question_ids)} question ids")
     if len(set(question_ids)) != len(question_ids):
         raise ValueError("question ids must not repeat")
-    tau = _tau_column(taus).tolist()
-    payload = {"taus": {q: (t if t >= 0 else None) for q, t in zip(question_ids, tau)}}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    by_id = sorted(zip(question_ids, _tau_column(taus).tolist()))
+    write_json(path, {"taus": {q: (t if t >= 0 else None) for q, t in by_id}})

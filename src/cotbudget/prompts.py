@@ -8,12 +8,11 @@ final-line answer-format contract that the grader relies on.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterator
 
 from .errors import RecordSchemaError
-from .inputs import NON_EMPTY_STRING, FrozenValue, checked, read_json, set_fields
+from .inputs import NON_EMPTY_STRING, FrozenValue, checked, read_json, set_fields, write_json
 
 FIXED_INSTRUCTIONS: dict[str, str] = {
     "NoCoT": "Only give the final answer.",
@@ -136,8 +135,7 @@ class PromptCatalog(FrozenValue):
         raise KeyError(prompt_id)
 
     def save(self, path: str | Path) -> None:
-        payload = [s.to_json_dict() for s in self.specs]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, [s.to_json_dict() for s in self.specs])
 
     @classmethod
     def load(cls, path: str | Path) -> PromptCatalog:

@@ -186,9 +186,9 @@ class RunMatrix:
             if not isinstance(value, str) or not value:
                 raise ValueError(f"{name} must be a non-empty string, got {value!r}")
         n, k = len(self.question_ids), len(self.prompt_ids)
-        tokens = np.array(self.tokens, dtype=np.int64)
-        correct = np.array(self.correct, dtype=bool)
-        present = np.array(self.present, dtype=bool)
+        tokens = np.array(self.tokens, dtype=np.int64, order="C")
+        correct = np.array(self.correct, dtype=bool, order="C")
+        present = np.array(self.present, dtype=bool, order="C")
         arrays = {"tokens": tokens, "correct": correct, "present": present}
         for name, arr in arrays.items():
             if arr.shape != (n, k):

@@ -264,7 +264,14 @@ class _Transport:
         self._fields = "".join(
             f"\r\n{name}: {value}" for name, value in headers.items()
         ).encode("latin-1") + b"\r\n\r\n"
-        self._context = _tls_context() if url.scheme == "https" else None
+        self._context, self._idle_closed = None, ConnectionError
+        if url.scheme == "https":
+            import ssl
+
+            self._context = _tls_context()
+            # What a reused connection that the server closed without close_notify
+            # raises when a request larger than one TLS record is written to it.
+            self._idle_closed = (ConnectionError, ssl.SSLEOFError)
         self.sock: socket.socket | None = None
         self.reader: io.BufferedReader | None = None
 
@@ -291,8 +298,9 @@ class _Transport:
         status line and headers included, is given the time left of
         ``timeout`` counted from the request (see _DeadlineReader), so a
         reply that trickles in past it is a TimeoutError. A kept-alive connection that the server closed while
-        idle fails before any reply arrives; the request is then sent once
-        more on a new connection. Any other failure (an OSError, or a
+        idle fails before any reply arrives, with a ConnectionError, or over
+        TLS an SSLEOFError; the request is then sent once more on a new
+        connection. Any other failure (an OSError, or a
         ReplyError for a reply that breaks its framing) closes the
         connection and propagates.
         """
@@ -302,7 +310,7 @@ class _Transport:
             reused = self.sock is not None
             try:
                 status, headers, keep = self._exchange(message, deadline)
-            except ConnectionError:
+            except self._idle_closed:
                 if not reused:
                     raise
                 self.close()

@@ -75,7 +75,7 @@ def load_records_loop(path: str | Path) -> list[EvalRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise RecordParseError(str(path), line_no, f"malformed JSON: {exc.msg}") from exc
+                raise RecordParseError(f"malformed JSON: {exc.msg}", str(path), line_no) from exc
             try:
                 record = record_from_json_loop(obj)
             except RecordSchemaError as exc:

@@ -153,6 +153,47 @@ class TestGrade:
         assert correct is True
         assert extracted == "G"
 
+    @pytest.mark.parametrize("reply, gold, correct", [
+        # A gold in wrapping parentheses is stripped as the reply is.
+        ("(0,1)", "(0,1)", True),
+        ("(0, 1)", "(0, 1)", True),
+        ("(x+1)(x-1)", "(x+1)(x-1)", True),
+        ("(3, \\frac{\\pi}{2})", "(3, \\frac{\\pi}{2})", True),
+        ("(0,1)", "(0,2)", False),
+        ("[0,1)", "(0,1)", False),
+        ("(x+1)(x+1)", "(x+1)(x-1)", False),
+        # A comma or a space in a number is a thousands separator, or no number.
+        ("1,000", "1000", True),
+        ("1 000", "1000", True),
+        ("1000", "1,000", True),
+        ("12,345,678", "12345678", True),
+        ("12 345 678", "12,345,678", True),
+        ("1,000.5", "1000.5", True),
+        ("-1,000", "-1000", True),
+        ("3 / 4", "3/4", True),
+        ("- 3", "-3", True),
+        ("2, 3", "23", False),
+        ("1 2", "12", False),
+        ("12", "1,2", False),
+        ("1,00", "100", False),
+        ("1,0000", "10000", False),
+        ("1,000 000", "1000000", False),
+        ("1000,000", "1000000", False),
+        ("0.123,456", "0.123456", False),
+    ])
+    def test_gold_normalization_and_thousands_separators(self, reply, gold, correct):
+        assert grade(f"Answer: {reply}", Question("q", "t", gold))[0] is correct
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1000, 10**40))
+    def test_a_thousands_grouped_number_equals_its_digits(self, n):
+        assert grade(f"Answer: {n:,}", Question("q", "t", str(n))) == (True, f"{n:,}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.text("0123456789", min_size=1), b=st.text("0123456789", min_size=1))
+    def test_a_comma_separated_list_is_not_its_digits_joined(self, a, b):
+        assert grade(f"Answer: {a}, {b}", Question("q", "t", a + b))[0] is False
+
 
 class TestQuestionModel:
     def test_gold_must_be_choice_label(self):

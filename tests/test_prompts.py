@@ -133,6 +133,17 @@ class TestCatalogSerialization:
         cat.save(path)
         assert PromptCatalog.load(path) == cat
 
+    def test_round_trip_of_ids_past_ascii(self, tmp_path):
+        """A non-ASCII or lone-surrogate id is written as its ASCII escape and read back."""
+        cat = PromptCatalog(tuple(
+            PromptSpec(prompt_id=pid, family="NoCoT", instruction=f"Only the answer, {pid}.")
+            for pid in ("caf\u00e9", "\ud800", "\U0001f600")
+        ))
+        path = tmp_path / "catalog.json"
+        cat.save(path)
+        assert path.read_bytes().isascii()
+        assert PromptCatalog.load(path) == cat
+
     def test_duplicate_ids_rejected(self):
         spec = default_catalog().get("NoCoT")
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
-from cotbudget.inputs import TOKENS_MAX, PairRecords, read_json, read_jsonl
+from cotbudget.inputs import TOKENS_MAX, PairRecords, read_json, read_jsonl, write_json
 from cotbudget.records import (
     REQUIRED_FIELDS,
     EvalRecord,
@@ -986,3 +986,15 @@ def test_save_matrix_peak_is_one_block(two_pair_file, tmp_path):
     peak = traced_peak(lambda: save_matrix(matrix, tmp_path / "out.jsonl"))
     assert peak <= 1.5 * MiB
     assert read_matrices(tmp_path / "out.jsonl")["model-a", "synthetic"] == matrix
+
+
+def test_write_json_writes_ascii_with_a_two_space_indent_and_one_final_lf(tmp_path):
+    """Non-ASCII and lone-surrogate strings as ASCII escapes, on every platform."""
+    obj = {"ids": ["caf\u00e9", "\ud800", "q1"], "n": 2, "none": None}
+    path = tmp_path / "out.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (
+        b'{\n  "ids": [\n    "caf\\u00e9",\n    "\\ud800",\n    "q1"\n  ],\n'
+        b'  "n": 2,\n  "none": null\n}\n'
+    )
+    assert read_json(path) == obj

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import select
 import socket
 import ssl
 import sys
@@ -206,6 +207,27 @@ def test_post_agrees_with_http_client_over_tls(clean_env, reply, close_notify):
                                    close_notify)
     assert new == oracle == (200, None, BODY)
     assert requests[0] == requests[1]
+
+
+@pytest.mark.parametrize("size", [20_000, 200_000])
+@pytest.mark.parametrize("retried", [False, True], ids=["post", "post_with_retries"])
+def test_a_tls_connection_closed_without_close_notify_is_resent(clean_env, size, retried):
+    """The server closes a kept-alive connection after its reply with no close_notify.
+    The next request, larger than one TLS record, fails to write with an SSLEOFError,
+    and is sent once more on a new connection, as after an idle close over http: no
+    retry is spent."""
+    clean_env.setenv("REQUESTS_CA_BUNDLE", str(TLS / "cert.pem"))
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(BODY), BODY)
+    with raw_server(reply, 2, close_notify=False) as (port, requests):
+        with _Transport(f"https://127.0.0.1:{port}/v1", 5.0) as client:
+            assert client.post(BODY) == (200, None, BODY)
+            select.select([client.sock], [], [], 5)  # until the server's close arrives
+            if retried:
+                got = transport._post_with_retries(0, client, {"content": "x" * size})
+                assert got == ({"choices": []}, None, 0)
+            else:
+                assert client.post(b"x" * size) == (200, None, BODY)
+    assert [len(request) > size for request in requests] == [False, True]
 
 
 @pytest.mark.parametrize("reply, connections", [
