@@ -171,18 +171,23 @@ class SweepSummary:
 
 
 def _strip_wrapping(s: str) -> str:
-    s = s.strip()
-    while len(s) >= 2 and s[0] == "(" and s[-1] == ")":
-        s = s[1:-1].strip()
-    return s.rstrip(".").strip()
+    # Bounds move inward and the string is sliced once, so a reply of many
+    # nested parentheses costs time linear in its length.
+    i, j = 0, len(s)
+    while True:
+        while i < j and s[i].isspace():
+            i += 1
+        while j > i and s[j - 1].isspace():
+            j -= 1
+        if j - i < 2 or s[i] != "(" or s[j - 1] != ")":
+            return s[i:j].rstrip(".").strip()
+        i, j = i + 1, j - 1
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 # A comma or a space in a number: a thousands separator only between groups of
 # three digits after a first group of one to three, the same one throughout.
 _THOUSANDS = re.compile(r"(?<![\d.])\d{1,3}([, ])\d{3}(?:\1\d{3})*(?!\d)")
-# The other spaces a number may hold: around a fraction's slash, after a sign.
-_LOOSE_SPACES = re.compile(r"\s*/\s*|\A[-+]\s+")
 
 
 def _as_rational(s: str) -> Fraction | None:
@@ -196,7 +201,12 @@ def _as_rational(s: str) -> Fraction | None:
     as text only. A longer mantissa already fails int()'s digit limit.
     """
     s = _THOUSANDS.sub(lambda m: m[0].replace(m[1], ""), s)
-    s = _LOOSE_SPACES.sub(lambda m: "".join(m[0].split()), s)
+    # The other spaces a number may hold: around a fraction's slash, after a
+    # sign. Dropped with str methods, not a regex search, so a long run of
+    # spaces costs time linear in its length.
+    s = "/".join(part.strip() for part in s.split("/"))
+    if s[:1] in ("-", "+"):
+        s = s[0] + s[1:].lstrip()
     exponent = _EXPONENT.search(s)
     try:
         if exponent and abs(int(exponent[1])) > EXPONENT_MAX:

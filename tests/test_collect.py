@@ -96,6 +96,18 @@ assert _as_rational("1e4300") == 10**4300
 assert _as_rational("1e-4300") == Fraction(1, 10**4300)
 """
 
+LONG_RUNS = """
+from cotbudget.collect import Question, grade
+run = 1_000_000
+gold = Question("q", "t", "1")
+for blank in (" ", "\\t"):
+    assert grade("Answer: 1" + blank * run + "x", gold)[0] is False
+    assert grade("Answer: 1" + blank * run + "/" + blank * run + "1", gold)[0] is True
+    assert grade("Answer: -" + blank * run + "x", gold)[0] is False
+assert grade("Answer: " + "(" * run + "1" + ")" * run, gold) == (True, "1")
+assert grade("Answer: " + "( " * run + ")" * run, gold) == (False, None)
+"""
+
 
 class TestGrade:
     def test_parenthesized_choice_letter(self):
@@ -115,6 +127,12 @@ class TestGrade:
     def test_huge_exponent_is_compared_as_text(self):
         """Fraction would compute 10**exponent holding the GIL, stalling every worker."""
         done = subprocess.run([sys.executable, "-c", HUGE_EXPONENTS], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=10)
+        assert done.returncode == 0, done.stderr
+
+    def test_long_runs_of_blanks_or_parentheses_grade_in_linear_time(self):
+        """A regex search that backs off through a run, or a slice per parenthesis, is quadratic."""
+        done = subprocess.run([sys.executable, "-c", LONG_RUNS], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=10)
         assert done.returncode == 0, done.stderr
 

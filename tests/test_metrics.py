@@ -553,7 +553,7 @@ class TestExactTokenTotals:
         assert adaptivity_split(m, "p00") == adaptivity_split_loop(m, "p00") == want
 
 
-class TestBlockedColumnSums:
+class TestColumnSums:
     """_column_sums sums the whole matrix at once; the totals are exact Python ints."""
 
     @settings(max_examples=150, deadline=None)
@@ -565,7 +565,7 @@ class TestBlockedColumnSums:
         tokens = matrix.tokens[rows]
         assert metrics._column_sums(tokens) == column_sums_whole(tokens, matrix.present[rows])
 
-    def test_totals_past_int64_over_several_blocks(self):
+    def test_totals_past_int64(self):
         tokens = np.full((7, 2), TOKENS_MAX, dtype=np.int64)
         tokens[:, 1] = 0
         assert metrics._column_sums(tokens) == [TOKENS_MAX * tokens.shape[0], 0]
