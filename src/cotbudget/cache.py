@@ -216,11 +216,11 @@ def _require(ok: bool, what: str) -> None:
 
 
 def _sorted_ids(ids: object) -> bool:
-    """A non-empty list of non-empty strings in strictly increasing order."""
+    """A non-empty list of strings in strictly increasing order."""
     return (
         type(ids) is list
         and bool(ids)
-        and all(type(x) is str and x != "" for x in ids)
+        and all(type(x) is str for x in ids)
         and all(a < b for a, b in zip(ids, ids[1:]))
     )
 
@@ -239,20 +239,18 @@ def _checked(npz) -> Matrices:
     for i, pair in enumerate(pairs):
         _require(type(pair) is list and len(pair) == 4, f"pair {i}")
         model, dataset, question_ids, prompt_ids = pair
-        _require(all(type(x) is str and x != "" for x in (model, dataset)), f"pair {i} names")
         _require(_sorted_ids(question_ids) and _sorted_ids(prompt_ids), f"pair {i} ids")
-        shape = (len(question_ids), len(prompt_ids))
         tokens, correct, present = (npz[f"{a}{i}"] for a in ARRAYS)
         for array, dtype in ((tokens, np.int64), (correct, np.bool_), (present, np.bool_)):
-            _require(array.dtype == dtype and array.shape == shape and array.flags.c_contiguous,
-                     f"pair {i} array layout")
+            _require(array.dtype == dtype and array.flags.c_contiguous, f"pair {i} array layout")
+        # RunMatrix refuses empty names and ids, a wrong shape and negative tokens.
+        matrix = records.RunMatrix(
+            model, dataset, tuple(question_ids), tuple(prompt_ids), tokens, correct, present)
         _require(bool(present.any(axis=0).all() and present.any(axis=1).all()),
                  f"pair {i} has an empty row or column")
         _require(not tokens[~present].any() and not correct[~present].any(),
                  f"pair {i} padding is not zero")
-        _require(int(tokens.min()) >= 0, f"pair {i} has negative tokens")
-        out[model, dataset] = records.RunMatrix(
-            model, dataset, tuple(question_ids), tuple(prompt_ids), tokens, correct, present)
+        out[model, dataset] = matrix
     keys = list(out)
     _require(len(keys) == len(pairs) and all(a < b for a, b in zip(keys, keys[1:])),
              "pairs are not sorted and distinct")

@@ -25,6 +25,7 @@ import re
 import threading
 from collections.abc import Set
 from fractions import Fraction
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +39,7 @@ log = logging.getLogger(__name__)
 ANSWER_PATTERN = re.compile(r"(?i)\banswer\s*:\s*([^\n]*)")
 # The interpreter's default int-string digit limit; see _as_rational.
 EXPONENT_MAX = 4300
+_DEPTH = {"(": 1, ")": -1}  # what each character adds to the parenthesis depth
 QUESTION_FIELDS = ("question_id", "text", "gold_answer")
 SURROGATE = re.compile(r"[\ud800-\udfff]")
 
@@ -171,17 +173,26 @@ class SweepSummary:
 
 
 def _strip_wrapping(s: str) -> str:
-    # Bounds move inward and the string is sliced once, so a reply of many
-    # nested parentheses costs time linear in its length.
+    # Peels the outer parentheses that pair with each other, with the blanks
+    # of each layer and the periods after it. The r-th of the leading "(" pairs
+    # with the r-th of the trailing ")" when the text between the two runs
+    # balances and its depth, from the leading run's, never falls below r.
+    # Bounds move inward and accumulate walks the middle: linear time, no table.
+    i, j, opens, closes = 0, len(s), 0, 0
+    while i < j and (s[i] == "(" or s[i].isspace()):
+        opens, i = opens + (s[i] == "("), i + 1
+    while j > i and (s[j - 1] in ")." or s[j - 1].isspace()):
+        closes, j = closes + (s[j - 1] == ")"), j - 1
+    layers = 0
+    if opens and closes and opens + s.count("(", i, j) - s.count(")", i, j) == closes:
+        layers = max(0, min(accumulate(map(_DEPTH.get, s[i:j], repeat(0)), initial=opens)))
+    opens = closes = layers
     i, j = 0, len(s)
-    while True:
-        while i < j and s[i].isspace():
-            i += 1
-        while j > i and s[j - 1].isspace():
-            j -= 1
-        if j - i < 2 or s[i] != "(" or s[j - 1] != ")":
-            return s[i:j].rstrip(".").strip()
-        i, j = i + 1, j - 1
+    while i < j and (s[i].isspace() or s[i] == "(" and opens):
+        opens, i = opens - (s[i] == "("), i + 1
+    while j > i and (s[j - 1] == "." or s[j - 1].isspace() or s[j - 1] == ")" and closes):
+        closes, j = closes - (s[j - 1] == ")"), j - 1
+    return s[i:j]
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
@@ -224,8 +235,9 @@ def _choice_label(extracted: str) -> str | None:
 def grade(response: str, question: Question) -> tuple[bool, str | None]:
     """Score a response against the gold answer.
 
-    Takes the last 'Answer:' line, strips wrapping parentheses and trailing
-    periods from it and from the gold alike, and compares case-insensitively;
+    Takes the last 'Answer:' line, strips the outer parentheses that pair
+    with each other, and the blanks and trailing periods of every layer, from
+    it and from the gold alike, and compares case-insensitively;
     free-form answers also match when both sides parse to the same exact
     rational (see _as_rational). Ungradable responses are (False, None),
     never an error.

@@ -15,7 +15,7 @@ from .errors import (
     UndefinedCorrelationError,
     ZeroAccuracyError,
 )
-from .records import RunMatrix, _positions
+from .records import RunMatrix
 
 # midranks ranks non-negative integers by counting while none exceeds this
 # many times the number of values.
@@ -55,7 +55,9 @@ def _check_same_run_set(matrix: RunMatrix, profile: ComplexityProfile) -> np.nda
         )
     if profile.question_ids == matrix.question_ids:
         return profile.tau
-    row_of = _positions(profile.question_ids)
+    row_of: dict[str, int] = {}
+    for row, q in enumerate(profile.question_ids):
+        row_of.setdefault(q, row)
     missing = [q for q in matrix.question_ids if q not in row_of]
     if missing:
         raise ConsistencyError("profile lacks question(s): " + ", ".join(missing[:5]))

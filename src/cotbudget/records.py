@@ -25,7 +25,6 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -163,9 +162,8 @@ class RunMatrix:
 
     ``present`` masks cells that have no record; every absent cell holds 0
     tokens and False in the copies the constructor makes, so kernels may read
-    all cells. ``question_pos`` and ``prompt_pos`` map each id to its row or
-    column. An empty or non-string model or dataset, and a repeated or empty
-    id, are a ValueError, as the records and profile formats refuse them.
+    all cells. An empty or non-string model or dataset, and a repeated or
+    empty id, are a ValueError, as the records and profile formats refuse them.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -177,8 +175,6 @@ class RunMatrix:
     tokens: np.ndarray
     correct: np.ndarray
     present: np.ndarray
-    question_pos: Mapping[str, int] = field(init=False, repr=False)
-    prompt_pos: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("model", "dataset"):
@@ -200,18 +196,16 @@ class RunMatrix:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # The id maps are built after the arrays' checks, so the maps and the
-        # checks' temporaries are never alive at once.
-        for name, pos in (("question_ids", "question_pos"), ("prompt_ids", "prompt_pos")):
+        for name in ("question_ids", "prompt_ids"):
             ids = tuple(getattr(self, name))
-            positions = _positions(ids)
-            if len(positions) != len(ids):
-                repeat = next(key for index, key in enumerate(ids) if positions[key] != index)
+            distinct = dict.fromkeys(ids)  # smaller than a set of 20k ids
+            if len(distinct) != len(ids):
+                seen: set[str] = set()
+                repeat = next(key for key in ids if key in seen or seen.add(key))
                 raise ValueError(f"{name} repeat {repeat!r}")
-            if "" in positions:
+            if "" in distinct:
                 raise ValueError(f"{name} hold an empty id")
             object.__setattr__(self, name, ids)
-            object.__setattr__(self, pos, positions)
 
     @property
     def n_questions(self) -> int:
@@ -223,8 +217,8 @@ class RunMatrix:
 
     def prompt_index(self, prompt_id: str) -> int:
         try:
-            return self.prompt_pos[prompt_id]
-        except KeyError:
+            return self.prompt_ids.index(prompt_id)
+        except ValueError:
             raise ValueError(f"unknown prompt_id {prompt_id!r}") from None
 
     def __eq__(self, other: object) -> bool:
@@ -239,14 +233,6 @@ class RunMatrix:
             and np.array_equal(self.tokens, other.tokens)
             and np.array_equal(self.correct, other.correct)
         )
-
-
-def _positions(ids: Sequence[str]) -> Mapping[str, int]:
-    """Read-only id -> index map that keeps the first index of a repeated id."""
-    positions: dict[str, int] = {}
-    for index, key in enumerate(ids):
-        positions.setdefault(key, index)
-    return MappingProxyType(positions)
 
 
 def pivot(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:

@@ -137,7 +137,7 @@ def budget_route(
     if not family:
         raise ValueError("family must be non-empty")
     tokens, correct, present = _columns(matrix, family)
-    unknown = sum(1 for q in budgets if q not in matrix.question_pos)
+    unknown = len(budgets) - sum(1 for q in matrix.question_ids if q in budgets)
     if unknown:
         log.warning("budget_route: ignored %d budget(s) for unknown questions", unknown)
     if not present.all():

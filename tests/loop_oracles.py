@@ -9,6 +9,7 @@ code that a faster version replaced with the same results, and the
 line validators that one rule table replaced. ``profile_from_json_dict_loop``
 and ``column_sums_whole`` are the per-entry loader and the whole-matrix
 column sums that a one-pass loader and a row-blocked sum replaced.
+``strip_wrapping_stack`` is the grader's parenthesis peel with a stack.
 ``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
 socket-level one replaced. The dataclasses ``Choice``, ``Question``,
 ``PromptSpec``, ``PromptCatalog``, ``SweepConfig`` and ``SweepSummary`` are
@@ -215,6 +216,27 @@ def load_questions_loop(path: str | Path) -> list[cotbudget.collect.Question]:
             )
         out.append(question)
     return out
+
+
+def strip_wrapping_stack(s: str) -> str:
+    """The grader's peel one layer at a time: strip the blanks, and on the right
+    the periods too, then drop the outer "(" and ")" when a stack pairs them."""
+    while True:
+        s = s.lstrip()
+        while s and (s[-1] == "." or s[-1].isspace()):
+            s = s[:-1]
+        if not (s.startswith("(") and s.endswith(")")):
+            return s
+        stack, partner = [], None
+        for index, char in enumerate(s):
+            if char == "(":
+                stack.append(index)
+            elif char == ")" and stack.pop() == 0:
+                partner = index
+                break
+        if partner != len(s) - 1:
+            return s
+        s = s[1:-1]
 
 
 def pivot_loop(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:

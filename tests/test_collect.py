@@ -52,7 +52,7 @@ from cotbudget import transport as transport_module
 from cotbudget.transport import _DeadlineReader
 
 from conftest import without_usage
-from loop_oracles import present_cells, record_json_loop
+from loop_oracles import present_cells, record_json_loop, strip_wrapping_stack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MC_QUESTION = Question(
@@ -211,6 +211,43 @@ class TestGrade:
     @given(a=st.text("0123456789", min_size=1), b=st.text("0123456789", min_size=1))
     def test_a_comma_separated_list_is_not_its_digits_joined(self, a, b):
         assert grade(f"Answer: {a}, {b}", Question("q", "t", a + b))[0] is False
+
+    @pytest.mark.parametrize("reply, question, graded", [
+        # Only outer parentheses that pair with each other are peeled, and
+        # trailing periods go at every layer.
+        ("(G).", MC_QUESTION, (True, "G")),
+        ("(0,1).", Question("q", "t", "(0,1)"), (True, "0,1")),
+        ("(x+1)(x-1)", Question("q", "t", "(x+1)(x-1)"), (True, "(x+1)(x-1)")),
+        ("(a)(b)", Question("q", "t", "a)(b"), (False, "(a)(b)")),
+        ("((a)(b)) .", Question("q", "t", "(a)(b)"), (True, "(a)(b)")),
+        # Near misses: a parenthesis with no partner stays.
+        ("(G", MC_QUESTION, (False, "(G")),
+        ("G)", MC_QUESTION, (True, "G)")),  # a choice label written as "G)"
+        ("(42", Question("q", "t", "42"), (False, "(42")),
+        ("((a)", Question("q", "t", "a"), (False, "((a)")),
+        ("(a))", Question("q", "t", "a"), (False, "(a))")),
+    ])
+    def test_only_paired_parentheses_are_peeled(self, reply, question, graded):
+        assert grade(f"Answer: {reply}", question) == graded
+
+    @settings(max_examples=300, deadline=None)
+    @given(bare=st.sampled_from(["42", "G", "1/2", "x+1", "(x+1)(x-1)", "0.5", "blue"]),
+           layers=st.lists(st.tuples(st.text(" \t", max_size=2), st.text(" \t.", max_size=3)),
+                           max_size=4),
+           gold=st.sampled_from(["42", "g", "0.50", "(x+1)(x-1)", "a)(b"]))
+    def test_matched_layers_grade_as_the_bare_answer(self, bare, layers, gold):
+        """k >= 0 pairs around a bare answer, with blanks, and on the right periods,
+        between the layers."""
+        wrapped = bare
+        for left, right in layers:
+            wrapped = f"({left}{wrapped}{right})"
+        question = Question("q", "t", gold)
+        assert grade(f"Answer: {wrapped} .", question) == grade(f"Answer: {bare}", question)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.text("( ).ax", max_size=24))
+    def test_strip_wrapping_agrees_with_a_stack(self, text):
+        assert collect_module._strip_wrapping(text) == strip_wrapping_stack(text)
 
 
 class TestQuestionModel:

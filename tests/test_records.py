@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import re
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -960,6 +961,26 @@ def test_run_matrix_peak_is_its_copies():
                                                       tokens, correct, present)))
     assert peak <= 8 * MiB
     assert not np.shares_memory(built[0].tokens, tokens)
+
+
+def test_run_matrix_holds_only_its_arrays_and_ids():
+    """A 20,000 x 31 matrix keeps its three arrays and its two id tuples (6.36 MB),
+    and a few hundred bytes more. An id -> index map per axis kept 0.97 MB more."""
+    n, k = 20_000, 31
+    tokens = np.arange(n * k, dtype=np.int64).reshape(n, k)
+    correct = np.ones((n, k), dtype=bool)
+    present = np.ones((n, k), dtype=bool)
+    question_ids = [f"q{i}" for i in range(n)]  # lists, so the tuples are the matrix's own
+    prompt_ids = [f"p{j}" for j in range(k)]
+    tracemalloc.start()
+    try:
+        matrix = RunMatrix("m", "d", question_ids, prompt_ids, tokens, correct, present)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (matrix.tokens, matrix.correct, matrix.present))
+    own += sys.getsizeof(matrix.question_ids) + sys.getsizeof(matrix.prompt_ids)
+    assert held <= own + 64 * 1024
 
 
 def test_place_holds_no_record_index_while_the_matrix_is_copied():
