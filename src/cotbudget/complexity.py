@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import CoverageError, RecordSchemaError
 from .inputs import (
-    INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, read_json, write_json,
+    INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, checked_entries, read_json,
+    write_json,
 )
-from .records import RunMatrix
+from .records import RunMatrix, check_pair, checked_ids
 
 # Questions per _best_thresholds call in profile. It bounds the kernel's
 # temporaries (a few arrays of BLOCK_ROWS x (K + 1) int64) whatever n is.
@@ -49,7 +50,10 @@ class ComplexityProfile:
     """Per-question complexities and their aggregates for one (model, dataset).
 
     Position i of the tuples and of the read-only int64 arrays belongs to
-    question_ids[i]; tau is -1 where the complexity is infinite.
+    question_ids[i]; tau is -1 where the complexity is infinite. What the
+    file refuses is a ValueError here too: an empty or non-string model or
+    dataset, no questions, a repeated, empty or non-string id, a tau below
+    -1 or a k_used below 1; a c_star outside [0, 1] is one when saved.
     """
 
     model: str
@@ -61,14 +65,21 @@ class ComplexityProfile:
     c_bar: Fraction
 
     def __post_init__(self) -> None:
+        check_pair(self)
         for name in ("tau", "k_used"):
             column = np.array(getattr(self, name), dtype=np.int64)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "question_ids", tuple(self.question_ids))
+        object.__setattr__(self, "question_ids", checked_ids("question_ids", self.question_ids))
         object.__setattr__(self, "c_star", tuple(self.c_star))
         if not len(self.question_ids) == self.tau.size == self.k_used.size == len(self.c_star):
             raise ValueError("every column must hold one value per question")
+        if not self.question_ids:
+            raise ValueError("a profile must hold at least one question")
+        if self.tau.min() < -1:
+            raise ValueError(f"tau must be -1 (infinite) or at least 0, got {self.tau.min()}")
+        if self.k_used.min() < 1:
+            raise ValueError(f"k_used must be at least 1, got {self.k_used.min()}")
 
     @property
     def n_questions(self) -> int:
@@ -122,6 +133,11 @@ class ComplexityProfile:
         )
 
     def to_json_dict(self) -> dict:
+        """The file form; a ValueError if a c_star, as written, is outside [0, 1]."""
+        c_star = [round(float(c), 6) for c in self.c_star]
+        bad = next((c for c in c_star if not 0 <= c <= 1), None)
+        if bad is not None:
+            raise ValueError(f"c_star must be in [0, 1], got {bad!r}")
         return {
             "model": self.model,
             "dataset": self.dataset,
@@ -129,11 +145,11 @@ class ComplexityProfile:
                 {
                     "question_id": q,
                     "tau": t if t >= 0 else None,
-                    "c_star": round(float(c), 6),
+                    "c_star": c,
                     "k_used": k,
                 }
                 for q, t, c, k in zip(
-                    self.question_ids, self.tau.tolist(), self.c_star, self.k_used.tolist()
+                    self.question_ids, self.tau.tolist(), c_star, self.k_used.tolist()
                 )
             ],
             "c_bar": round(float(self.c_bar), 6),
@@ -157,21 +173,19 @@ class ComplexityProfile:
         model = checked(obj, "model", "", NON_EMPTY_STRING)
         dataset = checked(obj, "dataset", "", NON_EMPTY_STRING)
         entries = checked(obj, "entries", "", _NON_EMPTY_LIST)
-        first: dict[str, int] = {}
-        tau, k_used, values = [], [], []
-        for i, entry in enumerate(entries):
-            qid, t, k, c = _check_entry(entry, f"entries[{i}]", first)
-            first[qid] = i
-            tau.append(-1 if t is None else t)
-            k_used.append(k)
-            values.append(c)
+        ids, tau, k_used, values = [], [], [], []
+        for entry in checked_entries(entries, "entries", _ENTRY_RULES):
+            ids.append(entry["question_id"])
+            tau.append(-1 if entry["tau"] is None else entry["tau"])
+            k_used.append(entry["k_used"])
+            values.append(entry["c_star"])
         # One Fraction per distinct value; equal values, such as 1 and 1.0,
         # give equal Fractions.
         counts = Counter(values)
         exact = {v: Fraction(str(v)) for v in counts}
         c_star = [exact[v] for v in values]
         c_bar = sum((exact[v] * count for v, count in counts.items()), Fraction(0)) / len(values)
-        return cls(model, dataset, tuple(first), tau, k_used, c_star, c_bar)
+        return cls(model, dataset, ids, tau, k_used, c_star, c_bar)
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_json_dict())
@@ -186,31 +200,14 @@ class ComplexityProfile:
             raise RecordSchemaError(exc.reason, path=str(path)) from None
 
 
-def _check_entry(entry: object, where: str, first: dict[str, int]) -> tuple:
-    """An entry's (question_id, tau, k_used, c_star), or the RecordSchemaError of
-    the first rule it breaks, checked in file order.
-
-    ``first`` maps each question_id already read to its entry index.
-    """
-    if type(entry) is not dict:
-        raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
-    qid = checked(entry, "question_id", where, NON_EMPTY_STRING)
-    if qid in first:
-        raise RecordSchemaError(f"{where}.question_id {qid!r} repeats entries[{first[qid]}]")
-    return (
-        qid,
-        checked(entry, "tau", where, NULL_OR_TOKENS),
-        checked(entry, "k_used", where, _K_USED),
-        checked(entry, "c_star", where, _C_STAR),
-    )
-
-
 # The complexity file's own field rules, in the form inputs.checked reads.
 _NON_EMPTY_LIST = (lambda v: type(v) is list and v != [], "be a non-empty list")
 _K_USED = (lambda v: type(v) is int and 1 <= v <= TOKENS_MAX, f"be an integer in [1, {TOKENS_MAX}]")
 # NaN fails both comparisons and infinities fail one, so the range test also
 # requires a finite number.
 _C_STAR = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "be a finite number in [0, 1]")
+_ENTRY_RULES = {"question_id": NON_EMPTY_STRING, "tau": NULL_OR_TOKENS, "k_used": _K_USED,
+                "c_star": _C_STAR}
 
 
 def _best_thresholds(

@@ -4,9 +4,9 @@ JSON outputs through ``write_json``, without numpy.
 Every input file is read once, through ``read_jsonl`` or ``read_json``,
 which check UTF-8 line by line as they read, so the first bad line of a
 file is the one named and a pipe gives a regular file's error. A parsed
-value is checked by ``check_line`` (a JSONL line) or ``checked`` (a
-whole-file field) against rules such as ``NON_EMPTY_STRING``, so each
-fault's message is written once.
+value is checked by ``check_line`` (a JSONL line), ``checked`` (a
+whole-file field) or ``checked_entries`` (an array's objects) against rules
+such as ``NON_EMPTY_STRING``, so each fault's message is written once.
 
 Record lines are read only by ``record_cells``, which checks each against
 ``RECORD_RULES`` and codes its key with ``PairRecords.add``, the coder
@@ -129,6 +129,27 @@ def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
     if key not in obj:
         raise RecordSchemaError(f"{location} is missing")
     raise RecordSchemaError(f"{location} must {expected}, got {value!r}")
+
+
+def checked_entries(entries: list, prefix: str, rules: dict[str, tuple],
+                    defaults: dict | None = None) -> Iterator[dict]:
+    """Yield each object of a JSON array, missing fields taken from ``defaults``
+    (in a copy), once its fields pass ``rules`` in order. The first rule's field
+    is the key: a repeat is refused right after it, naming both entries."""
+    (key, key_rule), *rest = rules.items()
+    first: dict[str, int] = {}
+    for i, entry in enumerate(entries):
+        where = f"{prefix}[{i}]"
+        if type(entry) is not dict:
+            raise RecordSchemaError(f"{where} must be an object, got {entry!r}")
+        if defaults:
+            entry = {**defaults, **entry}
+        value = checked(entry, key, where, key_rule)
+        if first.setdefault(value, i) != i:
+            raise RecordSchemaError(f"{where}.{key} {value!r} repeats {prefix}[{first[value]}]")
+        for name, rule in rest:
+            checked(entry, name, where, rule)
+        yield entry
 
 
 def check_line(

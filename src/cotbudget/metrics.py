@@ -55,9 +55,7 @@ def _check_same_run_set(matrix: RunMatrix, profile: ComplexityProfile) -> np.nda
         )
     if profile.question_ids == matrix.question_ids:
         return profile.tau
-    row_of: dict[str, int] = {}
-    for row, q in enumerate(profile.question_ids):
-        row_of.setdefault(q, row)
+    row_of = {q: row for row, q in enumerate(profile.question_ids)}  # ids never repeat
     missing = [q for q in matrix.question_ids if q not in row_of]
     if missing:
         raise ConsistencyError("profile lacks question(s): " + ", ".join(missing[:5]))

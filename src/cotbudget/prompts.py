@@ -12,7 +12,9 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import RecordSchemaError
-from .inputs import NON_EMPTY_STRING, FrozenValue, checked, read_json, set_fields, write_json
+from .inputs import (
+    NON_EMPTY_STRING, FrozenValue, checked_entries, read_json, set_fields, write_json,
+)
 
 FIXED_INSTRUCTIONS: dict[str, str] = {
     "NoCoT": "Only give the final answer.",
@@ -57,8 +59,10 @@ class PromptSpec(FrozenValue):
 
     def __init__(self, prompt_id: str, family: str, instruction: str, limit: int | None = None,
                  limit_unit: str | None = None) -> None:
-        if type(prompt_id) is not str or not prompt_id:
-            raise ValueError(f"prompt_id must be a non-empty string, got {prompt_id!r}")
+        values = (prompt_id, family, instruction, limit, limit_unit)
+        for (name, (test, expected)), value in zip(_SPEC_RULES.items(), values):
+            if not test(value):
+                raise ValueError(f"{name} must {expected}, got {value!r}")
         parameterized = family in PARAMETERIZED_FAMILIES
         if not parameterized and family not in FIXED_INSTRUCTIONS:
             raise ValueError(f"unknown prompt family {family!r}")
@@ -75,7 +79,7 @@ class PromptSpec(FrozenValue):
                 raise ValueError(f"family {family!r} uses limit_unit {unit!r}")
         elif limit is not None or limit_unit is not None:
             raise ValueError(f"family {family!r} does not take a limit")
-        set_fields(self, (prompt_id, family, instruction, limit, limit_unit))
+        set_fields(self, values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,32 +147,23 @@ class PromptCatalog(FrozenValue):
         RecordSchemaError naming the file and the JSON location (``[2].prompt_id``).
         """
         payload = read_json(path)
-        specs: list[PromptSpec] = []
-        first: dict[str, int] = {}
         try:
             if type(payload) is not list or not payload:
                 raise RecordSchemaError(
                     f"the file must hold a non-empty JSON array, got {payload!r:.60}"
                 )
-            for i, obj in enumerate(payload):
-                where = f"[{i}]"
-                if type(obj) is not dict:
-                    raise RecordSchemaError(f"{where} must be an object, got {obj!r}")
-                obj = {"limit": None, "limit_unit": None, **obj}  # both may be left out
-                fields = {key: checked(obj, key, where, rule) for key, rule in _SPEC_RULES.items()}
-                pid = fields["prompt_id"]
-                if first.setdefault(pid, i) != i:
-                    raise RecordSchemaError(f"{where}.prompt_id {pid!r} repeats [{first[pid]}]")
+            specs = []
+            for i, fields in enumerate(checked_entries(payload, "", _SPEC_RULES, _OPTIONAL)):
                 try:
-                    specs.append(PromptSpec(**fields))
+                    specs.append(PromptSpec(*map(fields.get, _SPEC_RULES)))
                 except ValueError as exc:
-                    raise RecordSchemaError(f"{where}: {exc}") from None
+                    raise RecordSchemaError(f"[{i}]: {exc}") from None
         except RecordSchemaError as exc:
             raise RecordSchemaError(exc.reason, path=str(path)) from None
         return cls(tuple(specs))
 
 
-# The catalog file's field rules, in the form inputs.checked reads.
+# The catalog file's field rules, which PromptSpec checks too, in the form inputs.checked reads.
 _SPEC_RULES = {
     "prompt_id": NON_EMPTY_STRING,
     "family": NON_EMPTY_STRING,
@@ -176,6 +171,7 @@ _SPEC_RULES = {
     "limit": (lambda v: v is None or type(v) is int, "be null or an integer"),
     "limit_unit": (lambda v: v is None or type(v) is str, "be null or a string"),
 }
+_OPTIONAL = {"limit": None, "limit_unit": None}  # a catalog entry may leave these out
 
 
 def default_catalog() -> PromptCatalog:

@@ -156,14 +156,39 @@ def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
     return count
 
 
+def check_pair(obj: object) -> None:
+    """A ValueError unless obj's model and dataset are non-empty strings."""
+    for name in ("model", "dataset"):
+        value = getattr(obj, name)
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+
+
+def checked_ids(name: str, ids: Iterable[str]) -> tuple[str, ...]:
+    """The ids as a tuple; a ValueError if one repeats, is empty or is not a string."""
+    ids = tuple(ids)
+    distinct = dict.fromkeys(ids)  # smaller than a set of 20k ids
+    if len(distinct) != len(ids):
+        seen: set[str] = set()
+        repeat = next(key for key in ids if key in seen or seen.add(key))
+        raise ValueError(f"{name} repeat {repeat!r}")
+    if "" in distinct:
+        raise ValueError(f"{name} hold an empty id")
+    if not all(isinstance(key, str) for key in distinct):
+        bad = next(key for key in distinct if not isinstance(key, str))
+        raise ValueError(f"{name} hold a non-string id {bad!r}")
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class RunMatrix:
     """The n x K pivot of records for one (model, dataset) pair.
 
     ``present`` masks cells that have no record; every absent cell holds 0
     tokens and False in the copies the constructor makes, so kernels may read
-    all cells. An empty or non-string model or dataset, and a repeated or
-    empty id, are a ValueError, as the records and profile formats refuse them.
+    all cells. An empty or non-string model or dataset, and a repeated, empty
+    or non-string id, are a ValueError, as the records and profile formats
+    refuse them.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -177,10 +202,7 @@ class RunMatrix:
     present: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("model", "dataset"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        check_pair(self)
         n, k = len(self.question_ids), len(self.prompt_ids)
         tokens = np.array(self.tokens, dtype=np.int64, order="C")
         correct = np.array(self.correct, dtype=bool, order="C")
@@ -197,15 +219,7 @@ class RunMatrix:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("question_ids", "prompt_ids"):
-            ids = tuple(getattr(self, name))
-            distinct = dict.fromkeys(ids)  # smaller than a set of 20k ids
-            if len(distinct) != len(ids):
-                seen: set[str] = set()
-                repeat = next(key for key in ids if key in seen or seen.add(key))
-                raise ValueError(f"{name} repeat {repeat!r}")
-            if "" in distinct:
-                raise ValueError(f"{name} hold an empty id")
-            object.__setattr__(self, name, ids)
+            object.__setattr__(self, name, checked_ids(name, getattr(self, name)))
 
     @property
     def n_questions(self) -> int:

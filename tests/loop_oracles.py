@@ -8,7 +8,8 @@ code that a faster version replaced with the same results, and the
 ``*_from_json_loop`` and ``budget_entry_loop`` checkers are the hand-written
 line validators that one rule table replaced. ``profile_from_json_dict_loop``
 and ``column_sums_whole`` are the per-entry loader and the whole-matrix
-column sums that a one-pass loader and a row-blocked sum replaced.
+column sums that a one-pass loader and a row-blocked sum replaced, and
+``catalog_from_json_loop`` is the catalog loader one field at a time.
 ``strip_wrapping_stack`` is the grader's parenthesis peel with a stack.
 ``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
 socket-level one replaced. The dataclasses ``Choice``, ``Question``,
@@ -533,6 +534,47 @@ def catalog_from_file_loop(obj: object) -> cotbudget.prompts.PromptCatalog | Non
     return cotbudget.prompts.PromptCatalog(tuple(specs))
 
 
+def catalog_from_json_loop(obj: object) -> cotbudget.prompts.PromptCatalog:
+    """PromptCatalog.load's catalog of a parsed file, or its RecordSchemaError
+    without the path, checked one spec and one field at a time.
+
+    Each spec is checked in this order: an object; prompt_id a non-empty
+    string; not a repeat of an earlier spec's prompt_id; family a non-empty
+    string; instruction a string; limit null or an integer (not a boolean);
+    limit_unit null or a string, with a missing limit or limit_unit read as
+    null; then the rules of the dataclass PromptSpec, as ``[i]: <reason>``.
+    """
+    if type(obj) is not list or not obj:
+        raise RecordSchemaError(f"the file must hold a non-empty JSON array, got {obj!r:.60}")
+    specs: list[cotbudget.prompts.PromptSpec] = []
+    for i, spec in enumerate(obj):
+        where = f"[{i}]"
+        if not isinstance(spec, dict):
+            raise RecordSchemaError(f"{where} must be an object, got {spec!r}")
+        spec = {"limit": None, "limit_unit": None, **spec}
+        pid = checked(spec, "prompt_id", where, NON_EMPTY_STRING)
+        earlier = [s.prompt_id for s in specs]
+        if pid in earlier:
+            raise RecordSchemaError(f"{where}.prompt_id {pid!r} repeats [{earlier.index(pid)}]")
+        fields = (
+            pid,
+            checked(spec, "family", where, NON_EMPTY_STRING),
+            checked(spec, "instruction", where, (lambda v: isinstance(v, str), "be a string")),
+            checked(spec, "limit", where, (
+                lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
+                "be null or an integer",
+            )),
+            checked(spec, "limit_unit", where,
+                    (lambda v: v is None or isinstance(v, str), "be null or a string")),
+        )
+        try:
+            PromptSpec(*fields)
+        except ValueError as exc:
+            raise RecordSchemaError(f"{where}: {exc}") from None
+        specs.append(cotbudget.prompts.PromptSpec(*fields))
+    return cotbudget.prompts.PromptCatalog(tuple(specs))
+
+
 def tau_aggregates_loop(taus: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
     """(A*, finite-tau total over n, mean finite tau), summed tau by tau."""
     finite = [int(t) for t in taus if t != INFINITE]
@@ -940,8 +982,10 @@ class PromptSpec:
     limit_unit: str | None = None
 
     def __post_init__(self) -> None:
-        if type(self.prompt_id) is not str or not self.prompt_id:
-            raise ValueError(f"prompt_id must be a non-empty string, got {self.prompt_id!r}")
+        for name, (test, expected) in cotbudget.prompts._SPEC_RULES.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"{name} must {expected}, got {value!r}")
         parameterized = self.family in PARAMETERIZED_FAMILIES
         if not parameterized and self.family not in FIXED_INSTRUCTIONS:
             raise ValueError(f"unknown prompt family {self.family!r}")

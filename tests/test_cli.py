@@ -1416,6 +1416,9 @@ class TestCollectChecksBeforeRequests:
             ([{"prompt_id": "A", "family": "NoCoT", "instruction": "i"},
               {"prompt_id": "A", "family": "NoCoT", "instruction": "j"}],
              "[1].prompt_id 'A' repeats [0]"),
+            ([{"prompt_id": "A", "family": "NoCoT", "instruction": "i"},
+              {"prompt_id": "A", "family": "NoCoT", "instruction": 5}],
+             "[1].prompt_id 'A' repeats [0]"),
         ],
     )
     def test_bad_catalog_is_a_data_error_naming_the_location(self, tmp_path, capsys, payload,

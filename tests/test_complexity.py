@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cotbudget import complexity
@@ -300,6 +300,73 @@ class TestProfileSerialization:
         assert [e.question_id for e in loaded.entries] == [
             e.question_id for e in prof.entries
         ]
+
+
+ONE = Fraction(1)
+# (keyword changes to a valid one-question profile, the ValueError's message)
+PROFILE_REFUSALS = [
+    ({"question_ids": ("q1", "q1"), "tau": [5, 7], "k_used": [2, 2], "c_star": (ONE, ONE)},
+     "question_ids repeat 'q1'"),
+    ({"question_ids": ("",)}, "question_ids hold an empty id"),
+    ({"question_ids": (1,)}, "question_ids hold a non-string id 1"),
+    ({"k_used": [0]}, "k_used must be at least 1, got 0"),
+    ({"model": ""}, "model must be a non-empty string, got ''"),
+    ({"dataset": None}, "dataset must be a non-empty string, got None"),
+    ({"tau": [-5]}, r"tau must be -1 \(infinite\) or at least 0, got -5"),
+    ({"question_ids": (), "tau": [], "k_used": [], "c_star": ()},
+     "a profile must hold at least one question"),
+]
+
+
+class TestProfileRefusesWhatItsFileRefuses:
+    """What load refuses, the constructor (or, for c_star, save) refuses too."""
+
+    VALID = {"model": "m", "dataset": "d", "question_ids": ("q1",), "tau": [5], "k_used": [2],
+             "c_star": (ONE,), "c_bar": ONE}
+
+    @pytest.mark.parametrize("changes, message", PROFILE_REFUSALS)
+    def test_constructor_refuses(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ComplexityProfile(**{**self.VALID, **changes})
+
+    @pytest.mark.parametrize("c, shown", [(Fraction(3, 2), "1.5"), (Fraction(-1, 10), "-0.1"),
+                                          (float("nan"), "nan")])
+    def test_save_refuses_c_star_outside_0_1(self, tmp_path, c, shown):
+        prof = ComplexityProfile(**{**self.VALID, "c_star": (c,)})
+        with pytest.raises(ValueError, match=rf"^c_star must be in \[0, 1\], got {shown}$"):
+            prof.save(tmp_path / "complexity.json")
+        assert not (tmp_path / "complexity.json").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.text(min_size=1, max_size=4), min_size=2, max_size=2),
+        ids=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_every_accepted_profile_saves_and_loads_back(self, labels, ids, data):
+        """Valid columns, with one time in four one odd value; c_star stays in [0, 1]."""
+        n = len(ids)
+        columns = {
+            "labels": labels, "ids": ids,
+            "tau": data.draw(st.lists(st.integers(-1, 2**63 - 1), min_size=n, max_size=n)),
+            "k_used": data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=n, max_size=n)),
+        }
+        if data.draw(st.integers(0, 3)) == 3:
+            column = columns[data.draw(st.sampled_from(sorted(columns)))]
+            odd = data.draw(st.sampled_from(["", -2, 0, ids[0]]))
+            column[data.draw(st.integers(0, len(column) - 1))] = odd
+        c_star = data.draw(st.lists(st.fractions(0, 1), min_size=n, max_size=n))
+        try:
+            prof = ComplexityProfile(*labels, ids, columns["tau"], columns["k_used"], c_star, ONE)
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "complexity.json"
+            prof.save(path)
+            loaded = ComplexityProfile.load(path)
+        assert (loaded.model, loaded.dataset, loaded.question_ids) == (*labels, tuple(ids))
+        assert loaded.tau.tolist() == columns["tau"]
+        assert loaded.k_used.tolist() == columns["k_used"]
 
 
 def _valid_file(tmp_path, matrix=None):

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cotbudget.errors import RecordParseError, RecordSchemaError
@@ -22,7 +22,7 @@ from cotbudget.prompts import (
     render,
 )
 
-from loop_oracles import catalog_from_file_loop
+from loop_oracles import catalog_from_file_loop, catalog_from_json_loop
 
 EXPECTED_FIXED = {
     "NoCoT": "Only give the final answer.",
@@ -87,6 +87,21 @@ class TestPromptSpecInvariants:
         spec = limited_spec("ChineseCoT(k)", 5000)
         assert spec.prompt_id == "ChineseCoT(5000)"
         assert spec.limit_unit == "chinese-characters"
+
+
+class TestPromptSpecRefusesWhatItsFileRefuses:
+    @pytest.mark.parametrize("args, message", [
+        (("W", "WordLimit", "i", True, "words"), "limit must be null or an integer, got True"),
+        (("W", "WordLimit", "i", 5.0, "words"), "limit must be null or an integer, got 5.0"),
+        (("N", "NoCoT", None), "instruction must be a string, got None"),
+        (("", "NoCoT", "i"), "prompt_id must be a non-empty string, got ''"),
+        (("N", "", "i"), "family must be a non-empty string, got ''"),
+        (("N", ["NoCoT"], "i"), r"family must be a non-empty string, got \['NoCoT'\]"),
+        (("W", "WordLimit", "i", 5, b"words"), "limit_unit must be null or a string, got b'words'"),
+    ])
+    def test_constructor_refuses(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PromptSpec(*args)
 
 
 class TestRender:
@@ -200,6 +215,28 @@ def catalog_mutations(draw, obj):
     return obj
 
 
+@st.composite
+def spec_values(draw) -> tuple:
+    """PromptSpec arguments: any id and instruction text, a limit anywhere in a
+    length-limited family's range, and one time in four an odd value in one field."""
+    family = draw(st.sampled_from([*FIXED_INSTRUCTIONS, *PARAMETERIZED_FAMILIES]))
+    values = [draw(st.text(min_size=1, max_size=4)), family, draw(st.text(max_size=5)), None, None]
+    if family in PARAMETERIZED_FAMILIES:
+        _, unit, (lo, hi) = PARAMETERIZED_FAMILIES[family]
+        values[3:] = draw(st.integers(lo, hi or 2**70)), unit
+    if draw(st.integers(0, 3)) == 3:
+        values[draw(st.integers(0, 4))] = draw(st.sampled_from([None, True, 5.0, "", 0, b"x"]))
+    return tuple(values)
+
+
+def _outcome(load):
+    """("ok", the loaded catalog) or ("raised", the schema error's reason)."""
+    try:
+        return "ok", load()
+    except RecordSchemaError as exc:
+        return "raised", exc.reason
+
+
 class TestCatalogFileMutations:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), size=st.integers(1, 4), cut=st.none() | st.integers(0, 200))
@@ -221,6 +258,40 @@ class TestCatalogFileMutations:
                 assert str(exc.value).startswith(f"{path}")
             else:
                 assert PromptCatalog.load(path) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 4))
+    def test_same_catalog_or_same_first_error_as_the_field_loop(self, data, size):
+        valid = [s.to_json_dict() for s in list(default_catalog())[-size:]]
+        obj = data.draw(catalog_mutations(valid))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            got = _outcome(lambda: PromptCatalog.load(path))
+        assert got == _outcome(lambda: catalog_from_json_loop(obj))
+
+    def test_a_repeat_is_named_before_a_later_field_of_its_entry(self, tmp_path):
+        first = {"prompt_id": "A", "family": "NoCoT", "instruction": "i"}
+        path = tmp_path / "catalog.json"
+        for bad in ({"family": "Nope"}, {"family": 5}, {"instruction": None}, {"limit": 1.5},
+                    {"limit_unit": 3}, {"limit": 5, "limit_unit": "words"}):
+            obj = [first, {**first, **bad}]
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            want = ("raised", "[1].prompt_id 'A' repeats [0]")
+            assert _outcome(lambda: PromptCatalog.load(path)) == want
+            assert _outcome(lambda: catalog_from_json_loop(obj)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(spec_values(), min_size=1, max_size=5, unique_by=lambda v: v[0]))
+    def test_every_catalog_that_constructs_saves_and_loads_back_equal(self, specs):
+        try:
+            catalog = PromptCatalog(tuple(PromptSpec(*values) for values in specs))
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.json"
+            catalog.save(path)
+            assert PromptCatalog.load(path) == catalog
 
     def test_limit_and_limit_unit_may_be_left_out_of_fixed_specs(self, tmp_path):
         path = tmp_path / "catalog.json"

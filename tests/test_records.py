@@ -228,6 +228,8 @@ class TestPivot:
         ({"prompt_ids": ("p", "p")}, "prompt_ids repeat 'p'"),
         ({"question_ids": ("q", "")}, "question_ids hold an empty id"),
         ({"prompt_ids": ("", "p")}, "prompt_ids hold an empty id"),
+        ({"question_ids": ("q", 2)}, "question_ids hold a non-string id 2"),
+        ({"prompt_ids": ("p", None)}, "prompt_ids hold a non-string id None"),
         ({"model": ""}, "model must be a non-empty string, got ''"),
         ({"dataset": None}, "dataset must be a non-empty string, got None"),
     ])
