@@ -216,13 +216,8 @@ def _require(ok: bool, what: str) -> None:
 
 
 def _sorted_ids(ids: object) -> bool:
-    """A non-empty list of strings in strictly increasing order."""
-    return (
-        type(ids) is list
-        and bool(ids)
-        and all(type(x) is str for x in ids)
-        and all(a < b for a, b in zip(ids, ids[1:]))
-    )
+    """A list in strictly increasing order; RunMatrix checks the ids themselves."""
+    return type(ids) is list and all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def _checked(npz) -> Matrices:
@@ -238,19 +233,17 @@ def _checked(npz) -> Matrices:
     out: Matrices = {}
     for i, pair in enumerate(pairs):
         _require(type(pair) is list and len(pair) == 4, f"pair {i}")
-        model, dataset, question_ids, prompt_ids = pair
-        _require(_sorted_ids(question_ids) and _sorted_ids(prompt_ids), f"pair {i} ids")
+        _require(_sorted_ids(pair[2]) and _sorted_ids(pair[3]), f"pair {i} ids")
         tokens, correct, present = (npz[f"{a}{i}"] for a in ARRAYS)
         for array, dtype in ((tokens, np.int64), (correct, np.bool_), (present, np.bool_)):
             _require(array.dtype == dtype and array.flags.c_contiguous, f"pair {i} array layout")
-        # RunMatrix refuses empty names and ids, a wrong shape and negative tokens.
-        matrix = records.RunMatrix(
-            model, dataset, tuple(question_ids), tuple(prompt_ids), tokens, correct, present)
+        # RunMatrix refuses bad names, no ids or a bad id, a wrong shape and negative tokens.
+        matrix = records.RunMatrix(*pair, tokens, correct, present)
         _require(bool(present.any(axis=0).all() and present.any(axis=1).all()),
                  f"pair {i} has an empty row or column")
         _require(not tokens[~present].any() and not correct[~present].any(),
                  f"pair {i} padding is not zero")
-        out[model, dataset] = matrix
+        out[matrix.model, matrix.dataset] = matrix
     keys = list(out)
     _require(len(keys) == len(pairs) and all(a < b for a, b in zip(keys, keys[1:])),
              "pairs are not sorted and distinct")

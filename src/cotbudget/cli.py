@@ -357,10 +357,13 @@ def cmd_collect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_records_args(p: argparse.ArgumentParser, records_required: bool = True) -> None:
+def _add_records_args(p: argparse.ArgumentParser, records_required: bool = True,
+                      complexity: bool = True) -> None:
     p.add_argument("--records", required=records_required, help="records JSONL file")
     p.add_argument("--model", default=None, help="model id filter")
     p.add_argument("--dataset", default=None, help="dataset id filter")
+    if complexity:
+        p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,31 +386,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("complexity", help="estimate per-question token complexity")
-    _add_records_args(p)
+    _add_records_args(p, complexity=False)
     p.add_argument("--out", required=True, help="output complexity JSON")
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("predict", help="validate threshold predictions against actual accuracy")
     _add_records_args(p)
-    p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
     p.add_argument("--out", required=True, help="output validation JSON")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bounds", help="compute the oracle accuracy-compression frontier")
     _add_records_args(p, records_required=False)
-    p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
     p.add_argument("--out", required=True, help="output frontier CSV")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("tradeoff", help="per-prompt accuracy vs average token length")
     _add_records_args(p)
-    p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
     p.add_argument("--out", required=True, help="output tradeoff CSV")
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("routing", help="replay verifier and budget routing policies")
     _add_records_args(p)
-    p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
     p.add_argument("--base-prompt", default=None, help="verifier first-stage prompt id")
     p.add_argument(
         "--fallback-prompt",
@@ -422,12 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="per-prompt rank correlation of lengths with complexity")
     _add_records_args(p)
-    p.add_argument("--complexity", default=None, help="precomputed complexity JSON")
     p.add_argument("--out", required=True, help="output correlation CSV")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("adaptivity", help="token lengths split by split-prompt success")
-    _add_records_args(p)
+    _add_records_args(p, complexity=False)
     p.add_argument("--split-prompt", required=True, help="prompt id defining the easy/hard split")
     p.add_argument("--out", required=True, help="output adaptivity CSV")
     p.set_defaults(func=cmd_adaptivity)

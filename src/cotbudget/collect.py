@@ -30,7 +30,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EndpointError, RecordSchemaError
-from .inputs import NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, check_line, read_jsonl, set_fields
+from .inputs import (
+    NON_EMPTY_STRING, TOKENS_MAX, FrozenValue, check_line, check_pair, read_jsonl, set_fields,
+)
 from .prompts import PromptCatalog, PromptSpec, render
 from .transport import _post_with_retries, _Transport, shown_url
 
@@ -138,9 +140,7 @@ class SweepConfig(FrozenValue):
     def __init__(self, endpoint: str, model: str, dataset: str, catalog: PromptCatalog,
                  max_parallel: int = 1, retries: int = 3, temperature: float = 0.0,
                  timeout: float = 120.0) -> None:
-        for name, value in (("model", model), ("dataset", dataset)):
-            if type(value) is not str or not value:
-                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        check_pair(model, dataset)
         if max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
         if retries < 0:

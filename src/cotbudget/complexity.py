@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import CoverageError, RecordSchemaError
 from .inputs import (
-    INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, checked, checked_entries, read_json,
-    write_json,
+    INFINITE, NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, check_pair, checked, checked_entries,
+    read_json, write_json,
 )
-from .records import RunMatrix, check_pair, checked_ids
+from .records import Ids, RunMatrix
 
 # Questions per _best_thresholds call in profile. It bounds the kernel's
 # temporaries (a few arrays of BLOCK_ROWS x (K + 1) int64) whatever n is.
@@ -49,28 +49,29 @@ class QuestionComplexity:
 class ComplexityProfile:
     """Per-question complexities and their aggregates for one (model, dataset).
 
-    Position i of the tuples and of the read-only int64 arrays belongs to
-    question_ids[i]; tau is -1 where the complexity is infinite. What the
-    file refuses is a ValueError here too: an empty or non-string model or
-    dataset, no questions, a repeated, empty or non-string id, a tau below
-    -1 or a k_used below 1; a c_star outside [0, 1] is one when saved.
+    Position i of each column, a tuple or a read-only int64 array, belongs
+    to question_ids[i], an Ids (kept as it is when given as one); tau is -1
+    where the complexity is infinite. What the file refuses is a ValueError
+    here too: an empty or non-string model or dataset, no questions, a
+    repeated, empty or non-string id, a tau below -1 or a k_used below 1; a
+    c_star outside [0, 1] is one when saved.
     """
 
     model: str
     dataset: str
-    question_ids: tuple[str, ...]
+    question_ids: Ids
     tau: np.ndarray
     k_used: np.ndarray
     c_star: tuple[Fraction, ...]
     c_bar: Fraction
 
     def __post_init__(self) -> None:
-        check_pair(self)
+        check_pair(self.model, self.dataset)
         for name in ("tau", "k_used"):
             column = np.array(getattr(self, name), dtype=np.int64)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "question_ids", checked_ids("question_ids", self.question_ids))
+        object.__setattr__(self, "question_ids", Ids(self.question_ids, "question_ids"))
         object.__setattr__(self, "c_star", tuple(self.c_star))
         if not len(self.question_ids) == self.tau.size == self.k_used.size == len(self.c_star):
             raise ValueError("every column must hold one value per question")

@@ -120,6 +120,13 @@ NULL_OR_TOKENS = (
 )
 
 
+def check_pair(model: object, dataset: object) -> None:
+    """A ValueError unless model and dataset are non-empty strings."""
+    for name, value in (("model", model), ("dataset", dataset)):
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+
+
 def checked(obj: dict, key: str, where: str, rule: tuple) -> object:
     """obj[key] if it passes the rule; else a RecordSchemaError naming where.key."""
     test, expected = rule

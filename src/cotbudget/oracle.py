@@ -156,8 +156,8 @@ def generate(spec: OracleSpec) -> tuple[RunMatrix, tuple[int | float, ...]]:
         rng = np.random.default_rng(spec.seed)
         flips = rng.random(lengths.shape) < spec.violation_rate
         correct = correct ^ flips
-    qw = len(str(max(spec.n - 1, 0)))
-    pw = len(str(max(lengths.shape[1] - 1, 0)))
+    qw = len(str(spec.n - 1))
+    pw = len(str(lengths.shape[1] - 1))
     matrix = RunMatrix(
         model=spec.model,
         dataset=spec.dataset,

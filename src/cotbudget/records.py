@@ -30,7 +30,7 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DuplicateRecordError, EmptySelectionError, utf8_bytes
-from .inputs import RECORD_RULES, REQUIRED_FIELDS, PairRecords, check_line, record_cells
+from .inputs import RECORD_RULES, REQUIRED_FIELDS, PairRecords, check_line, check_pair, record_cells
 
 # Cells per block of rows that save_matrix formats at once. The numpy kernels
 # block by complexity.BLOCK_ROWS rows, a few bytes a cell; here each cell
@@ -139,7 +139,7 @@ def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
     questions = [head + dumps(q) + ', "prompt_id": ' for q in matrix.question_ids]
     prompts = [dumps(p) + ', "tokens": ' for p in matrix.prompt_ids]
     utf8_bytes(path, "".join([head, *questions, *prompts]))
-    step = max(1, SAVE_CELLS // max(1, matrix.n_prompts))
+    step = max(1, SAVE_CELLS // matrix.n_prompts)
     count = 0
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, matrix.n_questions, step):
@@ -156,28 +156,30 @@ def save_matrix(matrix: RunMatrix, path: str | Path) -> int:
     return count
 
 
-def check_pair(obj: object) -> None:
-    """A ValueError unless obj's model and dataset are non-empty strings."""
-    for name in ("model", "dataset"):
-        value = getattr(obj, name)
-        if not isinstance(value, str) or not value:
-            raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+class Ids(tuple):
+    """Ids checked when built, by pickle and copy too: a ValueError, naming them
+    ``name``, if one repeats, is empty or is not a string. An Ids is returned as it is."""
 
+    __slots__ = ()
 
-def checked_ids(name: str, ids: Iterable[str]) -> tuple[str, ...]:
-    """The ids as a tuple; a ValueError if one repeats, is empty or is not a string."""
-    ids = tuple(ids)
-    distinct = dict.fromkeys(ids)  # smaller than a set of 20k ids
-    if len(distinct) != len(ids):
-        seen: set[str] = set()
-        repeat = next(key for key in ids if key in seen or seen.add(key))
-        raise ValueError(f"{name} repeat {repeat!r}")
-    if "" in distinct:
-        raise ValueError(f"{name} hold an empty id")
-    if not all(isinstance(key, str) for key in distinct):
-        bad = next(key for key in distinct if not isinstance(key, str))
-        raise ValueError(f"{name} hold a non-string id {bad!r}")
-    return ids
+    def __new__(cls, ids: Iterable[str], name: str = "ids") -> Ids:
+        if type(ids) is cls:
+            return ids
+        ids = super().__new__(cls, ids)
+        distinct = dict.fromkeys(ids)  # smaller than a set of 20k ids
+        if len(distinct) != len(ids):
+            seen: set[str] = set()
+            repeat = next(key for key in ids if key in seen or seen.add(key))
+            raise ValueError(f"{name} repeat {repeat!r}")
+        if "" in distinct:
+            raise ValueError(f"{name} hold an empty id")
+        for key in distinct:
+            if not isinstance(key, str):
+                raise ValueError(f"{name} hold a non-string id {key!r}")
+        return ids
+
+    def __reduce__(self):
+        return Ids, (tuple(self),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,23 +188,28 @@ class RunMatrix:
 
     ``present`` masks cells that have no record; every absent cell holds 0
     tokens and False in the copies the constructor makes, so kernels may read
-    all cells. An empty or non-string model or dataset, and a repeated, empty
-    or non-string id, are a ValueError, as the records and profile formats
-    refuse them.
+    all cells. What the records and profile formats refuse is a ValueError: an
+    empty or non-string model or dataset, an axis with no ids, and a repeated,
+    empty or non-string id. The ids are kept as Ids, and an Ids given as it is.
     Instances are immutable after construction and safe to share across
     threads.
     """
 
     model: str
     dataset: str
-    question_ids: tuple[str, ...]
-    prompt_ids: tuple[str, ...]
+    question_ids: Ids
+    prompt_ids: Ids
     tokens: np.ndarray
     correct: np.ndarray
     present: np.ndarray
 
     def __post_init__(self) -> None:
-        check_pair(self)
+        check_pair(self.model, self.dataset)
+        for name in ("question_ids", "prompt_ids"):
+            ids = Ids(getattr(self, name), name)
+            if not ids:
+                raise ValueError(f"{name} must hold at least one id")
+            object.__setattr__(self, name, ids)
         n, k = len(self.question_ids), len(self.prompt_ids)
         tokens = np.array(self.tokens, dtype=np.int64, order="C")
         correct = np.array(self.correct, dtype=bool, order="C")
@@ -218,8 +225,6 @@ class RunMatrix:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name in ("question_ids", "prompt_ids"):
-            object.__setattr__(self, name, checked_ids(name, getattr(self, name)))
 
     @property
     def n_questions(self) -> int:

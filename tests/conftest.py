@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cotbudget.complexity import INFINITE, profile
 from cotbudget.oracle import OracleSpec, generate, straddle_lengths
-from cotbudget.records import EvalRecord, RunMatrix
+from cotbudget.records import EvalRecord, Ids, RunMatrix
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +66,21 @@ def make_matrix(tokens, correct, present=None, model="m", dataset="d"):
         correct=np.asarray(correct, dtype=bool),
         present=np.asarray(present, dtype=bool),
     )
+
+
+def count_ids(monkeypatch) -> list[tuple]:
+    """The arguments of every Ids built from now on, in a list that grows; an
+    Ids handed back as it is was not built."""
+    built, new = [], Ids.__new__
+
+    def counting(cls, *args):
+        ids = new(cls, *args)
+        if ids is not args[0]:
+            built.append(args)
+        return ids
+
+    monkeypatch.setattr(Ids, "__new__", staticmethod(counting))
+    return built
 
 
 def estimate_one(lengths, corrects):

@@ -35,6 +35,7 @@ from cotbudget.prompts import PromptCatalog, default_catalog
 from cotbudget.records import load_records, read_matrices
 from cotbudget.sweepfiles import prior_cells
 
+from conftest import count_ids
 from loop_oracles import load_records_loop, pivot_loop, present_cells
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +153,18 @@ def empty_row(meta, arrays):
     arrays["correct0"][1] = False
 
 
+def no_ids(rows: bool, columns: bool):
+    """An edit that empties pair 0's question ids, prompt ids or both, and its arrays."""
+    def edit(meta, arrays):
+        for axis, empty in ((2, rows), (3, columns)):
+            if empty:
+                meta["pairs"][0][axis] = []
+        for name in cache.ARRAYS:
+            kept = arrays[f"{name}0"][: 0 if rows else None, : 0 if columns else None]
+            arrays[f"{name}0"] = kept.copy()
+    return edit
+
+
 ENTRY_EDITS = {
     "stale format version": lambda meta, a: meta.update(version=cache.FORMAT_VERSION - 1),
     "no format version": lambda meta, a: meta.pop("version"),
@@ -167,6 +180,9 @@ ENTRY_EDITS = {
     "true correct padding": lambda meta, a: a["correct0"].__setitem__((1, 1), True),
     "negative tokens": lambda meta, a: a["tokens0"].__setitem__((0, 0), -1),
     "an empty row": empty_row,
+    "no question ids": no_ids(rows=True, columns=False),
+    "no prompt ids": no_ids(rows=False, columns=True),
+    "no question or prompt ids": no_ids(rows=True, columns=True),
     "int32 tokens": lambda meta, a: a.update(tokens0=a["tokens0"].astype(np.int32)),
     "big-endian tokens": lambda meta, a: a.update(tokens0=a["tokens0"].astype(">i8")),
     "uint8 present": lambda meta, a: a.update(present0=a["present0"].astype(np.uint8)),
@@ -221,6 +237,22 @@ def test_bad_entry_is_a_silent_miss_and_is_rewritten(cached, caplog, corrupt):
     for pair, want in matrices.items():
         assert_same_matrices(again[pair], want)
         assert_same_matrices(third[pair], want)
+
+
+def test_a_hit_and_a_miss_build_equal_matrices_that_hold_ids(cached, monkeypatch):
+    """The entry's id lists become the matrix's Ids, checked once, as a miss's ids are."""
+    path, matrices, entry = cached
+    built = count_ids(monkeypatch)
+    hit = read_matrices(path)
+    entry.unlink()
+    miss = read_matrices(path)
+    assert list(hit) == list(miss) == list(matrices)
+    for pair, want in matrices.items():
+        assert_same_matrices(hit[pair], want)
+        assert_same_matrices(miss[pair], want)
+        for matrix in (hit[pair], miss[pair], want):
+            assert type(matrix.question_ids) is records.Ids is type(matrix.prompt_ids)
+    assert len(built) == 2 * 2 * len(matrices)  # each axis of each pair, on the hit and the miss
 
 
 def test_the_fixture_entry_is_valid(cached, caplog):

@@ -46,7 +46,8 @@ from cotbudget.prompts import (
     fixed_spec,
     render,
 )
-from cotbudget.records import EvalRecord, load_records, read_matrices
+from cotbudget.complexity import ComplexityProfile
+from cotbudget.records import EvalRecord, RunMatrix, load_records, read_matrices
 from cotbudget.sweepfiles import drop_torn_tail, open_sweep, prior_cells
 from cotbudget import transport as transport_module
 from cotbudget.transport import _DeadlineReader
@@ -1430,6 +1431,10 @@ def test_a_sweep_peaks_at_a_few_replies(tmp_path, monkeypatch):
     assert peak < 8 * cap, peak / cap
 
 
+class Label(str):
+    """A str subclass, as a caller's model or dataset name may be."""
+
+
 class TestIdsAreCheckedBeforeAnyRequest:
     """Every id a collected record carries is refused when the sweep's inputs are built."""
 
@@ -1440,6 +1445,29 @@ class TestIdsAreCheckedBeforeAnyRequest:
             with pytest.raises(ValueError, match=f"{field} must be a non-empty string"):
                 config_for(mock.url, **{field: value})
             assert mock.request_count == 0
+
+    @pytest.mark.parametrize("field", ["model", "dataset"])
+    @pytest.mark.parametrize("value", ["", None, 7, b"m", Label(""), Label("m")])
+    def test_config_matrix_and_profile_share_one_rule(self, field, value):
+        """A str subclass passes all three, as SweepConfig once refused it."""
+        one, cells = Fraction(1), [[True]]
+        builds = [
+            lambda names: config_for("http://127.0.0.1:9/v1", **names),
+            lambda names: RunMatrix(**{"model": "m", "dataset": "d", **names}, question_ids=("q",),
+                                    prompt_ids=("p",), tokens=[[1]], correct=cells, present=cells),
+            lambda names: ComplexityProfile(**{"model": "m", "dataset": "d", **names},
+                                            question_ids=("q",), tau=[1], k_used=[1],
+                                            c_star=[one], c_bar=one),
+        ]
+        outcomes = set()
+        for build in builds:
+            try:
+                outcomes.add(getattr(build({field: value}), field))
+            except ValueError as exc:
+                outcomes.add(str(exc))
+        good = isinstance(value, str) and value
+        want = value if good else f"{field} must be a non-empty string, got {value!r}"
+        assert outcomes == {want}
 
     @pytest.mark.parametrize("value", ["", None, 7])
     def test_prompt_id(self, value):

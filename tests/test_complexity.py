@@ -18,7 +18,7 @@ from cotbudget.errors import CoverageError, RecordParseError, RecordSchemaError
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths
 from cotbudget.records import RunMatrix
 
-from conftest import estimate_one, make_matrix, run_matrices, some_cells, with_cells
+from conftest import count_ids, estimate_one, make_matrix, run_matrices, some_cells, with_cells
 from loop_oracles import (
     best_thresholds_stable,
     classify_accuracy,
@@ -367,6 +367,23 @@ class TestProfileRefusesWhatItsFileRefuses:
         assert (loaded.model, loaded.dataset, loaded.question_ids) == (*labels, tuple(ids))
         assert loaded.tau.tolist() == columns["tau"]
         assert loaded.k_used.tolist() == columns["k_used"]
+
+
+def test_profile_takes_the_matrix_ids_as_they_are(monkeypatch):
+    """RunMatrix checked its ids when it was built, so profile checks none again."""
+    matrix = make_matrix([[5, 12], [3, 4]], [[False, True], [True, True]])
+    built = count_ids(monkeypatch)
+    prof = profile(matrix)
+    assert prof.question_ids is matrix.question_ids
+    assert built == []
+
+
+def test_a_caller_that_changes_what_it_passed_changes_no_profile():
+    ids, tau, k_used = ["q1", "q2"], np.array([3, -1]), np.array([2, 2])
+    prof = ComplexityProfile("m", "d", ids, tau, k_used, [ONE, ONE], ONE)
+    ids[0], tau[0], k_used[0] = "q9", 99, 9
+    assert prof.question_ids == ("q1", "q2")
+    assert prof.tau.tolist() == [3, -1] and prof.k_used.tolist() == [2, 2]
 
 
 def _valid_file(tmp_path, matrix=None):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import re
 import sys
 import tracemalloc
 from array import array
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -25,6 +28,7 @@ from cotbudget.inputs import TOKENS_MAX, PairRecords, read_json, read_jsonl, wri
 from cotbudget.records import (
     REQUIRED_FIELDS,
     EvalRecord,
+    Ids,
     RunMatrix,
     _place,
     load_records,
@@ -40,7 +44,7 @@ from cotbudget.complexity import ComplexityProfile, profile
 from cotbudget.oracle import generate, random_spec
 from cotbudget.prompts import PromptCatalog, default_catalog
 
-from conftest import make_matrix, make_record, run_matrices
+from conftest import count_ids, make_matrix, make_record, run_matrices
 from loop_oracles import (
     load_budgets_loop,
     load_questions_loop,
@@ -245,6 +249,93 @@ class TestPivot:
         m = make_matrix([[1]], [[True]])
         assert m.__eq__(m.tokens) is NotImplemented
         assert m != "matrix"
+
+    @pytest.mark.parametrize("n, k, axis", [(0, 1, "question_ids"), (1, 0, "prompt_ids"),
+                                            (0, 0, "question_ids")])
+    def test_an_axis_with_no_ids_is_refused(self, n, k, axis):
+        """As the files refuse it: a records file never holds an empty pair, and a
+        profile of no questions does not load. Such a matrix used to reach profile,
+        which raised ZeroDivisionError."""
+        cells = np.zeros((n, k), dtype=bool)
+        with pytest.raises(ValueError, match=f"^{axis} must hold at least one id$"):
+            RunMatrix("m", "d", tuple(f"q{i}" for i in range(n)), tuple(f"p{j}" for j in range(k)),
+                      cells.astype(np.int64), cells, cells)
+
+    def test_a_caller_that_changes_what_it_passed_changes_no_matrix(self):
+        question_ids, prompt_ids = ["q1", "q2"], ["p1"]
+        tokens, flags = np.array([[3], [4]]), np.ones((2, 1), dtype=bool)
+        m = RunMatrix("m", "d", question_ids, prompt_ids, tokens, flags, flags)
+        question_ids[0], prompt_ids[0], tokens[0, 0], flags[0, 0] = "q9", "p9", 99, False
+        assert (m.question_ids, m.prompt_ids) == (("q1", "q2"), ("p1",))
+        assert m.tokens.tolist() == [[3], [4]] and m.present.all() and m.correct.all()
+
+
+def _generator(ids):
+    return (i for i in ids)
+
+
+BAD_IDS = [(["q1", "q1"], "repeat 'q1'"), (["q1", ""], "hold an empty id"),
+           (["q1", 2], "hold a non-string id 2"), (["q1", None], "hold a non-string id None")]
+
+
+class TestIds:
+    """records.Ids, the checked id tuple that RunMatrix and ComplexityProfile hold."""
+
+    @pytest.mark.parametrize("given", [tuple, list, _generator])
+    @pytest.mark.parametrize("ids, fault", BAD_IDS)
+    def test_each_constructor_refuses_a_bad_id_with_one_message(self, given, ids, fault):
+        cells = np.ones((2, 1), dtype=bool)
+        one = Fraction(1)
+        builds = {
+            "question_ids": [
+                lambda: RunMatrix("m", "d", given(ids), ("p1",), cells, cells, cells),
+                lambda: ComplexityProfile("m", "d", given(ids), [5, 5], [1, 1], [one, one], one),
+                lambda: Ids(given(ids), "question_ids"),
+            ],
+            "prompt_ids": [lambda: RunMatrix("m", "d", ("q1",), given(ids), cells.T, cells.T,
+                                             cells.T)],
+            "ids": [lambda: Ids(given(ids))],
+        }
+        for name, calls in builds.items():
+            for build in calls:
+                with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + fault)}$"):
+                    build()
+
+    def test_an_ids_is_handed_back_as_it_is_and_anything_else_is_checked(self, monkeypatch):
+        ids = Ids(["q1", "q2"])
+        built = count_ids(monkeypatch)
+        assert Ids(ids, "question_ids") is ids
+        assert built == []
+        again = Ids(("q1", "q2"), "question_ids")
+        assert type(again) is Ids and again == ids and again is not ids
+        assert built == [(("q1", "q2"), "question_ids")]
+
+    def test_an_ids_behaves_as_the_tuple_it_holds(self):
+        plain = tuple(f"q{i}" for i in range(50))
+        ids = Ids(plain)
+        assert isinstance(ids, tuple) and ids == plain and plain == ids
+        assert hash(ids) == hash(plain) and repr(ids) == repr(plain)
+        assert json.dumps(ids) == json.dumps(plain)
+        assert sys.getsizeof(ids) == sys.getsizeof(plain)
+        assert not hasattr(ids, "__dict__")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_an_ids_survives_pickle_and_is_checked_again_on_load(self, protocol):
+        ids = Ids(["q1", "q2"], "question_ids")
+        data = pickle.dumps(ids, protocol)
+        loaded = pickle.loads(data)
+        assert type(loaded) is Ids and loaded == ids
+        assert data.count(b"q2") == 1
+        with pytest.raises(ValueError, match="^ids repeat 'q1'$"):
+            pickle.loads(data.replace(b"q2", b"q1"))
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_an_ids_survives_copy_and_is_checked_again(self, duplicate, monkeypatch):
+        ids = Ids(["q1", "q2"])
+        built = count_ids(monkeypatch)
+        copied = duplicate(ids)
+        assert type(copied) is Ids and copied == ids
+        assert built == [(("q1", "q2"),)]
 
 
 class TestPairRecordsAdd:
