@@ -10,9 +10,9 @@ import tempfile
 from pathlib import Path
 
 from cotbudget import Question, SweepConfig, profile, read_matrices, sweep
-from cotbudget.collect import JsonlWriter
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.prompts import PromptCatalog, fixed_spec, limited_spec
+from cotbudget.sweepfiles import JsonlWriter
 
 questions = [
     Question(question_id="add-1", text="What is 2+2?", gold_answer="4"),

@@ -16,8 +16,9 @@ __version__ = "0.1.0"
 # Each public name, listed once under the module that defines it.
 _EXPORTS = {
     "bounds": ("FrontierCurve", "alpha_star", "frontier", "lossless_bound", "t_star"),
-    "collect": ("Question", "SweepConfig", "grade", "load_questions", "sweep"),
+    "collect": ("SweepConfig", "sweep"),
     "complexity": ("ComplexityProfile", "QuestionComplexity", "profile"),
+    "grading": ("Question", "grade", "load_questions"),
     "inputs": ("INFINITE",),
     "metrics": ("PromptResult", "ValidationReport", "adaptivity_split", "complexity_correlations",
                 "err_score", "prompt_table", "spearman", "validation_report"),

@@ -13,11 +13,12 @@ import contextlib
 import json
 import logging
 import os
+import threading
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .collect import JsonlWriter, Question
 from .errors import CotBudgetError
+from .grading import Question
 from .inputs import PairCells, record_cells
 from .prompts import PromptSpec
 
@@ -25,6 +26,40 @@ log = logging.getLogger(__name__)
 
 TAIL_BLOCK_BYTES = 1 << 16
 _TORN = object()
+
+
+class JsonlWriter:
+    """Append-style JSONL sink; the lock is the sweep's single serialization point.
+
+    A line is ``json.dumps(obj, ensure_ascii=False)`` in UTF-8, except that a
+    lone surrogate, which a reply's content can hold and UTF-8 cannot encode,
+    is written as its JSON escape (``\\ud83d``), so the line still parses.
+    """
+
+    def __init__(self, path: str | Path, append: bool = False) -> None:
+        self.path = Path(path)
+        self._fh = self.path.open(
+            "a" if append else "w", encoding="utf-8", errors="backslashreplace", newline="\n"
+        )
+        self._lock = threading.Lock()
+
+    def write(self, obj: dict) -> None:
+        line = json.dumps(obj, ensure_ascii=False)
+        with self._lock:
+            # Two writes, so the line is not copied to add its newline. A kill
+            # between them leaves a final line that parses; a resume keeps it.
+            self._fh.write(line)
+            self._fh.write("\n")
+            self._fh.flush()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> JsonlWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _final_line(path: str | Path, line: bytes, at: int) -> object:

@@ -14,9 +14,9 @@ column sums that a one-pass loader and a row-blocked sum replaced, and
 ``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
 socket-level one replaced. The dataclasses ``Choice``, ``Question``,
 ``PromptSpec``, ``PromptCatalog``, ``SweepConfig`` and ``SweepSummary`` are
-the originals of the slotted classes in ``collect`` and ``prompts``. They
-are slow, and they are kept only as reference oracles for the differential
-tests.
+the originals of the slotted classes in ``grading``, ``collect`` and
+``prompts``. They are slow, and they are kept only as reference oracles for
+the differential tests.
 """
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-import cotbudget.collect
+import cotbudget.grading
 import cotbudget.prompts
-from cotbudget.collect import _QUESTION_RULES, QUESTION_FIELDS
+from cotbudget.grading import _QUESTION_RULES, QUESTION_FIELDS
 from cotbudget.complexity import (
     _C_STAR,
     _K_USED,
@@ -144,7 +144,7 @@ def budget_entry_loop(obj: object) -> tuple[str, int]:
     return question_id, budget
 
 
-def question_from_json_loop(obj: object) -> cotbudget.collect.Question:
+def question_from_json_loop(obj: object) -> cotbudget.grading.Question:
     """A question from one parsed JSONL line, each fault checked by hand.
 
     The choices are checked before the string fields, and the gold label last.
@@ -178,11 +178,11 @@ def question_from_json_loop(obj: object) -> cotbudget.collect.Question:
             f"question {obj['question_id']!r}: gold_answer {obj['gold_answer']!r} "
             "is not one of the choice labels"
         )
-    return cotbudget.collect.Question(
+    return cotbudget.grading.Question(
         question_id=obj["question_id"],
         text=obj["text"],
         gold_answer=obj["gold_answer"],
-        choices=(tuple(cotbudget.collect.Choice(c["label"], c["text"]) for c in choices)
+        choices=(tuple(cotbudget.grading.Choice(c["label"], c["text"]) for c in choices)
                  if choices else None),
     )
 
@@ -199,9 +199,9 @@ def load_budgets_loop(path: str | Path) -> dict[str, int]:
     return budgets
 
 
-def load_questions_loop(path: str | Path) -> list[cotbudget.collect.Question]:
+def load_questions_loop(path: str | Path) -> list[cotbudget.grading.Question]:
     """question_from_json_loop per line, then the repeated-id check of that line."""
-    out: list[cotbudget.collect.Question] = []
+    out: list[cotbudget.grading.Question] = []
     first: dict[str, int] = {}
     for line_no, obj in read_jsonl(path):
         try:
@@ -942,8 +942,8 @@ class HttpClientTransport:
         return conn.getresponse()
 
 
-# The dataclasses that collect's and prompts' slotted FrozenValue classes
-# replaced, so that a sweep need not import dataclasses. Each keeps the
+# The dataclasses that grading's, collect's and prompts' slotted FrozenValue
+# classes replaced, so that a sweep need not import dataclasses. Each keeps the
 # original's name, so that reprs compare as text.
 
 

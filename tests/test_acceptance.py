@@ -22,13 +22,13 @@ from cotbudget.bounds import alpha_star, frontier, lossless_bound, t_star
 from cotbudget.cli import main
 from cotbudget.collect import (
     JsonlWriter,
-    Choice,
     Question,
     SweepConfig,
     grade,
     sweep,
 )
 from cotbudget.complexity import INFINITE, profile
+from cotbudget.grading import Choice
 from cotbudget.metrics import spearman, validation_report
 from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.oracle import OracleSpec, generate, random_spec, straddle_lengths

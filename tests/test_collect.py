@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from cotbudget import collect as collect_module
 from cotbudget.collect import (
     JsonlWriter,
-    Choice,
     Question,
     SweepConfig,
     _run_cell,
@@ -34,6 +33,8 @@ from cotbudget.collect import (
     load_questions,
     sweep,
 )
+from cotbudget import grading
+from cotbudget.grading import Choice
 from cotbudget.errors import (
     DuplicateRecordError, EndpointError, RecordParseError, RecordSchemaError,
 )
@@ -87,7 +88,7 @@ def config_for(url: str, **kw) -> SweepConfig:
 
 HUGE_EXPONENTS = """
 from fractions import Fraction
-from cotbudget.collect import Question, _as_rational, grade
+from cotbudget.grading import Question, _as_rational, grade
 for answer in ("1e999999999", "1E-999999999", "2.5e+4301"):
     assert grade("Answer: " + answer, Question("q", "t", "1000")) == (False, answer)
     assert grade("Answer: 1000", Question("q", "t", answer)) == (False, "1000")
@@ -248,7 +249,7 @@ class TestGrade:
     @settings(max_examples=1000, deadline=None)
     @given(text=st.text("( ).ax", max_size=24))
     def test_strip_wrapping_agrees_with_a_stack(self, text):
-        assert collect_module._strip_wrapping(text) == strip_wrapping_stack(text)
+        assert grading._strip_wrapping(text) == strip_wrapping_stack(text)
 
 
 class TestQuestionModel:

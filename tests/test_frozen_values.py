@@ -1,4 +1,4 @@
-"""The slotted record classes of collect and prompts against the dataclasses they replaced.
+"""The slotted record classes of grading, collect and prompts against the dataclasses they replaced.
 
 Each class and its oracle in ``loop_oracles`` (same name, so reprs compare
 as text) are built from the same drawn call: positional and keyword
@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_oracles
-from cotbudget import collect, prompts
+from cotbudget import collect, grading, prompts
 from cotbudget.prompts import FIXED_INSTRUCTIONS, PARAMETERIZED_FAMILIES
 
 NAMES = ("Choice", "Question", "PromptSpec", "PromptCatalog", "SweepConfig", "SweepSummary")
-OURS = {name: getattr(prompts if name.startswith("Prompt") else collect, name) for name in NAMES}
+OURS = {name: getattr(prompts if name.startswith("Prompt") else collect if name.startswith("Sweep")
+                       else grading, name) for name in NAMES}
 ORACLES = {name: getattr(loop_oracles, name) for name in NAMES}
 FROZEN = set(NAMES) - {"SweepSummary"}
 

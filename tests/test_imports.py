@@ -21,8 +21,8 @@ from cotbudget.mockserver import MockChatEndpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(p.stem for p in (SRC / "cotbudget").glob("*.py") if p.stem != "__init__")
-COLLECTION = {"cotbudget.collect", "cotbudget.sweepfiles", "cotbudget.oracle", "cotbudget.routing",
-              "concurrent.futures"}
+COLLECTION = {"cotbudget.collect", "cotbudget.grading", "cotbudget.sweepfiles", "cotbudget.oracle",
+              "cotbudget.routing", "concurrent.futures"}
 
 # Runs the CLI, then prints its exit code and every loaded module as the last line.
 LOADED = """
@@ -197,19 +197,36 @@ def test_resume_with_nothing_left_loads_no_http_client(tmp_path, clean_env):
     assert "cotbudget.collect" in loaded
 
 
-def test_transport_imports_nothing_from_collect():
-    """The HTTP client sits below the sweep: it takes an endpoint and a timeout, never a
-    SweepConfig, so it imports no name of collect's, not even for type checking."""
-    tree = ast.parse((SRC / "cotbudget" / "transport.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module, below", [
+    ("transport", {"cotbudget.collect"}),
+    ("sweepfiles", {"cotbudget.collect"}),
+    ("grading", {"cotbudget.collect", "cotbudget.transport", "cotbudget.sweepfiles", "socket",
+                 "threading"}),
+])
+def test_a_module_imports_nothing_from_the_layers_above_it(module, below):
+    """The HTTP client and the sweep's files sit below the sweep: transport takes an endpoint
+    and a timeout, never a SweepConfig. The grader sits below all three and below threads,
+    so that what sets each cell's verdict needs no socket. No name is imported, not even for
+    type checking."""
+    tree = ast.parse((SRC / "cotbudget" / f"{module}.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            module = ".".join(filter(None, ["cotbudget" if node.level else "", node.module]))
-            imported.update([module, *(f"{module}.{alias.name}" for alias in node.names)])
+            name = ".".join(filter(None, ["cotbudget" if node.level else "", node.module]))
+            imported.update([name, *(f"{name}.{alias.name}" for alias in node.names)])
     assert {name for name in imported
-            if name == "cotbudget.collect" or name.startswith("cotbudget.collect.")} == set()
+            if any(name == above or name.startswith(f"{above}.") for above in below)} == set()
+
+
+def test_importing_grading_loads_no_socket_numpy_or_sweep():
+    """threading is left to the AST guard above: an interpreter may load it at start-up."""
+    done = child("import sys, cotbudget.grading; print(sorted(m for m in sys.modules if m in ("
+                 "'socket', '_ssl', 'numpy', 'cotbudget.collect', 'cotbudget.transport', "
+                 "'cotbudget.sweepfiles')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", MODULES)
