@@ -152,20 +152,25 @@ def _as_rational(s: str) -> Fraction | None:
         return None
 
 
-def _choice_label(extracted: str) -> str | None:
-    m = re.match(r"^([A-Za-z])(?:[^A-Za-z0-9].*)?$", extracted)
-    return m.group(1) if m else None
+_ALNUM = re.compile(r"[A-Za-z0-9]")
+
+
+def _names_label(extracted: str, label: str) -> bool:
+    # The label, case-folded, alone or before a character outside [A-Za-z0-9].
+    extracted, label = extracted.casefold(), label.casefold()
+    return extracted.startswith(label) and not _ALNUM.match(extracted, len(label))
 
 
 def grade(response: str, question: Question) -> tuple[bool, str | None]:
     """Score a response against the gold answer.
 
-    Takes the last 'Answer:' line, strips the outer parentheses that pair
-    with each other, and the blanks and trailing periods of every layer, from
-    it and from the gold alike, and compares case-insensitively;
-    free-form answers also match when both sides parse to the same exact
-    rational (see _as_rational). Ungradable responses are (False, None),
-    never an error.
+    Takes the last 'Answer:' line and strips the outer parentheses that pair
+    with each other, and the blanks and trailing periods of every layer. A
+    choice answer matches when, case-folded, it is the gold label or starts
+    with it before a character outside [A-Za-z0-9]. A free-form answer is
+    compared case-insensitively with the gold, stripped alike; it also
+    matches when both sides parse to the same exact rational (see
+    _as_rational). Ungradable responses are (False, None), never an error.
     """
     matches = ANSWER_PATTERN.findall(response or "")
     if not matches:
@@ -174,11 +179,7 @@ def grade(response: str, question: Question) -> tuple[bool, str | None]:
     if not extracted:
         return False, None
     if question.choices is not None:
-        label = _choice_label(extracted)
-        return (
-            label is not None and label.casefold() == question.gold_answer.casefold(),
-            extracted,
-        )
+        return _names_label(extracted, question.gold_answer), extracted
     gold = _strip_wrapping(question.gold_answer)
     if extracted.casefold() == gold.casefold():
         return True, extracted

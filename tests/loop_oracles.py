@@ -10,7 +10,9 @@ line validators that one rule table replaced. ``profile_from_json_dict_loop``
 and ``column_sums_whole`` are the per-entry loader and the whole-matrix
 column sums that a one-pass loader and a row-blocked sum replaced, and
 ``catalog_from_json_loop`` is the catalog loader one field at a time.
-``strip_wrapping_stack`` is the grader's parenthesis peel with a stack.
+``strip_wrapping_stack`` is the grader's parenthesis peel with a stack, and
+``grade_choice_first_letter`` its choice rule before labels other than one
+ASCII letter could match.
 ``HttpClientTransport`` is the ``http.client`` client that ``transport``'s
 socket-level one replaced. The dataclasses ``Choice``, ``Question``,
 ``PromptSpec``, ``PromptCatalog``, ``SweepConfig`` and ``SweepSummary`` are
@@ -23,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -36,7 +39,6 @@ import numpy as np
 
 import cotbudget.grading
 import cotbudget.prompts
-from cotbudget.grading import _QUESTION_RULES, QUESTION_FIELDS
 from cotbudget.complexity import (
     _C_STAR,
     _K_USED,
@@ -53,6 +55,7 @@ from cotbudget.errors import (
     RecordParseError,
     RecordSchemaError,
 )
+from cotbudget.grading import _QUESTION_RULES, ANSWER_PATTERN, QUESTION_FIELDS, _strip_wrapping
 from cotbudget.inputs import (
     NON_EMPTY_STRING, NULL_OR_TOKENS, TOKENS_MAX, check_line, checked, read_jsonl,
 )
@@ -238,6 +241,18 @@ def strip_wrapping_stack(s: str) -> str:
         if partner != len(s) - 1:
             return s
         s = s[1:-1]
+
+
+def grade_choice_first_letter(response: str, gold_label: str) -> tuple[bool, str | None]:
+    """The grader on a choice question as it was while it read only one ASCII letter: the
+    answer's first character, when it is one and stands alone or before a character
+    outside [A-Za-z0-9], against the gold label."""
+    matches = ANSWER_PATTERN.findall(response or "")
+    extracted = _strip_wrapping(matches[-1]) if matches else ""
+    if not extracted:
+        return False, None
+    m = re.match(r"^([A-Za-z])(?:[^A-Za-z0-9].*)?$", extracted)
+    return m is not None and m.group(1).casefold() == gold_label.casefold(), extracted
 
 
 def pivot_loop(records: Iterable[EvalRecord], model: str, dataset: str) -> RunMatrix:

@@ -1,4 +1,4 @@
-"""A stored reply regrades to its stored verdict through ``grading.grade``.
+"""Choice questions graded by their own labels, and stored replies regraded.
 
 A records file keeps each reply's ``response`` beside the ``correct`` and
 ``extracted_answer`` that ``grade`` gave it when the cell was collected, so a
@@ -7,6 +7,7 @@ regrade of an unchanged grader changes no record.
 from __future__ import annotations
 
 import json
+import string
 import tempfile
 from pathlib import Path
 
@@ -21,9 +22,71 @@ from cotbudget.mockserver import MockChatEndpoint
 from cotbudget.prompts import PromptCatalog, fixed_spec
 from cotbudget.sweepfiles import JsonlWriter
 
+from loop_oracles import grade_choice_first_letter
+
 
 def choices(*labels: str) -> tuple[Choice, ...]:
     return tuple(Choice(label, f"option {label}") for label in labels)
+
+
+@pytest.mark.parametrize("answer, labels, gold, correct", [
+    ("2", "1234", "2", True),
+    ("2)", "1234", "2", True),
+    ("(2).", "1234", "2", True),
+    ("3", "1234", "2", False),
+    ("AB", ("A", "AB"), "AB", True),
+    ("ab", ("A", "AB"), "AB", True),
+    ("AB) because", ("A", "AB"), "AB", True),
+    ("A", ("A", "AB"), "AB", False),
+    ("AB", ("A", "AB"), "A", False),
+    ("ABC", ("A", "AB"), "AB", False),
+    ("10", ("1", "10"), "10", True),
+    ("1. because", ("1", "10"), "1", True),
+    ("1", ("1", "10"), "10", False),
+    ("10", ("1", "10"), "1", False),
+    ("É", ("É", "E"), "É", True),
+    ("é", ("É", "E"), "É", True),
+    ("E", ("É", "E"), "É", False),
+    ("B: bees", "AB", "B", True),
+    ("Bees", "AB", "B", False),
+    # A first character outside ASCII that case-folds to the gold label, or to the
+    # label before a combining mark, names it.
+    ("\u212a", "JK", "K", True),  # KELVIN SIGN folds to "k"
+    ("\u0130", "HI", "I", True),  # LATIN CAPITAL LETTER I WITH DOT ABOVE folds to "i\u0307"
+])
+def test_a_choice_answer_is_graded_by_the_question_s_labels(answer, labels, gold, correct):
+    question = Question("q1", "pick", gold, choices(*labels))
+    extracted = grading._strip_wrapping(answer)
+    assert grading.grade(f"Answer: {answer}", question) == (correct, extracted)
+
+
+ASCII_LETTERS = st.sampled_from(string.ascii_letters)
+
+
+@st.composite
+def letter_choice_replies(draw) -> tuple[str, Question]:
+    """A question labelled with single ASCII letters, and an ASCII reply that often
+    answers with one of them, or with one before more characters."""
+    labels = draw(st.lists(ASCII_LETTERS, min_size=1, max_size=5, unique_by=str.casefold))
+    gold = draw(st.sampled_from(labels))
+    ascii_text = st.text(st.characters(max_codepoint=127), max_size=8)
+    answer = draw(st.one_of(
+        ascii_text,
+        st.builds("{}{}".format, st.sampled_from([*labels, *(l.swapcase() for l in labels)]),
+                  ascii_text),
+        st.builds("({}){}".format, ASCII_LETTERS, st.text(" .)x1", max_size=3)),
+    ))
+    prefix = draw(st.sampled_from(["", "Answer: ", "So.\nanswer: ", "Answer: X\nAnswer: "]))
+    return prefix + answer, Question("q", "t", gold, choices(*labels))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(case=letter_choice_replies())
+def test_single_letter_labels_grade_as_the_first_letter_rule(case):
+    """On one-ASCII-letter labels and ASCII replies, reading the question's labels
+    changes no verdict."""
+    reply, question = case
+    assert grading.grade(reply, question) == grade_choice_first_letter(reply, question.gold_answer)
 
 
 # Free-form golds and choice questions of every label kind: letters, digits,
