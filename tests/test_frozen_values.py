@@ -1,4 +1,5 @@
-"""The slotted record classes of grading, collect and prompts against the dataclasses they replaced.
+"""The slotted record classes of grading, collect and prompts against the dataclasses
+they replaced.
 
 Each class and its oracle in ``loop_oracles`` (same name, so reprs compare
 as text) are built from the same drawn call: positional and keyword

@@ -70,10 +70,10 @@ def letter_choice_replies(draw) -> tuple[str, Question]:
     labels = draw(st.lists(ASCII_LETTERS, min_size=1, max_size=5, unique_by=str.casefold))
     gold = draw(st.sampled_from(labels))
     ascii_text = st.text(st.characters(max_codepoint=127), max_size=8)
+    named = st.sampled_from([*labels, *(label.swapcase() for label in labels)])
     answer = draw(st.one_of(
         ascii_text,
-        st.builds("{}{}".format, st.sampled_from([*labels, *(l.swapcase() for l in labels)]),
-                  ascii_text),
+        st.builds("{}{}".format, named, ascii_text),
         st.builds("({}){}".format, ASCII_LETTERS, st.text(" .)x1", max_size=3)),
     ))
     prefix = draw(st.sampled_from(["", "Answer: ", "So.\nanswer: ", "Answer: X\nAnswer: "]))

@@ -197,13 +197,13 @@ def test_resume_with_nothing_left_loads_no_http_client(tmp_path, clean_env):
     assert "cotbudget.collect" in loaded
 
 
-@pytest.mark.parametrize("module, below", [
+@pytest.mark.parametrize("module, above", [
     ("transport", {"cotbudget.collect"}),
     ("sweepfiles", {"cotbudget.collect"}),
     ("grading", {"cotbudget.collect", "cotbudget.transport", "cotbudget.sweepfiles", "socket",
                  "threading"}),
 ])
-def test_a_module_imports_nothing_from_the_layers_above_it(module, below):
+def test_a_module_imports_nothing_from_the_layers_above_it(module, above):
     """The HTTP client and the sweep's files sit below the sweep: transport takes an endpoint
     and a timeout, never a SweepConfig. The grader sits below all three and below threads,
     so that what sets each cell's verdict needs no socket. No name is imported, not even for
@@ -217,7 +217,7 @@ def test_a_module_imports_nothing_from_the_layers_above_it(module, below):
             name = ".".join(filter(None, ["cotbudget" if node.level else "", node.module]))
             imported.update([name, *(f"{name}.{alias.name}" for alias in node.names)])
     assert {name for name in imported
-            if any(name == above or name.startswith(f"{above}.") for above in below)} == set()
+            if any(name == layer or name.startswith(f"{layer}.") for layer in above)} == set()
 
 
 def test_importing_grading_loads_no_socket_numpy_or_sweep():
